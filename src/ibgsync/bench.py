@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from . import kernels
+from .dynsim import Scenario, _kernel_args
 from .equilibrium import CurrentReference, pack_params
 from .network import FaultSpec, FaultType, compose_paths, compute_coefficients, table_circuit
 
@@ -39,31 +40,24 @@ def _scan_case() -> np.ndarray:
 
 
 def _sim_args():
+    """kernels.simulate arguments for 0.5 s of an SLG run at dt = 1e-4."""
     circuit = table_circuit()
-    paths = compose_paths(circuit)
-    zf = complex(0.01 / (110.0 ** 2 / 9.0))
-    ref_on = np.array([0.5, math.radians(-30.0), 0.3, math.radians(90.0)])
-    ref_pre = np.zeros(4)
-    gains = np.array([1.414, 100.0, 2000.0, 50.0, 8000.0])
+    fault = FaultSpec(FaultType.SLG, z_f=complex(0.01 / (110.0 ** 2 / 9.0)))
+    scenario = Scenario(
+        circuit=circuit, fault=fault,
+        ref_fault=CurrentReference(0.5, math.radians(-30.0), 0.3, math.radians(90.0)),
+    )
+    code, zf, paths, ug, theta_g0, w0, *tail = _kernel_args(scenario)
     y0 = np.zeros(9)
     y0[0] = circuit.ug_pos * math.cos(-math.pi / 3)
     y0[1] = circuit.ug_pos * math.sin(-math.pi / 3)
     y0[4] = -math.pi / 3
     y0[6] = math.pi / 3
-    paths_arr = np.array(
-        [
-            paths.zl_pos.real, paths.zl_pos.imag,
-            paths.zl_zero.real, paths.zl_zero.imag,
-            paths.zg_pos.real, paths.zg_pos.imag,
-            paths.zg_zero.real, paths.zg_zero.imag,
-        ]
-    )
-    n_steps = 5000  # 0.5 s at dt = 1e-4
+    n_steps = 5000
     rec = np.empty((n_steps // 10 + 1, 11))
     return (
-        y0, n_steps, 1e-4, 10, kernels.FAULT_SLG, zf, paths_arr,
-        circuit.ug_pos, 0.0, 2 * math.pi * 50.0, 0.0, math.inf,
-        ref_pre, ref_on, gains, False, True, rec,
+        y0, n_steps, scenario.dt, 10, code, zf, paths, ug, theta_g0, w0,
+        fault.t_on, fault.t_clear, *tail, rec,
     )
 
 

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 configuration or I/O error, 2 no equilibrium found
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -27,15 +28,16 @@ from .equilibrium import (
 from .limits import decoupled_limit, region_boundary, traversal_limit
 from .network import (
     BranchImpedance,
-    CircuitParameters,
     DegenerateNetwork,
     FaultSpec,
     FaultType,
     compose_paths,
     compute_coefficients,
+    table_circuit,
 )
 from .phasenet import SingularSystem, solve_phase_network
 from .phasor import format_phasor, parse_phasor, phasor, polar
+from .synchro import SyncMode
 
 _FAULT_CHOICES = ("none", "slg", "dlg", "ll", "tlg")
 
@@ -203,6 +205,7 @@ def cmd_region(doc: ConfigDocument, args) -> int:
         angle_step=math.radians(args.angle_step),
         step=args.step if args.step is not None else sol.step,
         ceiling=ceiling, refine=sol.refine, grid_deg=sol.grid_deg,
+        tol=sol.tol, ud_min=sol.ud_min,
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("theta_deg,i_limit_pu,binding\n")
@@ -262,32 +265,24 @@ def _trace_svg(trace) -> str:
 
 def cmd_simulate(doc: ConfigDocument, args) -> int:
     fault = make_fault(doc, args.fault, getattr(args, "zf", None))
-    if args.t_on is not None or args.t_clear is not None:
-        fault = FaultSpec(
-            fault_type=fault.fault_type, z_f=fault.z_f,
-            t_on=args.t_on if args.t_on is not None else fault.t_on,
-            t_clear=args.t_clear if args.t_clear is not None else fault.t_clear,
-        )
+    fault = dataclasses.replace(
+        fault,
+        t_on=fault.t_on if args.t_on is None else args.t_on,
+        t_clear=fault.t_clear if args.t_clear is None else args.t_clear,
+    )
     sync = doc.sync
     if args.mode is not None:
-        from .synchro import SyncConfig, SyncMode
-
-        sync = SyncConfig(
-            mode=SyncMode("dsogi_" + args.mode), k=sync.k,
-            kp_fll=sync.kp_fll, ki_fll=sync.ki_fll,
-            kp_pll=sync.kp_pll, ki_pll=sync.ki_pll, omega0=sync.omega0,
-        )
+        sync = dataclasses.replace(sync, mode=SyncMode("dsogi_" + args.mode))
     opts = doc.scenario
-    adaptive = opts.freq_adaptive_z
-    if args.adaptive is not None:
-        adaptive = args.adaptive
     scenario = Scenario(
         circuit=doc.circuit, fault=fault,
         ref_fault=_fault_refs(doc, args), ref_prefault=doc.ref_prefault,
         sync=sync,
         t_end=args.t_end if args.t_end is not None else opts.t_end,
         dt=args.dt if args.dt is not None else opts.dt,
-        freq_adaptive_z=adaptive,
+        freq_adaptive_z=(
+            args.adaptive if args.adaptive is not None else opts.freq_adaptive_z
+        ),
         init=args.init if args.init is not None else opts.init,
     )
     record_dt = args.record_dt if args.record_dt is not None else opts.record_dt
@@ -314,15 +309,17 @@ def cmd_simulate(doc: ConfigDocument, args) -> int:
 def _random_draw(rng) -> tuple:
     """One randomized (circuit, fault, injection, angles) validation case."""
 
-    def branch(r, x):
-        return BranchImpedance(
-            r * rng.uniform(0.5, 2.0), x * rng.uniform(0.5, 2.0)
-        )
-
-    circuit = CircuitParameters(
-        z_choke=branch(0.003, 0.15), z_t1=branch(0.002, 0.06),
-        z_t2=branch(0.16 / 30, 0.16), z_l1=branch(0.02, 0.05),
-        z_l2=branch(0.06, 0.30), z_g=branch(0.04, 0.20),
+    base = table_circuit()
+    # draws r then x, branch by branch in field order: seeded runs repeat
+    scaled = {}
+    for f in dataclasses.fields(base):
+        b = getattr(base, f.name)
+        if isinstance(b, BranchImpedance):
+            scaled[f.name] = BranchImpedance(
+                b.r * rng.uniform(0.5, 2.0), b.x * rng.uniform(0.5, 2.0)
+            )
+    circuit = dataclasses.replace(
+        base, **scaled,
         ug_pos=rng.uniform(0.8, 1.3), theta_g=rng.uniform(-math.pi, math.pi),
     )
     kind = _FAULT_CHOICES[rng.integers(0, len(_FAULT_CHOICES))]
@@ -361,6 +358,8 @@ def oracle_errors(draws: int, seed: int = 0) -> tuple[float, float]:
 
 
 def cmd_validate(doc: ConfigDocument, args) -> int:
+    if args.draws < 1:
+        raise ConfigError("--draws must be >= 1")
     worst_p, worst_n = oracle_errors(args.draws, args.seed)
     ok = max(worst_p, worst_n) < 1e-9
     _emit_json(
@@ -457,16 +456,17 @@ def main(argv=None) -> int:
     try:
         doc = load_config(args.config)
         return args.func(doc, args)
-    except ConfigError as exc:
+    # DegenerateNetwork and SingularSystem are ValueErrors: catch them first
+    except (DegenerateNetwork, SingularSystem, NoConvergence,
+            NumericalOverflow) as exc:
+        print(f"ibgsync: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
         print(f"ibgsync: config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"ibgsync: i/o error: {exc}", file=sys.stderr)
         return 1
-    except (DegenerateNetwork, SingularSystem, NoConvergence,
-            NumericalOverflow) as exc:
-        print(f"ibgsync: numerical failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -6,14 +6,14 @@ impedances may be given per-unit or in ohms with explicit bases. Unknown
 keys fail validation rather than being ignored.
 """
 
+import dataclasses
 import json
 import math
-from dataclasses import dataclass
 
 import jsonschema
 
 from .equilibrium import CurrentReference
-from .network import BranchImpedance, CircuitParameters, FaultSpec, FaultType
+from .network import BranchImpedance, CircuitParameters, FaultSpec, FaultType, table_circuit
 from .phasor import parse_phasor, polar
 from .synchro import SyncConfig, SyncMode
 
@@ -126,14 +126,14 @@ SCHEMA = {
     "additionalProperties": False,
 }
 
-# Table III reference entries, per-unit on the default bases
-_DEFAULT_BRANCHES = {
-    "choke": (0.003, 0.15),
-    "t1": (0.002, 0.06),
-    "t2": (0.16 / 30.0, 0.16),
-    "l1": (0.02, 0.05),
-    "l2": (0.06, 0.30),
-    "grid": (0.04, 0.20),
+# config branch key -> CircuitParameters field
+_BRANCH_FIELDS = {
+    "choke": "z_choke",
+    "t1": "z_t1",
+    "t2": "z_t2",
+    "l1": "z_l1",
+    "l2": "z_l2",
+    "grid": "z_g",
 }
 
 
@@ -141,7 +141,7 @@ class ConfigError(ValueError):
     """Configuration content failed validation or is inconsistent."""
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SolverOptions:
     """Equilibrium-scan and traversal tuning knobs."""
 
@@ -153,7 +153,7 @@ class SolverOptions:
     refine: bool = False
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ScenarioOptions:
     """Simulation horizon and integrator settings (fault times live on
     FaultSpec)."""
@@ -165,7 +165,7 @@ class ScenarioOptions:
     record_dt: float = 1e-3
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ConfigDocument:
     """Validated configuration resolved to internal units."""
 
@@ -190,36 +190,29 @@ def _parse_ref(section: dict | None) -> CurrentReference:
 
 
 def _build_circuit(section: dict) -> tuple[CircuitParameters, float]:
+    """The reference circuit with the entries the section gives; omitted
+    branches keep their per-unit reference values in either unit."""
     v_base = section.get("v_base_kv", DEFAULT_BASES["v_base_kv"])
     s_base = section.get("s_base_mva", DEFAULT_BASES["s_base_mva"])
     z_base = v_base * v_base / s_base
-    unit = section.get("unit", "pu")
-    scale = 1.0 / z_base if unit == "ohm" else 1.0
+    scale = 1.0 / z_base if section.get("unit", "pu") == "ohm" else 1.0
 
-    branches = {}
-    for name, (r_def, x_def) in _DEFAULT_BRANCHES.items():
-        entry = section.get(name)
-        if entry is None:
-            # defaults are the per-unit reference values regardless of unit
-            branches[name] = BranchImpedance(r_def, x_def)
-        else:
-            branches[name] = BranchImpedance(entry["r"] * scale, entry["x"] * scale)
-
+    changes = {
+        field: BranchImpedance(section[key]["r"] * scale, section[key]["x"] * scale)
+        for key, field in _BRANCH_FIELDS.items()
+        if key in section
+    }
     if "ug_pos" in section and "ug_kv" in section:
         raise ConfigError("give ug_pos (p.u.) or ug_kv, not both")
     if "ug_kv" in section:
-        ug = section["ug_kv"] / v_base
-    else:
-        ug = section.get("ug_pos", 120.0 / 110.0)
-
-    omega0 = 2.0 * math.pi * section.get("f_hz", 50.0)
-    circuit = CircuitParameters(
-        z_choke=branches["choke"], z_t1=branches["t1"], z_t2=branches["t2"],
-        z_l1=branches["l1"], z_l2=branches["l2"], z_g=branches["grid"],
-        ug_pos=ug, theta_g=math.radians(section.get("theta_g_deg", 0.0)),
-        omega0=omega0,
-    )
-    return circuit, z_base
+        changes["ug_pos"] = section["ug_kv"] / v_base
+    elif "ug_pos" in section:
+        changes["ug_pos"] = section["ug_pos"]
+    if "theta_g_deg" in section:
+        changes["theta_g"] = math.radians(section["theta_g_deg"])
+    if "f_hz" in section:
+        changes["omega0"] = 2.0 * math.pi * section["f_hz"]
+    return dataclasses.replace(table_circuit(), **changes), z_base
 
 
 def parse_config(raw: dict) -> ConfigDocument:
@@ -245,18 +238,9 @@ def parse_config(raw: dict) -> ConfigDocument:
         raise ConfigError("fault t_on must precede t_clear")
 
     current = raw.get("current", {})
-    sync_raw = raw.get("sync", {})
-    sync = SyncConfig(
-        mode=SyncMode(sync_raw.get("mode", "dsogi_pll")),
-        k=sync_raw.get("k", 1.414),
-        kp_fll=sync_raw.get("kp_fll", 50.0),
-        ki_fll=sync_raw.get("ki_fll", 8000.0),
-        kp_pll=sync_raw.get("kp_pll", 100.0),
-        ki_pll=sync_raw.get("ki_pll", 2000.0),
-        omega0=circuit.omega0,
-    )
-    scen = raw.get("scenario", {})
-    solver = raw.get("solver", {})
+    sync = dict(raw.get("sync", {}))
+    if "mode" in sync:
+        sync["mode"] = SyncMode(sync["mode"])
     return ConfigDocument(
         circuit=circuit,
         fault_type=fault_type,
@@ -265,22 +249,9 @@ def parse_config(raw: dict) -> ConfigDocument:
         t_clear=t_clear,
         ref_prefault=_parse_ref(current.get("prefault")),
         ref_fault=_parse_ref(current.get("fault")),
-        sync=sync,
-        scenario=ScenarioOptions(
-            t_end=scen.get("t_end", 3.0),
-            dt=scen.get("dt", 1e-4),
-            freq_adaptive_z=scen.get("freq_adaptive_z", True),
-            init=scen.get("init", "equilibrium"),
-            record_dt=scen.get("record_dt", 1e-3),
-        ),
-        solver=SolverOptions(
-            grid_deg=solver.get("grid_deg", 2.0),
-            tol=solver.get("tol", 1e-10),
-            ud_min=solver.get("ud_min", 1e-9),
-            step=solver.get("step", 0.01),
-            ceiling=solver.get("ceiling", 3.0),
-            refine=solver.get("refine", False),
-        ),
+        sync=SyncConfig(**sync, omega0=circuit.omega0),
+        scenario=ScenarioOptions(**raw.get("scenario", {})),
+        solver=SolverOptions(**raw.get("solver", {})),
         z_base_ohm=z_base,
     )
 

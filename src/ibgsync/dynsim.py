@@ -186,47 +186,46 @@ def _pack_state(state: SyncState) -> np.ndarray:
     )
 
 
-def _kernel_args(scenario: Scenario, on_fault_code: bool = True):
-    """Shared positional tail for the kernel calls."""
-    paths = compose_paths(scenario.circuit)
-    gains = np.array(
-        [
-            scenario.sync.k,
-            scenario.sync.kp_pll, scenario.sync.ki_pll,
-            scenario.sync.kp_fll, scenario.sync.ki_fll,
-        ]
-    )
-    ref_pre = np.array(
-        [
-            scenario.ref_prefault.i_pos, scenario.ref_prefault.theta_i_pos,
-            scenario.ref_prefault.i_neg, scenario.ref_prefault.theta_i_neg,
-        ]
-    )
-    ref_on = np.array(
-        [
-            scenario.ref_fault.i_pos, scenario.ref_fault.theta_i_pos,
-            scenario.ref_fault.i_neg, scenario.ref_fault.theta_i_neg,
-        ]
-    )
+def _ref_array(ref: CurrentReference) -> np.ndarray:
+    return np.array([ref.i_pos, ref.theta_i_pos, ref.i_neg, ref.theta_i_neg])
+
+
+def _kernel_args(scenario: Scenario):
+    """Shared positional tail for the kernel calls: (fault code, z_f, paths,
+    ug, theta_g, omega0, pre-fault ref, on-fault ref, gains, FLL mode,
+    frequency-adaptive impedances)."""
+    sync = scenario.sync
     return (
         scenario.fault.fault_type.code,
         complex(scenario.fault.z_f),
-        np.array(_path_floats(paths)),
+        np.array(_path_floats(compose_paths(scenario.circuit))),
         scenario.circuit.ug_pos,
         scenario.circuit.theta_g,
         scenario.circuit.omega0,
-        ref_pre,
-        ref_on,
-        gains,
-        scenario.sync.mode is SyncMode.DSOGI_FLL,
+        _ref_array(scenario.ref_prefault),
+        _ref_array(scenario.ref_fault),
+        np.array([sync.k, sync.kp_pll, sync.ki_pll, sync.kp_fll, sync.ki_fll]),
+        sync.mode is SyncMode.DSOGI_FLL,
         scenario.freq_adaptive_z,
     )
 
 
-def _unpack_state(y: np.ndarray, scenario: Scenario, t: float) -> SyncState:
-    """Rebuild a SyncState, recomputing the algebraic frequency outputs."""
+def _integrate(y, n_steps, dt, stride, fault, args, rec, t0=0.0):
+    """kernels.simulate over n_steps from time t0: the time origin is
+    shifted so that the kernel's internal t = 0 lands on t0. Returns the
+    kernel's (rows recorded, overflow step, final state)."""
+    code, zf, paths, ug, theta_g0, w0, *tail = args
+    return kernels.simulate(
+        y, n_steps, dt, stride, code, zf, paths, ug, theta_g0 + w0 * t0, w0,
+        fault.t_on - t0, fault.t_clear - t0, *tail, rec,
+    )
+
+
+def _unpack_state(y: np.ndarray, scenario: Scenario, t: float, args) -> SyncState:
+    """Rebuild a SyncState, recomputing the algebraic frequency outputs;
+    `args` is the scenario's _kernel_args tail."""
     (code, zf, paths, ug, theta_g0, w0, ref_pre, ref_on, gains,
-     mode_fll, adaptive) = _kernel_args(scenario)
+     mode_fll, adaptive) = args
     on = scenario.fault.t_on <= t < scenario.fault.t_clear
     dy = kernels.deriv_eval(
         y, t, code if on else kernels.FAULT_NONE, zf, paths, ug, theta_g0,
@@ -253,21 +252,15 @@ def _unpack_state(y: np.ndarray, scenario: Scenario, t: float) -> SyncState:
 def step(state: SyncState, scenario: Scenario, t: float, dt: float) -> SyncState:
     """Advance one RK4 step from time t; each stage re-evaluates the fault
     schedule and the grid angle at its own stage time."""
-    (code, zf, paths, ug, theta_g0, w0, ref_pre, ref_on, gains,
-     mode_fll, adaptive) = _kernel_args(scenario)
-    y = _pack_state(state)
+    args = _kernel_args(scenario)
     # the kernel records at both ends of the single step
     rec = np.empty((2, 11))
-    # shift the time origin so the kernel's internal t = 0 lands on t
-    _, overflow, y = kernels.simulate(
-        y, 1, dt, 1, code, zf, paths, ug,
-        theta_g0 + w0 * t, w0,
-        scenario.fault.t_on - t, scenario.fault.t_clear - t,
-        ref_pre, ref_on, gains, mode_fll, adaptive, rec,
+    _, overflow, y = _integrate(
+        _pack_state(state), 1, dt, 1, scenario.fault, args, rec, t0=t
     )
     if overflow >= 0:
         raise NumericalOverflow(f"state magnitude exceeded 1e6 at t = {t + dt:g}")
-    return _unpack_state(y, scenario, t + dt)
+    return _unpack_state(y, scenario, t + dt, args)
 
 
 def _settled_state(
@@ -322,19 +315,14 @@ def run_scenario(
 ) -> tuple[Trace, LosVerdict]:
     """Integrate [0, t_end] and detect loss of synchronism on the on-fault
     window. Overflow truncates the trace and forces a lost verdict."""
-    args = _kernel_args(scenario)
-    (code, zf, paths, ug, theta_g0, w0, ref_pre, ref_on, gains,
-     mode_fll, adaptive) = args
     dt = scenario.dt
     n_steps = int(round(scenario.t_end / dt))
     stride = max(1, int(round(record_dt / dt)))
     rec = np.empty((n_steps // stride + 1, 11))
 
     y0 = _pack_state(initial_sync_state(scenario))
-    n_rec, overflow_step, _ = kernels.simulate(
-        y0, n_steps, dt, stride, code, zf, paths, ug, theta_g0, w0,
-        scenario.fault.t_on, scenario.fault.t_clear,
-        ref_pre, ref_on, gains, mode_fll, adaptive, rec,
+    n_rec, overflow_step, _ = _integrate(
+        y0, n_steps, dt, stride, scenario.fault, _kernel_args(scenario), rec
     )
     rec = rec[:n_rec]
     t = rec[:, 0]
@@ -356,12 +344,15 @@ def run_scenario(
     )
 
     t_clear = min(scenario.fault.t_clear, scenario.t_end)
-    verdict = detect_los(trace, scenario.fault.t_on, t_clear)
+    verdict = detect_los(
+        trace, scenario.fault.t_on, t_clear,
+        f_nominal_hz=scenario.circuit.omega0 / (2.0 * math.pi),
+    )
     if overflow_step >= 0 and not verdict.lost:
         t_of = min(max(overflow_step * dt, scenario.fault.t_on), scenario.t_end)
         dominant = classify(
             compute_coefficients(compose_paths(scenario.circuit), scenario.fault),
-            scenario.ref_fault, ug,
+            scenario.ref_fault, scenario.circuit.ug_pos,
         )
         if dominant is InstabilityType.STABLE:
             dominant = InstabilityType.POS_TYPE1

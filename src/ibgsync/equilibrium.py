@@ -54,8 +54,9 @@ class CurrentReference:
     theta_i_neg: float = 0.0
 
     def __post_init__(self):
-        if self.i_pos < 0 or self.i_neg < 0:
-            raise ValueError("current amplitudes must be >= 0")
+        # "not <=" also rejects NaN
+        if not (0.0 <= self.i_pos < math.inf and 0.0 <= self.i_neg < math.inf):
+            raise ValueError("current amplitudes must be finite and >= 0")
         object.__setattr__(self, "theta_i_pos", wrap_angle(self.theta_i_pos))
         object.__setattr__(self, "theta_i_neg", wrap_angle(self.theta_i_neg))
 
@@ -119,6 +120,30 @@ def dq_voltages(
     return float(ud_p), float(uq_p), float(ud_n), float(uq_n)
 
 
+def _found(dp, dn, ud_p, uq_p, ud_n, uq_n, res) -> EquilibriumResult:
+    """A qualifying root with its voltages."""
+    return EquilibriumResult(
+        found=True, delta_pos=float(dp), delta_neg=float(dn),
+        ud_pos=float(ud_p), uq_pos=float(uq_p),
+        ud_neg=float(ud_n), uq_neg=float(uq_n),
+        cond_orientation=True, cond_feedback=True, residual_norm=float(res),
+    )
+
+
+def _not_found(res: float = math.inf) -> EquilibriumResult:
+    """No qualifying root; `res` is the best residual seen."""
+    return EquilibriumResult(
+        found=False, delta_pos=math.nan, delta_neg=math.nan,
+        ud_pos=math.nan, uq_pos=math.nan, ud_neg=math.nan, uq_neg=math.nan,
+        cond_orientation=False, cond_feedback=False, residual_norm=float(res),
+    )
+
+
+def _grid_points(grid_deg: float) -> int:
+    """Torus grid edge for a seed spacing in degrees."""
+    return max(8, int(round(360.0 / grid_deg)))
+
+
 def _negative_degenerate(prm: np.ndarray) -> bool:
     """True when the negative orientation equation is identically zero."""
     return (
@@ -135,28 +160,19 @@ def _solve_degenerate(prm: np.ndarray, ud_min: float) -> EquilibriumResult:
     f1 = prm[kernels.P_F1]
     b2 = prm[kernels.P_B2]
     p2 = prm[kernels.P_P2]
-    not_found = EquilibriumResult(
-        found=False, delta_pos=math.nan, delta_neg=math.nan,
-        ud_pos=math.nan, uq_pos=math.nan, ud_neg=math.nan, uq_neg=math.nan,
-        cond_orientation=False, cond_feedback=False, residual_norm=math.inf,
-    )
     if a1 < _DEGENERATE_TOL:
-        return not_found
+        return _not_found()
     x = -b2 * math.sin(p2) / a1
     if abs(x) > 1.0:
-        return not_found
+        return _not_found()
     psi = math.asin(x)
     if math.cos(psi) < 1e-12:
-        return not_found
+        return _not_found()
     ud_p = a1 * math.cos(psi) + b2 * math.cos(p2)
     if ud_p <= ud_min:
-        return not_found
+        return _not_found()
     dp = (f1 - psi) % (2.0 * math.pi)
-    return EquilibriumResult(
-        found=True, delta_pos=dp, delta_neg=0.0,
-        ud_pos=ud_p, uq_pos=0.0, ud_neg=0.0, uq_neg=0.0,
-        cond_orientation=True, cond_feedback=True, residual_norm=0.0,
-    )
+    return _found(dp, 0.0, ud_p, 0.0, 0.0, 0.0, 0.0)
 
 
 def solve_equilibrium(
@@ -179,27 +195,16 @@ def solve_equilibrium(
     if _negative_degenerate(prm):
         return _solve_degenerate(prm, ud_min)
 
-    grid_n = max(8, int(round(360.0 / grid_deg)))
-    found, dp, dn, res, any_conv = kernels.scan_roots(prm, grid_n, tol, 80, ud_min)
+    found, dp, dn, res, any_conv = kernels.scan_roots(
+        prm, _grid_points(grid_deg), tol, 80, ud_min
+    )
     if found:
-        ud_p, uq_p, ud_n, uq_n = kernels.dq_eval(prm, dp, dn)
-        return EquilibriumResult(
-            found=True, delta_pos=float(dp), delta_neg=float(dn),
-            ud_pos=float(ud_p), uq_pos=float(uq_p),
-            ud_neg=float(ud_n), uq_neg=float(uq_n),
-            cond_orientation=True, cond_feedback=True,
-            residual_norm=float(res),
-        )
+        return _found(dp, dn, *kernels.dq_eval(prm, dp, dn), res)
     if not any_conv and res < 1e-6:
         raise NoConvergence(
             f"Newton stalled from every seed (best residual {res:.3e})"
         )
-    return EquilibriumResult(
-        found=False, delta_pos=math.nan, delta_neg=math.nan,
-        ud_pos=math.nan, uq_pos=math.nan, ud_neg=math.nan, uq_neg=math.nan,
-        cond_orientation=False, cond_feedback=False,
-        residual_norm=float(res),
-    )
+    return _not_found(res)
 
 
 def refine_root(
@@ -223,12 +228,7 @@ def refine_root(
     j11, _, _, j22 = kernels.jacobian_eval(prm, dp, dn)
     if not (ud_p > ud_min and ud_n > ud_min and j11 < 0.0 and j22 < 0.0):
         return None
-    return EquilibriumResult(
-        found=True, delta_pos=float(dp), delta_neg=float(dn),
-        ud_pos=float(ud_p), uq_pos=float(uq_p),
-        ud_neg=float(ud_n), uq_neg=float(uq_n),
-        cond_orientation=True, cond_feedback=True, residual_norm=float(res),
-    )
+    return _found(dp, dn, ud_p, uq_p, ud_n, uq_n, res)
 
 
 def _excess(amp: float, limit: float) -> float:

@@ -15,7 +15,15 @@ import math
 from dataclasses import dataclass
 
 from . import kernels
-from .equilibrium import CurrentReference, pack_params, refine_root, solve_equilibrium
+from .equilibrium import (
+    CurrentReference,
+    _grid_points,
+    _negative_degenerate,
+    _solve_degenerate,
+    pack_params,
+    refine_root,
+    solve_equilibrium,
+)
 from .network import SequenceCoefficients
 from .phasor import polar, wrap_angle
 
@@ -116,23 +124,11 @@ def _failure_binding(
     requirement dropped; a surviving slope-stable root means the voltage
     condition is what failed (type 2), none at all means the fold (type 1)."""
     prm = pack_params(coeffs, ref, ug_pos)
-    neg_dead = (
-        prm[kernels.P_A4] < 1e-12
-        and prm[kernels.P_B5] < 1e-12
-        and prm[kernels.P_C6] < 1e-12
-        and prm[kernels.P_C3] < 1e-12
-    )
-    if neg_dead:
-        a1, f1 = prm[kernels.P_A1], prm[kernels.P_F1]
-        b2, p2 = prm[kernels.P_B2], prm[kernels.P_P2]
-        if a1 < 1e-12 or abs(b2 * math.sin(p2) / a1) > 1.0:
-            return Binding.TYPE1
-        psi = math.asin(-b2 * math.sin(p2) / a1)
-        if math.cos(psi) < 1e-12:
-            return Binding.TYPE1
-        return Binding.TYPE2
-    grid_n = max(8, int(round(360.0 / grid_deg)))
-    found, _, _, _, _ = kernels.scan_roots(prm, grid_n, tol, 80, -1e30)
+    if _negative_degenerate(prm):
+        found = _solve_degenerate(prm, -math.inf).found
+    else:
+        # the scan directly: solve_equilibrium may raise NoConvergence here
+        found = kernels.scan_roots(prm, _grid_points(grid_deg), tol, 80, -1e30)[0]
     return Binding.TYPE2 if found else Binding.TYPE1
 
 
@@ -219,6 +215,8 @@ def region_boundary(
     ceiling: float = 3.0,
     refine: bool = False,
     grid_deg: float = 2.0,
+    tol: float = 1e-10,
+    ud_min: float = 1e-9,
 ) -> RegionBoundary:
     """Sweep theta_i over [-pi, pi) and collect the traversal limit at each
     angle. Ceiling-capped samples keep the CEILING binding flag."""
@@ -232,7 +230,7 @@ def region_boundary(
             traversal_limit(
                 coeffs, ug_pos, sequence, float(theta),
                 fixed_other=fixed_other, step=step, ceiling=ceiling,
-                refine=refine, grid_deg=grid_deg,
+                refine=refine, grid_deg=grid_deg, tol=tol, ud_min=ud_min,
             )
         )
     return RegionBoundary(sequence, fixed_other, tuple(samples))

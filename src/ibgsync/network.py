@@ -8,6 +8,7 @@ sits between the choke and the first transformer, so the line path excludes
 the choke.
 """
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, field
@@ -73,7 +74,12 @@ class BranchImpedance:
 
 @dataclass(frozen=True)
 class CircuitParameters:
-    """Per-unit circuit: choke, two transformers, two line segments, grid."""
+    """Per-unit circuit: choke, two transformers, two line segments, grid.
+
+    `z_choke` is informational only: it is validated and stored, but no
+    equation reads it, because the terminal node sits between the choke and
+    T1 (see compose_paths).
+    """
 
     z_choke: BranchImpedance
     z_t1: BranchImpedance
@@ -102,8 +108,8 @@ class FaultSpec:
     t_clear: float = math.inf
 
     def __post_init__(self):
-        if abs(self.z_f) < 0:
-            raise ValueError("z_f magnitude must be >= 0")
+        if not cmath.isfinite(self.z_f) or self.z_f.real < 0:
+            raise ValueError(f"z_f must be finite with Re(z_f) >= 0, got {self.z_f}")
         if not self.t_on < self.t_clear:
             raise ValueError("t_on must precede t_clear")
 

@@ -157,6 +157,26 @@ class TestRegion:
         assert svg.startswith("<svg ")
         assert "polyline" in svg
 
+    def test_solver_options_match_limit(self, tmp_path, capsys):
+        # the region sweep honours solver.ud_min just as `limit` does
+        cfg = tmp_path / "solver.json"
+        cfg.write_text(json.dumps({"solver": {"ud_min": 0.5}}))
+        out_csv = tmp_path / "region.csv"
+        code, _, _ = run_cli(
+            ["--config", str(cfg), "region", "--fault", "dlg", "--seq", "pos",
+             "--angle-step", "90", "--out", str(out_csv)], capsys
+        )
+        assert code == 0
+        row = out_csv.read_text().splitlines()[4]
+        assert row.startswith("90,")
+        code, out, _ = run_cli(
+            ["--config", str(cfg), "limit", "--fault", "dlg", "--seq", "pos",
+             "--angle", "90", "--other", "0@0"], capsys
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert row == f"90,{data['i_limit']:.12g},{data['binding']}"
+
 
 class TestSimulate:
     def test_stable_run(self, tmp_path, capsys):
@@ -231,6 +251,24 @@ class TestErrors:
         code, _, err = run_cli(["coeffs"], capsys)
         assert code == 1
         assert "fault type missing" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["coeffs", "--fault", "slg", "--zf", "-0.5"],
+        ["equilibrium", "--fault", "dlg", "--iplus", "nan@0"],
+        ["region", "--fault", "dlg", "--seq", "pos", "--angle-step", "0"],
+        ["limit", "--fault", "dlg", "--seq", "pos", "--angle", "0", "--step", "0"],
+        ["simulate", "--fault", "dlg", "--dt", "0"],
+        ["simulate", "--fault", "dlg", "--t-on", "2", "--t-end", "1"],
+        ["validate", "--draws", "-1"],
+    ])
+    def test_invalid_input_exits_1(self, argv, tmp_path, capsys):
+        if argv[0] in ("region", "simulate"):
+            argv = argv + ["--out", str(tmp_path / "out.csv")]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert "config error" in err
+        assert "Traceback" not in err
+        assert out == ""
 
     def test_degenerate_network_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "degenerate.json"

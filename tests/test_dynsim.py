@@ -1,5 +1,6 @@
 """Tests for the closed-loop fault ride-through simulation."""
 
+import dataclasses
 import io
 import math
 
@@ -280,6 +281,19 @@ class TestRunScenario:
         assert verdict.signature is Signature.DRIFT
         assert verdict.t_los is not None and verdict.t_los >= 0.5
         assert not trace.diverged
+
+    def test_nominal_frequency_follows_the_circuit(self):
+        # a 60 Hz run that settles at 60 Hz must not read as a drift from 50
+        circuit = dataclasses.replace(CIRCUIT, omega0=2.0 * math.pi * 60.0)
+        sc = Scenario(
+            circuit=circuit, fault=FaultSpec(FaultType.DLG, z_f=ZF_PU),
+            ref_fault=CurrentReference(0.71, math.radians(-30.0), 0.5, math.radians(90.0)),
+            sync=SyncConfig(omega0=circuit.omega0), t_end=1.0,
+        )
+        trace, verdict = run_scenario(sc)
+        assert trace.f_pos_hz[-1] == pytest.approx(60.0, abs=1e-3)
+        assert not verdict.lost
+        assert verdict.dominant is InstabilityType.STABLE
 
     def test_early_clear_recovers(self):
         sc = dlg_scenario(REF_FLIP, 1.4, t_clear=0.35, ref_prefault=ZERO_REF)

@@ -195,6 +195,14 @@ def test_current_reference_validation():
     assert -math.pi < ref.theta_i_neg <= math.pi
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_current_reference_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        CurrentReference(i_pos=bad)
+    with pytest.raises(ValueError):
+        CurrentReference(i_neg=bad)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     ip=st.floats(min_value=0.0, max_value=0.5),

@@ -193,6 +193,17 @@ def test_decoupled_agrees_with_traversal_at_zero_other():
             assert swept.binding is closed.binding
 
 
+def test_traversal_degenerate_binding_matches_closed_form():
+    """A healthy network leaves the negative equation identically zero, so
+    the failure binding comes from the closed-form positive solve."""
+    c = coeffs_for(FaultType.NONE)
+    for deg in (0.0, 90.0, 150.0, -150.0):
+        closed = decoupled_limit(c, UG, "pos", math.radians(deg))
+        swept = traversal_limit(c, UG, "pos", math.radians(deg))
+        assert swept.i_limit == pytest.approx(closed.i_limit, abs=0.0101)
+        assert swept.binding is closed.binding
+
+
 def test_region_boundary_samples():
     c = coeffs_for(FaultType.DLG)
     region = region_boundary(

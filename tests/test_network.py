@@ -162,6 +162,12 @@ def test_fault_spec_ordering():
         FaultSpec(FaultType.SLG, t_on=1.0, t_clear=0.5)
 
 
+@pytest.mark.parametrize("zf", [-0.5 + 0j, complex(math.nan, 0.0), complex(0.0, math.inf)])
+def test_fault_spec_rejects_unphysical_impedance(zf):
+    with pytest.raises(ValueError):
+        FaultSpec(FaultType.SLG, z_f=zf)
+
+
 branch_st = st.builds(
     BranchImpedance,
     r=st.floats(min_value=1e-4, max_value=0.5),
