@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernels
 from .dynsim import Scenario, _kernel_args
-from .equilibrium import CurrentReference, pack_params
+from .equilibrium import NEWTON_MAXIT, CurrentReference, pack_params
 from .network import FaultSpec, FaultType, compose_paths, compute_coefficients, table_circuit
 
 
@@ -74,14 +74,14 @@ def main(argv=None) -> int:
     print(f"active kernel flavor: {flavor}")
 
     # warm-up (JIT compile in the numba build)
-    kernels.scan_roots(prm, 16, 1e-10, 80, 1e-9)
-    kernels.scan_roots_vec(prm, 16, 1e-10, 80, 1e-9)
+    kernels.scan_roots(prm, 16, 1e-10, NEWTON_MAXIT, 1e-9)
+    kernels.scan_roots_vec(prm, 16, 1e-10, NEWTON_MAXIT, 1e-9)
 
     t_active = _time(
-        lambda: kernels.scan_roots(prm, grid, 1e-10, 80, 1e-9), args.repeat
+        lambda: kernels.scan_roots(prm, grid, 1e-10, NEWTON_MAXIT, 1e-9), args.repeat
     )
     t_vec = _time(
-        lambda: kernels.scan_roots_vec(prm, grid, 1e-10, 80, 1e-9), args.repeat
+        lambda: kernels.scan_roots_vec(prm, grid, 1e-10, NEWTON_MAXIT, 1e-9), args.repeat
     )
     print(f"torus scan {grid}x{grid}: active {t_active * 1e3:9.2f} ms | "
           f"numpy fallback {t_vec * 1e3:9.2f} ms")

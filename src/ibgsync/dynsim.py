@@ -89,10 +89,11 @@ class Scenario:
     init: str = "equilibrium"
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be > 0")
+        # "not <" also rejects NaN
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be finite and > 0")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError("t_end must be finite and > 0")
         if self.fault.t_on < 0:
             raise ValueError("t_on must be >= 0")
         if self.fault.t_on >= self.t_end:
@@ -315,6 +316,8 @@ def run_scenario(
 ) -> tuple[Trace, LosVerdict]:
     """Integrate [0, t_end] and detect loss of synchronism on the on-fault
     window. Overflow truncates the trace and forces a lost verdict."""
+    if not 0.0 < record_dt < math.inf:
+        raise ValueError("record_dt must be finite and > 0")
     dt = scenario.dt
     n_steps = int(round(scenario.t_end / dt))
     stride = max(1, int(round(record_dt / dt)))

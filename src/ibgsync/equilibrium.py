@@ -29,6 +29,9 @@ __all__ = [
 
 _DEGENERATE_TOL = 1e-12
 
+# Newton iteration cap for torus-scan seeds and warm starts
+NEWTON_MAXIT = 80
+
 
 class InstabilityType(enum.Enum):
     """Which sequence loses orientation and through which mechanism."""
@@ -63,7 +66,14 @@ class CurrentReference:
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """Solved angle pair with the voltages and condition verdicts."""
+    """Solved angle pair with the voltages and condition verdicts.
+
+    On a miss (found False) the angles and voltages are NaN,
+    cond_orientation is False, and cond_feedback tells whether some
+    converged root still has both feedback slopes negative: True means only
+    the d-axis voltage condition failed (type 2), False means no such root
+    is left (the fold, type 1).
+    """
 
     found: bool
     delta_pos: float
@@ -130,12 +140,14 @@ def _found(dp, dn, ud_p, uq_p, ud_n, uq_n, res) -> EquilibriumResult:
     )
 
 
-def _not_found(res: float = math.inf) -> EquilibriumResult:
-    """No qualifying root; `res` is the best residual seen."""
+def _not_found(res: float = math.inf, feedback: bool = False) -> EquilibriumResult:
+    """No qualifying root; `res` is the best residual seen, `feedback`
+    whether a slope-stable root survives."""
     return EquilibriumResult(
         found=False, delta_pos=math.nan, delta_neg=math.nan,
         ud_pos=math.nan, uq_pos=math.nan, ud_neg=math.nan, uq_neg=math.nan,
-        cond_orientation=False, cond_feedback=False, residual_norm=float(res),
+        cond_orientation=False, cond_feedback=bool(feedback),
+        residual_norm=float(res),
     )
 
 
@@ -170,7 +182,7 @@ def _solve_degenerate(prm: np.ndarray, ud_min: float) -> EquilibriumResult:
         return _not_found()
     ud_p = a1 * math.cos(psi) + b2 * math.cos(p2)
     if ud_p <= ud_min:
-        return _not_found()
+        return _not_found(feedback=True)
     dp = (f1 - psi) % (2.0 * math.pi)
     return _found(dp, 0.0, ud_p, 0.0, 0.0, 0.0, 0.0)
 
@@ -195,8 +207,8 @@ def solve_equilibrium(
     if _negative_degenerate(prm):
         return _solve_degenerate(prm, ud_min)
 
-    found, dp, dn, res, any_conv = kernels.scan_roots(
-        prm, _grid_points(grid_deg), tol, 80, ud_min
+    found, dp, dn, res, any_conv, feedback = kernels.scan_roots(
+        prm, _grid_points(grid_deg), tol, NEWTON_MAXIT, ud_min
     )
     if found:
         return _found(dp, dn, *kernels.dq_eval(prm, dp, dn), res)
@@ -204,7 +216,7 @@ def solve_equilibrium(
         raise NoConvergence(
             f"Newton stalled from every seed (best residual {res:.3e})"
         )
-    return _not_found(res)
+    return _not_found(res, feedback)
 
 
 def refine_root(
@@ -221,14 +233,12 @@ def refine_root(
     if _negative_degenerate(prm):
         out = _solve_degenerate(prm, ud_min)
         return out if out.found else None
-    ok, dp, dn, res = kernels.newton_pair(prm, delta_pos, delta_neg, tol, 80)
-    if not ok:
+    ok, dp, dn, res = kernels.newton_pair(
+        prm, delta_pos, delta_neg, tol, NEWTON_MAXIT
+    )
+    if not (ok and kernels.root_conditions(prm, dp, dn, ud_min)[1]):
         return None
-    ud_p, uq_p, ud_n, uq_n = kernels.dq_eval(prm, dp, dn)
-    j11, _, _, j22 = kernels.jacobian_eval(prm, dp, dn)
-    if not (ud_p > ud_min and ud_n > ud_min and j11 < 0.0 and j22 < 0.0):
-        return None
-    return _found(dp, dn, ud_p, uq_p, ud_n, uq_n, res)
+    return _found(dp, dn, *kernels.dq_eval(prm, dp, dn), res)
 
 
 def _excess(amp: float, limit: float) -> float:
@@ -254,16 +264,6 @@ def classify(
     lim_n = decoupled_limit(coeffs, ug_pos, "neg", ref.theta_i_neg)
     excess_p = _excess(ref.i_pos, lim_p.i_limit)
     excess_n = _excess(ref.i_neg, lim_n.i_limit)
-    if excess_p >= excess_n:
-        mech = lim_p.binding
-        return (
-            InstabilityType.POS_TYPE2
-            if mech is Binding.TYPE2
-            else InstabilityType.POS_TYPE1
-        )
-    mech = lim_n.binding
-    return (
-        InstabilityType.NEG_TYPE2
-        if mech is Binding.TYPE2
-        else InstabilityType.NEG_TYPE1
-    )
+    seq, lim = ("pos", lim_p) if excess_p >= excess_n else ("neg", lim_n)
+    mech = "type2" if lim.binding is Binding.TYPE2 else "type1"
+    return InstabilityType(f"{seq}_{mech}")

@@ -158,7 +158,11 @@ def _dq_eval(prm, dp, dn):
 
 
 def _newton_pair(prm, dp, dn, tol, maxit):
-    """Damped Newton on (r1, r2) from one seed; returns (ok, dp, dn, res)."""
+    """Damped Newton on (r1, r2) from one seed; returns (ok, dp, dn, res).
+
+    The seed stops when its residual drops below tol (ok) or its Jacobian
+    turns singular; after maxit steps one last residual check decides.
+    """
     for _ in range(maxit):
         r1, r2 = _residual(prm, dp, dn)
         res = abs(r1) if abs(r1) > abs(r2) else abs(r2)
@@ -185,68 +189,94 @@ def _newton_pair(prm, dp, dn, tol, maxit):
     return res < tol, dp % (2.0 * math.pi), dn % (2.0 * math.pi), res
 
 
-def _qualifies(prm, dp, dn, ud_min):
-    """Orientation (ud > 0) and negative-feedback (g < 0) checks at a root."""
+def _conditions(prm, dp, dn, ud_min):
+    """Root conditions (feedback, qualifies); elementwise on arrays.
+
+    feedback: both per-loop feedback slopes are negative. qualifies: feedback
+    and both d-axis voltages above ud_min (orientation).
+    """
     ud_p, _, ud_n, _ = _dq_eval(prm, dp, dn)
     j11, _, _, j22 = _jacobian(prm, dp, dn)
-    return ud_p > ud_min and ud_n > ud_min and j11 < 0.0 and j22 < 0.0
+    feedback = (j11 < 0.0) & (j22 < 0.0)
+    return feedback, feedback & (ud_p > ud_min) & (ud_n > ud_min)
 
 
 def _scan_roots_loop(prm, grid_n, tol, maxit, ud_min):
     """Torus-grid-seeded Newton; returns the best qualifying root.
 
-    Returns (found, dp, dn, res, any_converged).
+    Returns (found, dp, dn, res, any_converged, any_feedback). any_feedback
+    tells whether some converged root has both feedback slopes negative,
+    whatever its d-axis voltages. res is the qualifying root's residual; on
+    a miss it is the best residual among converged seeds, or among all
+    seeds when none converged.
     """
     best_res = 1e30
+    conv_res = 1e30
+    all_res = 1e30
     best_dp = 0.0
     best_dn = 0.0
     found = False
     any_conv = False
+    any_feedback = False
     h = 2.0 * math.pi / grid_n
     for i in range(grid_n):
         for j in range(grid_n):
             ok, dp, dn, res = _newton_pair(prm, i * h, j * h, tol, maxit)
             if not ok:
+                all_res = min(all_res, res)
                 continue
             any_conv = True
-            if _qualifies(prm, dp, dn, ud_min) and res < best_res:
+            conv_res = min(conv_res, res)
+            feedback, qualifies = _conditions(prm, dp, dn, ud_min)
+            any_feedback = any_feedback or feedback
+            if qualifies and res < best_res:
                 best_res = res
                 best_dp = dp
                 best_dn = dn
                 found = True
-    return found, best_dp, best_dn, best_res, any_conv
+    if not found:
+        best_res = conv_res if any_conv else all_res
+    return found, best_dp, best_dn, best_res, any_conv, any_feedback
 
 
 def _scan_roots_vec(prm, grid_n, tol, maxit, ud_min):
-    """Vectorized twin of _scan_roots_loop (all seeds advanced together)."""
+    """Vectorized twin of _scan_roots_loop: every seed follows _newton_pair's
+    stopping rule and leaves the active set when it stops."""
     h = 2.0 * math.pi / grid_n
     g = np.arange(grid_n) * h
     dp, dn = np.meshgrid(g, g, indexing="ij")
     dp = dp.ravel().copy()
     dn = dn.ravel().copy()
-    for _ in range(maxit):
-        r1, r2 = _residual(prm, dp, dn)
-        j11, j12, j21, j22 = _jacobian(prm, dp, dn)
+    res = np.empty(dp.size)
+    conv = np.zeros(dp.size, dtype=bool)
+    act = np.arange(dp.size)
+    for it in range(maxit + 1):
+        a = dp[act]
+        b = dn[act]
+        r1, r2 = _residual(prm, a, b)
+        res[act] = np.maximum(np.abs(r1), np.abs(r2))
+        conv[act] = res[act] < tol
+        if it == maxit:
+            break  # seeds still active after maxit steps get only this check
+        j11, j12, j21, j22 = _jacobian(prm, a, b)
         det = j11 * j22 - j12 * j21
-        det = np.where(np.abs(det) < 1e-14, np.inf, det)
-        sp = np.clip(-(j22 * r1 - j12 * r2) / det, -0.5, 0.5)
-        sn = np.clip(-(-j21 * r1 + j11 * r2) / det, -0.5, 0.5)
-        dp = dp + sp
-        dn = dn + sn
-    r1, r2 = _residual(prm, dp, dn)
-    res = np.maximum(np.abs(r1), np.abs(r2))
-    conv = res < tol
+        # converged and singular seeds stop here
+        keep = ~(conv[act] | (np.abs(det) < 1e-14))
+        act = act[keep]
+        r1, r2, det = r1[keep], r2[keep], det[keep]
+        j11, j12, j21, j22 = j11[keep], j12[keep], j21[keep], j22[keep]
+        dp[act] = a[keep] + np.clip(-(j22 * r1 - j12 * r2) / det, -0.5, 0.5)
+        dn[act] = b[keep] + np.clip(-(-j21 * r1 + j11 * r2) / det, -0.5, 0.5)
     if not conv.any():
-        return False, 0.0, 0.0, float(res.min()), False
-    dp = dp % (2.0 * math.pi)
-    dn = dn % (2.0 * math.pi)
-    ud_p, _, ud_n, _ = _dq_eval(prm, dp, dn)
-    j11, _, _, j22 = _jacobian(prm, dp, dn)
-    good = conv & (ud_p > ud_min) & (ud_n > ud_min) & (j11 < 0.0) & (j22 < 0.0)
+        return False, 0.0, 0.0, float(res.min()), False, False
+    dp = dp[conv] % (2.0 * math.pi)
+    dn = dn[conv] % (2.0 * math.pi)
+    res = res[conv]
+    feedback, good = _conditions(prm, dp, dn, ud_min)
     if not good.any():
-        return False, 0.0, 0.0, float(res[conv].min()), True
+        return False, 0.0, 0.0, float(res.min()), True, bool(feedback.any())
     k = int(np.argmin(np.where(good, res, np.inf)))
-    return True, float(dp[k]), float(dn[k]), float(res[k]), True
+    return True, float(dp[k]), float(dn[k]), float(res[k]), True, True
 
 
 def _deriv(y, t, code, zf, paths, ug, theta_g0, w0, ref, gains, mode_fll,
@@ -446,7 +476,7 @@ if USING_NUMBA:
     _seq_coeffs = njit(cache=True)(_seq_coeffs)
     _seq_coeffs_mixed = njit(cache=True)(_seq_coeffs_mixed)
     _newton_pair = njit(cache=True)(_newton_pair)
-    _qualifies = njit(cache=True)(_qualifies)
+    _conditions = njit(cache=True)(_conditions)
     _deriv = njit(cache=True)(_deriv)
     _observe = njit(cache=True)(_observe)
     scan_roots = njit(cache=True)(_scan_roots_loop)
@@ -462,6 +492,7 @@ deriv_eval = _deriv
 residual_eval = _residual
 jacobian_eval = _jacobian
 dq_eval = _dq_eval
+root_conditions = _conditions
 
 # always-available flavors for benchmarks and equivalence tests
 scan_roots_loop = _scan_roots_loop

@@ -14,16 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from . import kernels
-from .equilibrium import (
-    CurrentReference,
-    _grid_points,
-    _negative_degenerate,
-    _solve_degenerate,
-    pack_params,
-    refine_root,
-    solve_equilibrium,
-)
+from .equilibrium import CurrentReference, refine_root, solve_equilibrium
 from .network import SequenceCoefficients
 from .phasor import polar, wrap_angle
 
@@ -113,25 +104,6 @@ def _make_ref(
     return CurrentReference(other[0], other[1], amp, theta_i)
 
 
-def _failure_binding(
-    coeffs: SequenceCoefficients,
-    ref: CurrentReference,
-    ug_pos: float,
-    grid_deg: float,
-    tol: float,
-) -> Binding:
-    """Mechanism at a failing amplitude: rerun the scan with the d-axis
-    requirement dropped; a surviving slope-stable root means the voltage
-    condition is what failed (type 2), none at all means the fold (type 1)."""
-    prm = pack_params(coeffs, ref, ug_pos)
-    if _negative_degenerate(prm):
-        found = _solve_degenerate(prm, -math.inf).found
-    else:
-        # the scan directly: solve_equilibrium may raise NoConvergence here
-        found = kernels.scan_roots(prm, _grid_points(grid_deg), tol, 80, -1e30)[0]
-    return Binding.TYPE2 if found else Binding.TYPE1
-
-
 def traversal_limit(
     coeffs: SequenceCoefficients,
     ug_pos: float,
@@ -163,34 +135,27 @@ def traversal_limit(
         raise ValueError("ceiling must exceed step")
     other = fixed_other if fixed_other is not None else (0.0, 0.0)
 
-    last_ok = 0.0
     prev: tuple[float, float] | None = None
-    fail_amp: float | None = None
     n_steps = int(math.floor(ceiling / step + 1e-9))
     for k in range(1, n_steps + 1):
-        amp = k * step
-        ref = _make_ref(sequence, amp, theta_i, other)
+        ref = _make_ref(sequence, k * step, theta_i, other)
         res = None
         if prev is not None:
             res = refine_root(coeffs, ref, ug_pos, prev[0], prev[1], tol, ud_min)
         if res is None:
-            full = solve_equilibrium(coeffs, ref, ug_pos, grid_deg, tol, ud_min)
-            res = full if full.found else None
-        if res is None:
-            fail_amp = amp
+            res = solve_equilibrium(coeffs, ref, ug_pos, grid_deg, tol, ud_min)
+        if not res.found:
             break
-        last_ok = amp
         prev = (res.delta_pos, res.delta_neg)
-
-    if fail_amp is None:
+    else:
         return LimitResult(sequence, theta_i, n_steps * step, Binding.CEILING)
 
-    binding = _failure_binding(
-        coeffs, _make_ref(sequence, fail_amp, theta_i, other), ug_pos, grid_deg, tol
-    )
-    i_limit = last_ok
+    # res is the scan that confirmed the failure at k * step: a surviving
+    # slope-stable root means the voltage condition failed (type 2), none
+    # means the fold (type 1)
+    binding = Binding.TYPE2 if res.cond_feedback else Binding.TYPE1
+    lo, hi = (k - 1) * step, k * step
     if refine:
-        lo, hi = last_ok, fail_amp
         for _ in range(3):
             mid = 0.5 * (lo + hi)
             ok = solve_equilibrium(
@@ -201,8 +166,7 @@ def traversal_limit(
                 lo = mid
             else:
                 hi = mid
-        i_limit = lo
-    return LimitResult(sequence, theta_i, i_limit, binding)
+    return LimitResult(sequence, theta_i, lo, binding)
 
 
 def region_boundary(

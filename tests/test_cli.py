@@ -88,6 +88,20 @@ class TestEquilibrium:
         assert code == 2
         assert json.loads(out)["found"] is False
 
+    @pytest.mark.parametrize("iplus, feedback", [
+        ("0.60@90", True),  # a slope-stable root is left with ud+ <= 0
+        ("0.77@-30", False),  # past the fold: no slope-stable root at all
+    ])
+    def test_miss_names_failed_condition(self, iplus, feedback, capsys):
+        code, out, _ = run_cli(
+            ["equilibrium", "--fault", "dlg",
+             "--iplus", iplus, "--iminus", "0.5@90"], capsys
+        )
+        assert code == 2
+        data = json.loads(out)
+        assert data["found"] is False
+        assert data["cond_feedback"] is feedback
+
 
 class TestLimit:
     def test_traversal_with_fixed_other(self, capsys):
@@ -269,6 +283,23 @@ class TestErrors:
         assert "config error" in err
         assert "Traceback" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--record-dt", "-1"),
+        ("--record-dt", "inf"),
+        ("--t-end", "inf"),
+        ("--dt", "inf"),
+    ])
+    def test_invalid_time_input_writes_no_trace(self, flag, value, tmp_path,
+                                                capsys):
+        out_csv = tmp_path / "trace.csv"
+        code, _, err = run_cli(
+            ["simulate", "--fault", "dlg", flag, value, "--out", str(out_csv)],
+            capsys,
+        )
+        assert code == 1
+        assert "config error" in err
+        assert not out_csv.exists()
 
     def test_degenerate_network_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "degenerate.json"

@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ibgsync import (
     CurrentReference,
@@ -23,7 +25,7 @@ from ibgsync import (
     table_circuit,
 )
 from ibgsync.dynsim import terminal_voltage
-from ibgsync.equilibrium import pack_params
+from ibgsync.equilibrium import NEWTON_MAXIT, pack_params
 from ibgsync.network import _path_floats
 
 ZF_PU = 7.43801652892562e-06
@@ -55,6 +57,27 @@ class TestScanFlavors:
         assert not loop[0] and not vec[0]
         # Newton still converges somewhere, just never to a qualifying root
         assert loop[4] and vec[4]
+        # both report the best converged residual
+        assert loop[3] == vec[3]
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        amps=st.lists(st.floats(0.0, 2.0), min_size=6, max_size=6),
+        angles=st.lists(st.floats(-math.pi, math.pi), min_size=6, max_size=6),
+        ud_min=st.sampled_from([1e-9, 0.3, -1e30]),
+    )
+    def test_flavors_agree(self, amps, angles, ud_min):
+        """Both flavors stop each seed by the same rule, so they agree on
+        the flags, the root and the residual for any packed parameters."""
+        prm = np.empty(12)
+        prm[0::2] = amps
+        prm[1::2] = angles
+        loop = kernels.scan_roots_loop(prm, 12, 1e-10, NEWTON_MAXIT, ud_min)
+        vec = kernels.scan_roots_vec(prm, 12, 1e-10, NEWTON_MAXIT, ud_min)
+        assert (loop[0], loop[4], loop[5]) == (vec[0], vec[4], vec[5])
+        assert loop[1] == pytest.approx(vec[1], abs=1e-9)
+        assert loop[2] == pytest.approx(vec[2], abs=1e-9)
+        assert loop[3] == vec[3]
 
     def test_binding_matches_build_mode(self):
         if os.environ.get("IBGSYNC_PURE_NUMPY", "") == "1":
