@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from . import kernels
-from .dynsim import Scenario, _kernel_args
+from .dynsim import TRACE_COLUMNS, Scenario, _kernel_args
 from .equilibrium import NEWTON_MAXIT, CurrentReference, pack_params
 from .network import FaultSpec, FaultType, compose_paths, compute_coefficients, table_circuit
 
@@ -54,7 +54,7 @@ def _sim_args():
     y0[4] = -math.pi / 3
     y0[6] = math.pi / 3
     n_steps = 5000
-    rec = np.empty((n_steps // 10 + 1, 11))
+    rec = np.empty((n_steps // 10 + 1, len(TRACE_COLUMNS)))
     return (
         y0, n_steps, scenario.dt, 10, code, zf, paths, ug, theta_g0, w0,
         fault.t_on, fault.t_clear, *tail, rec,

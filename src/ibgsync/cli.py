@@ -80,6 +80,13 @@ def _fault_refs(doc: ConfigDocument, args) -> CurrentReference:
     return CurrentReference(amp_p, ang_p, amp_n, ang_n)
 
 
+def _with_flags(opts, args):
+    """opts with each field that a flag of the same dest sets replaced."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(opts)
+             if getattr(args, f.name, None) is not None}
+    return dataclasses.replace(opts, **given)
+
+
 def _coeffs_for(doc: ConfigDocument, args):
     fault = make_fault(doc, args.fault, getattr(args, "zf", None))
     return compute_coefficients(compose_paths(doc.circuit), fault), fault
@@ -143,7 +150,7 @@ def _limit_json(lim) -> dict:
 def cmd_limit(doc: ConfigDocument, args) -> int:
     coeffs, _ = _coeffs_for(doc, args)
     theta = math.radians(args.angle)
-    sol = doc.solver
+    sol = _with_flags(doc.solver, args)
     if args.decoupled:
         lim = decoupled_limit(coeffs, doc.circuit.ug_pos, args.seq, theta)
     else:
@@ -155,11 +162,9 @@ def cmd_limit(doc: ConfigDocument, args) -> int:
             other = (doc.ref_fault.i_pos, doc.ref_fault.theta_i_pos)
         lim = traversal_limit(
             coeffs, doc.circuit.ug_pos, args.seq, theta,
-            fixed_other=other,
-            step=args.step if args.step is not None else sol.step,
-            ceiling=args.ceiling if args.ceiling is not None else sol.ceiling,
-            refine=sol.refine or args.refine,
-            grid_deg=sol.grid_deg, tol=sol.tol, ud_min=sol.ud_min,
+            fixed_other=other, step=sol.step, ceiling=sol.ceiling,
+            refine=sol.refine, grid_deg=sol.grid_deg, tol=sol.tol,
+            ud_min=sol.ud_min,
         )
     _emit_json(_limit_json(lim))
     return 0
@@ -197,15 +202,13 @@ def _region_svg(samples, ceiling: float) -> str:
 def cmd_region(doc: ConfigDocument, args) -> int:
     coeffs, _ = _coeffs_for(doc, args)
     other = _parse_ref_flag(args.other) if args.other is not None else None
-    sol = doc.solver
-    ceiling = args.ceiling if args.ceiling is not None else sol.ceiling
+    sol = _with_flags(doc.solver, args)
     region = region_boundary(
         coeffs, doc.circuit.ug_pos, args.seq,
         fixed_other=other,
         angle_step=math.radians(args.angle_step),
-        step=args.step if args.step is not None else sol.step,
-        ceiling=ceiling, refine=sol.refine, grid_deg=sol.grid_deg,
-        tol=sol.tol, ud_min=sol.ud_min,
+        step=sol.step, ceiling=sol.ceiling, refine=sol.refine,
+        grid_deg=sol.grid_deg, tol=sol.tol, ud_min=sol.ud_min,
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("theta_deg,i_limit_pu,binding\n")
@@ -215,7 +218,7 @@ def cmd_region(doc: ConfigDocument, args) -> int:
             fh.write(f"{deg:.12g},{s.i_limit:.12g},{s.binding.value}\n")
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(_region_svg(region.samples, ceiling))
+            fh.write(_region_svg(region.samples, sol.ceiling))
     print(f"wrote {len(region.samples)} samples to {args.out}")
     return 0
 
@@ -264,35 +267,25 @@ def _trace_svg(trace) -> str:
 
 
 def cmd_simulate(doc: ConfigDocument, args) -> int:
-    fault = make_fault(doc, args.fault, getattr(args, "zf", None))
-    fault = dataclasses.replace(
-        fault,
-        t_on=fault.t_on if args.t_on is None else args.t_on,
-        t_clear=fault.t_clear if args.t_clear is None else args.t_clear,
-    )
+    fault = _with_flags(make_fault(doc, args.fault, args.zf), args)
     sync = doc.sync
     if args.mode is not None:
         sync = dataclasses.replace(sync, mode=SyncMode("dsogi_" + args.mode))
-    opts = doc.scenario
+    opts = _with_flags(doc.scenario, args)
     scenario = Scenario(
         circuit=doc.circuit, fault=fault,
         ref_fault=_fault_refs(doc, args), ref_prefault=doc.ref_prefault,
-        sync=sync,
-        t_end=args.t_end if args.t_end is not None else opts.t_end,
-        dt=args.dt if args.dt is not None else opts.dt,
-        freq_adaptive_z=(
-            args.adaptive if args.adaptive is not None else opts.freq_adaptive_z
-        ),
-        init=args.init if args.init is not None else opts.init,
+        sync=sync, t_end=opts.t_end, dt=opts.dt,
+        freq_adaptive_z=opts.freq_adaptive_z, init=opts.init,
     )
-    record_dt = args.record_dt if args.record_dt is not None else opts.record_dt
-    trace, verdict = run_scenario(scenario, record_dt=record_dt)
+    trace, verdict = run_scenario(scenario, record_dt=opts.record_dt)
     with open(args.out, "w", encoding="utf-8") as fh:
         trace_to_csv(trace, fh)
     verdict_obj = {
         "lost": verdict.lost,
+        "determined": verdict.determined,
         "t_los": _jnum(verdict.t_los) if verdict.t_los is not None else None,
-        "dominant": verdict.dominant.value,
+        "dominant": verdict.dominant.value if verdict.dominant else None,
         "signature": verdict.signature.value if verdict.signature else None,
         "diverged": trace.diverged,
     }
@@ -405,7 +398,7 @@ def build_parser() -> _Parser:
                    help="fixed other-sequence current")
     p.add_argument("--step", type=float, default=None)
     p.add_argument("--ceiling", type=float, default=None)
-    p.add_argument("--refine", action="store_true",
+    p.add_argument("--refine", action="store_true", default=None,
                    help="bisection-refine the limit")
     p.add_argument("--decoupled", action="store_true",
                    help="closed-form single-sequence limit")
@@ -434,9 +427,10 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("pll", "fll"), default=None)
     p.add_argument("--init", choices=("equilibrium", "prefault"), default=None)
     adaptive = p.add_mutually_exclusive_group()
-    adaptive.add_argument("--adaptive", dest="adaptive", action="store_true",
-                          default=None)
-    adaptive.add_argument("--no-adaptive", dest="adaptive", action="store_false")
+    adaptive.add_argument("--adaptive", dest="freq_adaptive_z",
+                          action="store_true", default=None)
+    adaptive.add_argument("--no-adaptive", dest="freq_adaptive_z",
+                          action="store_false")
     p.add_argument("--out", required=True, help="trace CSV path")
     p.add_argument("--verdict", default=None, help="verdict JSON path")
     p.add_argument("--svg", default=None, help="optional SVG plot path")

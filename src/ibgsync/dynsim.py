@@ -48,13 +48,24 @@ __all__ = [
     "run_scenario",
     "detect_los",
     "trace_to_csv",
+    "TRACE_COLUMNS",
     "TRACE_HEADER",
 ]
 
-TRACE_HEADER = (
-    "t,f_pos_hz,f_neg_hz,theta_pos,theta_neg,"
-    "ud_pos,uq_pos,ud_neg,uq_neg,umag_pos,umag_neg"
+# the record columns in kernel and CSV order; each names a Trace field
+TRACE_COLUMNS = (
+    "t", "f_pos_hz", "f_neg_hz", "theta_pos", "theta_neg",
+    "ud_pos", "uq_pos", "ud_neg", "uq_neg", "umag_pos", "umag_neg",
 )
+TRACE_HEADER = ",".join(TRACE_COLUMNS)
+
+# loss-of-synchronism thresholds: the first LOS_GRACE_S seconds after fault
+# onset are ignored so acquisition transients cannot trip them; an event
+# needs |f - nominal| > LOS_F_DEV_HZ (drift) or ud < 0 (chatter) held for
+# LOS_SUSTAIN_S seconds
+LOS_GRACE_S = 0.5
+LOS_F_DEV_HZ = 5.0
+LOS_SUSTAIN_S = 0.05
 
 
 class NumericalOverflow(FloatingPointError):
@@ -106,7 +117,10 @@ class Scenario:
 
 @dataclass(frozen=True)
 class Trace:
-    """Stride-decimated time series of one run (arrays share one length)."""
+    """Stride-decimated time series of one run (arrays share one length).
+
+    f_pos_hz and f_neg_hz are the loops' angle rates d(theta)/dt / 2 pi.
+    """
 
     t: np.ndarray
     f_pos_hz: np.ndarray
@@ -126,12 +140,21 @@ class Trace:
 
 @dataclass(frozen=True)
 class LosVerdict:
-    """Detection outcome over the on-fault window."""
+    """Detection outcome over the on-fault window.
+
+    determined is False when the window left after the grace period is
+    shorter than one sustain run, so no event could have been seen; lost is
+    then False and dominant and signature are None.
+    """
 
     lost: bool
     t_los: float | None
-    dominant: InstabilityType
+    dominant: InstabilityType | None
     signature: Signature | None
+    determined: bool = True
+
+
+_UNDETERMINED = LosVerdict(False, None, None, None, determined=False)
 
 
 def terminal_voltage(
@@ -214,7 +237,7 @@ def _kernel_args(scenario: Scenario):
 def _integrate(y, n_steps, dt, stride, fault, args, rec, t0=0.0):
     """kernels.simulate over n_steps from time t0: the time origin is
     shifted so that the kernel's internal t = 0 lands on t0. Returns the
-    kernel's (rows recorded, overflow step, final state)."""
+    kernel's (rows recorded, overflow step, final state, its derivative)."""
     code, zf, paths, ug, theta_g0, w0, *tail = args
     return kernels.simulate(
         y, n_steps, dt, stride, code, zf, paths, ug, theta_g0 + w0 * t0, w0,
@@ -222,16 +245,19 @@ def _integrate(y, n_steps, dt, stride, fault, args, rec, t0=0.0):
     )
 
 
-def _unpack_state(y: np.ndarray, scenario: Scenario, t: float, args) -> SyncState:
-    """Rebuild a SyncState, recomputing the algebraic frequency outputs;
-    `args` is the scenario's _kernel_args tail."""
-    (code, zf, paths, ug, theta_g0, w0, ref_pre, ref_on, gains,
-     mode_fll, adaptive) = args
-    on = scenario.fault.t_on <= t < scenario.fault.t_clear
-    dy = kernels.deriv_eval(
-        y, t, code if on else kernels.FAULT_NONE, zf, paths, ug, theta_g0,
-        w0, ref_on if on else ref_pre, gains, mode_fll, adaptive,
+def step(state: SyncState, scenario: Scenario, t: float, dt: float) -> SyncState:
+    """Advance one RK4 step from time t; each stage re-evaluates the fault
+    schedule and the grid angle at its own stage time. The frequency
+    outputs come from the kernel's derivative at the end state."""
+    args = _kernel_args(scenario)
+    # the kernel records at both ends of the single step
+    rec = np.empty((2, len(TRACE_COLUMNS)))
+    _, overflow, y, dy = _integrate(
+        _pack_state(state), 1, dt, 1, scenario.fault, args, rec, t0=t
     )
+    if overflow >= 0:
+        raise NumericalOverflow(f"state magnitude exceeded 1e6 at t = {t + dt:g}")
+    w0, gains, mode_fll = args[5], args[8], args[9]
     if mode_fll:
         omega_hat = w0 + gains[3] * dy[8] + gains[4] * y[8]
     else:
@@ -248,20 +274,6 @@ def _unpack_state(y: np.ndarray, scenario: Scenario, t: float, args) -> SyncStat
         xi_pos=float(y[5]),
         xi_neg=float(y[7]),
     )
-
-
-def step(state: SyncState, scenario: Scenario, t: float, dt: float) -> SyncState:
-    """Advance one RK4 step from time t; each stage re-evaluates the fault
-    schedule and the grid angle at its own stage time."""
-    args = _kernel_args(scenario)
-    # the kernel records at both ends of the single step
-    rec = np.empty((2, 11))
-    _, overflow, y = _integrate(
-        _pack_state(state), 1, dt, 1, scenario.fault, args, rec, t0=t
-    )
-    if overflow >= 0:
-        raise NumericalOverflow(f"state magnitude exceeded 1e6 at t = {t + dt:g}")
-    return _unpack_state(y, scenario, t + dt, args)
 
 
 def _settled_state(
@@ -321,10 +333,10 @@ def run_scenario(
     dt = scenario.dt
     n_steps = int(round(scenario.t_end / dt))
     stride = max(1, int(round(record_dt / dt)))
-    rec = np.empty((n_steps // stride + 1, 11))
+    rec = np.empty((n_steps // stride + 1, len(TRACE_COLUMNS)))
 
     y0 = _pack_state(initial_sync_state(scenario))
-    n_rec, overflow_step, _ = _integrate(
+    n_rec, overflow_step, _, _ = _integrate(
         y0, n_steps, dt, stride, scenario.fault, _kernel_args(scenario), rec
     )
     rec = rec[:n_rec]
@@ -335,12 +347,7 @@ def run_scenario(
     j_on = scenario.ref_fault.i_neg * phasor(1.0, scenario.ref_fault.theta_i_neg)
     j_off = scenario.ref_prefault.i_neg * phasor(1.0, scenario.ref_prefault.theta_i_neg)
     trace = Trace(
-        t=t,
-        f_pos_hz=rec[:, 1], f_neg_hz=rec[:, 2],
-        theta_pos=rec[:, 3], theta_neg=rec[:, 4],
-        ud_pos=rec[:, 5], uq_pos=rec[:, 6],
-        ud_neg=rec[:, 7], uq_neg=rec[:, 8],
-        umag_pos=rec[:, 9], umag_neg=rec[:, 10],
+        **{name: rec[:, k] for k, name in enumerate(TRACE_COLUMNS)},
         i_pos=np.where(on, i_on, i_off),
         i_neg=np.where(on, j_on, j_off),
         diverged=overflow_step >= 0,
@@ -378,29 +385,24 @@ def _first_sustained(mask: np.ndarray, n: int) -> int:
 
 
 def detect_los(
-    trace: Trace,
-    t_on: float,
-    t_clear: float,
-    grace: float = 0.5,
-    f_dev_hz: float = 5.0,
-    sustain: float = 0.05,
-    f_nominal_hz: float = 50.0,
+    trace: Trace, t_on: float, t_clear: float, f_nominal_hz: float = 50.0
 ) -> LosVerdict:
-    """Classify the on-fault window of a trace.
+    """Classify the on-fault window of a trace (thresholds: LOS_*).
 
-    DRIFT fires when |f - nominal| stays beyond f_dev_hz for `sustain`
-    seconds; CHATTER when the d-axis voltage stays below zero that long
-    (the orientation condition fails while the frequency rattles around
-    the root). The first `grace` seconds after t_on are ignored so
-    acquisition transients cannot trip the thresholds. Dominant sequence
-    and mechanism come from the earliest event.
+    DRIFT fires when the frequency stays off nominal; CHATTER when the
+    d-axis voltage stays below zero (the orientation condition fails while
+    the frequency rattles around the root). Dominant sequence and mechanism
+    come from the earliest event. A window too short for one sustained run
+    is undetermined rather than stable.
     """
-    sel = (trace.t >= t_on + grace) & (trace.t < t_clear)
+    sel = (trace.t >= t_on + LOS_GRACE_S) & (trace.t < t_clear)
     idx = np.nonzero(sel)[0]
     if idx.size < 2:
-        return LosVerdict(False, None, InstabilityType.STABLE, None)
+        return _UNDETERMINED
     ts = trace.t[idx]
-    n_sus = max(1, int(round(sustain / (ts[1] - ts[0]))))
+    n_sus = max(1, int(round(LOS_SUSTAIN_S / (ts[1] - ts[0]))))
+    if idx.size < n_sus:  # not even one sustained run fits in the window
+        return _UNDETERMINED
 
     events: list[tuple[float, int, InstabilityType, Signature]] = []
     channels = (
@@ -410,7 +412,7 @@ def detect_los(
          InstabilityType.NEG_TYPE1, InstabilityType.NEG_TYPE2, 1),
     )
     for f, ud, drift_kind, chat_kind, seq_rank in channels:
-        k = _first_sustained(np.abs(f - f_nominal_hz) > f_dev_hz, n_sus)
+        k = _first_sustained(np.abs(f - f_nominal_hz) > LOS_F_DEV_HZ, n_sus)
         if k >= 0:
             events.append((float(ts[k]), 1 + seq_rank, drift_kind, Signature.DRIFT))
         k = _first_sustained(ud < 0.0, n_sus)
@@ -423,12 +425,8 @@ def detect_los(
 
 
 def trace_to_csv(trace: Trace, fh) -> None:
-    """Write the trace in the canonical 11-column CSV layout."""
+    """Write the trace as CSV, one column per TRACE_COLUMNS entry."""
     fh.write(TRACE_HEADER + "\n")
-    cols = (
-        trace.t, trace.f_pos_hz, trace.f_neg_hz, trace.theta_pos,
-        trace.theta_neg, trace.ud_pos, trace.uq_pos, trace.ud_neg,
-        trace.uq_neg, trace.umag_pos, trace.umag_neg,
-    )
+    cols = [getattr(trace, name) for name in TRACE_COLUMNS]
     for row in zip(*cols):
         fh.write(",".join(f"{v:.12g}" for v in row) + "\n")

@@ -279,6 +279,21 @@ def _scan_roots_vec(prm, grid_n, tol, maxit, ud_min):
     return True, float(dp[k]), float(dn[k]), float(res[k]), True, True
 
 
+def _window(t, t_on, t_clear, code, ref_pre, ref_on):
+    """Fault code and current reference in force at time t."""
+    if t_on <= t < t_clear:
+        return code, ref_on
+    return FAULT_NONE, ref_pre
+
+
+def _frames(y):
+    """Filter states U+, U- and their measured components in the estimated
+    frames: mp = ud+ + j uq+, mn = ud- - j uq- (clockwise frame)."""
+    up = y[0] + 1j * y[1]
+    un = y[2] + 1j * y[3]
+    return up, un, up * np.exp(-1j * y[4]), un.conjugate() * np.exp(-1j * y[6])
+
+
 def _deriv(y, t, code, zf, paths, ug, theta_g0, w0, ref, gains, mode_fll,
            adaptive):
     """Time derivative of the 9-component closed-loop state.
@@ -287,8 +302,7 @@ def _deriv(y, t, code, zf, paths, ug, theta_g0, w0, ref, gains, mode_fll,
     ref layout: [I+, theta_i+, I-, theta_i-].
     gains layout: [k_sogi, kp_pll, ki_pll, kp_fll, ki_fll].
     """
-    up = y[0] + 1j * y[1]
-    un = y[2] + 1j * y[3]
+    up, un, mp, mn = _frames(y)
     th_p = y[4]
     xi_p = y[5]
     th_n = y[6]
@@ -300,9 +314,6 @@ def _deriv(y, t, code, zf, paths, ug, theta_g0, w0, ref, gains, mode_fll,
     kp_fll = gains[3]
     ki_fll = gains[4]
 
-    # measured d/q components in the two estimated frames
-    mp = up * np.exp(-1j * th_p)
-    mn = un.conjugate() * np.exp(-1j * th_n)
     uq_p = mp.imag
     uq_n = -mn.imag
 
@@ -388,85 +399,54 @@ def _deriv(y, t, code, zf, paths, ug, theta_g0, w0, ref, gains, mode_fll,
     return out
 
 
-def _observe(y, t, code, zf, paths, ug, theta_g0, w0, ref, gains, mode_fll,
-             adaptive):
-    """Recorded quantities: (f+, f-, ud+, uq+, ud-, uq-, |U+|, |U-|)."""
-    up = y[0] + 1j * y[1]
-    un = y[2] + 1j * y[3]
-    mp = up * np.exp(-1j * y[4])
-    mn = un.conjugate() * np.exp(-1j * y[6])
-    uq_p = mp.imag
-    uq_n = -mn.imag
-    if mode_fll:
-        dy = _deriv(y, t, code, zf, paths, ug, theta_g0, w0, ref, gains,
-                    mode_fll, adaptive)
-        f_p = dy[4] / (2.0 * math.pi)
-        f_n = dy[6] / (2.0 * math.pi)
-    else:
-        f_p = (w0 + gains[1] * uq_p + gains[2] * y[5]) / (2.0 * math.pi)
-        f_n = (w0 - gains[1] * uq_n - gains[2] * y[7]) / (2.0 * math.pi)
-    return f_p, f_n, mp.real, uq_p, mn.real, uq_n, abs(up), abs(un)
-
-
 def _simulate(y, n_steps, dt, stride, code, zf, paths, ug, theta_g0, w0,
               t_on, t_clear, ref_pre, ref_on, gains, mode_fll, adaptive, rec):
     """Fixed-step RK4 over [0, n_steps*dt] with stride-decimated recording.
 
-    rec rows: t, f+, f-, theta+, theta-, ud+, uq+, ud-, uq-, |U+|, |U-|.
-    Returns (rows_written, overflow_step, y); overflow_step = -1 when none.
+    The model is evaluated once per sample: the stage-1 derivative advances
+    the state and gives the recorded angle rates. rec columns are in
+    dynsim.TRACE_COLUMNS order. Returns (rows_written, overflow_step, y, dy): overflow_step = -1 when
+    none, dy the derivative at the last sample evaluated (the returned y
+    unless the run overflowed).
     """
     n_rec = 0
     for i in range(n_steps + 1):
         t = i * dt
-        on = (t >= t_on) and (t < t_clear)
-        code_t = code if on else FAULT_NONE
-        ref = ref_on if on else ref_pre
+        code_1, ref_1 = _window(t, t_on, t_clear, code, ref_pre, ref_on)
+        k1v = _deriv(y, t, code_1, zf, paths, ug, theta_g0, w0, ref_1, gains,
+                     mode_fll, adaptive)
         if i % stride == 0:
-            f_p, f_n, ud_p, uq_p, ud_n, uq_n, um_p, um_n = _observe(
-                y, t, code_t, zf, paths, ug, theta_g0, w0, ref, gains,
-                mode_fll, adaptive)
+            up, un, mp, mn = _frames(y)
             rec[n_rec, 0] = t
-            rec[n_rec, 1] = f_p
-            rec[n_rec, 2] = f_n
+            rec[n_rec, 1] = k1v[4] / (2.0 * math.pi)
+            rec[n_rec, 2] = k1v[6] / (2.0 * math.pi)
             rec[n_rec, 3] = y[4]
             rec[n_rec, 4] = y[6]
-            rec[n_rec, 5] = ud_p
-            rec[n_rec, 6] = uq_p
-            rec[n_rec, 7] = ud_n
-            rec[n_rec, 8] = uq_n
-            rec[n_rec, 9] = um_p
-            rec[n_rec, 10] = um_n
+            rec[n_rec, 5] = mp.real
+            rec[n_rec, 6] = mp.imag
+            rec[n_rec, 7] = mn.real
+            rec[n_rec, 8] = -mn.imag
+            rec[n_rec, 9] = abs(up)
+            rec[n_rec, 10] = abs(un)
             n_rec += 1
         if i == n_steps:
             break
 
-        # stage-wise fault schedule: each stage evaluates at its own time
+        # each stage evaluates the fault schedule at its own time
         t2 = t + 0.5 * dt
-        t3 = t + dt
-        on2 = (t2 >= t_on) and (t2 < t_clear)
-        on3 = (t3 >= t_on) and (t3 < t_clear)
-        code_2 = code if on2 else FAULT_NONE
-        ref_2 = ref_on if on2 else ref_pre
-        code_3 = code if on3 else FAULT_NONE
-        ref_3 = ref_on if on3 else ref_pre
-
-        k1v = _deriv(y, t, code_t, zf, paths, ug, theta_g0, w0, ref, gains,
-                     mode_fll, adaptive)
+        code_2, ref_2 = _window(t2, t_on, t_clear, code, ref_pre, ref_on)
+        code_3, ref_3 = _window(t + dt, t_on, t_clear, code, ref_pre, ref_on)
         k2v = _deriv(y + 0.5 * dt * k1v, t2, code_2, zf, paths, ug, theta_g0,
                      w0, ref_2, gains, mode_fll, adaptive)
         k3v = _deriv(y + 0.5 * dt * k2v, t2, code_2, zf, paths, ug, theta_g0,
                      w0, ref_2, gains, mode_fll, adaptive)
-        k4v = _deriv(y + dt * k3v, t3, code_3, zf, paths, ug, theta_g0, w0,
-                     ref_3, gains, mode_fll, adaptive)
+        k4v = _deriv(y + dt * k3v, t + dt, code_3, zf, paths, ug, theta_g0,
+                     w0, ref_3, gains, mode_fll, adaptive)
         y = y + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-
-        bad = False
-        for m in range(9):
-            if not np.isfinite(y[m]) or abs(y[m]) > 1e6:
-                bad = True
-        if bad:
-            return n_rec, i + 1, y
-    return n_rec, -1, y
+        # NaN fails the comparison, inf exceeds the bound
+        if not np.all(np.abs(y) <= 1e6):
+            return n_rec, i + 1, y, k1v
+    return n_rec, -1, y, k1v
 
 
 if USING_NUMBA:
@@ -477,8 +457,9 @@ if USING_NUMBA:
     _seq_coeffs_mixed = njit(cache=True)(_seq_coeffs_mixed)
     _newton_pair = njit(cache=True)(_newton_pair)
     _conditions = njit(cache=True)(_conditions)
+    _window = njit(cache=True)(_window)
+    _frames = njit(cache=True)(_frames)
     _deriv = njit(cache=True)(_deriv)
-    _observe = njit(cache=True)(_observe)
     scan_roots = njit(cache=True)(_scan_roots_loop)
     simulate = njit(cache=True)(_simulate)
 else:

@@ -224,6 +224,23 @@ class TestSimulate:
         assert verdict["dominant"] == "pos_type1"
         assert verdict["signature"] == "drift"
 
+    def test_horizon_inside_grace_is_undetermined(self, tmp_path, capsys):
+        """A run that ends before the grace period is over is not stable."""
+        out_csv = tmp_path / "trace.csv"
+        code, out, _ = run_cli(
+            ["simulate", "--fault", "dlg", "--iplus", "2.0@-30",
+             "--t-end", "0.5", "--out", str(out_csv)], capsys
+        )
+        assert code == 0
+        verdict = json.loads(out)
+        assert verdict["determined"] is False
+        assert verdict["lost"] is False
+        assert verdict["dominant"] is None
+        assert verdict["signature"] is None
+        # the positive loop has left 50 Hz far behind by the end
+        last = out_csv.read_text().splitlines()[-1].split(",")
+        assert float(last[1]) > 500.0
+
     def test_svg_plot(self, tmp_path, capsys):
         out_csv = tmp_path / "trace.csv"
         out_svg = tmp_path / "trace.svg"

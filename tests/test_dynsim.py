@@ -25,6 +25,7 @@ from ibgsync import (
     solve_equilibrium,
     table_circuit,
 )
+from ibgsync import kernels
 from ibgsync.dynsim import (
     NumericalOverflow,
     Signature,
@@ -35,8 +36,10 @@ from ibgsync.dynsim import (
     step,
     terminal_voltage,
     trace_to_csv,
+    _kernel_args,
     _pack_state,
 )
+from ibgsync.synchro import SyncMode
 
 ZF_PU = 7.43801652892562e-06
 
@@ -211,6 +214,29 @@ class TestStep:
         # halving dt should shrink the error about 16x
         assert 8.0 < e_coarse / e_fine < 40.0
 
+    @pytest.mark.parametrize("mode", ["dsogi_pll", "dsogi_fll"])
+    def test_frequency_outputs_are_end_state_derivative(self, mode):
+        sc = dlg_scenario(REF_FLIP, 1.0, sync=SyncConfig(mode=SyncMode(mode)))
+        state = initial_sync_state(sc)
+        state.theta_pos += 0.05
+        state.eps_fll = 1e-3
+        t, dt = 0.0123, 1e-4
+        out = step(state, sc, t, dt)
+        (code, zf, paths, ug, theta_g0, w0, _, ref_on, gains, mode_fll,
+         adaptive) = _kernel_args(sc)
+        y = _pack_state(out)
+        dy = kernels.deriv_eval(y, t + dt, code, zf, paths, ug, theta_g0, w0,
+                                ref_on, gains, mode_fll, adaptive)
+        if mode_fll:
+            omega_hat = w0 + gains[3] * dy[8] + gains[4] * y[8]
+        else:
+            omega_hat = dy[4]
+        assert out.omega_pos == pytest.approx(dy[4], rel=1e-12)
+        assert out.omega_neg == pytest.approx(dy[6], rel=1e-12)
+        assert out.omega_hat == pytest.approx(omega_hat, rel=1e-12)
+        # the outputs move with the state: the check is not trivially W0
+        assert abs(out.omega_pos - W0) > 1e-3
+
     def test_overflow_raises(self):
         sc = dlg_scenario(REF_HOLD, 1.0)
         state = SyncState(u_hat_pos=complex(2e6, 0.0), omega_hat=W0,
@@ -333,6 +359,12 @@ class TestRunScenario:
         assert verdict.dominant is InstabilityType.POS_TYPE1
         assert verdict.signature is Signature.DRIFT
 
+    def test_overflow_verdict_stays_determined(self):
+        sc = dlg_scenario(REF_FLIP, 0.5, sync=SyncConfig(kp_pll=1e6, ki_pll=0.0))
+        _, verdict = run_scenario(sc)
+        assert verdict.determined
+        assert verdict.lost
+
     def test_record_grid(self):
         sc = dlg_scenario(REF_HOLD, 0.2)
         trace, _ = run_scenario(sc, record_dt=1e-3)
@@ -390,6 +422,19 @@ class TestDetectLos:
 
     def test_short_window_not_lost(self):
         assert not detect_los(synthetic_trace(self.T), 0.0, 0.5005).lost
+
+    def test_window_shorter_than_sustain_is_undetermined(self):
+        f = np.full(self.T.size, 50.0)
+        f[self.T >= 0.5] = 900.0
+        # 40 samples after the grace period, 50 needed for one sustained run
+        verdict = detect_los(synthetic_trace(self.T, f_pos=f), 0.0, 0.54)
+        assert not verdict.determined
+        assert not verdict.lost
+        assert verdict.dominant is None and verdict.signature is None
+        # one sustained run fits: the same drift is seen
+        verdict = detect_los(synthetic_trace(self.T, f_pos=f), 0.0, 0.55)
+        assert verdict.determined and verdict.lost
+        assert verdict.dominant is InstabilityType.POS_TYPE1
 
     def test_sub_sustain_blip_ignored(self):
         f = np.full(self.T.size, 50.0)

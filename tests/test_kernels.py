@@ -24,9 +24,10 @@ from ibgsync import (
     kernels,
     table_circuit,
 )
-from ibgsync.dynsim import terminal_voltage
+from ibgsync.dynsim import TRACE_COLUMNS, Scenario, _kernel_args, terminal_voltage
 from ibgsync.equilibrium import NEWTON_MAXIT, pack_params
 from ibgsync.network import _path_floats
+from ibgsync.synchro import SyncMode
 
 ZF_PU = 7.43801652892562e-06
 
@@ -188,6 +189,40 @@ class TestDerivative:
                                       abs=1e-9)
         # integrator states are frozen in FLL mode
         assert dy[5] == 0.0 and dy[7] == 0.0
+
+
+class TestSimulateRecord:
+    @pytest.mark.parametrize("mode", ["dsogi_pll", "dsogi_fll"])
+    def test_recorded_rates_are_derivative_rates(self, mode):
+        """f+/f- rows are deriv_eval's angle rates / 2 pi at each sample,
+        across a fault that turns on mid-run."""
+        sc = Scenario(
+            circuit=CIRCUIT,
+            fault=FaultSpec(FaultType.DLG, z_f=ZF_PU, t_on=0.0025),
+            ref_fault=REF, sync=SyncConfig(mode=SyncMode(mode)), t_end=0.01,
+        )
+        (code, zf, paths, ug, theta_g0, w0, ref_pre, ref_on, gains,
+         mode_fll, adaptive) = _kernel_args(sc)
+        y0 = np.array([0.5, -0.9, 0.1, 0.05, -0.9, 0.0, 1.1, 0.0, 0.0])
+        dt = 1e-4
+        for n in (0, 7, 24, 25, 40):
+            rec = np.empty((n + 1, len(TRACE_COLUMNS)))
+            rows, overflow, y, _ = kernels.simulate(
+                y0.copy(), n, dt, 1, code, zf, paths, ug, theta_g0, w0,
+                sc.fault.t_on, sc.fault.t_clear, ref_pre, ref_on, gains,
+                mode_fll, adaptive, rec,
+            )
+            assert (rows, overflow) == (n + 1, -1)
+            t = n * dt
+            on = sc.fault.t_on <= t
+            dy = kernels.deriv_eval(
+                y, t, code if on else kernels.FAULT_NONE, zf, paths, ug,
+                theta_g0, w0, ref_on if on else ref_pre, gains, mode_fll,
+                adaptive,
+            )
+            assert rec[n, 1] == pytest.approx(dy[4] / (2.0 * math.pi), rel=1e-12)
+            assert rec[n, 2] == pytest.approx(dy[6] / (2.0 * math.pi), rel=1e-12)
+            assert rec[n, 3] == y[4] and rec[n, 4] == y[6]
 
 
 class TestPureNumpyFlavor:
