@@ -23,7 +23,6 @@ from .equilibrium import (
     EquilibriumResult,
     InstabilityType,
     NoConvergence,
-    classify,
     dq_voltages,
     solve_equilibrium,
 )
@@ -32,6 +31,7 @@ from .limits import (
     Binding,
     LimitResult,
     RegionBoundary,
+    classify,
     decoupled_limit,
     region_boundary,
     traversal_limit,
@@ -62,12 +62,9 @@ from .synchro import (
     SyncConfig,
     SyncMode,
     SyncState,
-    ZeroAmplitude,
-    angle_by_atan,
     ccf_derivative,
     extract_dq,
     fll_adaptation,
-    initial_state,
     pll_derivatives,
 )
 
@@ -87,14 +84,13 @@ __all__ = [
     "PhaseNetworkSolution", "SingularSystem", "solve_phase_network",
     # equilibrium
     "CurrentReference", "EquilibriumResult", "InstabilityType",
-    "NoConvergence", "solve_equilibrium", "dq_voltages", "classify",
+    "NoConvergence", "solve_equilibrium", "dq_voltages",
     # limits
     "Binding", "LimitResult", "RegionBoundary",
-    "decoupled_limit", "traversal_limit", "region_boundary",
+    "decoupled_limit", "traversal_limit", "region_boundary", "classify",
     # synchronizer
-    "SyncConfig", "SyncMode", "SyncState", "ZeroAmplitude",
-    "initial_state", "ccf_derivative", "fll_adaptation",
-    "pll_derivatives", "extract_dq", "angle_by_atan",
+    "SyncConfig", "SyncMode", "SyncState",
+    "ccf_derivative", "fll_adaptation", "pll_derivatives", "extract_dq",
     # simulation
     "Scenario", "Trace", "LosVerdict", "Signature", "NumericalOverflow",
     "terminal_voltage", "step", "run_scenario", "detect_los",

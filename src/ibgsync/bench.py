@@ -47,7 +47,6 @@ def _sim_args():
         circuit=circuit, fault=fault,
         ref_fault=CurrentReference(0.5, math.radians(-30.0), 0.3, math.radians(90.0)),
     )
-    code, zf, paths, ug, theta_g0, w0, *tail = _kernel_args(scenario)
     y0 = np.zeros(9)
     y0[0] = circuit.ug_pos * math.cos(-math.pi / 3)
     y0[1] = circuit.ug_pos * math.sin(-math.pi / 3)
@@ -56,8 +55,8 @@ def _sim_args():
     n_steps = 5000
     rec = np.empty((n_steps // 10 + 1, len(TRACE_COLUMNS)))
     return (
-        y0, n_steps, scenario.dt, 10, code, zf, paths, ug, theta_g0, w0,
-        fault.t_on, fault.t_clear, *tail, rec,
+        y0, n_steps, scenario.dt, 10, 0.0, fault.t_on, fault.t_clear,
+        *_kernel_args(scenario), rec,
     )
 
 

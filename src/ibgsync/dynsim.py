@@ -11,7 +11,7 @@ chattering while the d-axis voltage collapses below zero (type-2).
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,9 +20,9 @@ from .equilibrium import (
     CurrentReference,
     EquilibriumResult,
     InstabilityType,
-    classify,
     solve_equilibrium,
 )
+from .limits import classify
 from .network import (
     CircuitParameters,
     FaultSpec,
@@ -133,8 +133,6 @@ class Trace:
     uq_neg: np.ndarray
     umag_pos: np.ndarray
     umag_neg: np.ndarray
-    i_pos: np.ndarray = field(default_factory=lambda: np.empty(0, complex))
-    i_neg: np.ndarray = field(default_factory=lambda: np.empty(0, complex))
     diverged: bool = False
 
 
@@ -234,32 +232,22 @@ def _kernel_args(scenario: Scenario):
     )
 
 
-def _integrate(y, n_steps, dt, stride, fault, args, rec, t0=0.0):
-    """kernels.simulate over n_steps from time t0: the time origin is
-    shifted so that the kernel's internal t = 0 lands on t0. Returns the
-    kernel's (rows recorded, overflow step, final state, its derivative)."""
-    code, zf, paths, ug, theta_g0, w0, *tail = args
-    return kernels.simulate(
-        y, n_steps, dt, stride, code, zf, paths, ug, theta_g0 + w0 * t0, w0,
-        fault.t_on - t0, fault.t_clear - t0, *tail, rec,
-    )
-
-
 def step(state: SyncState, scenario: Scenario, t: float, dt: float) -> SyncState:
     """Advance one RK4 step from time t; each stage re-evaluates the fault
     schedule and the grid angle at its own stage time. The frequency
     outputs come from the kernel's derivative at the end state."""
-    args = _kernel_args(scenario)
     # the kernel records at both ends of the single step
     rec = np.empty((2, len(TRACE_COLUMNS)))
-    _, overflow, y, dy = _integrate(
-        _pack_state(state), 1, dt, 1, scenario.fault, args, rec, t0=t
+    fault = scenario.fault
+    _, overflow, y, dy = kernels.simulate(
+        _pack_state(state), 1, dt, 1, t, fault.t_on, fault.t_clear,
+        *_kernel_args(scenario), rec,
     )
     if overflow >= 0:
         raise NumericalOverflow(f"state magnitude exceeded 1e6 at t = {t + dt:g}")
-    w0, gains, mode_fll = args[5], args[8], args[9]
-    if mode_fll:
-        omega_hat = w0 + gains[3] * dy[8] + gains[4] * y[8]
+    sync = scenario.sync
+    if sync.mode is SyncMode.DSOGI_FLL:
+        omega_hat = scenario.circuit.omega0 + sync.kp_fll * dy[8] + sync.ki_fll * y[8]
     else:
         omega_hat = dy[4]
     return SyncState(
@@ -336,32 +324,26 @@ def run_scenario(
     rec = np.empty((n_steps // stride + 1, len(TRACE_COLUMNS)))
 
     y0 = _pack_state(initial_sync_state(scenario))
-    n_rec, overflow_step, _, _ = _integrate(
-        y0, n_steps, dt, stride, scenario.fault, _kernel_args(scenario), rec
+    fault = scenario.fault
+    n_rec, overflow_step, _, _ = kernels.simulate(
+        y0, n_steps, dt, stride, 0.0, fault.t_on, fault.t_clear,
+        *_kernel_args(scenario), rec,
     )
     rec = rec[:n_rec]
-    t = rec[:, 0]
-    on = (t >= scenario.fault.t_on) & (t < scenario.fault.t_clear)
-    i_on = scenario.ref_fault.i_pos * phasor(1.0, scenario.ref_fault.theta_i_pos)
-    i_off = scenario.ref_prefault.i_pos * phasor(1.0, scenario.ref_prefault.theta_i_pos)
-    j_on = scenario.ref_fault.i_neg * phasor(1.0, scenario.ref_fault.theta_i_neg)
-    j_off = scenario.ref_prefault.i_neg * phasor(1.0, scenario.ref_prefault.theta_i_neg)
     trace = Trace(
         **{name: rec[:, k] for k, name in enumerate(TRACE_COLUMNS)},
-        i_pos=np.where(on, i_on, i_off),
-        i_neg=np.where(on, j_on, j_off),
         diverged=overflow_step >= 0,
     )
 
-    t_clear = min(scenario.fault.t_clear, scenario.t_end)
+    t_clear = min(fault.t_clear, scenario.t_end)
     verdict = detect_los(
-        trace, scenario.fault.t_on, t_clear,
+        trace, fault.t_on, t_clear,
         f_nominal_hz=scenario.circuit.omega0 / (2.0 * math.pi),
     )
     if overflow_step >= 0 and not verdict.lost:
-        t_of = min(max(overflow_step * dt, scenario.fault.t_on), scenario.t_end)
+        t_of = min(max(overflow_step * dt, fault.t_on), scenario.t_end)
         dominant = classify(
-            compute_coefficients(compose_paths(scenario.circuit), scenario.fault),
+            compute_coefficients(compose_paths(scenario.circuit), fault),
             scenario.ref_fault, scenario.circuit.ug_pos,
         )
         if dominant is InstabilityType.STABLE:
@@ -385,11 +367,11 @@ def _first_sustained(mask: np.ndarray, n: int) -> int:
 
 
 def detect_los(
-    trace: Trace, t_on: float, t_clear: float, f_nominal_hz: float = 50.0
+    trace: Trace, t_on: float, t_clear: float, f_nominal_hz: float
 ) -> LosVerdict:
     """Classify the on-fault window of a trace (thresholds: LOS_*).
 
-    DRIFT fires when the frequency stays off nominal; CHATTER when the
+    DRIFT fires when the frequency stays off f_nominal_hz; CHATTER when the
     d-axis voltage stays below zero (the orientation condition fails while
     the frequency rattles around the root). Dominant sequence and mechanism
     come from the earliest event. A window too short for one sustained run

@@ -24,7 +24,6 @@ __all__ = [
     "pack_params",
     "dq_voltages",
     "solve_equilibrium",
-    "classify",
 ]
 
 _DEGENERATE_TOL = 1e-12
@@ -239,31 +238,3 @@ def refine_root(
     if not (ok and kernels.root_conditions(prm, dp, dn, ud_min)[1]):
         return None
     return _found(dp, dn, *kernels.dq_eval(prm, dp, dn), res)
-
-
-def _excess(amp: float, limit: float) -> float:
-    """Fractional violation of a per-angle limit; 0 when nothing injected."""
-    if limit > 0.0:
-        return amp / limit
-    return math.inf if amp > 0.0 else 0.0
-
-
-def classify(
-    coeffs: SequenceCoefficients, ref: CurrentReference, ug_pos: float
-) -> InstabilityType:
-    """STABLE when a qualifying root exists; otherwise the most-violated
-    per-angle single-sequence limit decides the dominant sequence and
-    mechanism, ties going to the positive sequence."""
-    result = solve_equilibrium(coeffs, ref, ug_pos)
-    if result.found:
-        return InstabilityType.STABLE
-
-    from .limits import Binding, decoupled_limit
-
-    lim_p = decoupled_limit(coeffs, ug_pos, "pos", ref.theta_i_pos)
-    lim_n = decoupled_limit(coeffs, ug_pos, "neg", ref.theta_i_neg)
-    excess_p = _excess(ref.i_pos, lim_p.i_limit)
-    excess_n = _excess(ref.i_neg, lim_n.i_limit)
-    seq, lim = ("pos", lim_p) if excess_p >= excess_n else ("neg", lim_n)
-    mech = "type2" if lim.binding is Binding.TYPE2 else "type1"
-    return InstabilityType(f"{seq}_{mech}")

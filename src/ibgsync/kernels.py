@@ -399,19 +399,22 @@ def _deriv(y, t, code, zf, paths, ug, theta_g0, w0, ref, gains, mode_fll,
     return out
 
 
-def _simulate(y, n_steps, dt, stride, code, zf, paths, ug, theta_g0, w0,
-              t_on, t_clear, ref_pre, ref_on, gains, mode_fll, adaptive, rec):
-    """Fixed-step RK4 over [0, n_steps*dt] with stride-decimated recording.
+def _simulate(y, n_steps, dt, stride, t0, t_on, t_clear, code, zf, paths, ug,
+              theta_g0, w0, ref_pre, ref_on, gains, mode_fll, adaptive, rec):
+    """Fixed-step RK4 over [t0, t0 + n_steps*dt] with stride-decimated
+    recording.
 
-    The model is evaluated once per sample: the stage-1 derivative advances
-    the state and gives the recorded angle rates. rec columns are in
-    dynsim.TRACE_COLUMNS order. Returns (rows_written, overflow_step, y, dy): overflow_step = -1 when
-    none, dy the derivative at the last sample evaluated (the returned y
-    unless the run overflowed).
+    Every stage is evaluated at its absolute time (t = t0 + i*dt, t + dt/2,
+    t + dt) against the fault window and the grid angle. The model is
+    evaluated once per sample: the stage-1 derivative advances the state and
+    gives the recorded angle rates. rec columns are in dynsim.TRACE_COLUMNS
+    order. Returns (rows_written, overflow_step, y, dy): overflow_step = -1
+    when none, dy the derivative at the last sample evaluated (the returned
+    y unless the run overflowed).
     """
     n_rec = 0
     for i in range(n_steps + 1):
-        t = i * dt
+        t = t0 + i * dt
         code_1, ref_1 = _window(t, t_on, t_clear, code, ref_pre, ref_on)
         k1v = _deriv(y, t, code_1, zf, paths, ug, theta_g0, w0, ref_1, gains,
                      mode_fll, adaptive)
@@ -432,7 +435,6 @@ def _simulate(y, n_steps, dt, stride, code, zf, paths, ug, theta_g0, w0,
         if i == n_steps:
             break
 
-        # each stage evaluates the fault schedule at its own time
         t2 = t + 0.5 * dt
         code_2, ref_2 = _window(t2, t_on, t_clear, code, ref_pre, ref_on)
         code_3, ref_3 = _window(t + dt, t_on, t_clear, code, ref_pre, ref_on)

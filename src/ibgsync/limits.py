@@ -14,7 +14,12 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .equilibrium import CurrentReference, refine_root, solve_equilibrium
+from .equilibrium import (
+    CurrentReference,
+    InstabilityType,
+    refine_root,
+    solve_equilibrium,
+)
 from .network import SequenceCoefficients
 from .phasor import polar, wrap_angle
 
@@ -25,6 +30,7 @@ __all__ = [
     "decoupled_limit",
     "traversal_limit",
     "region_boundary",
+    "classify",
 ]
 
 _SEQUENCES = ("pos", "neg")
@@ -129,10 +135,11 @@ def traversal_limit(
     """
     if sequence not in _SEQUENCES:
         raise ValueError(f"sequence must be one of {_SEQUENCES}")
-    if step <= 0:
-        raise ValueError("step must be > 0")
-    if ceiling <= step:
-        raise ValueError("ceiling must exceed step")
+    # "not <" also rejects NaN
+    if not 0.0 < step < math.inf:
+        raise ValueError("step must be finite and > 0")
+    if not step < ceiling < math.inf:
+        raise ValueError("ceiling must be finite and exceed step")
     other = fixed_other if fixed_other is not None else (0.0, 0.0)
 
     prev: tuple[float, float] | None = None
@@ -184,8 +191,8 @@ def region_boundary(
 ) -> RegionBoundary:
     """Sweep theta_i over [-pi, pi) and collect the traversal limit at each
     angle. Ceiling-capped samples keep the CEILING binding flag."""
-    if angle_step <= 0:
-        raise ValueError("angle_step must be > 0")
+    if not 0.0 < angle_step < math.inf:
+        raise ValueError("angle_step must be finite and > 0")
     n = int(math.ceil((2.0 * math.pi - 1e-12) / angle_step))
     samples = []
     for k in range(n):
@@ -198,3 +205,28 @@ def region_boundary(
             )
         )
     return RegionBoundary(sequence, fixed_other, tuple(samples))
+
+
+def _excess(amp: float, limit: float) -> float:
+    """Fractional violation of a per-angle limit; 0 when nothing injected."""
+    if limit > 0.0:
+        return amp / limit
+    return math.inf if amp > 0.0 else 0.0
+
+
+def classify(
+    coeffs: SequenceCoefficients, ref: CurrentReference, ug_pos: float
+) -> InstabilityType:
+    """STABLE when a qualifying root exists; otherwise the most-violated
+    per-angle single-sequence limit decides the dominant sequence and
+    mechanism, ties going to the positive sequence."""
+    result = solve_equilibrium(coeffs, ref, ug_pos)
+    if result.found:
+        return InstabilityType.STABLE
+    lim_p = decoupled_limit(coeffs, ug_pos, "pos", ref.theta_i_pos)
+    lim_n = decoupled_limit(coeffs, ug_pos, "neg", ref.theta_i_neg)
+    excess_p = _excess(ref.i_pos, lim_p.i_limit)
+    excess_n = _excess(ref.i_neg, lim_n.i_limit)
+    seq, lim = ("pos", lim_p) if excess_p >= excess_n else ("neg", lim_n)
+    mech = "type2" if lim.binding is Binding.TYPE2 else "type1"
+    return InstabilityType(f"{seq}_{mech}")

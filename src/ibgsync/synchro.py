@@ -1,10 +1,12 @@
 """Synchronization unit: complex-coefficient sequence filter, FLL frequency
-adaptation, dual PLLs, and arctangent angle extraction.
+adaptation, and dual PLLs.
 
 The filter keeps two rotating states, Û⁺ (counterclockwise) and Û⁻
-(clockwise), both corrected by the shared error Ū − Û⁺ − Û⁻. Angles can be
+(clockwise), both corrected by the shared error Ū − Û⁺ − Û⁻. Angles are
 tracked either by per-sequence PLLs acting on the frame-rotated q-axis
-voltages or, in FLL mode, read directly from the filter states.
+voltages or, in FLL mode, by integrating each filter state's instantaneous
+rotation rate, Im(dÛ⁺·conj(Û⁺))/|Û⁺|² and the clockwise counterpart for Û⁻
+(kernels._deriv, the closed-loop model).
 """
 
 import enum
@@ -15,27 +17,21 @@ __all__ = [
     "SyncMode",
     "SyncConfig",
     "SyncState",
-    "ZeroAmplitude",
-    "initial_state",
     "ccf_derivative",
     "fll_adaptation",
     "pll_derivatives",
     "extract_dq",
-    "angle_by_atan",
 ]
 
 _OMEGA0_DEFAULT = 2.0 * math.pi * 50.0
 
 
 class SyncMode(enum.Enum):
-    """Angle-tracking flavor: dual PLLs or FLL plus arctangent."""
+    """Angle-tracking flavor: dual PLLs, or an FLL with the angles following
+    the filter states' rotation."""
 
     DSOGI_PLL = "dsogi_pll"
     DSOGI_FLL = "dsogi_fll"
-
-
-class ZeroAmplitude(ArithmeticError):
-    """Arctangent extraction on a collapsed sequence amplitude."""
 
 
 @dataclass(frozen=True)
@@ -75,13 +71,6 @@ class SyncState:
     omega_neg: float = _OMEGA0_DEFAULT
     xi_pos: float = 0.0
     xi_neg: float = 0.0
-
-
-def initial_state(cfg: SyncConfig) -> SyncState:
-    """Cold start: empty filter, both loops at the nominal frequency."""
-    return SyncState(
-        omega_hat=cfg.omega0, omega_pos=cfg.omega0, omega_neg=cfg.omega0
-    )
 
 
 def ccf_derivative(
@@ -143,16 +132,3 @@ def extract_dq(state: SyncState) -> tuple[float, float, float, float]:
     )
     return zp.real, zp.imag, zn.real, -zn.imag
 
-
-def angle_by_atan(state: SyncState) -> tuple[float, float]:
-    """Angles read directly from the filter states (FLL mode).
-
-    theta_neg follows the clockwise convention, angle(conj(Û⁻)).
-    Raises ZeroAmplitude when either magnitude is below 1e-9; callers
-    should hold the previous angle (type-2 voltage collapse signature).
-    """
-    if abs(state.u_hat_pos) < 1e-9 or abs(state.u_hat_neg) < 1e-9:
-        raise ZeroAmplitude("sequence amplitude below 1e-9")
-    theta_pos = math.atan2(state.u_hat_pos.imag, state.u_hat_pos.real)
-    theta_neg = math.atan2(-state.u_hat_neg.imag, state.u_hat_neg.real)
-    return theta_pos, theta_neg

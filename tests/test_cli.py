@@ -291,6 +291,10 @@ class TestErrors:
         ["simulate", "--fault", "dlg", "--dt", "0"],
         ["simulate", "--fault", "dlg", "--t-on", "2", "--t-end", "1"],
         ["validate", "--draws", "-1"],
+        # non-finite sweep bounds
+        ["limit", "--fault", "dlg", "--seq", "pos", "--angle", "-30",
+         "--ceiling", "inf"],
+        ["region", "--fault", "dlg", "--seq", "pos", "--angle-step", "inf"],
     ])
     def test_invalid_input_exits_1(self, argv, tmp_path, capsys):
         if argv[0] in ("region", "simulate"):

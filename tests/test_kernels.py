@@ -208,8 +208,8 @@ class TestSimulateRecord:
         for n in (0, 7, 24, 25, 40):
             rec = np.empty((n + 1, len(TRACE_COLUMNS)))
             rows, overflow, y, _ = kernels.simulate(
-                y0.copy(), n, dt, 1, code, zf, paths, ug, theta_g0, w0,
-                sc.fault.t_on, sc.fault.t_clear, ref_pre, ref_on, gains,
+                y0.copy(), n, dt, 1, 0.0, sc.fault.t_on, sc.fault.t_clear,
+                code, zf, paths, ug, theta_g0, w0, ref_pre, ref_on, gains,
                 mode_fll, adaptive, rec,
             )
             assert (rows, overflow) == (n + 1, -1)

@@ -10,12 +10,9 @@ from ibgsync import (
     SyncConfig,
     SyncMode,
     SyncState,
-    ZeroAmplitude,
-    angle_by_atan,
     ccf_derivative,
     extract_dq,
     fll_adaptation,
-    initial_state,
     phasor,
     pll_derivatives,
 )
@@ -49,15 +46,6 @@ def test_config_validation():
         SyncConfig(kp_pll=-1.0)
     assert CFG.mode is SyncMode.DSOGI_PLL
     assert CFG.k == pytest.approx(1.414)
-
-
-def test_initial_state_is_cold():
-    st = initial_state(CFG)
-    assert st.u_hat_pos == 0j
-    assert st.u_hat_neg == 0j
-    assert st.omega_hat == CFG.omega0
-    assert st.omega_pos == CFG.omega0
-    assert st.xi_pos == 0.0 and st.xi_neg == 0.0
 
 
 def test_ccf_zero_error_is_pure_rotation():
@@ -138,20 +126,6 @@ def test_extract_dq_small_angle():
     st = make_state(u_pos=phasor(1.0, 0.5 + eps), theta_pos=0.5)
     _, uq_p, _, _ = extract_dq(st)
     assert uq_p == pytest.approx(eps, rel=1e-3)
-
-
-def test_angle_by_atan_conventions():
-    st = make_state(u_pos=phasor(1.0, math.radians(30.0)),
-                    u_neg=phasor(1.0, math.radians(-45.0)))
-    th_p, th_n = angle_by_atan(st)
-    assert th_p == pytest.approx(math.radians(30.0))
-    assert th_n == pytest.approx(math.radians(45.0))
-
-
-def test_angle_by_atan_zero_amplitude():
-    st = make_state(u_pos=1.0 + 0j, u_neg=1e-12 + 0j)
-    with pytest.raises(ZeroAmplitude):
-        angle_by_atan(st)
 
 
 def _run_pll(u_of_t, t_end, dt, cfg=CFG):
