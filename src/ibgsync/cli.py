@@ -15,6 +15,7 @@ import numpy as np
 
 from .config import ConfigDocument, ConfigError, load_config, make_fault
 from .dynsim import (
+    INIT_MODES,
     NumericalOverflow,
     Scenario,
     run_scenario,
@@ -25,7 +26,7 @@ from .equilibrium import (
     NoConvergence,
     solve_equilibrium,
 )
-from .limits import decoupled_limit, region_boundary, traversal_limit
+from .limits import _SEQUENCES, decoupled_limit, region_boundary, traversal_limit
 from .network import (
     BranchImpedance,
     DegenerateNetwork,
@@ -39,7 +40,9 @@ from .phasenet import SingularSystem, solve_phase_network
 from .phasor import format_phasor, parse_phasor, phasor, polar
 from .synchro import SyncMode
 
-_FAULT_CHOICES = ("none", "slg", "dlg", "ll", "tlg")
+# choice lists from the library's definitions (_random_draw indexes FaultType's)
+_FAULT_CHOICES = tuple(f.value for f in FaultType)
+_MODES = {m.value.removeprefix("dsogi_"): m for m in SyncMode}  # pll, fll
 
 
 class _Parser(argparse.ArgumentParser):
@@ -270,7 +273,7 @@ def cmd_simulate(doc: ConfigDocument, args) -> int:
     fault = _with_flags(make_fault(doc, args.fault, args.zf), args)
     sync = doc.sync
     if args.mode is not None:
-        sync = dataclasses.replace(sync, mode=SyncMode("dsogi_" + args.mode))
+        sync = dataclasses.replace(sync, mode=_MODES[args.mode])
     opts = _with_flags(doc.scenario, args)
     scenario = Scenario(
         circuit=doc.circuit, fault=fault,
@@ -392,7 +395,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("limit", help="injection limit at one angle")
     _add_fault_flags(p)
-    p.add_argument("--seq", choices=("pos", "neg"), required=True)
+    p.add_argument("--seq", choices=_SEQUENCES, required=True)
     p.add_argument("--angle", type=float, required=True, metavar="DEG")
     p.add_argument("--other", metavar="A@D", default=None,
                    help="fixed other-sequence current")
@@ -406,7 +409,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("region", help="polar limit boundary sweep")
     _add_fault_flags(p)
-    p.add_argument("--seq", choices=("pos", "neg"), required=True)
+    p.add_argument("--seq", choices=_SEQUENCES, required=True)
     p.add_argument("--other", metavar="A@D", default=None)
     p.add_argument("--angle-step", type=float, default=5.0, metavar="DEG")
     p.add_argument("--step", type=float, default=None)
@@ -424,8 +427,8 @@ def build_parser() -> _Parser:
     p.add_argument("--t-end", type=float, default=None, dest="t_end")
     p.add_argument("--dt", type=float, default=None)
     p.add_argument("--record-dt", type=float, default=None, dest="record_dt")
-    p.add_argument("--mode", choices=("pll", "fll"), default=None)
-    p.add_argument("--init", choices=("equilibrium", "prefault"), default=None)
+    p.add_argument("--mode", choices=tuple(_MODES), default=None)
+    p.add_argument("--init", choices=INIT_MODES, default=None)
     adaptive = p.add_mutually_exclusive_group()
     adaptive.add_argument("--adaptive", dest="freq_adaptive_z",
                           action="store_true", default=None)

@@ -12,7 +12,9 @@ import math
 
 import jsonschema
 
-from .equilibrium import CurrentReference
+from .dynsim import INIT_MODES
+from .equilibrium import NEWTON_TOL, SCAN_GRID_DEG, UD_MIN, CurrentReference
+from .limits import AMP_CEILING, AMP_STEP
 from .network import BranchImpedance, CircuitParameters, FaultSpec, FaultType, table_circuit
 from .phasor import parse_phasor, polar
 from .synchro import SyncConfig, SyncMode
@@ -74,7 +76,7 @@ SCHEMA = {
         "fault": {
             "type": "object",
             "properties": {
-                "type": {"enum": ["none", "slg", "dlg", "ll", "tlg"]},
+                "type": {"enum": [f.value for f in FaultType]},
                 "zf_pu": {"type": "number", "minimum": 0},
                 "zf_ohm": {"type": "number", "minimum": 0},
                 "t_on": {"type": "number", "minimum": 0},
@@ -90,7 +92,7 @@ SCHEMA = {
         "sync": {
             "type": "object",
             "properties": {
-                "mode": {"enum": ["dsogi_pll", "dsogi_fll"]},
+                "mode": {"enum": [m.value for m in SyncMode]},
                 "k": {"type": "number", "exclusiveMinimum": 0},
                 "kp_fll": {"type": "number", "minimum": 0},
                 "ki_fll": {"type": "number", "minimum": 0},
@@ -105,7 +107,7 @@ SCHEMA = {
                 "t_end": {"type": "number", "exclusiveMinimum": 0},
                 "dt": {"type": "number", "exclusiveMinimum": 0},
                 "freq_adaptive_z": {"type": "boolean"},
-                "init": {"enum": ["equilibrium", "prefault"]},
+                "init": {"enum": list(INIT_MODES)},
                 "record_dt": {"type": "number", "exclusiveMinimum": 0},
             },
             "additionalProperties": False,
@@ -145,11 +147,11 @@ class ConfigError(ValueError):
 class SolverOptions:
     """Equilibrium-scan and traversal tuning knobs."""
 
-    grid_deg: float = 2.0
-    tol: float = 1e-10
-    ud_min: float = 1e-9
-    step: float = 0.01
-    ceiling: float = 3.0
+    grid_deg: float = SCAN_GRID_DEG
+    tol: float = NEWTON_TOL
+    ud_min: float = UD_MIN
+    step: float = AMP_STEP
+    ceiling: float = AMP_CEILING
     refine: bool = False
 
 
@@ -249,7 +251,7 @@ def parse_config(raw: dict) -> ConfigDocument:
         t_clear=t_clear,
         ref_prefault=_parse_ref(current.get("prefault")),
         ref_fault=_parse_ref(current.get("fault")),
-        sync=SyncConfig(**sync, omega0=circuit.omega0),
+        sync=SyncConfig(**sync),
         scenario=ScenarioOptions(**raw.get("scenario", {})),
         solver=SolverOptions(**raw.get("solver", {})),
         z_base_ohm=z_base,

@@ -50,6 +50,7 @@ __all__ = [
     "trace_to_csv",
     "TRACE_COLUMNS",
     "TRACE_HEADER",
+    "INIT_MODES",
 ]
 
 # the record columns in kernel and CSV order; each names a Trace field
@@ -58,6 +59,8 @@ TRACE_COLUMNS = (
     "ud_pos", "uq_pos", "ud_neg", "uq_neg", "umag_pos", "umag_neg",
 )
 TRACE_HEADER = ",".join(TRACE_COLUMNS)
+
+INIT_MODES = ("equilibrium", "prefault")  # the Scenario.init values
 
 # loss-of-synchronism thresholds: the first LOS_GRACE_S seconds after fault
 # onset are ignored so acquisition transients cannot trip them; an event
@@ -109,10 +112,8 @@ class Scenario:
             raise ValueError("t_on must be >= 0")
         if self.fault.t_on >= self.t_end:
             raise ValueError("t_on must precede t_end")
-        if self.init not in ("equilibrium", "prefault"):
-            raise ValueError('init must be "equilibrium" or "prefault"')
-        if abs(self.sync.omega0 - self.circuit.omega0) > 1e-9:
-            raise ValueError("sync.omega0 must match circuit.omega0")
+        if self.init not in INIT_MODES:
+            raise ValueError(f"init must be one of {INIT_MODES}")
 
 
 @dataclass(frozen=True)
@@ -275,7 +276,7 @@ def _settled_state(
     u_pos, u_neg, _ = terminal_voltage(
         coeffs, ref, scenario.circuit.ug_pos, theta_g, th_p, th_n
     )
-    w0 = scenario.sync.omega0
+    w0 = scenario.circuit.omega0
     return SyncState(
         u_hat_pos=u_pos, u_hat_neg=u_neg.conjugate(),
         omega_hat=w0, eps_fll=0.0,
@@ -304,7 +305,7 @@ def initial_sync_state(scenario: Scenario) -> SyncState:
     if eq.found:
         return _settled_state(scenario, healthy, scenario.ref_prefault, eq)
     theta_g = scenario.circuit.theta_g
-    w0 = scenario.sync.omega0
+    w0 = scenario.circuit.omega0
     return SyncState(
         theta_pos=theta_g - math.pi / 3.0, theta_neg=theta_g + math.pi / 3.0,
         omega_hat=w0, omega_pos=w0, omega_neg=w0,

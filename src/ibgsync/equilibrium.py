@@ -30,6 +30,10 @@ _DEGENERATE_TOL = 1e-12
 
 # Newton iteration cap for torus-scan seeds and warm starts
 NEWTON_MAXIT = 80
+# solver defaults: seed spacing (deg), Newton tolerance, least d-axis voltage
+SCAN_GRID_DEG = 2.0
+NEWTON_TOL = 1e-10
+UD_MIN = 1e-9
 
 
 class InstabilityType(enum.Enum):
@@ -190,9 +194,9 @@ def solve_equilibrium(
     coeffs: SequenceCoefficients,
     ref: CurrentReference,
     ug_pos: float,
-    grid_deg: float = 2.0,
-    tol: float = 1e-10,
-    ud_min: float = 1e-9,
+    grid_deg: float = SCAN_GRID_DEG,
+    tol: float = NEWTON_TOL,
+    ud_min: float = UD_MIN,
 ) -> EquilibriumResult:
     """Find the qualifying angle pair, scanning the full torus.
 
@@ -224,8 +228,8 @@ def refine_root(
     ug_pos: float,
     delta_pos: float,
     delta_neg: float,
-    tol: float = 1e-10,
-    ud_min: float = 1e-9,
+    tol: float = NEWTON_TOL,
+    ud_min: float = UD_MIN,
 ) -> EquilibriumResult | None:
     """Polish a known nearby root (warm start); None when it stops qualifying."""
     prm = pack_params(coeffs, ref, ug_pos)

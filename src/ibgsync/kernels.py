@@ -1,9 +1,9 @@
 """Hot numerical kernels: sequence-coefficient evaluation, torus-grid Newton
 root finding, and the closed-loop RK4 integrator.
 
-Every kernel exists in two flavors: a numba ``@njit`` build (default when
-numba imports) and a pure-numpy fallback. Set ``IBGSYNC_PURE_NUMPY=1`` to
-force the fallback; ``USING_NUMBA`` reports which flavor is active.
+Each kernel is one Python source, jitted with numba ``@njit`` when numba
+imports. Only the torus scan has a second, vectorized form, which is
+``scan_roots`` without numba. ``IBGSYNC_PURE_NUMPY=1`` skips numba.
 """
 
 import math
@@ -477,6 +477,6 @@ jacobian_eval = _jacobian
 dq_eval = _dq_eval
 root_conditions = _conditions
 
-# always-available flavors for benchmarks and equivalence tests
+# both scan forms, always available, for the equivalence tests
 scan_roots_loop = _scan_roots_loop
 scan_roots_vec = _scan_roots_vec

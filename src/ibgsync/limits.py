@@ -15,6 +15,9 @@ import math
 from dataclasses import dataclass
 
 from .equilibrium import (
+    NEWTON_TOL,
+    SCAN_GRID_DEG,
+    UD_MIN,
     CurrentReference,
     InstabilityType,
     refine_root,
@@ -34,6 +37,9 @@ __all__ = [
 ]
 
 _SEQUENCES = ("pos", "neg")
+# traversal defaults: amplitude increment and sweep ceiling, p.u.
+AMP_STEP = 0.01
+AMP_CEILING = 3.0
 
 
 class Binding(enum.Enum):
@@ -116,12 +122,12 @@ def traversal_limit(
     sequence: str,
     theta_i: float,
     fixed_other: tuple[float, float] | None = None,
-    step: float = 0.01,
-    ceiling: float = 3.0,
+    step: float = AMP_STEP,
+    ceiling: float = AMP_CEILING,
     refine: bool = False,
-    grid_deg: float = 2.0,
-    tol: float = 1e-10,
-    ud_min: float = 1e-9,
+    grid_deg: float = SCAN_GRID_DEG,
+    tol: float = NEWTON_TOL,
+    ud_min: float = UD_MIN,
 ) -> LimitResult:
     """Largest amplitude of one sequence for which a qualifying equilibrium
     exists, holding the other sequence fixed.
@@ -182,12 +188,12 @@ def region_boundary(
     sequence: str,
     fixed_other: tuple[float, float] | None = None,
     angle_step: float = math.pi / 36,
-    step: float = 0.01,
-    ceiling: float = 3.0,
+    step: float = AMP_STEP,
+    ceiling: float = AMP_CEILING,
     refine: bool = False,
-    grid_deg: float = 2.0,
-    tol: float = 1e-10,
-    ud_min: float = 1e-9,
+    grid_deg: float = SCAN_GRID_DEG,
+    tol: float = NEWTON_TOL,
+    ud_min: float = UD_MIN,
 ) -> RegionBoundary:
     """Sweep theta_i over [-pi, pi) and collect the traversal limit at each
     angle. Ceiling-capped samples keep the CEILING binding flag."""

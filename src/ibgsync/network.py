@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 
+DEFAULT_OMEGA0 = 2.0 * math.pi * 50.0  # the reference circuit's 50 Hz, rad/s
+
+
 class FaultType(enum.Enum):
     """Fault classes at the line-grid junction node."""
 
@@ -40,16 +43,8 @@ class FaultType(enum.Enum):
 
     @property
     def code(self) -> int:
-        return _FAULT_CODE[self]
-
-
-_FAULT_CODE = {
-    FaultType.NONE: kernels.FAULT_NONE,
-    FaultType.SLG: kernels.FAULT_SLG,
-    FaultType.DLG: kernels.FAULT_DLG,
-    FaultType.LL: kernels.FAULT_LL,
-    FaultType.TLG: kernels.FAULT_TLG,
-}
+        """The kernels' integer code, kernels.FAULT_<NAME>."""
+        return getattr(kernels, "FAULT_" + self.name)
 
 
 class DegenerateNetwork(ValueError):
@@ -64,8 +59,9 @@ class BranchImpedance:
     x: float
 
     def __post_init__(self):
-        if self.r < 0 or self.x < 0:
-            raise ValueError(f"branch impedance must be non-negative, got {self}")
+        # "not <=" also rejects NaN
+        if not (0.0 <= self.r < math.inf and 0.0 <= self.x < math.inf):
+            raise ValueError(f"branch impedance must be finite and >= 0, got {self}")
 
     def z(self, freq_scale: float = 1.0) -> complex:
         """Complex impedance r + j*freq_scale*x."""
@@ -78,7 +74,8 @@ class CircuitParameters:
 
     `z_choke` is informational only: it is validated and stored, but no
     equation reads it, because the terminal node sits between the choke and
-    T1 (see compose_paths).
+    T1 (see compose_paths). `omega0` is the one nominal frequency; the
+    synchronizer, the adaptive impedances and LOS detection all read it.
     """
 
     z_choke: BranchImpedance
@@ -89,13 +86,16 @@ class CircuitParameters:
     z_g: BranchImpedance
     ug_pos: float
     theta_g: float = 0.0
-    omega0: float = 2.0 * math.pi * 50.0
+    omega0: float = DEFAULT_OMEGA0
 
     def __post_init__(self):
-        if self.ug_pos <= 0:
-            raise ValueError("ug_pos must be positive")
-        if self.omega0 <= 0:
-            raise ValueError("omega0 must be positive")
+        # "not <" also rejects NaN
+        if not 0.0 < self.ug_pos < math.inf:
+            raise ValueError("ug_pos must be finite and > 0")
+        if not math.isfinite(self.theta_g):
+            raise ValueError("theta_g must be finite")
+        if not 0.0 < self.omega0 < math.inf:
+            raise ValueError("omega0 must be finite and > 0")
 
 
 @dataclass(frozen=True)

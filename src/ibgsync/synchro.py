@@ -13,6 +13,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+from .network import DEFAULT_OMEGA0
+
 __all__ = [
     "SyncMode",
     "SyncConfig",
@@ -22,8 +24,6 @@ __all__ = [
     "pll_derivatives",
     "extract_dq",
 ]
-
-_OMEGA0_DEFAULT = 2.0 * math.pi * 50.0
 
 
 class SyncMode(enum.Enum):
@@ -36,7 +36,7 @@ class SyncMode(enum.Enum):
 
 @dataclass(frozen=True)
 class SyncConfig:
-    """Filter and tracking-loop gains."""
+    """Filter and tracking-loop gains (the nominal frequency is the circuit's)."""
 
     mode: SyncMode = SyncMode.DSOGI_PLL
     k: float = 1.414
@@ -44,14 +44,14 @@ class SyncConfig:
     ki_fll: float = 8000.0
     kp_pll: float = 100.0
     ki_pll: float = 2000.0
-    omega0: float = _OMEGA0_DEFAULT
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ValueError("SOGI gain k must be > 0")
+        # "not <" also rejects NaN
+        if not 0.0 < self.k < math.inf:
+            raise ValueError("SOGI gain k must be finite and > 0")
         for name in ("kp_fll", "ki_fll", "kp_pll", "ki_pll"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 @dataclass
@@ -63,12 +63,12 @@ class SyncState:
 
     u_hat_pos: complex = 0j
     u_hat_neg: complex = 0j
-    omega_hat: float = _OMEGA0_DEFAULT
+    omega_hat: float = DEFAULT_OMEGA0
     eps_fll: float = 0.0
     theta_pos: float = 0.0
     theta_neg: float = 0.0
-    omega_pos: float = _OMEGA0_DEFAULT
-    omega_neg: float = _OMEGA0_DEFAULT
+    omega_pos: float = DEFAULT_OMEGA0
+    omega_neg: float = DEFAULT_OMEGA0
     xi_pos: float = 0.0
     xi_neg: float = 0.0
 
@@ -86,18 +86,18 @@ def ccf_derivative(
 
 
 def fll_adaptation(
-    state: SyncState, input_u: complex, cfg: SyncConfig
+    state: SyncState, input_u: complex, cfg: SyncConfig, omega0: float
 ) -> tuple[float, float]:
     """Center-frequency estimate and integrator derivative in FLL mode.
 
     The error is the component of the filter mismatch along the quadrature
     signal, e = Im[(Ū − Û)·V̂*], with Û = Û⁺ + Û⁻ and V̂ = Û⁺ − Û⁻.
-    Returns (omega_hat, deps_fll).
+    omega0 is the nominal frequency. Returns (omega_hat, deps_fll).
     """
     v_hat = state.u_hat_pos - state.u_hat_neg
     err = input_u - state.u_hat_pos - state.u_hat_neg
     e = (err * v_hat.conjugate()).imag
-    omega_hat = cfg.omega0 + cfg.kp_fll * e + cfg.ki_fll * state.eps_fll
+    omega_hat = omega0 + cfg.kp_fll * e + cfg.ki_fll * state.eps_fll
     return omega_hat, e
 
 
@@ -105,16 +105,17 @@ def pll_derivatives(
     state: SyncState,
     ud_uq: tuple[float, float, float, float],
     cfg: SyncConfig,
+    omega0: float,
 ) -> tuple[float, float, float, float, float, float]:
-    """Dual-PLL state derivatives and frequency outputs.
+    """Dual-PLL state derivatives and frequency outputs around omega0.
 
     Returns (dtheta_pos, dxi_pos, dtheta_neg, dxi_neg, omega_pos,
     omega_neg). The negative loop tracks a clockwise frame, hence the
     negated PI action on û_q⁻.
     """
     _, uq_p, _, uq_n = ud_uq
-    omega_pos = cfg.omega0 + cfg.kp_pll * uq_p + cfg.ki_pll * state.xi_pos
-    omega_neg = cfg.omega0 - cfg.kp_pll * uq_n - cfg.ki_pll * state.xi_neg
+    omega_pos = omega0 + cfg.kp_pll * uq_p + cfg.ki_pll * state.xi_pos
+    omega_neg = omega0 - cfg.kp_pll * uq_n - cfg.ki_pll * state.xi_neg
     return omega_pos, uq_p, omega_neg, uq_n, omega_pos, omega_neg
 
 

@@ -87,7 +87,7 @@ def run_rcf(u_of_t, t_end: float, dt: float, k: float, omega0: float,
     return out_p, out_n
 
 
-def run_ccf(u_of_t, t_end: float, dt: float, cfg: SyncConfig,
+def run_ccf(u_of_t, t_end: float, dt: float, cfg: SyncConfig, omega0: float,
             adapt: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """RK4 trajectory of the package's complex-coefficient form.
 
@@ -105,12 +105,12 @@ def run_ccf(u_of_t, t_end: float, dt: float, cfg: SyncConfig,
         st = SyncState(
             u_hat_pos=complex(state[0], state[1]),
             u_hat_neg=complex(state[2], state[3]),
-            omega_hat=cfg.omega0,
+            omega_hat=omega0,
             eps_fll=state[4],
         )
         e = 0.0
         if adapt:
-            st.omega_hat, e = fll_adaptation(st, u, cfg)
+            st.omega_hat, e = fll_adaptation(st, u, cfg, omega0)
         du_p, du_n = ccf_derivative(st, u, cfg)
         return np.array([du_p.real, du_p.imag, du_n.real, du_n.imag, e])
 

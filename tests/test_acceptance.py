@@ -159,7 +159,7 @@ def test_criterion_3_filter_form_equivalence():
 
         ref_p, ref_n = run_rcf(u_of_t, 0.2, 1e-4, cfg.k, W0,
                                cfg.kp_fll, cfg.ki_fll, adapt=True)
-        got_p, got_n = run_ccf(u_of_t, 0.2, 1e-4, cfg, adapt=True)
+        got_p, got_n = run_ccf(u_of_t, 0.2, 1e-4, cfg, W0, adapt=True)
         worst = max(worst,
                     float(np.max(np.abs(got_p - ref_p))),
                     float(np.max(np.abs(got_n - ref_n))))

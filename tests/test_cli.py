@@ -264,6 +264,10 @@ class TestValidate:
         assert data["max_rel_error_neg"] < 1e-9
 
 
+_SIMULATE_DLG = ["simulate", "--fault", "dlg", "--iplus", "0.71@-30",
+                 "--iminus", "0.5@90", "--t-end", "1"]
+
+
 class TestErrors:
     def test_missing_config_exits_1(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -295,10 +299,26 @@ class TestErrors:
         ["limit", "--fault", "dlg", "--seq", "pos", "--angle", "-30",
          "--ceiling", "inf"],
         ["region", "--fault", "dlg", "--seq", "pos", "--angle-step", "inf"],
+        # non-finite config values (Python's json reads NaN and Infinity);
+        # a leading dict is the config document
+        [{"circuit": {"f_hz": math.nan}}, *_SIMULATE_DLG],
+        [{"circuit": {"ug_pos": math.nan}}, "limit", "--fault", "dlg",
+         "--seq", "pos", "--angle", "-30", "--other", "0.5@90"],
+        [{"sync": {"kp_pll": math.nan}}, *_SIMULATE_DLG],
+        [{"sync": {"k": math.inf}}, *_SIMULATE_DLG],
+        [{"circuit": {"grid": {"r": math.nan, "x": 0.2}}},
+         "coeffs", "--fault", "slg"],
     ])
     def test_invalid_input_exits_1(self, argv, tmp_path, capsys):
+        config = argv[0] if isinstance(argv[0], dict) else None
+        if config is not None:
+            argv = argv[1:]
         if argv[0] in ("region", "simulate"):
             argv = argv + ["--out", str(tmp_path / "out.csv")]
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv = ["--config", str(path), *argv]
         code, out, err = run_cli(argv, capsys)
         assert code == 1
         assert "config error" in err

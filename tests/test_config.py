@@ -27,7 +27,6 @@ class TestDefaults:
         assert doc.ref_prefault.i_neg == 0.0
         assert doc.sync.mode is SyncMode.DSOGI_PLL
         assert doc.sync.kp_pll == 100.0
-        assert doc.sync.omega0 == doc.circuit.omega0
         assert doc.scenario.t_end == 3.0
         assert doc.scenario.dt == 1e-4
         assert doc.scenario.init == "equilibrium"
@@ -98,7 +97,6 @@ class TestUnits:
     def test_frequency_propagates(self):
         doc = parse_config({"circuit": {"f_hz": 60.0}})
         assert doc.circuit.omega0 == pytest.approx(2.0 * math.pi * 60.0)
-        assert doc.sync.omega0 == pytest.approx(2.0 * math.pi * 60.0)
 
 
 class TestValidation:

@@ -173,7 +173,7 @@ class TestStep:
                 eps_fll=y[8],
             )
             dth_p, dxi_p, dth_n, dxi_n, w_p, _ = pll_derivatives(
-                st, extract_dq(st), cfg
+                st, extract_dq(st), cfg, W0
             )
             st.omega_hat = w_p
             _, _, u_meas = terminal_voltage(
@@ -346,7 +346,7 @@ class TestRunScenario:
         sc = Scenario(
             circuit=circuit, fault=FaultSpec(FaultType.DLG, z_f=ZF_PU),
             ref_fault=CurrentReference(0.71, math.radians(-30.0), 0.5, math.radians(90.0)),
-            sync=SyncConfig(omega0=circuit.omega0), t_end=1.0,
+            t_end=1.0,
         )
         trace, verdict = run_scenario(sc)
         assert trace.f_pos_hz[-1] == pytest.approx(60.0, abs=1e-3)
@@ -515,11 +515,6 @@ class TestScenarioValidation:
     def test_rejects_unknown_init(self):
         with pytest.raises(ValueError):
             dlg_scenario(REF_HOLD, 1.0, init="warm")
-
-    def test_rejects_frequency_mismatch(self):
-        with pytest.raises(ValueError):
-            dlg_scenario(REF_HOLD, 1.0,
-                         sync=SyncConfig(omega0=2.0 * math.pi * 60.0))
 
     def test_fault_spec_orders_times(self):
         with pytest.raises(ValueError):

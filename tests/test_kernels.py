@@ -173,7 +173,7 @@ class TestDerivative:
             CIRCUIT.theta_g + CIRCUIT.omega0 * t, y[4], y[6],
         )
         cfg = SyncConfig()
-        w_c, e = fll_adaptation(state, u_meas, cfg)
+        w_c, e = fll_adaptation(state, u_meas, cfg, CIRCUIT.omega0)
         state.omega_hat = w_c
         du_p, du_n = ccf_derivative(state, u_meas, cfg)
         assert dy[0] == pytest.approx(du_p.real, abs=1e-12)

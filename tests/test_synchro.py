@@ -73,21 +73,21 @@ def test_ccf_shared_error_drive():
 def test_fll_error_zero_when_locked():
     st = make_state(u_pos=phasor(1.0, 0.7), u_neg=phasor(0.3, -0.2), eps=0.015)
     u = st.u_hat_pos + st.u_hat_neg
-    omega_hat, e = fll_adaptation(st, u, CFG)
+    omega_hat, e = fll_adaptation(st, u, CFG, OMEGA0)
     assert e == pytest.approx(0.0, abs=1e-15)
-    assert omega_hat == pytest.approx(CFG.omega0 + CFG.ki_fll * 0.015, rel=1e-9)
+    assert omega_hat == pytest.approx(OMEGA0 + CFG.ki_fll * 0.015, rel=1e-9)
 
 
 def test_fll_degenerate_quadrature():
     st = make_state(u_pos=0.4 + 0j, u_neg=0.4 + 0j)  # V = U+ - U- = 0
-    _, e = fll_adaptation(st, 1.0 + 0j, CFG)
+    _, e = fll_adaptation(st, 1.0 + 0j, CFG, OMEGA0)
     assert e == 0.0
 
 
 def test_pll_direct_substitution():
     st = make_state()
     dth_p, dxi_p, dth_n, dxi_n, w_p, w_n = pll_derivatives(
-        st, (1.0, 0.01, 1.0, 0.0), CFG
+        st, (1.0, 0.01, 1.0, 0.0), CFG, OMEGA0
     )
     assert w_p == pytest.approx(OMEGA0 + 1.0)
     assert dth_p == pytest.approx(OMEGA0 + 1.0)
@@ -98,7 +98,9 @@ def test_pll_direct_substitution():
 
 def test_pll_negative_loop_sign():
     st = make_state(xi_neg=0.002)
-    _, _, dth_n, dxi_n, _, w_n = pll_derivatives(st, (1.0, 0.0, 1.0, 0.01), CFG)
+    _, _, dth_n, dxi_n, _, w_n = pll_derivatives(
+        st, (1.0, 0.0, 1.0, 0.01), CFG, OMEGA0
+    )
     assert w_n == pytest.approx(OMEGA0 - CFG.kp_pll * 0.01 - CFG.ki_pll * 0.002)
     assert dth_n == pytest.approx(w_n)
     assert dxi_n == 0.01
@@ -142,12 +144,12 @@ def _run_pll(u_of_t, t_end, dt, cfg=CFG):
         st = SyncState(
             u_hat_pos=complex(state[0], state[1]),
             u_hat_neg=complex(state[2], state[3]),
-            omega_hat=cfg.omega0,
+            omega_hat=OMEGA0,
             theta_pos=state[4], xi_pos=state[5],
             theta_neg=state[6], xi_neg=state[7],
         )
         dth_p, dxi_p, dth_n, dxi_n, w_p, _ = pll_derivatives(
-            st, extract_dq(st), cfg
+            st, extract_dq(st), cfg, OMEGA0
         )
         st.omega_hat = w_p
         du_p, du_n = ccf_derivative(st, u_of_t(t), cfg)
@@ -193,7 +195,8 @@ def test_pure_negative_input_separates():
     """Sequence separation is a filter property, so it is checked at fixed
     center frequency (a positive PLL slaved to a nonexistent positive
     signal parks the center a little off nominal by design)."""
-    p, n = run_ccf(unbalanced_input(0.0, 0.0, 0.5, 0.3), 0.5, 1e-4, CFG)
+    p, n = run_ccf(unbalanced_input(0.0, 0.0, 0.5, 0.3), 0.5, 1e-4, CFG,
+                   OMEGA0)
     assert abs(p[-1]) < 1e-6
     assert abs(abs(n[-1]) - 0.5) < 1e-6
 
@@ -233,10 +236,10 @@ def test_fll_tracks_frequency_step():
         st = SyncState(
             u_hat_pos=complex(state[0], state[1]),
             u_hat_neg=complex(state[2], state[3]),
-            omega_hat=cfg.omega0, eps_fll=state[4],
+            omega_hat=OMEGA0, eps_fll=state[4],
         )
         u = cmath.exp(1j * omega_in * t)
-        st.omega_hat, e = fll_adaptation(st, u, cfg)
+        st.omega_hat, e = fll_adaptation(st, u, cfg, OMEGA0)
         du_p, du_n = ccf_derivative(st, u, cfg)
         return np.array([du_p.real, du_p.imag, du_n.real, du_n.imag, e])
 
@@ -251,9 +254,10 @@ def test_fll_tracks_frequency_step():
         if t > 0.3:
             st = SyncState(
                 u_hat_pos=complex(y[0], y[1]), u_hat_neg=complex(y[2], y[3]),
-                omega_hat=cfg.omega0, eps_fll=y[4],
+                omega_hat=OMEGA0, eps_fll=y[4],
             )
-            w, _ = fll_adaptation(st, cmath.exp(1j * omega_in * (t + dt)), cfg)
+            w, _ = fll_adaptation(st, cmath.exp(1j * omega_in * (t + dt)), cfg,
+                                  OMEGA0)
             omega_tail.append(w)
     omega_tail = np.array(omega_tail)
     assert np.all(np.abs(omega_tail - omega_in) < 0.02 * 2.0 * math.pi)
@@ -264,7 +268,7 @@ def test_rcf_ccf_equivalence_single_case():
     acceptance suite)."""
     u = unbalanced_input(0.9, 0.2, 0.3, -0.7, omega=OMEGA0 * 1.01)
     p_rcf, n_rcf = run_rcf(u, 0.2, 1e-4, CFG.k, OMEGA0)
-    p_ccf, n_ccf = run_ccf(u, 0.2, 1e-4, CFG)
+    p_ccf, n_ccf = run_ccf(u, 0.2, 1e-4, CFG, OMEGA0)
     assert np.max(np.abs(p_rcf - p_ccf)) < 1e-9
     assert np.max(np.abs(n_rcf - n_ccf)) < 1e-9
 
@@ -273,6 +277,6 @@ def test_rcf_ccf_equivalence_with_adaptation():
     u = unbalanced_input(0.8, -0.4, 0.2, 1.1, omega=OMEGA0 * 0.99)
     p_rcf, n_rcf = run_rcf(u, 0.2, 1e-4, CFG.k, OMEGA0,
                            kp_fll=CFG.kp_fll, ki_fll=CFG.ki_fll, adapt=True)
-    p_ccf, n_ccf = run_ccf(u, 0.2, 1e-4, CFG, adapt=True)
+    p_ccf, n_ccf = run_ccf(u, 0.2, 1e-4, CFG, OMEGA0, adapt=True)
     assert np.max(np.abs(p_rcf - p_ccf)) < 1e-9
     assert np.max(np.abs(n_rcf - n_ccf)) < 1e-9
