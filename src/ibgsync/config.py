@@ -12,7 +12,7 @@ import math
 
 import jsonschema
 
-from .dynsim import INIT_MODES
+from .dynsim import INIT_MODES, RECORD_DT, Scenario
 from .equilibrium import NEWTON_TOL, SCAN_GRID_DEG, UD_MIN, CurrentReference
 from .limits import AMP_CEILING, AMP_STEP
 from .network import BranchImpedance, CircuitParameters, FaultSpec, FaultType, table_circuit
@@ -154,17 +154,27 @@ class SolverOptions:
     ceiling: float = AMP_CEILING
     refine: bool = False
 
+    def __post_init__(self):
+        # "not <" also rejects NaN; step and ceiling are checked where the
+        # sweep uses them
+        if not 0.0 < self.grid_deg < math.inf:
+            raise ValueError("grid_deg must be finite and > 0")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and > 0")
+        if not math.isfinite(self.ud_min):
+            raise ValueError("ud_min must be finite")
+
 
 @dataclasses.dataclass(frozen=True)
 class ScenarioOptions:
     """Simulation horizon and integrator settings (fault times live on
-    FaultSpec)."""
+    FaultSpec); the defaults are Scenario's and run_scenario's."""
 
-    t_end: float = 3.0
-    dt: float = 1e-4
-    freq_adaptive_z: bool = True
-    init: str = "equilibrium"
-    record_dt: float = 1e-3
+    t_end: float = Scenario.t_end
+    dt: float = Scenario.dt
+    freq_adaptive_z: bool = Scenario.freq_adaptive_z
+    init: str = Scenario.init
+    record_dt: float = RECORD_DT
 
 
 @dataclasses.dataclass(frozen=True)

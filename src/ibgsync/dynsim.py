@@ -51,6 +51,7 @@ __all__ = [
     "TRACE_COLUMNS",
     "TRACE_HEADER",
     "INIT_MODES",
+    "RECORD_DT",
 ]
 
 # the record columns in kernel and CSV order; each names a Trace field
@@ -61,6 +62,7 @@ TRACE_COLUMNS = (
 TRACE_HEADER = ",".join(TRACE_COLUMNS)
 
 INIT_MODES = ("equilibrium", "prefault")  # the Scenario.init values
+RECORD_DT = 1e-3  # run_scenario's default trace sample interval, s
 
 # loss-of-synchronism thresholds: the first LOS_GRACE_S seconds after fault
 # onset are ignored so acquisition transients cannot trip them; an event
@@ -209,25 +211,31 @@ def _pack_state(state: SyncState) -> np.ndarray:
     )
 
 
-def _ref_array(ref: CurrentReference) -> np.ndarray:
-    return np.array([ref.i_pos, ref.theta_i_pos, ref.i_neg, ref.theta_i_neg])
+def _ref_tuple(ref: CurrentReference) -> tuple[float, float, float, float]:
+    return (float(ref.i_pos), float(ref.theta_i_pos),
+            float(ref.i_neg), float(ref.theta_i_neg))
 
 
 def _kernel_args(scenario: Scenario):
-    """Shared positional tail for the kernel calls: (fault code, z_f, paths,
-    ug, theta_g, omega0, pre-fault ref, on-fault ref, gains, FLL mode,
-    frequency-adaptive impedances)."""
+    """Shared positional tail for the kernel calls: (fault code: int, z_f:
+    complex, paths: 8-tuple of float (kernel order, see _path_floats), ug,
+    theta_g, omega0: float, pre-fault and on-fault ref: 4-tuples of float
+    (I+, theta_i+, I-, theta_i-), gains: 5-tuple of float (k, kp_pll,
+    ki_pll, kp_fll, ki_fll), FLL mode: bool, frequency-adaptive impedances:
+    bool). Python scalars keep the pure-numpy derivative off numpy scalars."""
     sync = scenario.sync
+    circuit = scenario.circuit
     return (
         scenario.fault.fault_type.code,
         complex(scenario.fault.z_f),
-        np.array(_path_floats(compose_paths(scenario.circuit))),
-        scenario.circuit.ug_pos,
-        scenario.circuit.theta_g,
-        scenario.circuit.omega0,
-        _ref_array(scenario.ref_prefault),
-        _ref_array(scenario.ref_fault),
-        np.array([sync.k, sync.kp_pll, sync.ki_pll, sync.kp_fll, sync.ki_fll]),
+        _path_floats(compose_paths(circuit)),
+        float(circuit.ug_pos),
+        float(circuit.theta_g),
+        float(circuit.omega0),
+        _ref_tuple(scenario.ref_prefault),
+        _ref_tuple(scenario.ref_fault),
+        tuple(float(g) for g in
+              (sync.k, sync.kp_pll, sync.ki_pll, sync.kp_fll, sync.ki_fll)),
         sync.mode is SyncMode.DSOGI_FLL,
         scenario.freq_adaptive_z,
     )
@@ -313,7 +321,7 @@ def initial_sync_state(scenario: Scenario) -> SyncState:
 
 
 def run_scenario(
-    scenario: Scenario, record_dt: float = 1e-3
+    scenario: Scenario, record_dt: float = RECORD_DT
 ) -> tuple[Trace, LosVerdict]:
     """Integrate [0, t_end] and detect loss of synchronism on the on-fault
     window. Overflow truncates the trace and forces a lost verdict."""

@@ -266,6 +266,8 @@ class TestValidate:
 
 _SIMULATE_DLG = ["simulate", "--fault", "dlg", "--iplus", "0.71@-30",
                  "--iminus", "0.5@90", "--t-end", "1"]
+_LIMIT_DLG = ["limit", "--fault", "dlg", "--seq", "pos", "--angle", "-30",
+              "--other", "0.5@90"]
 
 
 class TestErrors:
@@ -302,12 +304,17 @@ class TestErrors:
         # non-finite config values (Python's json reads NaN and Infinity);
         # a leading dict is the config document
         [{"circuit": {"f_hz": math.nan}}, *_SIMULATE_DLG],
-        [{"circuit": {"ug_pos": math.nan}}, "limit", "--fault", "dlg",
-         "--seq", "pos", "--angle", "-30", "--other", "0.5@90"],
+        [{"circuit": {"ug_pos": math.nan}}, *_LIMIT_DLG],
         [{"sync": {"kp_pll": math.nan}}, *_SIMULATE_DLG],
         [{"sync": {"k": math.inf}}, *_SIMULATE_DLG],
         [{"circuit": {"grid": {"r": math.nan, "x": 0.2}}},
          "coeffs", "--fault", "slg"],
+        # non-finite solver options: NaN and inf pass the schema's bounds
+        [{"solver": {"ud_min": math.nan}}, *_LIMIT_DLG],
+        [{"solver": {"ud_min": math.inf}}, *_LIMIT_DLG],
+        [{"solver": {"tol": math.nan}}, *_LIMIT_DLG],
+        [{"solver": {"tol": math.inf}}, *_LIMIT_DLG],
+        [{"solver": {"grid_deg": math.inf}}, *_LIMIT_DLG],
     ])
     def test_invalid_input_exits_1(self, argv, tmp_path, capsys):
         config = argv[0] if isinstance(argv[0], dict) else None

@@ -25,7 +25,7 @@ from ibgsync import (
     solve_equilibrium,
     table_circuit,
 )
-from ibgsync import kernels
+from ibgsync import dynsim, kernels
 from ibgsync.dynsim import (
     NumericalOverflow,
     Signature,
@@ -388,6 +388,16 @@ class TestRunScenario:
         assert verdict.lost
         assert verdict.dominant is InstabilityType.POS_TYPE1
         assert verdict.signature is Signature.DRIFT
+
+    def test_nan_initial_state_diverges(self, monkeypatch):
+        """A NaN start fails the kernel's overflow bound on the first step."""
+        state = SyncState(u_hat_pos=complex(math.nan, 0.0), omega_hat=W0,
+                          omega_pos=W0, omega_neg=W0)
+        monkeypatch.setattr(dynsim, "initial_sync_state", lambda sc: state)
+        trace, verdict = run_scenario(dlg_scenario(REF_HOLD, 0.5))
+        assert trace.diverged
+        assert trace.t.tolist() == [0.0]
+        assert verdict.lost and verdict.determined
 
     def test_overflow_verdict_stays_determined(self):
         sc = dlg_scenario(REF_FLIP, 0.5, sync=SyncConfig(kp_pll=1e6, ki_pll=0.0))

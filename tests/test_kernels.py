@@ -15,13 +15,16 @@ from ibgsync import (
     CurrentReference,
     FaultSpec,
     FaultType,
+    SequenceCoefficients,
     SyncConfig,
     SyncState,
     ccf_derivative,
     compose_paths,
     compute_coefficients,
+    extract_dq,
     fll_adaptation,
     kernels,
+    pll_derivatives,
     table_circuit,
 )
 from ibgsync.dynsim import TRACE_COLUMNS, Scenario, _kernel_args, terminal_voltage
@@ -153,42 +156,79 @@ class TestEvaluators:
         assert res < 1e-12
 
 
+def _mixed_coeffs(fault, sp, sn):
+    """Coefficients with K1/K4 at the grid frequency, Z2/Z6 at sp and Z3/Z5
+    at sn, each from the reference network scaled by that frequency."""
+    grid, pos, neg = (compute_coefficients(compose_paths(CIRCUIT, s), fault)
+                      for s in (1.0, sp, sn))
+    return SequenceCoefficients(k1=grid.k1, z2=pos.z2, z3=neg.z3,
+                                k4=grid.k4, z5=neg.z5, z6=pos.z6)
+
+
 class TestDerivative:
-    def test_fll_mode_composes_public_ops(self):
-        y = np.array([0.3, -0.2, 0.1, 0.05, 0.4, 0.0, -0.3, 0.0, 2e-4])
-        gains = np.array([1.414, 100.0, 2000.0, 50.0, 8000.0])
-        rf = np.array([REF.i_pos, REF.theta_i_pos, REF.i_neg, REF.theta_i_neg])
+    @pytest.mark.parametrize("as_arrays", [False, True],
+                             ids=["tuples", "arrays"])
+    @pytest.mark.parametrize("adaptive", [True, False],
+                             ids=["adaptive", "fixed"])
+    @pytest.mark.parametrize("mode", ["dsogi_pll", "dsogi_fll"])
+    def test_composes_public_ops(self, mode, adaptive, as_arrays):
+        fault = FaultSpec(FaultType.DLG, z_f=ZF_PU)
+        cfg = SyncConfig(mode=SyncMode(mode))
+        sc = Scenario(circuit=CIRCUIT, fault=fault, ref_fault=REF, sync=cfg,
+                      freq_adaptive_z=adaptive)
+        (code, zf, paths, ug, theta_g0, w0, _, ref_on, gains, mode_fll,
+         adaptive_z) = _kernel_args(sc)
+        if as_arrays:
+            paths, ref_on, gains = (np.array(v) for v in (paths, ref_on, gains))
+        y = np.array([0.3, -0.2, 0.1, 0.05, 0.4, 0.02, -0.3, -0.01, 4e-3])
         t = 0.37
-        dy = kernels.deriv_eval(
-            y, t, kernels.FAULT_DLG, complex(ZF_PU), np.array(PF),
-            CIRCUIT.ug_pos, CIRCUIT.theta_g, CIRCUIT.omega0, rf, gains,
-            True, False,
-        )
+        dy = kernels.deriv_eval(y, t, code, zf, paths, ug, theta_g0, w0,
+                                ref_on, gains, mode_fll, adaptive_z)
+
         state = SyncState(
             u_hat_pos=complex(y[0], y[1]), u_hat_neg=complex(y[2], y[3]),
-            theta_pos=y[4], theta_neg=y[6], eps_fll=y[8],
+            theta_pos=y[4], xi_pos=y[5], theta_neg=y[6], xi_neg=y[7],
+            eps_fll=y[8],
         )
+        th_p, dxi_p, th_n, dxi_n, w_p, w_n = pll_derivatives(
+            state, extract_dq(state), cfg, w0)
+        if not adaptive:
+            sp = sn = 1.0
+        elif mode_fll:
+            sp = sn = (w0 + cfg.ki_fll * state.eps_fll) / w0
+        else:
+            sp, sn = w_p / w0, w_n / w0
+        if adaptive:
+            # the scaled reactances are exercised, inside the [0.2, 5] clamp
+            assert 0.2 < sp < 5.0 and 0.2 < sn < 5.0
+            assert abs(sp - 1.0) > 1e-3 and abs(sn - 1.0) > 1e-3
         _, _, u_meas = terminal_voltage(
-            COEFFS, REF, CIRCUIT.ug_pos,
-            CIRCUIT.theta_g + CIRCUIT.omega0 * t, y[4], y[6],
-        )
-        cfg = SyncConfig()
-        w_c, e = fll_adaptation(state, u_meas, cfg, CIRCUIT.omega0)
-        state.omega_hat = w_c
+            _mixed_coeffs(fault, sp, sn), REF, ug, theta_g0 + w0 * t, y[4], y[6])
+        if mode_fll:
+            state.omega_hat, e = fll_adaptation(state, u_meas, cfg, w0)
+        else:
+            state.omega_hat = w_p
         du_p, du_n = ccf_derivative(state, u_meas, cfg)
         assert dy[0] == pytest.approx(du_p.real, abs=1e-12)
         assert dy[1] == pytest.approx(du_p.imag, abs=1e-12)
         assert dy[2] == pytest.approx(du_n.real, abs=1e-12)
         assert dy[3] == pytest.approx(du_n.imag, abs=1e-12)
-        assert dy[8] == pytest.approx(e, abs=1e-12)
-        # angle rates follow the filter states' instantaneous rotation
-        up, un = state.u_hat_pos, state.u_hat_neg
-        assert dy[4] == pytest.approx((du_p * up.conjugate()).imag / abs(up) ** 2,
-                                      abs=1e-9)
-        assert dy[6] == pytest.approx(-(du_n * un.conjugate()).imag / abs(un) ** 2,
-                                      abs=1e-9)
-        # integrator states are frozen in FLL mode
-        assert dy[5] == 0.0 and dy[7] == 0.0
+        if mode_fll:
+            assert dy[8] == pytest.approx(e, abs=1e-12)
+            # angle rates follow the filter states' instantaneous rotation
+            up, un = state.u_hat_pos, state.u_hat_neg
+            assert dy[4] == pytest.approx(
+                (du_p * up.conjugate()).imag / abs(up) ** 2, abs=1e-9)
+            assert dy[6] == pytest.approx(
+                -(du_n * un.conjugate()).imag / abs(un) ** 2, abs=1e-9)
+            # integrator states are frozen in FLL mode
+            assert dy[5] == 0.0 and dy[7] == 0.0
+        else:
+            assert dy[4] == pytest.approx(th_p, abs=1e-12)
+            assert dy[5] == pytest.approx(dxi_p, abs=1e-12)
+            assert dy[6] == pytest.approx(th_n, abs=1e-12)
+            assert dy[7] == pytest.approx(dxi_n, abs=1e-12)
+            assert dy[8] == 0.0
 
 
 class TestSimulateRecord:
@@ -223,6 +263,18 @@ class TestSimulateRecord:
             assert rec[n, 1] == pytest.approx(dy[4] / (2.0 * math.pi), rel=1e-12)
             assert rec[n, 2] == pytest.approx(dy[6] / (2.0 * math.pi), rel=1e-12)
             assert rec[n, 3] == y[4] and rec[n, 4] == y[6]
+
+    @pytest.mark.parametrize("k", [0, 4, 8])
+    def test_nan_state_overflows_on_first_step(self, k):
+        """NaN fails the overflow bound like a state above 1e6 does."""
+        sc = Scenario(circuit=CIRCUIT, fault=FaultSpec(FaultType.DLG, z_f=ZF_PU),
+                      ref_fault=REF, t_end=0.01)
+        y0 = np.array([0.5, -0.9, 0.1, 0.05, -0.9, 0.0, 1.1, 0.0, 0.0])
+        y0[k] = math.nan
+        rec = np.empty((11, len(TRACE_COLUMNS)))
+        rows, overflow, _, _ = kernels.simulate(
+            y0, 10, 1e-4, 1, 0.0, 0.0, math.inf, *_kernel_args(sc), rec)
+        assert (rows, overflow) == (1, 1)
 
 
 class TestPureNumpyFlavor:
