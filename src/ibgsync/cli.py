@@ -464,6 +464,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"ibgsync: i/o error: {exc}", file=sys.stderr)
         return 1
+    # a horizon too long for the trace buffer
+    except MemoryError as exc:
+        print(f"ibgsync: config error: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -5,13 +5,18 @@ Each kernel is one Python source, jitted with numba ``@njit`` when numba
 imports. Only the torus scan has a second, vectorized form, which is
 ``scan_roots`` without numba. ``IBGSYNC_PURE_NUMPY=1`` skips numba.
 
-The integrator's derivative (``_frames``, ``_deriv`` and the coefficient
-columns they evaluate) works on Python ``float``/``complex`` scalars and
-``cmath``: the state is read with ``float(y[k])`` and the other inputs
-arrive as tuples of floats (``dynsim._kernel_args``). Without numba each
-numpy-scalar operation costs about a microsecond, several times a Python
-scalar's, and an RK4 step makes four derivative calls. numba compiles the
-same constructs.
+The closed-loop integrator runs on Python scalars from start to end: the
+state is nine ``float``s, every RK4 stage state and update is written per
+component in the numpy expressions' operation order, the derivative
+(``_frames``, ``_deriv``) uses ``complex`` and ``cmath``, and the other
+inputs arrive as tuples of floats (``dynsim._kernel_args``). Without numba
+each numpy operation costs about a microsecond, several times a Python
+scalar's, and an RK4 step makes four derivative calls. The coefficient
+column at the grid frequency (K1, K4, and every impedance at s = 1)
+depends only on the fault code, so ``_simulate`` evaluates it once per run
+for the fault and once for the healthy network; each derivative evaluates
+only the columns at its frequency estimates. numba compiles the same
+constructs.
 """
 
 import cmath
@@ -102,19 +107,31 @@ def _seq_coeffs(code, s, rl, xl, rl0, xl0, rg, xg, rg0, xg0, zf):
     return k1, z2, z3, k4, z5, z6, d
 
 
-def _seq_coeffs_mixed(code, sp, sn, rl, xl, rl0, xl0, rg, xg, rg0, xg0, zf):
-    """Coefficients with the mixed frequency convention: K1/K4 at the grid
-    frequency, Z2/Z6 at the positive estimate, Z3/Z5 at the negative one."""
+def _grid_column(code, paths, zf):
+    """(K1, Z2, Z3, K4, Z5, Z6) at the grid frequency (s = 1); paths is the
+    8-tuple (rl, xl, rl0, xl0, rg, xg, rg0, xg0)."""
     k1, z2, z3, k4, z5, z6, _ = _seq_coeffs(
-        code, 1.0, rl, xl, rl0, xl0, rg, xg, rg0, xg0, zf
+        code, 1.0, paths[0], paths[1], paths[2], paths[3],
+        paths[4], paths[5], paths[6], paths[7], zf,
     )
+    return k1, z2, z3, k4, z5, z6
+
+
+def _seq_coeffs_mixed(grid, code, sp, sn, paths, zf):
+    """Coefficients with the mixed frequency convention: K1/K4 at the grid
+    frequency, Z2/Z6 at the positive estimate sp, Z3/Z5 at the negative one
+    sn. grid is code's _grid_column; a scale of 1.0 reads its impedances
+    from it."""
+    k1, z2, z3, k4, z5, z6 = grid
     if sp != 1.0:
         _, z2, _, _, _, z6, _ = _seq_coeffs(
-            code, sp, rl, xl, rl0, xl0, rg, xg, rg0, xg0, zf
+            code, sp, paths[0], paths[1], paths[2], paths[3],
+            paths[4], paths[5], paths[6], paths[7], zf,
         )
     if sn != 1.0:
         _, _, z3, _, z5, _, _ = _seq_coeffs(
-            code, sn, rl, xl, rl0, xl0, rg, xg, rg0, xg0, zf
+            code, sn, paths[0], paths[1], paths[2], paths[3],
+            paths[4], paths[5], paths[6], paths[7], zf,
         )
     return k1, z2, z3, k4, z5, z6
 
@@ -288,36 +305,45 @@ def _scan_roots_vec(prm, grid_n, tol, maxit, ud_min):
     return True, float(dp[k]), float(dn[k]), float(res[k]), True, True
 
 
-def _window(t, t_on, t_clear, code, ref_pre, ref_on):
-    """Fault code and current reference in force at time t."""
+def _window(t, t_on, t_clear, on, off):
+    """The (fault code, current reference, grid column) in force at time t:
+    on inside [t_on, t_clear), off outside."""
     if t_on <= t < t_clear:
-        return code, ref_on
-    return FAULT_NONE, ref_pre
+        return on
+    return off
+
+
+def _as_state(y):
+    """The 9-component state as a tuple of floats."""
+    return (float(y[0]), float(y[1]), float(y[2]), float(y[3]), float(y[4]),
+            float(y[5]), float(y[6]), float(y[7]), float(y[8]))
 
 
 def _frames(y):
     """Filter states U+, U- and their measured components in the estimated
     frames: mp = ud+ + j uq+, mn = ud- - j uq- (clockwise frame)."""
-    up = complex(float(y[0]), float(y[1]))
-    un = complex(float(y[2]), float(y[3]))
-    return (up, un, up * cmath.exp(-1j * float(y[4])),
-            un.conjugate() * cmath.exp(-1j * float(y[6])))
+    up = complex(y[0], y[1])
+    un = complex(y[2], y[3])
+    return (up, un, up * cmath.exp(-1j * y[4]),
+            un.conjugate() * cmath.exp(-1j * y[6]))
 
 
-def _deriv(y, t, code, zf, paths, ug, theta_g0, w0, ref, gains, mode_fll,
-           adaptive):
-    """Time derivative of the 9-component closed-loop state.
+def _deriv(y, t, code, grid, zf, paths, ug, theta_g0, w0, ref, gains,
+           mode_fll, adaptive):
+    """Time derivative of the 9-component closed-loop state, as a 9-tuple.
 
-    State layout: [Re U+, Im U+, Re U-, Im U-, theta+, xi+, theta-, xi-, eps].
+    State layout (a tuple of floats): [Re U+, Im U+, Re U-, Im U-, theta+,
+    xi+, theta-, xi-, eps]. grid: code's _grid_column, evaluated once per
+    run; only the columns at the frequency estimates are evaluated here.
     ref layout: [I+, theta_i+, I-, theta_i-].
     gains layout: [k_sogi, kp_pll, ki_pll, kp_fll, ki_fll].
     """
     up, un, mp, mn = _frames(y)
-    th_p = float(y[4])
-    xi_p = float(y[5])
-    th_n = float(y[6])
-    xi_n = float(y[7])
-    eps = float(y[8])
+    th_p = y[4]
+    xi_p = y[5]
+    th_n = y[6]
+    xi_n = y[7]
+    eps = y[8]
     k_sogi = gains[0]
     kp_pll = gains[1]
     ki_pll = gains[2]
@@ -351,10 +377,7 @@ def _deriv(y, t, code, zf, paths, ug, theta_g0, w0, ref, gains, mode_fll,
         sp = 1.0
         sn = 1.0
 
-    k1, z2, z3, k4, z5, z6 = _seq_coeffs_mixed(
-        code, sp, sn, paths[0], paths[1], paths[2], paths[3],
-        paths[4], paths[5], paths[6], paths[7], zf,
-    )
+    k1, z2, z3, k4, z5, z6 = _seq_coeffs_mixed(grid, code, sp, sn, paths, zf)
 
     theta_g = theta_g0 + w0 * t
     ub_p = (
@@ -396,38 +419,75 @@ def _deriv(y, t, code, zf, paths, ug, theta_g0, w0, ref, gains, mode_fll,
         d_xi_p = uq_p
         d_xi_n = uq_n
 
-    out = np.empty(9)
-    out[0] = dup.real
-    out[1] = dup.imag
-    out[2] = dun.real
-    out[3] = dun.imag
-    out[4] = d_th_p
-    out[5] = d_xi_p
-    out[6] = d_th_n
-    out[7] = d_xi_n
-    out[8] = d_eps
-    return out
+    return (dup.real, dup.imag, dun.real, dun.imag, d_th_p, d_xi_p, d_th_n,
+            d_xi_n, d_eps)
 
 
-def _simulate(y, n_steps, dt, stride, t0, t_on, t_clear, code, zf, paths, ug,
-              theta_g0, w0, ref_pre, ref_on, gains, mode_fll, adaptive, rec):
+def _deriv_eval(y, t, code, zf, paths, ug, theta_g0, w0, ref, gains,
+                mode_fll, adaptive):
+    """_deriv of any indexable 9-vector y, evaluating code's grid column."""
+    return _deriv(_as_state(y), t, code, _grid_column(code, paths, zf), zf,
+                  paths, ug, theta_g0, w0, ref, gains, mode_fll, adaptive)
+
+
+def _stage(y, h, k):
+    """The RK4 stage state y + h*k, per component."""
+    return (y[0] + h * k[0], y[1] + h * k[1], y[2] + h * k[2],
+            y[3] + h * k[3], y[4] + h * k[4], y[5] + h * k[5],
+            y[6] + h * k[6], y[7] + h * k[7], y[8] + h * k[8])
+
+
+def _rk4_update(y, c, k1, k2, k3, k4):
+    """y + c*(k1 + 2*k2 + 2*k3 + k4), per component, summed left to right."""
+    return (
+        y[0] + c * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+        y[1] + c * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+        y[2] + c * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
+        y[3] + c * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]),
+        y[4] + c * (k1[4] + 2.0 * k2[4] + 2.0 * k3[4] + k4[4]),
+        y[5] + c * (k1[5] + 2.0 * k2[5] + 2.0 * k3[5] + k4[5]),
+        y[6] + c * (k1[6] + 2.0 * k2[6] + 2.0 * k3[6] + k4[6]),
+        y[7] + c * (k1[7] + 2.0 * k2[7] + 2.0 * k3[7] + k4[7]),
+        y[8] + c * (k1[8] + 2.0 * k2[8] + 2.0 * k3[8] + k4[8]),
+    )
+
+
+def _bounded(y):
+    """Every component within 1e6 in magnitude; NaN fails the comparison."""
+    for v in y:
+        if not abs(v) <= 1e6:
+            return False
+    return True
+
+
+def _simulate(y0, n_steps, dt, stride, t0, t_on, t_clear, code, zf, paths,
+              ug, theta_g0, w0, ref_pre, ref_on, gains, mode_fll, adaptive,
+              rec):
     """Fixed-step RK4 over [t0, t0 + n_steps*dt] with stride-decimated
     recording.
 
-    Every stage is evaluated at its absolute time (t = t0 + i*dt, t + dt/2,
-    t + dt) against the fault window and the grid angle. The model is
-    evaluated once per sample: the stage-1 derivative advances the state and
-    gives the recorded angle rates. rec columns are in dynsim.TRACE_COLUMNS
-    order. Returns (rows_written, overflow_step, y, dy): overflow_step = -1
-    when none, dy the derivative at the last sample evaluated (the returned
-    y unless the run overflowed).
+    The state y0 (any indexable 9-vector) is held as a tuple of floats, and
+    the grid-frequency columns of the fault code and of FAULT_NONE are
+    evaluated once, before the first step. Every stage is evaluated at its
+    absolute time (t = t0 + i*dt, t + dt/2, t + dt) against the fault window
+    and the grid angle. The model is evaluated once per sample: the stage-1
+    derivative advances the state and gives the recorded angle rates. rec
+    columns are in dynsim.TRACE_COLUMNS order. Returns (rows_written,
+    overflow_step, y, dy) with y and dy 9-tuples: overflow_step = -1 when
+    none, dy the derivative at the last sample evaluated (the returned y
+    unless the run overflowed).
     """
+    on = (code, ref_on, _grid_column(code, paths, zf))
+    off = (FAULT_NONE, ref_pre, _grid_column(FAULT_NONE, paths, zf))
+    y = _as_state(y0)
+    half = 0.5 * dt
+    sixth = dt / 6.0
     n_rec = 0
     for i in range(n_steps + 1):
         t = t0 + i * dt
-        code_1, ref_1 = _window(t, t_on, t_clear, code, ref_pre, ref_on)
-        k1v = _deriv(y, t, code_1, zf, paths, ug, theta_g0, w0, ref_1, gains,
-                     mode_fll, adaptive)
+        code_1, ref_1, grid_1 = _window(t, t_on, t_clear, on, off)
+        k1v = _deriv(y, t, code_1, grid_1, zf, paths, ug, theta_g0, w0, ref_1,
+                     gains, mode_fll, adaptive)
         if i % stride == 0:
             up, un, mp, mn = _frames(y)
             rec[n_rec, 0] = t
@@ -445,18 +505,17 @@ def _simulate(y, n_steps, dt, stride, t0, t_on, t_clear, code, zf, paths, ug,
         if i == n_steps:
             break
 
-        t2 = t + 0.5 * dt
-        code_2, ref_2 = _window(t2, t_on, t_clear, code, ref_pre, ref_on)
-        code_3, ref_3 = _window(t + dt, t_on, t_clear, code, ref_pre, ref_on)
-        k2v = _deriv(y + 0.5 * dt * k1v, t2, code_2, zf, paths, ug, theta_g0,
-                     w0, ref_2, gains, mode_fll, adaptive)
-        k3v = _deriv(y + 0.5 * dt * k2v, t2, code_2, zf, paths, ug, theta_g0,
-                     w0, ref_2, gains, mode_fll, adaptive)
-        k4v = _deriv(y + dt * k3v, t + dt, code_3, zf, paths, ug, theta_g0,
-                     w0, ref_3, gains, mode_fll, adaptive)
-        y = y + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        # a NaN maximum fails the comparison, inf exceeds the bound
-        if not np.abs(y).max() <= 1e6:
+        t2 = t + half
+        code_2, ref_2, grid_2 = _window(t2, t_on, t_clear, on, off)
+        code_3, ref_3, grid_3 = _window(t + dt, t_on, t_clear, on, off)
+        k2v = _deriv(_stage(y, half, k1v), t2, code_2, grid_2, zf, paths, ug,
+                     theta_g0, w0, ref_2, gains, mode_fll, adaptive)
+        k3v = _deriv(_stage(y, half, k2v), t2, code_2, grid_2, zf, paths, ug,
+                     theta_g0, w0, ref_2, gains, mode_fll, adaptive)
+        k4v = _deriv(_stage(y, dt, k3v), t + dt, code_3, grid_3, zf, paths, ug,
+                     theta_g0, w0, ref_3, gains, mode_fll, adaptive)
+        y = _rk4_update(y, sixth, k1v, k2v, k3v, k4v)
+        if not _bounded(y):
             return n_rec, i + 1, y, k1v
     return n_rec, -1, y, k1v
 
@@ -466,12 +525,18 @@ if USING_NUMBA:
     _jacobian = njit(cache=True)(_jacobian)
     _dq_eval = njit(cache=True)(_dq_eval)
     _seq_coeffs = njit(cache=True)(_seq_coeffs)
+    _grid_column = njit(cache=True)(_grid_column)
     _seq_coeffs_mixed = njit(cache=True)(_seq_coeffs_mixed)
     _newton_pair = njit(cache=True)(_newton_pair)
     _conditions = njit(cache=True)(_conditions)
     _window = njit(cache=True)(_window)
+    _as_state = njit(cache=True)(_as_state)
     _frames = njit(cache=True)(_frames)
     _deriv = njit(cache=True)(_deriv)
+    _deriv_eval = njit(cache=True)(_deriv_eval)
+    _stage = njit(cache=True)(_stage)
+    _rk4_update = njit(cache=True)(_rk4_update)
+    _bounded = njit(cache=True)(_bounded)
     scan_roots = njit(cache=True)(_scan_roots_loop)
     simulate = njit(cache=True)(_simulate)
 else:
@@ -479,9 +544,10 @@ else:
     simulate = _simulate
 
 seq_coeffs = _seq_coeffs
+grid_column = _grid_column
 seq_coeffs_mixed = _seq_coeffs_mixed
 newton_pair = _newton_pair
-deriv_eval = _deriv
+deriv_eval = _deriv_eval
 residual_eval = _residual
 jacobian_eval = _jacobian
 dq_eval = _dq_eval

@@ -315,6 +315,9 @@ class TestErrors:
         [{"solver": {"tol": math.nan}}, *_LIMIT_DLG],
         [{"solver": {"tol": math.inf}}, *_LIMIT_DLG],
         [{"solver": {"grid_deg": math.inf}}, *_LIMIT_DLG],
+        # a trace buffer (1e17 rows, 8.8e18 bytes) larger than any address
+        # space, so no allocator can grant it
+        ["simulate", "--fault", "dlg", "--t-end", "1e14"],
     ])
     def test_invalid_input_exits_1(self, argv, tmp_path, capsys):
         config = argv[0] if isinstance(argv[0], dict) else None

@@ -31,6 +31,7 @@ from ibgsync.dynsim import TRACE_COLUMNS, Scenario, _kernel_args, terminal_volta
 from ibgsync.equilibrium import NEWTON_MAXIT, pack_params
 from ibgsync.network import _path_floats
 from ibgsync.synchro import SyncMode
+import rk4_reference
 
 ZF_PU = 7.43801652892562e-06
 
@@ -95,7 +96,10 @@ class TestMixedCoefficients:
     @pytest.mark.parametrize("code", ALL_CODES)
     def test_unit_scale_reduces_to_plain(self, code):
         plain = kernels.seq_coeffs(code, 1.0, *PF, complex(ZF_PU))
-        mixed = kernels.seq_coeffs_mixed(code, 1.0, 1.0, *PF, complex(ZF_PU))
+        grid = kernels.grid_column(code, PF, complex(ZF_PU))
+        mixed = kernels.seq_coeffs_mixed(grid, code, 1.0, 1.0, PF,
+                                         complex(ZF_PU))
+        assert np.allclose(np.array(grid), np.array(plain[:6]), atol=0.0)
         assert np.allclose(np.array(mixed), np.array(plain[:6]), atol=0.0)
 
     @pytest.mark.parametrize("code", ALL_CODES)
@@ -105,8 +109,9 @@ class TestMixedCoefficients:
         base = kernels.seq_coeffs(code, 1.0, *PF, complex(ZF_PU))
         at_sp = kernels.seq_coeffs(code, 1.4, *PF, complex(ZF_PU))
         at_sn = kernels.seq_coeffs(code, 0.7, *PF, complex(ZF_PU))
+        grid = kernels.grid_column(code, PF, complex(ZF_PU))
         k1, z2, z3, k4, z5, z6 = kernels.seq_coeffs_mixed(
-            code, 1.4, 0.7, *PF, complex(ZF_PU)
+            grid, code, 1.4, 0.7, PF, complex(ZF_PU)
         )
         assert k1 == base[0] and k4 == base[3]
         assert z2 == at_sp[1] and z6 == at_sp[5]
@@ -264,17 +269,70 @@ class TestSimulateRecord:
             assert rec[n, 2] == pytest.approx(dy[6] / (2.0 * math.pi), rel=1e-12)
             assert rec[n, 3] == y[4] and rec[n, 4] == y[6]
 
-    @pytest.mark.parametrize("k", [0, 4, 8])
-    def test_nan_state_overflows_on_first_step(self, k):
-        """NaN fails the overflow bound like a state above 1e6 does."""
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2e6],
+                             ids=["nan", "inf", "-inf", "2e6"])
+    @pytest.mark.parametrize("k", range(9))
+    def test_nan_state_overflows_on_first_step(self, k, value):
+        """NaN fails the overflow bound like a state above 1e6 does, in
+        every component."""
         sc = Scenario(circuit=CIRCUIT, fault=FaultSpec(FaultType.DLG, z_f=ZF_PU),
                       ref_fault=REF, t_end=0.01)
         y0 = np.array([0.5, -0.9, 0.1, 0.05, -0.9, 0.0, 1.1, 0.0, 0.0])
-        y0[k] = math.nan
+        y0[k] = value
         rec = np.empty((11, len(TRACE_COLUMNS)))
         rows, overflow, _, _ = kernels.simulate(
             y0, 10, 1e-4, 1, 0.0, 0.0, math.inf, *_kernel_args(sc), rec)
         assert (rows, overflow) == (1, 1)
+
+
+class TestSimulateMatchesArrayForm:
+    """The float-state kernel performs the array-form integrator's
+    operations in the same order, so every result is bit-identical."""
+
+    @staticmethod
+    def _both(sc, y0, n, stride):
+        args = (n, sc.dt, stride, 0.0, sc.fault.t_on, sc.fault.t_clear,
+                *_kernel_args(sc))
+        rows = n // stride + 1
+        rec, rec_ref = (np.full((rows, len(TRACE_COLUMNS)), -1.0)
+                        for _ in range(2))
+        got = kernels.simulate(y0.copy(), *args, rec)
+        want = rk4_reference.simulate(y0.copy(), *args, rec_ref)
+        return got, want, rec, rec_ref
+
+    @staticmethod
+    def _assert_same(got, want, rec, rec_ref):
+        (rows, overflow, y, dy), (rows_r, overflow_r, y_r, dy_r) = got, want
+        assert (rows, overflow) == (rows_r, overflow_r)
+        assert np.array_equal(rec, rec_ref, equal_nan=True)
+        assert all(a == b for a, b in zip(y, y_r, strict=True))
+        assert all(a == b for a, b in zip(dy, dy_r, strict=True))
+
+    @pytest.mark.parametrize("fault", ["slg", "dlg", "ll", "tlg"])
+    @pytest.mark.parametrize("adaptive", [True, False],
+                             ids=["adaptive", "fixed"])
+    @pytest.mark.parametrize("mode", ["dsogi_pll", "dsogi_fll"])
+    def test_fault_on_and_cleared_mid_run(self, mode, adaptive, fault):
+        sc = Scenario(
+            circuit=CIRCUIT,
+            fault=FaultSpec(FaultType(fault), z_f=ZF_PU, t_on=0.01,
+                            t_clear=0.03),
+            ref_fault=REF, sync=SyncConfig(mode=SyncMode(mode)), t_end=0.05,
+            freq_adaptive_z=adaptive,
+        )
+        y0 = np.array([0.5, -0.9, 0.1, 0.05, -0.9, 0.0, 1.1, 0.0, 1e-3])
+        got, want, rec, rec_ref = self._both(sc, y0, 500, 3)
+        assert got[1] == -1
+        self._assert_same(got, want, rec, rec_ref)
+
+    def test_overflowing_run(self):
+        sc = Scenario(circuit=CIRCUIT, fault=FaultSpec(FaultType.DLG, z_f=ZF_PU),
+                      ref_fault=REF, t_end=0.01)
+        y0 = np.array([0.5, -0.9, 0.1, 0.05, -0.9, 0.0, 1.1, 0.0, 0.0])
+        y0[5] = 9.9e5
+        got, want, rec, rec_ref = self._both(sc, y0, 100, 1)
+        assert got[1] > 0
+        self._assert_same(got, want, rec, rec_ref)
 
 
 class TestPureNumpyFlavor:
