@@ -163,12 +163,8 @@ def cmd_limit(doc: ConfigDocument, args) -> int:
             other = (doc.ref_fault.i_neg, doc.ref_fault.theta_i_neg)
         else:
             other = (doc.ref_fault.i_pos, doc.ref_fault.theta_i_pos)
-        lim = traversal_limit(
-            coeffs, doc.circuit.ug_pos, args.seq, theta,
-            fixed_other=other, step=sol.step, ceiling=sol.ceiling,
-            refine=sol.refine, grid_deg=sol.grid_deg, tol=sol.tol,
-            ud_min=sol.ud_min,
-        )
+        lim = traversal_limit(coeffs, doc.circuit.ug_pos, args.seq, theta,
+                              fixed_other=other, **dataclasses.asdict(sol))
     _emit_json(_limit_json(lim))
     return 0
 
@@ -207,11 +203,8 @@ def cmd_region(doc: ConfigDocument, args) -> int:
     other = _parse_ref_flag(args.other) if args.other is not None else None
     sol = _with_flags(doc.solver, args)
     region = region_boundary(
-        coeffs, doc.circuit.ug_pos, args.seq,
-        fixed_other=other,
-        angle_step=math.radians(args.angle_step),
-        step=sol.step, ceiling=sol.ceiling, refine=sol.refine,
-        grid_deg=sol.grid_deg, tol=sol.tol, ud_min=sol.ud_min,
+        coeffs, doc.circuit.ug_pos, args.seq, fixed_other=other,
+        angle_step=math.radians(args.angle_step), **dataclasses.asdict(sol),
     )
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("theta_deg,i_limit_pu,binding\n")
@@ -377,6 +370,11 @@ def _add_fault_flags(p, zf: bool = True) -> None:
                        help="fault branch impedance in ohms")
 
 
+def _add_sweep_flags(p) -> None:
+    p.add_argument("--step", type=float, help="amplitude step, p.u.; the limit's resolution")
+    p.add_argument("--ceiling", type=float, help="amplitude cap of the sweep, p.u.")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="ibgsync", description=__doc__)
     parser.add_argument("--config", default=None, help="JSON config path")
@@ -399,10 +397,7 @@ def build_parser() -> _Parser:
     p.add_argument("--angle", type=float, required=True, metavar="DEG")
     p.add_argument("--other", metavar="A@D", default=None,
                    help="fixed other-sequence current")
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--ceiling", type=float, default=None)
-    p.add_argument("--refine", action="store_true", default=None,
-                   help="bisection-refine the limit")
+    _add_sweep_flags(p)
     p.add_argument("--decoupled", action="store_true",
                    help="closed-form single-sequence limit")
     p.set_defaults(func=cmd_limit)
@@ -412,8 +407,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seq", choices=_SEQUENCES, required=True)
     p.add_argument("--other", metavar="A@D", default=None)
     p.add_argument("--angle-step", type=float, default=5.0, metavar="DEG")
-    p.add_argument("--step", type=float, default=None)
-    p.add_argument("--ceiling", type=float, default=None)
+    _add_sweep_flags(p)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--svg", default=None, help="optional SVG plot path")
     p.set_defaults(func=cmd_region)

@@ -120,7 +120,6 @@ SCHEMA = {
                 "ud_min": {"type": "number"},
                 "step": {"type": "number", "exclusiveMinimum": 0},
                 "ceiling": {"type": "number", "exclusiveMinimum": 0},
-                "refine": {"type": "boolean"},
             },
             "additionalProperties": False,
         },
@@ -152,7 +151,6 @@ class SolverOptions:
     ud_min: float = UD_MIN
     step: float = AMP_STEP
     ceiling: float = AMP_CEILING
-    refine: bool = False
 
     def __post_init__(self):
         # "not <" also rejects NaN; step and ceiling are checked where the
@@ -207,6 +205,9 @@ def _build_circuit(section: dict) -> tuple[CircuitParameters, float]:
     v_base = section.get("v_base_kv", DEFAULT_BASES["v_base_kv"])
     s_base = section.get("s_base_mva", DEFAULT_BASES["s_base_mva"])
     z_base = v_base * v_base / s_base
+    # the schema bounds each base but not their ratio: 1e-200 kV gives 0
+    if not 0.0 < z_base < math.inf:
+        raise ConfigError(f"impedance base must be finite and > 0, got {z_base}")
     scale = 1.0 / z_base if section.get("unit", "pu") == "ohm" else 1.0
 
     changes = {

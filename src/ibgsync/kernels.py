@@ -27,17 +27,14 @@ import numpy as np
 
 _FORCE_NUMPY = os.environ.get("IBGSYNC_PURE_NUMPY", "") == "1"
 
+USING_NUMBA = False
 if not _FORCE_NUMPY:
     try:
         from numba import njit
 
-        HAS_NUMBA = True
+        USING_NUMBA = True
     except ImportError:  # pragma: no cover - environments without numba
-        HAS_NUMBA = False
-else:
-    HAS_NUMBA = False
-
-USING_NUMBA = HAS_NUMBA
+        pass
 
 # fault codes shared with the object layer
 FAULT_NONE = 0

@@ -124,7 +124,6 @@ def traversal_limit(
     fixed_other: tuple[float, float] | None = None,
     step: float = AMP_STEP,
     ceiling: float = AMP_CEILING,
-    refine: bool = False,
     grid_deg: float = SCAN_GRID_DEG,
     tol: float = NEWTON_TOL,
     ud_min: float = UD_MIN,
@@ -132,12 +131,11 @@ def traversal_limit(
     """Largest amplitude of one sequence for which a qualifying equilibrium
     exists, holding the other sequence fixed.
 
-    Amplitudes are swept upward from `step` in `step` increments. Each step
-    warm-starts Newton from the previous root; a warm-start miss is
-    confirmed by a full torus scan before the amplitude is declared
-    failing. With `refine` three bisection iterations tighten the reported
-    limit between the last passing and first failing amplitudes; by default
-    the step-grid value is reported.
+    Amplitudes are swept upward from `step` in `step` increments up to
+    `ceiling`. Each step warm-starts Newton from the previous root; a
+    warm-start miss is confirmed by a full torus scan before the amplitude
+    is declared failing. The reported limit is the last passing amplitude
+    on this grid, so `step` alone sets the resolution.
     """
     if sequence not in _SEQUENCES:
         raise ValueError(f"sequence must be one of {_SEQUENCES}")
@@ -167,19 +165,7 @@ def traversal_limit(
     # slope-stable root means the voltage condition failed (type 2), none
     # means the fold (type 1)
     binding = Binding.TYPE2 if res.cond_feedback else Binding.TYPE1
-    lo, hi = (k - 1) * step, k * step
-    if refine:
-        for _ in range(3):
-            mid = 0.5 * (lo + hi)
-            ok = solve_equilibrium(
-                coeffs, _make_ref(sequence, mid, theta_i, other), ug_pos,
-                grid_deg, tol, ud_min,
-            ).found
-            if ok:
-                lo = mid
-            else:
-                hi = mid
-    return LimitResult(sequence, theta_i, lo, binding)
+    return LimitResult(sequence, theta_i, (k - 1) * step, binding)
 
 
 def region_boundary(
@@ -190,7 +176,6 @@ def region_boundary(
     angle_step: float = math.pi / 36,
     step: float = AMP_STEP,
     ceiling: float = AMP_CEILING,
-    refine: bool = False,
     grid_deg: float = SCAN_GRID_DEG,
     tol: float = NEWTON_TOL,
     ud_min: float = UD_MIN,
@@ -207,7 +192,7 @@ def region_boundary(
             traversal_limit(
                 coeffs, ug_pos, sequence, float(theta),
                 fixed_other=fixed_other, step=step, ceiling=ceiling,
-                refine=refine, grid_deg=grid_deg, tol=tol, ud_min=ud_min,
+                grid_deg=grid_deg, tol=tol, ud_min=ud_min,
             )
         )
     return RegionBoundary(sequence, fixed_other, tuple(samples))

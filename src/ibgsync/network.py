@@ -11,7 +11,7 @@ the choke.
 import cmath
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import kernels
 
@@ -134,7 +134,6 @@ class SequenceCoefficients:
     k4: complex
     z5: complex
     z6: complex
-    fault_type: FaultType = field(default=FaultType.NONE, compare=False)
 
     def as_tuple(self) -> tuple[complex, complex, complex, complex, complex, complex]:
         return (self.k1, self.z2, self.z3, self.k4, self.z5, self.z6)
@@ -192,7 +191,6 @@ def compute_coefficients(paths: PathImpedances, fault: FaultSpec) -> SequenceCoe
     return SequenceCoefficients(
         k1=complex(k1), z2=complex(z2), z3=complex(z3),
         k4=complex(k4), z5=complex(z5), z6=complex(z6),
-        fault_type=fault.fault_type,
     )
 
 

@@ -39,7 +39,9 @@ def polar_deg(z: complex) -> tuple[float, float]:
 
 
 def wrap_angle(angle_rad: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
+    """Wrap an angle to (-pi, pi]; a non-finite angle raises ValueError."""
+    if not math.isfinite(angle_rad):
+        raise ValueError(f"angle must be finite, got {angle_rad}")
     wrapped = math.remainder(angle_rad, 2.0 * math.pi)
     if wrapped <= -math.pi:
         wrapped += 2.0 * math.pi

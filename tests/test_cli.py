@@ -116,6 +116,18 @@ class TestLimit:
         assert data["sequence"] == "pos"
         assert data["theta_i_deg"] == pytest.approx(-30.0)
 
+    def test_step_sets_resolution(self, capsys):
+        # an eighth of the default step resolves the 0.76 grid limit above
+        # to the fourth decimal
+        code, out, _ = run_cli(
+            ["limit", "--fault", "dlg", "--seq", "pos", "--angle", "-30",
+             "--other", "0.5@90", "--step", "0.00125"], capsys
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["i_limit"] == pytest.approx(0.7675, abs=1e-9)
+        assert data["binding"] == "type1"
+
     def test_decoupled_matches_library(self, capsys):
         code, out, _ = run_cli(
             ["limit", "--fault", "dlg", "--seq", "pos", "--angle", "-30",
@@ -315,6 +327,14 @@ class TestErrors:
         [{"solver": {"tol": math.nan}}, *_LIMIT_DLG],
         [{"solver": {"tol": math.inf}}, *_LIMIT_DLG],
         [{"solver": {"grid_deg": math.inf}}, *_LIMIT_DLG],
+        # a non-finite injection angle, swept and closed-form
+        ["limit", "--fault", "dlg", "--seq", "pos", "--angle", "nan",
+         "--other", "0.5@90"],
+        ["limit", "--fault", "dlg", "--seq", "pos", "--angle", "nan",
+         "--other", "0.5@90", "--decoupled"],
+        # bases within the schema whose impedance base is 0 or infinite
+        [{"circuit": {"v_base_kv": 1e-200}}, "coeffs", "--fault", "dlg"],
+        [{"circuit": {"v_base_kv": 1e200}}, "coeffs", "--fault", "dlg", "--zf", "1"],
         # a trace buffer (1e17 rows, 8.8e18 bytes) larger than any address
         # space, so no allocator can grant it
         ["simulate", "--fault", "dlg", "--t-end", "1e14"],

@@ -114,12 +114,13 @@ def test_traversal_limit_is_boundary():
     assert not past.found
 
 
-def test_traversal_refine_tightens_within_step():
+def test_traversal_finer_step_tightens_within_step():
+    """A finer step resolves the limit inside the coarse step above it."""
     c = coeffs_for(FaultType.DLG)
     other = (0.5, math.radians(90.0))
     coarse = traversal_limit(c, UG, "pos", math.radians(-30.0), fixed_other=other)
     fine = traversal_limit(
-        c, UG, "pos", math.radians(-30.0), fixed_other=other, refine=True
+        c, UG, "pos", math.radians(-30.0), fixed_other=other, step=0.00125
     )
     assert coarse.i_limit <= fine.i_limit < coarse.i_limit + 0.01
 
