@@ -2,8 +2,10 @@
 synchronization loops and their existence/stability classification.
 
 The two q-axis voltages must vanish with positive d-axis voltages
-(orientation) and negative per-loop feedback slopes (stability). The solver
-seeds damped Newton iterations from a coarse torus grid.
+(orientation) and negative per-loop feedback slopes (stability). The first
+q-axis equation gives delta+ in closed form for each delta-, so the roots
+lie on a one-dimensional curve; the solver seeds damped Newton iterations
+along it (kernels.scan_roots).
 """
 
 import enum
@@ -28,9 +30,10 @@ __all__ = [
 
 _DEGENERATE_TOL = 1e-12
 
-# Newton iteration cap for torus-scan seeds and warm starts
+# Newton iteration cap for curve-scan seeds and warm starts
 NEWTON_MAXIT = 80
-# solver defaults: seed spacing (deg), Newton tolerance, least d-axis voltage
+# solver defaults: spacing of the curve's angle samples (deg), Newton
+# tolerance, least d-axis voltage
 SCAN_GRID_DEG = 2.0
 NEWTON_TOL = 1e-10
 UD_MIN = 1e-9
@@ -155,7 +158,7 @@ def _not_found(res: float = math.inf, feedback: bool = False) -> EquilibriumResu
 
 
 def _grid_points(grid_deg: float) -> int:
-    """Torus grid edge for a seed spacing in degrees."""
+    """Samples per angle of the curve scan for a spacing in degrees."""
     return max(8, int(round(360.0 / grid_deg)))
 
 
@@ -198,10 +201,12 @@ def solve_equilibrium(
     tol: float = NEWTON_TOL,
     ud_min: float = UD_MIN,
 ) -> EquilibriumResult:
-    """Find the qualifying angle pair, scanning the full torus.
+    """Find the qualifying angle pair, scanning the curve where the first
+    q-axis residual vanishes.
 
     A root qualifies when both q-axis residuals vanish, both d-axis voltages
-    are positive, and both per-loop feedback slopes are negative. When the
+    are positive, and both per-loop feedback slopes are negative; among
+    several, the one with the largest min(ud+, ud-) is returned. When the
     negative-sequence equation is identically zero (no grid contribution, no
     injected negative current) the positive problem is solved alone with
     delta- reported as 0 and the negative conditions treated as vacuous.
@@ -215,7 +220,8 @@ def solve_equilibrium(
     )
     if found:
         return _found(dp, dn, *kernels.dq_eval(prm, dp, dn), res)
-    if not any_conv and res < 1e-6:
+    # an empty curve is a certified miss, not a stall
+    if not any_conv and res < 1e-6 and kernels.curve_gap(prm) <= 0.0:
         raise NoConvergence(
             f"Newton stalled from every seed (best residual {res:.3e})"
         )

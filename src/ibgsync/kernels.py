@@ -1,9 +1,11 @@
-"""Hot numerical kernels: sequence-coefficient evaluation, torus-grid Newton
-root finding, and the closed-loop RK4 integrator.
+"""Hot numerical kernels: sequence-coefficient evaluation, equilibrium root
+finding along the curve where the first orientation residual vanishes, and
+the closed-loop RK4 integrator.
 
 Each kernel is one Python source, jitted with numba ``@njit`` when numba
-imports. Only the torus scan has a second, vectorized form, which is
-``scan_roots`` without numba. ``IBGSYNC_PURE_NUMPY=1`` skips numba.
+imports. ``IBGSYNC_PURE_NUMPY=1`` skips numba. ``scan_roots`` stays plain
+Python in both flavors: it samples the curve with numpy array operations
+and polishes a few dozen seeds with the (jitted) ``_newton_pair``.
 
 The closed-loop integrator runs on Python scalars from start to end: the
 state is nine ``float``s, every RK4 stage state and update is written per
@@ -224,82 +226,113 @@ def _conditions(prm, dp, dn, ud_min):
     return feedback, feedback & (ud_p > ud_min) & (ud_n > ud_min)
 
 
-def _scan_roots_loop(prm, grid_n, tol, maxit, ud_min):
-    """Torus-grid-seeded Newton; returns the best qualifying root.
+def _curve_gap(prm):
+    """|B2 sin P2| - (A1 + C3), a lower bound on |r1| over the torus: the
+    curve where r1 vanishes is empty when it is positive."""
+    return abs(prm[P_B2] * math.sin(prm[P_P2])) - (prm[P_A1] + prm[P_C3])
+
+
+def _arcsine_branches(r, phi, b):
+    """Where r sin(phi - u) + b = 0 has a root u, and its two branches:
+    u = phi - asin(x) and u = phi - pi + asin(x), x = -b/r."""
+    on = np.abs(b) <= r
+    # r = 0 is on the curve only where b = 0, and then x = 0
+    s = np.arcsin(np.clip(-b / np.where(r > 0.0, r, 1.0), -1.0, 1.0))
+    return on, phi - s, phi - math.pi + s
+
+
+def _branch_seeds(r2, on):
+    """Seed mask along one cyclic row of curve samples (on marks the
+    samples on the curve): both samples around each sign change of r2, each
+    local minimum of |r2| with both its neighbours, and each end of a run.
+
+    A dip of r2 through zero narrower than the spacing leaves a pair of
+    roots between two samples and no sign change; Newton from the sample on
+    either side of the dip reaches the root on that side.
+    """
+    a = np.where(on, np.abs(r2), np.inf)
+    nxt = np.roll(on, -1)
+    flip = on & nxt & ((r2 > 0.0) != (np.roll(r2, -1) > 0.0))
+    low = on & (a <= np.roll(a, 1)) & (a <= np.roll(a, -1))
+    end = on & ~(np.roll(on, 1) & nxt)
+    seed = flip | np.roll(flip, 1) | low | np.roll(low, 1) | np.roll(low, -1)
+    return on & (seed | end)
+
+
+def scan_roots(prm, grid_n, tol, maxit, ud_min):
+    """Newton seeded along the curve where r1 vanishes; returns the
+    qualifying root with the largest min(ud+, ud-).
+
+    For a fixed dn the two dp-terms of r1 add into one sinusoid:
+    r1 = R sin(phi - dp) + b with R e^{j phi} = A1 e^{jF1} + C3 e^{j(P3+dn)}
+    and b = B2 sin P2. So every root lies on the curve dp = phi - asin(x)
+    or dp = phi - pi + asin(x), x = -b/R, wherever |x| <= 1. dn is sampled
+    at grid_n points spaced 2 pi / grid_n apart from dn = F1 - P3, where R
+    is largest (A1 + C3), so a curve too thin for the spacing still has a
+    sample. Where the curve climbs steeply in dp (R small, or near the end
+    of a branch) dn samples leave gaps, so the curve is also sampled the
+    other way: for a fixed dp, r1 = C3 sin(dp - P3 + pi - dn)
+    + A1 sin(F1 - dp) + b gives dn on two branches. Each branch is seeded
+    by _branch_seeds and every seed is polished by _newton_pair.
 
     Returns (found, dp, dn, res, any_converged, any_feedback). any_feedback
     tells whether some converged root has both feedback slopes negative,
-    whatever its d-axis voltages. res is the qualifying root's residual; on
-    a miss it is the best residual among converged seeds, or among all
-    seeds when none converged.
+    whatever its d-axis voltages. Among qualifying roots the one farthest
+    from losing orientation, the largest min(ud+, ud-), wins (the first
+    seed's on an exact tie); it gets two more Newton steps and res is its
+    residual then. On a miss res is the best residual among converged
+    seeds, or among all seeds when none converged. When the curve is empty
+    the miss is returned without a Newton step and res is _curve_gap.
     """
-    best_res = 1e30
-    conv_res = 1e30
-    all_res = 1e30
-    best_dp = 0.0
-    best_dn = 0.0
-    found = False
-    any_conv = False
-    any_feedback = False
-    h = 2.0 * math.pi / grid_n
-    for i in range(grid_n):
-        for j in range(grid_n):
-            ok, dp, dn, res = _newton_pair(prm, i * h, j * h, tol, maxit)
-            if not ok:
-                all_res = min(all_res, res)
-                continue
-            any_conv = True
-            conv_res = min(conv_res, res)
-            feedback, qualifies = _conditions(prm, dp, dn, ud_min)
-            any_feedback = any_feedback or feedback
-            if qualifies and res < best_res:
-                best_res = res
-                best_dp = dp
-                best_dn = dn
-                found = True
-    if not found:
-        best_res = conv_res if any_conv else all_res
-    return found, best_dp, best_dn, best_res, any_conv, any_feedback
+    gap = _curve_gap(prm)
+    if gap > 0.0:
+        return False, 0.0, 0.0, float(gap), False, False
+    a1, f1, c3, p3 = prm[P_A1], prm[P_F1], prm[P_C3], prm[P_P3]
+    b = prm[P_B2] * math.sin(prm[P_P2])
+    steps = np.arange(grid_n) * (2.0 * math.pi / grid_n)
+    dn = (f1 - p3) + steps
+    c = a1 * np.exp(1j * f1) + c3 * np.exp(1j * (p3 + dn))
+    r = np.abs(c)
+    phi = np.angle(c)
+    # exact at the peak, so a curve that is not empty has this sample
+    r[0] = a1 + c3
+    phi[0] = f1
+    on, dp1, dp2 = _arcsine_branches(r, phi, b)
+    rows = [(dp1, dn, on), (dp2, dn, on)]
+    dp = steps
+    on, dn1, dn2 = _arcsine_branches(c3, dp - p3 + math.pi,
+                                     a1 * np.sin(f1 - dp) + b)
+    rows += [(dp, dn1, on), (dp, dn2, on)]
+    seeds = []
+    for dps, dns, on in rows:
+        keep = _branch_seeds(_residual(prm, dps, dns)[1], on)
+        seeds.extend(zip(dps[keep].tolist(), dns[keep].tolist()))
 
-
-def _scan_roots_vec(prm, grid_n, tol, maxit, ud_min):
-    """Vectorized twin of _scan_roots_loop: every seed follows _newton_pair's
-    stopping rule and leaves the active set when it stops."""
-    h = 2.0 * math.pi / grid_n
-    g = np.arange(grid_n) * h
-    dp, dn = np.meshgrid(g, g, indexing="ij")
-    dp = dp.ravel().copy()
-    dn = dn.ravel().copy()
-    res = np.empty(dp.size)
-    conv = np.zeros(dp.size, dtype=bool)
-    act = np.arange(dp.size)
-    for it in range(maxit + 1):
-        a = dp[act]
-        b = dn[act]
-        r1, r2 = _residual(prm, a, b)
-        res[act] = np.maximum(np.abs(r1), np.abs(r2))
-        conv[act] = res[act] < tol
-        if it == maxit:
-            break  # seeds still active after maxit steps get only this check
-        j11, j12, j21, j22 = _jacobian(prm, a, b)
-        det = j11 * j22 - j12 * j21
-        # converged and singular seeds stop here
-        keep = ~(conv[act] | (np.abs(det) < 1e-14))
-        act = act[keep]
-        r1, r2, det = r1[keep], r2[keep], det[keep]
-        j11, j12, j21, j22 = j11[keep], j12[keep], j21[keep], j22[keep]
-        dp[act] = a[keep] + np.clip(-(j22 * r1 - j12 * r2) / det, -0.5, 0.5)
-        dn[act] = b[keep] + np.clip(-(-j21 * r1 + j11 * r2) / det, -0.5, 0.5)
-    if not conv.any():
-        return False, 0.0, 0.0, float(res.min()), False, False
-    dp = dp[conv] % (2.0 * math.pi)
-    dn = dn[conv] % (2.0 * math.pi)
-    res = res[conv]
-    feedback, good = _conditions(prm, dp, dn, ud_min)
-    if not good.any():
-        return False, 0.0, 0.0, float(res.min()), True, bool(feedback.any())
-    k = int(np.argmin(np.where(good, res, np.inf)))
-    return True, float(dp[k]), float(dn[k]), float(res[k]), True, True
+    best_margin = -math.inf
+    conv_res = all_res = math.inf
+    best_dp = best_dn = 0.0
+    any_conv = any_feedback = False
+    for dp0, dn0 in seeds:
+        ok, dp, dn, res = _newton_pair(prm, dp0, dn0, tol, maxit)
+        if not ok:
+            all_res = min(all_res, res)
+            continue
+        any_conv = True
+        conv_res = min(conv_res, res)
+        feedback, qualifies = _conditions(prm, dp, dn, ud_min)
+        any_feedback = any_feedback or feedback
+        if qualifies:
+            ud_p, _, ud_n, _ = _dq_eval(prm, dp, dn)
+            margin = min(ud_p, ud_n)
+            if margin > best_margin:
+                best_margin, best_dp, best_dn = margin, dp, dn
+    if best_margin > -math.inf:
+        # two more steps, so the point returned does not hang on how close
+        # the seed that reached the root stopped short of it
+        _, dp, dn, res = _newton_pair(prm, best_dp, best_dn, 0.0, 2)
+        return True, float(dp), float(dn), float(res), True, True
+    return (False, 0.0, 0.0, float(conv_res if any_conv else all_res),
+            any_conv, bool(any_feedback))
 
 
 def _window(t, t_on, t_clear, on, off):
@@ -534,10 +567,8 @@ if USING_NUMBA:
     _stage = njit(cache=True)(_stage)
     _rk4_update = njit(cache=True)(_rk4_update)
     _bounded = njit(cache=True)(_bounded)
-    scan_roots = njit(cache=True)(_scan_roots_loop)
     simulate = njit(cache=True)(_simulate)
 else:
-    scan_roots = _scan_roots_vec
     simulate = _simulate
 
 seq_coeffs = _seq_coeffs
@@ -549,7 +580,4 @@ residual_eval = _residual
 jacobian_eval = _jacobian
 dq_eval = _dq_eval
 root_conditions = _conditions
-
-# both scan forms, always available, for the equivalence tests
-scan_roots_loop = _scan_roots_loop
-scan_roots_vec = _scan_roots_vec
+curve_gap = _curve_gap

@@ -65,6 +65,8 @@ def parse_phasor(text: str) -> complex:
         raise ValueError(f"bad phasor {text!r}, expected A@D like 0.5@-30") from exc
     if amplitude < 0:
         raise ValueError(f"bad phasor {text!r}, amplitude must be >= 0")
+    if not math.isfinite(degrees):
+        raise ValueError(f"bad phasor {text!r}, angle must be finite")
     return phasor_deg(amplitude, degrees)
 
 

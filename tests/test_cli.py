@@ -355,6 +355,17 @@ class TestErrors:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        [*_LIMIT_DLG[:-1], "0.5@inf"],
+        ["equilibrium", "--fault", "dlg", "--iplus", "0.5@nan"],
+    ])
+    def test_non_finite_phasor_angle_is_named(self, argv, capsys):
+        """The error names the angle, not a math domain or the amplitude."""
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert "angle must be finite" in err
+        assert out == ""
+
     @pytest.mark.parametrize("flag, value", [
         ("--record-dt", "-1"),
         ("--record-dt", "inf"),

@@ -25,6 +25,7 @@ from ibgsync import (
     fll_adaptation,
     kernels,
     pll_derivatives,
+    solve_equilibrium,
     table_circuit,
 )
 from ibgsync.dynsim import TRACE_COLUMNS, Scenario, _kernel_args, terminal_voltage
@@ -32,6 +33,7 @@ from ibgsync.equilibrium import NEWTON_MAXIT, pack_params
 from ibgsync.network import _path_floats
 from ibgsync.synchro import SyncMode
 import rk4_reference
+import torus_reference
 
 ZF_PU = 7.43801652892562e-06
 
@@ -46,48 +48,168 @@ ALL_CODES = (kernels.FAULT_NONE, kernels.FAULT_SLG, kernels.FAULT_DLG,
              kernels.FAULT_LL, kernels.FAULT_TLG)
 
 
-class TestScanFlavors:
-    def test_same_root(self):
-        loop = kernels.scan_roots_loop(PRM, 24, 1e-10, 80, 1e-9)
-        vec = kernels.scan_roots_vec(PRM, 24, 1e-10, 80, 1e-9)
-        assert loop[0] and vec[0]
-        assert loop[1] == pytest.approx(vec[1], abs=1e-9)
-        assert loop[2] == pytest.approx(vec[2], abs=1e-9)
+def _packed(amps, angles):
+    """Packed parameters from the six amplitudes and the six angles."""
+    prm = np.empty(12)
+    prm[0::2] = amps
+    prm[1::2] = angles
+    return prm
 
-    def test_same_miss(self):
-        ref = CurrentReference(0.77, math.radians(-30.0), 0.5, math.radians(90.0))
-        prm = pack_params(COEFFS, ref, CIRCUIT.ug_pos)
-        loop = kernels.scan_roots_loop(prm, 24, 1e-10, 80, 1e-9)
-        vec = kernels.scan_roots_vec(prm, 24, 1e-10, 80, 1e-9)
-        assert not loop[0] and not vec[0]
-        # Newton still converges somewhere, just never to a qualifying root
-        assert loop[4] and vec[4]
-        # both report the best converged residual
-        assert loop[3] == vec[3]
 
+def _angle_gap(a, b):
+    return abs(math.remainder(a - b, 2.0 * math.pi))
+
+
+def _assert_same_scan(got, want):
+    """Same flags and, on a find, the same root to 1e-9."""
+    assert (got[0], got[4], got[5]) == (want[0], want[4], want[5])
+    if got[0]:
+        assert _angle_gap(got[1], want[1]) < 1e-9
+        assert _angle_gap(got[2], want[2]) < 1e-9
+
+
+class TestCurveScan:
     @settings(max_examples=50, deadline=None)
-    @given(
-        amps=st.lists(st.floats(0.0, 2.0), min_size=6, max_size=6),
-        angles=st.lists(st.floats(-math.pi, math.pi), min_size=6, max_size=6),
-        ud_min=st.sampled_from([1e-9, 0.3, -1e30]),
-    )
-    def test_flavors_agree(self, amps, angles, ud_min):
-        """Both flavors stop each seed by the same rule, so they agree on
-        the flags, the root and the residual for any packed parameters."""
-        prm = np.empty(12)
-        prm[0::2] = amps
-        prm[1::2] = angles
-        loop = kernels.scan_roots_loop(prm, 12, 1e-10, NEWTON_MAXIT, ud_min)
-        vec = kernels.scan_roots_vec(prm, 12, 1e-10, NEWTON_MAXIT, ud_min)
-        assert (loop[0], loop[4], loop[5]) == (vec[0], vec[4], vec[5])
-        assert loop[1] == pytest.approx(vec[1], abs=1e-9)
-        assert loop[2] == pytest.approx(vec[2], abs=1e-9)
-        assert loop[3] == vec[3]
+    @given(seed=st.integers(0, 2**32 - 1),
+           ud_min=st.sampled_from([1e-9, 0.3, -1e30]))
+    def test_matches_torus_oracle(self, seed, ud_min):
+        """The curve scan finds what the 180 x 180 torus scan finds: the
+        same flags and the same root.
+
+        Amplitudes are uniform on [0, 2] and angles on [-pi, pi), drawn
+        from the seed, so the parameters are generic. Hypothesis' own float
+        draws repeat values and pick 0 and the bounds, and so build exactly
+        degenerate sets on which the two scans may disagree without either
+        being wrong: equations without angle terms or without grid terms,
+        whose roots form a continuum with a singular Jacobian; roots where
+        a feedback slope or a d-axis voltage sits exactly at its threshold,
+        so rounding decides the condition; and qualifying roots whose
+        min(ud+, ud-) tie exactly. The
+        structured cases that are well posed (C3 = C6 = 0, A1 = C3, a
+        sliver and an empty curve) have tests of their own below.
+        """
+        rng = np.random.default_rng(seed)
+        prm = _packed(rng.uniform(0.0, 2.0, 6), rng.uniform(-math.pi, math.pi, 6))
+        _assert_same_scan(
+            kernels.scan_roots(prm, 180, 1e-10, NEWTON_MAXIT, ud_min),
+            torus_reference.scan_roots(prm, 180, 1e-10, NEWTON_MAXIT, ud_min),
+        )
+
+    @pytest.mark.parametrize("amps, angles, ud_min, root, other", [
+        ((0.615033, 0.748254, 1.390534, 0.6337, 1.059311, 1.30264),
+         (1.795328, -1.297236, -2.787539, -1.652151, 0.288693, 2.373016),
+         0.3, (0.921854, 3.889408), (5.62938, 2.371691)),
+        ((1.156792, 0.717666, 1.513958, 1.96215, 1.500169, 1.822555),
+         (0.402855, -1.250592, -2.293419, 2.781088, -1.920531, 1.856426),
+         1e-9, (5.70593, 1.530418), (4.931749, 0.635907)),
+    ])
+    def test_root_rule_largest_min_ud(self, amps, angles, ud_min, root, other):
+        """Of two qualifying roots both scans return the one with the larger
+        min(ud+, ud-)."""
+        prm = _packed(amps, angles)
+        margins = []
+        for dp, dn in (root, other):
+            ok, dp, dn, _ = kernels.newton_pair(prm, dp, dn, 1e-12, NEWTON_MAXIT)
+            assert ok and kernels.root_conditions(prm, dp, dn, ud_min)[1]
+            ud_p, _, ud_n, _ = kernels.dq_eval(prm, dp, dn)
+            margins.append(min(ud_p, ud_n))
+        assert margins[0] > margins[1]
+        for scan in (kernels.scan_roots, torus_reference.scan_roots):
+            found, dp, dn, *_ = scan(prm, 180, 1e-10, NEWTON_MAXIT, ud_min)
+            assert found
+            assert (dp, dn) == pytest.approx(root, abs=1e-5)
+
+    def test_decoupled_equations(self):
+        """C3 = C6 = 0: the qualifying root is the closed-form pair on the
+        falling side of each sinusoid."""
+        prm = _packed((1.2, 0.4, 0.0, 0.9, 0.3, 0.0),
+                      (0.5, 1.0, 2.0, -0.7, -0.6, 1.5))
+        want_dp = 0.5 - math.asin(-0.4 * math.sin(1.0) / 1.2)
+        want_dn = -0.7 - math.asin(-0.3 * math.sin(-0.6) / 0.9)
+        got = kernels.scan_roots(prm, 180, 1e-10, NEWTON_MAXIT, 1e-9)
+        assert got[0]
+        assert _angle_gap(got[1], want_dp) < 1e-12
+        assert _angle_gap(got[2], want_dn) < 1e-12
+        _assert_same_scan(
+            got, torus_reference.scan_roots(prm, 180, 1e-10, NEWTON_MAXIT, 1e-9))
+
+    def test_root_pair_between_samples(self):
+        """r2 dips through zero and back within one spacing: its two roots,
+        9e-3 rad apart, lie between two dn samples, 0.025 and 0.01 from the
+        dip. Newton from the local minimum of |r2| reaches the root on its
+        own side, which fails the feedback test; the qualifying one is
+        reached from the sample across the dip."""
+        dip = 0.3 + 40 * (2.0 * math.pi / 180) - 0.01
+        prm = _packed((1.0, 0.4, 0.0, 1.0, 1.0 - 1e-5, 0.0),
+                      (0.3, 1.0, 0.0, dip - math.pi / 2, math.pi / 2, 0.0))
+        got = kernels.scan_roots(prm, 180, 1e-10, NEWTON_MAXIT, 1e-9)
+        assert got[0]
+        _assert_same_scan(
+            got, torus_reference.scan_roots(prm, 180, 1e-10, NEWTON_MAXIT, 1e-9))
+
+    @pytest.mark.parametrize("amps, angles", [
+        ((0.8, 0.5, 0.8, 0.9, 0.2, 0.6), (0.4, 0.7, 1.1, -0.3, 0.5, -1.0)),
+        ((0.8, 0.0, 0.8, 0.9, 0.2, 0.6), (0.4, 0.7, 1.1, -0.3, 0.5, -1.0)),
+        ((0.321, 0.86, 0.321, 0.35, 0.86, 1.38),
+         (1.95, 1.2e-7, 2.29, 0.0, -2.37, 2.29)),
+    ], ids=["arc", "closed", "steep"])
+    def test_r_touches_zero(self, amps, angles):
+        """A1 = C3, so R vanishes at dn = F1 - P3 + pi: off the curve when
+        B2 sin P2 is 0.3 (arc), on it where the branches swap when it is 0
+        (closed). At 1e-7 (steep) the curve crosses from one branch to the
+        other within 1e-6 rad of dn, and the qualifying root sits on that
+        crossing, between two dn samples; the dp samples seed it."""
+        prm = _packed(amps, angles)
+        for ud_min in (1e-9, 0.3):
+            got = kernels.scan_roots(prm, 180, 1e-10, NEWTON_MAXIT, ud_min)
+            _assert_same_scan(got, torus_reference.scan_roots(
+                prm, 180, 1e-10, NEWTON_MAXIT, ud_min))
+            assert got[4]
+        assert kernels.scan_roots(prm, 180, 1e-10, NEWTON_MAXIT, 1e-9)[0]
+
+    def test_sliver_narrower_than_the_spacing(self):
+        """|B2 sin P2| just below A1 + C3: the curve is a loop about 2e-3
+        rad across around dn = F1 - P3, and the sample there seeds it even
+        at 30 degree spacing."""
+        amps = [1.0, 1.5 - 1e-6, 0.5, 1.0, 0.0, 0.8]
+        angles = [0.3, -math.pi / 2, -0.4, 1.2, math.pi / 2, 0.9]
+        dp, dn = 0.3 - math.pi / 2, 0.7
+        # r2 vanishes at the loop's centre
+        amps[4] = -(math.sin(1.2 - dn) + 0.8 * math.sin(0.9 + dp - dn))
+        prm = _packed(amps, angles)
+        assert -1e-5 < kernels.curve_gap(prm) < 0.0
+        want = torus_reference.scan_roots(prm, 180, 1e-10, NEWTON_MAXIT, 1e-9)
+        assert want[0]
+        for grid_n in (180, 12):
+            got = kernels.scan_roots(prm, grid_n, 1e-10, NEWTON_MAXIT, 1e-9)
+            _assert_same_scan(got, want)
+
+    def test_empty_curve_is_a_certified_miss(self):
+        """|B2 sin P2| > A1 + C3: r1 cannot vanish, so the scan reports the
+        gap as the residual, runs no Newton step, and solve_equilibrium
+        returns the miss instead of raising NoConvergence, however small
+        the gap."""
+        coeffs = SequenceCoefficients(k1=0.5 + 0j, z2=1j, z3=0.1 + 0j,
+                                      k4=0.3 + 0j, z5=0.2 + 0j, z6=0.1 + 0j)
+        ref = CurrentReference(0.6 + 1e-9, 0.0, 1.0, 0.0)
+        prm = pack_params(coeffs, ref, 1.0)
+        gap = kernels.curve_gap(prm)
+        assert 0.0 < gap < 1e-8
+        assert kernels.scan_roots(prm, 180, 1e-10, NEWTON_MAXIT, 1e-9) == (
+            False, 0.0, 0.0, gap, False, False)
+        res = solve_equilibrium(coeffs, ref, 1.0)
+        assert not res.found and not res.cond_feedback
+        assert res.residual_norm == gap
+
+
+class TestScanFlavors:
+    """The build flavor the kernels are bound to (the class keeps the name
+    it had when the root scan had a numba and a numpy form)."""
 
     def test_binding_matches_build_mode(self):
         if os.environ.get("IBGSYNC_PURE_NUMPY", "") == "1":
             assert not kernels.USING_NUMBA
-            assert kernels.scan_roots is kernels.scan_roots_vec
+            assert kernels.simulate is kernels._simulate
         else:
             assert kernels.USING_NUMBA
 
@@ -151,7 +273,7 @@ class TestEvaluators:
             assert j22 == pytest.approx((rp2 - rm2) / (2 * h), abs=1e-6)
 
     def test_newton_converges_from_nearby_seed(self):
-        found, dp, dn, *_ = kernels.scan_roots_loop(PRM, 24, 1e-10, 80, 1e-9)
+        found, dp, dn, *_ = kernels.scan_roots(PRM, 24, 1e-10, 80, 1e-9)
         assert found
         ok, dp2, dn2, res = kernels.newton_pair(PRM, dp + 0.1, dn - 0.1,
                                                 1e-12, 80)

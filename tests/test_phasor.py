@@ -70,6 +70,12 @@ def test_parse_phasor_rejects_bad_text():
             parse_phasor(text)
 
 
+@pytest.mark.parametrize("text", ["0.5@inf", "0.5@-inf", "0.5@nan"])
+def test_parse_phasor_rejects_non_finite_angle(text):
+    with pytest.raises(ValueError, match="angle must be finite"):
+        parse_phasor(text)
+
+
 def test_format_phasor_readable():
     s = format_phasor(phasor_deg(0.5, 90.0))
     assert s.startswith("0.5")
