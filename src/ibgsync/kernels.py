@@ -279,10 +279,11 @@ def scan_roots(prm, grid_n, tol, maxit, ud_min):
     tells whether some converged root has both feedback slopes negative,
     whatever its d-axis voltages. Among qualifying roots the one farthest
     from losing orientation, the largest min(ud+, ud-), wins (the first
-    seed's on an exact tie); it gets two more Newton steps and res is its
-    residual then. On a miss res is the best residual among converged
-    seeds, or among all seeds when none converged. When the curve is empty
-    the miss is returned without a Newton step and res is _curve_gap.
+    seed's on an exact tie); it gets two more Newton steps, kept if it
+    still qualifies, and res is its residual. On a miss res is the best
+    residual among converged seeds, or among all seeds when none converged.
+    When the curve is empty the miss is returned without a Newton step and
+    res is _curve_gap.
     """
     gap = _curve_gap(prm)
     if gap > 0.0:
@@ -310,7 +311,7 @@ def scan_roots(prm, grid_n, tol, maxit, ud_min):
 
     best_margin = -math.inf
     conv_res = all_res = math.inf
-    best_dp = best_dn = 0.0
+    best = None
     any_conv = any_feedback = False
     for dp0, dn0 in seeds:
         ok, dp, dn, res = _newton_pair(prm, dp0, dn0, tol, maxit)
@@ -325,12 +326,15 @@ def scan_roots(prm, grid_n, tol, maxit, ud_min):
             ud_p, _, ud_n, _ = _dq_eval(prm, dp, dn)
             margin = min(ud_p, ud_n)
             if margin > best_margin:
-                best_margin, best_dp, best_dn = margin, dp, dn
-    if best_margin > -math.inf:
+                best_margin, best = margin, (dp, dn, res)
+    if best is not None:
         # two more steps, so the point returned does not hang on how close
-        # the seed that reached the root stopped short of it
-        _, dp, dn, res = _newton_pair(prm, best_dp, best_dn, 0.0, 2)
-        return True, float(dp), float(dn), float(res), True, True
+        # the seed that reached the root stopped short of it; a root with a
+        # condition at its threshold keeps the point that qualified
+        _, dp, dn, res = _newton_pair(prm, best[0], best[1], 0.0, 2)
+        if _conditions(prm, dp, dn, ud_min)[1]:
+            best = (dp, dn, res)
+        return True, float(best[0]), float(best[1]), float(best[2]), True, True
     return (False, 0.0, 0.0, float(conv_res if any_conv else all_res),
             any_conv, bool(any_feedback))
 

@@ -134,8 +134,8 @@ def traversal_limit(
     Amplitudes are swept upward from `step` in `step` increments up to
     `ceiling`. Each step warm-starts Newton from the previous root; a
     warm-start miss is confirmed by a full scan (solve_equilibrium) before
-    the amplitude is declared failing. The reported limit is the last passing amplitude
-    on this grid, so `step` alone sets the resolution.
+    the amplitude is declared failing. The reported limit is the last
+    passing amplitude on this grid, so `step` alone sets the resolution.
     """
     if sequence not in _SEQUENCES:
         raise ValueError(f"sequence must be one of {_SEQUENCES}")

@@ -5,8 +5,9 @@ one-dimensional curve where r1 vanishes: a Newton seed at every point of a
 grid_n x grid_n grid over (delta+, delta-), all seeds iterated together,
 each stopping by ``kernels.newton_pair``'s rule. It returns the same
 6-tuple, picks among qualifying roots by the same rule, the largest
-min(ud+, ud-), and gives the winner the same two more Newton steps, so the
-two scans can be compared for any packed parameters.
+min(ud+, ud-), and gives the winner the same two more Newton steps, kept
+while it qualifies, so the two scans can be compared for any packed
+parameters.
 """
 
 import math
@@ -61,5 +62,8 @@ def scan_roots(prm, grid_n, tol, maxit, ud_min):
         return False, 0.0, 0.0, float(res.min()), True, bool(feedback.any())
     ud_p, _, ud_n, _ = dq_eval(prm, dp, dn)
     k = int(np.argmax(np.where(good, np.minimum(ud_p, ud_n), -np.inf)))
-    _, dp, dn, res = newton_pair(prm, dp[k], dn[k], 0.0, 2)
-    return True, float(dp), float(dn), float(res), True, True
+    best = (dp[k], dn[k], res[k])
+    _, dp, dn, res = newton_pair(prm, best[0], best[1], 0.0, 2)
+    if root_conditions(prm, dp, dn, ud_min)[1]:
+        best = (dp, dn, res)
+    return True, float(best[0]), float(best[1]), float(best[2]), True, True
