@@ -236,8 +236,10 @@ def _arcsine_branches(r, phi, b):
     """Where r sin(phi - u) + b = 0 has a root u, and its two branches:
     u = phi - asin(x) and u = phi - pi + asin(x), x = -b/r."""
     on = np.abs(b) <= r
-    # r = 0 is on the curve only where b = 0, and then x = 0
-    s = np.arcsin(np.clip(-b / np.where(r > 0.0, r, 1.0), -1.0, 1.0))
+    # off the curve |b| stands in for r, so no quotient leaves [-1, 1] or
+    # overflows; where r = b = 0, x = 0
+    d = np.maximum(r, np.abs(b))
+    s = np.arcsin(-b / np.where(d > 0.0, d, 1.0))
     return on, phi - s, phi - math.pi + s
 
 
