@@ -219,7 +219,7 @@ def solve_equilibrium(
         prm, _grid_points(grid_deg), tol, NEWTON_MAXIT, ud_min
     )
     if found:
-        return _found(dp, dn, *kernels.dq_eval(prm, dp, dn), res)
+        return _found(dp, dn, *kernels.root_check(prm, dp, dn, ud_min)[2:], res)
     # an empty curve is a certified miss, not a stall
     if not any_conv and res < 1e-6 and kernels.curve_gap(prm) <= 0.0:
         raise NoConvergence(
@@ -237,7 +237,10 @@ def refine_root(
     tol: float = NEWTON_TOL,
     ud_min: float = UD_MIN,
 ) -> EquilibriumResult | None:
-    """Polish a known nearby root (warm start); None when it stops qualifying."""
+    """Polish a known nearby root (warm start); None when it stops qualifying.
+
+    The Newton steps and the root check run on floats (kernels.newton_pair,
+    kernels.root_check)."""
     prm = pack_params(coeffs, ref, ug_pos)
     if _negative_degenerate(prm):
         out = _solve_degenerate(prm, ud_min)
@@ -245,6 +248,9 @@ def refine_root(
     ok, dp, dn, res = kernels.newton_pair(
         prm, delta_pos, delta_neg, tol, NEWTON_MAXIT
     )
-    if not (ok and kernels.root_conditions(prm, dp, dn, ud_min)[1]):
+    if not ok:
         return None
-    return _found(dp, dn, *kernels.dq_eval(prm, dp, dn), res)
+    _, qualifies, *dq = kernels.root_check(prm, dp, dn, ud_min)
+    if not qualifies:
+        return None
+    return _found(dp, dn, *dq, res)

@@ -4,8 +4,14 @@ the closed-loop RK4 integrator.
 
 Each kernel is one Python source, jitted with numba ``@njit`` when numba
 imports. ``IBGSYNC_PURE_NUMPY=1`` skips numba. ``scan_roots`` stays plain
-Python in both flavors: it samples the curve with numpy array operations
-and polishes a few dozen seeds with the (jitted) ``_newton_pair``.
+Python in both flavors. Arrays serve only its curve seeding: it samples
+the curve with numpy array operations, then polishes a few dozen seeds
+with ``_newton_pair`` and checks their roots with ``_root_check``. Those
+two run on floats with ``math.sin`` and ``math.cos``, one point at a
+time, since numpy's ufunc dispatch makes a single point several times
+slower. They keep the operation order of the array evaluators
+(``_residual``, ``_jacobian``, ``_dq_eval``, ``_conditions``), so both
+forms give the same bits.
 
 The closed-loop integrator runs on Python scalars from start to end: the
 state is nine ``float``s, every RK4 stage state and update is written per
@@ -120,13 +126,15 @@ def _seq_coeffs_mixed(grid, code, sp, sn, paths, zf):
     """Coefficients with the mixed frequency convention: K1/K4 at the grid
     frequency, Z2/Z6 at the positive estimate sp, Z3/Z5 at the negative one
     sn. grid is code's _grid_column; a scale of 1.0 reads its impedances
-    from it."""
+    from it, and equal scales (FLL mode) share one column."""
     k1, z2, z3, k4, z5, z6 = grid
     if sp != 1.0:
-        _, z2, _, _, _, z6, _ = _seq_coeffs(
+        _, z2, z3_sp, _, z5_sp, z6, _ = _seq_coeffs(
             code, sp, paths[0], paths[1], paths[2], paths[3],
             paths[4], paths[5], paths[6], paths[7], zf,
         )
+        if sn == sp:
+            return k1, z2, z3_sp, k4, z5_sp, z6
     if sn != 1.0:
         _, _, z3, _, z5, _, _ = _seq_coeffs(
             code, sn, paths[0], paths[1], paths[2], paths[3],
@@ -182,23 +190,47 @@ def _dq_eval(prm, dp, dn):
     return ud_p, r1, ud_n, -r2
 
 
+def _floats(prm):
+    """The twelve packed parameters as floats (in P_* order)."""
+    return (float(prm[P_A1]), float(prm[P_F1]), float(prm[P_B2]),
+            float(prm[P_P2]), float(prm[P_C3]), float(prm[P_P3]),
+            float(prm[P_A4]), float(prm[P_F4]), float(prm[P_B5]),
+            float(prm[P_P5]), float(prm[P_C6]), float(prm[P_P6]))
+
+
 def _newton_pair(prm, dp, dn, tol, maxit):
     """Damped Newton on (r1, r2) from one seed; returns (ok, dp, dn, res).
 
     The seed stops when its residual drops below tol (ok) or its Jacobian
     turns singular; after maxit steps one last residual check decides.
+    Runs on floats: r1, r2 and the Jacobian of _residual and _jacobian, in
+    their operation order, from one evaluation of the four angle arguments.
     """
-    for _ in range(maxit):
-        r1, r2 = _residual(prm, dp, dn)
+    a1, f1, b2, p2, c3, p3, a4, f4, b5, p5, c6, p6 = _floats(prm)
+    b2s = b2 * math.sin(p2)
+    b5s = b5 * math.sin(p5)
+    for it in range(maxit + 1):
+        u1 = f1 - dp
+        ux = p3 + dn - dp
+        u4 = f4 - dn
+        uy = p6 + dp - dn
+        r1 = a1 * math.sin(u1) + b2s + c3 * math.sin(ux)
+        r2 = a4 * math.sin(u4) + b5s + c6 * math.sin(uy)
         res = abs(r1) if abs(r1) > abs(r2) else abs(r2)
         if res < tol:
             return True, dp % (2.0 * math.pi), dn % (2.0 * math.pi), res
-        j11, j12, j21, j22 = _jacobian(prm, dp, dn)
-        det = j11 * j22 - j12 * j21
+        if it == maxit:
+            break
+        # j12 = cx, j21 = cy
+        cx = c3 * math.cos(ux)
+        cy = c6 * math.cos(uy)
+        j11 = -(a1 * math.cos(u1)) - cx
+        j22 = -(a4 * math.cos(u4)) - cy
+        det = j11 * j22 - cx * cy
         if abs(det) < 1e-14:
             return False, dp, dn, res
-        sp = -(j22 * r1 - j12 * r2) / det
-        sn = -(-j21 * r1 + j11 * r2) / det
+        sp = -(j22 * r1 - cx * r2) / det
+        sn = -(-cy * r1 + j11 * r2) / det
         if sp > 0.5:
             sp = 0.5
         elif sp < -0.5:
@@ -209,9 +241,29 @@ def _newton_pair(prm, dp, dn, tol, maxit):
             sn = -0.5
         dp += sp
         dn += sn
-    r1, r2 = _residual(prm, dp, dn)
-    res = abs(r1) if abs(r1) > abs(r2) else abs(r2)
-    return res < tol, dp % (2.0 * math.pi), dn % (2.0 * math.pi), res
+    return False, dp % (2.0 * math.pi), dn % (2.0 * math.pi), res
+
+
+def _root_check(prm, dp, dn, ud_min):
+    """(feedback, qualifies, ud+, uq+, ud-, uq-) at one angle pair on
+    floats: _conditions and _dq_eval of a single point, in their
+    operation order."""
+    a1, f1, b2, p2, c3, p3, a4, f4, b5, p5, c6, p6 = _floats(prm)
+    u1 = f1 - dp
+    ux = p3 + dn - dp
+    u4 = f4 - dn
+    uy = p6 + dp - dn
+    cp = a1 * math.cos(u1)
+    cx = c3 * math.cos(ux)
+    cn = a4 * math.cos(u4)
+    cy = c6 * math.cos(uy)
+    ud_p = cp + b2 * math.cos(p2) + cx
+    ud_n = cn + b5 * math.cos(p5) + cy
+    feedback = -cp - cx < 0.0 and -cn - cy < 0.0
+    qualifies = feedback and ud_p > ud_min and ud_n > ud_min
+    r1 = a1 * math.sin(u1) + b2 * math.sin(p2) + c3 * math.sin(ux)
+    r2 = a4 * math.sin(u4) + b5 * math.sin(p5) + c6 * math.sin(uy)
+    return feedback, qualifies, ud_p, r1, ud_n, -r2
 
 
 def _conditions(prm, dp, dn, ud_min):
@@ -275,7 +327,9 @@ def scan_roots(prm, grid_n, tol, maxit, ud_min):
     of a branch) dn samples leave gaps, so the curve is also sampled the
     other way: for a fixed dp, r1 = C3 sin(dp - P3 + pi - dn)
     + A1 sin(F1 - dp) + b gives dn on two branches. Each branch is seeded
-    by _branch_seeds and every seed is polished by _newton_pair.
+    by _branch_seeds. The samples are numpy arrays; every seed is then
+    polished by _newton_pair and every root checked by _root_check, both
+    on floats.
 
     Returns (found, dp, dn, res, any_converged, any_feedback). any_feedback
     tells whether some converged root has both feedback slopes negative,
@@ -322,10 +376,9 @@ def scan_roots(prm, grid_n, tol, maxit, ud_min):
             continue
         any_conv = True
         conv_res = min(conv_res, res)
-        feedback, qualifies = _conditions(prm, dp, dn, ud_min)
+        feedback, qualifies, ud_p, _, ud_n, _ = _root_check(prm, dp, dn, ud_min)
         any_feedback = any_feedback or feedback
         if qualifies:
-            ud_p, _, ud_n, _ = _dq_eval(prm, dp, dn)
             margin = min(ud_p, ud_n)
             if margin > best_margin:
                 best_margin, best = margin, (dp, dn, res)
@@ -334,11 +387,11 @@ def scan_roots(prm, grid_n, tol, maxit, ud_min):
         # the seed that reached the root stopped short of it; a root with a
         # condition at its threshold keeps the point that qualified
         _, dp, dn, res = _newton_pair(prm, best[0], best[1], 0.0, 2)
-        if _conditions(prm, dp, dn, ud_min)[1]:
+        if _root_check(prm, dp, dn, ud_min)[1]:
             best = (dp, dn, res)
-        return True, float(best[0]), float(best[1]), float(best[2]), True, True
-    return (False, 0.0, 0.0, float(conv_res if any_conv else all_res),
-            any_conv, bool(any_feedback))
+        return True, best[0], best[1], best[2], True, True
+    return (False, 0.0, 0.0, conv_res if any_conv else all_res, any_conv,
+            any_feedback)
 
 
 def _window(t, t_on, t_clear, on, off):
@@ -563,8 +616,10 @@ if USING_NUMBA:
     _seq_coeffs = njit(cache=True)(_seq_coeffs)
     _grid_column = njit(cache=True)(_grid_column)
     _seq_coeffs_mixed = njit(cache=True)(_seq_coeffs_mixed)
+    _floats = njit(cache=True)(_floats)
     _newton_pair = njit(cache=True)(_newton_pair)
     _conditions = njit(cache=True)(_conditions)
+    _root_check = njit(cache=True)(_root_check)
     _window = njit(cache=True)(_window)
     _as_state = njit(cache=True)(_as_state)
     _frames = njit(cache=True)(_frames)
@@ -575,6 +630,8 @@ if USING_NUMBA:
     _bounded = njit(cache=True)(_bounded)
     simulate = njit(cache=True)(_simulate)
 else:
+    # the same twelve floats without twelve numpy scalar lookups
+    _floats = np.ndarray.tolist
     simulate = _simulate
 
 seq_coeffs = _seq_coeffs
@@ -586,4 +643,5 @@ residual_eval = _residual
 jacobian_eval = _jacobian
 dq_eval = _dq_eval
 root_conditions = _conditions
+root_check = _root_check
 curve_gap = _curve_gap

@@ -40,6 +40,9 @@ _SEQUENCES = ("pos", "neg")
 # traversal defaults: amplitude increment and sweep ceiling, p.u.
 AMP_STEP = 0.01
 AMP_CEILING = 3.0
+# most amplitude points one traversal or one region sweep may visit; a step
+# so fine that the sweep could not finish is rejected before any solve
+MAX_SWEEP_POINTS = 10**7
 
 
 class Binding(enum.Enum):
@@ -116,6 +119,22 @@ def _make_ref(
     return CurrentReference(other[0], other[1], amp, theta_i)
 
 
+def _amplitude_steps(step: float, ceiling: float, sweeps: float) -> int:
+    """Amplitude steps of one traversal, after checking step and ceiling
+    and that `sweeps` traversals stay within MAX_SWEEP_POINTS."""
+    # "not <" also rejects NaN
+    if not 0.0 < step < math.inf:
+        raise ValueError("step must be finite and > 0")
+    if not step < ceiling < math.inf:
+        raise ValueError("ceiling must be finite and exceed step")
+    # compared before rounding: ceiling / step may overflow to inf
+    if not sweeps * (ceiling / step) <= MAX_SWEEP_POINTS:
+        raise ValueError(
+            f"the sweep asks for more than {MAX_SWEEP_POINTS} amplitude points"
+        )
+    return int(math.floor(ceiling / step + 1e-9))
+
+
 def traversal_limit(
     coeffs: SequenceCoefficients,
     ug_pos: float,
@@ -136,18 +155,15 @@ def traversal_limit(
     warm-start miss is confirmed by a full scan (solve_equilibrium) before
     the amplitude is declared failing. The reported limit is the last
     passing amplitude on this grid, so `step` alone sets the resolution.
+    A step that asks for more than MAX_SWEEP_POINTS amplitudes is a
+    ValueError.
     """
     if sequence not in _SEQUENCES:
         raise ValueError(f"sequence must be one of {_SEQUENCES}")
-    # "not <" also rejects NaN
-    if not 0.0 < step < math.inf:
-        raise ValueError("step must be finite and > 0")
-    if not step < ceiling < math.inf:
-        raise ValueError("ceiling must be finite and exceed step")
+    n_steps = _amplitude_steps(step, ceiling, 1.0)
     other = fixed_other if fixed_other is not None else (0.0, 0.0)
 
     prev: tuple[float, float] | None = None
-    n_steps = int(math.floor(ceiling / step + 1e-9))
     for k in range(1, n_steps + 1):
         ref = _make_ref(sequence, k * step, theta_i, other)
         res = None
@@ -181,10 +197,14 @@ def region_boundary(
     ud_min: float = UD_MIN,
 ) -> RegionBoundary:
     """Sweep theta_i over [-pi, pi) and collect the traversal limit at each
-    angle. Ceiling-capped samples keep the CEILING binding flag."""
+    angle. Ceiling-capped samples keep the CEILING binding flag. Angle and
+    amplitude steps that ask for more than MAX_SWEEP_POINTS amplitudes over
+    the sweep are a ValueError, raised before any solve."""
     if not 0.0 < angle_step < math.inf:
         raise ValueError("angle_step must be finite and > 0")
-    n = int(math.ceil((2.0 * math.pi - 1e-12) / angle_step))
+    angles = (2.0 * math.pi - 1e-12) / angle_step
+    _amplitude_steps(step, ceiling, angles)
+    n = int(math.ceil(angles))
     samples = []
     for k in range(n):
         theta = -math.pi + k * angle_step

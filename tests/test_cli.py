@@ -15,6 +15,7 @@ from ibgsync import (
     solve_equilibrium,
     table_circuit,
 )
+from ibgsync import limits
 from ibgsync.cli import main
 
 
@@ -353,6 +354,23 @@ class TestErrors:
         assert code == 1
         assert "config error" in err
         assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        [*_LIMIT_DLG, "--step", "1e-300"],
+        ["region", "--fault", "dlg", "--seq", "pos", "--angle-step", "1e-12"],
+    ])
+    def test_unbounded_sweep_exits_1(self, argv, tmp_path, monkeypatch, capsys):
+        """A sweep too fine to finish exits 1 before any equilibrium solve."""
+        def solve(*args, **kwargs):
+            raise AssertionError("the sweep solved before rejecting its size")
+        monkeypatch.setattr(limits, "solve_equilibrium", solve)
+        monkeypatch.setattr(limits, "refine_root", solve)
+        if argv[0] == "region":
+            argv = argv + ["--out", str(tmp_path / "out.csv")]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert "amplitude points" in err
         assert out == ""
 
     @pytest.mark.parametrize("argv", [

@@ -239,6 +239,80 @@ class TestMixedCoefficients:
         assert z2 == at_sp[1] and z6 == at_sp[5]
         assert z3 == at_sn[2] and z5 == at_sn[4]
 
+    @pytest.mark.parametrize("code", ALL_CODES)
+    def test_equal_scales_share_one_column(self, code):
+        """Equal scales (FLL mode) give every impedance of the column at
+        that scale."""
+        base = kernels.seq_coeffs(code, 1.0, *PF, complex(ZF_PU))
+        at_s = kernels.seq_coeffs(code, 1.3, *PF, complex(ZF_PU))
+        grid = kernels.grid_column(code, PF, complex(ZF_PU))
+        k1, z2, z3, k4, z5, z6 = kernels.seq_coeffs_mixed(
+            grid, code, 1.3, 1.3, PF, complex(ZF_PU)
+        )
+        assert k1 == base[0] and k4 == base[3]
+        assert (z2, z3, z5, z6) == (at_s[1], at_s[2], at_s[4], at_s[5])
+
+
+def _newton_on_evaluators(prm, dp, dn, tol, maxit):
+    """newton_pair's rule (stopping, singular test, +-0.5 damping, wrap)
+    built on residual_eval and jacobian_eval, one point at a time."""
+    for _ in range(maxit):
+        r1, r2 = kernels.residual_eval(prm, dp, dn)
+        res = abs(r1) if abs(r1) > abs(r2) else abs(r2)
+        if res < tol:
+            return True, dp % (2.0 * math.pi), dn % (2.0 * math.pi), res
+        j11, j12, j21, j22 = kernels.jacobian_eval(prm, dp, dn)
+        det = j11 * j22 - j12 * j21
+        if abs(det) < 1e-14:
+            return False, dp, dn, res
+        dp += min(max(-(j22 * r1 - j12 * r2) / det, -0.5), 0.5)
+        dn += min(max(-(-j21 * r1 + j11 * r2) / det, -0.5), 0.5)
+    r1, r2 = kernels.residual_eval(prm, dp, dn)
+    res = abs(r1) if abs(r1) > abs(r2) else abs(r2)
+    return res < tol, dp % (2.0 * math.pi), dn % (2.0 * math.pi), res
+
+
+def _bits(values):
+    """Floats as hex strings, so -0.0 and 0.0 differ and NaN equals NaN."""
+    return [float(v).hex() for v in values]
+
+
+class TestScalarPolish:
+    """newton_pair and root_check run on floats with math.sin and math.cos;
+    the numpy evaluators define them. The comparisons are exact: numpy's
+    float64 sin and cos give the C library's values wherever these tests
+    run, and the scalar forms keep the evaluators' operation order."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_newton_matches_evaluator_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        prm = _packed(rng.uniform(0.0, 2.0, 6), rng.uniform(-math.pi, math.pi, 6))
+        for dp, dn in rng.uniform(-2.0 * math.pi, 2.0 * math.pi, (4, 2)).tolist():
+            # converging, running out of steps, and the last-check-only cases
+            for tol, maxit in ((1e-10, NEWTON_MAXIT), (0.0, 2), (1e-10, 0),
+                               (0.0, NEWTON_MAXIT)):
+                got = kernels.newton_pair(prm, dp, dn, tol, maxit)
+                want = _newton_on_evaluators(prm, dp, dn, tol, maxit)
+                assert bool(got[0]) == bool(want[0])
+                assert _bits(got[1:]) == _bits(want[1:])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           ud_min=st.sampled_from([1e-9, 0.3, -1e30]))
+    def test_root_check_matches_evaluators(self, seed, ud_min):
+        rng = np.random.default_rng(seed)
+        prm = _packed(rng.uniform(0.0, 2.0, 6), rng.uniform(-math.pi, math.pi, 6))
+        points = rng.uniform(0.0, 2.0 * math.pi, (6, 2)).tolist()
+        # and the roots Newton reaches from them
+        points += [kernels.newton_pair(prm, dp, dn, 1e-10, NEWTON_MAXIT)[1:3]
+                   for dp, dn in points]
+        for dp, dn in points:
+            feedback, qualifies, *dq = kernels.root_check(prm, dp, dn, ud_min)
+            want = kernels.root_conditions(prm, dp, dn, ud_min)
+            assert (feedback, qualifies) == (bool(want[0]), bool(want[1]))
+            assert _bits(dq) == _bits(kernels.dq_eval(prm, dp, dn))
+
 
 class TestEvaluators:
     def test_dq_exposes_residuals(self):

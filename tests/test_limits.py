@@ -22,6 +22,7 @@ from ibgsync import (
     table_circuit,
     traversal_limit,
 )
+from ibgsync import limits
 from ibgsync.limits import _make_ref
 
 ZF = 7.43801652892562e-06
@@ -142,6 +143,43 @@ def test_traversal_rejects_bad_arguments():
         traversal_limit(c, UG, "pos", 0.0, step=0.0)
     with pytest.raises(ValueError):
         traversal_limit(c, UG, "pos", 0.0, step=0.5, ceiling=0.5)
+
+
+def _no_solves(monkeypatch):
+    """Make any equilibrium solve of the sweep fail the test at once."""
+    def solve(*args, **kwargs):
+        raise AssertionError("the sweep solved before rejecting its size")
+    monkeypatch.setattr(limits, "solve_equilibrium", solve)
+    monkeypatch.setattr(limits, "refine_root", solve)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"step": 1e-300},
+    {"step": 1e-5, "ceiling": 1e6},
+    # ceiling / step overflows to inf
+    {"step": 1e-300, "ceiling": 1e300},
+])
+def test_traversal_rejects_unbounded_work(kwargs, monkeypatch):
+    """A step too fine for the sweep to finish is rejected before any solve."""
+    _no_solves(monkeypatch)
+    with pytest.raises(ValueError, match="amplitude points"):
+        traversal_limit(coeffs_for(FaultType.DLG), UG, "pos", 0.0, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"angle_step": 1e-12},
+    # subnormal: the angle count overflows to inf
+    {"angle_step": 5e-324},
+    # each traversal alone is within bounds (1e5 amplitudes), 1,000 of them
+    # are not
+    {"angle_step": 2.0 * math.pi / 1000, "step": 3e-5},
+])
+def test_region_rejects_unbounded_work(kwargs, monkeypatch):
+    """Angle and amplitude steps whose sweep could not finish are rejected
+    before any solve."""
+    _no_solves(monkeypatch)
+    with pytest.raises(ValueError, match="amplitude points"):
+        region_boundary(coeffs_for(FaultType.DLG), UG, "pos", **kwargs)
 
 
 def test_limit_result_validation():
