@@ -40,9 +40,13 @@ _SEQUENCES = ("pos", "neg")
 # traversal defaults: amplitude increment and sweep ceiling, p.u.
 AMP_STEP = 0.01
 AMP_CEILING = 3.0
-# most amplitude points one traversal or one region sweep may visit; a step
-# so fine that the sweep could not finish is rejected before any solve
-MAX_SWEEP_POINTS = 10**7
+# most amplitude points one traversal or one region sweep may visit, set by a
+# ten-minute budget: a warm-started amplitude point costs 15-19 us in the
+# pure-numpy flavor (region sweeps of the three faults at 1e-3 and 1e-4 p.u.
+# steps, 2-core VM), so 600 s / 20 us = 3e7. A finer step is rejected before
+# any solve; the largest documented sweep, 72 angles at --step 0.00125, asks
+# for 172,800 points
+MAX_SWEEP_POINTS = 3 * 10**7
 
 
 class Binding(enum.Enum):

@@ -224,33 +224,21 @@ class TestMixedCoefficients:
         assert np.allclose(np.array(grid), np.array(plain[:6]), atol=0.0)
         assert np.allclose(np.array(mixed), np.array(plain[:6]), atol=0.0)
 
+    @pytest.mark.parametrize("sp, sn", [(1.4, 0.7), (1.3, 1.3)])
     @pytest.mark.parametrize("code", ALL_CODES)
-    def test_terms_track_their_own_frequency(self, code):
+    def test_terms_track_their_own_frequency(self, code, sp, sn):
         """Z2/Z6 follow the positive scale, Z3/Z5 the negative, K1/K4 stay
-        at the grid frequency."""
+        at the grid frequency; equal scales (FLL mode) share one column."""
         base = kernels.seq_coeffs(code, 1.0, *PF, complex(ZF_PU))
-        at_sp = kernels.seq_coeffs(code, 1.4, *PF, complex(ZF_PU))
-        at_sn = kernels.seq_coeffs(code, 0.7, *PF, complex(ZF_PU))
+        at_sp = kernels.seq_coeffs(code, sp, *PF, complex(ZF_PU))
+        at_sn = kernels.seq_coeffs(code, sn, *PF, complex(ZF_PU))
         grid = kernels.grid_column(code, PF, complex(ZF_PU))
         k1, z2, z3, k4, z5, z6 = kernels.seq_coeffs_mixed(
-            grid, code, 1.4, 0.7, PF, complex(ZF_PU)
+            grid, code, sp, sn, PF, complex(ZF_PU)
         )
         assert k1 == base[0] and k4 == base[3]
         assert z2 == at_sp[1] and z6 == at_sp[5]
         assert z3 == at_sn[2] and z5 == at_sn[4]
-
-    @pytest.mark.parametrize("code", ALL_CODES)
-    def test_equal_scales_share_one_column(self, code):
-        """Equal scales (FLL mode) give every impedance of the column at
-        that scale."""
-        base = kernels.seq_coeffs(code, 1.0, *PF, complex(ZF_PU))
-        at_s = kernels.seq_coeffs(code, 1.3, *PF, complex(ZF_PU))
-        grid = kernels.grid_column(code, PF, complex(ZF_PU))
-        k1, z2, z3, k4, z5, z6 = kernels.seq_coeffs_mixed(
-            grid, code, 1.3, 1.3, PF, complex(ZF_PU)
-        )
-        assert k1 == base[0] and k4 == base[3]
-        assert (z2, z3, z5, z6) == (at_s[1], at_s[2], at_s[4], at_s[5])
 
 
 def _newton_on_evaluators(prm, dp, dn, tol, maxit):

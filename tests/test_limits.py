@@ -182,6 +182,19 @@ def test_region_rejects_unbounded_work(kwargs, monkeypatch):
         region_boundary(coeffs_for(FaultType.DLG), UG, "pos", **kwargs)
 
 
+def test_region_within_budget_is_accepted(monkeypatch):
+    """A 0.5 deg sweep at 1e-4 p.u. (21.6 million points, within the
+    ten-minute budget) passes the size check: only its traversals are
+    stubbed."""
+    def traversal(coeffs, ug, sequence, theta, **kwargs):
+        assert kwargs["step"] == 1e-4
+        return LimitResult(sequence, theta, 0.0, Binding.TYPE1)
+    monkeypatch.setattr(limits, "traversal_limit", traversal)
+    b = region_boundary(coeffs_for(FaultType.DLG), UG, "pos",
+                        angle_step=math.radians(0.5), step=1e-4)
+    assert len(b.samples) == 720
+
+
 def test_limit_result_validation():
     with pytest.raises(ValueError):
         LimitResult("up", 0.0, 1.0, Binding.TYPE1)

@@ -1,20 +1,22 @@
 """Alternating parent/change runs of perfbench, summarised as BENCH_<tag>.json.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --tag NAME \\
-        --seeds 1 41 --pairs 10 --claim limit-table:op_p50_s
+        --seeds 1 41 --claim limit-table:op_p50_s
 
 Each side is the tree of its commit, unpacked with ``git archive`` into a
 temporary directory: nothing is written to the repository or its ``.git``,
 and nothing is left to clean up if a run is interrupted. For every workload
-and seed, --pairs pairs run one process after the other,
+of BENCHMARK.json and every seed, PAIRS pairs run one process after the
+other,
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-in each side's directory, the parent first in even pairs and the change
-first in odd ones. The file written holds, per workload, seed and
-end-to-end metric of BENCHMARK.json: both sides' runs, medians and
-quartiles (linear interpolation, as numpy.percentile), the pairs the change
-won, the ratio of the medians and the checks against the metric's bound.
+in each side's directory, T being BENCHMARK.json's run_seconds, the parent
+first in even pairs and the change first in odd ones. The file written
+holds, per workload, seed and end-to-end metric of BENCHMARK.json: both
+sides' runs, medians and quartiles (linear interpolation, as
+numpy.percentile), the pairs the change won, the ratio of the medians and
+the checks against the metric's bound.
 With --traced, one traced run per side and workload (first seed) adds the
 per-layer figures. Nothing is downloaded; the runs use the interpreter that
 runs this script.
@@ -32,6 +34,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# alternating parent/change pairs per workload and seed
+PAIRS = 10
 
 
 def git(*args) -> str:
@@ -100,18 +104,18 @@ def compare(parent: list[float], change: list[float], better: str,
     }
 
 
-def batch(checkouts: dict, workload: str, seed: int, pairs: int,
-          seconds: float, metrics: list[dict], log) -> dict:
-    """`pairs` alternating pairs of one workload and seed, summarised."""
+def batch(checkouts: dict, workload: str, seed: int, seconds: float,
+          metrics: list[dict], log) -> dict:
+    """PAIRS alternating pairs of one workload and seed, summarised."""
     runs = {side: [] for side in SIDES}
-    for i in range(pairs):
+    for i in range(PAIRS):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
             runs[side].append(run_once(checkouts[side], workload, seed, seconds, 0))
-            log(f"{workload} seed {seed} pair {i + 1}/{pairs} {side}: "
+            log(f"{workload} seed {seed} pair {i + 1}/{PAIRS} {side}: "
                 f"op_p50_s {runs[side][-1]['metrics']['op_p50_s']['value']:.6g}")
     out = {
-        "workload": workload, "seed": seed, "pairs": pairs,
+        "workload": workload, "seed": seed, "pairs": PAIRS,
         "rounds": {s: [r["details"]["rounds"] for r in runs[s]] for s in SIDES},
         "failed": {s: sum(r["failed"] for r in runs[s]) for s in SIDES},
         "correct": {s: all(r["correct"] for r in runs[s]) for s in SIDES},
@@ -125,12 +129,11 @@ def batch(checkouts: dict, workload: str, seed: int, pairs: int,
     return out, runs
 
 
-def claim_result(batches: list[dict], workload: str, metric: str,
-                 pairs: int) -> dict:
+def claim_result(batches: list[dict], workload: str, metric: str) -> dict:
     """Whether the change wins at least 9 pairs in 10 and beats the parent's
     median by more than its quartile spread, at every seed."""
     rows = [b for b in batches if b["workload"] == workload]
-    need = -(-9 * pairs // 10)
+    need = -(-9 * PAIRS // 10)
     per_seed = []
     met = bool(rows)
     for b in rows:
@@ -148,14 +151,9 @@ def claim_result(batches: list[dict], workload: str, metric: str,
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="parent commit")
-    parser.add_argument("--change", default="HEAD", help="change commit")
+    parser.add_argument("--change", required=True, help="change commit")
     parser.add_argument("--tag", required=True, help="writes BENCH_<tag>.json")
-    parser.add_argument("--workloads", nargs="+",
-                        help="default: every workload of BENCHMARK.json")
     parser.add_argument("--seeds", nargs="+", type=int, default=[1])
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float,
-                        help="default: run_seconds of BENCHMARK.json")
     parser.add_argument("--claim", metavar="WORKLOAD:METRIC",
                         help="the claimed gain, judged per seed")
     parser.add_argument("--note", default="", help="what the change does")
@@ -164,8 +162,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
-    seconds = args.seconds or bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     commits = {"parent": git("rev-parse", args.parent),
                "change": git("rev-parse", args.change)}
     out_path = ROOT / f"BENCH_{args.tag}.json"
@@ -178,8 +176,8 @@ def main(argv=None) -> int:
         batches = []
         for seed in args.seeds:
             for workload in workloads:
-                summary, runs = batch(checkouts, workload, seed, args.pairs,
-                                      seconds, bench["end_to_end"], log)
+                summary, runs = batch(checkouts, workload, seed, seconds,
+                                      bench["end_to_end"], log)
                 batches.append(summary)
         # the run details that do not change from run to run
         details = {s: runs[s][0]["details"] for s in SIDES}
@@ -200,7 +198,7 @@ def main(argv=None) -> int:
         "kernel_flavor": (f"{host['kernel_flavor']} (IBGSYNC_PURE_NUMPY=1, "
                           "pinned by perfbench/run.py)"),
         "protocol": (
-            f"{args.pairs} pairs per batch, parent and change run one after "
+            f"{PAIRS} pairs per batch, parent and change run one after "
             "the other, parent first in even pairs; each run is one process "
             f"of the command below in an unpacked tree of its commit, "
             f"--seconds {seconds:g}, --trace 0; median and quartiles (linear) "
@@ -221,7 +219,7 @@ def main(argv=None) -> int:
     }
     if args.claim:
         workload, metric = args.claim.split(":")
-        record["claim"] = claim_result(batches, workload, metric, args.pairs)
+        record["claim"] = claim_result(batches, workload, metric)
     if traced:
         record["per_layer"] = {
             "how": (f"one traced run per side and workload: perfbench/run.py "

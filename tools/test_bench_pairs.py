@@ -40,7 +40,7 @@ def test_claim_needs_nine_wins_in_ten_at_every_seed():
             "change_wins": wins, "parent_iqr": 0.1,
             "median_gain_exceeds_parent_iqr": gain}}}
     assert bench_pairs.claim_result([row(1, 10, True), row(2, 9, True)],
-                                    "w", "m", 10)["met"]
+                                    "w", "m")["met"]
     assert not bench_pairs.claim_result([row(1, 10, True), row(2, 8, True)],
-                                        "w", "m", 10)["met"]
-    assert not bench_pairs.claim_result([row(1, 10, False)], "w", "m", 10)["met"]
+                                        "w", "m")["met"]
+    assert not bench_pairs.claim_result([row(1, 10, False)], "w", "m")["met"]
