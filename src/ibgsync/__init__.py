@@ -58,15 +58,7 @@ from .phasor import (
     polar_deg,
     wrap_angle,
 )
-from .synchro import (
-    SyncConfig,
-    SyncMode,
-    SyncState,
-    ccf_derivative,
-    extract_dq,
-    fll_adaptation,
-    pll_derivatives,
-)
+from .synchro import SyncConfig, SyncMode, SyncState
 
 __version__ = "0.1.0"
 
@@ -90,7 +82,6 @@ __all__ = [
     "decoupled_limit", "traversal_limit", "region_boundary", "classify",
     # synchronizer
     "SyncConfig", "SyncMode", "SyncState",
-    "ccf_derivative", "fll_adaptation", "pll_derivatives", "extract_dq",
     # simulation
     "Scenario", "Trace", "LosVerdict", "Signature", "NumericalOverflow",
     "terminal_voltage", "step", "run_scenario", "detect_los",

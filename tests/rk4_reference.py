@@ -5,6 +5,8 @@ floats: the state is a numpy 9-vector, every stage is a vector expression
 (``y + 0.5*dt*k1v``), and each derivative fills an ``np.empty(9)`` after
 evaluating the grid-frequency column afresh. The kernel writes the same
 operations per component, so ``kernels.simulate`` must match it exactly.
+The coefficient column is this module's own written-out ``seq_coeffs``, not
+the kernel's, so a change in the bits of the kernel's column shows too.
 """
 
 import cmath
@@ -12,9 +14,66 @@ import math
 
 import numpy as np
 
-from ibgsync.kernels import FAULT_NONE, seq_coeffs
+from ibgsync.kernels import (FAULT_DLG, FAULT_LL, FAULT_NONE, FAULT_SLG,
+                             FAULT_TLG)
 
-__all__ = ["simulate"]
+__all__ = ["seq_coeffs", "simulate"]
+
+
+def seq_coeffs(code, s, rl, xl, rl0, xl0, rg, xg, rg0, xg0, zf):
+    """Evaluate one coefficient column at frequency scale s.
+
+    Returns (k1, z2, z3, k4, z5, z6, denom); reactive parts scale with s,
+    the fault impedance does not. Each term is written out in full, so the
+    column does not depend on the kernel's form of it.
+    """
+    p = rg + 1j * (s * xg)
+    p0 = rg0 + 1j * (s * xg0)
+    el = rl + 1j * (s * xl)
+    el0 = rl0 + 1j * (s * xl0)
+    q = p0 * el0 / (p0 + el0)
+    f = zf
+    if code == FAULT_SLG:
+        d = 2.0 * p + q + 3.0 * f
+        k1 = (p + q + 3.0 * f) / d
+        z2 = p * (p + q + 3.0 * f) / d + el
+        z3 = -p * p / d
+        k4 = -p / d
+        z5 = z2
+        z6 = z3
+    elif code == FAULT_DLG:
+        d = p + 2.0 * q + 6.0 * f
+        k1 = (q + 3.0 * f) / d
+        z2 = p * (q + 3.0 * f) / d + el
+        z3 = p * (q + 3.0 * f) / d
+        k4 = k1
+        z5 = z2
+        z6 = z3
+    elif code == FAULT_LL:
+        d = 2.0 * p + f
+        k1 = (p + f) / d
+        z2 = p * (p + f) / d + el
+        z3 = p * p / d
+        k4 = p / d
+        z5 = z2
+        z6 = z3
+    elif code == FAULT_TLG:
+        d = p + f
+        k1 = f / d
+        z2 = p * f / d + el
+        z3 = 0.0 + 0.0j
+        k4 = 0.0 + 0.0j
+        z5 = 0.0 + 0.0j
+        z6 = 0.0 + 0.0j
+    else:
+        d = 1.0 + 0.0j
+        k1 = 1.0 + 0.0j
+        z2 = p + el
+        z3 = 0.0 + 0.0j
+        k4 = 0.0 + 0.0j
+        z5 = p + el
+        z6 = 0.0 + 0.0j
+    return k1, z2, z3, k4, z5, z6, d
 
 
 def seq_coeffs_mixed(code, sp, sn, rl, xl, rl0, xl0, rg, xg, rg0, xg0, zf):

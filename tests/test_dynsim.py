@@ -15,12 +15,9 @@ from ibgsync import (
     Scenario,
     SyncConfig,
     SyncState,
-    ccf_derivative,
     compose_paths,
     compute_coefficients,
-    extract_dq,
     phasor,
-    pll_derivatives,
     run_scenario,
     solve_equilibrium,
     table_circuit,
@@ -40,6 +37,7 @@ from ibgsync.dynsim import (
     _pack_state,
 )
 from ibgsync.synchro import SyncMode
+from loop_reference import ccf_derivative, extract_dq, pll_derivatives
 
 ZF_PU = 7.43801652892562e-06
 

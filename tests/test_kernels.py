@@ -18,13 +18,9 @@ from ibgsync import (
     SequenceCoefficients,
     SyncConfig,
     SyncState,
-    ccf_derivative,
     compose_paths,
     compute_coefficients,
-    extract_dq,
-    fll_adaptation,
     kernels,
-    pll_derivatives,
     solve_equilibrium,
     table_circuit,
 )
@@ -32,6 +28,8 @@ from ibgsync.dynsim import TRACE_COLUMNS, Scenario, _kernel_args, terminal_volta
 from ibgsync.equilibrium import NEWTON_MAXIT, pack_params
 from ibgsync.network import _path_floats
 from ibgsync.synchro import SyncMode
+from loop_reference import (ccf_derivative, extract_dq, fll_adaptation,
+                            pll_derivatives)
 import rk4_reference
 import torus_reference
 
@@ -265,6 +263,53 @@ def _bits(values):
     return [float(v).hex() for v in values]
 
 
+class TestColumnOracle:
+    """kernels.seq_coeffs computes each repeated subexpression once; the
+    written-out column of rk4_reference defines its bits."""
+
+    @pytest.mark.parametrize("zf", [0j, complex(ZF_PU), 0.03 - 0.01j],
+                             ids=["zf0", "zf", "zf-complex"])
+    @pytest.mark.parametrize("code", ALL_CODES)
+    def test_matches_written_out_column(self, code, zf):
+        rng = np.random.default_rng(code)
+        paths = [PF] + [tuple(rng.uniform(1e-3, 2.0, 8).tolist())
+                        for _ in range(3)]
+        for pf in paths:
+            for s in np.linspace(0.2, 5.0, 97).tolist() + [1.0]:
+                got = kernels.seq_coeffs(code, s, *pf, zf)
+                want = rk4_reference.seq_coeffs(code, s, *pf, zf)
+                assert ([_bits((v.real, v.imag)) for v in got]
+                        == [_bits((v.real, v.imag)) for v in want])
+
+
+def _branch_seeds_rolled(r2, on):
+    """The seed mask written with np.roll, as the gathers restate it."""
+    a = np.where(on, np.abs(r2), np.inf)
+    nxt = np.roll(on, -1)
+    flip = on & nxt & ((r2 > 0.0) != (np.roll(r2, -1) > 0.0))
+    low = on & (a <= np.roll(a, 1)) & (a <= np.roll(a, -1))
+    end = on & ~(np.roll(on, 1) & nxt)
+    seed = flip | np.roll(flip, 1) | low | np.roll(low, 1) | np.roll(low, -1)
+    return on & (seed | end)
+
+
+class TestBranchSeeds:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 180, 181])
+    def test_gathers_match_roll_form(self, n):
+        rng = np.random.default_rng(n)
+        nx, pv = kernels._cyclic_neighbours(n)
+        for k in range(60):
+            # coarse values, so ties between neighbours and zeros occur
+            r2 = rng.integers(-3, 4, n).astype(float) * 0.5
+            run = np.zeros(n, dtype=bool)
+            lo, hi = sorted(rng.integers(0, n + 1, 2))
+            run[lo:hi] = True
+            on = (np.ones(n, dtype=bool), np.zeros(n, dtype=bool), run,
+                  np.roll(run, n // 2), rng.random(n) < 0.5)[k % 5]
+            got = kernels._branch_seeds(r2, on, nx, pv)
+            assert np.array_equal(got, _branch_seeds_rolled(r2, on))
+
+
 class TestScalarPolish:
     """newton_pair and root_check run on floats with math.sin and math.cos;
     the numpy evaluators define them. The comparisons are exact: numpy's
@@ -492,15 +537,11 @@ class TestSimulateMatchesArrayForm:
         assert all(a == b for a, b in zip(y, y_r, strict=True))
         assert all(a == b for a, b in zip(dy, dy_r, strict=True))
 
-    @pytest.mark.parametrize("fault", ["slg", "dlg", "ll", "tlg"])
-    @pytest.mark.parametrize("adaptive", [True, False],
-                             ids=["adaptive", "fixed"])
-    @pytest.mark.parametrize("mode", ["dsogi_pll", "dsogi_fll"])
-    def test_fault_on_and_cleared_mid_run(self, mode, adaptive, fault):
+    def _check_window(self, mode, adaptive, fault, t_on, t_clear):
         sc = Scenario(
             circuit=CIRCUIT,
-            fault=FaultSpec(FaultType(fault), z_f=ZF_PU, t_on=0.01,
-                            t_clear=0.03),
+            fault=FaultSpec(FaultType(fault), z_f=ZF_PU, t_on=t_on,
+                            t_clear=t_clear),
             ref_fault=REF, sync=SyncConfig(mode=SyncMode(mode)), t_end=0.05,
             freq_adaptive_z=adaptive,
         )
@@ -508,6 +549,27 @@ class TestSimulateMatchesArrayForm:
         got, want, rec, rec_ref = self._both(sc, y0, 500, 3)
         assert got[1] == -1
         self._assert_same(got, want, rec, rec_ref)
+
+    @pytest.mark.parametrize("fault", ["slg", "dlg", "ll", "tlg"])
+    @pytest.mark.parametrize("adaptive", [True, False],
+                             ids=["adaptive", "fixed"])
+    @pytest.mark.parametrize("mode", ["dsogi_pll", "dsogi_fll"])
+    def test_fault_on_and_cleared_mid_run(self, mode, adaptive, fault):
+        self._check_window(mode, adaptive, fault, 0.01, 0.03)
+
+    @pytest.mark.parametrize("t_on, t_clear", [(0.01005, 0.03005),
+                                               (0.01004, 0.01006)],
+                             ids=["half-steps", "within-one-step"])
+    @pytest.mark.parametrize("fault", ["slg", "dlg", "ll", "tlg"])
+    @pytest.mark.parametrize("adaptive", [True, False],
+                             ids=["adaptive", "fixed"])
+    @pytest.mark.parametrize("mode", ["dsogi_pll", "dsogi_fll"])
+    def test_fault_edges_on_half_steps(self, mode, adaptive, fault, t_on,
+                                       t_clear):
+        """With dt = 1e-4 the edges fall on a stage-2/3 time (t + dt/2), so
+        those stages sit in another fault window than stage 1 (and, for a
+        window inside one step, than stage 4 as well)."""
+        self._check_window(mode, adaptive, fault, t_on, t_clear)
 
     def test_overflowing_run(self):
         sc = Scenario(circuit=CIRCUIT, fault=FaultSpec(FaultType.DLG, z_f=ZF_PU),

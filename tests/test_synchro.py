@@ -10,12 +10,10 @@ from ibgsync import (
     SyncConfig,
     SyncMode,
     SyncState,
-    ccf_derivative,
-    extract_dq,
-    fll_adaptation,
     phasor,
-    pll_derivatives,
 )
+from loop_reference import (ccf_derivative, extract_dq, fll_adaptation,
+                            pll_derivatives)
 from rcf_reference import run_ccf, run_rcf
 
 OMEGA0 = 2.0 * math.pi * 50.0
