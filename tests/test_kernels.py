@@ -537,7 +537,20 @@ class TestSimulateMatchesArrayForm:
         assert all(a == b for a, b in zip(y, y_r, strict=True))
         assert all(a == b for a, b in zip(dy, dy_r, strict=True))
 
-    def _check_window(self, mode, adaptive, fault, t_on, t_clear):
+    @pytest.mark.parametrize("t_on, t_clear", [(0.01, 0.03),
+                                               (0.01005, 0.03005),
+                                               (0.01004, 0.01006)],
+                             ids=["whole-steps", "half-steps",
+                                  "within-one-step"])
+    @pytest.mark.parametrize("fault", ["slg", "dlg", "ll", "tlg"])
+    @pytest.mark.parametrize("adaptive", [True, False],
+                             ids=["adaptive", "fixed"])
+    @pytest.mark.parametrize("mode", ["dsogi_pll", "dsogi_fll"])
+    def test_fault_on_and_cleared_mid_run(self, mode, adaptive, fault, t_on,
+                                          t_clear):
+        """With dt = 1e-4, edges on a half step fall on the stage-2/3 time
+        t + dt/2, so those stages sit in another fault window than stage 1
+        (and, for a window inside one step, than stage 4 as well)."""
         sc = Scenario(
             circuit=CIRCUIT,
             fault=FaultSpec(FaultType(fault), z_f=ZF_PU, t_on=t_on,
@@ -549,27 +562,6 @@ class TestSimulateMatchesArrayForm:
         got, want, rec, rec_ref = self._both(sc, y0, 500, 3)
         assert got[1] == -1
         self._assert_same(got, want, rec, rec_ref)
-
-    @pytest.mark.parametrize("fault", ["slg", "dlg", "ll", "tlg"])
-    @pytest.mark.parametrize("adaptive", [True, False],
-                             ids=["adaptive", "fixed"])
-    @pytest.mark.parametrize("mode", ["dsogi_pll", "dsogi_fll"])
-    def test_fault_on_and_cleared_mid_run(self, mode, adaptive, fault):
-        self._check_window(mode, adaptive, fault, 0.01, 0.03)
-
-    @pytest.mark.parametrize("t_on, t_clear", [(0.01005, 0.03005),
-                                               (0.01004, 0.01006)],
-                             ids=["half-steps", "within-one-step"])
-    @pytest.mark.parametrize("fault", ["slg", "dlg", "ll", "tlg"])
-    @pytest.mark.parametrize("adaptive", [True, False],
-                             ids=["adaptive", "fixed"])
-    @pytest.mark.parametrize("mode", ["dsogi_pll", "dsogi_fll"])
-    def test_fault_edges_on_half_steps(self, mode, adaptive, fault, t_on,
-                                       t_clear):
-        """With dt = 1e-4 the edges fall on a stage-2/3 time (t + dt/2), so
-        those stages sit in another fault window than stage 1 (and, for a
-        window inside one step, than stage 4 as well)."""
-        self._check_window(mode, adaptive, fault, t_on, t_clear)
 
     def test_overflowing_run(self):
         sc = Scenario(circuit=CIRCUIT, fault=FaultSpec(FaultType.DLG, z_f=ZF_PU),
