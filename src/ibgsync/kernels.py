@@ -150,18 +150,15 @@ def _seq_coeffs_mixed(grid, code, sp, sn, paths, zf):
     sn. grid is code's _grid_column; a scale of 1.0 reads its impedances
     from it, and equal scales (FLL mode) share one column."""
     k1, z2, z3, k4, z5, z6 = grid
+    rl, xl, rl0, xl0, rg, xg, rg0, xg0 = paths
     if sp != 1.0:
         _, z2, z3_sp, _, z5_sp, z6, _ = _seq_coeffs(
-            code, sp, paths[0], paths[1], paths[2], paths[3],
-            paths[4], paths[5], paths[6], paths[7], zf,
-        )
+            code, sp, rl, xl, rl0, xl0, rg, xg, rg0, xg0, zf)
         if sn == sp:
             return k1, z2, z3_sp, k4, z5_sp, z6
     if sn != 1.0:
         _, _, z3, _, z5, _, _ = _seq_coeffs(
-            code, sn, paths[0], paths[1], paths[2], paths[3],
-            paths[4], paths[5], paths[6], paths[7], zf,
-        )
+            code, sn, rl, xl, rl0, xl0, rg, xg, rg0, xg0, zf)
     return k1, z2, z3, k4, z5, z6
 
 
@@ -457,7 +454,8 @@ def _deriv(y, gp, gn, code, grid, zf, paths, w0, ref, gains, mode_fll,
     xi+, theta-, xi-, eps]. gp, gn: the grid terms at the stage time
     (_grid_terms). grid: code's _grid_column, evaluated once per run; with
     adaptive impedances only the columns at the frequency estimates are
-    evaluated here, with fixed ones the impedances are grid's.
+    evaluated here (_seq_coeffs_mixed), with fixed ones the impedances are
+    grid's.
     ref layout: [I+, theta_i+, I-, theta_i-].
     gains layout: [k_sogi, kp_pll, ki_pll, kp_fll, ki_fll].
     """
@@ -472,7 +470,6 @@ def _deriv(y, gp, gn, code, grid, zf, paths, w0, ref, gains, mode_fll,
     w_p = w0 + kp_pll * uq_p + ki_pll * xi_p
     w_n = w0 - kp_pll * uq_n - ki_pll * xi_n
 
-    _, z2, z3, _, z5, z6 = grid
     if adaptive:
         if mode_fll:
             # state-held part of the FLL frequency; breaks the loop between
@@ -490,18 +487,10 @@ def _deriv(y, gp, gn, code, grid, zf, paths, w0, ref, gains, mode_fll,
             sn = 0.2
         elif sn > 5.0:
             sn = 5.0
-        # the mixed convention of _seq_coeffs_mixed: Z2/Z6 at sp, Z3/Z5 at
-        # sn, a scale of 1.0 read from grid, equal scales one column
-        rl, xl, rl0, xl0, rg, xg, rg0, xg0 = paths
-        if sp != 1.0:
-            _, z2, z3_sp, _, z5_sp, z6, _ = _seq_coeffs(
-                code, sp, rl, xl, rl0, xl0, rg, xg, rg0, xg0, zf)
-            if sn == sp:
-                z3 = z3_sp
-                z5 = z5_sp
-        if sn != 1.0 and sn != sp:
-            _, _, z3, _, z5, _, _ = _seq_coeffs(
-                code, sn, rl, xl, rl0, xl0, rg, xg, rg0, xg0, zf)
+        _, z2, z3, _, z5, z6 = _seq_coeffs_mixed(grid, code, sp, sn, paths,
+                                                 zf)
+    else:
+        _, z2, z3, _, z5, z6 = grid
 
     a_p = th_p + ti_p
     a_n = th_n + ti_n
