@@ -8,13 +8,11 @@ and closed-loop simulation (synchro, dynsim), and a JSON-config CLI (cli).
 
 from .dynsim import (
     LosVerdict,
-    NumericalOverflow,
     Scenario,
     Signature,
     Trace,
     detect_los,
     run_scenario,
-    step,
     terminal_voltage,
     trace_to_csv,
 )
@@ -83,7 +81,7 @@ __all__ = [
     # synchronizer
     "SyncConfig", "SyncMode", "SyncState",
     # simulation
-    "Scenario", "Trace", "LosVerdict", "Signature", "NumericalOverflow",
-    "terminal_voltage", "step", "run_scenario", "detect_los",
+    "Scenario", "Trace", "LosVerdict", "Signature",
+    "terminal_voltage", "run_scenario", "detect_los",
     "trace_to_csv",
 ]

@@ -16,7 +16,6 @@ import numpy as np
 from .config import ConfigDocument, ConfigError, load_config, make_fault
 from .dynsim import (
     INIT_MODES,
-    NumericalOverflow,
     Scenario,
     run_scenario,
     trace_to_csv,
@@ -448,8 +447,7 @@ def main(argv=None) -> int:
         doc = load_config(args.config)
         return args.func(doc, args)
     # DegenerateNetwork and SingularSystem are ValueErrors: catch them first
-    except (DegenerateNetwork, SingularSystem, NoConvergence,
-            NumericalOverflow) as exc:
+    except (DegenerateNetwork, SingularSystem, NoConvergence) as exc:
         print(f"ibgsync: numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

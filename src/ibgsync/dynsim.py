@@ -40,11 +40,9 @@ __all__ = [
     "Trace",
     "Signature",
     "LosVerdict",
-    "NumericalOverflow",
     "terminal_voltage",
     "orientation_angles",
     "initial_sync_state",
-    "step",
     "run_scenario",
     "detect_los",
     "trace_to_csv",
@@ -71,10 +69,6 @@ RECORD_DT = 1e-3  # run_scenario's default trace sample interval, s
 LOS_GRACE_S = 0.5
 LOS_F_DEV_HZ = 5.0
 LOS_SUSTAIN_S = 0.05
-
-
-class NumericalOverflow(FloatingPointError):
-    """A state magnitude exceeded 1e6; the run is truncated and flagged."""
 
 
 class Signature(enum.Enum):
@@ -238,38 +232,6 @@ def _kernel_args(scenario: Scenario):
               (sync.k, sync.kp_pll, sync.ki_pll, sync.kp_fll, sync.ki_fll)),
         sync.mode is SyncMode.DSOGI_FLL,
         scenario.freq_adaptive_z,
-    )
-
-
-def step(state: SyncState, scenario: Scenario, t: float, dt: float) -> SyncState:
-    """Advance one RK4 step from time t; each stage re-evaluates the fault
-    schedule and the grid angle at its own stage time. The frequency
-    outputs come from the kernel's derivative at the end state."""
-    # the kernel records at both ends of the single step
-    rec = np.empty((2, len(TRACE_COLUMNS)))
-    fault = scenario.fault
-    _, overflow, y, dy = kernels.simulate(
-        _pack_state(state), 1, dt, 1, t, fault.t_on, fault.t_clear,
-        *_kernel_args(scenario), rec,
-    )
-    if overflow >= 0:
-        raise NumericalOverflow(f"state magnitude exceeded 1e6 at t = {t + dt:g}")
-    sync = scenario.sync
-    if sync.mode is SyncMode.DSOGI_FLL:
-        omega_hat = scenario.circuit.omega0 + sync.kp_fll * dy[8] + sync.ki_fll * y[8]
-    else:
-        omega_hat = dy[4]
-    return SyncState(
-        u_hat_pos=complex(y[0], y[1]),
-        u_hat_neg=complex(y[2], y[3]),
-        omega_hat=float(omega_hat),
-        eps_fll=float(y[8]),
-        theta_pos=float(y[4]),
-        theta_neg=float(y[6]),
-        omega_pos=float(dy[4]),
-        omega_neg=float(dy[6]),
-        xi_pos=float(y[5]),
-        xi_neg=float(y[7]),
     )
 
 

@@ -93,6 +93,26 @@ class EquilibriumResult:
     residual_norm: float
 
 
+def _polars(coeffs: SequenceCoefficients) -> tuple[float, ...]:
+    """Magnitude and angle of K1, Z2, Z3, K4, Z5, Z6, as twelve floats."""
+    return (*polar(coeffs.k1), *polar(coeffs.z2), *polar(coeffs.z3),
+            *polar(coeffs.k4), *polar(coeffs.z5), *polar(coeffs.z6))
+
+
+def _pack(polars, ug_pos, i_pos, theta_i_pos, i_neg, theta_i_neg):
+    """The twelve packed parameters as floats, from _polars and the grid
+    voltage and current commands (wrapped angles)."""
+    k1m, k1a, z2m, z2a, z3m, z3a, k4m, k4a, z5m, z5a, z6m, z6a = polars
+    return (
+        k1m * ug_pos, k1a,
+        z2m * i_pos, z2a + theta_i_pos,
+        z3m * i_neg, z3a + theta_i_neg,
+        k4m * ug_pos, k4a,
+        z5m * i_neg, z5a + theta_i_neg,
+        z6m * i_pos, z6a + theta_i_pos,
+    )
+
+
 def pack_params(
     coeffs: SequenceCoefficients, ref: CurrentReference, ug_pos: float
 ) -> np.ndarray:
@@ -101,22 +121,8 @@ def pack_params(
     Layout: amplitude/angle pairs of grid, own-current, and cross-current
     contributions, positive sequence first (see kernels.P_* indices).
     """
-    k1m, k1a = polar(coeffs.k1)
-    z2m, z2a = polar(coeffs.z2)
-    z3m, z3a = polar(coeffs.z3)
-    k4m, k4a = polar(coeffs.k4)
-    z5m, z5a = polar(coeffs.z5)
-    z6m, z6a = polar(coeffs.z6)
-    return np.array(
-        [
-            k1m * ug_pos, k1a,
-            z2m * ref.i_pos, z2a + ref.theta_i_pos,
-            z3m * ref.i_neg, z3a + ref.theta_i_neg,
-            k4m * ug_pos, k4a,
-            z5m * ref.i_neg, z5a + ref.theta_i_neg,
-            z6m * ref.i_pos, z6a + ref.theta_i_pos,
-        ]
-    )
+    return np.array(_pack(_polars(coeffs), ug_pos, ref.i_pos,
+                          ref.theta_i_pos, ref.i_neg, ref.theta_i_neg))
 
 
 def dq_voltages(
@@ -162,35 +168,34 @@ def _grid_points(grid_deg: float) -> int:
     return max(8, int(round(360.0 / grid_deg)))
 
 
-def _negative_degenerate(prm: np.ndarray) -> bool:
-    """True when the negative orientation equation is identically zero."""
+def _negative_degenerate(prm) -> bool:
+    """True when the negative orientation equation is identically zero;
+    prm is any 12-sequence of packed parameters."""
+    _, _, _, _, c3, _, a4, _, b5, _, c6, _ = prm
     return (
-        prm[kernels.P_A4] < _DEGENERATE_TOL
-        and prm[kernels.P_B5] < _DEGENERATE_TOL
-        and prm[kernels.P_C6] < _DEGENERATE_TOL
-        and prm[kernels.P_C3] < _DEGENERATE_TOL
+        a4 < _DEGENERATE_TOL
+        and b5 < _DEGENERATE_TOL
+        and c6 < _DEGENERATE_TOL
+        and c3 < _DEGENERATE_TOL
     )
 
 
-def _solve_degenerate(prm: np.ndarray, ud_min: float) -> EquilibriumResult:
-    """Closed-form positive-only solve when the negative equation vanishes."""
-    a1 = prm[kernels.P_A1]
-    f1 = prm[kernels.P_F1]
-    b2 = prm[kernels.P_B2]
-    p2 = prm[kernels.P_P2]
+def _solve_degenerate(prm, ud_min: float) -> tuple[bool, bool, float, float]:
+    """Closed-form positive-only solve when the negative equation vanishes:
+    (found, feedback, delta+, ud+), delta+ and ud+ 0.0 on a miss."""
+    a1, f1, b2, p2, _, _, _, _, _, _, _, _ = prm
     if a1 < _DEGENERATE_TOL:
-        return _not_found()
+        return False, False, 0.0, 0.0
     x = -b2 * math.sin(p2) / a1
     if abs(x) > 1.0:
-        return _not_found()
+        return False, False, 0.0, 0.0
     psi = math.asin(x)
     if math.cos(psi) < 1e-12:
-        return _not_found()
+        return False, False, 0.0, 0.0
     ud_p = a1 * math.cos(psi) + b2 * math.cos(p2)
     if ud_p <= ud_min:
-        return _not_found(feedback=True)
-    dp = (f1 - psi) % (2.0 * math.pi)
-    return _found(dp, 0.0, ud_p, 0.0, 0.0, 0.0, 0.0)
+        return False, True, 0.0, 0.0
+    return True, True, (f1 - psi) % (2.0 * math.pi), ud_p
 
 
 def solve_equilibrium(
@@ -213,7 +218,10 @@ def solve_equilibrium(
     """
     prm = pack_params(coeffs, ref, ug_pos)
     if _negative_degenerate(prm):
-        return _solve_degenerate(prm, ud_min)
+        found, feedback, dp, ud_p = _solve_degenerate(prm, ud_min)
+        if found:
+            return _found(dp, 0.0, ud_p, 0.0, 0.0, 0.0, 0.0)
+        return _not_found(feedback=feedback)
 
     found, dp, dn, res, any_conv, feedback = kernels.scan_roots(
         prm, _grid_points(grid_deg), tol, NEWTON_MAXIT, ud_min
@@ -229,28 +237,24 @@ def solve_equilibrium(
 
 
 def refine_root(
-    coeffs: SequenceCoefficients,
-    ref: CurrentReference,
-    ug_pos: float,
+    prm,
     delta_pos: float,
     delta_neg: float,
     tol: float = NEWTON_TOL,
     ud_min: float = UD_MIN,
-) -> EquilibriumResult | None:
-    """Polish a known nearby root (warm start); None when it stops qualifying.
+) -> tuple[float, float] | None:
+    """Polish a known nearby root (warm start): the polished (delta+,
+    delta-), or None when Newton misses or the root stops qualifying.
 
-    The Newton steps and the root check run on floats (kernels.newton_pair,
-    kernels.root_check)."""
-    prm = pack_params(coeffs, ref, ug_pos)
+    prm holds the twelve packed parameters (any 12-sequence; a traversal
+    passes _pack's floats). The Newton steps and the root check run on
+    floats (kernels.newton_pair, kernels.root_check); no result object is
+    built."""
     if _negative_degenerate(prm):
-        out = _solve_degenerate(prm, ud_min)
-        return out if out.found else None
-    ok, dp, dn, res = kernels.newton_pair(
-        prm, delta_pos, delta_neg, tol, NEWTON_MAXIT
-    )
-    if not ok:
+        found, _, dp, _ = _solve_degenerate(prm, ud_min)
+        return (dp, 0.0) if found else None
+    ok, dp, dn, _ = kernels.newton_pair(prm, delta_pos, delta_neg, tol,
+                                        NEWTON_MAXIT)
+    if not ok or not kernels.root_check(prm, dp, dn, ud_min)[1]:
         return None
-    _, qualifies, *dq = kernels.root_check(prm, dp, dn, ud_min)
-    if not qualifies:
-        return None
-    return _found(dp, dn, *dq, res)
+    return dp, dn

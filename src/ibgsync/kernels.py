@@ -9,7 +9,10 @@ the curve with numpy array operations, then polishes a few dozen seeds
 with ``_newton_pair`` and checks their roots with ``_root_check``. Those
 two run on floats with ``math.sin`` and ``math.cos``, one point at a
 time, since numpy's ufunc dispatch makes a single point several times
-slower. They keep the operation order of the array evaluators
+slower. They take the twelve packed parameters as floats: ``scan_roots``
+converts its array once (``_floats``), and an amplitude traversal packs
+its floats itself (``equilibrium._pack``), so a warm-start step touches
+no numpy object. They keep the operation order of the array evaluators
 (``_residual``, ``_jacobian``, ``_dq_eval``, ``_conditions``), so both
 forms give the same bits.
 
@@ -222,10 +225,12 @@ def _newton_pair(prm, dp, dn, tol, maxit):
 
     The seed stops when its residual drops below tol (ok) or its Jacobian
     turns singular; after maxit steps one last residual check decides.
-    Runs on floats: r1, r2 and the Jacobian of _residual and _jacobian, in
-    their operation order, from one evaluation of the four angle arguments.
+    Runs on floats: prm is the twelve packed parameters as floats (_floats;
+    any 12-sequence unpacks), and r1, r2 and the Jacobian are those of
+    _residual and _jacobian, in their operation order, from one evaluation
+    of the four angle arguments.
     """
-    a1, f1, b2, p2, c3, p3, a4, f4, b5, p5, c6, p6 = _floats(prm)
+    a1, f1, b2, p2, c3, p3, a4, f4, b5, p5, c6, p6 = prm
     b2s = b2 * math.sin(p2)
     b5s = b5 * math.sin(p5)
     for it in range(maxit + 1):
@@ -266,8 +271,8 @@ def _newton_pair(prm, dp, dn, tol, maxit):
 def _root_check(prm, dp, dn, ud_min):
     """(feedback, qualifies, ud+, uq+, ud-, uq-) at one angle pair on
     floats: _conditions and _dq_eval of a single point, in their
-    operation order."""
-    a1, f1, b2, p2, c3, p3, a4, f4, b5, p5, c6, p6 = _floats(prm)
+    operation order. prm as for _newton_pair."""
+    a1, f1, b2, p2, c3, p3, a4, f4, b5, p5, c6, p6 = prm
     u1 = f1 - dp
     ux = p3 + dn - dp
     u4 = f4 - dn
@@ -389,6 +394,7 @@ def scan_roots(prm, grid_n, tol, maxit, ud_min):
                                      a1 * np.sin(f1 - dp) + b)
     rows += [(dp, dn1, on), (dp, dn2, on)]
     nx, pv = _cyclic_neighbours(grid_n)
+    fl = _floats(prm)
     seeds = []
     for dps, dns, on in rows:
         keep = _branch_seeds(_residual(prm, dps, dns)[1], on, nx, pv)
@@ -399,13 +405,13 @@ def scan_roots(prm, grid_n, tol, maxit, ud_min):
     best = None
     any_conv = any_feedback = False
     for dp0, dn0 in seeds:
-        ok, dp, dn, res = _newton_pair(prm, dp0, dn0, tol, maxit)
+        ok, dp, dn, res = _newton_pair(fl, dp0, dn0, tol, maxit)
         if not ok:
             all_res = min(all_res, res)
             continue
         any_conv = True
         conv_res = min(conv_res, res)
-        feedback, qualifies, ud_p, _, ud_n, _ = _root_check(prm, dp, dn, ud_min)
+        feedback, qualifies, ud_p, _, ud_n, _ = _root_check(fl, dp, dn, ud_min)
         any_feedback = any_feedback or feedback
         if qualifies:
             margin = min(ud_p, ud_n)
@@ -415,8 +421,8 @@ def scan_roots(prm, grid_n, tol, maxit, ud_min):
         # two more steps, so the point returned does not hang on how close
         # the seed that reached the root stopped short of it; a root with a
         # condition at its threshold keeps the point that qualified
-        _, dp, dn, res = _newton_pair(prm, best[0], best[1], 0.0, 2)
-        if _root_check(prm, dp, dn, ud_min)[1]:
+        _, dp, dn, res = _newton_pair(fl, best[0], best[1], 0.0, 2)
+        if _root_check(fl, dp, dn, ud_min)[1]:
             best = (dp, dn, res)
         return True, best[0], best[1], best[2], True, True
     return (False, 0.0, 0.0, conv_res if any_conv else all_res, any_conv,

@@ -20,6 +20,8 @@ from .equilibrium import (
     UD_MIN,
     CurrentReference,
     InstabilityType,
+    _pack,
+    _polars,
     refine_root,
     solve_equilibrium,
 )
@@ -41,11 +43,13 @@ _SEQUENCES = ("pos", "neg")
 AMP_STEP = 0.01
 AMP_CEILING = 3.0
 # most amplitude points one traversal or one region sweep may visit, set by a
-# ten-minute budget: a warm-started amplitude point costs 15-19 us in the
-# pure-numpy flavor (region sweeps of the three faults at 1e-3 and 1e-4 p.u.
-# steps, 2-core VM), so 600 s / 20 us = 3e7. A finer step is rejected before
-# any solve; the largest documented sweep, 72 angles at --step 0.00125, asks
-# for 172,800 points
+# ten-minute budget when a warm-started amplitude point cost 15-19 us (600 s
+# / 20 us = 3e7). On packed floats a point costs 6-9 us in the pure-numpy
+# flavor (region sweeps of the three faults at 1e-3 and 1e-4 p.u. steps,
+# 2-core VM), so the cap now stops a sweep of about four and a half minutes;
+# it is kept, so every sweep accepted before is still accepted. A finer step
+# is rejected before any solve; the largest documented sweep, 72 angles at
+# --step 0.00125, asks for 172,800 points
 MAX_SWEEP_POINTS = 3 * 10**7
 
 
@@ -123,6 +127,19 @@ def _make_ref(
     return CurrentReference(other[0], other[1], amp, theta_i)
 
 
+def _packer(coeffs: SequenceCoefficients, ug_pos: float, sequence: str,
+            ref: CurrentReference):
+    """The packed floats as a function of the swept amplitude, the other
+    current and both angles taken from ref: pack_params of
+    _make_ref(sequence, amp, ...) without building it."""
+    polars = _polars(coeffs)
+    i_p, th_p = ref.i_pos, ref.theta_i_pos
+    i_n, th_n = ref.i_neg, ref.theta_i_neg
+    if sequence == "pos":
+        return lambda amp: _pack(polars, ug_pos, amp, th_p, i_n, th_n)
+    return lambda amp: _pack(polars, ug_pos, i_p, th_p, amp, th_n)
+
+
 def _amplitude_steps(step: float, ceiling: float, sweeps: float) -> int:
     """Amplitude steps of one traversal, after checking step and ceiling
     and that `sweeps` traversals stay within MAX_SWEEP_POINTS."""
@@ -155,29 +172,34 @@ def traversal_limit(
     exists, holding the other sequence fixed.
 
     Amplitudes are swept upward from `step` in `step` increments up to
-    `ceiling`. Each step warm-starts Newton from the previous root; a
-    warm-start miss is confirmed by a full scan (solve_equilibrium) before
-    the amplitude is declared failing. The reported limit is the last
-    passing amplitude on this grid, so `step` alone sets the resolution.
-    A step that asks for more than MAX_SWEEP_POINTS amplitudes is a
-    ValueError.
+    `ceiling`. Each step warm-starts Newton from the previous root on the
+    packed floats (refine_root); a warm-start miss is confirmed by a full
+    scan (solve_equilibrium) before the amplitude is declared failing. The
+    reported limit is the last passing amplitude on this grid, so `step`
+    alone sets the resolution. A step that asks for more than
+    MAX_SWEEP_POINTS amplitudes is a ValueError. Every input is checked
+    before any solve.
     """
     if sequence not in _SEQUENCES:
         raise ValueError(f"sequence must be one of {_SEQUENCES}")
     n_steps = _amplitude_steps(step, ceiling, 1.0)
     other = fixed_other if fixed_other is not None else (0.0, 0.0)
+    # checks the angles and the other amplitude; only the swept amplitude
+    # changes from one packing to the next
+    packed = _packer(coeffs, ug_pos, sequence,
+                     _make_ref(sequence, step, theta_i, other))
 
     prev: tuple[float, float] | None = None
     for k in range(1, n_steps + 1):
-        ref = _make_ref(sequence, k * step, theta_i, other)
-        res = None
+        amp = k * step
         if prev is not None:
-            res = refine_root(coeffs, ref, ug_pos, prev[0], prev[1], tol, ud_min)
-        if res is None:
+            prev = refine_root(packed(amp), prev[0], prev[1], tol, ud_min)
+        if prev is None:
+            ref = _make_ref(sequence, amp, theta_i, other)
             res = solve_equilibrium(coeffs, ref, ug_pos, grid_deg, tol, ud_min)
-        if not res.found:
-            break
-        prev = (res.delta_pos, res.delta_neg)
+            if not res.found:
+                break
+            prev = (res.delta_pos, res.delta_neg)
     else:
         return LimitResult(sequence, theta_i, n_steps * step, Binding.CEILING)
 

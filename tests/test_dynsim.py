@@ -22,22 +22,16 @@ from ibgsync import (
     solve_equilibrium,
     table_circuit,
 )
-from ibgsync import dynsim, kernels
+from ibgsync import dynsim
 from ibgsync.dynsim import (
-    NumericalOverflow,
     Signature,
     Trace,
     detect_los,
     initial_sync_state,
     orientation_angles,
-    step,
     terminal_voltage,
     trace_to_csv,
-    _kernel_args,
-    _pack_state,
 )
-from ibgsync.synchro import SyncMode
-from loop_reference import ccf_derivative, extract_dq, pll_derivatives
 
 ZF_PU = 7.43801652892562e-06
 
@@ -139,140 +133,6 @@ class TestOrientationAngles:
         assert dn == pytest.approx(0.0, abs=1e-9)
         assert -math.pi < dp <= math.pi
         assert -math.pi < dn <= math.pi
-
-
-class TestStep:
-    def test_equilibrium_is_fixed_point(self):
-        sc = dlg_scenario(REF_HOLD, 1.0)
-        state = initial_sync_state(sc)
-        mag_p, mag_n = abs(state.u_hat_pos), abs(state.u_hat_neg)
-        th_p = state.theta_pos
-        for i in range(50):
-            state = step(state, sc, i * sc.dt, sc.dt)
-        assert abs(state.u_hat_pos) == pytest.approx(mag_p, abs=1e-8)
-        assert abs(state.u_hat_neg) == pytest.approx(mag_n, abs=1e-8)
-        # angles advance uniformly at the nominal rate
-        assert state.theta_pos == pytest.approx(th_p + 50 * sc.dt * W0, abs=1e-7)
-        assert state.omega_pos == pytest.approx(W0, abs=1e-6)
-
-    def test_composes_synchronizer_ops(self):
-        """One kernel step equals RK4 over the public per-block derivatives."""
-        ref = CurrentReference(0.5, math.radians(-30.0), 0.3, math.radians(90.0))
-        fault = FaultSpec(FaultType.SLG, z_f=ZF_PU, t_on=0.0)
-        sc = Scenario(circuit=CIRCUIT, fault=fault, ref_fault=ref,
-                      sync=SyncConfig(), t_end=0.1, freq_adaptive_z=False)
-        coeffs = compute_coefficients(PATHS, fault)
-        cfg = sc.sync
-
-        def ops_deriv(y, t):
-            st = SyncState(
-                u_hat_pos=complex(y[0], y[1]), u_hat_neg=complex(y[2], y[3]),
-                theta_pos=y[4], xi_pos=y[5], theta_neg=y[6], xi_neg=y[7],
-                eps_fll=y[8],
-            )
-            dth_p, dxi_p, dth_n, dxi_n, w_p, _ = pll_derivatives(
-                st, extract_dq(st), cfg, W0
-            )
-            st.omega_hat = w_p
-            _, _, u_meas = terminal_voltage(
-                coeffs, ref, UG, TG + W0 * t, y[4], y[6]
-            )
-            dup, dun = ccf_derivative(st, u_meas, cfg)
-            return np.array([dup.real, dup.imag, dun.real, dun.imag,
-                             dth_p, dxi_p, dth_n, dxi_n, 0.0])
-
-        state = initial_sync_state(sc)
-        state.theta_pos += 0.05
-        y = _pack_state(state)
-        dt = 1e-4
-        for i in range(200):
-            t = i * dt
-            k1 = ops_deriv(y, t)
-            k2 = ops_deriv(y + 0.5 * dt * k1, t + 0.5 * dt)
-            k3 = ops_deriv(y + 0.5 * dt * k2, t + 0.5 * dt)
-            k4 = ops_deriv(y + dt * k3, t + dt)
-            y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            state = step(state, sc, t, dt)
-        assert np.max(np.abs(_pack_state(state) - y)) < 1e-12
-
-    def test_fourth_order_convergence(self):
-        sc = dlg_scenario(REF_HOLD, 1.0)
-
-        def integrate(n):
-            dt = 0.02 / n
-            state = initial_sync_state(sc)
-            state.theta_pos += 0.05
-            for i in range(n):
-                state = step(state, sc, i * dt, dt)
-            return _pack_state(state)
-
-        y_ref = integrate(256)
-        e_coarse = np.max(np.abs(integrate(8) - y_ref))
-        e_fine = np.max(np.abs(integrate(16) - y_ref))
-        # halving dt should shrink the error about 16x
-        assert 8.0 < e_coarse / e_fine < 40.0
-
-    @pytest.mark.parametrize("mode", ["dsogi_pll", "dsogi_fll"])
-    def test_frequency_outputs_are_end_state_derivative(self, mode):
-        sc = dlg_scenario(REF_FLIP, 1.0, sync=SyncConfig(mode=SyncMode(mode)))
-        state = initial_sync_state(sc)
-        state.theta_pos += 0.05
-        state.eps_fll = 1e-3
-        t, dt = 0.0123, 1e-4
-        out = step(state, sc, t, dt)
-        (code, zf, paths, ug, theta_g0, w0, _, ref_on, gains, mode_fll,
-         adaptive) = _kernel_args(sc)
-        y = _pack_state(out)
-        dy = kernels.deriv_eval(y, t + dt, code, zf, paths, ug, theta_g0, w0,
-                                ref_on, gains, mode_fll, adaptive)
-        if mode_fll:
-            omega_hat = w0 + gains[3] * dy[8] + gains[4] * y[8]
-        else:
-            omega_hat = dy[4]
-        assert out.omega_pos == pytest.approx(dy[4], rel=1e-12)
-        assert out.omega_neg == pytest.approx(dy[6], rel=1e-12)
-        assert out.omega_hat == pytest.approx(omega_hat, rel=1e-12)
-        # the outputs move with the state: the check is not trivially W0
-        assert abs(out.omega_pos - W0) > 1e-3
-
-    @pytest.mark.parametrize("mode", ["dsogi_pll", "dsogi_fll"])
-    def test_steps_reproduce_run_scenario(self, mode):
-        """Stepping from t = i*dt lands on run_scenario's recorded angles bit
-        for bit, through a fault that switches on and clears mid-run."""
-        n, dt = 40, 1e-4
-        sc = dlg_scenario(REF_FLIP, n * dt, t_on=1e-3, t_clear=2e-3,
-                          sync=SyncConfig(mode=SyncMode(mode)), dt=dt)
-        trace, _ = run_scenario(sc, record_dt=dt)
-        state = initial_sync_state(sc)
-        for i in range(n):
-            state = step(state, sc, i * dt, dt)
-            assert state.theta_pos == trace.theta_pos[i + 1]
-            assert state.theta_neg == trace.theta_neg[i + 1]
-
-    def test_step_ending_at_clear_sees_the_fault_off(self):
-        """A step from 0.0019 s ends at t_clear = 0.002 s, where the fault is
-        off: its FLL frequency outputs are the healthy derivative there."""
-        sc = dlg_scenario(REF_FLIP, 1.0, t_on=1e-3, t_clear=2e-3,
-                          sync=SyncConfig(mode=SyncMode.DSOGI_FLL))
-        state = initial_sync_state(sc)
-        state.theta_pos += 0.05
-        t, dt = 0.0019, 1e-4
-        out = step(state, sc, t, dt)
-        (_, zf, paths, ug, theta_g0, w0, ref_pre, _, gains, mode_fll,
-         adaptive) = _kernel_args(sc)
-        y = _pack_state(out)
-        dy = kernels.deriv_eval(y, t + dt, kernels.FAULT_NONE, zf, paths, ug,
-                                theta_g0, w0, ref_pre, gains, mode_fll, adaptive)
-        assert out.omega_pos == dy[4]
-        assert out.omega_neg == dy[6]
-        assert out.omega_hat == w0 + gains[3] * dy[8] + gains[4] * y[8]
-
-    def test_overflow_raises(self):
-        sc = dlg_scenario(REF_HOLD, 1.0)
-        state = SyncState(u_hat_pos=complex(2e6, 0.0), omega_hat=W0,
-                          omega_pos=W0, omega_neg=W0)
-        with pytest.raises(NumericalOverflow):
-            step(state, sc, 0.0, sc.dt)
 
 
 class TestInitialSyncState:

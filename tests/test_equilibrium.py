@@ -151,17 +151,17 @@ def test_tlg_bolted_cannot_hold_any_current():
 
 def test_refine_root_polishes_perturbed_anchor():
     c = coeffs_for(FaultType.DLG)
-    ref = ref_deg(0.76, -30.0, 0.5, 90.0)
-    out = refine_root(c, ref, UG, 1.426711 + 0.05, 0.251083 - 0.05)
+    prm = pack_params(c, ref_deg(0.76, -30.0, 0.5, 90.0), UG).tolist()
+    out = refine_root(prm, 1.426711 + 0.05, 0.251083 - 0.05)
     assert out is not None
-    assert out.delta_pos == pytest.approx(1.426711, abs=2e-5)
-    assert out.delta_neg == pytest.approx(0.251083, abs=2e-5)
+    assert out[0] == pytest.approx(1.426711, abs=2e-5)
+    assert out[1] == pytest.approx(0.251083, abs=2e-5)
 
 
 def test_refine_root_rejects_disqualified_point():
     c = coeffs_for(FaultType.DLG)
-    ref = ref_deg(0.77, -30.0, 0.5, 90.0)
-    assert refine_root(c, ref, UG, 1.426711, 0.251083) is None
+    prm = pack_params(c, ref_deg(0.77, -30.0, 0.5, 90.0), UG).tolist()
+    assert refine_root(prm, 1.426711, 0.251083) is None
 
 
 def test_root_moves_continuously_with_injection():

@@ -6,6 +6,7 @@ amplitude sweep over the equilibrium scan (0.01 p.u. steps).
 """
 
 import math
+import random
 
 import pytest
 
@@ -23,7 +24,8 @@ from ibgsync import (
     traversal_limit,
 )
 from ibgsync import limits
-from ibgsync.limits import _make_ref
+from ibgsync.equilibrium import pack_params, refine_root
+from ibgsync.limits import AMP_CEILING, AMP_STEP, _make_ref, _packer
 
 ZF = 7.43801652892562e-06
 UG = 120.0 / 110.0
@@ -277,3 +279,133 @@ def test_region_boundary_contains_traversal_points():
         direct = traversal_limit(c, UG, "neg", s.theta_i)
         assert s.i_limit == pytest.approx(direct.i_limit, abs=1e-12)
         assert s.binding is direct.binding
+
+
+def _per_step_traversal(coeffs, sequence, theta_i, fixed_other=None):
+    """traversal_limit written out one object per amplitude: a
+    CurrentReference, pack_params' array, refine_root on that array and,
+    on a miss, solve_equilibrium. Returns the limit and, per warm start,
+    (packed floats, seed angles, refine_root's answer)."""
+    other = fixed_other if fixed_other is not None else (0.0, 0.0)
+    n_steps = int(math.floor(AMP_CEILING / AMP_STEP + 1e-9))
+    steps = []
+    prev = None
+    for k in range(1, n_steps + 1):
+        ref = _make_ref(sequence, k * AMP_STEP, theta_i, other)
+        prm = pack_params(coeffs, ref, UG)
+        if prev is not None:
+            seed = prev
+            prev = refine_root(prm, prev[0], prev[1])
+            steps.append((tuple(prm.tolist()), seed, prev))
+        if prev is None:
+            res = solve_equilibrium(coeffs, ref, UG)
+            if not res.found:
+                binding = Binding.TYPE2 if res.cond_feedback else Binding.TYPE1
+                return (LimitResult(sequence, theta_i, (k - 1) * AMP_STEP,
+                                    binding), steps)
+            prev = (res.delta_pos, res.delta_neg)
+    return (LimitResult(sequence, theta_i, n_steps * AMP_STEP, Binding.CEILING),
+            steps)
+
+
+def _recorded(monkeypatch):
+    """Record each warm start of the traversal as _per_step_traversal does."""
+    steps = []
+
+    def recording(prm, dp, dn, tol, ud_min):
+        out = refine_root(prm, dp, dn, tol, ud_min)
+        steps.append((prm, (dp, dn), out))
+        return out
+    monkeypatch.setattr(limits, "refine_root", recording)
+    return steps
+
+
+def _assert_same_traversal(monkeypatch, coeffs, sequence, theta_i,
+                           fixed_other=None):
+    steps = _recorded(monkeypatch)
+    got = traversal_limit(coeffs, UG, sequence, theta_i,
+                          fixed_other=fixed_other)
+    want, want_steps = _per_step_traversal(coeffs, sequence, theta_i,
+                                           fixed_other)
+    assert got == want
+    assert steps == want_steps
+    return want_steps
+
+
+@pytest.mark.parametrize("fault_type,seq,deg,oa,od,want,binding", TRAVERSAL_ANCHORS)
+def test_traversal_matches_per_step_form(fault_type, seq, deg, oa, od, want,
+                                         binding, monkeypatch):
+    """The packed-float traversal takes the per-step form's warm starts and
+    limit exactly, packing included."""
+    steps = _assert_same_traversal(monkeypatch, coeffs_for(fault_type), seq,
+                                   math.radians(deg), (oa, math.radians(od)))
+    assert len(steps) > 10
+
+
+@pytest.mark.parametrize("fault_type,seq", [(FaultType.DLG, "pos"),
+                                            (FaultType.SLG, "neg")])
+def test_region_matches_per_step_form(fault_type, seq, monkeypatch):
+    c = coeffs_for(fault_type)
+    other = (0.5, -math.pi / 2.0)
+    region = region_boundary(c, UG, seq, fixed_other=other,
+                             angle_step=math.radians(30.0))
+    want = [_per_step_traversal(c, seq, s.theta_i, other)[0]
+            for s in region.samples]
+    assert list(region.samples) == want
+    assert len(want) == 12
+
+
+def test_degenerate_traversal_matches_per_step_form(monkeypatch):
+    """TLG leaves the negative equation identically zero: every warm start
+    takes the closed-form branch."""
+    c = coeffs_for(FaultType.TLG)
+    held = 0
+    for deg in range(-180, 180, 30):
+        steps = _assert_same_traversal(monkeypatch, c, "pos",
+                                       math.radians(deg - 81.29))
+        held += sum(out is not None for _, _, out in steps)
+    assert held > 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_traversals_match_per_step_form(seed, monkeypatch):
+    rng = random.Random(seed)
+    for _ in range(5):
+        fault = rng.choice([FaultType.SLG, FaultType.DLG, FaultType.LL])
+        seq = rng.choice(["pos", "neg"])
+        theta = rng.uniform(-math.pi, math.pi)
+        other = (rng.uniform(0.0, 1.0), rng.uniform(-math.pi, math.pi))
+        _assert_same_traversal(monkeypatch, coeffs_for(fault), seq, theta,
+                               other)
+
+
+@pytest.mark.parametrize("seq", ["pos", "neg"])
+@pytest.mark.parametrize("other", [(0.0, 0.0), (0.5, -math.pi / 2.0)])
+def test_swept_packing_is_pack_params(seq, other):
+    """The traversal's packed floats are pack_params' values bit for bit."""
+    c = coeffs_for(FaultType.SLG)
+    theta = math.radians(-30.0)
+    packed = _packer(c, UG, seq, _make_ref(seq, AMP_STEP, theta, other))
+    for k in (1, 2, 7, 76, 143, 300):
+        amp = k * AMP_STEP
+        want = pack_params(c, _make_ref(seq, amp, theta, other), UG).tolist()
+        assert [v.hex() for v in packed(amp)] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"theta_i": math.nan},
+    {"theta_i": math.inf},
+    {"theta_i": -math.inf},
+    {"fixed_other": (-0.1, 0.0)},
+    {"fixed_other": (math.nan, 0.0)},
+    {"fixed_other": (math.inf, 0.0)},
+    {"fixed_other": (0.5, math.nan)},
+    {"fixed_other": (0.5, math.inf)},
+    {"fixed_other": (0.5, -math.inf)},
+])
+@pytest.mark.parametrize("seq", ["pos", "neg"])
+def test_traversal_checks_inputs_before_any_solve(kwargs, seq, monkeypatch):
+    _no_solves(monkeypatch)
+    args = {"theta_i": 0.0, **kwargs}
+    with pytest.raises(ValueError):
+        traversal_limit(coeffs_for(FaultType.DLG), UG, seq, **args)

@@ -1,0 +1,42 @@
+"""Smoke tests of same_answers.py with its runner stubbed."""
+
+import same_answers
+
+
+def _stub(monkeypatch, differing=()):
+    """Both sides answer the same bytes, except the cases named."""
+    monkeypatch.setattr(same_answers, "git", lambda *args: args[-1] * 7)
+    monkeypatch.setattr(same_answers, "unpack", lambda commit, dest: dest)
+
+    def answer(checkout, argv, to_file):
+        name = " ".join(argv)
+        side = checkout.name if name in differing else "either"
+        return f"exit 0\n{name} {side} {to_file}".encode()
+    monkeypatch.setattr(same_answers, "answer", answer)
+
+
+def test_cases_cover_the_reference_outputs():
+    names = [name for name, _, _ in same_answers.cases()]
+    assert len(names) == 12 + 4 + 1
+    assert len(set(names)) == len(names)
+    regions = [argv for _, argv, to_file in same_answers.cases() if to_file]
+    assert all(argv[0] == "region" for argv in regions)
+    assert sorted(argv[argv.index("--angle-step") + 1] for argv in regions) \
+        == ["30", "30", "5", "5"]
+
+
+def test_same_answers_exit_0(monkeypatch, capsys):
+    _stub(monkeypatch)
+    assert same_answers.main(["--parent", "a", "--change", "b"]) == 0
+    out = capsys.readouterr().out
+    assert "DIFFERS" not in out
+    assert "17 of 17 outputs byte-identical" in out
+
+
+def test_one_difference_exits_1(monkeypatch, capsys):
+    _stub(monkeypatch, differing={"validate --draws 100 --seed 0"})
+    assert same_answers.main(["--parent", "a", "--change", "b"]) == 1
+    out = capsys.readouterr().out
+    assert "DIFFERS: validate draws 100 seed 0" in out
+    assert out.count("DIFFERS") == 1
+    assert "16 of 17 outputs byte-identical" in out
