@@ -46,10 +46,9 @@ AMP_CEILING = 3.0
 # ten-minute budget when a warm-started amplitude point cost 15-19 us (600 s
 # / 20 us = 3e7). On packed floats a point costs 6-9 us in the pure-numpy
 # flavor (region sweeps of the three faults at 1e-3 and 1e-4 p.u. steps,
-# 2-core VM), so the cap now stops a sweep of about four and a half minutes;
-# it is kept, so every sweep accepted before is still accepted. A finer step
-# is rejected before any solve; the largest documented sweep, 72 angles at
-# --step 0.00125, asks for 172,800 points
+# 30 deg apart, 2-core VM), so a sweep at the cap takes three to four and a
+# half minutes. A finer step is rejected before any solve; the largest
+# documented sweep, 72 angles at --step 0.00125, asks for 172,800 points
 MAX_SWEEP_POINTS = 3 * 10**7
 
 

@@ -344,7 +344,7 @@ def test_traversal_matches_per_step_form(fault_type, seq, deg, oa, od, want,
 
 @pytest.mark.parametrize("fault_type,seq", [(FaultType.DLG, "pos"),
                                             (FaultType.SLG, "neg")])
-def test_region_matches_per_step_form(fault_type, seq, monkeypatch):
+def test_region_matches_per_step_form(fault_type, seq):
     c = coeffs_for(fault_type)
     other = (0.5, -math.pi / 2.0)
     region = region_boundary(c, UG, seq, fixed_other=other,
