@@ -1,23 +1,23 @@
-"""JSON configuration: schema validation and construction of the typed
+"""JSON configuration: key and type checks, and construction of the typed
 objects the analysis layers consume.
 
 All angles are degrees at this boundary and converted to radians here;
 impedances may be given per-unit or in ohms with explicit bases. Unknown
-keys fail validation rather than being ignored.
+keys are rejected; the object a value builds checks its range.
 """
 
 import dataclasses
 import json
 import math
+import re
 
-import jsonschema
-
-from .dynsim import INIT_MODES, RECORD_DT, Scenario
+from .dynsim import RECORD_DT, Scenario, check_run_settings
 from .equilibrium import NEWTON_TOL, SCAN_GRID_DEG, UD_MIN, CurrentReference
-from .limits import AMP_CEILING, AMP_STEP
-from .network import BranchImpedance, CircuitParameters, FaultSpec, FaultType, table_circuit
+from .limits import AMP_CEILING, AMP_STEP, _amplitude_steps
+from .network import (REF_S_BASE_MVA, REF_V_BASE_KV, BranchImpedance,
+                      CircuitParameters, FaultSpec, FaultType, table_circuit)
 from .phasor import parse_phasor, polar
-from .synchro import SyncConfig, SyncMode
+from .synchro import SyncConfig
 
 __all__ = [
     "ConfigError",
@@ -29,113 +29,13 @@ __all__ = [
     "DEFAULT_BASES",
 ]
 
-# 110 kV / 9 MVA reference bases (used to convert ohmic entries)
-DEFAULT_BASES = {"v_base_kv": 110.0, "s_base_mva": 9.0}
-
-_BRANCH_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "r": {"type": "number", "minimum": 0},
-        "x": {"type": "number", "minimum": 0},
-    },
-    "required": ["r", "x"],
-    "additionalProperties": False,
-}
-
-_PHASOR_STR = {"type": "string", "pattern": r"^\s*[0-9.eE+-]+\s*(@\s*[0-9.eE+-]+\s*)?$"}
-
-_REF_SCHEMA = {
-    "type": "object",
-    "properties": {"i_pos": _PHASOR_STR, "i_neg": _PHASOR_STR},
-    "additionalProperties": False,
-}
-
-SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "circuit": {
-            "type": "object",
-            "properties": {
-                "unit": {"enum": ["pu", "ohm"]},
-                "v_base_kv": {"type": "number", "exclusiveMinimum": 0},
-                "s_base_mva": {"type": "number", "exclusiveMinimum": 0},
-                "f_hz": {"type": "number", "exclusiveMinimum": 0},
-                "ug_pos": {"type": "number", "exclusiveMinimum": 0},
-                "ug_kv": {"type": "number", "exclusiveMinimum": 0},
-                "theta_g_deg": {"type": "number"},
-                "choke": _BRANCH_SCHEMA,
-                "t1": _BRANCH_SCHEMA,
-                "t2": _BRANCH_SCHEMA,
-                "l1": _BRANCH_SCHEMA,
-                "l2": _BRANCH_SCHEMA,
-                "grid": _BRANCH_SCHEMA,
-            },
-            "additionalProperties": False,
-        },
-        "fault": {
-            "type": "object",
-            "properties": {
-                "type": {"enum": [f.value for f in FaultType]},
-                "zf_pu": {"type": "number", "minimum": 0},
-                "zf_ohm": {"type": "number", "minimum": 0},
-                "t_on": {"type": "number", "minimum": 0},
-                "t_clear": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "current": {
-            "type": "object",
-            "properties": {"prefault": _REF_SCHEMA, "fault": _REF_SCHEMA},
-            "additionalProperties": False,
-        },
-        "sync": {
-            "type": "object",
-            "properties": {
-                "mode": {"enum": [m.value for m in SyncMode]},
-                "k": {"type": "number", "exclusiveMinimum": 0},
-                "kp_fll": {"type": "number", "minimum": 0},
-                "ki_fll": {"type": "number", "minimum": 0},
-                "kp_pll": {"type": "number", "minimum": 0},
-                "ki_pll": {"type": "number", "minimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "scenario": {
-            "type": "object",
-            "properties": {
-                "t_end": {"type": "number", "exclusiveMinimum": 0},
-                "dt": {"type": "number", "exclusiveMinimum": 0},
-                "freq_adaptive_z": {"type": "boolean"},
-                "init": {"enum": list(INIT_MODES)},
-                "record_dt": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "solver": {
-            "type": "object",
-            "properties": {
-                "grid_deg": {"type": "number", "exclusiveMinimum": 0},
-                "tol": {"type": "number", "exclusiveMinimum": 0},
-                "ud_min": {"type": "number"},
-                "step": {"type": "number", "exclusiveMinimum": 0},
-                "ceiling": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-    },
-    "additionalProperties": False,
-}
+# bases that convert ohmic entries when the circuit section gives none
+DEFAULT_BASES = {"v_base_kv": REF_V_BASE_KV, "s_base_mva": REF_S_BASE_MVA}
 
 # config branch key -> CircuitParameters field
-_BRANCH_FIELDS = {
-    "choke": "z_choke",
-    "t1": "z_t1",
-    "t2": "z_t2",
-    "l1": "z_l1",
-    "l2": "z_l2",
-    "grid": "z_g",
-}
+_BRANCH_FIELDS = {"choke": "z_choke", "t1": "z_t1", "t2": "z_t2",
+                  "l1": "z_l1", "l2": "z_l2", "grid": "z_g"}
+_PHASOR = re.compile(r"^\s*[0-9.eE+-]+\s*(@\s*[0-9.eE+-]+\s*)?$")
 
 
 class ConfigError(ValueError):
@@ -153,14 +53,14 @@ class SolverOptions:
     ceiling: float = AMP_CEILING
 
     def __post_init__(self):
-        # "not <" also rejects NaN; step and ceiling are checked where the
-        # sweep uses them
+        # "not <" also rejects NaN
         if not 0.0 < self.grid_deg < math.inf:
             raise ValueError("grid_deg must be finite and > 0")
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be finite and > 0")
         if not math.isfinite(self.ud_min):
             raise ValueError("ud_min must be finite")
+        _amplitude_steps(self.step, self.ceiling, 1.0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -173,6 +73,9 @@ class ScenarioOptions:
     freq_adaptive_z: bool = Scenario.freq_adaptive_z
     init: str = Scenario.init
     record_dt: float = RECORD_DT
+
+    def __post_init__(self):
+        check_run_settings(self.t_end, self.dt, self.init, self.record_dt)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -192,22 +95,106 @@ class ConfigDocument:
     z_base_ohm: float
 
 
-def _parse_ref(section: dict | None) -> CurrentReference:
-    section = section or {}
-    amp_p, ang_p = polar(parse_phasor(section.get("i_pos", "0")))
-    amp_n, ang_n = polar(parse_phasor(section.get("i_neg", "0")))
-    return CurrentReference(amp_p, ang_p, amp_n, ang_n)
+# Type tests: each takes a JSON value and its key path, and returns the value
+# the key feeds or raises ConfigError.
+
+def _number(value, where: str) -> float:
+    """A JSON int or float, not a bool, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} is too large for a float") from None
+
+
+def _typed(kind: type, noun: str):
+    def test(value, where: str):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{where} must be {noun}")
+        return value
+    return test
+
+
+def _choice(options):
+    """Test for one of a tuple's strings or an enum's values (gives the member)."""
+    members = {getattr(o, "value", o): o for o in options}
+
+    def test(value, where: str):
+        if not isinstance(value, str) or value not in members:
+            raise ConfigError(f"{where} must be one of {list(members)}")
+        return members[value]
+    return test
+
+
+def _phasor(value, where: str) -> tuple[float, float]:
+    """An ``A@D`` string as (amplitude, angle in radians)."""
+    if not (isinstance(value, str) and _PHASOR.search(value)):
+        raise ConfigError(f"{where} must be a phasor string A@D, got {value!r}")
+    return polar(parse_phasor(value))
+
+
+def _section(tests: dict, required: bool = False):
+    """Test for a JSON object of tests' keys (all of them if required)."""
+    def test(value, where: str) -> dict:
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object")
+        unknown = [key for key in value if key not in tests]
+        if unknown:
+            raise ConfigError(f"{where}: unknown key {unknown[0]!r}")
+        missing = [key for key in tests if key not in value]
+        if required and missing:
+            raise ConfigError(f"{where}: missing key {missing[0]!r}")
+        return {key: tests[key](v, f"{where}.{key}") for key, v in value.items()}
+    return test
+
+
+def _fields(cls) -> dict:
+    """A dataclass' keys and their tests, one key per field."""
+    tests = {float: _number, bool: _typed(bool, "a bool"), str: _typed(str, "a string")}
+    return {f.name: tests.get(f.type) or _choice(f.type)
+            for f in dataclasses.fields(cls)}
+
+
+def _reference(value, where: str) -> CurrentReference:
+    ref = _section({"i_pos": _phasor, "i_neg": _phasor})(value, where)
+    return CurrentReference(*ref.get("i_pos", (0.0, 0.0)),
+                            *ref.get("i_neg", (0.0, 0.0)))
+
+
+_CONFIG = _section({
+    "circuit": _section({
+        "unit": _choice(("pu", "ohm")),
+        **dict.fromkeys(("v_base_kv", "s_base_mva", "f_hz", "ug_pos", "ug_kv",
+                         "theta_g_deg"), _number),
+        **dict.fromkeys(_BRANCH_FIELDS,
+                        _section({"r": _number, "x": _number}, required=True)),
+    }),
+    "fault": _section({
+        "type": _choice(FaultType),
+        **dict.fromkeys(("zf_pu", "zf_ohm", "t_on", "t_clear"), _number),
+    }),
+    "current": _section({"prefault": _reference, "fault": _reference}),
+    "sync": _section(_fields(SyncConfig)),
+    "scenario": _section(_fields(ScenarioOptions)),
+    "solver": _section(_fields(SolverOptions)),
+})
+
+
+def _positive(name: str, value: float) -> float:
+    # "not <" also rejects NaN
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{name} must be finite and > 0, got {value}")
+    return value
 
 
 def _build_circuit(section: dict) -> tuple[CircuitParameters, float]:
     """The reference circuit with the entries the section gives; omitted
     branches keep their per-unit reference values in either unit."""
-    v_base = section.get("v_base_kv", DEFAULT_BASES["v_base_kv"])
-    s_base = section.get("s_base_mva", DEFAULT_BASES["s_base_mva"])
-    z_base = v_base * v_base / s_base
-    # the schema bounds each base but not their ratio: 1e-200 kV gives 0
-    if not 0.0 < z_base < math.inf:
-        raise ConfigError(f"impedance base must be finite and > 0, got {z_base}")
+    v_base = _positive("v_base_kv", section.get("v_base_kv", REF_V_BASE_KV))
+    s_base = _positive("s_base_mva", section.get("s_base_mva", REF_S_BASE_MVA))
+    # each base may be in range while their ratio is not: 1e-200 kV gives 0
+    z_base = _positive("impedance base", v_base * v_base / s_base)
     scale = 1.0 / z_base if section.get("unit", "pu") == "ohm" else 1.0
 
     changes = {
@@ -228,45 +215,41 @@ def _build_circuit(section: dict) -> tuple[CircuitParameters, float]:
     return dataclasses.replace(table_circuit(), **changes), z_base
 
 
-def parse_config(raw: dict) -> ConfigDocument:
-    """Validate a parsed JSON object and resolve it to internal units."""
-    try:
-        jsonschema.validate(raw, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema: {exc.message}") from None
+def _resolve(config: dict) -> ConfigDocument:
+    circuit, z_base = _build_circuit(config.get("circuit", {}))
 
-    circuit, z_base = _build_circuit(raw.get("circuit", {}))
-
-    fault = raw.get("fault", {})
+    fault = config.get("fault", {})
     if "zf_pu" in fault and "zf_ohm" in fault:
         raise ConfigError("give zf_pu or zf_ohm, not both")
-    if "zf_pu" in fault:
-        z_f = complex(fault["zf_pu"])
-    else:
-        z_f = complex(fault.get("zf_ohm", 0.01) / z_base)
-    fault_type = FaultType(fault["type"]) if "type" in fault else None
-    t_on = fault.get("t_on", 0.0)
-    t_clear = fault.get("t_clear", math.inf)
-    if t_on >= t_clear:
-        raise ConfigError("fault t_on must precede t_clear")
+    z_f = fault["zf_pu"] if "zf_pu" in fault else fault.get("zf_ohm", 0.01) / z_base
+    fault_type = fault.get("type")
+    # FaultSpec checks z_f and the times; a flag may still give the type
+    spec = FaultSpec(fault_type or FaultType.NONE, complex(z_f),
+                     fault.get("t_on", 0.0), fault.get("t_clear", math.inf))
 
-    current = raw.get("current", {})
-    sync = dict(raw.get("sync", {}))
-    if "mode" in sync:
-        sync["mode"] = SyncMode(sync["mode"])
+    current = config.get("current", {})
     return ConfigDocument(
         circuit=circuit,
         fault_type=fault_type,
-        z_f=z_f,
-        t_on=t_on,
-        t_clear=t_clear,
-        ref_prefault=_parse_ref(current.get("prefault")),
-        ref_fault=_parse_ref(current.get("fault")),
-        sync=SyncConfig(**sync),
-        scenario=ScenarioOptions(**raw.get("scenario", {})),
-        solver=SolverOptions(**raw.get("solver", {})),
+        z_f=spec.z_f,
+        t_on=spec.t_on,
+        t_clear=spec.t_clear,
+        ref_prefault=current.get("prefault", CurrentReference()),
+        ref_fault=current.get("fault", CurrentReference()),
+        sync=SyncConfig(**config.get("sync", {})),
+        scenario=ScenarioOptions(**config.get("scenario", {})),
+        solver=SolverOptions(**config.get("solver", {})),
         z_base_ohm=z_base,
     )
+
+
+def parse_config(raw: dict) -> ConfigDocument:
+    """Check a parsed JSON object's keys and types and resolve it to internal
+    units; a value out of its object's range is a ConfigError too."""
+    try:
+        return _resolve(_CONFIG(raw, "config"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def load_config(path: str | None) -> ConfigDocument:
@@ -280,8 +263,6 @@ def load_config(path: str | None) -> ConfigDocument:
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
     return parse_config(raw)
 
 

@@ -50,6 +50,7 @@ __all__ = [
     "TRACE_HEADER",
     "INIT_MODES",
     "RECORD_DT",
+    "check_run_settings",
 ]
 
 # the record columns in kernel and CSV order; each names a Trace field
@@ -99,17 +100,22 @@ class Scenario:
     init: str = "equilibrium"
 
     def __post_init__(self):
-        # "not <" also rejects NaN
-        if not 0.0 < self.dt < math.inf:
-            raise ValueError("dt must be finite and > 0")
-        if not 0.0 < self.t_end < math.inf:
-            raise ValueError("t_end must be finite and > 0")
-        if self.fault.t_on < 0:
-            raise ValueError("t_on must be >= 0")
+        check_run_settings(self.t_end, self.dt, self.init)
         if self.fault.t_on >= self.t_end:
             raise ValueError("t_on must precede t_end")
-        if self.init not in INIT_MODES:
-            raise ValueError(f"init must be one of {INIT_MODES}")
+
+
+def check_run_settings(t_end: float, dt: float, init: str,
+                       record_dt: float = RECORD_DT) -> None:
+    """Raise ValueError unless the horizon, the step and the record interval
+    are finite and > 0 and init is one of INIT_MODES. Scenario,
+    run_scenario and config.ScenarioOptions all check with this."""
+    for name, value in (("dt", dt), ("t_end", t_end), ("record_dt", record_dt)):
+        # "not <" also rejects NaN
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0")
+    if init not in INIT_MODES:
+        raise ValueError(f"init must be one of {INIT_MODES}")
 
 
 @dataclass(frozen=True)
@@ -287,8 +293,7 @@ def run_scenario(
 ) -> tuple[Trace, LosVerdict]:
     """Integrate [0, t_end] and detect loss of synchronism on the on-fault
     window. Overflow truncates the trace and forces a lost verdict."""
-    if not 0.0 < record_dt < math.inf:
-        raise ValueError("record_dt must be finite and > 0")
+    check_run_settings(scenario.t_end, scenario.dt, scenario.init, record_dt)
     dt = scenario.dt
     n_steps = int(round(scenario.t_end / dt))
     stride = max(1, int(round(record_dt / dt)))

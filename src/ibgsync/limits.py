@@ -20,6 +20,7 @@ from .equilibrium import (
     UD_MIN,
     CurrentReference,
     InstabilityType,
+    NoConvergence,
     _pack,
     _polars,
     refine_root,
@@ -141,7 +142,8 @@ def _packer(coeffs: SequenceCoefficients, ug_pos: float, sequence: str,
 
 def _amplitude_steps(step: float, ceiling: float, sweeps: float) -> int:
     """Amplitude steps of one traversal, after checking step and ceiling
-    and that `sweeps` traversals stay within MAX_SWEEP_POINTS."""
+    and that `sweeps` traversals stay within MAX_SWEEP_POINTS; every sweep
+    and config.SolverOptions check step and ceiling with this."""
     # "not <" also rejects NaN
     if not 0.0 < step < math.inf:
         raise ValueError("step must be finite and > 0")
@@ -173,11 +175,12 @@ def traversal_limit(
     Amplitudes are swept upward from `step` in `step` increments up to
     `ceiling`. Each step warm-starts Newton from the previous root on the
     packed floats (refine_root); a warm-start miss is confirmed by a full
-    scan (solve_equilibrium) before the amplitude is declared failing. The
-    reported limit is the last passing amplitude on this grid, so `step`
-    alone sets the resolution. A step that asks for more than
-    MAX_SWEEP_POINTS amplitudes is a ValueError. Every input is checked
-    before any solve.
+    scan (solve_equilibrium) before the amplitude is declared failing; a
+    confirm scan that stalls (NoConvergence) ends the sweep as the fold,
+    since Newton stalls where the Jacobian turns singular. The reported
+    limit is the last passing amplitude on this grid, so `step` alone sets
+    the resolution. A step that asks for more than MAX_SWEEP_POINTS
+    amplitudes is a ValueError. Every input is checked before any solve.
     """
     if sequence not in _SEQUENCES:
         raise ValueError(f"sequence must be one of {_SEQUENCES}")
@@ -195,7 +198,13 @@ def traversal_limit(
             prev = refine_root(packed(amp), prev[0], prev[1], tol, ud_min)
         if prev is None:
             ref = _make_ref(sequence, amp, theta_i, other)
-            res = solve_equilibrium(coeffs, ref, ug_pos, grid_deg, tol, ud_min)
+            try:
+                res = solve_equilibrium(coeffs, ref, ug_pos, grid_deg, tol, ud_min)
+            except NoConvergence:
+                # no passing amplitude lies below the first one
+                if k == 1:
+                    raise
+                return LimitResult(sequence, theta_i, (k - 1) * step, Binding.TYPE1)
             if not res.found:
                 break
             prev = (res.delta_pos, res.delta_neg)

@@ -30,6 +30,8 @@ __all__ = [
 
 
 DEFAULT_OMEGA0 = 2.0 * math.pi * 50.0  # the reference circuit's 50 Hz, rad/s
+REF_V_BASE_KV = 110.0  # its bases, by which config converts ohmic entries
+REF_S_BASE_MVA = 9.0
 
 
 class FaultType(enum.Enum):
@@ -110,8 +112,8 @@ class FaultSpec:
     def __post_init__(self):
         if not cmath.isfinite(self.z_f) or self.z_f.real < 0:
             raise ValueError(f"z_f must be finite with Re(z_f) >= 0, got {self.z_f}")
-        if not self.t_on < self.t_clear:
-            raise ValueError("t_on must precede t_clear")
+        if not 0.0 <= self.t_on < self.t_clear:
+            raise ValueError("t_on must be >= 0 and precede t_clear")
 
 
 @dataclass(frozen=True)
@@ -206,5 +208,5 @@ def table_circuit() -> CircuitParameters:
         z_l1=BranchImpedance(r=0.02, x=0.05),
         z_l2=BranchImpedance(r=0.06, x=0.30),
         z_g=BranchImpedance(r=0.04, x=0.20),
-        ug_pos=120.0 / 110.0,
+        ug_pos=120.0 / REF_V_BASE_KV,
     )

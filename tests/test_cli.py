@@ -17,6 +17,7 @@ from ibgsync import (
 )
 from ibgsync import limits
 from ibgsync.cli import main
+from ibgsync.config import ConfigError, parse_config
 
 
 def run_cli(argv, capsys):
@@ -146,6 +147,18 @@ class TestLimit:
         assert data["binding"] == lim.binding.value
 
 
+    def test_stall_confirming_a_miss_is_the_fold(self, capsys):
+        # the confirm scan after the warm-start miss at 0.92 stalls; the
+        # neighbours at -20.5 and -19.5 deg read 0.92 and 0.91
+        code, out, err = run_cli(
+            ["limit", "--fault", "ll", "--seq", "neg", "--angle", "-20"], capsys
+        )
+        assert code == 0, err
+        data = json.loads(out)
+        assert data["i_limit"] == pytest.approx(0.91, abs=1e-9)
+        assert data["binding"] == "type1"
+
+
 class TestRegion:
     def test_csv_contents(self, tmp_path, capsys):
         out_csv = tmp_path / "region.csv"
@@ -183,6 +196,18 @@ class TestRegion:
         svg = out_svg.read_text()
         assert svg.startswith("<svg ")
         assert "polyline" in svg
+
+    def test_default_step_sweep_through_a_stall(self, tmp_path, capsys):
+        # -20 deg is the angle whose confirm scan stalls (TestLimit)
+        out_csv = tmp_path / "region.csv"
+        code, out, err = run_cli(
+            ["region", "--fault", "ll", "--seq", "neg", "--out", str(out_csv)],
+            capsys,
+        )
+        assert code == 0, err
+        lines = out_csv.read_text().splitlines()
+        assert len(lines) == 1 + 72
+        assert "-20,0.91,type1" in lines
 
     def test_solver_options_match_limit(self, tmp_path, capsys):
         # the region sweep honours solver.ud_min just as `limit` does
@@ -414,3 +439,91 @@ class TestErrors:
         )
         assert code == 3
         assert "numerical failure" in err
+
+
+def run_with_config(config, argv, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return run_cli(["--config", str(path), *argv], capsys)
+
+
+_SECTIONS = ("circuit", "fault", "current", "sync", "scenario", "solver")
+# keys with an exclusive minimum of 0, and with a minimum of 0
+_POSITIVE = (
+    ("circuit", "v_base_kv"), ("circuit", "s_base_mva"), ("circuit", "f_hz"),
+    ("circuit", "ug_pos"), ("circuit", "ug_kv"), ("fault", "t_clear"),
+    ("sync", "k"), ("scenario", "t_end"), ("scenario", "dt"),
+    ("scenario", "record_dt"), ("solver", "grid_deg"), ("solver", "tol"),
+    ("solver", "step"), ("solver", "ceiling"),
+)
+_NON_NEGATIVE = (
+    ("fault", "zf_pu"), ("fault", "zf_ohm"), ("fault", "t_on"),
+    ("sync", "kp_fll"), ("sync", "ki_fll"), ("sync", "kp_pll"),
+    ("sync", "ki_pll"),
+)
+# one config per key, type and range constraint of the config format
+_REJECTED = [
+    {"extra": {}},
+    *({section: {"extra": 1.0}} for section in _SECTIONS),
+    {"current": {"fault": {"extra": "1"}}},
+    *({section: 1.0} for section in _SECTIONS),
+    {"current": {"fault": "0.5@30"}},
+    {"circuit": {"grid": [0.04, 0.2]}},
+    {"sync": {"k": True}},
+    {"scenario": {"freq_adaptive_z": 1}},
+    {"current": {"fault": {"i_pos": 0.5}}},
+    {"circuit": {"unit": "kohm"}},
+    {"fault": {"type": "lg"}},
+    {"sync": {"mode": "srf_pll"}},
+    {"scenario": {"init": "cold"}},
+    *({section: {key: 0.0}} for section, key in _POSITIVE),
+    *({section: {key: -0.5}} for section, key in _NON_NEGATIVE),
+    {"circuit": {"v_base_kv": -110.0, "s_base_mva": -9.0}},
+    {"circuit": {"grid": {"r": -0.5, "x": 0.2}}},
+    {"circuit": {"grid": {"r": 0.04, "x": -0.5}}},
+    {"circuit": {"grid": {"r": 0.04}}},
+    {"circuit": {"grid": {"x": 0.2}}},
+    {"circuit": {"grid": {"r": 0.04, "x": 0.2, "b": 0.0}}},
+    {"current": {"fault": {"i_pos": "1_0@5"}}},
+]
+
+_BIG = int("1" * 401)  # a JSON integer too large for a float
+
+
+class TestConfigRejected:
+    @pytest.mark.parametrize("config", _REJECTED, ids=json.dumps)
+    def test_rejected_at_load(self, config, tmp_path, capsys):
+        """validate reads no config value: the load-time check rejects."""
+        with pytest.raises(ConfigError):
+            parse_config(config)
+        code, out, err = run_with_config(
+            config, ["validate", "--draws", "1"], tmp_path, capsys
+        )
+        assert code == 1
+        assert "config error" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("config, argv", [
+        ({"scenario": {"t_end": math.nan}}, _LIMIT_DLG),
+        ({"scenario": {"record_dt": math.nan}}, _LIMIT_DLG),
+        ({"solver": {"step": math.nan}}, ["equilibrium", "--fault", "dlg"]),
+        ({"fault": {"zf_pu": math.nan}}, ["validate", "--draws", "1"]),
+        ({"solver": {"tol": _BIG}}, _LIMIT_DLG),
+        ({"circuit": {"ug_pos": _BIG}}, _LIMIT_DLG),
+        ({"sync": {"k": _BIG}}, _SIMULATE_DLG),
+    ], ids=["t_end-nan", "record_dt-nan", "step-nan", "zf_pu-nan",
+            "tol-401-digits", "ug_pos-401-digits", "k-401-digits"])
+    def test_value_out_of_range_for_its_object(self, config, argv, tmp_path,
+                                               capsys):
+        """Rejected at load although the command never reads the value, or
+        reads it as a float only after the check."""
+        with pytest.raises(ConfigError):
+            parse_config(config)
+        if argv[0] == "simulate":
+            argv = argv + ["--out", str(tmp_path / "out.csv")]
+        code, out, err = run_with_config(config, argv, tmp_path, capsys)
+        assert code == 1
+        assert "config error" in err
+        assert "Traceback" not in err
+        assert out == ""

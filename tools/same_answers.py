@@ -8,13 +8,19 @@ directory, and each runs from its own ``src``:
 - the twelve reference ``limit`` rows (the JSON printed);
 - ``region`` at ``--angle-step`` 30 and 5, DLG pos and SLG neg with
   ``--other 0.5@-90`` (the CSV written);
-- ``validate --draws 100 --seed 0`` (the table printed).
+- ``validate --draws 100 --seed 0`` (the table printed);
+- ``coeffs --json``, ``equilibrium`` and ``limit`` under a config that sets
+  every section (the JSON printed);
+- ``coeffs`` under three configs both sides must reject (the exit code and
+  the empty output).
 
-Each output is compared with its exit code. One line per output says
+A case with a config writes the same JSON into each checkout and passes it
+with ``--config``. Each output is compared with its exit code. One line per output says
 ``same`` or ``DIFFERS``; the exit status is 1 when any output differs.
 """
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -35,27 +41,58 @@ LIMIT_ROWS = (
 )
 # region sweeps: fault, sequence, extra flags
 REGION_SWEEPS = (("dlg", "pos", ()), ("slg", "neg", ("--other", "0.5@-90")))
+# a config in ohms with its own bases that sets a key in every section
+CONFIG = {
+    "circuit": {"unit": "ohm", "v_base_kv": 20.0, "s_base_mva": 10.0,
+                "ug_kv": 21.0, "theta_g_deg": 10.0, "f_hz": 60.0,
+                "grid": {"r": 1.6, "x": 8.0}},
+    "fault": {"type": "dlg", "zf_ohm": 0.4},
+    "current": {"prefault": {"i_pos": "0.8@0"},
+                "fault": {"i_pos": "0.5@-30", "i_neg": "0.3@90"}},
+    "sync": {"mode": "dsogi_fll", "kp_fll": 40.0, "ki_fll": 6000.0},
+    "scenario": {"t_end": 2.0, "init": "prefault"},
+    "solver": {"grid_deg": 3.0, "step": 0.02},
+}
+# configs with a string where a number goes, a branch without x, and a
+# phasor string that Python's float() would read
+REJECTED = {
+    "string tol": {"solver": {"tol": "1e-10"}},
+    "branch without x": {"circuit": {"grid": {"r": 0.04}}},
+    "phasor 1_0@5": {"current": {"fault": {"i_pos": "1_0@5"}}},
+}
 
 
-def cases() -> list[tuple[str, list[str], bool]]:
-    """(name, CLI argv, whether the answer is the file given by --out)."""
+def cases() -> list[tuple[str, list[str], bool, dict | None]]:
+    """(name, CLI argv, whether the answer is the file given by --out, the
+    config or None)."""
     out = [(f"limit {f} {s} {a} other {o}",
             ["limit", "--fault", f, "--seq", s, "--angle", a, "--other", o],
-            False)
+            False, None)
            for f, s, a, o in LIMIT_ROWS]
     out += [(f"region {f} {s} step {step}",
              ["region", "--fault", f, "--seq", s, "--angle-step", step,
-              *flags], True)
+              *flags], True, None)
             for step in ("30", "5") for f, s, flags in REGION_SWEEPS]
     out.append(("validate draws 100 seed 0",
-                ["validate", "--draws", "100", "--seed", "0"], False))
+                ["validate", "--draws", "100", "--seed", "0"], False, None))
+    out += [(f"config {argv[0]}", argv, False, CONFIG) for argv in (
+        ["coeffs", "--json"], ["equilibrium"],
+        ["limit", "--seq", "pos", "--angle", "-30", "--other", "0.3@90"])]
+    out += [(f"rejected config: {name}", ["coeffs", "--fault", "dlg"], False,
+             config) for name, config in REJECTED.items()]
     return out
 
 
-def answer(checkout: Path, argv: list[str], to_file: bool) -> bytes:
+def answer(checkout: Path, argv: list[str], to_file: bool,
+           config: dict | None) -> bytes:
     """The exit code and what one CLI run printed, or wrote to --out."""
     out = checkout / "answer.out"
-    cmd = [sys.executable, "-m", "ibgsync.cli", *argv]
+    cmd = [sys.executable, "-m", "ibgsync.cli"]
+    if config is not None:
+        path = checkout / "answer-config.json"
+        path.write_text(json.dumps(config))
+        cmd += ["--config", str(path)]
+    cmd += argv
     if to_file:
         cmd += ["--out", str(out)]
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
@@ -75,8 +112,9 @@ def main(argv=None) -> int:
     todo = cases()
     with tempfile.TemporaryDirectory(prefix="same_answers-") as tmp:
         checkouts = {s: unpack(commits[s], Path(tmp) / s) for s in SIDES}
-        for name, cli_argv, to_file in todo:
-            got = {s: answer(checkouts[s], cli_argv, to_file) for s in SIDES}
+        for name, cli_argv, to_file, config in todo:
+            got = {s: answer(checkouts[s], cli_argv, to_file, config)
+                   for s in SIDES}
             same = got["parent"] == got["change"]
             differ += not same
             print(f"{'same' if same else 'DIFFERS'}: {name}", flush=True)

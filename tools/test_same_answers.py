@@ -1,5 +1,8 @@
 """Smoke tests of same_answers.py with its runner stubbed."""
 
+import json
+import subprocess
+
 import same_answers
 
 
@@ -8,18 +11,18 @@ def _stub(monkeypatch, differing=()):
     monkeypatch.setattr(same_answers, "git", lambda *args: args[-1] * 7)
     monkeypatch.setattr(same_answers, "unpack", lambda commit, dest: dest)
 
-    def answer(checkout, argv, to_file):
+    def answer(checkout, argv, to_file, config):
         name = " ".join(argv)
         side = checkout.name if name in differing else "either"
-        return f"exit 0\n{name} {side} {to_file}".encode()
+        return f"exit 0\n{name} {side} {to_file} {config}".encode()
     monkeypatch.setattr(same_answers, "answer", answer)
 
 
 def test_cases_cover_the_reference_outputs():
-    names = [name for name, _, _ in same_answers.cases()]
-    assert len(names) == 12 + 4 + 1
+    names = [name for name, _, _, _ in same_answers.cases()]
+    assert len(names) == 12 + 4 + 1 + 3 + 3
     assert len(set(names)) == len(names)
-    regions = [argv for _, argv, to_file in same_answers.cases() if to_file]
+    regions = [argv for _, argv, to_file, _ in same_answers.cases() if to_file]
     assert all(argv[0] == "region" for argv in regions)
     assert sorted(argv[argv.index("--angle-step") + 1] for argv in regions) \
         == ["30", "30", "5", "5"]
@@ -30,7 +33,7 @@ def test_same_answers_exit_0(monkeypatch, capsys):
     assert same_answers.main(["--parent", "a", "--change", "b"]) == 0
     out = capsys.readouterr().out
     assert "DIFFERS" not in out
-    assert "17 of 17 outputs byte-identical" in out
+    assert "23 of 23 outputs byte-identical" in out
 
 
 def test_one_difference_exits_1(monkeypatch, capsys):
@@ -39,4 +42,28 @@ def test_one_difference_exits_1(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "DIFFERS: validate draws 100 seed 0" in out
     assert out.count("DIFFERS") == 1
-    assert "16 of 17 outputs byte-identical" in out
+    assert "22 of 23 outputs byte-identical" in out
+
+
+def test_config_cases_set_every_section():
+    configs = [c for _, _, _, c in same_answers.cases() if c is not None]
+    assert len(configs) == 6
+    assert set(same_answers.CONFIG) == {
+        "circuit", "fault", "current", "sync", "scenario", "solver"}
+    assert configs.count(same_answers.CONFIG) == 3
+
+
+def test_config_is_written_into_the_checkout(tmp_path, monkeypatch):
+    """Each side reads the config from its own checkout."""
+    seen = []
+
+    def run(cmd, **kwargs):
+        seen.append(cmd)
+        return subprocess.CompletedProcess(cmd, 1, b"", b"")
+    monkeypatch.setattr(same_answers.subprocess, "run", run)
+    got = same_answers.answer(tmp_path, ["coeffs", "--fault", "dlg"], False,
+                              {"extra": 1})
+    assert got == b"exit 1\n"
+    path = tmp_path / "answer-config.json"
+    assert json.loads(path.read_text()) == {"extra": 1}
+    assert seen[0][-5:] == ["--config", str(path), "coeffs", "--fault", "dlg"]
