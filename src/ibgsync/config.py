@@ -60,6 +60,7 @@ class SolverOptions:
             raise ValueError("tol must be finite and > 0")
         if not math.isfinite(self.ud_min):
             raise ValueError("ud_min must be finite")
+        # step and ceiling as the amplitude grid of one traversal
         _amplitude_steps(self.step, self.ceiling, 1.0)
 
 
