@@ -64,21 +64,14 @@ def _emit_json(obj, fh=None) -> None:
     (fh or sys.stdout).write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _parse_ref_flag(text: str) -> tuple[float, float]:
-    try:
-        return polar(parse_phasor(text))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _fault_refs(doc: ConfigDocument, args) -> CurrentReference:
     """On-fault current reference with flag overrides."""
     amp_p, ang_p = doc.ref_fault.i_pos, doc.ref_fault.theta_i_pos
     amp_n, ang_n = doc.ref_fault.i_neg, doc.ref_fault.theta_i_neg
     if getattr(args, "iplus", None) is not None:
-        amp_p, ang_p = _parse_ref_flag(args.iplus)
+        amp_p, ang_p = polar(parse_phasor(args.iplus))
     if getattr(args, "iminus", None) is not None:
-        amp_n, ang_n = _parse_ref_flag(args.iminus)
+        amp_n, ang_n = polar(parse_phasor(args.iminus))
     return CurrentReference(amp_p, ang_p, amp_n, ang_n)
 
 
@@ -117,12 +110,9 @@ def cmd_coeffs(doc: ConfigDocument, args) -> int:
 
 def cmd_equilibrium(doc: ConfigDocument, args) -> int:
     coeffs, _ = _coeffs_for(doc, args)
-    ref = _fault_refs(doc, args)
     sol = doc.solver
-    res = solve_equilibrium(
-        coeffs, ref, doc.circuit.ug_pos,
-        grid_deg=sol.grid_deg, tol=sol.tol, ud_min=sol.ud_min,
-    )
+    res = solve_equilibrium(coeffs, _fault_refs(doc, args), doc.circuit.ug_pos,
+                            sol.grid_deg, sol.tol, sol.ud_min)
     _emit_json(
         {
             "found": res.found,
@@ -157,7 +147,7 @@ def cmd_limit(doc: ConfigDocument, args) -> int:
         lim = decoupled_limit(coeffs, doc.circuit.ug_pos, args.seq, theta)
     else:
         if args.other is not None:
-            other = _parse_ref_flag(args.other)
+            other = polar(parse_phasor(args.other))
         elif args.seq == "pos":
             other = (doc.ref_fault.i_neg, doc.ref_fault.theta_i_neg)
         else:
@@ -199,7 +189,7 @@ def _region_svg(samples, ceiling: float) -> str:
 
 def cmd_region(doc: ConfigDocument, args) -> int:
     coeffs, _ = _coeffs_for(doc, args)
-    other = _parse_ref_flag(args.other) if args.other is not None else None
+    other = polar(parse_phasor(args.other)) if args.other is not None else None
     sol = _with_flags(doc.solver, args)
     region = region_boundary(
         coeffs, doc.circuit.ug_pos, args.seq, fixed_other=other,

@@ -9,7 +9,6 @@ keys are rejected; the object a value builds checks its range.
 import dataclasses
 import json
 import math
-import re
 
 from .dynsim import RECORD_DT, Scenario, check_run_settings
 from .equilibrium import NEWTON_TOL, SCAN_GRID_DEG, UD_MIN, CurrentReference
@@ -35,7 +34,6 @@ DEFAULT_BASES = {"v_base_kv": REF_V_BASE_KV, "s_base_mva": REF_S_BASE_MVA}
 # config branch key -> CircuitParameters field
 _BRANCH_FIELDS = {"choke": "z_choke", "t1": "z_t1", "t2": "z_t2",
                   "l1": "z_l1", "l2": "z_l2", "grid": "z_g"}
-_PHASOR = re.compile(r"^\s*[0-9.eE+-]+\s*(@\s*[0-9.eE+-]+\s*)?$")
 
 
 class ConfigError(ValueError):
@@ -130,9 +128,9 @@ def _choice(options):
 
 def _phasor(value, where: str) -> tuple[float, float]:
     """An ``A@D`` string as (amplitude, angle in radians)."""
-    if not (isinstance(value, str) and _PHASOR.search(value)):
+    if not isinstance(value, str):
         raise ConfigError(f"{where} must be a phasor string A@D, got {value!r}")
-    return polar(parse_phasor(value))
+    return polar(_built(where, parse_phasor, value))
 
 
 def _section(tests: dict, required: bool = False):
@@ -150,17 +148,26 @@ def _section(tests: dict, required: bool = False):
     return test
 
 
-def _fields(cls) -> dict:
-    """A dataclass' keys and their tests, one key per field."""
+def _object(cls):
+    """Test for a section of a dataclass' fields, one key each (gives the object)."""
     tests = {float: _number, bool: _typed(bool, "a bool"), str: _typed(str, "a string")}
-    return {f.name: tests.get(f.type) or _choice(f.type)
-            for f in dataclasses.fields(cls)}
+    section = _section({f.name: tests.get(f.type) or _choice(f.type)
+                        for f in dataclasses.fields(cls)})
+    return lambda value, where: _built(where, cls, **section(value, where))
+
+
+def _built(where: str, build, *args, **kwargs):
+    """The object a config value feeds; its ValueError names where the value sits."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _reference(value, where: str) -> CurrentReference:
     ref = _section({"i_pos": _phasor, "i_neg": _phasor})(value, where)
-    return CurrentReference(*ref.get("i_pos", (0.0, 0.0)),
-                            *ref.get("i_neg", (0.0, 0.0)))
+    return _built(where, CurrentReference, *ref.get("i_pos", (0.0, 0.0)),
+                  *ref.get("i_neg", (0.0, 0.0)))
 
 
 _CONFIG = _section({
@@ -176,9 +183,9 @@ _CONFIG = _section({
         **dict.fromkeys(("zf_pu", "zf_ohm", "t_on", "t_clear"), _number),
     }),
     "current": _section({"prefault": _reference, "fault": _reference}),
-    "sync": _section(_fields(SyncConfig)),
-    "scenario": _section(_fields(ScenarioOptions)),
-    "solver": _section(_fields(SolverOptions)),
+    "sync": _object(SyncConfig),
+    "scenario": _object(ScenarioOptions),
+    "solver": _object(SolverOptions),
 })
 
 
@@ -192,14 +199,15 @@ def _positive(name: str, value: float) -> float:
 def _build_circuit(section: dict) -> tuple[CircuitParameters, float]:
     """The reference circuit with the entries the section gives; omitted
     branches keep their per-unit reference values in either unit."""
-    v_base = _positive("v_base_kv", section.get("v_base_kv", REF_V_BASE_KV))
-    s_base = _positive("s_base_mva", section.get("s_base_mva", REF_S_BASE_MVA))
+    v_base = _positive("config.circuit.v_base_kv", section.get("v_base_kv", REF_V_BASE_KV))
+    s_base = _positive("config.circuit.s_base_mva", section.get("s_base_mva", REF_S_BASE_MVA))
     # each base may be in range while their ratio is not: 1e-200 kV gives 0
-    z_base = _positive("impedance base", v_base * v_base / s_base)
+    z_base = _positive("config.circuit: impedance base", v_base * v_base / s_base)
     scale = 1.0 / z_base if section.get("unit", "pu") == "ohm" else 1.0
 
     changes = {
-        field: BranchImpedance(section[key]["r"] * scale, section[key]["x"] * scale)
+        field: _built(f"config.circuit.{key}", BranchImpedance,
+                      section[key]["r"] * scale, section[key]["x"] * scale)
         for key, field in _BRANCH_FIELDS.items()
         if key in section
     }
@@ -213,7 +221,7 @@ def _build_circuit(section: dict) -> tuple[CircuitParameters, float]:
         changes["theta_g"] = math.radians(section["theta_g_deg"])
     if "f_hz" in section:
         changes["omega0"] = 2.0 * math.pi * section["f_hz"]
-    return dataclasses.replace(table_circuit(), **changes), z_base
+    return _built("config.circuit", dataclasses.replace, table_circuit(), **changes), z_base
 
 
 def _resolve(config: dict) -> ConfigDocument:
@@ -225,8 +233,8 @@ def _resolve(config: dict) -> ConfigDocument:
     z_f = fault["zf_pu"] if "zf_pu" in fault else fault.get("zf_ohm", 0.01) / z_base
     fault_type = fault.get("type")
     # FaultSpec checks z_f and the times; a flag may still give the type
-    spec = FaultSpec(fault_type or FaultType.NONE, complex(z_f),
-                     fault.get("t_on", 0.0), fault.get("t_clear", math.inf))
+    spec = _built("config.fault", FaultSpec, fault_type or FaultType.NONE, complex(z_f),
+                  fault.get("t_on", 0.0), fault.get("t_clear", math.inf))
 
     current = config.get("current", {})
     return ConfigDocument(
@@ -237,9 +245,9 @@ def _resolve(config: dict) -> ConfigDocument:
         t_clear=spec.t_clear,
         ref_prefault=current.get("prefault", CurrentReference()),
         ref_fault=current.get("fault", CurrentReference()),
-        sync=SyncConfig(**config.get("sync", {})),
-        scenario=ScenarioOptions(**config.get("scenario", {})),
-        solver=SolverOptions(**config.get("solver", {})),
+        sync=config.get("sync", SyncConfig()),
+        scenario=config.get("scenario", ScenarioOptions()),
+        solver=config.get("solver", SolverOptions()),
         z_base_ohm=z_base,
     )
 
@@ -247,10 +255,7 @@ def _resolve(config: dict) -> ConfigDocument:
 def parse_config(raw: dict) -> ConfigDocument:
     """Check a parsed JSON object's keys and types and resolve it to internal
     units; a value out of its object's range is a ConfigError too."""
-    try:
-        return _resolve(_CONFIG(raw, "config"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return _resolve(_CONFIG(raw, "config"))
 
 
 def load_config(path: str | None) -> ConfigDocument:

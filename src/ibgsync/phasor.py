@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 __all__ = [
     "phasor",
@@ -12,6 +13,10 @@ __all__ = [
     "parse_phasor",
     "format_phasor",
 ]
+
+# a number as float() reads it, less digit separators (1_0) and non-ASCII digits
+_NUMBER = re.compile(r"\s*[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)(e[+-]?[0-9]+)?\s*"
+                     r"|\s*[+-]?(inf|infinity|nan)\s*", re.IGNORECASE)
 
 
 def phasor(magnitude: float, angle_rad: float) -> complex:
@@ -59,6 +64,8 @@ def parse_phasor(text: str) -> complex:
     else:
         amp_part, deg_part = raw, "0"
     try:
+        if not (_NUMBER.fullmatch(amp_part) and _NUMBER.fullmatch(deg_part)):
+            raise ValueError(text)
         amplitude = float(amp_part)
         degrees = float(deg_part)
     except ValueError as exc:

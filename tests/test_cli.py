@@ -409,6 +409,16 @@ class TestErrors:
         assert "angle must be finite" in err
         assert out == ""
 
+    def test_phasor_flag_with_digit_separator_exits_1(self, capsys):
+        """A bad phasor flag is a ValueError, which main prints as a config
+        error; float() alone would read 1_0@5 as 10@5."""
+        code, out, err = run_cli(
+            ["equilibrium", "--fault", "dlg", "--iplus", "1_0@5"], capsys)
+        assert code == 1
+        assert "config error" in err
+        assert "Traceback" not in err
+        assert out == ""
+
     @pytest.mark.parametrize("flag, value", [
         ("--record-dt", "-1"),
         ("--record-dt", "inf"),
@@ -527,3 +537,19 @@ class TestConfigRejected:
         assert "config error" in err
         assert "Traceback" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("config, where", [
+        ({"circuit": {"grid": {"r": -0.5, "x": 0.2}}},
+         "config.circuit.grid: branch impedance must be"),
+        ({"scenario": {"t_end": math.nan}}, "config.scenario: t_end must be"),
+        ({"circuit": {"f_hz": 0}}, "config.circuit: omega0 must be"),
+    ], ids=["grid-r-negative", "t_end-nan", "f_hz-0"])
+    def test_range_error_names_the_key(self, config, where, tmp_path, capsys):
+        """The built object's message, prefixed with where the value sits."""
+        with pytest.raises(ConfigError) as exc:
+            parse_config(config)
+        assert str(exc.value).startswith(where)
+        code, _, err = run_with_config(config, ["validate", "--draws", "1"],
+                                       tmp_path, capsys)
+        assert code == 1
+        assert f"config error: {where}" in err

@@ -8,10 +8,12 @@ amplitude sweep over the equilibrium scan (0.01 p.u. steps).
 import math
 import random
 
+import numpy as np
 import pytest
 
 from ibgsync import (
     Binding,
+    CurrentReference,
     FaultSpec,
     FaultType,
     LimitResult,
@@ -23,8 +25,8 @@ from ibgsync import (
     table_circuit,
     traversal_limit,
 )
-from ibgsync import limits
-from ibgsync.equilibrium import pack_params, refine_root
+from ibgsync import equilibrium, kernels, limits
+from ibgsync.equilibrium import NEWTON_MAXIT, pack_params, refine_root
 from ibgsync.limits import AMP_CEILING, AMP_STEP, _make_ref, _packer
 
 ZF = 7.43801652892562e-06
@@ -409,3 +411,85 @@ def test_traversal_checks_inputs_before_any_solve(kwargs, seq, monkeypatch):
     args = {"theta_i": 0.0, **kwargs}
     with pytest.raises(ValueError):
         traversal_limit(coeffs_for(FaultType.DLG), UG, seq, **args)
+
+
+# the Newton cap NEWTON_MAXIT was sized against
+_LONG_CAP = 80
+
+
+def _scan_answer(prm, grid_n, tol, maxit, ud_min):
+    """What the callers of a scan read: found, the root, any_converged (the
+    NoConvergence test) and any_feedback (the binding); not the residual
+    of a miss."""
+    found, dp, dn, _, any_conv, any_feedback = kernels.scan_roots(
+        prm, grid_n, tol, maxit, ud_min)
+    return found, dp, dn, any_conv, any_feedback
+
+
+def _assert_cap_changes_no_scan(prm, grid_n=180, tol=1e-10, ud_min=1e-9):
+    assert (_scan_answer(prm, grid_n, tol, NEWTON_MAXIT, ud_min)
+            == _scan_answer(prm, grid_n, tol, _LONG_CAP, ud_min))
+
+
+def _traversal_at_caps(monkeypatch, coeffs, seq, theta, other):
+    """The limit and binding at NEWTON_MAXIT and at the long cap, and the
+    arguments of every scan the first traversal ran."""
+    scans = []
+    scan = kernels.scan_roots
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "scan_roots",
+                  lambda *args: scans.append(args) or scan(*args))
+        short = traversal_limit(coeffs, UG, seq, theta, fixed_other=other)
+    with monkeypatch.context() as m:
+        m.setattr(equilibrium, "NEWTON_MAXIT", _LONG_CAP)
+        long = traversal_limit(coeffs, UG, seq, theta, fixed_other=other)
+    return (short.i_limit, short.binding), (long.i_limit, long.binding), scans
+
+
+class TestNewtonCap:
+    """NEWTON_MAXIT gives the answers that a cap of 80 gives: a seed that
+    converges needs far fewer steps, and past the fold no root exists."""
+
+    @pytest.mark.parametrize("fault_type,seq,deg,oa,od,want,binding",
+                             TRAVERSAL_ANCHORS)
+    def test_reference_rows(self, fault_type, seq, deg, oa, od, want, binding,
+                            monkeypatch):
+        """The same limit and binding, and the same answer from the
+        first-amplitude scan and the scan that confirms the failure."""
+        short, long, scans = _traversal_at_caps(
+            monkeypatch, coeffs_for(fault_type), seq, math.radians(deg),
+            (oa, math.radians(od)))
+        assert short == long
+        assert len(scans) >= 2
+        for prm, grid_n, tol, maxit, ud_min in scans:
+            assert maxit == NEWTON_MAXIT
+            _assert_cap_changes_no_scan(prm, grid_n, tol, ud_min)
+
+    @pytest.mark.parametrize("amp, found", [(0.91, True), (0.92, False),
+                                            (0.93, False)])
+    def test_fold_rows(self, amp, found, monkeypatch):
+        """LL, negative current at -20 deg: a root at 0.91; at 0.92 and 0.93
+        no seed converges (a stall at 0.92, the fold passed at 0.93)."""
+        c = coeffs_for(FaultType.LL)
+        theta = math.radians(-20.0)
+        prm = pack_params(c, CurrentReference(0.0, 0.0, amp, theta), UG)
+        _assert_cap_changes_no_scan(prm)
+        assert _scan_answer(prm, 180, 1e-10, NEWTON_MAXIT, 1e-9)[3] is found
+        if amp == 0.91:
+            short, long, _ = _traversal_at_caps(monkeypatch, c, "neg", theta,
+                                                None)
+            assert short == long == (pytest.approx(0.91), Binding.TYPE1)
+
+    def test_random_draws(self):
+        """300 seeded generic parameter sets, as in the torus-oracle test."""
+        rng = np.random.default_rng(20261019)
+        found = 0
+        for k in range(300):
+            prm = np.empty(12)
+            prm[0::2] = rng.uniform(0.0, 2.0, 6)
+            prm[1::2] = rng.uniform(-math.pi, math.pi, 6)
+            ud_min = (1e-9, 0.3)[k % 2]
+            _assert_cap_changes_no_scan(prm, ud_min=ud_min)
+            found += _scan_answer(prm, 180, 1e-10, NEWTON_MAXIT, ud_min)[0]
+        # both answers are well represented
+        assert 30 < found < 270

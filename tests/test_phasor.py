@@ -70,6 +70,20 @@ def test_parse_phasor_rejects_bad_text():
             parse_phasor(text)
 
 
+@pytest.mark.parametrize("text", ["1_0@5", "1@1_0", "\uff11@5", "0x1@0", "1e@5"])
+def test_parse_phasor_takes_decimal_numbers_only(text):
+    """float() also reads digit separators (1_0 is 10) and non-ASCII digits;
+    the phasor syntax does not."""
+    with pytest.raises(ValueError, match="expected A@D"):
+        parse_phasor(text)
+
+
+def test_parse_phasor_number_forms():
+    for text, want in (("1.@.5", phasor_deg(1.0, 0.5)), ("+.5@-30", phasor_deg(0.5, -30.0)),
+                       ("1E-3@+4", phasor_deg(1e-3, 4.0)), ("1e5", 1e5 + 0j)):
+        assert parse_phasor(text) == want
+
+
 @pytest.mark.parametrize("text", ["0.5@inf", "0.5@-inf", "0.5@nan"])
 def test_parse_phasor_rejects_non_finite_angle(text):
     with pytest.raises(ValueError, match="angle must be finite"):

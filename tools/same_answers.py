@@ -8,6 +8,9 @@ directory, and each runs from its own ``src``:
 - the twelve reference ``limit`` rows (the JSON printed);
 - ``region`` at ``--angle-step`` 30 and 5, DLG pos and SLG neg with
   ``--other 0.5@-90`` (the CSV written);
+- ``equilibrium --fault ll --iminus A@-20`` for A = 0.91, 0.92 and 0.93,
+  around the fold (the JSON printed), and ``region --fault ll --seq neg
+  --angle-step 5``, whose sweep passes the stall at 0.92 (the CSV written);
 - ``validate --draws 100 --seed 0`` (the table printed);
 - ``coeffs --json``, ``equilibrium`` and ``limit`` under a config that sets
   every section (the JSON printed);
@@ -41,6 +44,9 @@ LIMIT_ROWS = (
 )
 # region sweeps: fault, sequence, extra flags
 REGION_SWEEPS = (("dlg", "pos", ()), ("slg", "neg", ("--other", "0.5@-90")))
+# negative current at -20 deg under LL around the fold: a root at 0.91, a
+# stalled scan at 0.92 (exit 3), a miss at 0.93 (exit 2)
+FOLD_AMPS = ("0.91", "0.92", "0.93")
 # a config in ohms with its own bases that sets a key in every section
 CONFIG = {
     "circuit": {"unit": "ohm", "v_base_kv": 20.0, "s_base_mva": 10.0,
@@ -73,6 +79,13 @@ def cases() -> list[tuple[str, list[str], bool, dict | None]]:
              ["region", "--fault", f, "--seq", s, "--angle-step", step,
               *flags], True, None)
             for step in ("30", "5") for f, s, flags in REGION_SWEEPS]
+    out += [(f"equilibrium ll iminus {a}@-20",
+             ["equilibrium", "--fault", "ll", "--iminus", f"{a}@-20"], False, None)
+            for a in FOLD_AMPS]
+    # its sweep crosses the stall above, in the scan that confirms a miss
+    out.append(("region ll neg step 5",
+                ["region", "--fault", "ll", "--seq", "neg", "--angle-step", "5"],
+                True, None))
     out.append(("validate draws 100 seed 0",
                 ["validate", "--draws", "100", "--seed", "0"], False, None))
     out += [(f"config {argv[0]}", argv, False, CONFIG) for argv in (

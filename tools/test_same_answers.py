@@ -20,12 +20,20 @@ def _stub(monkeypatch, differing=()):
 
 def test_cases_cover_the_reference_outputs():
     names = [name for name, _, _, _ in same_answers.cases()]
-    assert len(names) == 12 + 4 + 1 + 3 + 3
+    assert len(names) == 12 + 4 + 3 + 1 + 1 + 3 + 3
     assert len(set(names)) == len(names)
     regions = [argv for _, argv, to_file, _ in same_answers.cases() if to_file]
     assert all(argv[0] == "region" for argv in regions)
     assert sorted(argv[argv.index("--angle-step") + 1] for argv in regions) \
-        == ["30", "30", "5", "5"]
+        == ["30", "30", "5", "5", "5"]
+
+
+def test_cases_cover_the_fold():
+    """The LL rows around the fold and the region sweep that crosses it."""
+    argvs = [argv for _, argv, _, _ in same_answers.cases()]
+    for amp in ("0.91", "0.92", "0.93"):
+        assert ["equilibrium", "--fault", "ll", "--iminus", f"{amp}@-20"] in argvs
+    assert ["region", "--fault", "ll", "--seq", "neg", "--angle-step", "5"] in argvs
 
 
 def test_same_answers_exit_0(monkeypatch, capsys):
@@ -33,7 +41,7 @@ def test_same_answers_exit_0(monkeypatch, capsys):
     assert same_answers.main(["--parent", "a", "--change", "b"]) == 0
     out = capsys.readouterr().out
     assert "DIFFERS" not in out
-    assert "23 of 23 outputs byte-identical" in out
+    assert "27 of 27 outputs byte-identical" in out
 
 
 def test_one_difference_exits_1(monkeypatch, capsys):
@@ -42,7 +50,7 @@ def test_one_difference_exits_1(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "DIFFERS: validate draws 100 seed 0" in out
     assert out.count("DIFFERS") == 1
-    assert "22 of 23 outputs byte-identical" in out
+    assert "26 of 27 outputs byte-identical" in out
 
 
 def test_config_cases_set_every_section():
