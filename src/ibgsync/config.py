@@ -126,6 +126,14 @@ def _choice(options):
     return test
 
 
+def _built(where: str, build, *args, **kwargs):
+    """The object a config value feeds; its ValueError names where the value sits."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def _phasor(value, where: str) -> tuple[float, float]:
     """An ``A@D`` string as (amplitude, angle in radians)."""
     if not isinstance(value, str):
@@ -154,14 +162,6 @@ def _object(cls):
     section = _section({f.name: tests.get(f.type) or _choice(f.type)
                         for f in dataclasses.fields(cls)})
     return lambda value, where: _built(where, cls, **section(value, where))
-
-
-def _built(where: str, build, *args, **kwargs):
-    """The object a config value feeds; its ValueError names where the value sits."""
-    try:
-        return build(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _reference(value, where: str) -> CurrentReference:

@@ -1,0 +1,90 @@
+"""Newton steps to convergence per curve-scan seed and per warm start.
+
+    PYTHONPATH=src python3 tools/newton_steps.py --cap 80
+
+Runs the twelve reference limits (``same_answers.LIMIT_ROWS`` on the CLI's
+default circuit and fault branch, the rows of the limit-table workload)
+once with ``equilibrium.NEWTON_MAXIT`` set to the cap (default: its own
+value) and prints one JSON object. For the curve-scan seeds and for the
+warm starts it gives how many converged after each number of Newton steps,
+how many missed, how many of those stopped early on a singular Jacobian,
+and the Newton steps taken in all, counting each miss at the whole cap. A
+seed's step count is the smallest cap at which ``kernels.newton_pair``
+converges from it.
+"""
+
+import argparse
+import json
+import math
+from collections import Counter
+
+from ibgsync import compose_paths, compute_coefficients, equilibrium, kernels
+from ibgsync.config import load_config, make_fault
+from ibgsync.limits import traversal_limit
+from ibgsync.phasor import parse_phasor, polar
+
+from same_answers import LIMIT_ROWS
+
+
+def summary(calls: list[tuple], cap: int) -> dict:
+    """The step histogram of recorded (prm, dp, dn, tol, maxit) calls."""
+    converged, missed, singular = Counter(), 0, 0
+    for prm, dp, dn, tol, maxit in calls:
+        k = next((k for k in range(maxit + 1)
+                  if kernels.newton_pair(prm, dp, dn, tol, k)[0]), None)
+        if k is not None:
+            converged[k] += 1
+            continue
+        missed += 1
+        # one more step allowed changes nothing only after a singular stop
+        singular += (kernels.newton_pair(prm, dp, dn, tol, maxit)
+                     == kernels.newton_pair(prm, dp, dn, tol, maxit + 1))
+    return {"calls": len(calls), "converged_after": dict(sorted(converged.items())),
+            "missed": missed, "missed_singular": singular,
+            "newton_steps": sum(k * n for k, n in converged.items()) + cap * missed}
+
+
+def record(cap: int) -> dict:
+    """Run the reference limits at the cap, recording every Newton call."""
+    seeds, warm = [], []
+    scan_newton, warm_newton = kernels._newton_pair, kernels.newton_pair
+
+    def scan_call(prm, dp, dn, tol, maxit):
+        # the two-step polish of a scan's winner is not a seed
+        if not (tol == 0.0 and maxit == 2):
+            seeds.append((tuple(prm), dp, dn, tol, maxit))
+        return scan_newton(prm, dp, dn, tol, maxit)
+
+    def warm_call(prm, dp, dn, tol, maxit):
+        warm.append((tuple(prm), dp, dn, tol, maxit))
+        return warm_newton(prm, dp, dn, tol, maxit)
+
+    doc = load_config(None)
+    paths = compose_paths(doc.circuit)
+    saved = equilibrium.NEWTON_MAXIT
+    kernels._newton_pair, kernels.newton_pair = scan_call, warm_call
+    equilibrium.NEWTON_MAXIT = cap
+    try:
+        for fault, seq, angle, other in LIMIT_ROWS:
+            coeffs = compute_coefficients(paths, make_fault(doc, fault))
+            traversal_limit(coeffs, doc.circuit.ug_pos, seq,
+                            math.radians(float(angle)),
+                            fixed_other=polar(parse_phasor(other)))
+    finally:
+        kernels._newton_pair, kernels.newton_pair = scan_newton, warm_newton
+        equilibrium.NEWTON_MAXIT = saved
+    return {"cap": cap, "scan_seeds": summary(seeds, cap),
+            "warm_starts": summary(warm, cap)}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--cap", type=int, default=equilibrium.NEWTON_MAXIT,
+                        help="Newton iteration cap per seed and warm start")
+    args = parser.parse_args(argv)
+    print(json.dumps(record(args.cap)))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

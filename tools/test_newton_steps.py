@@ -1,0 +1,25 @@
+"""Smoke test of newton_steps.py on the reference limits."""
+
+import json
+
+from ibgsync import equilibrium, kernels
+
+import newton_steps
+
+
+def test_histogram_accounts_for_every_call(capsys):
+    newton, cap = kernels.newton_pair, equilibrium.NEWTON_MAXIT
+    assert newton_steps.main(["--cap", "12"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["cap"] == 12
+    for part in ("scan_seeds", "warm_starts"):
+        s = out[part]
+        hist = {int(k): n for k, n in s["converged_after"].items()}
+        assert s["calls"] > 0
+        assert sum(hist.values()) + s["missed"] == s["calls"]
+        assert max(hist) <= 12
+        assert s["newton_steps"] == sum(k * n for k, n in hist.items()) + 12 * s["missed"]
+    # past a type-1 limit no root exists, so some scan seeds miss
+    assert out["scan_seeds"]["missed"] > 0
+    # the Newton kernels and the cap are restored
+    assert kernels.newton_pair is newton and equilibrium.NEWTON_MAXIT == cap
