@@ -31,8 +31,9 @@ __all__ = [
 # bases that convert ohmic entries when the circuit section gives none
 DEFAULT_BASES = {"v_base_kv": REF_V_BASE_KV, "s_base_mva": REF_S_BASE_MVA}
 
-# config branch key -> CircuitParameters field
-_BRANCH_FIELDS = {"choke": "z_choke", "t1": "z_t1", "t2": "z_t2",
+# config branch key -> CircuitParameters field; "choke" is checked like a
+# branch, then ignored: the terminal node sits between the choke and T1
+_BRANCH_FIELDS = {"choke": None, "t1": "z_t1", "t2": "z_t2",
                   "l1": "z_l1", "l2": "z_l2", "grid": "z_g"}
 
 
@@ -211,6 +212,7 @@ def _build_circuit(section: dict) -> tuple[CircuitParameters, float]:
         for key, field in _BRANCH_FIELDS.items()
         if key in section
     }
+    changes.pop(None, None)  # the choke's, checked and dropped
     if "ug_pos" in section and "ug_kv" in section:
         raise ConfigError("give ug_pos (p.u.) or ug_kv, not both")
     if "ug_kv" in section:

@@ -50,6 +50,7 @@ __all__ = [
     "TRACE_HEADER",
     "INIT_MODES",
     "RECORD_DT",
+    "MAX_RUN_STEPS",
     "check_run_settings",
 ]
 
@@ -62,6 +63,10 @@ TRACE_HEADER = ",".join(TRACE_COLUMNS)
 
 INIT_MODES = ("equilibrium", "prefault")  # the Scenario.init values
 RECORD_DT = 1e-3  # run_scenario's default trace sample interval, s
+# most RK4 steps one run may take, set by a ten-minute budget at 13-37 us a
+# step (pure numpy, 2-core VM): 600 s / 30 us = 2e7. A 3 s run at the
+# default dt takes 3e4
+MAX_RUN_STEPS = 2 * 10**7
 
 # loss-of-synchronism thresholds: the first LOS_GRACE_S seconds after fault
 # onset are ignored so acquisition transients cannot trip them; an event
@@ -108,12 +113,17 @@ class Scenario:
 def check_run_settings(t_end: float, dt: float, init: str,
                        record_dt: float = RECORD_DT) -> None:
     """Raise ValueError unless the horizon, the step and the record interval
-    are finite and > 0 and init is one of INIT_MODES. Scenario,
-    run_scenario and config.ScenarioOptions all check with this."""
+    are finite and > 0, the run takes at most MAX_RUN_STEPS steps and init
+    is one of INIT_MODES. Scenario, run_scenario and config.ScenarioOptions
+    all check with this."""
     for name, value in (("dt", dt), ("t_end", t_end), ("record_dt", record_dt)):
         # "not <" also rejects NaN
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be finite and > 0")
+    # compared before rounding: t_end / dt may overflow to inf
+    if not t_end / dt <= MAX_RUN_STEPS:
+        raise ValueError(
+            f"the run asks for more than {MAX_RUN_STEPS} steps (t_end / dt)")
     if init not in INIT_MODES:
         raise ValueError(f"init must be one of {INIT_MODES}")
 
@@ -296,7 +306,8 @@ def run_scenario(
     check_run_settings(scenario.t_end, scenario.dt, scenario.init, record_dt)
     dt = scenario.dt
     n_steps = int(round(scenario.t_end / dt))
-    stride = max(1, int(round(record_dt / dt)))
+    # bounded, so a huge record_dt / dt cannot overflow: one sample either way
+    stride = max(1, int(round(min(record_dt / dt, n_steps + 1))))
     rec = np.empty((n_steps // stride + 1, len(TRACE_COLUMNS)))
 
     y0 = _pack_state(initial_sync_state(scenario))

@@ -139,9 +139,9 @@ def dq_voltages(
     The negative sequence uses the clockwise-frame convention
     ud- - j uq-, so uq- is minus the imaginary part of the rotated sum.
     """
-    prm = pack_params(coeffs, ref, ug_pos)
-    ud_p, uq_p, ud_n, uq_n = kernels.dq_eval(prm, delta_pos, delta_neg)
-    return float(ud_p), float(uq_p), float(ud_n), float(uq_n)
+    prm = _pack(_polars(coeffs), ug_pos, ref.i_pos, ref.theta_i_pos,
+                ref.i_neg, ref.theta_i_neg)
+    return kernels.root_check(prm, delta_pos, delta_neg, UD_MIN)[2:]
 
 
 def _found(dp, dn, ud_p, uq_p, ud_n, uq_n, res) -> EquilibriumResult:

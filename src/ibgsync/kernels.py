@@ -12,9 +12,9 @@ time, since numpy's ufunc dispatch makes a single point several times
 slower. They take the twelve packed parameters as floats: ``scan_roots``
 converts its array once (``_floats``), and an amplitude traversal packs
 its floats itself (``equilibrium._pack``), so a warm-start step touches
-no numpy object. They keep the operation order of the array evaluators
-(``_residual``, ``_jacobian``, ``_dq_eval``, ``_conditions``), so both
-forms give the same bits.
+no numpy object. They keep the operation order of ``_residual`` and of the
+array oracle in ``tests/torus_reference.py`` (``jacobian_eval``,
+``dq_eval``, ``root_conditions``), so both forms give the same bits.
 
 The closed-loop integrator runs on Python scalars from start to end: the
 state is nine ``float``s, every RK4 stage state and update is written per
@@ -183,35 +183,6 @@ def _residual(prm, dp, dn):
     return r1, r2
 
 
-def _jacobian(prm, dp, dn):
-    """Partials of (r1, r2) w.r.t. (dp, dn); elementwise on arrays."""
-    cp = prm[P_A1] * np.cos(prm[P_F1] - dp)
-    cx = prm[P_C3] * np.cos(prm[P_P3] + dn - dp)
-    cn = prm[P_A4] * np.cos(prm[P_F4] - dn)
-    cy = prm[P_C6] * np.cos(prm[P_P6] + dp - dn)
-    j11 = -cp - cx
-    j12 = cx
-    j21 = cy
-    j22 = -cn - cy
-    return j11, j12, j21, j22
-
-
-def _dq_eval(prm, dp, dn):
-    """d/q voltages at an angle pair; uq_neg carries the clockwise-frame sign."""
-    r1, r2 = _residual(prm, dp, dn)
-    ud_p = (
-        prm[P_A1] * np.cos(prm[P_F1] - dp)
-        + prm[P_B2] * np.cos(prm[P_P2])
-        + prm[P_C3] * np.cos(prm[P_P3] + dn - dp)
-    )
-    ud_n = (
-        prm[P_A4] * np.cos(prm[P_F4] - dn)
-        + prm[P_B5] * np.cos(prm[P_P5])
-        + prm[P_C6] * np.cos(prm[P_P6] + dp - dn)
-    )
-    return ud_p, r1, ud_n, -r2
-
-
 def _floats(prm):
     """The twelve packed parameters as floats (in P_* order)."""
     return (float(prm[P_A1]), float(prm[P_F1]), float(prm[P_B2]),
@@ -227,8 +198,9 @@ def _newton_pair(prm, dp, dn, tol, maxit):
     turns singular; after maxit steps one last residual check decides.
     Runs on floats: prm is the twelve packed parameters as floats (_floats;
     any 12-sequence unpacks), and r1, r2 and the Jacobian are those of
-    _residual and _jacobian, in their operation order, from one evaluation
-    of the four angle arguments.
+    _residual and the array oracle's jacobian_eval
+    (tests/torus_reference.py), in their operation order, from one
+    evaluation of the four angle arguments.
     """
     a1, f1, b2, p2, c3, p3, a4, f4, b5, p5, c6, p6 = prm
     b2s = b2 * math.sin(p2)
@@ -270,8 +242,10 @@ def _newton_pair(prm, dp, dn, tol, maxit):
 
 def _root_check(prm, dp, dn, ud_min):
     """(feedback, qualifies, ud+, uq+, ud-, uq-) at one angle pair on
-    floats: _conditions and _dq_eval of a single point, in their
-    operation order. prm as for _newton_pair."""
+    floats. feedback: both feedback slopes are negative; qualifies:
+    feedback and both d-axis voltages above ud_min. The operation order is
+    that of the array oracle's root_conditions and dq_eval
+    (tests/torus_reference.py). prm as for _newton_pair."""
     a1, f1, b2, p2, c3, p3, a4, f4, b5, p5, c6, p6 = prm
     u1 = f1 - dp
     ux = p3 + dn - dp
@@ -288,18 +262,6 @@ def _root_check(prm, dp, dn, ud_min):
     r1 = a1 * math.sin(u1) + b2 * math.sin(p2) + c3 * math.sin(ux)
     r2 = a4 * math.sin(u4) + b5 * math.sin(p5) + c6 * math.sin(uy)
     return feedback, qualifies, ud_p, r1, ud_n, -r2
-
-
-def _conditions(prm, dp, dn, ud_min):
-    """Root conditions (feedback, qualifies); elementwise on arrays.
-
-    feedback: both per-loop feedback slopes are negative. qualifies: feedback
-    and both d-axis voltages above ud_min (orientation).
-    """
-    ud_p, _, ud_n, _ = _dq_eval(prm, dp, dn)
-    j11, _, _, j22 = _jacobian(prm, dp, dn)
-    feedback = (j11 < 0.0) & (j22 < 0.0)
-    return feedback, feedback & (ud_p > ud_min) & (ud_n > ud_min)
 
 
 def _curve_gap(prm):
@@ -653,14 +615,11 @@ def _simulate(y0, n_steps, dt, stride, t0, t_on, t_clear, code, zf, paths,
 
 if USING_NUMBA:
     _residual = njit(cache=True)(_residual)
-    _jacobian = njit(cache=True)(_jacobian)
-    _dq_eval = njit(cache=True)(_dq_eval)
     _seq_coeffs = njit(cache=True)(_seq_coeffs)
     _grid_column = njit(cache=True)(_grid_column)
     _seq_coeffs_mixed = njit(cache=True)(_seq_coeffs_mixed)
     _floats = njit(cache=True)(_floats)
     _newton_pair = njit(cache=True)(_newton_pair)
-    _conditions = njit(cache=True)(_conditions)
     _root_check = njit(cache=True)(_root_check)
     _as_state = njit(cache=True)(_as_state)
     _frames = njit(cache=True)(_frames)
@@ -681,8 +640,5 @@ seq_coeffs_mixed = _seq_coeffs_mixed
 newton_pair = _newton_pair
 deriv_eval = _deriv_eval
 residual_eval = _residual
-jacobian_eval = _jacobian
-dq_eval = _dq_eval
-root_conditions = _conditions
 root_check = _root_check
 curve_gap = _curve_gap

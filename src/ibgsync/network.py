@@ -72,15 +72,12 @@ class BranchImpedance:
 
 @dataclass(frozen=True)
 class CircuitParameters:
-    """Per-unit circuit: choke, two transformers, two line segments, grid.
+    """Per-unit circuit: two transformers, two line segments, grid.
 
-    `z_choke` is informational only: it is validated and stored, but no
-    equation reads it, because the terminal node sits between the choke and
-    T1 (see compose_paths). `omega0` is the one nominal frequency; the
-    synchronizer, the adaptive impedances and LOS detection all read it.
+    `omega0` is the one nominal frequency; the synchronizer, the adaptive
+    impedances and LOS detection all read it.
     """
 
-    z_choke: BranchImpedance
     z_t1: BranchImpedance
     z_t2: BranchImpedance
     z_l1: BranchImpedance
@@ -199,10 +196,9 @@ def compute_coefficients(paths: PathImpedances, fault: FaultSpec) -> SequenceCoe
 def table_circuit() -> CircuitParameters:
     """Reference circuit: 110 kV / 9 MVA base, 120 kV stiff source.
 
-    X-to-R ratios: choke 50, transformers 30, lines 2.5 and 5, grid 5.
+    X-to-R ratios: transformers 30, lines 2.5 and 5, grid 5.
     """
     return CircuitParameters(
-        z_choke=BranchImpedance(r=0.003, x=0.15),
         z_t1=BranchImpedance(r=0.002, x=0.06),
         z_t2=BranchImpedance(r=0.16 / 30.0, x=0.16),
         z_l1=BranchImpedance(r=0.02, x=0.05),

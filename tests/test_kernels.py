@@ -1,5 +1,6 @@
 """Tests for the numeric kernels and their two build flavors."""
 
+import cmath
 import json
 import math
 import os
@@ -20,6 +21,7 @@ from ibgsync import (
     SyncState,
     compose_paths,
     compute_coefficients,
+    dq_voltages,
     kernels,
     solve_equilibrium,
     table_circuit,
@@ -93,7 +95,7 @@ class TestCurveScan:
             prm, 180, 1e-10, NEWTON_MAXIT, ud_min))
         if got[0]:
             # the point returned is one that qualifies
-            assert kernels.root_conditions(prm, got[1], got[2], ud_min)[1]
+            assert torus_reference.root_conditions(prm, got[1], got[2], ud_min)[1]
 
     @pytest.mark.parametrize("amps, angles, ud_min, root, other", [
         ((0.615033, 0.748254, 1.390534, 0.6337, 1.059311, 1.30264),
@@ -110,8 +112,8 @@ class TestCurveScan:
         margins = []
         for dp, dn in (root, other):
             ok, dp, dn, _ = kernels.newton_pair(prm, dp, dn, 1e-12, NEWTON_MAXIT)
-            assert ok and kernels.root_conditions(prm, dp, dn, ud_min)[1]
-            ud_p, _, ud_n, _ = kernels.dq_eval(prm, dp, dn)
+            assert ok and torus_reference.root_conditions(prm, dp, dn, ud_min)[1]
+            ud_p, _, ud_n, _ = torus_reference.dq_eval(prm, dp, dn)
             margins.append(min(ud_p, ud_n))
         assert margins[0] > margins[1]
         for scan in (kernels.scan_roots, torus_reference.scan_roots):
@@ -241,13 +243,14 @@ class TestMixedCoefficients:
 
 def _newton_on_evaluators(prm, dp, dn, tol, maxit):
     """newton_pair's rule (stopping, singular test, +-0.5 damping, wrap)
-    built on residual_eval and jacobian_eval, one point at a time."""
+    built on residual_eval and the oracle's jacobian_eval, one point at a
+    time."""
     for _ in range(maxit):
         r1, r2 = kernels.residual_eval(prm, dp, dn)
         res = abs(r1) if abs(r1) > abs(r2) else abs(r2)
         if res < tol:
             return True, dp % (2.0 * math.pi), dn % (2.0 * math.pi), res
-        j11, j12, j21, j22 = kernels.jacobian_eval(prm, dp, dn)
+        j11, j12, j21, j22 = torus_reference.jacobian_eval(prm, dp, dn)
         det = j11 * j22 - j12 * j21
         if abs(det) < 1e-14:
             return False, dp, dn, res
@@ -312,9 +315,10 @@ class TestBranchSeeds:
 
 class TestScalarPolish:
     """newton_pair and root_check run on floats with math.sin and math.cos;
-    the numpy evaluators define them. The comparisons are exact: numpy's
-    float64 sin and cos give the C library's values wherever these tests
-    run, and the scalar forms keep the evaluators' operation order."""
+    residual_eval and the array oracle in torus_reference define them. The
+    comparisons are exact: numpy's float64 sin and cos give the C library's
+    values wherever these tests run, and the scalar forms keep the
+    evaluators' operation order."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -334,17 +338,28 @@ class TestScalarPolish:
     @given(seed=st.integers(0, 2**32 - 1),
            ud_min=st.sampled_from([1e-9, 0.3, -1e30]))
     def test_root_check_matches_evaluators(self, seed, ud_min):
+        """root_check, and equilibrium.dq_voltages that reads it, against
+        the oracle; the parameters are packed from drawn coefficients and
+        currents, so dq_voltages sees the same ones."""
         rng = np.random.default_rng(seed)
-        prm = _packed(rng.uniform(0.0, 2.0, 6), rng.uniform(-math.pi, math.pi, 6))
+        coeffs = SequenceCoefficients(*(
+            cmath.rect(a, f) for a, f in zip(rng.uniform(0.0, 2.0, 6),
+                                             rng.uniform(-math.pi, math.pi, 6))))
+        i_p, i_n, ug = rng.uniform(0.0, 1.5, 3).tolist()
+        th_p, th_n = rng.uniform(-math.pi, math.pi, 2).tolist()
+        ref = CurrentReference(i_p, th_p, i_n, th_n)
+        prm = pack_params(coeffs, ref, ug)
         points = rng.uniform(0.0, 2.0 * math.pi, (6, 2)).tolist()
         # and the roots Newton reaches from them
         points += [kernels.newton_pair(prm, dp, dn, 1e-10, NEWTON_MAXIT)[1:3]
                    for dp, dn in points]
         for dp, dn in points:
             feedback, qualifies, *dq = kernels.root_check(prm, dp, dn, ud_min)
-            want = kernels.root_conditions(prm, dp, dn, ud_min)
+            want = torus_reference.root_conditions(prm, dp, dn, ud_min)
             assert (feedback, qualifies) == (bool(want[0]), bool(want[1]))
-            assert _bits(dq) == _bits(kernels.dq_eval(prm, dp, dn))
+            want = torus_reference.dq_eval(prm, dp, dn)
+            assert _bits(dq) == _bits(want)
+            assert _bits(dq_voltages(coeffs, ref, ug, dp, dn)) == _bits(want)
 
 
 class TestEvaluators:
@@ -352,7 +367,7 @@ class TestEvaluators:
         rng = np.random.default_rng(7)
         for dp, dn in rng.uniform(-math.pi, math.pi, size=(20, 2)):
             r1, r2 = kernels.residual_eval(PRM, dp, dn)
-            _, uq_p, _, uq_n = kernels.dq_eval(PRM, dp, dn)
+            _, uq_p, _, uq_n = torus_reference.dq_eval(PRM, dp, dn)
             assert uq_p == pytest.approx(r1, abs=1e-15)
             assert uq_n == pytest.approx(-r2, abs=1e-15)
 
@@ -369,7 +384,7 @@ class TestEvaluators:
         h = 1e-7
         rng = np.random.default_rng(11)
         for dp, dn in rng.uniform(-math.pi, math.pi, size=(10, 2)):
-            j11, j12, j21, j22 = kernels.jacobian_eval(PRM, dp, dn)
+            j11, j12, j21, j22 = torus_reference.jacobian_eval(PRM, dp, dn)
             rp1, rp2 = kernels.residual_eval(PRM, dp + h, dn)
             rm1, rm2 = kernels.residual_eval(PRM, dp - h, dn)
             assert j11 == pytest.approx((rp1 - rm1) / (2 * h), abs=1e-6)

@@ -82,16 +82,6 @@ def test_compose_paths_reference_circuit():
     assert paths.zg_zero == pytest.approx(0.12 + 0.60j, rel=1e-12)
 
 
-def test_choke_excluded_from_line_path():
-    base = table_circuit()
-    fat_choke = CircuitParameters(
-        z_choke=BranchImpedance(r=0.1, x=0.9),
-        z_t1=base.z_t1, z_t2=base.z_t2, z_l1=base.z_l1, z_l2=base.z_l2,
-        z_g=base.z_g, ug_pos=base.ug_pos,
-    )
-    assert compose_paths(fat_choke) == compose_paths(base)
-
-
 def test_frequency_scale_applies_to_reactance_only():
     paths = compose_paths(table_circuit(), freq_scale=1.5)
     assert paths.zl_pos.real == pytest.approx(0.08733333333333, rel=1e-12)
@@ -137,8 +127,7 @@ def test_huge_fault_impedance_approaches_healthy():
 def test_degenerate_network_raises():
     zero = BranchImpedance(r=0.0, x=0.0)
     circuit = CircuitParameters(
-        z_choke=zero, z_t1=zero, z_t2=zero, z_l1=zero, z_l2=zero,
-        z_g=zero, ug_pos=1.0,
+        z_t1=zero, z_t2=zero, z_l1=zero, z_l2=zero, z_g=zero, ug_pos=1.0,
     )
     paths = compose_paths(circuit)
     with pytest.raises(DegenerateNetwork):
@@ -150,8 +139,7 @@ def test_branch_impedance_rejects_negatives():
         BranchImpedance(r=-0.01, x=0.1)
     with pytest.raises(ValueError):
         CircuitParameters(
-            z_choke=BranchImpedance(0.003, 0.15), z_t1=BranchImpedance(0.002, 0.06),
-            z_t2=BranchImpedance(0.005, 0.16), z_l1=BranchImpedance(0.02, 0.05),
+            z_t1=BranchImpedance(0.002, 0.06), z_t2=BranchImpedance(0.005, 0.16), z_l1=BranchImpedance(0.02, 0.05),
             z_l2=BranchImpedance(0.06, 0.30), z_g=BranchImpedance(0.04, 0.20),
             ug_pos=0.0,
         )
@@ -175,8 +163,8 @@ branch_st = st.builds(
 )
 circuit_st = st.builds(
     CircuitParameters,
-    z_choke=branch_st, z_t1=branch_st, z_t2=branch_st,
-    z_l1=branch_st, z_l2=branch_st, z_g=branch_st,
+    z_t1=branch_st, z_t2=branch_st, z_l1=branch_st, z_l2=branch_st,
+    z_g=branch_st,
     ug_pos=st.floats(min_value=0.5, max_value=1.5),
 )
 asym_fault_st = st.sampled_from([FaultType.SLG, FaultType.DLG, FaultType.LL])

@@ -162,7 +162,7 @@ def test_phase_quantities_recompose():
 def test_singular_system_raises():
     zero = BranchImpedance(r=0.0, x=0.0)
     broken = CircuitParameters(
-        z_choke=zero, z_t1=zero, z_t2=BranchImpedance(0.005, 0.16),
+        z_t1=zero, z_t2=BranchImpedance(0.005, 0.16),
         z_l1=zero, z_l2=BranchImpedance(0.06, 0.30),
         z_g=zero, ug_pos=1.0,
     )

@@ -1,13 +1,19 @@
-"""Torus-grid root scan used only by the tests.
+"""Torus-grid root scan and the array root evaluators, used only by the
+tests.
 
-The equilibrium scan as it was before ``kernels.scan_roots`` moved onto the
-one-dimensional curve where r1 vanishes: a Newton seed at every point of a
-grid_n x grid_n grid over (delta+, delta-), all seeds iterated together,
-each stopping by ``kernels.newton_pair``'s rule. It returns the same
-6-tuple, picks among qualifying roots by the same rule, the largest
-min(ud+, ud-), and gives the winner the same two more Newton steps, kept
-while it qualifies, so the two scans can be compared for any packed
-parameters.
+The evaluators write the Jacobian of (r1, r2), the d/q voltages and the
+root conditions elementwise on numpy arrays. ``kernels.newton_pair`` and
+``kernels.root_check`` evaluate one point on floats in the same operation
+order, so the tests compare the two forms bit for bit.
+
+The scan is the equilibrium scan as it was before ``kernels.scan_roots``
+moved onto the one-dimensional curve where r1 vanishes: a Newton seed at
+every point of a grid_n x grid_n grid over (delta+, delta-), all seeds
+iterated together, each stopping by ``kernels.newton_pair``'s rule. It
+returns the same 6-tuple, picks among qualifying roots by the same rule,
+the largest min(ud+, ud-), and gives the winner the same two more Newton
+steps, kept while it qualifies, so the two scans can be compared for any
+packed parameters.
 """
 
 import math
@@ -15,14 +21,53 @@ import math
 import numpy as np
 
 from ibgsync.kernels import (
-    dq_eval,
-    jacobian_eval,
+    P_A1, P_A4, P_B2, P_B5, P_C3, P_C6, P_F1, P_F4, P_P2, P_P3, P_P5, P_P6,
     newton_pair,
     residual_eval,
-    root_conditions,
 )
 
-__all__ = ["scan_roots"]
+__all__ = ["jacobian_eval", "dq_eval", "root_conditions", "scan_roots"]
+
+
+def jacobian_eval(prm, dp, dn):
+    """Partials of (r1, r2) w.r.t. (dp, dn); elementwise on arrays."""
+    cp = prm[P_A1] * np.cos(prm[P_F1] - dp)
+    cx = prm[P_C3] * np.cos(prm[P_P3] + dn - dp)
+    cn = prm[P_A4] * np.cos(prm[P_F4] - dn)
+    cy = prm[P_C6] * np.cos(prm[P_P6] + dp - dn)
+    j11 = -cp - cx
+    j12 = cx
+    j21 = cy
+    j22 = -cn - cy
+    return j11, j12, j21, j22
+
+
+def dq_eval(prm, dp, dn):
+    """d/q voltages at an angle pair; uq_neg carries the clockwise-frame sign."""
+    r1, r2 = residual_eval(prm, dp, dn)
+    ud_p = (
+        prm[P_A1] * np.cos(prm[P_F1] - dp)
+        + prm[P_B2] * np.cos(prm[P_P2])
+        + prm[P_C3] * np.cos(prm[P_P3] + dn - dp)
+    )
+    ud_n = (
+        prm[P_A4] * np.cos(prm[P_F4] - dn)
+        + prm[P_B5] * np.cos(prm[P_P5])
+        + prm[P_C6] * np.cos(prm[P_P6] + dp - dn)
+    )
+    return ud_p, r1, ud_n, -r2
+
+
+def root_conditions(prm, dp, dn, ud_min):
+    """Root conditions (feedback, qualifies); elementwise on arrays.
+
+    feedback: both per-loop feedback slopes are negative. qualifies: feedback
+    and both d-axis voltages above ud_min (orientation).
+    """
+    ud_p, _, ud_n, _ = dq_eval(prm, dp, dn)
+    j11, _, _, j22 = jacobian_eval(prm, dp, dn)
+    feedback = (j11 < 0.0) & (j22 < 0.0)
+    return feedback, feedback & (ud_p > ud_min) & (ud_n > ud_min)
 
 
 def scan_roots(prm, grid_n, tol, maxit, ud_min):

@@ -12,14 +12,20 @@ directory, and each runs from its own ``src``:
   around the fold (the JSON printed), and ``region --fault ll --seq neg
   --angle-step 5``, whose sweep passes the stall at 0.92 (the CSV written);
 - ``validate --draws 100 --seed 0`` (the table printed);
+- ``simulate`` of a 1 s DLG ride-through (the verdict printed and the trace
+  CSV written);
 - ``coeffs --json``, ``equilibrium`` and ``limit`` under a config that sets
-  every section (the JSON printed);
-- ``coeffs`` under three configs both sides must reject (the exit code and
-  the empty output).
+  every section, and ``coeffs --json`` under one that sets
+  ``circuit.choke`` (the JSON printed);
+- ``coeffs`` under four configs both sides must reject, one of them with a
+  negative choke resistance (the exit code and the empty output).
 
 A case with a config writes the same JSON into each checkout and passes it
-with ``--config``. Each output is compared with its exit code. One line per output says
-``same`` or ``DIFFERS``; the exit status is 1 when any output differs.
+with ``--config``. A case that writes a file passes ``--out answer.out``,
+relative to the checkout it runs in, and its answer is what it printed
+followed by the file. Each output is compared with its exit code. One line
+per output says ``same`` or ``DIFFERS``; the exit status is 1 when any
+output differs.
 """
 
 import argparse
@@ -59,18 +65,25 @@ CONFIG = {
     "scenario": {"t_end": 2.0, "init": "prefault"},
     "solver": {"grid_deg": 3.0, "step": 0.02},
 }
-# configs with a string where a number goes, a branch without x, and a
-# phasor string that Python's float() would read
+# a choke no equation reads: checked, then ignored
+CHOKE_CONFIG = {"circuit": {"choke": {"r": 0.5, "x": 5.0}},
+                "fault": {"type": "dlg"}}
+# configs with a string where a number goes, a branch without x, a phasor
+# string that Python's float() would read, and a negative choke resistance
 REJECTED = {
     "string tol": {"solver": {"tol": "1e-10"}},
     "branch without x": {"circuit": {"grid": {"r": 0.04}}},
     "phasor 1_0@5": {"current": {"fault": {"i_pos": "1_0@5"}}},
+    "choke r < 0": {"circuit": {"choke": {"r": -1, "x": 0}}},
 }
+# a closed-loop run that loses synchronism within its horizon
+SIMULATE = ["simulate", "--fault", "dlg", "--iplus", "0.77@-30",
+            "--iminus", "0.5@90", "--t-end", "1"]
 
 
 def cases() -> list[tuple[str, list[str], bool, dict | None]]:
-    """(name, CLI argv, whether the answer is the file given by --out, the
-    config or None)."""
+    """(name, CLI argv, whether the answer includes the file given by --out,
+    the config or None)."""
     out = [(f"limit {f} {s} {a} other {o}",
             ["limit", "--fault", f, "--seq", s, "--angle", a, "--other", o],
             False, None)
@@ -88,9 +101,12 @@ def cases() -> list[tuple[str, list[str], bool, dict | None]]:
                 True, None))
     out.append(("validate draws 100 seed 0",
                 ["validate", "--draws", "100", "--seed", "0"], False, None))
+    out.append(("simulate dlg iplus 0.77@-30 t_end 1", SIMULATE, True, None))
     out += [(f"config {argv[0]}", argv, False, CONFIG) for argv in (
         ["coeffs", "--json"], ["equilibrium"],
         ["limit", "--seq", "pos", "--angle", "-30", "--other", "0.3@90"])]
+    out.append(("config choke coeffs", ["coeffs", "--json"], False,
+                CHOKE_CONFIG))
     out += [(f"rejected config: {name}", ["coeffs", "--fault", "dlg"], False,
              config) for name, config in REJECTED.items()]
     return out
@@ -98,7 +114,8 @@ def cases() -> list[tuple[str, list[str], bool, dict | None]]:
 
 def answer(checkout: Path, argv: list[str], to_file: bool,
            config: dict | None) -> bytes:
-    """The exit code and what one CLI run printed, or wrote to --out."""
+    """The exit code and what one CLI run printed, then what it wrote to
+    --out."""
     out = checkout / "answer.out"
     cmd = [sys.executable, "-m", "ibgsync.cli"]
     if config is not None:
@@ -107,10 +124,14 @@ def answer(checkout: Path, argv: list[str], to_file: bool,
         cmd += ["--config", str(path)]
     cmd += argv
     if to_file:
-        cmd += ["--out", str(out)]
+        # relative, so a printed path reads the same in both checkouts
+        cmd += ["--out", out.name]
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True)
-    body = out.read_bytes() if to_file and out.exists() else proc.stdout
+    body = proc.stdout
+    if to_file and out.exists():
+        body += out.read_bytes()
+        out.unlink()
     return b"exit %d\n" % proc.returncode + body
 
 

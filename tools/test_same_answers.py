@@ -20,9 +20,11 @@ def _stub(monkeypatch, differing=()):
 
 def test_cases_cover_the_reference_outputs():
     names = [name for name, _, _, _ in same_answers.cases()]
-    assert len(names) == 12 + 4 + 3 + 1 + 1 + 3 + 3
+    assert len(names) == 12 + 4 + 3 + 1 + 1 + 1 + 4 + 4
     assert len(set(names)) == len(names)
-    regions = [argv for _, argv, to_file, _ in same_answers.cases() if to_file]
+    to_file = [argv for _, argv, to_file, _ in same_answers.cases() if to_file]
+    assert [argv[0] for argv in to_file].count("simulate") == 1
+    regions = [argv for argv in to_file if argv[0] != "simulate"]
     assert all(argv[0] == "region" for argv in regions)
     assert sorted(argv[argv.index("--angle-step") + 1] for argv in regions) \
         == ["30", "30", "5", "5", "5"]
@@ -41,7 +43,7 @@ def test_same_answers_exit_0(monkeypatch, capsys):
     assert same_answers.main(["--parent", "a", "--change", "b"]) == 0
     out = capsys.readouterr().out
     assert "DIFFERS" not in out
-    assert "27 of 27 outputs byte-identical" in out
+    assert "30 of 30 outputs byte-identical" in out
 
 
 def test_one_difference_exits_1(monkeypatch, capsys):
@@ -50,15 +52,25 @@ def test_one_difference_exits_1(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "DIFFERS: validate draws 100 seed 0" in out
     assert out.count("DIFFERS") == 1
-    assert "26 of 27 outputs byte-identical" in out
+    assert "29 of 30 outputs byte-identical" in out
 
 
 def test_config_cases_set_every_section():
     configs = [c for _, _, _, c in same_answers.cases() if c is not None]
-    assert len(configs) == 6
+    assert len(configs) == 8
     assert set(same_answers.CONFIG) == {
         "circuit", "fault", "current", "sync", "scenario", "solver"}
     assert configs.count(same_answers.CONFIG) == 3
+
+
+def test_choke_is_set_and_rejected():
+    """One config sets circuit.choke, one rejected config gives it a
+    negative resistance."""
+    configs = [c for _, _, _, c in same_answers.cases() if c is not None]
+    chokes = [c["circuit"]["choke"] for c in configs
+              if "choke" in c.get("circuit", {})]
+    assert len(chokes) == 2
+    assert sorted(choke["r"] for choke in chokes) == [-1, 0.5]
 
 
 def test_config_is_written_into_the_checkout(tmp_path, monkeypatch):
@@ -75,3 +87,16 @@ def test_config_is_written_into_the_checkout(tmp_path, monkeypatch):
     path = tmp_path / "answer-config.json"
     assert json.loads(path.read_text()) == {"extra": 1}
     assert seen[0][-5:] == ["--config", str(path), "coeffs", "--fault", "dlg"]
+
+
+def test_answer_is_output_then_file(tmp_path, monkeypatch):
+    """A case that writes --out answers with what it printed, then the
+    file, which is removed so no later case reads it."""
+    def run(cmd, **kwargs):
+        assert cmd[-2:] == ["--out", "answer.out"]
+        (kwargs["cwd"] / "answer.out").write_bytes(b"t,f\n0,50\n")
+        return subprocess.CompletedProcess(cmd, 0, b'{"lost": false}\n', b"")
+    monkeypatch.setattr(same_answers.subprocess, "run", run)
+    got = same_answers.answer(tmp_path, same_answers.SIMULATE, True, None)
+    assert got == b'exit 0\n{"lost": false}\nt,f\n0,50\n'
+    assert not (tmp_path / "answer.out").exists()
