@@ -361,9 +361,12 @@ class TestErrors:
         # bases within the schema whose impedance base is 0 or infinite
         [{"circuit": {"v_base_kv": 1e-200}}, "coeffs", "--fault", "dlg"],
         [{"circuit": {"v_base_kv": 1e200}}, "coeffs", "--fault", "dlg", "--zf", "1"],
-        # 1e18 steps, over the step budget (and a trace buffer larger than
-        # any address space)
+        # runs over the step budget: 1e18 steps (and a trace buffer larger
+        # than any address space), 1e298 steps that would never end, and
+        # 1e300 / 1e-300, whose rounding to a step count overflowed
         ["simulate", "--fault", "dlg", "--t-end", "1e14"],
+        ["simulate", "--fault", "dlg", "--t-end", "0.01", "--dt", "1e-300"],
+        ["simulate", "--fault", "dlg", "--t-end", "1e300", "--dt", "1e-300"],
     ])
     def test_invalid_input_exits_1(self, argv, tmp_path, capsys):
         config = argv[0] if isinstance(argv[0], dict) else None
@@ -436,20 +439,6 @@ class TestErrors:
         assert "config error" in err
         assert not out_csv.exists()
 
-    @pytest.mark.parametrize("t_end, dt", [("0.01", "1e-300"),
-                                           ("1e300", "1e-300")])
-    def test_run_over_step_budget_exits_1(self, t_end, dt, tmp_path, capsys):
-        """Rejected before the first step: 1e298 steps would never end, and
-        rounding 1e300 / 1e-300 to a step count overflowed."""
-        out_csv = tmp_path / "trace.csv"
-        code, out, err = run_cli(
-            ["simulate", "--fault", "dlg", "--t-end", t_end, "--dt", dt,
-             "--out", str(out_csv)], capsys)
-        assert code == 1
-        assert "config error" in err and "steps" in err
-        assert "Traceback" not in err
-        assert out == "" and not out_csv.exists()
-
     def test_degenerate_network_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "degenerate.json"
         zero = {"r": 0.0, "x": 0.0}
@@ -471,27 +460,15 @@ def run_with_config(config, argv, tmp_path, capsys):
     return run_cli(["--config", str(path), *argv], capsys)
 
 
-class TestChoke:
+def test_choke_is_ignored(tmp_path, capsys):
     """config circuit.choke is checked like any branch, then ignored: the
     terminal node sits between the choke and T1."""
-
-    def test_ignored(self, tmp_path, capsys):
-        fat = {"circuit": {"choke": {"r": 0.5, "x": 5.0}}}
-        assert parse_config(fat).circuit == parse_config({}).circuit
-        argv = ["coeffs", "--fault", "dlg", "--json"]
-        with_choke = run_with_config(fat, argv, tmp_path, capsys)
-        assert with_choke[0] == 0
-        assert with_choke == run_with_config({}, argv, tmp_path, capsys)
-
-    @pytest.mark.parametrize("choke", [{"r": -1, "x": 0}, {"r": 0.1}],
-                             ids=["r-negative", "x-missing"])
-    def test_still_checked(self, choke, tmp_path, capsys):
-        code, out, err = run_with_config(
-            {"circuit": {"choke": choke}}, ["coeffs", "--fault", "dlg"],
-            tmp_path, capsys)
-        assert code == 1
-        assert "config error: config.circuit.choke" in err
-        assert out == ""
+    fat = {"circuit": {"choke": {"r": 0.5, "x": 5.0}}}
+    assert parse_config(fat).circuit == parse_config({}).circuit
+    argv = ["coeffs", "--fault", "dlg", "--json"]
+    with_choke = run_with_config(fat, argv, tmp_path, capsys)
+    assert with_choke[0] == 0
+    assert with_choke == run_with_config({}, argv, tmp_path, capsys)
 
 
 _SECTIONS = ("circuit", "fault", "current", "sync", "scenario", "solver")
@@ -580,7 +557,13 @@ class TestConfigRejected:
          "config.circuit.grid: branch impedance must be"),
         ({"scenario": {"t_end": math.nan}}, "config.scenario: t_end must be"),
         ({"circuit": {"f_hz": 0}}, "config.circuit: omega0 must be"),
-    ], ids=["grid-r-negative", "t_end-nan", "f_hz-0"])
+        # the choke, which no equation reads, is still checked
+        ({"circuit": {"choke": {"r": -1, "x": 0}}},
+         "config.circuit.choke: branch impedance must be"),
+        ({"circuit": {"choke": {"r": 0.1}}},
+         "config.circuit.choke: missing key 'x'"),
+    ], ids=["grid-r-negative", "t_end-nan", "f_hz-0", "choke-r-negative",
+            "choke-x-missing"])
     def test_range_error_names_the_key(self, config, where, tmp_path, capsys):
         """The built object's message, prefixed with where the value sits."""
         with pytest.raises(ConfigError) as exc:
