@@ -20,7 +20,6 @@ from .equilibrium import (
     CurrentReference,
     EquilibriumResult,
     InstabilityType,
-    NoConvergence,
     dq_voltages,
     solve_equilibrium,
 )
@@ -74,7 +73,7 @@ __all__ = [
     "PhaseNetworkSolution", "SingularSystem", "solve_phase_network",
     # equilibrium
     "CurrentReference", "EquilibriumResult", "InstabilityType",
-    "NoConvergence", "solve_equilibrium", "dq_voltages",
+    "solve_equilibrium", "dq_voltages",
     # limits
     "Binding", "LimitResult", "RegionBoundary",
     "decoupled_limit", "traversal_limit", "region_boundary", "classify",

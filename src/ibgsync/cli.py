@@ -20,11 +20,7 @@ from .dynsim import (
     run_scenario,
     trace_to_csv,
 )
-from .equilibrium import (
-    CurrentReference,
-    NoConvergence,
-    solve_equilibrium,
-)
+from .equilibrium import CurrentReference, solve_equilibrium
 from .limits import _SEQUENCES, decoupled_limit, region_boundary, traversal_limit
 from .network import (
     BranchImpedance,
@@ -437,7 +433,7 @@ def main(argv=None) -> int:
         doc = load_config(args.config)
         return args.func(doc, args)
     # DegenerateNetwork and SingularSystem are ValueErrors: catch them first
-    except (DegenerateNetwork, SingularSystem, NoConvergence) as exc:
+    except (DegenerateNetwork, SingularSystem) as exc:
         print(f"ibgsync: numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -267,7 +267,6 @@ def _settled_state(
         u_hat_pos=u_pos, u_hat_neg=u_neg.conjugate(),
         omega_hat=w0, eps_fll=0.0,
         theta_pos=th_p, theta_neg=th_n,
-        omega_pos=w0, omega_neg=w0,
         xi_pos=0.0, xi_neg=0.0,
     )
 
@@ -291,10 +290,9 @@ def initial_sync_state(scenario: Scenario) -> SyncState:
     if eq.found:
         return _settled_state(scenario, healthy, scenario.ref_prefault, eq)
     theta_g = scenario.circuit.theta_g
-    w0 = scenario.circuit.omega0
     return SyncState(
         theta_pos=theta_g - math.pi / 3.0, theta_neg=theta_g + math.pi / 3.0,
-        omega_hat=w0, omega_pos=w0, omega_neg=w0,
+        omega_hat=scenario.circuit.omega0,
     )
 
 

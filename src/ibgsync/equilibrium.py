@@ -12,8 +12,6 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import kernels
 from .network import SequenceCoefficients
 from .phasor import polar, wrap_angle
@@ -22,7 +20,6 @@ __all__ = [
     "CurrentReference",
     "EquilibriumResult",
     "InstabilityType",
-    "NoConvergence",
     "pack_params",
     "dq_voltages",
     "solve_equilibrium",
@@ -49,10 +46,6 @@ class InstabilityType(enum.Enum):
     POS_TYPE2 = "pos_type2"
     NEG_TYPE1 = "neg_type1"
     NEG_TYPE2 = "neg_type2"
-
-
-class NoConvergence(RuntimeError):
-    """Newton stalled from every seed while residual minima stayed near zero."""
 
 
 @dataclass(frozen=True)
@@ -117,14 +110,14 @@ def _pack(polars, ug_pos, i_pos, theta_i_pos, i_neg, theta_i_neg):
 
 def pack_params(
     coeffs: SequenceCoefficients, ref: CurrentReference, ug_pos: float
-) -> np.ndarray:
-    """Pack the twelve scalars driving the orientation equations.
+) -> tuple[float, ...]:
+    """Pack the twelve floats driving the orientation equations.
 
     Layout: amplitude/angle pairs of grid, own-current, and cross-current
     contributions, positive sequence first (see kernels.P_* indices).
     """
-    return np.array(_pack(_polars(coeffs), ug_pos, ref.i_pos,
-                          ref.theta_i_pos, ref.i_neg, ref.theta_i_neg))
+    return _pack(_polars(coeffs), ug_pos, ref.i_pos, ref.theta_i_pos,
+                 ref.i_neg, ref.theta_i_neg)
 
 
 def dq_voltages(
@@ -139,9 +132,8 @@ def dq_voltages(
     The negative sequence uses the clockwise-frame convention
     ud- - j uq-, so uq- is minus the imaginary part of the rotated sum.
     """
-    prm = _pack(_polars(coeffs), ug_pos, ref.i_pos, ref.theta_i_pos,
-                ref.i_neg, ref.theta_i_neg)
-    return kernels.root_check(prm, delta_pos, delta_neg, UD_MIN)[2:]
+    return kernels.root_check(pack_params(coeffs, ref, ug_pos), delta_pos,
+                              delta_neg, UD_MIN)[2:]
 
 
 def _found(dp, dn, ud_p, uq_p, ud_n, uq_n, res) -> EquilibriumResult:
@@ -212,6 +204,11 @@ def solve_equilibrium(
     negative-sequence equation is identically zero (no grid contribution, no
     injected negative current) the positive problem is solved alone with
     delta- reported as 0 and the negative conditions treated as vacuous.
+
+    A scan that finds no qualifying root is a miss, whatever its residual.
+    Just past the fold, where the Jacobian turns singular, no seed converges
+    although the residual nearly vanishes; like any scan without a
+    slope-stable root, that miss reads as the fold (cond_feedback False).
     """
     prm = pack_params(coeffs, ref, ug_pos)
     if _negative_degenerate(prm):
@@ -221,16 +218,11 @@ def solve_equilibrium(
         return _not_found(feedback=feedback)
 
     # the curve's samples per angle at a spacing of grid_deg
-    found, dp, dn, res, any_conv, feedback = kernels.scan_roots(
+    found, dp, dn, res, _, feedback = kernels.scan_roots(
         prm, max(8, int(round(360.0 / grid_deg))), tol, NEWTON_MAXIT, ud_min
     )
     if found:
         return _found(dp, dn, *kernels.root_check(prm, dp, dn, ud_min)[2:], res)
-    # an empty curve is a certified miss, not a stall
-    if not any_conv and res < 1e-6 and kernels.curve_gap(prm) <= 0.0:
-        raise NoConvergence(
-            f"Newton stalled from every seed (best residual {res:.3e})"
-        )
     return _not_found(res, feedback)
 
 
@@ -244,10 +236,9 @@ def refine_root(
     """Polish a known nearby root (warm start): the polished (delta+,
     delta-), or None when Newton misses or the root stops qualifying.
 
-    prm holds the twelve packed parameters (any 12-sequence; a traversal
-    passes _pack's floats). The Newton steps and the root check run on
-    floats (kernels.newton_pair, kernels.root_check); no result object is
-    built."""
+    prm holds the twelve packed floats (pack_params, or a traversal's
+    _pack). The Newton steps and the root check run on floats
+    (kernels.newton_pair, kernels.root_check); no result object is built."""
     if _negative_degenerate(prm):
         found, _, dp, _ = _solve_degenerate(prm, ud_min)
         return (dp, 0.0) if found else None

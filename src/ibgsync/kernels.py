@@ -9,10 +9,10 @@ the curve with numpy array operations, then polishes a few dozen seeds
 with ``_newton_pair`` and checks their roots with ``_root_check``. Those
 two run on floats with ``math.sin`` and ``math.cos``, one point at a
 time, since numpy's ufunc dispatch makes a single point several times
-slower. They take the twelve packed parameters as floats: ``scan_roots``
-converts its array once (``_floats``), and an amplitude traversal packs
-its floats itself (``equilibrium._pack``), so a warm-start step touches
-no numpy object. They keep the operation order of ``_residual`` and of the
+slower. They take the twelve packed parameters as the floats that
+``equilibrium.pack_params`` returns (an amplitude traversal packs them
+itself with ``equilibrium._pack``), so a warm-start step touches no numpy
+object. They keep the operation order of ``_residual`` and of the
 array oracle in ``tests/torus_reference.py`` (``jacobian_eval``,
 ``dq_eval``, ``root_conditions``), so both forms give the same bits.
 
@@ -183,24 +183,15 @@ def _residual(prm, dp, dn):
     return r1, r2
 
 
-def _floats(prm):
-    """The twelve packed parameters as floats (in P_* order)."""
-    return (float(prm[P_A1]), float(prm[P_F1]), float(prm[P_B2]),
-            float(prm[P_P2]), float(prm[P_C3]), float(prm[P_P3]),
-            float(prm[P_A4]), float(prm[P_F4]), float(prm[P_B5]),
-            float(prm[P_P5]), float(prm[P_C6]), float(prm[P_P6]))
-
-
 def _newton_pair(prm, dp, dn, tol, maxit):
     """Damped Newton on (r1, r2) from one seed; returns (ok, dp, dn, res).
 
     The seed stops when its residual drops below tol (ok) or its Jacobian
     turns singular; after maxit steps one last residual check decides.
-    Runs on floats: prm is the twelve packed parameters as floats (_floats;
-    any 12-sequence unpacks), and r1, r2 and the Jacobian are those of
-    _residual and the array oracle's jacobian_eval
-    (tests/torus_reference.py), in their operation order, from one
-    evaluation of the four angle arguments.
+    Runs on floats: prm is the twelve packed floats (any 12-sequence
+    unpacks), and r1, r2 and the Jacobian are those of _residual and the
+    array oracle's jacobian_eval (tests/torus_reference.py), in their
+    operation order, from one evaluation of the four angle arguments.
     """
     a1, f1, b2, p2, c3, p3, a4, f4, b5, p5, c6, p6 = prm
     b2s = b2 * math.sin(p2)
@@ -310,7 +301,8 @@ def _branch_seeds(r2, on, nx, pv):
 
 def scan_roots(prm, grid_n, tol, maxit, ud_min):
     """Newton seeded along the curve where r1 vanishes; returns the
-    qualifying root with the largest min(ud+, ud-).
+    qualifying root with the largest min(ud+, ud-). prm is the twelve
+    packed floats (equilibrium.pack_params).
 
     For a fixed dn the two dp-terms of r1 add into one sinusoid:
     r1 = R sin(phi - dp) + b with R e^{j phi} = A1 e^{jF1} + C3 e^{j(P3+dn)}
@@ -338,7 +330,7 @@ def scan_roots(prm, grid_n, tol, maxit, ud_min):
     """
     gap = _curve_gap(prm)
     if gap > 0.0:
-        return False, 0.0, 0.0, float(gap), False, False
+        return False, 0.0, 0.0, gap, False, False
     a1, f1, c3, p3 = prm[P_A1], prm[P_F1], prm[P_C3], prm[P_P3]
     b = prm[P_B2] * math.sin(prm[P_P2])
     steps = np.arange(grid_n) * (2.0 * math.pi / grid_n)
@@ -356,7 +348,6 @@ def scan_roots(prm, grid_n, tol, maxit, ud_min):
                                      a1 * np.sin(f1 - dp) + b)
     rows += [(dp, dn1, on), (dp, dn2, on)]
     nx, pv = _cyclic_neighbours(grid_n)
-    fl = _floats(prm)
     seeds = []
     for dps, dns, on in rows:
         keep = _branch_seeds(_residual(prm, dps, dns)[1], on, nx, pv)
@@ -367,13 +358,14 @@ def scan_roots(prm, grid_n, tol, maxit, ud_min):
     best = None
     any_conv = any_feedback = False
     for dp0, dn0 in seeds:
-        ok, dp, dn, res = _newton_pair(fl, dp0, dn0, tol, maxit)
+        ok, dp, dn, res = _newton_pair(prm, dp0, dn0, tol, maxit)
         if not ok:
             all_res = min(all_res, res)
             continue
         any_conv = True
         conv_res = min(conv_res, res)
-        feedback, qualifies, ud_p, _, ud_n, _ = _root_check(fl, dp, dn, ud_min)
+        feedback, qualifies, ud_p, _, ud_n, _ = _root_check(prm, dp, dn,
+                                                            ud_min)
         any_feedback = any_feedback or feedback
         if qualifies:
             margin = min(ud_p, ud_n)
@@ -383,8 +375,8 @@ def scan_roots(prm, grid_n, tol, maxit, ud_min):
         # two more steps, so the point returned does not hang on how close
         # the seed that reached the root stopped short of it; a root with a
         # condition at its threshold keeps the point that qualified
-        _, dp, dn, res = _newton_pair(fl, best[0], best[1], 0.0, 2)
-        if _root_check(fl, dp, dn, ud_min)[1]:
+        _, dp, dn, res = _newton_pair(prm, best[0], best[1], 0.0, 2)
+        if _root_check(prm, dp, dn, ud_min)[1]:
             best = (dp, dn, res)
         return True, best[0], best[1], best[2], True, True
     return (False, 0.0, 0.0, conv_res if any_conv else all_res, any_conv,
@@ -618,7 +610,6 @@ if USING_NUMBA:
     _seq_coeffs = njit(cache=True)(_seq_coeffs)
     _grid_column = njit(cache=True)(_grid_column)
     _seq_coeffs_mixed = njit(cache=True)(_seq_coeffs_mixed)
-    _floats = njit(cache=True)(_floats)
     _newton_pair = njit(cache=True)(_newton_pair)
     _root_check = njit(cache=True)(_root_check)
     _as_state = njit(cache=True)(_as_state)
@@ -630,8 +621,6 @@ if USING_NUMBA:
     _rk4_update = njit(cache=True)(_rk4_update)
     simulate = njit(cache=True)(_simulate)
 else:
-    # the same twelve floats without twelve numpy scalar lookups
-    _floats = np.ndarray.tolist
     simulate = _simulate
 
 seq_coeffs = _seq_coeffs
@@ -641,4 +630,3 @@ newton_pair = _newton_pair
 deriv_eval = _deriv_eval
 residual_eval = _residual
 root_check = _root_check
-curve_gap = _curve_gap

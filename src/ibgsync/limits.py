@@ -20,7 +20,6 @@ from .equilibrium import (
     UD_MIN,
     CurrentReference,
     InstabilityType,
-    NoConvergence,
     _pack,
     _polars,
     refine_root,
@@ -175,12 +174,11 @@ def traversal_limit(
     Amplitudes are swept upward from `step` in `step` increments up to
     `ceiling`. Each step warm-starts Newton from the previous root on the
     packed floats (refine_root); a warm-start miss is confirmed by a full
-    scan (solve_equilibrium) before the amplitude is declared failing; a
-    confirm scan that stalls (NoConvergence) ends the sweep as the fold,
-    since Newton stalls where the Jacobian turns singular. The reported
-    limit is the last passing amplitude on this grid, so `step` alone sets
-    the resolution. A step that asks for more than MAX_SWEEP_POINTS
-    amplitudes is a ValueError. Every input is checked before any solve.
+    scan (solve_equilibrium) before the amplitude is declared failing. The
+    reported limit is the last passing amplitude on this grid, so `step`
+    alone sets the resolution. A step that asks for more than
+    MAX_SWEEP_POINTS amplitudes is a ValueError. Every input is checked
+    before any solve.
     """
     if sequence not in _SEQUENCES:
         raise ValueError(f"sequence must be one of {_SEQUENCES}")
@@ -198,13 +196,7 @@ def traversal_limit(
             prev = refine_root(packed(amp), prev[0], prev[1], tol, ud_min)
         if prev is None:
             ref = _make_ref(sequence, amp, theta_i, other)
-            try:
-                res = solve_equilibrium(coeffs, ref, ug_pos, grid_deg, tol, ud_min)
-            except NoConvergence:
-                # no passing amplitude lies below the first one
-                if k == 1:
-                    raise
-                return LimitResult(sequence, theta_i, (k - 1) * step, Binding.TYPE1)
+            res = solve_equilibrium(coeffs, ref, ug_pos, grid_deg, tol, ud_min)
             if not res.found:
                 break
             prev = (res.delta_pos, res.delta_neg)
@@ -213,7 +205,7 @@ def traversal_limit(
 
     # res is the scan that confirmed the failure at k * step: a surviving
     # slope-stable root means the voltage condition failed (type 2), none
-    # means the fold (type 1)
+    # means the fold (type 1), where Newton may also stall short of a root
     binding = Binding.TYPE2 if res.cond_feedback else Binding.TYPE1
     return LimitResult(sequence, theta_i, (k - 1) * step, binding)
 

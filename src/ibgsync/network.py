@@ -65,9 +65,9 @@ class BranchImpedance:
         if not (0.0 <= self.r < math.inf and 0.0 <= self.x < math.inf):
             raise ValueError(f"branch impedance must be finite and >= 0, got {self}")
 
-    def z(self, freq_scale: float = 1.0) -> complex:
-        """Complex impedance r + j*freq_scale*x."""
-        return complex(self.r, freq_scale * self.x)
+    def z(self) -> complex:
+        """Complex impedance r + j*x."""
+        return complex(self.r, self.x)
 
 
 @dataclass(frozen=True)
@@ -138,25 +138,21 @@ class SequenceCoefficients:
         return (self.k1, self.z2, self.z3, self.k4, self.z5, self.z6)
 
 
-def compose_paths(circuit: CircuitParameters, freq_scale: float = 1.0) -> PathImpedances:
-    """Build the four sequence path impedances at a given frequency scale.
+def compose_paths(circuit: CircuitParameters) -> PathImpedances:
+    """Build the four sequence path impedances at the nominal frequency.
 
     The line path runs from the terminal node to the fault node
     (T1 + L1 + T2 + L2); its zero-sequence variant carries only T2 + 3*L2
     because the delta winding of T1 blocks zero sequence. The grid path is
-    the source impedance (3x in zero sequence).
+    the source impedance (3x in zero sequence). Reactances scale with
+    frequency only in the kernels' coefficient column (kernels.seq_coeffs).
     """
-    if freq_scale <= 0:
-        raise ValueError("freq_scale must be positive")
     zl_pos = (
-        circuit.z_t1.z(freq_scale)
-        + circuit.z_l1.z(freq_scale)
-        + circuit.z_t2.z(freq_scale)
-        + circuit.z_l2.z(freq_scale)
+        circuit.z_t1.z() + circuit.z_l1.z() + circuit.z_t2.z() + circuit.z_l2.z()
     )
-    zl_zero = circuit.z_t2.z(freq_scale) + 3.0 * circuit.z_l2.z(freq_scale)
-    zg_pos = circuit.z_g.z(freq_scale)
-    zg_zero = 3.0 * circuit.z_g.z(freq_scale)
+    zl_zero = circuit.z_t2.z() + 3.0 * circuit.z_l2.z()
+    zg_pos = circuit.z_g.z()
+    zg_zero = 3.0 * circuit.z_g.z()
     return PathImpedances(zg_pos=zg_pos, zg_zero=zg_zero, zl_pos=zl_pos, zl_zero=zl_zero)
 
 

@@ -59,7 +59,5 @@ class SyncState:
     eps_fll: float = 0.0
     theta_pos: float = 0.0
     theta_neg: float = 0.0
-    omega_pos: float = DEFAULT_OMEGA0
-    omega_neg: float = DEFAULT_OMEGA0
     xi_pos: float = 0.0
     xi_neg: float = 0.0

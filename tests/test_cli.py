@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from ibgsync import (
@@ -15,7 +16,7 @@ from ibgsync import (
     solve_equilibrium,
     table_circuit,
 )
-from ibgsync import limits
+from ibgsync import dynsim, limits
 from ibgsync.cli import main
 from ibgsync.config import ConfigError, parse_config
 
@@ -103,6 +104,17 @@ class TestEquilibrium:
         data = json.loads(out)
         assert data["found"] is False
         assert data["cond_feedback"] is feedback
+
+    def test_stall_past_the_fold_is_a_miss(self, capsys):
+        """0.92 lies 4e-9 past the fold, where Newton converges from no
+        seed: a miss like any other, read as the fold."""
+        code, out, err = run_cli(
+            ["equilibrium", "--fault", "ll", "--iminus", "0.92@-20"], capsys
+        )
+        assert code == 2, err
+        data = json.loads(out)
+        assert data["found"] is False
+        assert data["cond_feedback"] is False
 
 
 class TestLimit:
@@ -260,6 +272,22 @@ class TestSimulate:
         verdict = json.loads(out)
         assert verdict["lost"] is True
         assert verdict["dominant"] == "pos_type1"
+        assert verdict["signature"] == "drift"
+
+    def test_start_past_the_fold_falls_back_to_prefault(self, tmp_path,
+                                                        capsys):
+        """No on-fault equilibrium at 0.92@-20 (a stalled scan just past the
+        fold): the run starts from the pre-fault state and is judged."""
+        out_csv = tmp_path / "trace.csv"
+        code, out, err = run_cli(
+            ["simulate", "--fault", "ll", "--iminus", "0.92@-20",
+             "--t-end", "1", "--out", str(out_csv)], capsys
+        )
+        assert code == 0, err
+        verdict = json.loads(out)
+        assert verdict["determined"] is True
+        assert verdict["lost"] is True
+        assert verdict["dominant"] == "neg_type1"
         assert verdict["signature"] == "drift"
 
     def test_horizon_inside_grace_is_undetermined(self, tmp_path, capsys):
@@ -452,6 +480,26 @@ class TestErrors:
         )
         assert code == 3
         assert "numerical failure" in err
+
+    def test_trace_out_of_memory_exits_1(self, tmp_path, monkeypatch, capsys):
+        """A trace buffer the machine cannot allocate is a config error."""
+        class NoMemory:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def empty(shape):
+                raise MemoryError(f"cannot allocate {shape}")
+        monkeypatch.setattr(dynsim, "np", NoMemory())
+        out_csv = tmp_path / "trace.csv"
+        code, out, err = run_cli(
+            ["simulate", "--fault", "dlg", "--t-end", "0.01",
+             "--out", str(out_csv)], capsys
+        )
+        assert code == 1
+        assert "config error: out of memory" in err
+        assert out == ""
+        assert not out_csv.exists()
 
 
 def run_with_config(config, argv, tmp_path, capsys):

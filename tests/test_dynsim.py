@@ -143,7 +143,6 @@ class TestInitialSyncState:
         state = initial_sync_state(sc)
         assert state.theta_pos == pytest.approx(eq.delta_pos + TG - math.pi / 3.0)
         assert state.theta_neg == pytest.approx(eq.delta_neg + TG + math.pi / 3.0)
-        assert state.omega_pos == W0
         assert state.xi_pos == 0.0
         assert state.eps_fll == 0.0
 
@@ -249,8 +248,7 @@ class TestRunScenario:
 
     def test_nan_initial_state_diverges(self, monkeypatch):
         """A NaN start fails the kernel's overflow bound on the first step."""
-        state = SyncState(u_hat_pos=complex(math.nan, 0.0), omega_hat=W0,
-                          omega_pos=W0, omega_neg=W0)
+        state = SyncState(u_hat_pos=complex(math.nan, 0.0), omega_hat=W0)
         monkeypatch.setattr(dynsim, "initial_sync_state", lambda sc: state)
         trace, verdict = run_scenario(dlg_scenario(REF_HOLD, 0.5))
         assert trace.diverged

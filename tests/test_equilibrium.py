@@ -152,7 +152,7 @@ def test_tlg_bolted_cannot_hold_any_current():
 
 def test_refine_root_polishes_perturbed_anchor():
     c = coeffs_for(FaultType.DLG)
-    prm = pack_params(c, ref_deg(0.76, -30.0, 0.5, 90.0), UG).tolist()
+    prm = pack_params(c, ref_deg(0.76, -30.0, 0.5, 90.0), UG)
     out = refine_root(prm, 1.426711 + 0.05, 0.251083 - 0.05)
     assert out is not None
     assert out[0] == pytest.approx(1.426711, abs=2e-5)
@@ -161,7 +161,7 @@ def test_refine_root_polishes_perturbed_anchor():
 
 def test_refine_root_rejects_disqualified_point():
     c = coeffs_for(FaultType.DLG)
-    prm = pack_params(c, ref_deg(0.77, -30.0, 0.5, 90.0), UG).tolist()
+    prm = pack_params(c, ref_deg(0.77, -30.0, 0.5, 90.0), UG)
     assert refine_root(prm, 1.426711, 0.251083) is None
 
 

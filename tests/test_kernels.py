@@ -1,6 +1,7 @@
 """Tests for the numeric kernels and their two build flavors."""
 
 import cmath
+import dataclasses
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ibgsync import (
+    BranchImpedance,
     CurrentReference,
     FaultSpec,
     FaultType,
@@ -178,7 +180,7 @@ class TestCurveScan:
         # r2 vanishes at the loop's centre
         amps[4] = -(math.sin(1.2 - dn) + 0.8 * math.sin(0.9 + dp - dn))
         prm = _packed(amps, angles)
-        assert -1e-5 < kernels.curve_gap(prm) < 0.0
+        assert -1e-5 < kernels._curve_gap(prm) < 0.0
         want = torus_reference.scan_roots(prm, 180, 1e-10, NEWTON_MAXIT, 1e-9)
         assert want[0]
         for grid_n in (180, 12):
@@ -187,13 +189,13 @@ class TestCurveScan:
 
     def test_empty_curve_is_a_certified_miss(self):
         """|B2 sin P2| > A1 + C3: r1 cannot vanish, so the scan reports the
-        gap as the residual and solve_equilibrium returns the miss instead
-        of raising NoConvergence, however small the gap."""
+        gap as the residual without a Newton step, and solve_equilibrium
+        returns it with the miss, however small the gap."""
         coeffs = SequenceCoefficients(k1=0.5 + 0j, z2=1j, z3=0.1 + 0j,
                                       k4=0.3 + 0j, z5=0.2 + 0j, z6=0.1 + 0j)
         ref = CurrentReference(0.6 + 1e-9, 0.0, 1.0, 0.0)
         prm = pack_params(coeffs, ref, 1.0)
-        gap = kernels.curve_gap(prm)
+        gap = kernels._curve_gap(prm)
         assert 0.0 < gap < 1e-8
         assert kernels.scan_roots(prm, 180, 1e-10, NEWTON_MAXIT, 1e-9) == (
             False, 0.0, 0.0, gap, False, False)
@@ -278,11 +280,16 @@ class TestColumnOracle:
         paths = [PF] + [tuple(rng.uniform(1e-3, 2.0, 8).tolist())
                         for _ in range(3)]
         for pf in paths:
+            rl, xl, rl0, xl0, rg, xg, rg0, xg0 = pf
             for s in np.linspace(0.2, 5.0, 97).tolist() + [1.0]:
                 got = kernels.seq_coeffs(code, s, *pf, zf)
                 want = rk4_reference.seq_coeffs(code, s, *pf, zf)
                 assert ([_bits((v.real, v.imag)) for v in got]
                         == [_bits((v.real, v.imag)) for v in want])
+                # s scales the reactances alone, not zf
+                assert got == kernels.seq_coeffs(
+                    code, 1.0, rl, s * xl, rl0, s * xl0, rg, s * xg, rg0,
+                    s * xg0, zf)
 
 
 def _branch_seeds_rolled(r2, on):
@@ -405,11 +412,19 @@ class TestEvaluators:
         assert res < 1e-12
 
 
+def _scaled_circuit(s):
+    """The reference circuit with every branch reactance scaled by s."""
+    return dataclasses.replace(CIRCUIT, **{
+        name: BranchImpedance(b.r, s * b.x)
+        for name, b in vars(CIRCUIT).items() if isinstance(b, BranchImpedance)})
+
+
 def _mixed_coeffs(fault, sp, sn):
     """Coefficients with K1/K4 at the grid frequency, Z2/Z6 at sp and Z3/Z5
     at sn, each from the reference network scaled by that frequency."""
-    grid, pos, neg = (compute_coefficients(compose_paths(CIRCUIT, s), fault)
-                      for s in (1.0, sp, sn))
+    grid, pos, neg = (
+        compute_coefficients(compose_paths(_scaled_circuit(s)), fault)
+        for s in (1.0, sp, sn))
     return SequenceCoefficients(k1=grid.k1, z2=pos.z2, z3=neg.z3,
                                 k4=grid.k4, z5=neg.z5, z6=pos.z6)
 

@@ -285,7 +285,7 @@ def test_region_boundary_contains_traversal_points():
 
 def _per_step_traversal(coeffs, sequence, theta_i, fixed_other=None):
     """traversal_limit written out one object per amplitude: a
-    CurrentReference, pack_params' array, refine_root on that array and,
+    CurrentReference, pack_params' floats, refine_root on them and,
     on a miss, solve_equilibrium. Returns the limit and, per warm start,
     (packed floats, seed angles, refine_root's answer)."""
     other = fixed_other if fixed_other is not None else (0.0, 0.0)
@@ -298,7 +298,7 @@ def _per_step_traversal(coeffs, sequence, theta_i, fixed_other=None):
         if prev is not None:
             seed = prev
             prev = refine_root(prm, prev[0], prev[1])
-            steps.append((tuple(prm.tolist()), seed, prev))
+            steps.append((prm, seed, prev))
         if prev is None:
             res = solve_equilibrium(coeffs, ref, UG)
             if not res.found:
@@ -390,7 +390,7 @@ def test_swept_packing_is_pack_params(seq, other):
     packed = _packer(c, UG, seq, _make_ref(seq, AMP_STEP, theta, other))
     for k in (1, 2, 7, 76, 143, 300):
         amp = k * AMP_STEP
-        want = pack_params(c, _make_ref(seq, amp, theta, other), UG).tolist()
+        want = pack_params(c, _make_ref(seq, amp, theta, other), UG)
         assert [v.hex() for v in packed(amp)] == [v.hex() for v in want]
 
 
@@ -418,9 +418,9 @@ _LONG_CAP = 80
 
 
 def _scan_answer(prm, grid_n, tol, maxit, ud_min):
-    """What the callers of a scan read: found, the root, any_converged (the
-    NoConvergence test) and any_feedback (the binding); not the residual
-    of a miss."""
+    """What a scan answers: found, the root, any_converged (False where
+    Newton stalls from every seed) and any_feedback (the binding); not the
+    residual of a miss."""
     found, dp, dn, _, any_conv, any_feedback = kernels.scan_roots(
         prm, grid_n, tol, maxit, ud_min)
     return found, dp, dn, any_conv, any_feedback
@@ -469,7 +469,8 @@ class TestNewtonCap:
                                             (0.93, False)])
     def test_fold_rows(self, amp, found, monkeypatch):
         """LL, negative current at -20 deg: a root at 0.91; at 0.92 and 0.93
-        no seed converges (a stall at 0.92, the fold passed at 0.93)."""
+        no seed converges, both past the fold (0.92 by 4e-9, where Newton
+        stalls short of a root) and both misses."""
         c = coeffs_for(FaultType.LL)
         theta = math.radians(-20.0)
         prm = pack_params(c, CurrentReference(0.0, 0.0, amp, theta), UG)

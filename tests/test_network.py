@@ -82,14 +82,6 @@ def test_compose_paths_reference_circuit():
     assert paths.zg_zero == pytest.approx(0.12 + 0.60j, rel=1e-12)
 
 
-def test_frequency_scale_applies_to_reactance_only():
-    paths = compose_paths(table_circuit(), freq_scale=1.5)
-    assert paths.zl_pos.real == pytest.approx(0.08733333333333, rel=1e-12)
-    assert paths.zl_pos.imag == pytest.approx(1.5 * 0.57, rel=1e-12)
-    with pytest.raises(ValueError):
-        compose_paths(table_circuit(), freq_scale=0.0)
-
-
 @pytest.mark.parametrize("fault_type", list(COEFF_ANCHORS))
 def test_coefficients_match_anchors(fault_type):
     c = reference_coeffs(fault_type)

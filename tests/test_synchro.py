@@ -24,8 +24,8 @@ def make_state(u_pos=0j, u_neg=0j, theta_pos=0.0, theta_neg=0.0,
                xi_pos=0.0, xi_neg=0.0, omega_hat=OMEGA0, eps=0.0):
     return SyncState(
         u_hat_pos=u_pos, u_hat_neg=u_neg, omega_hat=omega_hat, eps_fll=eps,
-        theta_pos=theta_pos, theta_neg=theta_neg,
-        omega_pos=OMEGA0, omega_neg=OMEGA0, xi_pos=xi_pos, xi_neg=xi_neg,
+        theta_pos=theta_pos, theta_neg=theta_neg, xi_pos=xi_pos,
+        xi_neg=xi_neg,
     )
 
 

@@ -12,8 +12,9 @@ directory, and each runs from its own ``src``:
   around the fold (the JSON printed), and ``region --fault ll --seq neg
   --angle-step 5``, whose sweep passes the stall at 0.92 (the CSV written);
 - ``validate --draws 100 --seed 0`` (the table printed);
-- ``simulate`` of a 1 s DLG ride-through (the verdict printed and the trace
-  CSV written);
+- ``simulate`` of a 1 s DLG ride-through, and of 1 s under LL with
+  ``--iminus 0.92@-20``, just past the fold, which starts from the
+  pre-fault state (the verdict printed and the trace CSV written);
 - ``coeffs --json``, ``equilibrium`` and ``limit`` under a config that sets
   every section, and ``coeffs --json`` under one that sets
   ``circuit.choke`` (the JSON printed);
@@ -51,7 +52,8 @@ LIMIT_ROWS = (
 # region sweeps: fault, sequence, extra flags
 REGION_SWEEPS = (("dlg", "pos", ()), ("slg", "neg", ("--other", "0.5@-90")))
 # negative current at -20 deg under LL around the fold: a root at 0.91, a
-# stalled scan at 0.92 (exit 3), a miss at 0.93 (exit 2)
+# miss at 0.92 where Newton stalls 4e-9 past the fold, a miss at 0.93 (both
+# exit 2)
 FOLD_AMPS = ("0.91", "0.92", "0.93")
 # a config in ohms with its own bases that sets a key in every section
 CONFIG = {
@@ -79,6 +81,9 @@ REJECTED = {
 # a closed-loop run that loses synchronism within its horizon
 SIMULATE = ["simulate", "--fault", "dlg", "--iplus", "0.77@-30",
             "--iminus", "0.5@90", "--t-end", "1"]
+# a run with no on-fault equilibrium to start from
+SIMULATE_FOLD = ["simulate", "--fault", "ll", "--iminus", "0.92@-20",
+                 "--t-end", "1"]
 
 
 def cases() -> list[tuple[str, list[str], bool, dict | None]]:
@@ -102,6 +107,8 @@ def cases() -> list[tuple[str, list[str], bool, dict | None]]:
     out.append(("validate draws 100 seed 0",
                 ["validate", "--draws", "100", "--seed", "0"], False, None))
     out.append(("simulate dlg iplus 0.77@-30 t_end 1", SIMULATE, True, None))
+    out.append(("simulate ll iminus 0.92@-20 t_end 1", SIMULATE_FOLD, True,
+                None))
     out += [(f"config {argv[0]}", argv, False, CONFIG) for argv in (
         ["coeffs", "--json"], ["equilibrium"],
         ["limit", "--seq", "pos", "--angle", "-30", "--other", "0.3@90"])]

@@ -20,10 +20,10 @@ def _stub(monkeypatch, differing=()):
 
 def test_cases_cover_the_reference_outputs():
     names = [name for name, _, _, _ in same_answers.cases()]
-    assert len(names) == 12 + 4 + 3 + 1 + 1 + 1 + 4 + 4
+    assert len(names) == 12 + 4 + 3 + 1 + 1 + 2 + 4 + 4
     assert len(set(names)) == len(names)
     to_file = [argv for _, argv, to_file, _ in same_answers.cases() if to_file]
-    assert [argv[0] for argv in to_file].count("simulate") == 1
+    assert [argv[0] for argv in to_file].count("simulate") == 2
     regions = [argv for argv in to_file if argv[0] != "simulate"]
     assert all(argv[0] == "region" for argv in regions)
     assert sorted(argv[argv.index("--angle-step") + 1] for argv in regions) \
@@ -31,11 +31,13 @@ def test_cases_cover_the_reference_outputs():
 
 
 def test_cases_cover_the_fold():
-    """The LL rows around the fold and the region sweep that crosses it."""
+    """The LL rows around the fold, the region sweep that crosses it and the
+    run started just past it."""
     argvs = [argv for _, argv, _, _ in same_answers.cases()]
     for amp in ("0.91", "0.92", "0.93"):
         assert ["equilibrium", "--fault", "ll", "--iminus", f"{amp}@-20"] in argvs
     assert ["region", "--fault", "ll", "--seq", "neg", "--angle-step", "5"] in argvs
+    assert same_answers.SIMULATE_FOLD in argvs
 
 
 def test_same_answers_exit_0(monkeypatch, capsys):
@@ -43,7 +45,7 @@ def test_same_answers_exit_0(monkeypatch, capsys):
     assert same_answers.main(["--parent", "a", "--change", "b"]) == 0
     out = capsys.readouterr().out
     assert "DIFFERS" not in out
-    assert "30 of 30 outputs byte-identical" in out
+    assert "31 of 31 outputs byte-identical" in out
 
 
 def test_one_difference_exits_1(monkeypatch, capsys):
@@ -52,7 +54,7 @@ def test_one_difference_exits_1(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "DIFFERS: validate draws 100 seed 0" in out
     assert out.count("DIFFERS") == 1
-    assert "29 of 30 outputs byte-identical" in out
+    assert "30 of 31 outputs byte-identical" in out
 
 
 def test_config_cases_set_every_section():
