@@ -23,7 +23,6 @@ from .equilibrium import (
     dq_voltages,
     solve_equilibrium,
 )
-from .kernels import USING_NUMBA
 from .limits import (
     Binding,
     LimitResult,
@@ -60,7 +59,6 @@ from .synchro import SyncConfig, SyncMode, SyncState
 __version__ = "0.1.0"
 
 __all__ = [
-    "USING_NUMBA",
     "__version__",
     # phasor
     "phasor", "phasor_deg", "polar", "polar_deg", "wrap_angle",

@@ -18,6 +18,7 @@ from .dynsim import (
     INIT_MODES,
     Scenario,
     run_scenario,
+    terminal_voltage,
     trace_to_csv,
 )
 from .equilibrium import CurrentReference, solve_equilibrium
@@ -307,8 +308,6 @@ def _random_draw(rng) -> tuple:
 def oracle_errors(draws: int, seed: int = 0) -> tuple[float, float]:
     """Max relative disagreement between the coefficient model and the
     phase-network oracle over random draws; returns (pos, neg)."""
-    from .dynsim import terminal_voltage
-
     rng = np.random.default_rng(seed)
     worst_p = 0.0
     worst_n = 0.0

@@ -2,28 +2,27 @@
 finding along the curve where the first orientation residual vanishes, and
 the closed-loop RK4 integrator.
 
-Each kernel is one Python source, jitted with numba ``@njit`` when numba
-imports. ``IBGSYNC_PURE_NUMPY=1`` skips numba. ``scan_roots`` stays plain
-Python in both flavors. Arrays serve only its curve seeding: it samples
-the curve with numpy array operations, then polishes a few dozen seeds
-with ``_newton_pair`` and checks their roots with ``_root_check``. Those
-two run on floats with ``math.sin`` and ``math.cos``, one point at a
-time, since numpy's ufunc dispatch makes a single point several times
-slower. They take the twelve packed parameters as the floats that
-``equilibrium.pack_params`` returns (an amplitude traversal packs them
-itself with ``equilibrium._pack``), so a warm-start step touches no numpy
-object. They keep the operation order of ``_residual`` and of the
-array oracle in ``tests/torus_reference.py`` (``jacobian_eval``,
-``dq_eval``, ``root_conditions``), so both forms give the same bits.
+Every kernel is plain Python and numpy. Arrays serve only the curve
+seeding of ``scan_roots``: it samples the curve with numpy array
+operations, then polishes a few dozen seeds with ``_newton_pair`` and
+checks their roots with ``_root_check``. Those two run on floats with
+``math.sin`` and ``math.cos``, one point at a time, since numpy's ufunc
+dispatch makes a single point several times slower. They take the twelve
+packed parameters as the floats that ``equilibrium.pack_params`` returns
+(an amplitude traversal packs them itself with ``equilibrium._pack``), so
+a warm-start step touches no numpy object. They keep the operation order
+of ``_residual`` and of the array oracle in ``tests/torus_reference.py``
+(``jacobian_eval``, ``dq_eval``, ``root_conditions``), so both forms give
+the same bits.
 
 The closed-loop integrator runs on Python scalars from start to end: the
 state is nine ``float``s, every RK4 stage state and update is written per
 component in the numpy expressions' operation order, the derivative
 (``_frames``, ``_deriv``) uses ``complex`` and ``cmath``, and the other
-inputs arrive as tuples of floats (``dynsim._kernel_args``). Without numba
-each numpy operation costs about a microsecond, several times a Python
-scalar's, and an RK4 step makes four derivative calls. So every value is
-computed once, where it stops changing:
+inputs arrive as tuples of floats (``dynsim._kernel_args``). Each numpy
+operation costs about a microsecond, several times a Python scalar's, and
+an RK4 step makes four derivative calls. So every value is computed once,
+where it stops changing:
 
 - per run, for the fault and for the healthy network: the coefficient
   column at the grid frequency (K1, K4, and every impedance at s = 1),
@@ -40,25 +39,15 @@ written-out expression it stands in for (``_PI_3`` and ``_TWO_PI_3`` are
 the quotients that expression computes), so hoisting it changes no bit of
 a trace. ``tests/rk4_reference.py`` writes the integrator out in full,
 coefficient column included, and the tests compare the two exactly.
-numba compiles the same constructs.
 """
 
 import cmath
 import math
-import os
 
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("IBGSYNC_PURE_NUMPY", "") == "1"
-
+# one build, never jitted; perfbench/run.py reads this to check its flavor
 USING_NUMBA = False
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:  # pragma: no cover - environments without numba
-        pass
 
 # fault codes shared with the object layer
 FAULT_NONE = 0
@@ -530,9 +519,9 @@ def _rk4_update(y, c, k1, k2, k3, k4):
     )
 
 
-def _simulate(y0, n_steps, dt, stride, t0, t_on, t_clear, code, zf, paths,
-              ug, theta_g0, w0, ref_pre, ref_on, gains, mode_fll, adaptive,
-              rec):
+def simulate(y0, n_steps, dt, stride, t0, t_on, t_clear, code, zf, paths,
+             ug, theta_g0, w0, ref_pre, ref_on, gains, mode_fll, adaptive,
+             rec):
     """Fixed-step RK4 over [t0, t0 + n_steps*dt] with stride-decimated
     recording.
 
@@ -604,24 +593,6 @@ def _simulate(y0, n_steps, dt, stride, t0, t_on, t_clear, code, zf, paths,
             return n_rec, i + 1, y, k1v
     return n_rec, -1, y, k1v
 
-
-if USING_NUMBA:
-    _residual = njit(cache=True)(_residual)
-    _seq_coeffs = njit(cache=True)(_seq_coeffs)
-    _grid_column = njit(cache=True)(_grid_column)
-    _seq_coeffs_mixed = njit(cache=True)(_seq_coeffs_mixed)
-    _newton_pair = njit(cache=True)(_newton_pair)
-    _root_check = njit(cache=True)(_root_check)
-    _as_state = njit(cache=True)(_as_state)
-    _frames = njit(cache=True)(_frames)
-    _grid_terms = njit(cache=True)(_grid_terms)
-    _deriv = njit(cache=True)(_deriv)
-    _deriv_eval = njit(cache=True)(_deriv_eval)
-    _stage = njit(cache=True)(_stage)
-    _rk4_update = njit(cache=True)(_rk4_update)
-    simulate = njit(cache=True)(_simulate)
-else:
-    simulate = _simulate
 
 seq_coeffs = _seq_coeffs
 grid_column = _grid_column

@@ -50,7 +50,8 @@ class FaultType(enum.Enum):
 
 
 class DegenerateNetwork(ValueError):
-    """Raised when a coefficient denominator collapses (unphysical circuit)."""
+    """Raised when a coefficient denominator collapses or a coefficient is
+    not finite (unphysical circuit)."""
 
 
 @dataclass(frozen=True)
@@ -177,11 +178,12 @@ def compute_coefficients(paths: PathImpedances, fault: FaultSpec) -> SequenceCoe
     vals = kernels.seq_coeffs(fault.fault_type.code, 1.0, *_path_floats(paths),
                               complex(fault.z_f))
     k1, z2, z3, k4, z5, z6, denom = vals
-    # "not >" also rejects a NaN denominator
-    if not abs(denom) > 1e-12:
+    # "not >" also rejects a NaN denominator; a finite circuit can still
+    # overflow (3 z_f with z_f near the float maximum) into an inf or NaN
+    if not (abs(denom) > 1e-12 and all(cmath.isfinite(v) for v in vals)):
         raise DegenerateNetwork(
-            f"coefficient denominator ~ 0 for {fault.fault_type.value} "
-            f"(|D| = {abs(denom):.3e})"
+            f"coefficients undefined for {fault.fault_type.value}: need "
+            f"|D| > 1e-12 and every value finite (|D| = {abs(denom):.3e})"
         )
     return SequenceCoefficients(
         k1=complex(k1), z2=complex(z2), z3=complex(z3),

@@ -467,19 +467,34 @@ class TestErrors:
         assert "config error" in err
         assert not out_csv.exists()
 
-    def test_degenerate_network_exits_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("doc, argv", [
+        pytest.param({"circuit": {k: {"r": 0.0, "x": 0.0} for k in (
+            "choke", "t1", "t2", "l1", "l2", "grid")}},
+            ["coeffs", "--fault", "slg", "--zf", "0"], id="zero-circuit"),
+        # 3 z_f overflows, so the coefficients come out NaN
+        *(pytest.param({"fault": {"type": fault, "zf_pu": 1e308}}, argv,
+                       id=f"{fault}-zf-1e308-{argv[0]}")
+          for fault in ("slg", "dlg")
+          for argv in (
+              ["coeffs"],
+              ["equilibrium", "--iplus", "0.5@0"],
+              ["limit", "--seq", "pos", "--angle", "0"],
+              ["region", "--seq", "pos", "--angle-step", "90",
+               "--out", "out.csv"],
+              ["simulate", "--init", "prefault", "--t-end", "0.05",
+               "--out", "out.csv"],
+          )),
+    ])
+    def test_degenerate_network_exits_3(self, doc, argv, tmp_path,
+                                        monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "degenerate.json"
-        zero = {"r": 0.0, "x": 0.0}
-        cfg.write_text(json.dumps({
-            "circuit": {"choke": zero, "t1": zero, "t2": zero,
-                        "l1": zero, "l2": zero, "grid": zero},
-        }))
-        code, _, err = run_cli(
-            ["--config", str(cfg), "coeffs", "--fault", "slg", "--zf", "0"],
-            capsys,
-        )
+        cfg.write_text(json.dumps(doc))
+        code, out, err = run_cli(["--config", str(cfg), *argv], capsys)
         assert code == 3
         assert "numerical failure" in err
+        assert out == ""
+        assert not (tmp_path / "out.csv").exists()
 
     def test_trace_out_of_memory_exits_1(self, tmp_path, monkeypatch, capsys):
         """A trace buffer the machine cannot allocate is a config error."""

@@ -1,4 +1,4 @@
-"""Tests for the numeric kernels and their two build flavors."""
+"""Tests for the numeric kernels."""
 
 import cmath
 import dataclasses
@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,16 +205,39 @@ class TestCurveScan:
         assert res.residual_norm == gap
 
 
-class TestScanFlavors:
-    """The build flavor the kernels are bound to (the class keeps the name
-    it had when the root scan had a numba and a numpy form)."""
-
-    def test_binding_matches_build_mode(self):
-        if os.environ.get("IBGSYNC_PURE_NUMPY", "") == "1":
-            assert not kernels.USING_NUMBA
-            assert kernels.simulate is kernels._simulate
-        else:
-            assert kernels.USING_NUMBA
+class TestOneBuild:
+    def test_installed_numba_is_not_used(self, tmp_path):
+        """The kernels are the plain module functions even where a numba
+        package imports: here a stub whose njit wraps every function."""
+        (tmp_path / "numba").mkdir()
+        (tmp_path / "numba" / "__init__.py").write_text(
+            "def njit(*args, **kwargs):\n"
+            "    def wrap(f):\n"
+            "        def jitted(*a, **k):\n"
+            "            return f(*a, **k)\n"
+            "        return jitted\n"
+            "    return wrap\n"
+        )
+        script = (
+            "import json, sys\n"
+            "from ibgsync import kernels\n"
+            "print(json.dumps({'numba': kernels.USING_NUMBA,\n"
+            "    'imported': 'numba' in sys.modules,\n"
+            "    'simulate': kernels.simulate.__qualname__,\n"
+            "    'newton_pair': kernels.newton_pair.__qualname__,\n"
+            "    'modules': [kernels.simulate.__module__,\n"
+            "                kernels.newton_pair.__module__]}))\n"
+        )
+        src = Path(kernels.__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "IBGSYNC_PURE_NUMPY"}
+        env["PYTHONPATH"] = os.pathsep.join((str(tmp_path), str(src)))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == {
+            "numba": False, "imported": False, "simulate": "simulate",
+            "newton_pair": "_newton_pair",
+            "modules": ["ibgsync.kernels", "ibgsync.kernels"]}
 
 
 class TestMixedCoefficients:
@@ -601,37 +625,3 @@ class TestSimulateMatchesArrayForm:
         got, want, rec, rec_ref = self._both(sc, y0, 100, 1)
         assert got[1] > 0
         self._assert_same(got, want, rec, rec_ref)
-
-
-class TestPureNumpyFlavor:
-    def test_subprocess_matches_default_build(self):
-        """The numpy-only build must reproduce coefficients and roots."""
-        script = (
-            "import json, math\n"
-            "from ibgsync import (CurrentReference, FaultSpec, FaultType,\n"
-            "    compose_paths, compute_coefficients, solve_equilibrium,\n"
-            "    table_circuit)\n"
-            "from ibgsync import kernels\n"
-            "circ = table_circuit()\n"
-            f"co = compute_coefficients(compose_paths(circ), FaultSpec(FaultType.DLG, z_f={ZF_PU!r}))\n"
-            "ref = CurrentReference(0.76, math.radians(-30.0), 0.5, math.radians(90.0))\n"
-            "eq = solve_equilibrium(co, ref, circ.ug_pos, grid_deg=15.0)\n"
-            "print(json.dumps({'numba': kernels.USING_NUMBA,\n"
-            "    'k1': [co.k1.real, co.k1.imag], 'z3': [co.z3.real, co.z3.imag],\n"
-            "    'found': eq.found, 'dp': eq.delta_pos, 'dn': eq.delta_neg}))\n"
-        )
-        env = dict(os.environ, IBGSYNC_PURE_NUMPY="1")
-        out = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, timeout=300)
-        assert out.returncode == 0, out.stderr
-        got = json.loads(out.stdout.strip().splitlines()[-1])
-        assert got["numba"] is False
-        assert got["k1"] == pytest.approx([COEFFS.k1.real, COEFFS.k1.imag],
-                                          abs=1e-12)
-        assert got["z3"] == pytest.approx([COEFFS.z3.real, COEFFS.z3.imag],
-                                          abs=1e-12)
-        from ibgsync import solve_equilibrium
-        eq = solve_equilibrium(COEFFS, REF, CIRCUIT.ug_pos, grid_deg=15.0)
-        assert got["found"] and eq.found
-        assert got["dp"] == pytest.approx(eq.delta_pos, abs=1e-9)
-        assert got["dn"] == pytest.approx(eq.delta_neg, abs=1e-9)

@@ -195,8 +195,7 @@ def main(argv=None) -> int:
     record = {
         "name": args.tag,
         "change": args.note,
-        "kernel_flavor": (f"{host['kernel_flavor']} (IBGSYNC_PURE_NUMPY=1, "
-                          "pinned by perfbench/run.py)"),
+        "kernel_flavor": host["kernel_flavor"],
         "protocol": (
             f"{PAIRS} pairs per batch, parent and change run one after "
             "the other, parent first in even pairs; each run is one process "
