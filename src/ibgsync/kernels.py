@@ -3,16 +3,21 @@ finding along the curve where the first orientation residual vanishes, and
 the closed-loop RK4 integrator.
 
 Every kernel is plain Python and numpy. Arrays serve only the curve
-seeding of ``scan_roots``: it samples the curve with numpy array
-operations, then polishes a few dozen seeds with ``_newton_pair`` and
-checks their roots with ``_root_check``. Those two run on floats with
-``math.sin`` and ``math.cos``, one point at a time, since numpy's ufunc
-dispatch makes a single point several times slower. They take the twelve
-packed parameters as the floats that ``equilibrium.pack_params`` returns
-(an amplitude traversal packs them itself with ``equilibrium._pack``), so
-a warm-start step touches no numpy object. They keep the operation order
-of ``_residual`` and of the array oracle in ``tests/torus_reference.py``
-(``jacobian_eval``, ``dq_eval``, ``root_conditions``), so both forms give
+seeding of ``scan_roots`` (``_curve_seeds``): its four rows of curve
+samples are stacked into one 4 x grid_n array, so r2 and the seed masks
+take one numpy pass each, with each sample's cyclic neighbours read as
+slices of a padded copy. The scan then polishes a few dozen seeds with
+``_newton_pair`` and checks their roots with ``_root_conditions``. Those
+two run on floats with ``math.sin`` and ``math.cos``, one point at a time,
+since numpy's ufunc dispatch makes a single point several times slower.
+They take the twelve packed parameters as the floats that
+``equilibrium.pack_params`` returns (an amplitude traversal packs them
+itself with ``equilibrium._pack``), so a warm-start step touches no numpy
+object. ``_root_conditions`` computes only what the root rule reads, the
+feedback slopes and d-axis voltages; ``_root_check`` adds the q-axis
+voltages for a reported root. They keep the operation order of the array
+oracle in ``tests/torus_reference.py`` (``residual_eval``,
+``jacobian_eval``, ``dq_eval``, ``root_conditions``), so both forms give
 the same bits.
 
 The closed-loop integrator runs on Python scalars from start to end: the
@@ -154,24 +159,6 @@ def _seq_coeffs_mixed(grid, code, sp, sn, paths, zf):
     return k1, z2, z3, k4, z5, z6
 
 
-def _residual(prm, dp, dn):
-    """q-axis residuals (r1, r2) of the two orientation equations.
-
-    uq_pos = r1 and uq_neg = -r2; works elementwise on arrays.
-    """
-    r1 = (
-        prm[P_A1] * np.sin(prm[P_F1] - dp)
-        + prm[P_B2] * np.sin(prm[P_P2])
-        + prm[P_C3] * np.sin(prm[P_P3] + dn - dp)
-    )
-    r2 = (
-        prm[P_A4] * np.sin(prm[P_F4] - dn)
-        + prm[P_B5] * np.sin(prm[P_P5])
-        + prm[P_C6] * np.sin(prm[P_P6] + dp - dn)
-    )
-    return r1, r2
-
-
 def _newton_pair(prm, dp, dn, tol, maxit):
     """Damped Newton on (r1, r2) from one seed; returns (ok, dp, dn, res).
 
@@ -220,27 +207,32 @@ def _newton_pair(prm, dp, dn, tol, maxit):
     return False, dp % (2.0 * math.pi), dn % (2.0 * math.pi), res
 
 
-def _root_check(prm, dp, dn, ud_min):
-    """(feedback, qualifies, ud+, uq+, ud-, uq-) at one angle pair on
-    floats. feedback: both feedback slopes are negative; qualifies:
-    feedback and both d-axis voltages above ud_min. The operation order is
-    that of the array oracle's root_conditions and dq_eval
-    (tests/torus_reference.py). prm as for _newton_pair."""
+def _root_conditions(prm, dp, dn, ud_min):
+    """(feedback, qualifies, ud+, ud-) at one angle pair on floats.
+    feedback: both feedback slopes are negative; qualifies: feedback and
+    both d-axis voltages above ud_min. The operation order is that of the
+    array oracle's root_conditions and dq_eval (tests/torus_reference.py).
+    prm as for _newton_pair."""
     a1, f1, b2, p2, c3, p3, a4, f4, b5, p5, c6, p6 = prm
-    u1 = f1 - dp
-    ux = p3 + dn - dp
-    u4 = f4 - dn
-    uy = p6 + dp - dn
-    cp = a1 * math.cos(u1)
-    cx = c3 * math.cos(ux)
-    cn = a4 * math.cos(u4)
-    cy = c6 * math.cos(uy)
+    cp = a1 * math.cos(f1 - dp)
+    cx = c3 * math.cos(p3 + dn - dp)
+    cn = a4 * math.cos(f4 - dn)
+    cy = c6 * math.cos(p6 + dp - dn)
     ud_p = cp + b2 * math.cos(p2) + cx
     ud_n = cn + b5 * math.cos(p5) + cy
     feedback = -cp - cx < 0.0 and -cn - cy < 0.0
-    qualifies = feedback and ud_p > ud_min and ud_n > ud_min
-    r1 = a1 * math.sin(u1) + b2 * math.sin(p2) + c3 * math.sin(ux)
-    r2 = a4 * math.sin(u4) + b5 * math.sin(p5) + c6 * math.sin(uy)
+    return feedback, feedback and ud_p > ud_min and ud_n > ud_min, ud_p, ud_n
+
+
+def _root_check(prm, dp, dn, ud_min):
+    """(feedback, qualifies, ud+, uq+, ud-, uq-): _root_conditions with the
+    q-axis voltages uq+ = r1 and uq- = -r2, in the oracle's dq_eval order."""
+    feedback, qualifies, ud_p, ud_n = _root_conditions(prm, dp, dn, ud_min)
+    a1, f1, b2, p2, c3, p3, a4, f4, b5, p5, c6, p6 = prm
+    r1 = (a1 * math.sin(f1 - dp) + b2 * math.sin(p2)
+          + c3 * math.sin(p3 + dn - dp))
+    r2 = (a4 * math.sin(f4 - dn) + b5 * math.sin(p5)
+          + c6 * math.sin(p6 + dp - dn))
     return feedback, qualifies, ud_p, r1, ud_n, -r2
 
 
@@ -261,31 +253,61 @@ def _arcsine_branches(r, phi, b):
     return on, phi - s, phi - math.pi + s
 
 
-def _cyclic_neighbours(n):
-    """Index arrays of each sample's next and previous neighbour on a
-    cyclic row of n samples: a[nx] is np.roll(a, -1), a[pv] np.roll(a, 1)."""
-    idx = np.arange(n)
-    return (idx + 1) % n, (idx - 1) % n
+def _cyclic_pad(x):
+    """x with each row's last sample put before its first and its first
+    after its last: along a cyclic row of x, the padded row's [:-2] is each
+    sample's previous neighbour, [1:-1] the sample and [2:] its next."""
+    return np.concatenate((x[:, -1:], x, x[:, :1]), axis=1)
 
 
-def _branch_seeds(r2, on, nx, pv):
-    """Seed mask along one cyclic row of curve samples (on marks the
+def _branch_seeds(r2, on):
+    """Seed mask along each cyclic row of curve samples (on marks the
     samples on the curve): both samples around each sign change of r2, each
     local minimum of |r2| with both its neighbours, and each end of a run.
-    nx, pv: the row's _cyclic_neighbours.
 
     A dip of r2 through zero narrower than the spacing leaves a pair of
     roots between two samples and no sign change; Newton from the sample on
     either side of the dip reaches the root on that side.
     """
-    a = np.where(on, np.abs(r2), np.inf)
-    pos = r2 > 0.0
-    nxt = on[nx]
-    flip = on & nxt & (pos != pos[nx])
-    low = on & (a <= a[pv]) & (a <= a[nx])
-    end = on & ~(on[pv] & nxt)
-    seed = flip | flip[pv] | low | low[pv] | low[nx]
+    r2_p = _cyclic_pad(r2)
+    on_p = _cyclic_pad(on)
+    a = np.where(on_p, np.abs(r2_p), np.inf)
+    pos = r2_p > 0.0
+    # flip[:, k] marks a sign change from padded sample k to k + 1
+    flip = on_p[:, :-1] & on_p[:, 1:] & (pos[:, :-1] != pos[:, 1:])
+    mid = a[:, 1:-1]
+    low = _cyclic_pad(on & (mid <= a[:, :-2]) & (mid <= a[:, 2:]))
+    end = on & ~(on_p[:, :-2] & on_p[:, 2:])
+    seed = (flip[:, 1:] | flip[:, :-1] | low[:, 1:-1] | low[:, :-2]
+            | low[:, 2:])
     return on & (seed | end)
+
+
+def _curve_seeds(prm, grid_n):
+    """scan_roots' Newton seeds, a list of (dp, dn) float pairs: the
+    samples _branch_seeds keeps on the four rows of the curve (dn samples
+    on both dp branches, then dp samples on both dn branches), row by row.
+    The rows are stacked into one 4 x grid_n array, and r2 is evaluated on
+    it once, in the operation order of the oracle's residual_eval
+    (tests/torus_reference.py), np.sin of the scalar B5 angle included."""
+    a1, f1, b2, p2, c3, p3, a4, f4, b5, p5, c6, p6 = prm
+    b = b2 * math.sin(p2)
+    steps = np.arange(grid_n) * (2.0 * math.pi / grid_n)
+    dn = (f1 - p3) + steps
+    c = a1 * np.exp(1j * f1) + c3 * np.exp(1j * (p3 + dn))
+    r = np.abs(c)
+    phi = np.angle(c)
+    # exact at the peak, so a curve that is not empty has this sample
+    r[0] = a1 + c3
+    phi[0] = f1
+    on_dn, dp1, dp2 = _arcsine_branches(r, phi, b)
+    on_dp, dn1, dn2 = _arcsine_branches(c3, steps - p3 + math.pi,
+                                        a1 * np.sin(f1 - steps) + b)
+    dp = np.array((dp1, dp2, steps, steps))
+    dn = np.array((dn, dn, dn1, dn2))
+    r2 = a4 * np.sin(f4 - dn) + b5 * np.sin(p5) + c6 * np.sin(p6 + dp - dn)
+    keep = _branch_seeds(r2, np.array((on_dn, on_dn, on_dp, on_dp)))
+    return list(zip(dp[keep].tolist(), dn[keep].tolist()))
 
 
 def scan_roots(prm, grid_n, tol, maxit, ud_min):
@@ -302,10 +324,10 @@ def scan_roots(prm, grid_n, tol, maxit, ud_min):
     sample. Where the curve climbs steeply in dp (R small, or near the end
     of a branch) dn samples leave gaps, so the curve is also sampled the
     other way: for a fixed dp, r1 = C3 sin(dp - P3 + pi - dn)
-    + A1 sin(F1 - dp) + b gives dn on two branches. Each branch is seeded
-    by _branch_seeds. The samples are numpy arrays; every seed is then
-    polished by _newton_pair and every root checked by _root_check, both
-    on floats.
+    + A1 sin(F1 - dp) + b gives dn on two branches. _curve_seeds stacks
+    the four branch rows into one numpy array and seeds each by
+    _branch_seeds; every seed is then polished by _newton_pair and every
+    root checked by _root_conditions, both on floats.
 
     Returns (found, dp, dn, res, any_converged, any_feedback). any_feedback
     tells whether some converged root has both feedback slopes negative,
@@ -320,41 +342,19 @@ def scan_roots(prm, grid_n, tol, maxit, ud_min):
     gap = _curve_gap(prm)
     if gap > 0.0:
         return False, 0.0, 0.0, gap, False, False
-    a1, f1, c3, p3 = prm[P_A1], prm[P_F1], prm[P_C3], prm[P_P3]
-    b = prm[P_B2] * math.sin(prm[P_P2])
-    steps = np.arange(grid_n) * (2.0 * math.pi / grid_n)
-    dn = (f1 - p3) + steps
-    c = a1 * np.exp(1j * f1) + c3 * np.exp(1j * (p3 + dn))
-    r = np.abs(c)
-    phi = np.angle(c)
-    # exact at the peak, so a curve that is not empty has this sample
-    r[0] = a1 + c3
-    phi[0] = f1
-    on, dp1, dp2 = _arcsine_branches(r, phi, b)
-    rows = [(dp1, dn, on), (dp2, dn, on)]
-    dp = steps
-    on, dn1, dn2 = _arcsine_branches(c3, dp - p3 + math.pi,
-                                     a1 * np.sin(f1 - dp) + b)
-    rows += [(dp, dn1, on), (dp, dn2, on)]
-    nx, pv = _cyclic_neighbours(grid_n)
-    seeds = []
-    for dps, dns, on in rows:
-        keep = _branch_seeds(_residual(prm, dps, dns)[1], on, nx, pv)
-        seeds.extend(zip(dps[keep].tolist(), dns[keep].tolist()))
-
     best_margin = -math.inf
     conv_res = all_res = math.inf
     best = None
     any_conv = any_feedback = False
-    for dp0, dn0 in seeds:
+    for dp0, dn0 in _curve_seeds(prm, grid_n):
         ok, dp, dn, res = _newton_pair(prm, dp0, dn0, tol, maxit)
         if not ok:
             all_res = min(all_res, res)
             continue
         any_conv = True
         conv_res = min(conv_res, res)
-        feedback, qualifies, ud_p, _, ud_n, _ = _root_check(prm, dp, dn,
-                                                            ud_min)
+        feedback, qualifies, ud_p, ud_n = _root_conditions(prm, dp, dn,
+                                                           ud_min)
         any_feedback = any_feedback or feedback
         if qualifies:
             margin = min(ud_p, ud_n)
@@ -365,7 +365,7 @@ def scan_roots(prm, grid_n, tol, maxit, ud_min):
         # the seed that reached the root stopped short of it; a root with a
         # condition at its threshold keeps the point that qualified
         _, dp, dn, res = _newton_pair(prm, best[0], best[1], 0.0, 2)
-        if _root_check(prm, dp, dn, ud_min)[1]:
+        if _root_conditions(prm, dp, dn, ud_min)[1]:
             best = (dp, dn, res)
         return True, best[0], best[1], best[2], True, True
     return (False, 0.0, 0.0, conv_res if any_conv else all_res, any_conv,
@@ -599,5 +599,4 @@ grid_column = _grid_column
 seq_coeffs_mixed = _seq_coeffs_mixed
 newton_pair = _newton_pair
 deriv_eval = _deriv_eval
-residual_eval = _residual
 root_check = _root_check

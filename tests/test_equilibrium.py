@@ -26,7 +26,6 @@ from ibgsync import (
     table_circuit,
 )
 from ibgsync.equilibrium import pack_params, refine_root
-from ibgsync import kernels
 import torus_reference
 
 ZF = 7.43801652892562e-06
@@ -109,7 +108,7 @@ def test_residuals_vanish_at_root():
     ref = ref_deg(0.6, -90.0, 0.3, 90.0)
     res = solve_equilibrium(c, ref, UG)
     prm = pack_params(c, ref, UG)
-    r1, r2 = kernels.residual_eval(prm, res.delta_pos, res.delta_neg)
+    r1, r2 = torus_reference.residual_eval(prm, res.delta_pos, res.delta_neg)
     assert abs(r1) < 1e-9
     assert abs(r2) < 1e-9
 
@@ -139,7 +138,7 @@ def test_degenerate_negative_solved_in_closed_form():
     assert res.ud_pos == pytest.approx(0.3 * 0.576652764351, rel=1e-3)
     # positive residual really is zero at the reported angle
     prm = pack_params(c, ref, UG)
-    r1, _ = kernels.residual_eval(prm, res.delta_pos, 0.0)
+    r1, _ = torus_reference.residual_eval(prm, res.delta_pos, 0.0)
     assert abs(r1) < 1e-12
 
 

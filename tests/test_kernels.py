@@ -100,6 +100,43 @@ class TestCurveScan:
             # the point returned is one that qualifies
             assert torus_reference.root_conditions(prm, got[1], got[2], ud_min)[1]
 
+    @pytest.mark.parametrize("grid_n", [8, 12, 180])
+    def test_stacked_seeds_match_row_by_row(self, grid_n):
+        """The stacked seeding gives the row-by-row oracle's seed list bit
+        for bit, in its order, over 200 generic draws (drawn as
+        test_matches_torus_oracle draws them) and three structured sets:
+        C3 = 0, where the dp-sampled rows are empty; a sliver narrower than
+        the spacing; and an empty curve, where every row is."""
+        sliver = [1.0, 1.5 - 1e-6, 0.5, 1.0, 0.0, 0.8]
+        sliver_angles = [0.3, -math.pi / 2, -0.4, 1.2, math.pi / 2, 0.9]
+        sliver[4] = -(math.sin(1.2 - 0.7) + 0.8 * math.sin(0.9 - math.pi / 2
+                                                            + 0.3 - 0.7))
+        sets = [_packed((1.2, 0.4, 0.0, 0.9, 0.3, 0.0),
+                        (0.5, 1.0, 2.0, -0.7, -0.6, 1.5)),
+                _packed(sliver, sliver_angles),
+                _packed((0.5, 1.0, 0.1, 0.3, 0.2, 0.1),
+                        (0.0, math.pi / 2, 0.0, 0.0, 0.0, 0.0))]
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            sets.append(_packed(rng.uniform(0.0, 2.0, 6),
+                                rng.uniform(-math.pi, math.pi, 6)))
+        seeded = 0
+        for prm in sets:
+            got = kernels._curve_seeds(prm, grid_n)
+            want = torus_reference.curve_seeds(prm, grid_n)
+            assert [_bits(pair) for pair in got] == [_bits(pair) for pair in want]
+            assert all(type(v) is float for pair in got for v in pair)
+            seeded += bool(got)
+        assert seeded > 100
+        # C3 = 0 seeds from dn samples alone, the sliver seeds and the empty
+        # curve does not
+        dn_samples = set(((0.5 - 2.0) + np.arange(grid_n)
+                          * (2.0 * math.pi / grid_n)).tolist())
+        decoupled = kernels._curve_seeds(sets[0], grid_n)
+        assert decoupled and all(dn in dn_samples for _, dn in decoupled)
+        assert kernels._curve_seeds(sets[1], grid_n)
+        assert kernels._curve_seeds(sets[2], grid_n) == []
+
     @pytest.mark.parametrize("amps, angles, ud_min, root, other", [
         ((0.615033, 0.748254, 1.390534, 0.6337, 1.059311, 1.30264),
          (1.795328, -1.297236, -2.787539, -1.652151, 0.288693, 2.373016),
@@ -269,10 +306,10 @@ class TestMixedCoefficients:
 
 def _newton_on_evaluators(prm, dp, dn, tol, maxit):
     """newton_pair's rule (stopping, singular test, +-0.5 damping, wrap)
-    built on residual_eval and the oracle's jacobian_eval, one point at a
+    built on the oracle's residual_eval and jacobian_eval, one point at a
     time."""
     for _ in range(maxit):
-        r1, r2 = kernels.residual_eval(prm, dp, dn)
+        r1, r2 = torus_reference.residual_eval(prm, dp, dn)
         res = abs(r1) if abs(r1) > abs(r2) else abs(r2)
         if res < tol:
             return True, dp % (2.0 * math.pi), dn % (2.0 * math.pi), res
@@ -282,7 +319,7 @@ def _newton_on_evaluators(prm, dp, dn, tol, maxit):
             return False, dp, dn, res
         dp += min(max(-(j22 * r1 - j12 * r2) / det, -0.5), 0.5)
         dn += min(max(-(-j21 * r1 + j11 * r2) / det, -0.5), 0.5)
-    r1, r2 = kernels.residual_eval(prm, dp, dn)
+    r1, r2 = torus_reference.residual_eval(prm, dp, dn)
     res = abs(r1) if abs(r1) > abs(r2) else abs(r2)
     return res < tol, dp % (2.0 * math.pi), dn % (2.0 * math.pi), res
 
@@ -316,40 +353,34 @@ class TestColumnOracle:
                     s * xg0, zf)
 
 
-def _branch_seeds_rolled(r2, on):
-    """The seed mask written with np.roll, as the gathers restate it."""
-    a = np.where(on, np.abs(r2), np.inf)
-    nxt = np.roll(on, -1)
-    flip = on & nxt & ((r2 > 0.0) != (np.roll(r2, -1) > 0.0))
-    low = on & (a <= np.roll(a, 1)) & (a <= np.roll(a, -1))
-    end = on & ~(np.roll(on, 1) & nxt)
-    seed = flip | np.roll(flip, 1) | low | np.roll(low, 1) | np.roll(low, -1)
-    return on & (seed | end)
-
-
 class TestBranchSeeds:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 180, 181])
-    def test_gathers_match_roll_form(self, n):
+    def test_padded_slices_match_roll_form(self, n):
+        """The seed mask of a 4 x n stack of rows, row by row against the
+        oracle's np.roll form."""
         rng = np.random.default_rng(n)
-        nx, pv = kernels._cyclic_neighbours(n)
         for k in range(60):
             # coarse values, so ties between neighbours and zeros occur
-            r2 = rng.integers(-3, 4, n).astype(float) * 0.5
+            r2 = rng.integers(-3, 4, (4, n)).astype(float) * 0.5
             run = np.zeros(n, dtype=bool)
             lo, hi = sorted(rng.integers(0, n + 1, 2))
             run[lo:hi] = True
-            on = (np.ones(n, dtype=bool), np.zeros(n, dtype=bool), run,
-                  np.roll(run, n // 2), rng.random(n) < 0.5)[k % 5]
-            got = kernels._branch_seeds(r2, on, nx, pv)
-            assert np.array_equal(got, _branch_seeds_rolled(r2, on))
+            kinds = (np.ones(n, dtype=bool), np.zeros(n, dtype=bool), run,
+                     np.roll(run, n // 2), rng.random(n) < 0.5)
+            # each row a different kind, every kind in every row position
+            on = np.array([kinds[(k + i) % 5] for i in range(4)])
+            got = kernels._branch_seeds(r2, on)
+            for row in range(4):
+                assert np.array_equal(got[row], torus_reference.branch_seeds_rolled(
+                    r2[row], on[row]))
 
 
 class TestScalarPolish:
     """newton_pair and root_check run on floats with math.sin and math.cos;
-    residual_eval and the array oracle in torus_reference define them. The
-    comparisons are exact: numpy's float64 sin and cos give the C library's
-    values wherever these tests run, and the scalar forms keep the
-    evaluators' operation order."""
+    the array evaluators in torus_reference define them. The comparisons
+    are exact: numpy's float64 sin and cos give the C library's values
+    wherever these tests run, and the scalar forms keep the evaluators'
+    operation order."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -392,12 +423,31 @@ class TestScalarPolish:
             assert _bits(dq) == _bits(want)
             assert _bits(dq_voltages(coeffs, ref, ug, dp, dn)) == _bits(want)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           ud_min=st.sampled_from([1e-9, 0.3, -1e30]))
+    def test_conditions_core_matches_root_check(self, seed, ud_min):
+        """The scan loop and refine_root read _root_conditions, root_check
+        adds uq+-: both give the same feedback, qualifies and ud+- bits, at
+        drawn points and at the roots Newton reaches from them."""
+        rng = np.random.default_rng(seed)
+        prm = _packed(rng.uniform(0.0, 2.0, 6), rng.uniform(-math.pi, math.pi, 6))
+        points = rng.uniform(0.0, 2.0 * math.pi, (6, 2)).tolist()
+        points += [kernels.newton_pair(prm, dp, dn, 1e-10, NEWTON_MAXIT)[1:3]
+                   for dp, dn in points]
+        for dp, dn in points:
+            feedback, qualifies, ud_p, ud_n = kernels._root_conditions(
+                prm, dp, dn, ud_min)
+            want = kernels.root_check(prm, dp, dn, ud_min)
+            assert (feedback, qualifies) == want[:2]
+            assert _bits((ud_p, ud_n)) == _bits((want[2], want[4]))
+
 
 class TestEvaluators:
     def test_dq_exposes_residuals(self):
         rng = np.random.default_rng(7)
         for dp, dn in rng.uniform(-math.pi, math.pi, size=(20, 2)):
-            r1, r2 = kernels.residual_eval(PRM, dp, dn)
+            r1, r2 = torus_reference.residual_eval(PRM, dp, dn)
             _, uq_p, _, uq_n = torus_reference.dq_eval(PRM, dp, dn)
             assert uq_p == pytest.approx(r1, abs=1e-15)
             assert uq_n == pytest.approx(-r2, abs=1e-15)
@@ -405,9 +455,9 @@ class TestEvaluators:
     def test_evaluators_vectorize(self):
         dp = np.linspace(-3.0, 3.0, 11)
         dn = np.linspace(1.0, -2.0, 11)
-        r1v, r2v = kernels.residual_eval(PRM, dp, dn)
+        r1v, r2v = torus_reference.residual_eval(PRM, dp, dn)
         for i in range(dp.size):
-            r1, r2 = kernels.residual_eval(PRM, dp[i], dn[i])
+            r1, r2 = torus_reference.residual_eval(PRM, dp[i], dn[i])
             assert r1v[i] == pytest.approx(r1, abs=1e-15)
             assert r2v[i] == pytest.approx(r2, abs=1e-15)
 
@@ -416,12 +466,12 @@ class TestEvaluators:
         rng = np.random.default_rng(11)
         for dp, dn in rng.uniform(-math.pi, math.pi, size=(10, 2)):
             j11, j12, j21, j22 = torus_reference.jacobian_eval(PRM, dp, dn)
-            rp1, rp2 = kernels.residual_eval(PRM, dp + h, dn)
-            rm1, rm2 = kernels.residual_eval(PRM, dp - h, dn)
+            rp1, rp2 = torus_reference.residual_eval(PRM, dp + h, dn)
+            rm1, rm2 = torus_reference.residual_eval(PRM, dp - h, dn)
             assert j11 == pytest.approx((rp1 - rm1) / (2 * h), abs=1e-6)
             assert j21 == pytest.approx((rp2 - rm2) / (2 * h), abs=1e-6)
-            rp1, rp2 = kernels.residual_eval(PRM, dp, dn + h)
-            rm1, rm2 = kernels.residual_eval(PRM, dp, dn - h)
+            rp1, rp2 = torus_reference.residual_eval(PRM, dp, dn + h)
+            rm1, rm2 = torus_reference.residual_eval(PRM, dp, dn - h)
             assert j12 == pytest.approx((rp1 - rm1) / (2 * h), abs=1e-6)
             assert j22 == pytest.approx((rp2 - rm2) / (2 * h), abs=1e-6)
 

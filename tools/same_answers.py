@@ -11,6 +11,9 @@ directory, and each runs from its own ``src``:
 - ``equilibrium --fault ll --iminus A@-20`` for A = 0.91, 0.92 and 0.93,
   around the fold (the JSON printed), and ``region --fault ll --seq neg
   --angle-step 5``, whose sweep passes the stall at 0.92 (the CSV written);
+- ``equilibrium`` under SLG, DLG and TLG, at a positive current with a
+  root and at one without (the JSON printed): a root prints its uq+-, and
+  a miss on a curve that is not empty the best residual its seeds reached;
 - ``validate --draws 100 --seed 0`` (the table printed);
 - ``simulate`` of a 1 s DLG ride-through, and of 1 s under LL with
   ``--iminus 0.92@-20``, just past the fold, which starts from the
@@ -55,6 +58,11 @@ REGION_SWEEPS = (("dlg", "pos", ()), ("slg", "neg", ("--other", "0.5@-90")))
 # miss at 0.92 where Newton stalls 4e-9 past the fold, a miss at 0.93 (both
 # exit 2)
 FOLD_AMPS = ("0.91", "0.92", "0.93")
+# fault, a positive current with a qualifying root, one without (exit 2);
+# TLG's holds only near the impedance angle
+FAULT_EQUILIBRIA = (("slg", "1.0@-30", "2.0@-30"),
+                    ("dlg", "0.5@-30", "1.0@-30"),
+                    ("tlg", "0.3@-81.3", "0.3@-30"))
 # a config in ohms with its own bases that sets a key in every section
 CONFIG = {
     "circuit": {"unit": "ohm", "v_base_kv": 20.0, "s_base_mva": 10.0,
@@ -100,6 +108,9 @@ def cases() -> list[tuple[str, list[str], bool, dict | None]]:
     out += [(f"equilibrium ll iminus {a}@-20",
              ["equilibrium", "--fault", "ll", "--iminus", f"{a}@-20"], False, None)
             for a in FOLD_AMPS]
+    out += [(f"equilibrium {f} iplus {a}",
+             ["equilibrium", "--fault", f, "--iplus", a], False, None)
+            for f, *amps in FAULT_EQUILIBRIA for a in amps]
     # its sweep crosses the stall above, in the scan that confirms a miss
     out.append(("region ll neg step 5",
                 ["region", "--fault", "ll", "--seq", "neg", "--angle-step", "5"],

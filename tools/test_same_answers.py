@@ -20,7 +20,7 @@ def _stub(monkeypatch, differing=()):
 
 def test_cases_cover_the_reference_outputs():
     names = [name for name, _, _, _ in same_answers.cases()]
-    assert len(names) == 12 + 4 + 3 + 1 + 1 + 2 + 4 + 4
+    assert len(names) == 12 + 4 + 3 + 6 + 1 + 1 + 2 + 4 + 4
     assert len(set(names)) == len(names)
     to_file = [argv for _, argv, to_file, _ in same_answers.cases() if to_file]
     assert [argv[0] for argv in to_file].count("simulate") == 2
@@ -45,7 +45,7 @@ def test_same_answers_exit_0(monkeypatch, capsys):
     assert same_answers.main(["--parent", "a", "--change", "b"]) == 0
     out = capsys.readouterr().out
     assert "DIFFERS" not in out
-    assert "31 of 31 outputs byte-identical" in out
+    assert "37 of 37 outputs byte-identical" in out
 
 
 def test_one_difference_exits_1(monkeypatch, capsys):
@@ -54,7 +54,7 @@ def test_one_difference_exits_1(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "DIFFERS: validate draws 100 seed 0" in out
     assert out.count("DIFFERS") == 1
-    assert "30 of 31 outputs byte-identical" in out
+    assert "36 of 37 outputs byte-identical" in out
 
 
 def test_config_cases_set_every_section():
