@@ -355,9 +355,10 @@ class TestColumnOracle:
 
 class TestBranchSeeds:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 180, 181])
-    def test_padded_slices_match_roll_form(self, n):
-        """The seed mask of a 4 x n stack of rows, row by row against the
-        oracle's np.roll form."""
+    def test_gathers_match_roll_form(self, n):
+        """The seed mask of a 4 x n stack of rows, whose neighbours
+        _branch_seeds gathers as slices of a padded copy, row by row
+        against the oracle's np.roll form."""
         rng = np.random.default_rng(n)
         for k in range(60):
             # coarse values, so ties between neighbours and zeros occur
