@@ -8,6 +8,11 @@ Which one binds depends on the side of the impedance angle the injection
 sits on: with cos(phi + theta_i) < 0 the voltage magnitude shrinks with
 amplitude and the type-2 circle is reached first; otherwise the voltage
 grows and only the fold can bind.
+
+The traversal is a continuation in amplitude: each amplitude starts Newton
+from the previous one's root. A region sweep also starts every angle from
+one root, the equilibrium with the swept current at zero, where the angle
+has no effect.
 """
 
 import enum
@@ -184,12 +189,21 @@ def traversal_limit(
         raise ValueError(f"sequence must be one of {_SEQUENCES}")
     n_steps = _amplitude_steps(step, ceiling, 1.0)
     other = fixed_other if fixed_other is not None else (0.0, 0.0)
+    return _traverse(coeffs, ug_pos, sequence, theta_i, other, step, n_steps,
+                     grid_deg, tol, ud_min, None)
+
+
+def _traverse(coeffs, ug_pos, sequence, theta_i, other, step, n_steps,
+              grid_deg, tol, ud_min, start):
+    """traversal_limit's amplitude loop on checked arguments. `start` is a
+    root to warm-start the first amplitude from, or None to scan there; a
+    miss from it falls back to the scan like any later warm start."""
     # checks the angles and the other amplitude; only the swept amplitude
     # changes from one packing to the next
     packed = _packer(coeffs, ug_pos, sequence,
                      _make_ref(sequence, step, theta_i, other))
 
-    prev: tuple[float, float] | None = None
+    prev = start
     for k in range(1, n_steps + 1):
         amp = k * step
         if prev is not None:
@@ -225,23 +239,31 @@ def region_boundary(
     """Sweep theta_i over [-pi, pi) and collect the traversal limit at each
     angle. Ceiling-capped samples keep the CEILING binding flag. Angle and
     amplitude steps that ask for more than MAX_SWEEP_POINTS amplitudes over
-    the sweep are a ValueError, raised before any solve."""
+    the sweep's whole traversals are a ValueError, raised before any solve.
+
+    With the swept current at zero the angle has no effect, so the sweep
+    solves that problem once and warm-starts every angle's first amplitude
+    from its root. A warm start that misses falls back to the full scan, as
+    every traversal_limit amplitude does, and when the zero-current solve
+    misses every angle scans its first amplitude."""
+    if sequence not in _SEQUENCES:
+        raise ValueError(f"sequence must be one of {_SEQUENCES}")
     if not 0.0 < angle_step < math.inf:
         raise ValueError("angle_step must be finite and > 0")
     angles = (2.0 * math.pi - 1e-12) / angle_step
-    _amplitude_steps(step, ceiling, angles)
-    n = int(math.ceil(angles))
-    samples = []
-    for k in range(n):
-        theta = -math.pi + k * angle_step
-        samples.append(
-            traversal_limit(
-                coeffs, ug_pos, sequence, float(theta),
-                fixed_other=fixed_other, step=step, ceiling=ceiling,
-                grid_deg=grid_deg, tol=tol, ud_min=ud_min,
-            )
-        )
-    return RegionBoundary(sequence, fixed_other, tuple(samples))
+    # whole traversals; a subnormal angle_step overflows the count to inf
+    n = math.ceil(angles) if angles < math.inf else math.inf
+    n_steps = _amplitude_steps(step, ceiling, n)
+    other = fixed_other if fixed_other is not None else (0.0, 0.0)
+    res = solve_equilibrium(coeffs, _make_ref(sequence, 0.0, 0.0, other),
+                            ug_pos, grid_deg, tol, ud_min)
+    start = (res.delta_pos, res.delta_neg) if res.found else None
+    samples = tuple(
+        _traverse(coeffs, ug_pos, sequence, float(-math.pi + k * angle_step),
+                  other, step, n_steps, grid_deg, tol, ud_min, start)
+        for k in range(n)
+    )
+    return RegionBoundary(sequence, fixed_other, samples)
 
 
 def _excess(amp: float, limit: float) -> float:

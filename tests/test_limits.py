@@ -186,14 +186,37 @@ def test_region_rejects_unbounded_work(kwargs, monkeypatch):
         region_boundary(coeffs_for(FaultType.DLG), UG, "pos", **kwargs)
 
 
+def test_region_counts_whole_traversals(monkeypatch):
+    """1000.5 angles' worth of 29,985 amplitudes is within the cap, but the
+    sweep runs 1,001 whole traversals (30,014,985 points), which is not."""
+    _no_solves(monkeypatch)
+    with pytest.raises(ValueError, match="amplitude points"):
+        region_boundary(coeffs_for(FaultType.DLG), UG, "pos",
+                        angle_step=(2.0 * math.pi - 1e-12) / 1000.5,
+                        step=3.0 / 29985)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"sequence": "both"},
+    {"fixed_other": (-0.1, 0.0)},
+    {"fixed_other": (math.nan, 0.0)},
+    {"fixed_other": (0.5, math.inf)},
+])
+def test_region_checks_inputs_before_any_solve(kwargs, monkeypatch):
+    _no_solves(monkeypatch)
+    args = {"sequence": "pos", "angle_step": math.radians(30.0), **kwargs}
+    with pytest.raises(ValueError):
+        region_boundary(coeffs_for(FaultType.DLG), UG, **args)
+
+
 def test_region_within_budget_is_accepted(monkeypatch):
     """A 0.5 deg sweep at 1e-4 p.u. (21.6 million points, within the
     ten-minute budget) passes the size check: only its traversals are
     stubbed."""
-    def traversal(coeffs, ug, sequence, theta, **kwargs):
-        assert kwargs["step"] == 1e-4
+    def traversal(coeffs, ug, sequence, theta, other, step, *args):
+        assert step == 1e-4
         return LimitResult(sequence, theta, 0.0, Binding.TYPE1)
-    monkeypatch.setattr(limits, "traversal_limit", traversal)
+    monkeypatch.setattr(limits, "_traverse", traversal)
     b = region_boundary(coeffs_for(FaultType.DLG), UG, "pos",
                         angle_step=math.radians(0.5), step=1e-4)
     assert len(b.samples) == 720
@@ -355,6 +378,85 @@ def test_region_matches_per_step_form(fault_type, seq):
             for s in region.samples]
     assert list(region.samples) == want
     assert len(want) == 12
+
+
+def _sweep_is_per_angle(coeffs, seq, other, angle_step):
+    """Assert that region_boundary's samples are traversal_limit's at its
+    angles. Returns the sweep, the start each of its traversals was given
+    and its warm starts as _recorded lists them."""
+    starts, steps = [], []
+    traverse = limits._traverse
+
+    def recording(*args):
+        starts.append(args[-1])
+        return traverse(*args)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(limits, "_traverse", recording)
+        steps = _recorded(m)
+        region = region_boundary(coeffs, UG, seq, fixed_other=other,
+                                 angle_step=angle_step)
+    want = [traversal_limit(coeffs, UG, seq, s.theta_i, fixed_other=other)
+            for s in region.samples]
+    assert list(region.samples) == want
+    return region, starts, steps
+
+
+class TestSharedStart:
+    """Every angle of a region sweep warm-starts its first amplitude from
+    the zero-current root and gives the answer traversal_limit gives."""
+
+    @pytest.mark.parametrize("other", [None, (0.5, -math.pi / 2.0),
+                                       (1.0, math.pi / 4.0)])
+    @pytest.mark.parametrize("seq", ["pos", "neg"])
+    @pytest.mark.parametrize("fault_type", [FaultType.SLG, FaultType.DLG,
+                                            FaultType.LL])
+    def test_matches_traversals(self, fault_type, seq, other):
+        c = coeffs_for(fault_type)
+        region, starts, _ = _sweep_is_per_angle(c, seq, other,
+                                                math.radians(30.0))
+        assert len(region.samples) == len(starts) == 12
+        zero = solve_equilibrium(c, _make_ref(seq, 0.0, 0.0, other or (0, 0)),
+                                 UG)
+        want = (zero.delta_pos, zero.delta_neg) if zero.found else None
+        assert starts == [want] * 12
+
+    def test_warm_start_misses_then_scans(self):
+        """TLG pos: the zero-current root exists, but no angle keeps it at
+        the first amplitude, where the scan misses too (limit 0)."""
+        region, starts, steps = _sweep_is_per_angle(
+            coeffs_for(FaultType.TLG), "pos", None, math.radians(30.0))
+        assert starts[0] is not None and starts == [starts[0]] * 12
+        first = [out for _, seed, out in steps if seed == starts[0]]
+        assert first == [None] * 12
+        assert {(s.i_limit, s.binding) for s in region.samples} \
+            == {(0.0, Binding.TYPE1)}
+
+    def test_zero_current_miss_scans_every_angle(self):
+        """DLG pos with 1.0@90 held: no root at zero swept current, so every
+        angle starts with the scan."""
+        _, starts, _ = _sweep_is_per_angle(
+            coeffs_for(FaultType.DLG), "pos", (1.0, math.pi / 2.0),
+            math.radians(30.0))
+        assert starts == [None] * 12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_sweeps(self, seed):
+        """Ten seeded draws of fault, z_f, other current and angle step,
+        most of them warm-started from a zero-current root."""
+        rng = random.Random(seed)
+        warm = 0
+        for _ in range(10):
+            fault = rng.choice([FaultType.SLG, FaultType.DLG, FaultType.LL,
+                                FaultType.TLG])
+            zf = complex(rng.uniform(0.0, 0.05), rng.uniform(0.0, 0.05))
+            seq = rng.choice(["pos", "neg"])
+            other = rng.choice([None, (rng.uniform(0.0, 1.2),
+                                       rng.uniform(-math.pi, math.pi))])
+            angle_step = math.radians(rng.uniform(15.0, 60.0))
+            _, starts, _ = _sweep_is_per_angle(coeffs_for(fault, zf), seq,
+                                               other, angle_step)
+            warm += starts[0] is not None
+        assert warm >= 5
 
 
 def test_degenerate_traversal_matches_per_step_form(monkeypatch):

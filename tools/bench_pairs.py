@@ -17,9 +17,10 @@ holds, per workload, seed and end-to-end metric of BENCHMARK.json: both
 sides' runs, medians and quartiles (linear interpolation, as
 numpy.percentile), the pairs the change won, the ratio of the medians and
 the checks against the metric's bound.
-With --traced, one traced run per side and workload (first seed) adds the
-per-layer figures. Nothing is downloaded; the runs use the interpreter that
-runs this script.
+With --traced, TRACED_RUNS alternating traced runs per side and workload
+(first seed) add the per-layer figures: each row's median per side, with the
+runs. Nothing is downloaded; the runs use the interpreter that runs this
+script.
 """
 
 import argparse
@@ -36,6 +37,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 # alternating parent/change pairs per workload and seed
 PAIRS = 10
+# alternating traced runs per side and workload, so that host drift between
+# two runs does not read as a layer change
+TRACED_RUNS = 3
 
 
 def git(*args) -> str:
@@ -129,6 +133,23 @@ def batch(checkouts: dict, workload: str, seed: int, seconds: float,
     return out, runs
 
 
+def traced(checkouts: dict, workload: str, seed: int, seconds: float,
+           rows: list[dict]) -> dict:
+    """TRACED_RUNS alternating traced runs per side of one workload: each
+    per-layer row's median per side, with the runs."""
+    runs = {side: [] for side in SIDES}
+    for i in range(TRACED_RUNS):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            runs[side].append(run_once(checkouts[side], workload, seed,
+                                       seconds, 1)["metrics"])
+    out = {}
+    for m in rows:
+        values = {s: [r[m["name"]]["value"] for r in runs[s]] for s in SIDES}
+        out[m["name"]] = {**{s: statistics.median(values[s]) for s in SIDES},
+                          "runs": values}
+    return out
+
+
 def claim_result(batches: list[dict], workload: str, metric: str) -> dict:
     """Whether the change wins at least 9 pairs in 10 and beats the parent's
     median by more than its quartile spread, at every seed."""
@@ -158,7 +179,8 @@ def main(argv=None) -> int:
                         help="the claimed gain, judged per seed")
     parser.add_argument("--note", default="", help="what the change does")
     parser.add_argument("--traced", action="store_true",
-                        help="one traced run per side and workload, first seed")
+                        help=f"{TRACED_RUNS} alternating traced runs per side "
+                             "and workload, first seed")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -181,14 +203,11 @@ def main(argv=None) -> int:
                 batches.append(summary)
         # the run details that do not change from run to run
         details = {s: runs[s][0]["details"] for s in SIDES}
-        traced = {}
+        per_layer = {}
         if args.traced:
             for workload in workloads:
-                rows = {s: run_once(checkouts[s], workload, args.seeds[0],
-                                    seconds, 1)["metrics"] for s in SIDES}
-                traced[workload] = {
-                    m["name"]: {s: rows[s][m["name"]]["value"] for s in SIDES}
-                    for m in bench["per_layer"]}
+                per_layer[workload] = traced(checkouts, workload, args.seeds[0],
+                                             seconds, bench["per_layer"])
                 log(f"{workload}: traced runs done")
 
     host = details["change"]
@@ -219,13 +238,15 @@ def main(argv=None) -> int:
     if args.claim:
         workload, metric = args.claim.split(":")
         record["claim"] = claim_result(batches, workload, metric)
-    if traced:
+    if per_layer:
         record["per_layer"] = {
-            "how": (f"one traced run per side and workload: perfbench/run.py "
+            "how": (f"{TRACED_RUNS} traced runs per side and workload, parent "
+                    "and change alternating, parent first: perfbench/run.py "
                     f"--seed {args.seeds[0]} --seconds {seconds:g} --trace 1; "
-                    "'.s' figures are the measured self time of one traced "
-                    "round, not scaled"),
-            **traced}
+                    "'parent' and 'change' are the medians of each side's "
+                    "'runs'; '.s' figures are the measured self time of one "
+                    "traced round, not scaled"),
+            **per_layer}
     out_path.write_text(json.dumps(record, indent=1) + "\n")
     log(f"wrote {out_path}")
     return 0

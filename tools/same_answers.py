@@ -8,6 +8,10 @@ directory, and each runs from its own ``src``:
 - the twelve reference ``limit`` rows (the JSON printed);
 - ``region`` at ``--angle-step`` 30 and 5, DLG pos and SLG neg with
   ``--other 0.5@-90`` (the CSV written);
+- ``region`` at ``--angle-step`` 30 where the zero-current start does not
+  carry a sweep: TLG pos, whose every first warm start misses, and DLG pos
+  with ``--other 1.0@90``, which has no zero-current root (the CSV
+  written);
 - ``equilibrium --fault ll --iminus A@-20`` for A = 0.91, 0.92 and 0.93,
   around the fold (the JSON printed), and ``region --fault ll --seq neg
   --angle-step 5``, whose sweep passes the stall at 0.92 (the CSV written);
@@ -54,6 +58,9 @@ LIMIT_ROWS = (
 )
 # region sweeps: fault, sequence, extra flags
 REGION_SWEEPS = (("dlg", "pos", ()), ("slg", "neg", ("--other", "0.5@-90")))
+# region sweeps at 30 deg that fall back to the scan: every angle's first
+# warm start misses (TLG), the zero-current solve misses (DLG, 1.0@90 held)
+REGION_FALLBACKS = (("tlg", "pos", ()), ("dlg", "pos", ("--other", "1.0@90")))
 # negative current at -20 deg under LL around the fold: a root at 0.91, a
 # miss at 0.92 where Newton stalls 4e-9 past the fold, a miss at 0.93 (both
 # exit 2)
@@ -105,6 +112,10 @@ def cases() -> list[tuple[str, list[str], bool, dict | None]]:
              ["region", "--fault", f, "--seq", s, "--angle-step", step,
               *flags], True, None)
             for step in ("30", "5") for f, s, flags in REGION_SWEEPS]
+    out += [(f"region {f} {s} step 30 {' '.join(flags)}".rstrip(),
+             ["region", "--fault", f, "--seq", s, "--angle-step", "30",
+              *flags], True, None)
+            for f, s, flags in REGION_FALLBACKS]
     out += [(f"equilibrium ll iminus {a}@-20",
              ["equilibrium", "--fault", "ll", "--iminus", f"{a}@-20"], False, None)
             for a in FOLD_AMPS]

@@ -44,3 +44,26 @@ def test_claim_needs_nine_wins_in_ten_at_every_seed():
     assert not bench_pairs.claim_result([row(1, 10, True), row(2, 8, True)],
                                         "w", "m")["met"]
     assert not bench_pairs.claim_result([row(1, 10, False)], "w", "m")["met"]
+
+
+def test_traced_rows_are_medians_of_alternating_runs(monkeypatch):
+    """Each side runs TRACED_RUNS traced times, the sides alternating, and
+    each row reads the median of its side's runs."""
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        calls.append((checkout, trace))
+        n = len(calls)
+        return {"metrics": {"a.s": {"value": float(n)},
+                            "a.calls": {"value": 7}}}
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    rows = [{"name": "a.s"}, {"name": "a.calls"}]
+    out = bench_pairs.traced({"parent": "P", "change": "C"}, "w", 1, 20.0,
+                             rows)
+    assert bench_pairs.TRACED_RUNS == 3
+    assert calls == [("P", 1), ("C", 1), ("C", 1), ("P", 1), ("P", 1),
+                     ("C", 1)]
+    assert out["a.s"]["runs"] == {"parent": [1.0, 4.0, 5.0],
+                                  "change": [2.0, 3.0, 6.0]}
+    assert (out["a.s"]["parent"], out["a.s"]["change"]) == (4.0, 3.0)
+    assert (out["a.calls"]["parent"], out["a.calls"]["change"]) == (7, 7)

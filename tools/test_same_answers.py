@@ -20,14 +20,14 @@ def _stub(monkeypatch, differing=()):
 
 def test_cases_cover_the_reference_outputs():
     names = [name for name, _, _, _ in same_answers.cases()]
-    assert len(names) == 12 + 4 + 3 + 6 + 1 + 1 + 2 + 4 + 4
+    assert len(names) == 12 + 4 + 2 + 3 + 6 + 1 + 1 + 2 + 4 + 4
     assert len(set(names)) == len(names)
     to_file = [argv for _, argv, to_file, _ in same_answers.cases() if to_file]
     assert [argv[0] for argv in to_file].count("simulate") == 2
     regions = [argv for argv in to_file if argv[0] != "simulate"]
     assert all(argv[0] == "region" for argv in regions)
     assert sorted(argv[argv.index("--angle-step") + 1] for argv in regions) \
-        == ["30", "30", "5", "5", "5"]
+        == ["30", "30", "30", "30", "5", "5", "5"]
 
 
 def test_cases_cover_the_fold():
@@ -40,12 +40,22 @@ def test_cases_cover_the_fold():
     assert same_answers.SIMULATE_FOLD in argvs
 
 
+def test_cases_cover_the_region_fallbacks():
+    """The sweeps whose angles fall back to the scan: every first warm start
+    misses (TLG), and no zero-current root (DLG with 1.0@90 held)."""
+    argvs = [argv for _, argv, _, _ in same_answers.cases()]
+    assert ["region", "--fault", "tlg", "--seq", "pos", "--angle-step",
+            "30"] in argvs
+    assert ["region", "--fault", "dlg", "--seq", "pos", "--angle-step", "30",
+            "--other", "1.0@90"] in argvs
+
+
 def test_same_answers_exit_0(monkeypatch, capsys):
     _stub(monkeypatch)
     assert same_answers.main(["--parent", "a", "--change", "b"]) == 0
     out = capsys.readouterr().out
     assert "DIFFERS" not in out
-    assert "37 of 37 outputs byte-identical" in out
+    assert "39 of 39 outputs byte-identical" in out
 
 
 def test_one_difference_exits_1(monkeypatch, capsys):
@@ -54,7 +64,7 @@ def test_one_difference_exits_1(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "DIFFERS: validate draws 100 seed 0" in out
     assert out.count("DIFFERS") == 1
-    assert "36 of 37 outputs byte-identical" in out
+    assert "38 of 39 outputs byte-identical" in out
 
 
 def test_config_cases_set_every_section():
