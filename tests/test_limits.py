@@ -384,7 +384,7 @@ def _sweep_is_per_angle(coeffs, seq, other, angle_step):
     """Assert that region_boundary's samples are traversal_limit's at its
     angles. Returns the sweep, the start each of its traversals was given
     and its warm starts as _recorded lists them."""
-    starts, steps = [], []
+    starts = []
     traverse = limits._traverse
 
     def recording(*args):
