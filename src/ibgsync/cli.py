@@ -136,6 +136,15 @@ def _limit_json(lim) -> dict:
     }
 
 
+def _held_current(doc: ConfigDocument, args) -> tuple[float, float]:
+    """The other sequence's held current: --other, else config current.fault."""
+    if args.other is not None:
+        return polar(parse_phasor(args.other))
+    if args.seq == "pos":
+        return doc.ref_fault.i_neg, doc.ref_fault.theta_i_neg
+    return doc.ref_fault.i_pos, doc.ref_fault.theta_i_pos
+
+
 def cmd_limit(doc: ConfigDocument, args) -> int:
     coeffs, _ = _coeffs_for(doc, args)
     theta = math.radians(args.angle)
@@ -143,14 +152,9 @@ def cmd_limit(doc: ConfigDocument, args) -> int:
     if args.decoupled:
         lim = decoupled_limit(coeffs, doc.circuit.ug_pos, args.seq, theta)
     else:
-        if args.other is not None:
-            other = polar(parse_phasor(args.other))
-        elif args.seq == "pos":
-            other = (doc.ref_fault.i_neg, doc.ref_fault.theta_i_neg)
-        else:
-            other = (doc.ref_fault.i_pos, doc.ref_fault.theta_i_pos)
         lim = traversal_limit(coeffs, doc.circuit.ug_pos, args.seq, theta,
-                              fixed_other=other, **dataclasses.asdict(sol))
+                              fixed_other=_held_current(doc, args),
+                              **dataclasses.asdict(sol))
     _emit_json(_limit_json(lim))
     return 0
 
@@ -186,10 +190,10 @@ def _region_svg(samples, ceiling: float) -> str:
 
 def cmd_region(doc: ConfigDocument, args) -> int:
     coeffs, _ = _coeffs_for(doc, args)
-    other = polar(parse_phasor(args.other)) if args.other is not None else None
     sol = _with_flags(doc.solver, args)
     region = region_boundary(
-        coeffs, doc.circuit.ug_pos, args.seq, fixed_other=other,
+        coeffs, doc.circuit.ug_pos, args.seq,
+        fixed_other=_held_current(doc, args),
         angle_step=math.radians(args.angle_step), **dataclasses.asdict(sol),
     )
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -380,7 +384,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seq", choices=_SEQUENCES, required=True)
     p.add_argument("--angle", type=float, required=True, metavar="DEG")
     p.add_argument("--other", metavar="A@D", default=None,
-                   help="fixed other-sequence current")
+                   help="held other-sequence current (default: current.fault)")
     _add_sweep_flags(p)
     p.add_argument("--decoupled", action="store_true",
                    help="closed-form single-sequence limit")
@@ -389,7 +393,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("region", help="polar limit boundary sweep")
     _add_fault_flags(p)
     p.add_argument("--seq", choices=_SEQUENCES, required=True)
-    p.add_argument("--other", metavar="A@D", default=None)
+    p.add_argument("--other", metavar="A@D", default=None,
+                   help="held other-sequence current (default: current.fault)")
     p.add_argument("--angle-step", type=float, default=5.0, metavar="DEG")
     _add_sweep_flags(p)
     p.add_argument("--out", required=True, help="output CSV path")

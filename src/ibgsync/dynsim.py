@@ -311,7 +311,7 @@ def run_scenario(
     y0 = _pack_state(initial_sync_state(scenario))
     fault = scenario.fault
     n_rec, overflow_step, _, _ = kernels.simulate(
-        y0, n_steps, dt, stride, 0.0, fault.t_on, fault.t_clear,
+        y0, n_steps, dt, stride, fault.t_on, fault.t_clear,
         *_kernel_args(scenario), rec,
     )
     rec = rec[:n_rec]

@@ -238,13 +238,13 @@ def refine_root(
 
     prm holds the twelve packed floats (pack_params, or a traversal's
     _pack). The Newton steps and the root conditions run on floats
-    (kernels.newton_pair, kernels._root_conditions); no result object is
+    (kernels.newton_pair, kernels.root_conditions); no result object is
     built."""
     if _negative_degenerate(prm):
         found, _, dp, _ = _solve_degenerate(prm, ud_min)
         return (dp, 0.0) if found else None
     ok, dp, dn, _ = kernels.newton_pair(prm, delta_pos, delta_neg, tol,
                                         NEWTON_MAXIT)
-    if not ok or not kernels._root_conditions(prm, dp, dn, ud_min)[1]:
+    if not ok or not kernels.root_conditions(prm, dp, dn, ud_min)[1]:
         return None
     return dp, dn

@@ -7,14 +7,14 @@ seeding of ``scan_roots`` (``_curve_seeds``): its four rows of curve
 samples are stacked into one 4 x grid_n array, so r2 and the seed masks
 take one numpy pass each, with each sample's cyclic neighbours read as
 slices of a padded copy. The scan then polishes a few dozen seeds with
-``_newton_pair`` and checks their roots with ``_root_conditions``. Those
+``newton_pair`` and checks their roots with ``root_conditions``. Those
 two run on floats with ``math.sin`` and ``math.cos``, one point at a time,
 since numpy's ufunc dispatch makes a single point several times slower.
 They take the twelve packed parameters as the floats that
 ``equilibrium.pack_params`` returns (an amplitude traversal packs them
 itself with ``equilibrium._pack``), so a warm-start step touches no numpy
-object. ``_root_conditions`` computes only what the root rule reads, the
-feedback slopes and d-axis voltages; ``_root_check`` adds the q-axis
+object. ``root_conditions`` computes only what the root rule reads, the
+feedback slopes and d-axis voltages; ``root_check`` adds the q-axis
 voltages for a reported root. They keep the operation order of the array
 oracle in ``tests/torus_reference.py`` (``residual_eval``,
 ``jacobian_eval``, ``dq_eval``, ``root_conditions``), so both forms give
@@ -72,7 +72,7 @@ _PI_3 = math.pi / 3.0
 _TWO_PI_3 = 2.0 * math.pi / 3.0
 
 
-def _seq_coeffs(code, s, rl, xl, rl0, xl0, rg, xg, rg0, xg0, zf):
+def seq_coeffs(code, s, rl, xl, rl0, xl0, rg, xg, rg0, xg0, zf):
     """Evaluate one coefficient column at frequency scale s.
 
     Returns (k1, z2, z3, k4, z5, z6, denom); reactive parts scale with s,
@@ -134,7 +134,7 @@ def _seq_coeffs(code, s, rl, xl, rl0, xl0, rg, xg, rg0, xg0, zf):
 def _grid_column(code, paths, zf):
     """(K1, Z2, Z3, K4, Z5, Z6) at the grid frequency (s = 1); paths is the
     8-tuple (rl, xl, rl0, xl0, rg, xg, rg0, xg0)."""
-    k1, z2, z3, k4, z5, z6, _ = _seq_coeffs(
+    k1, z2, z3, k4, z5, z6, _ = seq_coeffs(
         code, 1.0, paths[0], paths[1], paths[2], paths[3],
         paths[4], paths[5], paths[6], paths[7], zf,
     )
@@ -149,17 +149,17 @@ def _seq_coeffs_mixed(grid, code, sp, sn, paths, zf):
     k1, z2, z3, k4, z5, z6 = grid
     rl, xl, rl0, xl0, rg, xg, rg0, xg0 = paths
     if sp != 1.0:
-        _, z2, z3_sp, _, z5_sp, z6, _ = _seq_coeffs(
+        _, z2, z3_sp, _, z5_sp, z6, _ = seq_coeffs(
             code, sp, rl, xl, rl0, xl0, rg, xg, rg0, xg0, zf)
         if sn == sp:
             return k1, z2, z3_sp, k4, z5_sp, z6
     if sn != 1.0:
-        _, _, z3, _, z5, _, _ = _seq_coeffs(
+        _, _, z3, _, z5, _, _ = seq_coeffs(
             code, sn, rl, xl, rl0, xl0, rg, xg, rg0, xg0, zf)
     return k1, z2, z3, k4, z5, z6
 
 
-def _newton_pair(prm, dp, dn, tol, maxit):
+def newton_pair(prm, dp, dn, tol, maxit):
     """Damped Newton on (r1, r2) from one seed; returns (ok, dp, dn, res).
 
     The seed stops when its residual drops below tol (ok) or its Jacobian
@@ -207,12 +207,12 @@ def _newton_pair(prm, dp, dn, tol, maxit):
     return False, dp % (2.0 * math.pi), dn % (2.0 * math.pi), res
 
 
-def _root_conditions(prm, dp, dn, ud_min):
+def root_conditions(prm, dp, dn, ud_min):
     """(feedback, qualifies, ud+, ud-) at one angle pair on floats.
     feedback: both feedback slopes are negative; qualifies: feedback and
     both d-axis voltages above ud_min. The operation order is that of the
     array oracle's root_conditions and dq_eval (tests/torus_reference.py).
-    prm as for _newton_pair."""
+    prm as for newton_pair."""
     a1, f1, b2, p2, c3, p3, a4, f4, b5, p5, c6, p6 = prm
     cp = a1 * math.cos(f1 - dp)
     cx = c3 * math.cos(p3 + dn - dp)
@@ -224,10 +224,10 @@ def _root_conditions(prm, dp, dn, ud_min):
     return feedback, feedback and ud_p > ud_min and ud_n > ud_min, ud_p, ud_n
 
 
-def _root_check(prm, dp, dn, ud_min):
-    """(feedback, qualifies, ud+, uq+, ud-, uq-): _root_conditions with the
+def root_check(prm, dp, dn, ud_min):
+    """(feedback, qualifies, ud+, uq+, ud-, uq-): root_conditions with the
     q-axis voltages uq+ = r1 and uq- = -r2, in the oracle's dq_eval order."""
-    feedback, qualifies, ud_p, ud_n = _root_conditions(prm, dp, dn, ud_min)
+    feedback, qualifies, ud_p, ud_n = root_conditions(prm, dp, dn, ud_min)
     a1, f1, b2, p2, c3, p3, a4, f4, b5, p5, c6, p6 = prm
     r1 = (a1 * math.sin(f1 - dp) + b2 * math.sin(p2)
           + c3 * math.sin(p3 + dn - dp))
@@ -326,8 +326,8 @@ def scan_roots(prm, grid_n, tol, maxit, ud_min):
     other way: for a fixed dp, r1 = C3 sin(dp - P3 + pi - dn)
     + A1 sin(F1 - dp) + b gives dn on two branches. _curve_seeds stacks
     the four branch rows into one numpy array and seeds each by
-    _branch_seeds; every seed is then polished by _newton_pair and every
-    root checked by _root_conditions, both on floats.
+    _branch_seeds; every seed is then polished by newton_pair and every
+    root checked by root_conditions, both on floats.
 
     Returns (found, dp, dn, res, any_converged, any_feedback). any_feedback
     tells whether some converged root has both feedback slopes negative,
@@ -347,13 +347,13 @@ def scan_roots(prm, grid_n, tol, maxit, ud_min):
     best = None
     any_conv = any_feedback = False
     for dp0, dn0 in _curve_seeds(prm, grid_n):
-        ok, dp, dn, res = _newton_pair(prm, dp0, dn0, tol, maxit)
+        ok, dp, dn, res = newton_pair(prm, dp0, dn0, tol, maxit)
         if not ok:
             all_res = min(all_res, res)
             continue
         any_conv = True
         conv_res = min(conv_res, res)
-        feedback, qualifies, ud_p, ud_n = _root_conditions(prm, dp, dn,
+        feedback, qualifies, ud_p, ud_n = root_conditions(prm, dp, dn,
                                                            ud_min)
         any_feedback = any_feedback or feedback
         if qualifies:
@@ -364,8 +364,8 @@ def scan_roots(prm, grid_n, tol, maxit, ud_min):
         # two more steps, so the point returned does not hang on how close
         # the seed that reached the root stopped short of it; a root with a
         # condition at its threshold keeps the point that qualified
-        _, dp, dn, res = _newton_pair(prm, best[0], best[1], 0.0, 2)
-        if _root_conditions(prm, dp, dn, ud_min)[1]:
+        _, dp, dn, res = newton_pair(prm, best[0], best[1], 0.0, 2)
+        if root_conditions(prm, dp, dn, ud_min)[1]:
             best = (dp, dn, res)
         return True, best[0], best[1], best[2], True, True
     return (False, 0.0, 0.0, conv_res if any_conv else all_res, any_conv,
@@ -487,10 +487,10 @@ def _deriv(y, gp, gn, code, grid, zf, paths, w0, ref, gains, mode_fll,
             d_xi_n, d_eps)
 
 
-def _deriv_eval(y, t, code, zf, paths, ug, theta_g0, w0, ref, gains,
-                mode_fll, adaptive):
+def deriv_eval(y, t, code, zf, paths, ug, theta_g0, w0, ref, gains,
+               mode_fll, adaptive):
     """_deriv of any indexable 9-vector y at time t, evaluating code's grid
-    column and grid terms."""
+    column and grid terms; the tests and perfbench/workloads.py call it."""
     grid = _grid_column(code, paths, zf)
     gp, gn = _grid_terms(t, theta_g0, w0, grid[0] * ug, grid[3] * ug)
     return _deriv(_as_state(y), gp, gn, code, grid, zf, paths, w0, ref,
@@ -519,17 +519,15 @@ def _rk4_update(y, c, k1, k2, k3, k4):
     )
 
 
-def simulate(y0, n_steps, dt, stride, t0, t_on, t_clear, code, zf, paths,
-             ug, theta_g0, w0, ref_pre, ref_on, gains, mode_fll, adaptive,
-             rec):
-    """Fixed-step RK4 over [t0, t0 + n_steps*dt] with stride-decimated
-    recording.
+def simulate(y0, n_steps, dt, stride, t_on, t_clear, code, zf, paths, ug,
+             theta_g0, w0, ref_pre, ref_on, gains, mode_fll, adaptive, rec):
+    """Fixed-step RK4 over [0, n_steps*dt] with stride-decimated recording.
 
     The state y0 (any indexable 9-vector) is held as a tuple of floats. The
     fault window in force (inside [t_on, t_clear) the fault, outside
     FAULT_NONE) is a tuple of its code, current reference, grid-frequency
     column and K1 ug, K4 ug, all built once, before the first step. Every
-    stage is evaluated at its absolute time (t = t0 + i*dt, t + dt/2,
+    stage is evaluated at its absolute time (t = i*dt, t + dt/2,
     t + dt) against the window and the grid angle; stages 2 and 3 share
     their time, so a step evaluates the grid terms three times. The model
     is evaluated once per sample: the stage-1 derivative advances the state
@@ -547,7 +545,7 @@ def simulate(y0, n_steps, dt, stride, t0, t_on, t_clear, code, zf, paths,
     sixth = dt / 6.0
     n_rec = 0
     for i in range(n_steps + 1):
-        t = t0 + i * dt
+        t = i * dt
         code_1, ref_1, grid_1, k1ug, k4ug = (
             on if t_on <= t < t_clear else off)
         gp, gn = _grid_terms(t, theta_g0, w0, k1ug, k4ug)
@@ -593,10 +591,3 @@ def simulate(y0, n_steps, dt, stride, t0, t_on, t_clear, code, zf, paths,
             return n_rec, i + 1, y, k1v
     return n_rec, -1, y, k1v
 
-
-seq_coeffs = _seq_coeffs
-grid_column = _grid_column
-seq_coeffs_mixed = _seq_coeffs_mixed
-newton_pair = _newton_pair
-deriv_eval = _deriv_eval
-root_check = _root_check

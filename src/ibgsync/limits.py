@@ -10,9 +10,9 @@ amplitude and the type-2 circle is reached first; otherwise the voltage
 grows and only the fold can bind.
 
 The traversal is a continuation in amplitude: each amplitude starts Newton
-from the previous one's root. A region sweep also starts every angle from
-one root, the equilibrium with the swept current at zero, where the angle
-has no effect.
+from the previous one's root. Every sweep (_sweep) starts each angle's first
+amplitude from one root, the equilibrium with the swept current at zero,
+where the angle has no effect.
 """
 
 import enum
@@ -174,32 +174,77 @@ def traversal_limit(
     ud_min: float = UD_MIN,
 ) -> LimitResult:
     """Largest amplitude of one sequence for which a qualifying equilibrium
-    exists, holding the other sequence fixed.
+    exists, holding the other sequence fixed: a sweep of one angle.
 
-    Amplitudes are swept upward from `step` in `step` increments up to
-    `ceiling`. Each step warm-starts Newton from the previous root on the
-    packed floats (refine_root); a warm-start miss is confirmed by a full
-    scan (solve_equilibrium) before the amplitude is declared failing. The
-    reported limit is the last passing amplitude on this grid, so `step`
-    alone sets the resolution. A step that asks for more than
-    MAX_SWEEP_POINTS amplitudes is a ValueError. Every input is checked
-    before any solve.
+    Amplitudes rise from `step` in `step` increments up to `ceiling`, each
+    warm-starting Newton on the packed floats (refine_root) from the
+    previous root, the first from the root with the swept current at zero.
+    A warm-start miss is confirmed by a full scan (solve_equilibrium) before
+    the amplitude fails. The limit is the last passing amplitude, so `step`
+    alone sets the resolution. More than MAX_SWEEP_POINTS amplitudes is a
+    ValueError; every input is checked before any solve.
     """
+    return _sweep(coeffs, ug_pos, sequence, 1, lambda k: theta_i,
+                  fixed_other, step, ceiling, grid_deg, tol, ud_min)[0]
+
+
+def region_boundary(
+    coeffs: SequenceCoefficients,
+    ug_pos: float,
+    sequence: str,
+    fixed_other: tuple[float, float] | None = None,
+    angle_step: float = math.pi / 36,
+    step: float = AMP_STEP,
+    ceiling: float = AMP_CEILING,
+    grid_deg: float = SCAN_GRID_DEG,
+    tol: float = NEWTON_TOL,
+    ud_min: float = UD_MIN,
+) -> RegionBoundary:
+    """Sweep theta_i over [-pi, pi) and collect the traversal limit at each
+    angle, as traversal_limit gives it. Ceiling-capped samples keep the
+    CEILING binding flag. Angle and amplitude steps that ask for more than
+    MAX_SWEEP_POINTS amplitudes over the sweep's whole traversals are a
+    ValueError, raised before any solve."""
+    if not 0.0 < angle_step < math.inf:
+        raise ValueError("angle_step must be finite and > 0")
+    angles = (2.0 * math.pi - 1e-12) / angle_step
+    # whole traversals; a subnormal angle_step overflows the count to inf
+    n = math.ceil(angles) if angles < math.inf else math.inf
+    samples = _sweep(coeffs, ug_pos, sequence, n,
+                     lambda k: float(-math.pi + k * angle_step), fixed_other,
+                     step, ceiling, grid_deg, tol, ud_min)
+    return RegionBoundary(sequence, fixed_other, samples)
+
+
+def _sweep(coeffs, ug_pos, sequence, n_angles, angle, fixed_other, step,
+           ceiling, grid_deg, tol, ud_min) -> tuple[LimitResult, ...]:
+    """The traversal limit at each angle(k), k < n_angles. Every input is
+    checked before any solve: the sequence, the amplitude points over all
+    angles, each angle and the held current. With the swept current at zero
+    the angle has no effect, so the sweep solves that problem once and
+    warm-starts every angle's first amplitude from its root; an angle scans
+    there only where that root is missing or the warm start misses."""
     if sequence not in _SEQUENCES:
         raise ValueError(f"sequence must be one of {_SEQUENCES}")
-    n_steps = _amplitude_steps(step, ceiling, 1.0)
+    n_steps = _amplitude_steps(step, ceiling, n_angles)
+    thetas = [angle(k) for k in range(n_angles)]
+    if not all(map(math.isfinite, thetas)):
+        raise ValueError("theta_i must be finite")
     other = fixed_other if fixed_other is not None else (0.0, 0.0)
-    return _traverse(coeffs, ug_pos, sequence, theta_i, other, step, n_steps,
-                     grid_deg, tol, ud_min, None)
+    # CurrentReference checks the held current
+    res = solve_equilibrium(coeffs, _make_ref(sequence, 0.0, 0.0, other),
+                            ug_pos, grid_deg, tol, ud_min)
+    start = (res.delta_pos, res.delta_neg) if res.found else None
+    return tuple(_traverse(coeffs, ug_pos, sequence, theta, other, step,
+                           n_steps, grid_deg, tol, ud_min, start)
+                 for theta in thetas)
 
 
 def _traverse(coeffs, ug_pos, sequence, theta_i, other, step, n_steps,
               grid_deg, tol, ud_min, start):
-    """traversal_limit's amplitude loop on checked arguments. `start` is a
-    root to warm-start the first amplitude from, or None to scan there; a
-    miss from it falls back to the scan like any later warm start."""
-    # checks the angles and the other amplitude; only the swept amplitude
-    # changes from one packing to the next
+    """One angle's amplitude loop on checked arguments. `start` is a root
+    to warm-start the first amplitude from, or None to scan there; a miss
+    from it falls back to the scan like any later warm start."""
     packed = _packer(coeffs, ug_pos, sequence,
                      _make_ref(sequence, step, theta_i, other))
 
@@ -222,48 +267,6 @@ def _traverse(coeffs, ug_pos, sequence, theta_i, other, step, n_steps,
     # means the fold (type 1), where Newton may also stall short of a root
     binding = Binding.TYPE2 if res.cond_feedback else Binding.TYPE1
     return LimitResult(sequence, theta_i, (k - 1) * step, binding)
-
-
-def region_boundary(
-    coeffs: SequenceCoefficients,
-    ug_pos: float,
-    sequence: str,
-    fixed_other: tuple[float, float] | None = None,
-    angle_step: float = math.pi / 36,
-    step: float = AMP_STEP,
-    ceiling: float = AMP_CEILING,
-    grid_deg: float = SCAN_GRID_DEG,
-    tol: float = NEWTON_TOL,
-    ud_min: float = UD_MIN,
-) -> RegionBoundary:
-    """Sweep theta_i over [-pi, pi) and collect the traversal limit at each
-    angle. Ceiling-capped samples keep the CEILING binding flag. Angle and
-    amplitude steps that ask for more than MAX_SWEEP_POINTS amplitudes over
-    the sweep's whole traversals are a ValueError, raised before any solve.
-
-    With the swept current at zero the angle has no effect, so the sweep
-    solves that problem once and warm-starts every angle's first amplitude
-    from its root. A warm start that misses falls back to the full scan, as
-    every traversal_limit amplitude does, and when the zero-current solve
-    misses every angle scans its first amplitude."""
-    if sequence not in _SEQUENCES:
-        raise ValueError(f"sequence must be one of {_SEQUENCES}")
-    if not 0.0 < angle_step < math.inf:
-        raise ValueError("angle_step must be finite and > 0")
-    angles = (2.0 * math.pi - 1e-12) / angle_step
-    # whole traversals; a subnormal angle_step overflows the count to inf
-    n = math.ceil(angles) if angles < math.inf else math.inf
-    n_steps = _amplitude_steps(step, ceiling, n)
-    other = fixed_other if fixed_other is not None else (0.0, 0.0)
-    res = solve_equilibrium(coeffs, _make_ref(sequence, 0.0, 0.0, other),
-                            ug_pos, grid_deg, tol, ud_min)
-    start = (res.delta_pos, res.delta_neg) if res.found else None
-    samples = tuple(
-        _traverse(coeffs, ug_pos, sequence, float(-math.pi + k * angle_step),
-                  other, step, n_steps, grid_deg, tol, ud_min, start)
-        for k in range(n)
-    )
-    return RegionBoundary(sequence, fixed_other, samples)
 
 
 def _excess(amp: float, limit: float) -> float:

@@ -206,12 +206,12 @@ def deriv(y, t, code, zf, paths, ug, theta_g0, w0, ref, gains, mode_fll,
     return out
 
 
-def simulate(y, n_steps, dt, stride, t0, t_on, t_clear, code, zf, paths, ug,
+def simulate(y, n_steps, dt, stride, t_on, t_clear, code, zf, paths, ug,
              theta_g0, w0, ref_pre, ref_on, gains, mode_fll, adaptive, rec):
     """kernels.simulate's arguments and results, with y and dy arrays."""
     n_rec = 0
     for i in range(n_steps + 1):
-        t = t0 + i * dt
+        t = i * dt
         code_1, ref_1 = _window(t, t_on, t_clear, code, ref_pre, ref_on)
         k1v = deriv(y, t, code_1, zf, paths, ug, theta_g0, w0, ref_1, gains,
                     mode_fll, adaptive)

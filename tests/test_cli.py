@@ -241,6 +241,25 @@ class TestRegion:
         data = json.loads(out)
         assert row == f"90,{data['i_limit']:.12g},{data['binding']}"
 
+    def test_config_current_is_held_as_in_limit(self, tmp_path, capsys):
+        # without --other both commands hold the config's on-fault negative
+        # current; ignoring it, the region read 0.84 at -30 deg
+        config = {"fault": {"type": "dlg"},
+                  "current": {"fault": {"i_neg": "0.5@90"}}}
+        out_csv = tmp_path / "region.csv"
+        code, _, _ = run_with_config(
+            config, ["region", "--seq", "pos", "--angle-step", "30",
+                     "--out", str(out_csv)], tmp_path, capsys)
+        assert code == 0
+        rows = out_csv.read_text().splitlines()
+        code, out, _ = run_with_config(
+            config, ["limit", "--seq", "pos", "--angle", "-30"], tmp_path,
+            capsys)
+        assert code == 0
+        data = json.loads(out)
+        assert (data["i_limit"], data["binding"]) == (0.76, "type1")
+        assert "-30,0.76,type1" in rows
+
 
 class TestSimulate:
     def test_stable_run(self, tmp_path, capsys):

@@ -273,7 +273,7 @@ class TestOneBuild:
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout) == {
             "numba": False, "imported": False, "simulate": "simulate",
-            "newton_pair": "_newton_pair",
+            "newton_pair": "newton_pair",
             "modules": ["ibgsync.kernels", "ibgsync.kernels"]}
 
 
@@ -281,8 +281,8 @@ class TestMixedCoefficients:
     @pytest.mark.parametrize("code", ALL_CODES)
     def test_unit_scale_reduces_to_plain(self, code):
         plain = kernels.seq_coeffs(code, 1.0, *PF, complex(ZF_PU))
-        grid = kernels.grid_column(code, PF, complex(ZF_PU))
-        mixed = kernels.seq_coeffs_mixed(grid, code, 1.0, 1.0, PF,
+        grid = kernels._grid_column(code, PF, complex(ZF_PU))
+        mixed = kernels._seq_coeffs_mixed(grid, code, 1.0, 1.0, PF,
                                          complex(ZF_PU))
         assert np.allclose(np.array(grid), np.array(plain[:6]), atol=0.0)
         assert np.allclose(np.array(mixed), np.array(plain[:6]), atol=0.0)
@@ -295,8 +295,8 @@ class TestMixedCoefficients:
         base = kernels.seq_coeffs(code, 1.0, *PF, complex(ZF_PU))
         at_sp = kernels.seq_coeffs(code, sp, *PF, complex(ZF_PU))
         at_sn = kernels.seq_coeffs(code, sn, *PF, complex(ZF_PU))
-        grid = kernels.grid_column(code, PF, complex(ZF_PU))
-        k1, z2, z3, k4, z5, z6 = kernels.seq_coeffs_mixed(
+        grid = kernels._grid_column(code, PF, complex(ZF_PU))
+        k1, z2, z3, k4, z5, z6 = kernels._seq_coeffs_mixed(
             grid, code, sp, sn, PF, complex(ZF_PU)
         )
         assert k1 == base[0] and k4 == base[3]
@@ -428,7 +428,7 @@ class TestScalarPolish:
     @given(seed=st.integers(0, 2**32 - 1),
            ud_min=st.sampled_from([1e-9, 0.3, -1e30]))
     def test_conditions_core_matches_root_check(self, seed, ud_min):
-        """The scan loop and refine_root read _root_conditions, root_check
+        """The scan loop and refine_root read root_conditions, root_check
         adds uq+-: both give the same feedback, qualifies and ud+- bits, at
         drawn points and at the roots Newton reaches from them."""
         rng = np.random.default_rng(seed)
@@ -437,7 +437,7 @@ class TestScalarPolish:
         points += [kernels.newton_pair(prm, dp, dn, 1e-10, NEWTON_MAXIT)[1:3]
                    for dp, dn in points]
         for dp, dn in points:
-            feedback, qualifies, ud_p, ud_n = kernels._root_conditions(
+            feedback, qualifies, ud_p, ud_n = kernels.root_conditions(
                 prm, dp, dn, ud_min)
             want = kernels.root_check(prm, dp, dn, ud_min)
             assert (feedback, qualifies) == want[:2]
@@ -587,7 +587,7 @@ class TestSimulateRecord:
         for n in (0, 7, 24, 25, 40):
             rec = np.empty((n + 1, len(TRACE_COLUMNS)))
             rows, overflow, y, _ = kernels.simulate(
-                y0.copy(), n, dt, 1, 0.0, sc.fault.t_on, sc.fault.t_clear,
+                y0.copy(), n, dt, 1, sc.fault.t_on, sc.fault.t_clear,
                 code, zf, paths, ug, theta_g0, w0, ref_pre, ref_on, gains,
                 mode_fll, adaptive, rec,
             )
@@ -615,7 +615,7 @@ class TestSimulateRecord:
         y0[k] = value
         rec = np.empty((11, len(TRACE_COLUMNS)))
         rows, overflow, _, _ = kernels.simulate(
-            y0, 10, 1e-4, 1, 0.0, 0.0, math.inf, *_kernel_args(sc), rec)
+            y0, 10, 1e-4, 1, 0.0, math.inf, *_kernel_args(sc), rec)
         assert (rows, overflow) == (1, 1)
 
 
@@ -625,7 +625,7 @@ class TestSimulateMatchesArrayForm:
 
     @staticmethod
     def _both(sc, y0, n, stride):
-        args = (n, sc.dt, stride, 0.0, sc.fault.t_on, sc.fault.t_clear,
+        args = (n, sc.dt, stride, sc.fault.t_on, sc.fault.t_clear,
                 *_kernel_args(sc))
         rows = n // stride + 1
         rec, rec_ref = (np.full((rows, len(TRACE_COLUMNS)), -1.0)

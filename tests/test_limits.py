@@ -306,17 +306,20 @@ def test_region_boundary_contains_traversal_points():
         assert s.binding is direct.binding
 
 
-def _per_step_traversal(coeffs, sequence, theta_i, fixed_other=None):
-    """traversal_limit written out one object per amplitude: a
+def _per_step_traversal(coeffs, sequence, theta_i, fixed_other=None,
+                        start=None, step=AMP_STEP):
+    """A traversal written out one object per amplitude: a
     CurrentReference, pack_params' floats, refine_root on them and,
-    on a miss, solve_equilibrium. Returns the limit and, per warm start,
-    (packed floats, seed angles, refine_root's answer)."""
+    on a miss, solve_equilibrium. The first amplitude warm-starts from
+    `start`; with None, the default, it scans, which makes this an oracle
+    that shares no start with traversal_limit. Returns the limit and, per
+    warm start, (packed floats, seed angles, refine_root's answer)."""
     other = fixed_other if fixed_other is not None else (0.0, 0.0)
-    n_steps = int(math.floor(AMP_CEILING / AMP_STEP + 1e-9))
+    n_steps = int(math.floor(AMP_CEILING / step + 1e-9))
     steps = []
-    prev = None
+    prev = start
     for k in range(1, n_steps + 1):
-        ref = _make_ref(sequence, k * AMP_STEP, theta_i, other)
+        ref = _make_ref(sequence, k * step, theta_i, other)
         prm = pack_params(coeffs, ref, UG)
         if prev is not None:
             seed = prev
@@ -326,11 +329,18 @@ def _per_step_traversal(coeffs, sequence, theta_i, fixed_other=None):
             res = solve_equilibrium(coeffs, ref, UG)
             if not res.found:
                 binding = Binding.TYPE2 if res.cond_feedback else Binding.TYPE1
-                return (LimitResult(sequence, theta_i, (k - 1) * AMP_STEP,
+                return (LimitResult(sequence, theta_i, (k - 1) * step,
                                     binding), steps)
             prev = (res.delta_pos, res.delta_neg)
-    return (LimitResult(sequence, theta_i, n_steps * AMP_STEP, Binding.CEILING),
+    return (LimitResult(sequence, theta_i, n_steps * step, Binding.CEILING),
             steps)
+
+
+def _zero_root(coeffs, sequence, fixed_other=None):
+    """The root with the swept current at zero, or None."""
+    other = fixed_other if fixed_other is not None else (0.0, 0.0)
+    res = solve_equilibrium(coeffs, _make_ref(sequence, 0.0, 0.0, other), UG)
+    return (res.delta_pos, res.delta_neg) if res.found else None
 
 
 def _recorded(monkeypatch):
@@ -346,14 +356,19 @@ def _recorded(monkeypatch):
 
 
 def _assert_same_traversal(monkeypatch, coeffs, sequence, theta_i,
-                           fixed_other=None):
+                           fixed_other=None, step=AMP_STEP):
+    """traversal_limit takes the per-step form's warm starts from the
+    zero-current root exactly, and gives the scan-first form's limit."""
     steps = _recorded(monkeypatch)
     got = traversal_limit(coeffs, UG, sequence, theta_i,
-                          fixed_other=fixed_other)
-    want, want_steps = _per_step_traversal(coeffs, sequence, theta_i,
-                                           fixed_other)
+                          fixed_other=fixed_other, step=step)
+    want, want_steps = _per_step_traversal(
+        coeffs, sequence, theta_i, fixed_other,
+        _zero_root(coeffs, sequence, fixed_other), step)
     assert got == want
     assert steps == want_steps
+    assert got == _per_step_traversal(coeffs, sequence, theta_i, fixed_other,
+                                      step=step)[0]
     return want_steps
 
 
@@ -365,6 +380,29 @@ def test_traversal_matches_per_step_form(fault_type, seq, deg, oa, od, want,
     steps = _assert_same_traversal(monkeypatch, coeffs_for(fault_type), seq,
                                    math.radians(deg), (oa, math.radians(od)))
     assert len(steps) > 10
+
+
+@pytest.mark.parametrize("fault_type,seq,deg,oa,od,want,binding", TRAVERSAL_ANCHORS)
+def test_traversal_starts_from_zero_current_root(fault_type, seq, deg, oa, od,
+                                                want, binding, monkeypatch):
+    """The first amplitude warm-starts from the root with the swept current
+    at zero, and holds it: the only scans are the zero-current one and the
+    one that confirms the failure."""
+    c = coeffs_for(fault_type)
+    theta, other = math.radians(deg), (oa, math.radians(od))
+    zero = _zero_root(c, seq, other)
+    scans = []
+    scan = kernels.scan_roots
+    monkeypatch.setattr(kernels, "scan_roots",
+                        lambda *args: scans.append(args) or scan(*args))
+    steps = _recorded(monkeypatch)
+    got = traversal_limit(c, UG, seq, theta, fixed_other=other)
+    prm, seed, out = steps[0]
+    assert seed == zero is not None
+    assert prm == pack_params(c, _make_ref(seq, AMP_STEP, theta, other), UG)
+    assert out is not None
+    assert len(scans) == 2
+    assert (got.i_limit, got.binding) == (pytest.approx(want), binding)
 
 
 @pytest.mark.parametrize("fault_type,seq", [(FaultType.DLG, "pos"),
@@ -415,10 +453,7 @@ class TestSharedStart:
         region, starts, _ = _sweep_is_per_angle(c, seq, other,
                                                 math.radians(30.0))
         assert len(region.samples) == len(starts) == 12
-        zero = solve_equilibrium(c, _make_ref(seq, 0.0, 0.0, other or (0, 0)),
-                                 UG)
-        want = (zero.delta_pos, zero.delta_neg) if zero.found else None
-        assert starts == [want] * 12
+        assert starts == [_zero_root(c, seq, other)] * 12
 
     def test_warm_start_misses_then_scans(self):
         """TLG pos: the zero-current root exists, but no angle keeps it at
@@ -473,14 +508,19 @@ def test_degenerate_traversal_matches_per_step_form(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_random_traversals_match_per_step_form(seed, monkeypatch):
+    """Seeded draws of fault, z_f, sequence, angle, held current and step."""
     rng = random.Random(seed)
-    for _ in range(5):
-        fault = rng.choice([FaultType.SLG, FaultType.DLG, FaultType.LL])
+    for _ in range(10):
+        fault = rng.choice([FaultType.SLG, FaultType.DLG, FaultType.LL,
+                            FaultType.TLG])
+        zf = complex(rng.uniform(0.0, 0.05), rng.uniform(0.0, 0.05))
         seq = rng.choice(["pos", "neg"])
         theta = rng.uniform(-math.pi, math.pi)
-        other = (rng.uniform(0.0, 1.0), rng.uniform(-math.pi, math.pi))
-        _assert_same_traversal(monkeypatch, coeffs_for(fault), seq, theta,
-                               other)
+        other = rng.choice([None, (rng.uniform(0.0, 1.2),
+                                   rng.uniform(-math.pi, math.pi))])
+        step = rng.choice([0.01, 0.02, 0.05])
+        _assert_same_traversal(monkeypatch, coeffs_for(fault, zf), seq,
+                               theta, other, step)
 
 
 @pytest.mark.parametrize("seq", ["pos", "neg"])
@@ -557,7 +597,7 @@ class TestNewtonCap:
     def test_reference_rows(self, fault_type, seq, deg, oa, od, want, binding,
                             monkeypatch):
         """The same limit and binding, and the same answer from the
-        first-amplitude scan and the scan that confirms the failure."""
+        zero-current scan and the scan that confirms the failure."""
         short, long, scans = _traversal_at_caps(
             monkeypatch, coeffs_for(fault_type), seq, math.radians(deg),
             (oa, math.radians(od)))

@@ -45,24 +45,32 @@ def summary(calls: list[tuple], cap: int) -> dict:
 
 
 def record(cap: int) -> dict:
-    """Run the reference limits at the cap, recording every Newton call."""
+    """Run the reference limits at the cap, recording every Newton call: a
+    call inside kernels.scan_roots polishes a seed, any other is a warm
+    start."""
     seeds, warm = [], []
-    scan_newton, warm_newton = kernels._newton_pair, kernels.newton_pair
+    newton, scan = kernels.newton_pair, kernels.scan_roots
+    in_scan = [False]
 
-    def scan_call(prm, dp, dn, tol, maxit):
+    def scan_call(*args):
+        in_scan[0] = True
+        try:
+            return scan(*args)
+        finally:
+            in_scan[0] = False
+
+    def newton_call(prm, dp, dn, tol, maxit):
         # the two-step polish of a scan's winner is not a seed
-        if not (tol == 0.0 and maxit == 2):
+        if not in_scan[0]:
+            warm.append((tuple(prm), dp, dn, tol, maxit))
+        elif not (tol == 0.0 and maxit == 2):
             seeds.append((tuple(prm), dp, dn, tol, maxit))
-        return scan_newton(prm, dp, dn, tol, maxit)
-
-    def warm_call(prm, dp, dn, tol, maxit):
-        warm.append((tuple(prm), dp, dn, tol, maxit))
-        return warm_newton(prm, dp, dn, tol, maxit)
+        return newton(prm, dp, dn, tol, maxit)
 
     doc = load_config(None)
     paths = compose_paths(doc.circuit)
     saved = equilibrium.NEWTON_MAXIT
-    kernels._newton_pair, kernels.newton_pair = scan_call, warm_call
+    kernels.newton_pair, kernels.scan_roots = newton_call, scan_call
     equilibrium.NEWTON_MAXIT = cap
     try:
         for fault, seq, angle, other in LIMIT_ROWS:
@@ -71,7 +79,7 @@ def record(cap: int) -> dict:
                             math.radians(float(angle)),
                             fixed_other=polar(parse_phasor(other)))
     finally:
-        kernels._newton_pair, kernels.newton_pair = scan_newton, warm_newton
+        kernels.newton_pair, kernels.scan_roots = newton, scan
         equilibrium.NEWTON_MAXIT = saved
     return {"cap": cap, "scan_seeds": summary(seeds, cap),
             "warm_starts": summary(warm, cap)}

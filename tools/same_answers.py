@@ -12,6 +12,9 @@ directory, and each runs from its own ``src``:
   carry a sweep: TLG pos, whose every first warm start misses, and DLG pos
   with ``--other 1.0@90``, which has no zero-current root (the CSV
   written);
+- ``limit`` of TLG pos at -81.3 deg, warm-started in closed form from the
+  zero-current root, and of DLG pos at -30 deg with ``--other 1.0@90``,
+  which has no zero-current root (the JSON printed);
 - ``equilibrium --fault ll --iminus A@-20`` for A = 0.91, 0.92 and 0.93,
   around the fold (the JSON printed), and ``region --fault ll --seq neg
   --angle-step 5``, whose sweep passes the stall at 0.92 (the CSV written);
@@ -61,6 +64,12 @@ REGION_SWEEPS = (("dlg", "pos", ()), ("slg", "neg", ("--other", "0.5@-90")))
 # region sweeps at 30 deg that fall back to the scan: every angle's first
 # warm start misses (TLG), the zero-current solve misses (DLG, 1.0@90 held)
 REGION_FALLBACKS = (("tlg", "pos", ()), ("dlg", "pos", ("--other", "1.0@90")))
+# single limits off the common path: TLG near the impedance angle, whose
+# warm starts from the zero-current root take the closed-form branch of the
+# vanishing negative equation (0.33, type1), and DLG with 1.0@90 held,
+# which has no zero-current root and scans its first amplitude
+LIMIT_STARTS = (("tlg", "pos", "-81.3", ()),
+                   ("dlg", "pos", "-30", ("--other", "1.0@90")))
 # negative current at -20 deg under LL around the fold: a root at 0.91, a
 # miss at 0.92 where Newton stalls 4e-9 past the fold, a miss at 0.93 (both
 # exit 2)
@@ -116,6 +125,10 @@ def cases() -> list[tuple[str, list[str], bool, dict | None]]:
              ["region", "--fault", f, "--seq", s, "--angle-step", "30",
               *flags], True, None)
             for f, s, flags in REGION_FALLBACKS]
+    out += [(f"limit {f} {s} {a} {' '.join(flags)}".rstrip(),
+             ["limit", "--fault", f, "--seq", s, "--angle", a, *flags], False,
+             None)
+            for f, s, a, flags in LIMIT_STARTS]
     out += [(f"equilibrium ll iminus {a}@-20",
              ["equilibrium", "--fault", "ll", "--iminus", f"{a}@-20"], False, None)
             for a in FOLD_AMPS]

@@ -8,7 +8,8 @@ import newton_steps
 
 
 def test_histogram_accounts_for_every_call(capsys):
-    newton, cap = kernels.newton_pair, equilibrium.NEWTON_MAXIT
+    newton, scan = kernels.newton_pair, kernels.scan_roots
+    cap = equilibrium.NEWTON_MAXIT
     assert newton_steps.main(["--cap", "12"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["cap"] == 12
@@ -21,5 +22,6 @@ def test_histogram_accounts_for_every_call(capsys):
         assert s["newton_steps"] == sum(k * n for k, n in hist.items()) + 12 * s["missed"]
     # past a type-1 limit no root exists, so some scan seeds miss
     assert out["scan_seeds"]["missed"] > 0
-    # the Newton kernels and the cap are restored
-    assert kernels.newton_pair is newton and equilibrium.NEWTON_MAXIT == cap
+    # the kernels and the cap are restored
+    assert kernels.newton_pair is newton and kernels.scan_roots is scan
+    assert equilibrium.NEWTON_MAXIT == cap

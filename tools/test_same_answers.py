@@ -20,7 +20,7 @@ def _stub(monkeypatch, differing=()):
 
 def test_cases_cover_the_reference_outputs():
     names = [name for name, _, _, _ in same_answers.cases()]
-    assert len(names) == 12 + 4 + 2 + 3 + 6 + 1 + 1 + 2 + 4 + 4
+    assert len(names) == 12 + 4 + 2 + 2 + 3 + 6 + 1 + 1 + 2 + 4 + 4
     assert len(set(names)) == len(names)
     to_file = [argv for _, argv, to_file, _ in same_answers.cases() if to_file]
     assert [argv[0] for argv in to_file].count("simulate") == 2
@@ -50,12 +50,22 @@ def test_cases_cover_the_region_fallbacks():
             "--other", "1.0@90"] in argvs
 
 
+def test_cases_cover_the_limit_starts():
+    """A TLG limit warm-started in closed form from the zero-current root,
+    and a DLG limit with no zero-current root."""
+    argvs = [argv for _, argv, _, _ in same_answers.cases()]
+    assert ["limit", "--fault", "tlg", "--seq", "pos", "--angle",
+            "-81.3"] in argvs
+    assert ["limit", "--fault", "dlg", "--seq", "pos", "--angle", "-30",
+            "--other", "1.0@90"] in argvs
+
+
 def test_same_answers_exit_0(monkeypatch, capsys):
     _stub(monkeypatch)
     assert same_answers.main(["--parent", "a", "--change", "b"]) == 0
     out = capsys.readouterr().out
     assert "DIFFERS" not in out
-    assert "39 of 39 outputs byte-identical" in out
+    assert "41 of 41 outputs byte-identical" in out
 
 
 def test_one_difference_exits_1(monkeypatch, capsys):
@@ -64,7 +74,7 @@ def test_one_difference_exits_1(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "DIFFERS: validate draws 100 seed 0" in out
     assert out.count("DIFFERS") == 1
-    assert "38 of 39 outputs byte-identical" in out
+    assert "40 of 41 outputs byte-identical" in out
 
 
 def test_config_cases_set_every_section():
