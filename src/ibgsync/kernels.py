@@ -354,7 +354,7 @@ def scan_roots(prm, grid_n, tol, maxit, ud_min):
         any_conv = True
         conv_res = min(conv_res, res)
         feedback, qualifies, ud_p, ud_n = root_conditions(prm, dp, dn,
-                                                           ud_min)
+                                                          ud_min)
         any_feedback = any_feedback or feedback
         if qualifies:
             margin = min(ud_p, ud_n)

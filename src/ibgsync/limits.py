@@ -229,7 +229,7 @@ def _sweep(coeffs, ug_pos, sequence, n_angles, angle, fixed_other, step,
     n_steps = _amplitude_steps(step, ceiling, n_angles)
     thetas = [angle(k) for k in range(n_angles)]
     if not all(map(math.isfinite, thetas)):
-        raise ValueError("theta_i must be finite")
+        raise ValueError("angle must be finite")
     other = fixed_other if fixed_other is not None else (0.0, 0.0)
     # CurrentReference checks the held current
     res = solve_equilibrium(coeffs, _make_ref(sequence, 0.0, 0.0, other),

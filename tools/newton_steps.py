@@ -50,18 +50,19 @@ def record(cap: int) -> dict:
     start."""
     seeds, warm = [], []
     newton, scan = kernels.newton_pair, kernels.scan_roots
-    in_scan = [False]
+    in_scan = False
 
     def scan_call(*args):
-        in_scan[0] = True
+        nonlocal in_scan
+        in_scan = True
         try:
             return scan(*args)
         finally:
-            in_scan[0] = False
+            in_scan = False
 
     def newton_call(prm, dp, dn, tol, maxit):
         # the two-step polish of a scan's winner is not a seed
-        if not in_scan[0]:
+        if not in_scan:
             warm.append((tuple(prm), dp, dn, tol, maxit))
         elif not (tol == 0.0 and maxit == 2):
             seeds.append((tuple(prm), dp, dn, tol, maxit))
