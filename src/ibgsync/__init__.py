@@ -54,7 +54,7 @@ from .phasor import (
     polar_deg,
     wrap_angle,
 )
-from .synchro import SyncConfig, SyncMode, SyncState
+from .synchro import SyncConfig, SyncMode
 
 __version__ = "0.1.0"
 
@@ -76,7 +76,7 @@ __all__ = [
     "Binding", "LimitResult", "RegionBoundary",
     "decoupled_limit", "traversal_limit", "region_boundary", "classify",
     # synchronizer
-    "SyncConfig", "SyncMode", "SyncState",
+    "SyncConfig", "SyncMode",
     # simulation
     "Scenario", "Trace", "LosVerdict", "Signature",
     "terminal_voltage", "run_scenario", "detect_los",

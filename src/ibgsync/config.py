@@ -25,11 +25,7 @@ __all__ = [
     "ConfigDocument",
     "load_config",
     "parse_config",
-    "DEFAULT_BASES",
 ]
-
-# bases that convert ohmic entries when the circuit section gives none
-DEFAULT_BASES = {"v_base_kv": REF_V_BASE_KV, "s_base_mva": REF_S_BASE_MVA}
 
 # config branch key -> CircuitParameters field; "choke" is checked like a
 # branch, then ignored: the terminal node sits between the choke and T1

@@ -33,7 +33,7 @@ from .network import (
     compute_coefficients,
 )
 from .phasor import phasor, wrap_angle
-from .synchro import SyncConfig, SyncMode, SyncState
+from .synchro import SyncConfig, SyncMode
 
 __all__ = [
     "Scenario",
@@ -209,18 +209,6 @@ def orientation_angles(
     )
 
 
-def _pack_state(state: SyncState) -> np.ndarray:
-    return np.array(
-        [
-            state.u_hat_pos.real, state.u_hat_pos.imag,
-            state.u_hat_neg.real, state.u_hat_neg.imag,
-            state.theta_pos, state.xi_pos,
-            state.theta_neg, state.xi_neg,
-            state.eps_fll,
-        ]
-    )
-
-
 def _ref_tuple(ref: CurrentReference) -> tuple[float, float, float, float]:
     return (float(ref.i_pos), float(ref.theta_i_pos),
             float(ref.i_neg), float(ref.theta_i_neg))
@@ -254,25 +242,22 @@ def _kernel_args(scenario: Scenario):
 def _settled_state(
     scenario: Scenario, coeffs: SequenceCoefficients, ref: CurrentReference,
     eq: EquilibriumResult,
-) -> SyncState:
-    """Synchronizer state sitting exactly on an equilibrium at t = 0."""
+) -> tuple[float, ...]:
+    """Synchronizer state sitting exactly on an equilibrium at t = 0, with
+    the clockwise filter state holding conj(u-)."""
     theta_g = scenario.circuit.theta_g
     th_p = eq.delta_pos + theta_g - math.pi / 3.0
     th_n = eq.delta_neg + theta_g + math.pi / 3.0
     u_pos, u_neg, _ = terminal_voltage(
         coeffs, ref, scenario.circuit.ug_pos, theta_g, th_p, th_n
     )
-    w0 = scenario.circuit.omega0
-    return SyncState(
-        u_hat_pos=u_pos, u_hat_neg=u_neg.conjugate(),
-        omega_hat=w0, eps_fll=0.0,
-        theta_pos=th_p, theta_neg=th_n,
-        xi_pos=0.0, xi_neg=0.0,
-    )
+    return (u_pos.real, u_pos.imag, u_neg.real, -u_neg.imag,
+            th_p, 0.0, th_n, 0.0, 0.0)
 
 
-def initial_sync_state(scenario: Scenario) -> SyncState:
-    """Initial state per scenario.init.
+def initial_sync_state(scenario: Scenario) -> tuple[float, ...]:
+    """Initial state per scenario.init, as the nine floats kernels.simulate
+    integrates (layout: kernels._deriv).
 
     "equilibrium": the on-fault operating point when it exists; otherwise
     (and for "prefault") the settled pre-fault state; a bare cold start
@@ -290,10 +275,8 @@ def initial_sync_state(scenario: Scenario) -> SyncState:
     if eq.found:
         return _settled_state(scenario, healthy, scenario.ref_prefault, eq)
     theta_g = scenario.circuit.theta_g
-    return SyncState(
-        theta_pos=theta_g - math.pi / 3.0, theta_neg=theta_g + math.pi / 3.0,
-        omega_hat=scenario.circuit.omega0,
-    )
+    return (0.0, 0.0, 0.0, 0.0, theta_g - math.pi / 3.0, 0.0,
+            theta_g + math.pi / 3.0, 0.0, 0.0)
 
 
 def run_scenario(
@@ -308,10 +291,9 @@ def run_scenario(
     stride = max(1, int(round(min(record_dt / dt, n_steps + 1))))
     rec = np.empty((n_steps // stride + 1, len(TRACE_COLUMNS)))
 
-    y0 = _pack_state(initial_sync_state(scenario))
     fault = scenario.fault
     n_rec, overflow_step, _, _ = kernels.simulate(
-        y0, n_steps, dt, stride, fault.t_on, fault.t_clear,
+        initial_sync_state(scenario), n_steps, dt, stride, fault.t_on, fault.t_clear,
         *_kernel_args(scenario), rec,
     )
     rec = rec[:n_rec]

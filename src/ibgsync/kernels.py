@@ -399,8 +399,10 @@ def _deriv(y, gp, gn, code, grid, zf, paths, w0, ref, gains, mode_fll,
            adaptive):
     """Time derivative of the 9-component closed-loop state, as a 9-tuple.
 
-    State layout (a tuple of floats): [Re U+, Im U+, Re U-, Im U-, theta+,
-    xi+, theta-, xi-, eps]. gp, gn: the grid terms at the stage time
+    State layout, the package's one definition of it (a tuple of floats):
+    [Re U+, Im U+, Re U-, Im U-, theta+, xi+, theta-, xi-, eps], with U+-
+    the filter states, theta+- the loop angles, xi+- their PI integrators
+    and eps the FLL integrator. gp, gn: the grid terms at the stage time
     (_grid_terms). grid: code's _grid_column, evaluated once per run; with
     adaptive impedances only the columns at the frequency estimates are
     evaluated here (_seq_coeffs_mixed), with fixed ones the impedances are
@@ -523,8 +525,9 @@ def simulate(y0, n_steps, dt, stride, t_on, t_clear, code, zf, paths, ug,
              theta_g0, w0, ref_pre, ref_on, gains, mode_fll, adaptive, rec):
     """Fixed-step RK4 over [0, n_steps*dt] with stride-decimated recording.
 
-    The state y0 (any indexable 9-vector) is held as a tuple of floats. The
-    fault window in force (inside [t_on, t_clear) the fault, outside
+    y0 is the nine-float state in _deriv's layout, as
+    dynsim.initial_sync_state returns it (any indexable 9-vector is taken
+    and held as a tuple of floats). The fault window in force (inside [t_on, t_clear) the fault, outside
     FAULT_NONE) is a tuple of its code, current reference, grid-frequency
     column and K1 ug, K4 ug, all built once, before the first step. Every
     stage is evaluated at its absolute time (t = i*dt, t + dt/2,

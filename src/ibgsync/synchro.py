@@ -1,21 +1,20 @@
-"""Synchronization unit: complex-coefficient sequence filter, FLL frequency
-adaptation, and dual PLLs.
+"""Synchronizer settings: the angle-tracking mode and the filter and loop
+gains.
 
 The filter keeps two rotating states, Û⁺ (counterclockwise) and Û⁻
 (clockwise), both corrected by the shared error Ū − Û⁺ − Û⁻. Angles are
 tracked either by per-sequence PLLs acting on the frame-rotated q-axis
 voltages or, in FLL mode, by integrating each filter state's instantaneous
-rotation rate, Im(dÛ⁺·conj(Û⁺))/|Û⁺|² and the clockwise counterpart for Û⁻
-(kernels._deriv, the closed-loop model).
+rotation rate, Im(dÛ⁺·conj(Û⁺))/|Û⁺|² and the clockwise counterpart for Û⁻.
+The state is nine floats, and the laws that move it are one function:
+kernels._deriv, the closed-loop model, defines both.
 """
 
 import enum
 import math
 from dataclasses import dataclass
 
-from .network import DEFAULT_OMEGA0
-
-__all__ = ["SyncMode", "SyncConfig", "SyncState"]
+__all__ = ["SyncMode", "SyncConfig"]
 
 
 class SyncMode(enum.Enum):
@@ -45,19 +44,3 @@ class SyncConfig:
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0")
 
-
-@dataclass
-class SyncState:
-    """Mutable state of one synchronizer instance.
-
-    Angles stay unwrapped while integrating; normalize on output only.
-    """
-
-    u_hat_pos: complex = 0j
-    u_hat_neg: complex = 0j
-    omega_hat: float = DEFAULT_OMEGA0
-    eps_fll: float = 0.0
-    theta_pos: float = 0.0
-    theta_neg: float = 0.0
-    xi_pos: float = 0.0
-    xi_neg: float = 0.0

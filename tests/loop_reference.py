@@ -2,16 +2,37 @@
 the tests.
 
 The closed-loop model (``kernels._deriv``) evaluates these laws fused, on
-Python floats. Written out here one law per function (the sequence filter,
-the FLL frequency adaptation, the dual PLLs and the frame rotation), they
-give the tests an independent restatement to compose and compare against.
+the nine floats that ``kernels.simulate`` integrates. Written out here one
+law per function (the sequence filter, the FLL frequency adaptation, the
+dual PLLs and the frame rotation) on a named, mutable state, they give the
+tests an independent restatement to compose and compare against.
 """
 
 import math
+from dataclasses import dataclass
 
-from ibgsync import SyncConfig, SyncState
+from ibgsync import SyncConfig
+from ibgsync.network import DEFAULT_OMEGA0
 
-__all__ = ["ccf_derivative", "fll_adaptation", "pll_derivatives", "extract_dq"]
+__all__ = ["SyncState", "ccf_derivative", "fll_adaptation", "pll_derivatives",
+           "extract_dq"]
+
+
+@dataclass
+class SyncState:
+    """Mutable state of one synchronizer instance.
+
+    Angles stay unwrapped while integrating; normalize on output only.
+    """
+
+    u_hat_pos: complex = 0j
+    u_hat_neg: complex = 0j
+    omega_hat: float = DEFAULT_OMEGA0
+    eps_fll: float = 0.0
+    theta_pos: float = 0.0
+    theta_neg: float = 0.0
+    xi_pos: float = 0.0
+    xi_neg: float = 0.0
 
 
 def ccf_derivative(

@@ -10,8 +10,8 @@ side-by-side comparison.
 
 import numpy as np
 
-from ibgsync import SyncConfig, SyncState
-from loop_reference import ccf_derivative, fll_adaptation
+from ibgsync import SyncConfig
+from loop_reference import SyncState, ccf_derivative, fll_adaptation
 
 __all__ = ["rcf_derivative", "rcf_sequences", "run_rcf", "run_ccf"]
 

@@ -14,7 +14,6 @@ from ibgsync import (
     InstabilityType,
     Scenario,
     SyncConfig,
-    SyncState,
     compose_paths,
     compute_coefficients,
     phasor,
@@ -135,39 +134,73 @@ class TestOrientationAngles:
         assert -math.pi < dn <= math.pi
 
 
+# indices into kernels.simulate's nine-float state (layout: kernels._deriv)
+RE_UP, IM_UP, RE_UN, IM_UN, TH_P, XI_P, TH_N, XI_N, EPS = range(9)
+
+
 class TestInitialSyncState:
     def test_equilibrium_init_sits_on_fault_root(self):
         sc = dlg_scenario(REF_HOLD, 1.0)
         coeffs = compute_coefficients(PATHS, sc.fault)
         eq = solve_equilibrium(coeffs, REF_HOLD, UG)
         state = initial_sync_state(sc)
-        assert state.theta_pos == pytest.approx(eq.delta_pos + TG - math.pi / 3.0)
-        assert state.theta_neg == pytest.approx(eq.delta_neg + TG + math.pi / 3.0)
-        assert state.xi_pos == 0.0
-        assert state.eps_fll == 0.0
+        assert state[TH_P] == pytest.approx(eq.delta_pos + TG - math.pi / 3.0)
+        assert state[TH_N] == pytest.approx(eq.delta_neg + TG + math.pi / 3.0)
+        assert state[XI_P] == 0.0
+        assert state[EPS] == 0.0
 
     def test_infeasible_fault_falls_back_to_prefault(self):
         sc = dlg_scenario(REF_FLIP, 1.0)
         state = initial_sync_state(sc)
         # healthy grid with zero injection settles grid-aligned
-        assert state.theta_pos == pytest.approx(TG - math.pi / 3.0)
-        assert state.u_hat_pos == pytest.approx(UG * phasor(1.0, TG - math.pi / 3.0))
-        assert abs(state.u_hat_neg) == pytest.approx(0.0, abs=1e-12)
+        assert state[TH_P] == pytest.approx(TG - math.pi / 3.0)
+        assert complex(state[RE_UP], state[IM_UP]) == pytest.approx(
+            UG * phasor(1.0, TG - math.pi / 3.0))
+        assert abs(complex(state[RE_UN], state[IM_UN])) == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_prefault_init_ignores_fault_root(self):
         sc = dlg_scenario(REF_HOLD, 1.0, init="prefault")
         state = initial_sync_state(sc)
-        assert state.theta_pos == pytest.approx(TG - math.pi / 3.0)
-        assert abs(state.u_hat_pos) == pytest.approx(UG)
+        assert state[TH_P] == pytest.approx(TG - math.pi / 3.0)
+        assert abs(complex(state[RE_UP], state[IM_UP])) == pytest.approx(UG)
 
     def test_bare_cold_start_when_nothing_settles(self):
         sc = dlg_scenario(REF_FLIP, 1.0,
                           ref_prefault=CurrentReference(3.0, 0.0, 0.0, 0.0))
         state = initial_sync_state(sc)
-        assert state.u_hat_pos == 0j
-        assert state.u_hat_neg == 0j
-        assert state.theta_pos == pytest.approx(TG - math.pi / 3.0)
-        assert state.omega_hat == W0
+        assert complex(state[RE_UP], state[IM_UP]) == 0j
+        assert complex(state[RE_UN], state[IM_UN]) == 0j
+        assert state[TH_P] == pytest.approx(TG - math.pi / 3.0)
+
+    @pytest.mark.parametrize("start", ["fault_root", "prefault_root", "cold"])
+    def test_returns_the_kernels_nine_floats(self, start):
+        """Each start is the nine floats kernels.simulate integrates: the
+        filter states at the settled terminal voltages (the clockwise one
+        holding conj(u-)), the loop angles on the root, the integrators
+        zero."""
+        prefault_ref = CurrentReference(3.0, 0.0, 0.0, 0.0) if start == "cold" \
+            else ZERO_REF
+        sc = dlg_scenario(REF_HOLD if start == "fault_root" else REF_FLIP, 1.0,
+                          ref_prefault=prefault_ref)
+        state = initial_sync_state(sc)
+        assert type(state) is tuple and len(state) == 9
+        assert all(type(v) is float for v in state)
+        if start == "cold":
+            up = un = 0j
+            th_p, th_n = TG - math.pi / 3.0, TG + math.pi / 3.0
+        else:
+            fault, ref = ((sc.fault, sc.ref_fault) if start == "fault_root"
+                          else (FaultSpec(FaultType.NONE), prefault_ref))
+            coeffs = compute_coefficients(PATHS, fault)
+            eq = solve_equilibrium(coeffs, ref, UG)
+            assert eq.found
+            th_p = eq.delta_pos + TG - math.pi / 3.0
+            th_n = eq.delta_neg + TG + math.pi / 3.0
+            up, un, _ = terminal_voltage(coeffs, ref, UG, TG, th_p, th_n)
+            un = un.conjugate()
+        assert state == (up.real, up.imag, un.real, un.imag,
+                         th_p, 0.0, th_n, 0.0, 0.0)
 
 
 class TestRunScenario:
@@ -248,7 +281,7 @@ class TestRunScenario:
 
     def test_nan_initial_state_diverges(self, monkeypatch):
         """A NaN start fails the kernel's overflow bound on the first step."""
-        state = SyncState(u_hat_pos=complex(math.nan, 0.0), omega_hat=W0)
+        state = (math.nan,) + (0.0,) * 8
         monkeypatch.setattr(dynsim, "initial_sync_state", lambda sc: state)
         trace, verdict = run_scenario(dlg_scenario(REF_HOLD, 0.5))
         assert trace.diverged

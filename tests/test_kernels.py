@@ -21,7 +21,6 @@ from ibgsync import (
     FaultType,
     SequenceCoefficients,
     SyncConfig,
-    SyncState,
     compose_paths,
     compute_coefficients,
     dq_voltages,
@@ -33,8 +32,8 @@ from ibgsync.dynsim import TRACE_COLUMNS, Scenario, _kernel_args, terminal_volta
 from ibgsync.equilibrium import NEWTON_MAXIT, pack_params
 from ibgsync.network import _path_floats
 from ibgsync.synchro import SyncMode
-from loop_reference import (ccf_derivative, extract_dq, fll_adaptation,
-                            pll_derivatives)
+from loop_reference import (SyncState, ccf_derivative, extract_dq,
+                            fll_adaptation, pll_derivatives)
 import rk4_reference
 import torus_reference
 

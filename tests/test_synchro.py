@@ -9,11 +9,10 @@ import pytest
 from ibgsync import (
     SyncConfig,
     SyncMode,
-    SyncState,
     phasor,
 )
-from loop_reference import (ccf_derivative, extract_dq, fll_adaptation,
-                            pll_derivatives)
+from loop_reference import (SyncState, ccf_derivative, extract_dq,
+                            fll_adaptation, pll_derivatives)
 from rcf_reference import run_ccf, run_rcf
 
 OMEGA0 = 2.0 * math.pi * 50.0

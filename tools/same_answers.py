@@ -25,9 +25,13 @@ directory, and each runs from its own ``src``:
 - ``simulate`` of a 1 s DLG ride-through, and of 1 s under LL with
   ``--iminus 0.92@-20``, just past the fold, which starts from the
   pre-fault state (the verdict printed and the trace CSV written);
-- ``coeffs --json``, ``equilibrium`` and ``limit`` under a config that sets
-  every section, and ``coeffs --json`` under one that sets
-  ``circuit.choke`` (the JSON printed);
+- ``simulate`` of 1 s under DLG with fixed impedances from a cold start:
+  the config's pre-fault 3.0@0 has no root either (the verdict printed
+  and the trace CSV written);
+- ``coeffs --json``, ``equilibrium``, ``limit`` and ``simulate`` under a
+  config that sets every section (FLL at 60 Hz, started from the pre-fault
+  state), and ``coeffs --json`` under one that sets ``circuit.choke`` (the
+  JSON printed, and the trace CSV that ``simulate`` writes);
 - ``coeffs`` under four configs both sides must reject, one of them with a
   negative choke resistance (the exit code and the empty output).
 
@@ -108,6 +112,10 @@ SIMULATE = ["simulate", "--fault", "dlg", "--iplus", "0.77@-30",
 # a run with no on-fault equilibrium to start from
 SIMULATE_FOLD = ["simulate", "--fault", "ll", "--iminus", "0.92@-20",
                  "--t-end", "1"]
+# a run with neither an on-fault nor a pre-fault equilibrium: a cold start
+SIMULATE_COLD = ["simulate", "--fault", "dlg", "--iplus", "1.5@-30",
+                 "--iminus", "0.5@90", "--t-end", "1", "--no-adaptive"]
+COLD_CONFIG = {"current": {"prefault": {"i_pos": "3.0@0"}}}
 
 
 def cases() -> list[tuple[str, list[str], bool, dict | None]]:
@@ -144,9 +152,11 @@ def cases() -> list[tuple[str, list[str], bool, dict | None]]:
     out.append(("simulate dlg iplus 0.77@-30 t_end 1", SIMULATE, True, None))
     out.append(("simulate ll iminus 0.92@-20 t_end 1", SIMULATE_FOLD, True,
                 None))
+    out.append(("simulate cold start", SIMULATE_COLD, True, COLD_CONFIG))
     out += [(f"config {argv[0]}", argv, False, CONFIG) for argv in (
         ["coeffs", "--json"], ["equilibrium"],
         ["limit", "--seq", "pos", "--angle", "-30", "--other", "0.3@90"])]
+    out.append(("config simulate", ["simulate"], True, CONFIG))
     out.append(("config choke coeffs", ["coeffs", "--json"], False,
                 CHOKE_CONFIG))
     out += [(f"rejected config: {name}", ["coeffs", "--fault", "dlg"], False,

@@ -20,10 +20,10 @@ def _stub(monkeypatch, differing=()):
 
 def test_cases_cover_the_reference_outputs():
     names = [name for name, _, _, _ in same_answers.cases()]
-    assert len(names) == 12 + 4 + 2 + 2 + 3 + 6 + 1 + 1 + 2 + 4 + 4
+    assert len(names) == 12 + 4 + 2 + 2 + 3 + 6 + 1 + 1 + 3 + 5 + 4
     assert len(set(names)) == len(names)
     to_file = [argv for _, argv, to_file, _ in same_answers.cases() if to_file]
-    assert [argv[0] for argv in to_file].count("simulate") == 2
+    assert [argv[0] for argv in to_file].count("simulate") == 4
     regions = [argv for argv in to_file if argv[0] != "simulate"]
     assert all(argv[0] == "region" for argv in regions)
     assert sorted(argv[argv.index("--angle-step") + 1] for argv in regions) \
@@ -50,6 +50,20 @@ def test_cases_cover_the_region_fallbacks():
             "--other", "1.0@90"] in argvs
 
 
+def test_cases_cover_the_closed_loop_starts():
+    """simulate from an on-fault root, from the pre-fault root (past the
+    fold, and under the FLL config at 60 Hz) and from a cold start, where
+    the config's pre-fault current has no root either."""
+    runs = [(argv, config) for _, argv, to_file, config in same_answers.cases()
+            if to_file and argv[0] == "simulate"]
+    assert (same_answers.SIMULATE, None) in runs
+    assert (same_answers.SIMULATE_FOLD, None) in runs
+    assert (["simulate"], same_answers.CONFIG) in runs
+    assert (same_answers.SIMULATE_COLD, same_answers.COLD_CONFIG) in runs
+    assert same_answers.CONFIG["sync"]["mode"] == "dsogi_fll"
+    assert same_answers.CONFIG["scenario"]["init"] == "prefault"
+
+
 def test_cases_cover_the_limit_starts():
     """A TLG limit warm-started in closed form from the zero-current root,
     and a DLG limit with no zero-current root."""
@@ -65,7 +79,7 @@ def test_same_answers_exit_0(monkeypatch, capsys):
     assert same_answers.main(["--parent", "a", "--change", "b"]) == 0
     out = capsys.readouterr().out
     assert "DIFFERS" not in out
-    assert "41 of 41 outputs byte-identical" in out
+    assert "43 of 43 outputs byte-identical" in out
 
 
 def test_one_difference_exits_1(monkeypatch, capsys):
@@ -74,15 +88,15 @@ def test_one_difference_exits_1(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "DIFFERS: validate draws 100 seed 0" in out
     assert out.count("DIFFERS") == 1
-    assert "40 of 41 outputs byte-identical" in out
+    assert "42 of 43 outputs byte-identical" in out
 
 
 def test_config_cases_set_every_section():
     configs = [c for _, _, _, c in same_answers.cases() if c is not None]
-    assert len(configs) == 8
+    assert len(configs) == 10
     assert set(same_answers.CONFIG) == {
         "circuit", "fault", "current", "sync", "scenario", "solver"}
-    assert configs.count(same_answers.CONFIG) == 3
+    assert configs.count(same_answers.CONFIG) == 4
 
     # one sets circuit.choke, one gives it a negative resistance
     assert sorted(c["circuit"]["choke"]["r"] for c in configs
