@@ -293,8 +293,8 @@ def run_scenario(
 
     fault = scenario.fault
     n_rec, overflow_step, _, _ = kernels.simulate(
-        initial_sync_state(scenario), n_steps, dt, stride, fault.t_on, fault.t_clear,
-        *_kernel_args(scenario), rec,
+        initial_sync_state(scenario), n_steps, dt, stride, fault.t_on,
+        fault.t_clear, *_kernel_args(scenario), rec,
     )
     rec = rec[:n_rec]
     trace = Trace(

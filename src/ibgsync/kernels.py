@@ -527,17 +527,18 @@ def simulate(y0, n_steps, dt, stride, t_on, t_clear, code, zf, paths, ug,
 
     y0 is the nine-float state in _deriv's layout, as
     dynsim.initial_sync_state returns it (any indexable 9-vector is taken
-    and held as a tuple of floats). The fault window in force (inside [t_on, t_clear) the fault, outside
-    FAULT_NONE) is a tuple of its code, current reference, grid-frequency
-    column and K1 ug, K4 ug, all built once, before the first step. Every
-    stage is evaluated at its absolute time (t = i*dt, t + dt/2,
-    t + dt) against the window and the grid angle; stages 2 and 3 share
-    their time, so a step evaluates the grid terms three times. The model
-    is evaluated once per sample: the stage-1 derivative advances the state
-    and gives the recorded angle rates. rec columns are in
-    dynsim.TRACE_COLUMNS order. Returns (rows_written, overflow_step, y, dy)
-    with y and dy 9-tuples: overflow_step = -1 when none, dy the derivative
-    at the last sample evaluated (the returned y unless the run overflowed).
+    and held as a tuple of floats). The fault window in force (inside
+    [t_on, t_clear) the fault, outside FAULT_NONE) is a tuple of its code,
+    current reference, grid-frequency column and K1 ug, K4 ug, all built
+    once, before the first step. Every stage is evaluated at its absolute
+    time (t = i*dt, t + dt/2, t + dt) against the window and the grid
+    angle; stages 2 and 3 share their time, so a step evaluates the grid
+    terms three times. The model is evaluated once per sample: the stage-1
+    derivative advances the state and gives the recorded angle rates. rec
+    columns are in dynsim.TRACE_COLUMNS order. Returns (rows_written,
+    overflow_step, y, dy) with y and dy 9-tuples: overflow_step = -1 when
+    none, dy the derivative at the last sample evaluated (the returned y
+    unless the run overflowed).
     """
     grid_on = _grid_column(code, paths, zf)
     grid_off = _grid_column(FAULT_NONE, paths, zf)

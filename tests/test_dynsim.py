@@ -179,14 +179,14 @@ class TestInitialSyncState:
         filter states at the settled terminal voltages (the clockwise one
         holding conj(u-)), the loop angles on the root, the integrators
         zero."""
-        prefault_ref = CurrentReference(3.0, 0.0, 0.0, 0.0) if start == "cold" \
-            else ZERO_REF
+        cold = start == "cold"
+        prefault_ref = CurrentReference(3.0, 0.0, 0.0, 0.0) if cold else ZERO_REF
         sc = dlg_scenario(REF_HOLD if start == "fault_root" else REF_FLIP, 1.0,
                           ref_prefault=prefault_ref)
         state = initial_sync_state(sc)
         assert type(state) is tuple and len(state) == 9
         assert all(type(v) is float for v in state)
-        if start == "cold":
+        if cold:
             up = un = 0j
             th_p, th_n = TG - math.pi / 3.0, TG + math.pi / 3.0
         else:
