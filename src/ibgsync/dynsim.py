@@ -60,6 +60,8 @@ TRACE_COLUMNS = (
     "ud_pos", "uq_pos", "ud_neg", "uq_neg", "umag_pos", "umag_neg",
 )
 TRACE_HEADER = ",".join(TRACE_COLUMNS)
+# one CSV row; "%.12g" writes what format(v, ".12g") writes, nan and inf too
+_TRACE_ROW = ",".join(["%.12g"] * len(TRACE_COLUMNS)) + "\n"
 
 INIT_MODES = ("equilibrium", "prefault")  # the Scenario.init values
 RECORD_DT = 1e-3  # run_scenario's default trace sample interval, s
@@ -376,6 +378,5 @@ def detect_los(
 def trace_to_csv(trace: Trace, fh) -> None:
     """Write the trace as CSV, one column per TRACE_COLUMNS entry."""
     fh.write(TRACE_HEADER + "\n")
-    cols = [getattr(trace, name) for name in TRACE_COLUMNS]
-    for row in zip(*cols):
-        fh.write(",".join(f"{v:.12g}" for v in row) + "\n")
+    cols = [getattr(trace, name).tolist() for name in TRACE_COLUMNS]
+    fh.writelines(_TRACE_ROW % row for row in zip(*cols))

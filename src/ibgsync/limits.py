@@ -9,10 +9,11 @@ sits on: with cos(phi + theta_i) < 0 the voltage magnitude shrinks with
 amplitude and the type-2 circle is reached first; otherwise the voltage
 grows and only the fold can bind.
 
-The traversal is a continuation in amplitude: each amplitude starts Newton
-from the previous one's root. Every sweep (_sweep) starts each angle's first
-amplitude from one root, the equilibrium with the swept current at zero,
-where the angle has no effect.
+The traversal is a coarse continuation in amplitude: Newton starts from the
+last accepted root _STRIDE grid steps on, and only a stride that misses is
+filled in one grid step at a time, so the limit is still read at one grid
+step. Every sweep (_sweep) starts each angle from one root, the equilibrium
+with the swept current at zero, where the angle has no effect.
 """
 
 import enum
@@ -47,13 +48,18 @@ _SEQUENCES = ("pos", "neg")
 # traversal defaults: amplitude increment and sweep ceiling, p.u.
 AMP_STEP = 0.01
 AMP_CEILING = 3.0
-# most amplitude points one traversal or one region sweep may visit, set by a
+# grid steps from a traversal's last accepted root to its next warm start;
+# the amplitudes in between are visited only when that warm start misses
+_STRIDE = 8
+# most grid amplitudes one traversal or one region sweep may span, set by a
 # ten-minute budget when a warm-started amplitude point cost 15-19 us (600 s
-# / 20 us = 3e7). On packed floats a point costs 6-9 us (region sweeps of
-# the three faults at 1e-3 and 1e-4 p.u. steps, 30 deg apart, 2-core VM),
-# so a sweep at the cap takes three to four and a half minutes. A finer step
-# is rejected before any solve; the largest documented sweep, 72 angles at
-# --step 0.00125, asks for 172,800 points
+# / 20 us = 3e7). The cap counts grid amplitudes, not the ones a strided
+# traversal visits, so it bounds the worst case, a traversal whose every
+# stride misses: nine warm starts per eight grid amplitudes, at 6-9 us a
+# point on packed floats (region sweeps of the three faults at 1e-3 and
+# 1e-4 p.u. steps, 30 deg apart, 2-core VM), under five minutes at the cap.
+# A finer step is rejected before any solve; the largest documented sweep,
+# 72 angles at --step 0.00125, asks for 172,800 points
 MAX_SWEEP_POINTS = 3 * 10**7
 
 
@@ -176,13 +182,15 @@ def traversal_limit(
     """Largest amplitude of one sequence for which a qualifying equilibrium
     exists, holding the other sequence fixed: a sweep of one angle.
 
-    Amplitudes rise from `step` in `step` increments up to `ceiling`, each
-    warm-starting Newton on the packed floats (refine_root) from the
-    previous root, the first from the root with the swept current at zero.
-    A warm-start miss is confirmed by a full scan (solve_equilibrium) before
-    the amplitude fails. The limit is the last passing amplitude, so `step`
-    alone sets the resolution. More than MAX_SWEEP_POINTS amplitudes is a
-    ValueError; every input is checked before any solve.
+    The amplitude grid runs from `step` in `step` increments up to
+    `ceiling`. Newton on the packed floats (refine_root) warm-starts from
+    the last accepted root, the first from the root with the swept current
+    at zero, eight grid steps on (_STRIDE); only where that misses are the
+    grid amplitudes in between taken one at a time, and a warm-start miss
+    there is confirmed by a full scan (solve_equilibrium) before the
+    amplitude fails. The limit is the last passing grid amplitude, so
+    `step` alone sets the resolution. More than MAX_SWEEP_POINTS grid
+    amplitudes is a ValueError; every input is checked before any solve.
     """
     return _sweep(coeffs, ug_pos, sequence, 1, lambda k: theta_i,
                   fixed_other, step, ceiling, grid_deg, tol, ud_min)[0]
@@ -222,8 +230,9 @@ def _sweep(coeffs, ug_pos, sequence, n_angles, angle, fixed_other, step,
     checked before any solve: the sequence, the amplitude points over all
     angles, each angle and the held current. With the swept current at zero
     the angle has no effect, so the sweep solves that problem once and
-    warm-starts every angle's first amplitude from its root; an angle scans
-    there only where that root is missing or the warm start misses."""
+    warm-starts every angle's traversal from its root; an angle scans its
+    first amplitude only where that root is missing or both the stride and
+    the first grid step miss from it."""
     if sequence not in _SEQUENCES:
         raise ValueError(f"sequence must be one of {_SEQUENCES}")
     n_steps = _amplitude_steps(step, ceiling, n_angles)
@@ -243,13 +252,31 @@ def _sweep(coeffs, ug_pos, sequence, n_angles, angle, fixed_other, step,
 def _traverse(coeffs, ug_pos, sequence, theta_i, other, step, n_steps,
               grid_deg, tol, ud_min, start):
     """One angle's amplitude loop on checked arguments. `start` is a root
-    to warm-start the first amplitude from, or None to scan there; a miss
-    from it falls back to the scan like any later warm start."""
+    to warm-start from, or None to scan the first amplitude.
+
+    From the last accepted root at grid index k, one warm start tries index
+    k + _STRIDE (clamped to n_steps). Where it holds, the amplitudes in
+    between are skipped; where it misses, or no root is known, the
+    amplitudes k + 1 .. k + _STRIDE are taken one at a time from the root
+    at k, each warm miss confirmed by a full scan (solve_equilibrium). The
+    failing amplitude and its binding thus come from one grid step and the
+    scan that confirms it, as in a loop that visits every grid amplitude."""
     packed = _packer(coeffs, ug_pos, sequence,
                      _make_ref(sequence, step, theta_i, other))
 
-    prev = start
-    for k in range(1, n_steps + 1):
+    # k: the grid index of the last accepted root; fill: the index up to
+    # which the amplitudes are visited one at a time
+    prev, k, fill = start, 0, 0
+    while k < n_steps:
+        if k >= fill:
+            fill = min(k + _STRIDE, n_steps)
+            if prev is not None:
+                far = refine_root(packed(fill * step), prev[0], prev[1], tol,
+                                  ud_min)
+                if far is not None:
+                    prev, k = far, fill
+                    continue
+        k += 1
         amp = k * step
         if prev is not None:
             prev = refine_root(packed(amp), prev[0], prev[1], tol, ud_min)

@@ -23,6 +23,8 @@ from ibgsync import (
 )
 from ibgsync import dynsim
 from ibgsync.dynsim import (
+    TRACE_COLUMNS,
+    TRACE_HEADER,
     Signature,
     Trace,
     detect_los,
@@ -391,6 +393,24 @@ class TestTraceCsv:
                             "ud_pos,uq_pos,ud_neg,uq_neg,umag_pos,umag_neg")
         assert len(lines) == 1 + trace.t.size
         assert all(len(row.split(",")) == 11 for row in lines[1:])
+
+    def test_special_values_as_format_writes_them(self):
+        """Each value is written as format(v, ".12g") writes it: nan, both
+        infinities, -0.0, the extremes of the exponent and ordinary
+        values."""
+        values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1e300,
+                  -1e300, 5e-324, 0.1, 1.0 / 3.0, 50.0, -123456.789e-7,
+                  2.0**53 + 1.0]
+        cols = {name: np.roll(values, k)
+                for k, name in enumerate(TRACE_COLUMNS)}
+        buf = io.StringIO()
+        trace_to_csv(Trace(**cols), buf)
+        rows = zip(*(cols[name] for name in TRACE_COLUMNS))
+        want = TRACE_HEADER + "\n" + "".join(
+            ",".join(f"{v:.12g}" for v in row) + "\n" for row in rows)
+        assert buf.getvalue() == want
+        assert [row.split(",")[0] for row in want.splitlines()[1:8]] \
+            == ["nan", "inf", "-inf", "-0", "0", "1e-300", "1e+300"]
 
     def test_values_round_trip(self):
         t = np.arange(0.0, 0.02, 1e-3)

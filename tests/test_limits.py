@@ -13,7 +13,10 @@ import pytest
 
 from ibgsync import (
     Binding,
+    BranchImpedance,
+    CircuitParameters,
     CurrentReference,
+    DegenerateNetwork,
     FaultSpec,
     FaultType,
     LimitResult,
@@ -27,7 +30,8 @@ from ibgsync import (
 )
 from ibgsync import equilibrium, kernels, limits
 from ibgsync.equilibrium import NEWTON_MAXIT, pack_params, refine_root
-from ibgsync.limits import AMP_CEILING, AMP_STEP, _make_ref, _packer
+from ibgsync.limits import (AMP_CEILING, AMP_STEP, _STRIDE, _make_ref,
+                             _packer)
 
 ZF = 7.43801652892562e-06
 UG = 120.0 / 110.0
@@ -306,40 +310,92 @@ def test_region_boundary_contains_traversal_points():
         assert s.binding is direct.binding
 
 
-def _per_step_traversal(coeffs, sequence, theta_i, fixed_other=None,
-                        start=None, step=AMP_STEP):
-    """A traversal written out one object per amplitude: a
-    CurrentReference, pack_params' floats, refine_root on them and,
-    on a miss, solve_equilibrium. The first amplitude warm-starts from
-    `start`; with None, the default, it scans, which makes this an oracle
-    that shares no start with traversal_limit. Returns the limit and, per
-    warm start, (packed floats, seed angles, refine_root's answer)."""
-    other = fixed_other if fixed_other is not None else (0.0, 0.0)
-    n_steps = int(math.floor(AMP_CEILING / step + 1e-9))
+def _grid_steps(step, ceiling=AMP_CEILING):
+    return int(math.floor(ceiling / step + 1e-9))
+
+
+def _per_step_segment(coeffs, sequence, theta_i, other, start, first, last,
+                      step, ug=UG):
+    """Grid amplitudes first + 1 .. last written out one object per
+    amplitude: a CurrentReference, pack_params' floats, refine_root on them
+    from the previous root and, on a miss, solve_equilibrium. The first
+    warm start seeds from `start`; with None the first amplitude scans.
+    Returns the failing LimitResult (None if all of them pass), the warm
+    starts as (packed floats, seed angles, refine_root's answer) and the
+    last accepted root."""
     steps = []
     prev = start
-    for k in range(1, n_steps + 1):
+    for k in range(first + 1, last + 1):
         ref = _make_ref(sequence, k * step, theta_i, other)
-        prm = pack_params(coeffs, ref, UG)
+        prm = pack_params(coeffs, ref, ug)
         if prev is not None:
             seed = prev
             prev = refine_root(prm, prev[0], prev[1])
             steps.append((prm, seed, prev))
         if prev is None:
-            res = solve_equilibrium(coeffs, ref, UG)
+            res = solve_equilibrium(coeffs, ref, ug)
             if not res.found:
                 binding = Binding.TYPE2 if res.cond_feedback else Binding.TYPE1
                 return (LimitResult(sequence, theta_i, (k - 1) * step,
-                                    binding), steps)
+                                    binding), steps, None)
             prev = (res.delta_pos, res.delta_neg)
-    return (LimitResult(sequence, theta_i, n_steps * step, Binding.CEILING),
-            steps)
+    return None, steps, prev
 
 
-def _zero_root(coeffs, sequence, fixed_other=None):
+def _per_step_traversal(coeffs, sequence, theta_i, fixed_other=None,
+                        start=None, step=AMP_STEP, ug=UG):
+    """A traversal that visits every grid amplitude (_per_step_segment over
+    the whole grid). With `start` None, the default, the first amplitude
+    scans, which makes this an oracle that shares no start with
+    traversal_limit. Returns the limit and the warm starts."""
+    other = fixed_other if fixed_other is not None else (0.0, 0.0)
+    n_steps = _grid_steps(step)
+    limit, steps, _ = _per_step_segment(coeffs, sequence, theta_i, other,
+                                        start, 0, n_steps, step, ug)
+    if limit is None:
+        limit = LimitResult(sequence, theta_i, n_steps * step, Binding.CEILING)
+    return limit, steps
+
+
+def _assert_strided_plan(coeffs, sequence, theta_i, fixed_other, step, start,
+                         steps, ug=UG):
+    """Read a traversal's warm starts (_recorded) as the strided plan and
+    return the limit the plan gives. From the last accepted root, at a grid
+    index k that is a multiple of _STRIDE, a stride warm-starts from that
+    root at k + _STRIDE, clamped to the ceiling. Where the stride misses,
+    or no root is known, the warm starts up to k + _STRIDE are the per-step
+    form's from the root at k, scans included."""
+    other = fixed_other if fixed_other is not None else (0.0, 0.0)
+    n_steps = _grid_steps(step)
+    root, k, i = start, 0, 0
+    while k < n_steps:
+        end = min(k + _STRIDE, n_steps)
+        if root is not None:
+            prm, seed, out = steps[i]
+            i += 1
+            assert seed == root
+            assert end % _STRIDE == 0 or end == n_steps
+            assert prm == pack_params(
+                coeffs, _make_ref(sequence, end * step, theta_i, other), ug)
+            if out is not None:
+                root, k = out, end
+                continue
+        limit, fine, root = _per_step_segment(coeffs, sequence, theta_i,
+                                              other, root, k, end, step, ug)
+        assert steps[i:i + len(fine)] == fine
+        i += len(fine)
+        if limit is not None:
+            assert i == len(steps)
+            return limit
+        k = end
+    assert i == len(steps)
+    return LimitResult(sequence, theta_i, n_steps * step, Binding.CEILING)
+
+
+def _zero_root(coeffs, sequence, fixed_other=None, ug=UG):
     """The root with the swept current at zero, or None."""
     other = fixed_other if fixed_other is not None else (0.0, 0.0)
-    res = solve_equilibrium(coeffs, _make_ref(sequence, 0.0, 0.0, other), UG)
+    res = solve_equilibrium(coeffs, _make_ref(sequence, 0.0, 0.0, other), ug)
     return (res.delta_pos, res.delta_neg) if res.found else None
 
 
@@ -356,38 +412,41 @@ def _recorded(monkeypatch):
 
 
 def _assert_same_traversal(monkeypatch, coeffs, sequence, theta_i,
-                           fixed_other=None, step=AMP_STEP):
-    """traversal_limit takes the per-step form's warm starts from the
-    zero-current root exactly, and gives the scan-first form's limit."""
+                           fixed_other=None, step=AMP_STEP, ug=UG):
+    """traversal_limit gives the limit of the per-step form from the
+    zero-current root and of the scan-first form, and its warm starts
+    follow the strided plan from the zero-current root."""
     steps = _recorded(monkeypatch)
-    got = traversal_limit(coeffs, UG, sequence, theta_i,
+    got = traversal_limit(coeffs, ug, sequence, theta_i,
                           fixed_other=fixed_other, step=step)
-    want, want_steps = _per_step_traversal(
-        coeffs, sequence, theta_i, fixed_other,
-        _zero_root(coeffs, sequence, fixed_other), step)
+    zero = _zero_root(coeffs, sequence, fixed_other, ug)
+    want = _per_step_traversal(coeffs, sequence, theta_i, fixed_other, zero,
+                               step, ug)[0]
     assert got == want
-    assert steps == want_steps
+    assert got == _assert_strided_plan(coeffs, sequence, theta_i,
+                                       fixed_other, step, zero, steps, ug)
     assert got == _per_step_traversal(coeffs, sequence, theta_i, fixed_other,
-                                      step=step)[0]
-    return want_steps
+                                      step=step, ug=ug)[0]
+    return steps
 
 
 @pytest.mark.parametrize("fault_type,seq,deg,oa,od,want,binding", TRAVERSAL_ANCHORS)
 def test_traversal_matches_per_step_form(fault_type, seq, deg, oa, od, want,
                                          binding, monkeypatch):
-    """The packed-float traversal takes the per-step form's warm starts and
-    limit exactly, packing included."""
+    """The packed-float traversal gives the per-step form's limit exactly,
+    and its warm starts follow the strided plan, packing included."""
     steps = _assert_same_traversal(monkeypatch, coeffs_for(fault_type), seq,
                                    math.radians(deg), (oa, math.radians(od)))
-    assert len(steps) > 10
+    # the strides up to the limit, and the grid steps of the one that misses
+    assert len(steps) > 5
 
 
 @pytest.mark.parametrize("fault_type,seq,deg,oa,od,want,binding", TRAVERSAL_ANCHORS)
 def test_traversal_starts_from_zero_current_root(fault_type, seq, deg, oa, od,
                                                 want, binding, monkeypatch):
-    """The first amplitude warm-starts from the root with the swept current
-    at zero, and holds it: the only scans are the zero-current one and the
-    one that confirms the failure."""
+    """The first stride warm-starts from the root with the swept current
+    at zero and holds the eighth grid amplitude: the only scans are the
+    zero-current one and the one that confirms the failure."""
     c = coeffs_for(fault_type)
     theta, other = math.radians(deg), (oa, math.radians(od))
     zero = _zero_root(c, seq, other)
@@ -399,7 +458,8 @@ def test_traversal_starts_from_zero_current_root(fault_type, seq, deg, oa, od,
     got = traversal_limit(c, UG, seq, theta, fixed_other=other)
     prm, seed, out = steps[0]
     assert seed == zero is not None
-    assert prm == pack_params(c, _make_ref(seq, AMP_STEP, theta, other), UG)
+    assert prm == pack_params(
+        c, _make_ref(seq, _STRIDE * AMP_STEP, theta, other), UG)
     assert out is not None
     assert len(scans) == 2
     assert (got.i_limit, got.binding) == (pytest.approx(want), binding)
@@ -457,12 +517,17 @@ class TestSharedStart:
 
     def test_warm_start_misses_then_scans(self):
         """TLG pos: the zero-current root exists, but no angle keeps it at
-        the first amplitude, where the scan misses too (limit 0)."""
-        region, starts, steps = _sweep_is_per_angle(
-            coeffs_for(FaultType.TLG), "pos", None, math.radians(30.0))
+        the first stride or the first grid amplitude, where the scan misses
+        too (limit 0)."""
+        c = coeffs_for(FaultType.TLG)
+        region, starts, steps = _sweep_is_per_angle(c, "pos", None,
+                                                    math.radians(30.0))
         assert starts[0] is not None and starts == [starts[0]] * 12
-        first = [out for _, seed, out in steps if seed == starts[0]]
-        assert first == [None] * 12
+        first = [(prm, out) for prm, seed, out in steps if seed == starts[0]]
+        assert first == [
+            (pack_params(c, _make_ref("pos", k * AMP_STEP, s.theta_i,
+                                      (0.0, 0.0)), UG), None)
+            for s in region.samples for k in (_STRIDE, 1)]
         assert {(s.i_limit, s.binding) for s in region.samples} \
             == {(0.0, Binding.TYPE1)}
 
@@ -521,6 +586,77 @@ def test_random_traversals_match_per_step_form(seed, monkeypatch):
         step = rng.choice([0.01, 0.02, 0.05])
         _assert_same_traversal(monkeypatch, coeffs_for(fault, zf), seq,
                                theta, other, step)
+
+
+def _log_uniform(rng, lo, hi):
+    return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+
+def _random_circuit_coeffs(rng, fault):
+    """A circuit with log-uniform branch impedances, z_f and grid voltage:
+    its coefficients under `fault` and its grid voltage."""
+    while True:
+        branches = [BranchImpedance(_log_uniform(rng, 1e-3, 0.1),
+                                    _log_uniform(rng, 1e-2, 0.3))
+                    for _ in range(5)]
+        ug = _log_uniform(rng, 0.8, 1.25)
+        zf = complex(_log_uniform(rng, 1e-6, 0.05),
+                     _log_uniform(rng, 1e-6, 0.05))
+        try:
+            return compute_coefficients(
+                compose_paths(CircuitParameters(*branches, ug_pos=ug)),
+                FaultSpec(fault, z_f=zf)), ug
+        except DegenerateNetwork:
+            continue
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_circuits_match_per_step_form(seed, monkeypatch):
+    """Seeded circuits, faults, sequences, angles, held currents and steps:
+    the strided traversal gives the per-step forms' limits."""
+    rng = random.Random(1000 + seed)
+    for _ in range(40):
+        fault = rng.choice([FaultType.SLG, FaultType.DLG, FaultType.LL,
+                            FaultType.TLG])
+        c, ug = _random_circuit_coeffs(rng, fault)
+        seq = rng.choice(["pos", "neg"])
+        theta = rng.uniform(-math.pi, math.pi)
+        other = rng.choice([None, (rng.uniform(0.0, 1.2),
+                                   rng.uniform(-math.pi, math.pi))])
+        step = rng.choice([0.005, 0.01, 0.02, 0.05])
+        _assert_same_traversal(monkeypatch, c, seq, theta, other, step, ug)
+
+
+@pytest.mark.parametrize("seq", ["pos", "neg"])
+@pytest.mark.parametrize("fault_type", [FaultType.SLG, FaultType.DLG,
+                                        FaultType.LL, FaultType.TLG])
+def test_region_at_5_deg_matches_per_step_form(fault_type, seq):
+    """Every sample of a 5 deg sweep is the per-step form's limit from the
+    zero-current root."""
+    c = coeffs_for(fault_type)
+    other = (0.5, -math.pi / 2.0)
+    zero = _zero_root(c, seq, other)
+    region = region_boundary(c, UG, seq, fixed_other=other,
+                             angle_step=math.radians(5.0))
+    assert len(region.samples) == 72
+    assert list(region.samples) == [
+        _per_step_traversal(c, seq, s.theta_i, other, zero)[0]
+        for s in region.samples]
+
+
+def test_stride_clamps_to_ceiling(monkeypatch):
+    """A ceiling of 1.0 is 100 grid steps, not a multiple of _STRIDE: the
+    last stride lands on the ceiling, not past it, and the sweep reports
+    CEILING there."""
+    c = coeffs_for(FaultType.NONE)
+    theta = -math.atan2(c.z2.imag, c.z2.real)
+    steps = _recorded(monkeypatch)
+    out = traversal_limit(c, UG, "pos", theta, ceiling=1.0)
+    assert out == LimitResult("pos", theta, 100 * AMP_STEP, Binding.CEILING)
+    assert [prm for prm, _, _ in steps] == [
+        pack_params(c, _make_ref("pos", k * AMP_STEP, theta, (0.0, 0.0)), UG)
+        for k in [*range(_STRIDE, 100, _STRIDE), 100]]
+    assert all(out is not None for _, _, out in steps)
 
 
 @pytest.mark.parametrize("seq", ["pos", "neg"])

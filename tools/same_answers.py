@@ -15,6 +15,10 @@ directory, and each runs from its own ``src``:
 - ``limit`` of TLG pos at -81.3 deg, warm-started in closed form from the
   zero-current root, and of DLG pos at -30 deg with ``--other 1.0@90``,
   which has no zero-current root (the JSON printed);
+- sweeps on an amplitude grid other than the default 0.01 p.u.: ``region``
+  of DLG pos at ``--angle-step`` 30 and ``--step`` 0.002 (the CSV written)
+  and ``limit`` of LL neg at -30 deg with ``--other 0.5@-90`` and ``--step``
+  0.05 (the JSON printed);
 - ``equilibrium --fault ll --iminus A@-20`` for A = 0.91, 0.92 and 0.93,
   around the fold (the JSON printed), and ``region --fault ll --seq neg
   --angle-step 5``, whose sweep passes the stall at 0.92 (the CSV written);
@@ -74,6 +78,14 @@ REGION_FALLBACKS = (("tlg", "pos", ()), ("dlg", "pos", ("--other", "1.0@90")))
 # which has no zero-current root and scans its first amplitude
 LIMIT_STARTS = (("tlg", "pos", "-81.3", ()),
                    ("dlg", "pos", "-30", ("--other", "1.0@90")))
+# sweeps on a finer and a coarser amplitude grid than the default 0.01 p.u.,
+# each with whether it writes --out
+OTHER_STEPS = (
+    (["region", "--fault", "dlg", "--seq", "pos", "--angle-step", "30",
+      "--step", "0.002"], True),
+    (["limit", "--fault", "ll", "--seq", "neg", "--angle", "-30", "--other",
+      "0.5@-90", "--step", "0.05"], False),
+)
 # negative current at -20 deg under LL around the fold: a root at 0.91, a
 # miss at 0.92 where Newton stalls 4e-9 past the fold, a miss at 0.93 (both
 # exit 2)
@@ -137,6 +149,8 @@ def cases() -> list[tuple[str, list[str], bool, dict | None]]:
              ["limit", "--fault", f, "--seq", s, "--angle", a, *flags], False,
              None)
             for f, s, a, flags in LIMIT_STARTS]
+    out += [(" ".join(argv), argv, to_file, None)
+            for argv, to_file in OTHER_STEPS]
     out += [(f"equilibrium ll iminus {a}@-20",
              ["equilibrium", "--fault", "ll", "--iminus", f"{a}@-20"], False, None)
             for a in FOLD_AMPS]

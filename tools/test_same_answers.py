@@ -20,14 +20,14 @@ def _stub(monkeypatch, differing=()):
 
 def test_cases_cover_the_reference_outputs():
     names = [name for name, _, _, _ in same_answers.cases()]
-    assert len(names) == 12 + 4 + 2 + 2 + 3 + 6 + 1 + 1 + 3 + 5 + 4
+    assert len(names) == 12 + 4 + 2 + 2 + 2 + 3 + 6 + 1 + 1 + 3 + 5 + 4
     assert len(set(names)) == len(names)
     to_file = [argv for _, argv, to_file, _ in same_answers.cases() if to_file]
     assert [argv[0] for argv in to_file].count("simulate") == 4
     regions = [argv for argv in to_file if argv[0] != "simulate"]
     assert all(argv[0] == "region" for argv in regions)
     assert sorted(argv[argv.index("--angle-step") + 1] for argv in regions) \
-        == ["30", "30", "30", "30", "5", "5", "5"]
+        == ["30", "30", "30", "30", "30", "5", "5", "5"]
 
 
 def test_cases_cover_the_fold():
@@ -74,12 +74,25 @@ def test_cases_cover_the_limit_starts():
             "--other", "1.0@90"] in argvs
 
 
+def test_cases_cover_other_amplitude_steps():
+    """A region on a finer amplitude grid and a limit on a coarser one than
+    the default 0.01 p.u."""
+    argvs = [argv for _, argv, _, _ in same_answers.cases()]
+    steps = sorted(argv[argv.index("--step") + 1] for argv in argvs
+                   if argv[0] in ("limit", "region") and "--step" in argv)
+    assert steps == ["0.002", "0.05"]
+    assert ["region", "--fault", "dlg", "--seq", "pos", "--angle-step", "30",
+            "--step", "0.002"] in argvs
+    assert ["limit", "--fault", "ll", "--seq", "neg", "--angle", "-30",
+            "--other", "0.5@-90", "--step", "0.05"] in argvs
+
+
 def test_same_answers_exit_0(monkeypatch, capsys):
     _stub(monkeypatch)
     assert same_answers.main(["--parent", "a", "--change", "b"]) == 0
     out = capsys.readouterr().out
     assert "DIFFERS" not in out
-    assert "43 of 43 outputs byte-identical" in out
+    assert "45 of 45 outputs byte-identical" in out
 
 
 def test_one_difference_exits_1(monkeypatch, capsys):
@@ -88,7 +101,7 @@ def test_one_difference_exits_1(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "DIFFERS: validate draws 100 seed 0" in out
     assert out.count("DIFFERS") == 1
-    assert "42 of 43 outputs byte-identical" in out
+    assert "44 of 45 outputs byte-identical" in out
 
 
 def test_config_cases_set_every_section():
