@@ -310,8 +310,9 @@ def test_region_boundary_contains_traversal_points():
         assert s.binding is direct.binding
 
 
-def _grid_steps(step, ceiling=AMP_CEILING):
-    return int(math.floor(ceiling / step + 1e-9))
+def _grid_steps(step):
+    """Grid amplitudes up to AMP_CEILING at `step`."""
+    return int(math.floor(AMP_CEILING / step + 1e-9))
 
 
 def _per_step_segment(coeffs, sequence, theta_i, other, start, first, last,
@@ -465,17 +466,25 @@ def test_traversal_starts_from_zero_current_root(fault_type, seq, deg, oa, od,
     assert (got.i_limit, got.binding) == (pytest.approx(want), binding)
 
 
-@pytest.mark.parametrize("fault_type,seq", [(FaultType.DLG, "pos"),
-                                            (FaultType.SLG, "neg")])
+@pytest.mark.parametrize("fault_type,seq", [
+    (fault, seq) for fault in (FaultType.SLG, FaultType.DLG, FaultType.LL,
+                               FaultType.TLG) for seq in ("pos", "neg")])
 def test_region_matches_per_step_form(fault_type, seq):
+    """Every sample of a 5 deg sweep is the per-step form's limit from the
+    zero-current root, and every sixth (30 deg apart) the scan-first
+    form's."""
     c = coeffs_for(fault_type)
     other = (0.5, -math.pi / 2.0)
+    zero = _zero_root(c, seq, other)
     region = region_boundary(c, UG, seq, fixed_other=other,
-                             angle_step=math.radians(30.0))
-    want = [_per_step_traversal(c, seq, s.theta_i, other)[0]
-            for s in region.samples]
-    assert list(region.samples) == want
-    assert len(want) == 12
+                             angle_step=math.radians(5.0))
+    assert len(region.samples) == 72
+    assert list(region.samples) == [
+        _per_step_traversal(c, seq, s.theta_i, other, zero)[0]
+        for s in region.samples]
+    assert list(region.samples[::6]) == [
+        _per_step_traversal(c, seq, s.theta_i, other)[0]
+        for s in region.samples[::6]]
 
 
 def _sweep_is_per_angle(coeffs, seq, other, angle_step):
@@ -612,8 +621,9 @@ def _random_circuit_coeffs(rng, fault):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_random_circuits_match_per_step_form(seed, monkeypatch):
-    """Seeded circuits, faults, sequences, angles, held currents and steps:
-    the strided traversal gives the per-step forms' limits."""
+    """Forty seeded draws of circuit (_random_circuit_coeffs), fault,
+    sequence, angle, held current and step: the traversal gives the
+    per-step forms' limits and follows the strided plan."""
     rng = random.Random(1000 + seed)
     for _ in range(40):
         fault = rng.choice([FaultType.SLG, FaultType.DLG, FaultType.LL,
@@ -625,23 +635,6 @@ def test_random_circuits_match_per_step_form(seed, monkeypatch):
                                    rng.uniform(-math.pi, math.pi))])
         step = rng.choice([0.005, 0.01, 0.02, 0.05])
         _assert_same_traversal(monkeypatch, c, seq, theta, other, step, ug)
-
-
-@pytest.mark.parametrize("seq", ["pos", "neg"])
-@pytest.mark.parametrize("fault_type", [FaultType.SLG, FaultType.DLG,
-                                        FaultType.LL, FaultType.TLG])
-def test_region_at_5_deg_matches_per_step_form(fault_type, seq):
-    """Every sample of a 5 deg sweep is the per-step form's limit from the
-    zero-current root."""
-    c = coeffs_for(fault_type)
-    other = (0.5, -math.pi / 2.0)
-    zero = _zero_root(c, seq, other)
-    region = region_boundary(c, UG, seq, fixed_other=other,
-                             angle_step=math.radians(5.0))
-    assert len(region.samples) == 72
-    assert list(region.samples) == [
-        _per_step_traversal(c, seq, s.theta_i, other, zero)[0]
-        for s in region.samples]
 
 
 def test_stride_clamps_to_ceiling(monkeypatch):

@@ -78,9 +78,6 @@ def test_cases_cover_other_amplitude_steps():
     """A region on a finer amplitude grid and a limit on a coarser one than
     the default 0.01 p.u."""
     argvs = [argv for _, argv, _, _ in same_answers.cases()]
-    steps = sorted(argv[argv.index("--step") + 1] for argv in argvs
-                   if argv[0] in ("limit", "region") and "--step" in argv)
-    assert steps == ["0.002", "0.05"]
     assert ["region", "--fault", "dlg", "--seq", "pos", "--angle-step", "30",
             "--step", "0.002"] in argvs
     assert ["limit", "--fault", "ll", "--seq", "neg", "--angle", "-30",
