@@ -259,7 +259,7 @@ def _settled_state(
 
 def initial_sync_state(scenario: Scenario) -> tuple[float, ...]:
     """Initial state per scenario.init, as the nine floats kernels.simulate
-    integrates (layout: kernels._deriv).
+    integrates (layout: kernels._bind_deriv).
 
     "equilibrium": the on-fault operating point when it exists; otherwise
     (and for "prefault") the settled pre-fault state; a bare cold start

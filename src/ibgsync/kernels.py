@@ -23,21 +23,26 @@ the same bits.
 The closed-loop integrator runs on Python scalars from start to end: the
 state is nine ``float``s, every RK4 stage state and update is written per
 component in the numpy expressions' operation order, the derivative
-(``_frames``, ``_deriv``) uses ``complex`` and ``cmath``, and the other
-inputs arrive as tuples of floats (``dynsim._kernel_args``). Each numpy
-operation costs about a microsecond, several times a Python scalar's, and
-an RK4 step makes four derivative calls. So every value is computed once,
-where it stops changing:
+(``_bind_deriv``, ``_frames``, ``_column``) uses ``complex`` and
+``cmath``, and the other inputs arrive as tuples of floats
+(``dynsim._kernel_args``). Each numpy operation costs about a microsecond,
+several times a Python scalar's, and an RK4 step makes four derivative
+calls. So every value is computed once, where it stops changing:
 
-- per run, for the fault and for the healthy network: the coefficient
-  column at the grid frequency (K1, K4, and every impedance at s = 1),
-  which depends only on the fault code, and the products K1 ug and K4 ug;
+- per fault window (the fault and the healthy network), before the first
+  step: the derivative bound to the window (``_bind_deriv``), holding its
+  current reference, the gains, w0, the mode flags and the fault code's
+  column function (``_column``, which forms 3 zf and 6 zf once); the
+  column at the grid frequency, giving K1 ug, K4 ug and, with fixed
+  impedances, every impedance times its current; and k/2;
 - per stage time: the grid terms K1 ug e^{j(theta_g - pi/3)} and
-  K4 ug e^{j(theta_g + pi/3)} (``_grid_terms``), three per step, since
-  stages 2 and 3 share their time;
+  K4 ug e^{j(theta_g + pi/3)} (``_grid_terms``), stages 2 and 3 sharing
+  theirs, and stage 1 taking the last stage 4's where the two times are
+  the same float;
 - per derivative: the columns at the frequency estimates (none with fixed
-  impedances), the angle sums theta+- + theta_i+-, and the filter drive
-  k/2 w_c ec that both filter rates share.
+  impedances, one when the two scales are equal), the angle sums
+  theta+- + theta_i+-, and the filter drive k/2 w_c ec that both filter
+  rates share.
 
 Each such value is formed by the operations, in the order, of the
 written-out expression it stands in for (``_PI_3`` and ``_TWO_PI_3`` are
@@ -72,91 +77,69 @@ _PI_3 = math.pi / 3.0
 _TWO_PI_3 = 2.0 * math.pi / 3.0
 
 
-def seq_coeffs(code, s, rl, xl, rl0, xl0, rg, xg, rg0, xg0, zf):
-    """Evaluate one coefficient column at frequency scale s.
-
-    Returns (k1, z2, z3, k4, z5, z6, denom); reactive parts scale with s,
-    the fault impedance does not. Each repeated subexpression is computed
-    once, with the operations of its written-out form, and the zero-sequence
-    parallel q only for the faults that read it (SLG, DLG).
+def _column(code, paths, zf):
+    """code's coefficient column as a function of the frequency scale:
+    col(s) returns (k1, z2, z3, k4, z5, z6, denom). paths is the 8-tuple
+    (rl, xl, rl0, xl0, rg, xg, rg0, xg0); reactive parts scale with s, the
+    fault impedance does not. Each fault's rule is written here once. The
+    code is dispatched on, and 3 zf and 6 zf formed, once per column; SLG
+    and DLG share one body, since both read the zero-sequence parallel q,
+    which the others skip. Each call computes every repeated subexpression
+    once, with the operations of its written-out form.
     """
-    p = rg + 1j * (s * xg)
-    el = rl + 1j * (s * xl)
+    rl, xl, rl0, xl0, rg, xg, rg0, xg0 = paths
     f = zf
     if code == FAULT_SLG or code == FAULT_DLG:
-        p0 = rg0 + 1j * (s * xg0)
-        el0 = rl0 + 1j * (s * xl0)
-        q = p0 * el0 / (p0 + el0)
-        if code == FAULT_SLG:
-            d = 2.0 * p + q + 3.0 * f
-            a = p + q + 3.0 * f
-            k1 = a / d
-            z2 = p * a / d + el
-            z3 = -p * p / d
-            k4 = -p / d
-        else:
-            d = p + 2.0 * q + 6.0 * f
-            a = q + 3.0 * f
+        slg = code == FAULT_SLG
+        f3 = 3.0 * f
+        f6 = 6.0 * f
+
+        def col(s):
+            p = rg + 1j * (s * xg)
+            el = rl + 1j * (s * xl)
+            p0 = rg0 + 1j * (s * xg0)
+            el0 = rl0 + 1j * (s * xl0)
+            q = p0 * el0 / (p0 + el0)
+            if slg:
+                d = 2.0 * p + q + f3
+                a = p + q + f3
+                z2 = p * a / d + el
+                z3 = -p * p / d
+                return a / d, z2, z3, -p / d, z2, z3, d
+            d = p + 2.0 * q + f6
+            a = q + f3
             k1 = a / d
             z3 = p * a / d
             z2 = z3 + el
-            k4 = k1
-        z5 = z2
-        z6 = z3
+            return k1, z2, z3, k1, z2, z3, d
     elif code == FAULT_LL:
-        d = 2.0 * p + f
-        a = p + f
-        k1 = a / d
-        z2 = p * a / d + el
-        z3 = p * p / d
-        k4 = p / d
-        z5 = z2
-        z6 = z3
+        def col(s):
+            p = rg + 1j * (s * xg)
+            el = rl + 1j * (s * xl)
+            d = 2.0 * p + f
+            a = p + f
+            z2 = p * a / d + el
+            z3 = p * p / d
+            return a / d, z2, z3, p / d, z2, z3, d
     elif code == FAULT_TLG:
-        d = p + f
-        k1 = f / d
-        z2 = p * f / d + el
-        z3 = 0.0 + 0.0j
-        k4 = 0.0 + 0.0j
-        z5 = 0.0 + 0.0j
-        z6 = 0.0 + 0.0j
+        def col(s):
+            p = rg + 1j * (s * xg)
+            el = rl + 1j * (s * xl)
+            d = p + f
+            return f / d, p * f / d + el, 0j, 0j, 0j, 0j, d
     else:
-        d = 1.0 + 0.0j
-        k1 = 1.0 + 0.0j
-        z2 = p + el
-        z3 = 0.0 + 0.0j
-        k4 = 0.0 + 0.0j
-        z5 = z2
-        z6 = 0.0 + 0.0j
-    return k1, z2, z3, k4, z5, z6, d
+        def col(s):
+            p = rg + 1j * (s * xg)
+            el = rl + 1j * (s * xl)
+            z2 = p + el
+            return 1.0 + 0j, z2, 0j, 0j, z2, 0j, 1.0 + 0j
+    return col
 
 
-def _grid_column(code, paths, zf):
-    """(K1, Z2, Z3, K4, Z5, Z6) at the grid frequency (s = 1); paths is the
-    8-tuple (rl, xl, rl0, xl0, rg, xg, rg0, xg0)."""
-    k1, z2, z3, k4, z5, z6, _ = seq_coeffs(
-        code, 1.0, paths[0], paths[1], paths[2], paths[3],
-        paths[4], paths[5], paths[6], paths[7], zf,
-    )
-    return k1, z2, z3, k4, z5, z6
-
-
-def _seq_coeffs_mixed(grid, code, sp, sn, paths, zf):
-    """Coefficients with the mixed frequency convention: K1/K4 at the grid
-    frequency, Z2/Z6 at the positive estimate sp, Z3/Z5 at the negative one
-    sn. grid is code's _grid_column; a scale of 1.0 reads its impedances
-    from it, and equal scales (FLL mode) share one column."""
-    k1, z2, z3, k4, z5, z6 = grid
-    rl, xl, rl0, xl0, rg, xg, rg0, xg0 = paths
-    if sp != 1.0:
-        _, z2, z3_sp, _, z5_sp, z6, _ = seq_coeffs(
-            code, sp, rl, xl, rl0, xl0, rg, xg, rg0, xg0, zf)
-        if sn == sp:
-            return k1, z2, z3_sp, k4, z5_sp, z6
-    if sn != 1.0:
-        _, _, z3, _, z5, _, _ = seq_coeffs(
-            code, sn, rl, xl, rl0, xl0, rg, xg, rg0, xg0, zf)
-    return k1, z2, z3, k4, z5, z6
+def seq_coeffs(code, s, rl, xl, rl0, xl0, rg, xg, rg0, xg0, zf):
+    """Evaluate one coefficient column at frequency scale s: code's _column
+    at s, (k1, z2, z3, k4, z5, z6, denom)."""
+    return _column(code, (rl, xl, rl0, xl0, rg, xg, rg0, xg0), zf)(s)
 
 
 def newton_pair(prm, dp, dn, tol, maxit):
@@ -378,13 +361,14 @@ def _as_state(y):
             float(y[5]), float(y[6]), float(y[7]), float(y[8]))
 
 
-def _frames(y):
+def _frames(re_p, im_p, re_n, im_n, th_p, th_n):
     """Filter states U+, U- and their measured components in the estimated
-    frames: mp = ud+ + j uq+, mn = ud- - j uq- (clockwise frame)."""
-    up = complex(y[0], y[1])
-    un = complex(y[2], y[3])
-    return (up, un, up * cmath.exp(-1j * y[4]),
-            un.conjugate() * cmath.exp(-1j * y[6]))
+    frames, from the state's first four components and the loop angles:
+    mp = ud+ + j uq+, mn = ud- - j uq- (clockwise frame)."""
+    up = complex(re_p, im_p)
+    un = complex(re_n, im_n)
+    return (up, un, up * cmath.exp(-1j * th_p),
+            un.conjugate() * cmath.exp(-1j * th_n))
 
 
 def _grid_terms(t, theta_g0, w0, k1ug, k4ug):
@@ -395,168 +379,162 @@ def _grid_terms(t, theta_g0, w0, k1ug, k4ug):
             k4ug * cmath.exp(1j * (theta_g + _PI_3)))
 
 
-def _deriv(y, gp, gn, code, grid, zf, paths, w0, ref, gains, mode_fll,
-           adaptive):
-    """Time derivative of the 9-component closed-loop state, as a 9-tuple.
+def _bind_deriv(code, zf, paths, ug, w0, ref, gains, mode_fll, adaptive):
+    """A fault window's (deriv, K1 ug, K4 ug), built once per window.
 
-    State layout, the package's one definition of it (a tuple of floats):
-    [Re U+, Im U+, Re U-, Im U-, theta+, xi+, theta-, xi-, eps], with U+-
-    the filter states, theta+- the loop angles, xi+- their PI integrators
-    and eps the FLL integrator. gp, gn: the grid terms at the stage time
-    (_grid_terms). grid: code's _grid_column, evaluated once per run; with
-    adaptive impedances only the columns at the frequency estimates are
-    evaluated here (_seq_coeffs_mixed), with fixed ones the impedances are
-    grid's.
+    deriv(y, gp, gn) is the closed-loop model: the time derivative of the
+    9-component state, as a 9-tuple. State layout, the package's one
+    definition of it (a tuple of floats): [Re U+, Im U+, Re U-, Im U-,
+    theta+, xi+, theta-, xi-, eps], with U+- the filter states, theta+-
+    the loop angles, xi+- their PI integrators and eps the FLL integrator.
+    gp, gn: the grid terms at the stage time (_grid_terms, from K1 ug and
+    K4 ug). deriv holds the window's current reference, the gains, w0, the
+    mode flags and code's _column. K1 and K4 stay at the grid frequency
+    (the column at s = 1). With adaptive impedances Z2/Z6 follow the
+    positive frequency estimate and Z3/Z5 the negative one, each call
+    evaluating the column at both scales; with fixed ones the grid
+    column's impedances times their currents are formed here, once.
     ref layout: [I+, theta_i+, I-, theta_i-].
     gains layout: [k_sogi, kp_pll, ki_pll, kp_fll, ki_fll].
     """
-    up, un, mp, mn = _frames(y)
-    _, _, _, _, th_p, xi_p, th_n, xi_n, eps = y
+    col = _column(code, paths, zf)
+    k1, z2, z3, k4, z5, z6, _ = col(1.0)
     i_p, ti_p, i_n, ti_n = ref
     k_sogi, kp_pll, ki_pll, kp_fll, ki_fll = gains
+    half_k = 0.5 * k_sogi
+    fixed = (z2 * i_p, z3 * i_n, z5 * i_n, z6 * i_p)
 
-    uq_p = mp.imag
-    uq_n = -mn.imag
+    def deriv(y, gp, gn):
+        re_p, im_p, re_n, im_n, th_p, xi_p, th_n, xi_n, eps = y
+        up, un, mp, mn = _frames(re_p, im_p, re_n, im_n, th_p, th_n)
 
-    w_p = w0 + kp_pll * uq_p + ki_pll * xi_p
-    w_n = w0 - kp_pll * uq_n - ki_pll * xi_n
+        uq_p = mp.imag
+        uq_n = -mn.imag
 
-    if adaptive:
-        if mode_fll:
-            # state-held part of the FLL frequency; breaks the loop between
-            # the impedance scale and the error that depends on it
-            sp = (w0 + ki_fll * eps) / w0
-            sn = sp
+        w_p = w0 + kp_pll * uq_p + ki_pll * xi_p
+        w_n = w0 - kp_pll * uq_n - ki_pll * xi_n
+
+        if adaptive:
+            if mode_fll:
+                # state-held part of the FLL frequency; breaks the loop
+                # between the impedance scale and the error that depends
+                # on it
+                sp = (w0 + ki_fll * eps) / w0
+                sn = sp
+            else:
+                sp = w_p / w0
+                sn = w_n / w0
+            if sp < 0.2:
+                sp = 0.2
+            elif sp > 5.0:
+                sp = 5.0
+            if sn < 0.2:
+                sn = 0.2
+            elif sn > 5.0:
+                sn = 5.0
+            # equal scales (FLL mode) share one column
+            _, z2, z3, _, z5, z6, _ = col(sp)
+            if sn != sp:
+                _, _, z3, _, z5, _, _ = col(sn)
+            zi2, zi3, zi5, zi6 = z2 * i_p, z3 * i_n, z5 * i_n, z6 * i_p
         else:
-            sp = w_p / w0
-            sn = w_n / w0
-        if sp < 0.2:
-            sp = 0.2
-        elif sp > 5.0:
-            sp = 5.0
-        if sn < 0.2:
-            sn = 0.2
-        elif sn > 5.0:
-            sn = 5.0
-        _, z2, z3, _, z5, z6 = _seq_coeffs_mixed(grid, code, sp, sn, paths,
-                                                 zf)
-    else:
-        _, z2, z3, _, z5, z6 = grid
+            zi2, zi3, zi5, zi6 = fixed
 
-    a_p = th_p + ti_p
-    a_n = th_n + ti_n
-    ub_p = (
-        gp
-        + z2 * i_p * cmath.exp(1j * a_p)
-        + z3 * i_n * cmath.exp(1j * (a_n - _TWO_PI_3))
-    )
-    ub_n = (
-        gn
-        + z5 * i_n * cmath.exp(1j * a_n)
-        + z6 * i_p * cmath.exp(1j * (a_p + _TWO_PI_3))
-    )
-    u_meas = ub_p + ub_n.conjugate()
+        a_p = th_p + ti_p
+        a_n = th_n + ti_n
+        ub_p = (gp + zi2 * cmath.exp(1j * a_p)
+                + zi3 * cmath.exp(1j * (a_n - _TWO_PI_3)))
+        ub_n = (gn + zi5 * cmath.exp(1j * a_n)
+                + zi6 * cmath.exp(1j * (a_p + _TWO_PI_3)))
+        u_meas = ub_p + ub_n.conjugate()
 
-    ec = u_meas - up - un
-    if mode_fll:
-        v = up - un
-        e = (ec * v.conjugate()).imag
-        w_c = w0 + kp_fll * e + ki_fll * eps
-        d_eps = e
-    else:
-        w_c = w_p
-        d_eps = 0.0
+        ec = u_meas - up - un
+        if mode_fll:
+            v = up - un
+            e = (ec * v.conjugate()).imag
+            w_c = w0 + kp_fll * e + ki_fll * eps
+            d_eps = e
+        else:
+            w_c = w_p
+            d_eps = 0.0
 
-    drive = 0.5 * k_sogi * w_c * ec
-    dup = 1j * w_c * up + drive
-    dun = -1j * w_c * un + drive
+        drive = half_k * w_c * ec
+        dup = 1j * w_c * up + drive
+        dun = -1j * w_c * un + drive
 
-    if mode_fll:
-        # angles follow the filter states' instantaneous rotation
-        ap2 = up.real * up.real + up.imag * up.imag
-        an2 = un.real * un.real + un.imag * un.imag
-        d_th_p = (dup * up.conjugate()).imag / ap2 if ap2 > 1e-18 else w_c
-        d_th_n = -(dun * un.conjugate()).imag / an2 if an2 > 1e-18 else w_c
-        d_xi_p = 0.0
-        d_xi_n = 0.0
-    else:
-        d_th_p = w_p
-        d_th_n = w_n
-        d_xi_p = uq_p
-        d_xi_n = uq_n
+        if mode_fll:
+            # angles follow the filter states' instantaneous rotation
+            ap2 = up.real * up.real + up.imag * up.imag
+            an2 = un.real * un.real + un.imag * un.imag
+            d_th_p = (dup * up.conjugate()).imag / ap2 if ap2 > 1e-18 else w_c
+            d_th_n = (-(dun * un.conjugate()).imag / an2 if an2 > 1e-18
+                      else w_c)
+            d_xi_p = 0.0
+            d_xi_n = 0.0
+        else:
+            d_th_p = w_p
+            d_th_n = w_n
+            d_xi_p = uq_p
+            d_xi_n = uq_n
 
-    return (dup.real, dup.imag, dun.real, dun.imag, d_th_p, d_xi_p, d_th_n,
-            d_xi_n, d_eps)
+        return (dup.real, dup.imag, dun.real, dun.imag, d_th_p, d_xi_p,
+                d_th_n, d_xi_n, d_eps)
+
+    return deriv, k1 * ug, k4 * ug
 
 
 def deriv_eval(y, t, code, zf, paths, ug, theta_g0, w0, ref, gains,
                mode_fll, adaptive):
-    """_deriv of any indexable 9-vector y at time t, evaluating code's grid
-    column and grid terms; the tests and perfbench/workloads.py call it."""
-    grid = _grid_column(code, paths, zf)
-    gp, gn = _grid_terms(t, theta_g0, w0, grid[0] * ug, grid[3] * ug)
-    return _deriv(_as_state(y), gp, gn, code, grid, zf, paths, w0, ref,
-                  gains, mode_fll, adaptive)
-
-
-def _stage(y, h, k):
-    """The RK4 stage state y + h*k, per component."""
-    return (y[0] + h * k[0], y[1] + h * k[1], y[2] + h * k[2],
-            y[3] + h * k[3], y[4] + h * k[4], y[5] + h * k[5],
-            y[6] + h * k[6], y[7] + h * k[7], y[8] + h * k[8])
-
-
-def _rk4_update(y, c, k1, k2, k3, k4):
-    """y + c*(k1 + 2*k2 + 2*k3 + k4), per component, summed left to right."""
-    return (
-        y[0] + c * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-        y[1] + c * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-        y[2] + c * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
-        y[3] + c * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]),
-        y[4] + c * (k1[4] + 2.0 * k2[4] + 2.0 * k3[4] + k4[4]),
-        y[5] + c * (k1[5] + 2.0 * k2[5] + 2.0 * k3[5] + k4[5]),
-        y[6] + c * (k1[6] + 2.0 * k2[6] + 2.0 * k3[6] + k4[6]),
-        y[7] + c * (k1[7] + 2.0 * k2[7] + 2.0 * k3[7] + k4[7]),
-        y[8] + c * (k1[8] + 2.0 * k2[8] + 2.0 * k3[8] + k4[8]),
-    )
+    """The derivative of any indexable 9-vector y at time t, through the
+    window _bind_deriv builds for code and ref; the tests and
+    perfbench/workloads.py call it."""
+    deriv, k1ug, k4ug = _bind_deriv(code, zf, paths, ug, w0, ref, gains,
+                                    mode_fll, adaptive)
+    gp, gn = _grid_terms(t, theta_g0, w0, k1ug, k4ug)
+    return deriv(_as_state(y), gp, gn)
 
 
 def simulate(y0, n_steps, dt, stride, t_on, t_clear, code, zf, paths, ug,
              theta_g0, w0, ref_pre, ref_on, gains, mode_fll, adaptive, rec):
     """Fixed-step RK4 over [0, n_steps*dt] with stride-decimated recording.
 
-    y0 is the nine-float state in _deriv's layout, as
+    y0 is the nine-float state in _bind_deriv's layout, as
     dynsim.initial_sync_state returns it (any indexable 9-vector is taken
     and held as a tuple of floats). The fault window in force (inside
-    [t_on, t_clear) the fault, outside FAULT_NONE) is a tuple of its code,
-    current reference, grid-frequency column and K1 ug, K4 ug, all built
-    once, before the first step. Every stage is evaluated at its absolute
-    time (t = i*dt, t + dt/2, t + dt) against the window and the grid
-    angle; stages 2 and 3 share their time, so a step evaluates the grid
-    terms three times. The model is evaluated once per sample: the stage-1
+    [t_on, t_clear) the fault, outside FAULT_NONE) is the tuple
+    (deriv, K1 ug, K4 ug) that _bind_deriv builds for it, both built once,
+    before the first step, so each stage makes one three-argument
+    derivative call. Every stage is evaluated at its absolute time
+    (t = i*dt, t + dt/2, t + dt) against the window and the grid angle;
+    stages 2 and 3 share their time, and stage 1 takes the grid terms of
+    the last stage 4 where i*dt is the same float as that stage's
+    (i-1)*dt + dt, so a step evaluates them two or three times. Stage
+    states and the update are written per component. The model is
+    evaluated once per sample: the stage-1
     derivative advances the state and gives the recorded angle rates. rec
     columns are in dynsim.TRACE_COLUMNS order. Returns (rows_written,
     overflow_step, y, dy) with y and dy 9-tuples: overflow_step = -1 when
     none, dy the derivative at the last sample evaluated (the returned y
     unless the run overflowed).
     """
-    grid_on = _grid_column(code, paths, zf)
-    grid_off = _grid_column(FAULT_NONE, paths, zf)
-    on = (code, ref_on, grid_on, grid_on[0] * ug, grid_on[3] * ug)
-    off = (FAULT_NONE, ref_pre, grid_off, grid_off[0] * ug, grid_off[3] * ug)
+    on = _bind_deriv(code, zf, paths, ug, w0, ref_on, gains, mode_fll,
+                     adaptive)
+    off = _bind_deriv(FAULT_NONE, zf, paths, ug, w0, ref_pre, gains,
+                      mode_fll, adaptive)
     y = _as_state(y0)
     half = 0.5 * dt
     sixth = dt / 6.0
+    t4 = math.nan
     n_rec = 0
     for i in range(n_steps + 1):
         t = i * dt
-        code_1, ref_1, grid_1, k1ug, k4ug = (
-            on if t_on <= t < t_clear else off)
-        gp, gn = _grid_terms(t, theta_g0, w0, k1ug, k4ug)
-        k1v = _deriv(y, gp, gn, code_1, grid_1, zf, paths, w0, ref_1, gains,
-                     mode_fll, adaptive)
+        deriv, k1ug, k4ug = on if t_on <= t < t_clear else off
+        # the last stage 4 left the grid terms at its time t4 in gp, gn
+        if t != t4:
+            gp, gn = _grid_terms(t, theta_g0, w0, k1ug, k4ug)
+        k1v = deriv(y, gp, gn)
         if i % stride == 0:
-            up, un, mp, mn = _frames(y)
+            up, un, mp, mn = _frames(y[0], y[1], y[2], y[3], y[4], y[6])
             rec[n_rec, 0] = t
             rec[n_rec, 1] = k1v[4] / (2.0 * math.pi)
             rec[n_rec, 2] = k1v[6] / (2.0 * math.pi)
@@ -572,21 +550,37 @@ def simulate(y0, n_steps, dt, stride, t_on, t_clear, code, zf, paths, ug,
         if i == n_steps:
             break
 
+        # stage states y + h k and the update, per component
+        x0, x1, x2, x3, x4, x5, x6, x7, x8 = y
+        a0, a1, a2, a3, a4, a5, a6, a7, a8 = k1v
         t2 = t + half
-        code_2, ref_2, grid_2, k1ug, k4ug = (
-            on if t_on <= t2 < t_clear else off)
+        deriv, k1ug, k4ug = on if t_on <= t2 < t_clear else off
         gp, gn = _grid_terms(t2, theta_g0, w0, k1ug, k4ug)
-        k2v = _deriv(_stage(y, half, k1v), gp, gn, code_2, grid_2, zf, paths,
-                     w0, ref_2, gains, mode_fll, adaptive)
-        k3v = _deriv(_stage(y, half, k2v), gp, gn, code_2, grid_2, zf, paths,
-                     w0, ref_2, gains, mode_fll, adaptive)
+        b0, b1, b2, b3, b4, b5, b6, b7, b8 = deriv(
+            (x0 + half * a0, x1 + half * a1, x2 + half * a2, x3 + half * a3,
+             x4 + half * a4, x5 + half * a5, x6 + half * a6, x7 + half * a7,
+             x8 + half * a8), gp, gn)
+        c0, c1, c2, c3, c4, c5, c6, c7, c8 = deriv(
+            (x0 + half * b0, x1 + half * b1, x2 + half * b2, x3 + half * b3,
+             x4 + half * b4, x5 + half * b5, x6 + half * b6, x7 + half * b7,
+             x8 + half * b8), gp, gn)
         t4 = t + dt
-        code_4, ref_4, grid_4, k1ug, k4ug = (
-            on if t_on <= t4 < t_clear else off)
+        deriv, k1ug, k4ug = on if t_on <= t4 < t_clear else off
         gp, gn = _grid_terms(t4, theta_g0, w0, k1ug, k4ug)
-        k4v = _deriv(_stage(y, dt, k3v), gp, gn, code_4, grid_4, zf, paths,
-                     w0, ref_4, gains, mode_fll, adaptive)
-        y = _rk4_update(y, sixth, k1v, k2v, k3v, k4v)
+        d0, d1, d2, d3, d4, d5, d6, d7, d8 = deriv(
+            (x0 + dt * c0, x1 + dt * c1, x2 + dt * c2, x3 + dt * c3,
+             x4 + dt * c4, x5 + dt * c5, x6 + dt * c6, x7 + dt * c7,
+             x8 + dt * c8), gp, gn)
+        # y + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
+        y = (x0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
+             x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+             x2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+             x3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
+             x4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
+             x5 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
+             x6 + sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6),
+             x7 + sixth * (a7 + 2.0 * b7 + 2.0 * c7 + d7),
+             x8 + sixth * (a8 + 2.0 * b8 + 2.0 * c8 + d8))
         # every component within 1e6 in magnitude; NaN fails the comparison
         if not (abs(y[0]) <= 1e6 and abs(y[1]) <= 1e6 and abs(y[2]) <= 1e6
                 and abs(y[3]) <= 1e6 and abs(y[4]) <= 1e6
@@ -594,4 +588,3 @@ def simulate(y0, n_steps, dt, stride, t_on, t_clear, code, zf, paths, ug,
                 and abs(y[7]) <= 1e6 and abs(y[8]) <= 1e6):
             return n_rec, i + 1, y, k1v
     return n_rec, -1, y, k1v
-

@@ -6,8 +6,9 @@ The filter keeps two rotating states, Û⁺ (counterclockwise) and Û⁻
 tracked either by per-sequence PLLs acting on the frame-rotated q-axis
 voltages or, in FLL mode, by integrating each filter state's instantaneous
 rotation rate, Im(dÛ⁺·conj(Û⁺))/|Û⁺|² and the clockwise counterpart for Û⁻.
-The state is nine floats, and the laws that move it are one function:
-kernels._deriv, the closed-loop model, defines both.
+The state is nine floats, and the laws that move it are one function: the
+closed-loop model that kernels._bind_deriv builds for each fault window
+defines both.
 """
 
 import enum

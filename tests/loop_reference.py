@@ -1,7 +1,7 @@
 """The synchronizer's loop laws one at a time, on a SyncState, used only by
 the tests.
 
-The closed-loop model (``kernels._deriv``) evaluates these laws fused, on
+The closed-loop model (``kernels._bind_deriv``) evaluates these laws fused, on
 the nine floats that ``kernels.simulate`` integrates. Written out here one
 law per function (the sequence filter, the FLL frequency adaptation, the
 dual PLLs and the frame rotation) on a named, mutable state, they give the

@@ -136,7 +136,8 @@ class TestOrientationAngles:
         assert -math.pi < dn <= math.pi
 
 
-# indices into kernels.simulate's nine-float state (layout: kernels._deriv)
+# indices into kernels.simulate's nine-float state (layout:
+# kernels._bind_deriv)
 RE_UP, IM_UP, RE_UN, IM_UN, TH_P, XI_P, TH_N, XI_N, EPS = range(9)
 
 

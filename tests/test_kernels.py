@@ -276,31 +276,52 @@ class TestOneBuild:
             "modules": ["ibgsync.kernels", "ibgsync.kernels"]}
 
 
-class TestMixedCoefficients:
-    @pytest.mark.parametrize("code", ALL_CODES)
-    def test_unit_scale_reduces_to_plain(self, code):
-        plain = kernels.seq_coeffs(code, 1.0, *PF, complex(ZF_PU))
-        grid = kernels._grid_column(code, PF, complex(ZF_PU))
-        mixed = kernels._seq_coeffs_mixed(grid, code, 1.0, 1.0, PF,
-                                         complex(ZF_PU))
-        assert np.allclose(np.array(grid), np.array(plain[:6]), atol=0.0)
-        assert np.allclose(np.array(mixed), np.array(plain[:6]), atol=0.0)
+class TestWindowColumn:
+    """The column a fault window's derivative reads: K1/K4 at the grid
+    frequency, Z2/Z6 at the positive scale, Z3/Z5 at the negative one."""
 
-    @pytest.mark.parametrize("sp, sn", [(1.4, 0.7), (1.3, 1.3)])
+    @staticmethod
+    def _window_column(code, sp, sn, zf):
+        """code's _column read as _bind_deriv and its derivative read it:
+        K1 and K4 from the column at 1.0, Z2 and Z6 from the column at sp,
+        Z3 and Z5 from the one at sn (the same column when sn == sp)."""
+        col = kernels._column(code, PF, zf)
+        k1, _, _, k4, _, _, _ = col(1.0)
+        _, z2, z3, _, z5, z6, _ = col(sp)
+        if sn != sp:
+            _, _, z3, _, z5, _, _ = col(sn)
+        return k1, z2, z3, k4, z5, z6
+
+    @pytest.mark.parametrize("sp, sn", [
+        (1.4, 0.7), (0.7, 1.4), (1.3, 1.3), (1.0, 0.8), (1.2, 1.0),
+        (1.0, 1.0), (0.2, 5.0), (5.0, 0.2), (0.2, 0.2), (5.0, 5.0),
+    ])
+    @pytest.mark.parametrize("zf", [complex(ZF_PU), 0.03 - 0.01j],
+                             ids=["zf", "zf-complex"])
     @pytest.mark.parametrize("code", ALL_CODES)
-    def test_terms_track_their_own_frequency(self, code, sp, sn):
-        """Z2/Z6 follow the positive scale, Z3/Z5 the negative, K1/K4 stay
-        at the grid frequency; equal scales (FLL mode) share one column."""
-        base = kernels.seq_coeffs(code, 1.0, *PF, complex(ZF_PU))
-        at_sp = kernels.seq_coeffs(code, sp, *PF, complex(ZF_PU))
-        at_sn = kernels.seq_coeffs(code, sn, *PF, complex(ZF_PU))
-        grid = kernels._grid_column(code, PF, complex(ZF_PU))
-        k1, z2, z3, k4, z5, z6 = kernels._seq_coeffs_mixed(
-            grid, code, sp, sn, PF, complex(ZF_PU)
-        )
-        assert k1 == base[0] and k4 == base[3]
-        assert z2 == at_sp[1] and z6 == at_sp[5]
-        assert z3 == at_sn[2] and z5 == at_sn[4]
+    def test_matches_written_out_mixed_column(self, code, zf, sp, sn):
+        """Bit for bit against the oracle's mixed column, whose scale of
+        exactly 1.0 reads the grid column, at unequal and equal (FLL)
+        scales, a scale of 1.0 on either side and both clamps."""
+        got = self._window_column(code, sp, sn, zf)
+        want = rk4_reference.seq_coeffs_mixed(code, sp, sn, *PF, zf)
+        assert ([_bits((v.real, v.imag)) for v in got]
+                == [_bits((v.real, v.imag)) for v in want])
+
+    @pytest.mark.parametrize("code", ALL_CODES)
+    def test_grid_terms_stay_at_grid_frequency(self, code):
+        """The window's K1 ug and K4 ug are the grid column's, whatever the
+        scales its derivative later reads."""
+        sc = Scenario(circuit=CIRCUIT, fault=FaultSpec(FaultType.DLG,
+                                                       z_f=ZF_PU),
+                      ref_fault=REF)
+        (_, zf, paths, ug, _, w0, _, ref_on, gains, _,
+         _) = _kernel_args(sc)
+        grid = rk4_reference.seq_coeffs(code, 1.0, *paths, zf)
+        for mode_fll in (False, True):
+            _, k1ug, k4ug = kernels._bind_deriv(code, zf, paths, ug, w0,
+                                                ref_on, gains, mode_fll, True)
+            assert k1ug == grid[0] * ug and k4ug == grid[3] * ug
 
 
 def _newton_on_evaluators(prm, dp, dn, tol, maxit):
@@ -666,6 +687,69 @@ class TestSimulateMatchesArrayForm:
         got, want, rec, rec_ref = self._both(sc, y0, 500, 3)
         assert got[1] == -1
         self._assert_same(got, want, rec, rec_ref)
+
+    @pytest.mark.parametrize("fault", ["slg", "dlg", "ll", "tlg"])
+    @pytest.mark.parametrize("mode", ["dsogi_pll", "dsogi_fll"])
+    def test_unit_scale_at_first_stage(self, mode, fault):
+        """Starts whose first stage reads a frequency scale of exactly 1.0,
+        which the oracle's mixed column takes from the grid column: FLL
+        with eps = 0, and PLL from a state with uq+- = xi+- = 0 (Im U+- = 0,
+        theta+- = 0)."""
+        sc = Scenario(
+            circuit=CIRCUIT,
+            fault=FaultSpec(FaultType(fault), z_f=ZF_PU, t_on=0.0,
+                            t_clear=0.03),
+            ref_fault=REF, sync=SyncConfig(mode=SyncMode(mode)), t_end=0.05,
+        )
+        if mode == "dsogi_fll":
+            y0 = np.array([0.5, -0.9, 0.1, 0.05, -0.9, 0.0, 1.1, 0.0, 0.0])
+        else:
+            y0 = np.array([0.8, 0.0, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        w0 = sc.circuit.omega0
+        _, _, mp, mn = rk4_reference._frames(y0)
+        ki_fll = sc.sync.ki_fll
+        scales = ([(w0 + ki_fll * y0[8]) / w0] if mode == "dsogi_fll" else
+                  [(w0 + sc.sync.kp_pll * mp.imag + sc.sync.ki_pll * y0[5])
+                   / w0,
+                   (w0 - sc.sync.kp_pll * -mn.imag - sc.sync.ki_pll * y0[7])
+                   / w0])
+        assert scales == [1.0] * len(scales)
+        got, want, rec, rec_ref = self._both(sc, y0, 500, 3)
+        assert got[1] == -1
+        self._assert_same(got, want, rec, rec_ref)
+
+    @pytest.mark.parametrize("n, t_clear", [(300, 0.02), (300, math.inf)],
+                             ids=["cleared", "on-fault"])
+    @pytest.mark.parametrize("adaptive", [True, False],
+                             ids=["adaptive", "fixed"])
+    @pytest.mark.parametrize("mode", ["dsogi_pll", "dsogi_fll"])
+    def test_deriv_eval_is_the_loop_derivative(self, mode, adaptive, n,
+                                               t_clear):
+        """deriv_eval at the last sample gives exactly the dy simulate
+        returns: both run the derivative _bind_deriv builds."""
+        sc = Scenario(
+            circuit=CIRCUIT,
+            fault=FaultSpec(FaultType.SLG, z_f=ZF_PU, t_on=0.005,
+                            t_clear=t_clear),
+            ref_fault=REF, sync=SyncConfig(mode=SyncMode(mode)), t_end=0.05,
+            freq_adaptive_z=adaptive,
+        )
+        (code, zf, paths, ug, theta_g0, w0, ref_pre, ref_on, gains,
+         mode_fll, adaptive_z) = _kernel_args(sc)
+        y0 = np.array([0.5, -0.9, 0.1, 0.05, -0.9, 0.0, 1.1, 0.0, 1e-3])
+        rec = np.empty((n + 1, len(TRACE_COLUMNS)))
+        rows, overflow, y, dy = kernels.simulate(
+            y0, n, sc.dt, 1, sc.fault.t_on, t_clear, code, zf, paths, ug,
+            theta_g0, w0, ref_pre, ref_on, gains, mode_fll, adaptive_z, rec)
+        assert (rows, overflow) == (n + 1, -1)
+        t = n * sc.dt
+        on = sc.fault.t_on <= t < t_clear
+        assert on == (t_clear == math.inf)
+        got = kernels.deriv_eval(
+            y, t, code if on else kernels.FAULT_NONE, zf, paths, ug,
+            theta_g0, w0, ref_on if on else ref_pre, gains, mode_fll,
+            adaptive_z)
+        assert _bits(got) == _bits(dy)
 
     def test_overflowing_run(self):
         sc = Scenario(circuit=CIRCUIT, fault=FaultSpec(FaultType.DLG, z_f=ZF_PU),

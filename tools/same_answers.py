@@ -32,6 +32,11 @@ directory, and each runs from its own ``src``:
 - ``simulate`` of 1 s under DLG with fixed impedances from a cold start:
   the config's pre-fault 3.0@0 has no root either (the verdict printed
   and the trace CSV written);
+- ``simulate`` of the adaptive coefficient columns the runs above do not
+  reach: 1 s under SLG with the PLLs, 1.2 s under TLG with a fault that
+  clears at 0.8 s, so the run changes to the healthy window's derivative,
+  and 1 s under DLG in FLL mode at 50 Hz (the verdict printed and the
+  trace CSV written);
 - ``coeffs --json``, ``equilibrium``, ``limit`` and ``simulate`` under a
   config that sets every section (FLL at 60 Hz, started from the pre-fault
   state), and ``coeffs --json`` under one that sets ``circuit.choke`` (the
@@ -128,6 +133,16 @@ SIMULATE_FOLD = ["simulate", "--fault", "ll", "--iminus", "0.92@-20",
 SIMULATE_COLD = ["simulate", "--fault", "dlg", "--iplus", "1.5@-30",
                  "--iminus", "0.5@90", "--t-end", "1", "--no-adaptive"]
 COLD_CONFIG = {"current": {"prefault": {"i_pos": "3.0@0"}}}
+# adaptive columns the runs above never reach: SLG with the PLLs, TLG
+# cleared inside the horizon, DLG in FLL mode at the default 50 Hz
+SIMULATE_COLUMNS = (
+    ["simulate", "--fault", "slg", "--iplus", "0.5@-90", "--iminus",
+     "0.36@90", "--t-end", "1"],
+    ["simulate", "--fault", "tlg", "--iplus", "0.3@-81.3", "--t-on", "0.1",
+     "--t-clear", "0.8", "--t-end", "1.2"],
+    ["simulate", "--fault", "dlg", "--mode", "fll", "--iplus", "0.71@-30",
+     "--iminus", "0.5@90", "--t-end", "1"],
+)
 
 
 def cases() -> list[tuple[str, list[str], bool, dict | None]]:
@@ -167,6 +182,7 @@ def cases() -> list[tuple[str, list[str], bool, dict | None]]:
     out.append(("simulate ll iminus 0.92@-20 t_end 1", SIMULATE_FOLD, True,
                 None))
     out.append(("simulate cold start", SIMULATE_COLD, True, COLD_CONFIG))
+    out += [(" ".join(argv), argv, True, None) for argv in SIMULATE_COLUMNS]
     out += [(f"config {argv[0]}", argv, False, CONFIG) for argv in (
         ["coeffs", "--json"], ["equilibrium"],
         ["limit", "--seq", "pos", "--angle", "-30", "--other", "0.3@90"])]

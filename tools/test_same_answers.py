@@ -20,10 +20,10 @@ def _stub(monkeypatch, differing=()):
 
 def test_cases_cover_the_reference_outputs():
     names = [name for name, _, _, _ in same_answers.cases()]
-    assert len(names) == 12 + 4 + 2 + 2 + 2 + 3 + 6 + 1 + 1 + 3 + 5 + 4
+    assert len(names) == 12 + 4 + 2 + 2 + 2 + 3 + 6 + 1 + 1 + 6 + 5 + 4
     assert len(set(names)) == len(names)
     to_file = [argv for _, argv, to_file, _ in same_answers.cases() if to_file]
-    assert [argv[0] for argv in to_file].count("simulate") == 4
+    assert [argv[0] for argv in to_file].count("simulate") == 7
     regions = [argv for argv in to_file if argv[0] != "simulate"]
     assert all(argv[0] == "region" for argv in regions)
     assert sorted(argv[argv.index("--angle-step") + 1] for argv in regions) \
@@ -64,6 +64,24 @@ def test_cases_cover_the_closed_loop_starts():
     assert same_answers.CONFIG["scenario"]["init"] == "prefault"
 
 
+def test_cases_cover_the_adaptive_columns():
+    """simulate under SLG with the PLLs, under TLG with a fault that clears
+    inside the horizon, and under DLG in FLL mode, each with adaptive
+    impedances (the default) and no config."""
+    runs = [(argv, config) for _, argv, to_file, config in same_answers.cases()
+            if to_file and argv[0] == "simulate"]
+    for argv in same_answers.SIMULATE_COLUMNS:
+        assert (argv, None) in runs
+        assert "--no-adaptive" not in argv
+    slg, tlg, fll = same_answers.SIMULATE_COLUMNS
+    assert slg[slg.index("--fault") + 1] == "slg" and "--mode" not in slg
+    assert tlg[tlg.index("--fault") + 1] == "tlg"
+    assert (float(tlg[tlg.index("--t-clear") + 1])
+            < float(tlg[tlg.index("--t-end") + 1]))
+    assert fll[fll.index("--fault") + 1] == "dlg"
+    assert fll[fll.index("--mode") + 1] == "fll"
+
+
 def test_cases_cover_the_limit_starts():
     """A TLG limit warm-started in closed form from the zero-current root,
     and a DLG limit with no zero-current root."""
@@ -89,7 +107,7 @@ def test_same_answers_exit_0(monkeypatch, capsys):
     assert same_answers.main(["--parent", "a", "--change", "b"]) == 0
     out = capsys.readouterr().out
     assert "DIFFERS" not in out
-    assert "45 of 45 outputs byte-identical" in out
+    assert "48 of 48 outputs byte-identical" in out
 
 
 def test_one_difference_exits_1(monkeypatch, capsys):
@@ -98,7 +116,7 @@ def test_one_difference_exits_1(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "DIFFERS: validate draws 100 seed 0" in out
     assert out.count("DIFFERS") == 1
-    assert "44 of 45 outputs byte-identical" in out
+    assert "47 of 48 outputs byte-identical" in out
 
 
 def test_config_cases_set_every_section():
