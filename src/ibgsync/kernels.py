@@ -23,32 +23,38 @@ the same bits.
 The closed-loop integrator runs on Python scalars from start to end: the
 state is nine ``float``s, every RK4 stage state and update is written per
 component in the numpy expressions' operation order, the derivative
-(``_bind_deriv``, ``_frames``, ``_column``) uses ``complex`` and
-``cmath``, and the other inputs arrive as tuples of floats
-(``dynsim._kernel_args``). Each numpy operation costs about a microsecond,
-several times a Python scalar's, and an RK4 step makes four derivative
-calls. So every value is computed once, where it stops changing:
+(``_bind_deriv``, ``_column``) uses ``complex`` and ``cmath``, and the
+other inputs arrive as tuples of floats (``dynsim._kernel_args``). Each
+numpy operation costs about a microsecond, several times a Python
+scalar's, and an RK4 step makes four derivative calls. So every value is
+computed once, where it stops changing:
 
 - per fault window (the fault and the healthy network), before the first
   step: the derivative bound to the window (``_bind_deriv``), holding its
   current reference, the gains, w0, the mode flags and the fault code's
   column function (``_column``, which forms 3 zf and 6 zf once); the
   column at the grid frequency, giving K1 ug, K4 ug and, with fixed
-  impedances, every impedance times its current; and k/2;
+  impedances, every impedance times its current; the columns at the
+  clamped frequency scales 0.2 and 5.0; and k/2;
 - per stage time: the grid terms K1 ug e^{j(theta_g - pi/3)} and
   K4 ug e^{j(theta_g + pi/3)} (``_grid_terms``), stages 2 and 3 sharing
   theirs, and stage 1 taking the last stage 4's where the two times are
   the same float;
-- per derivative: the columns at the frequency estimates (none with fixed
-  impedances, one when the two scales are equal), the angle sums
-  theta+- + theta_i+-, and the filter drive k/2 w_c ec that both filter
-  rates share.
+- per derivative: the filter states' components in the estimated frames,
+  which the trace record of a sample reads from its stage-1 derivative;
+  the columns at the frequency estimates (none with fixed impedances or
+  at a clamp, one when the two scales are equal); the angle sums
+  theta+- + theta_i+-; and the filter drive k/2 w_c ec that both filter
+  rates share. The PLL frequencies w+- are formed in PLL mode alone.
 
 Each such value is formed by the operations, in the order, of the
 written-out expression it stands in for (``_PI_3`` and ``_TWO_PI_3`` are
 the quotients that expression computes), so hoisting it changes no bit of
-a trace. ``tests/rk4_reference.py`` writes the integrator out in full,
-coefficient column included, and the tests compare the two exactly.
+a trace. Every unit rotation e^{jx} is ``cmath.rect(1.0, x)``, which
+gives the bits of the written-out ``cmath.exp(1j * x)`` on the angles the
+derivative passes it (``_bind_deriv``) in about half the time.
+``tests/rk4_reference.py`` writes the integrator out in full, coefficient
+column included, and the tests compare the two exactly.
 """
 
 import cmath
@@ -361,91 +367,97 @@ def _as_state(y):
             float(y[5]), float(y[6]), float(y[7]), float(y[8]))
 
 
-def _frames(re_p, im_p, re_n, im_n, th_p, th_n):
-    """Filter states U+, U- and their measured components in the estimated
-    frames, from the state's first four components and the loop angles:
-    mp = ud+ + j uq+, mn = ud- - j uq- (clockwise frame)."""
-    up = complex(re_p, im_p)
-    un = complex(re_n, im_n)
-    return (up, un, up * cmath.exp(-1j * th_p),
-            un.conjugate() * cmath.exp(-1j * th_n))
-
-
 def _grid_terms(t, theta_g0, w0, k1ug, k4ug):
     """The grid's contributions K1 ug e^{j(theta_g - pi/3)} and
     K4 ug e^{j(theta_g + pi/3)} at time t, from the products K1 ug, K4 ug."""
     theta_g = theta_g0 + w0 * t
-    return (k1ug * cmath.exp(1j * (theta_g - _PI_3)),
-            k4ug * cmath.exp(1j * (theta_g + _PI_3)))
+    return (k1ug * cmath.rect(1.0, theta_g - _PI_3),
+            k4ug * cmath.rect(1.0, theta_g + _PI_3))
 
 
 def _bind_deriv(code, zf, paths, ug, w0, ref, gains, mode_fll, adaptive):
     """A fault window's (deriv, K1 ug, K4 ug), built once per window.
 
-    deriv(y, gp, gn) is the closed-loop model: the time derivative of the
-    9-component state, as a 9-tuple. State layout, the package's one
-    definition of it (a tuple of floats): [Re U+, Im U+, Re U-, Im U-,
-    theta+, xi+, theta-, xi-, eps], with U+- the filter states, theta+-
-    the loop angles, xi+- their PI integrators and eps the FLL integrator.
-    gp, gn: the grid terms at the stage time (_grid_terms, from K1 ug and
-    K4 ug). deriv holds the window's current reference, the gains, w0, the
-    mode flags and code's _column. K1 and K4 stay at the grid frequency
-    (the column at s = 1). With adaptive impedances Z2/Z6 follow the
-    positive frequency estimate and Z3/Z5 the negative one, each call
-    evaluating the column at both scales; with fixed ones the grid
-    column's impedances times their currents are formed here, once.
+    deriv(y, gp, gn) is the closed-loop model. It returns a 13-tuple: the
+    time derivative of the 9-component state, then the filter states U+,
+    U- and their measured components in the estimated frames, mp = ud+ +
+    j uq+ and mn = ud- - j uq- (clockwise frame). State layout, the
+    package's one definition of it (a tuple of floats): [Re U+, Im U+,
+    Re U-, Im U-, theta+, xi+, theta-, xi-, eps], with U+- the filter
+    states, theta+- the loop angles, xi+- their PI integrators and eps the
+    FLL integrator. gp, gn: the grid terms at the stage time (_grid_terms,
+    from K1 ug and K4 ug). deriv holds the window's current reference, the
+    gains, w0, the mode flags and code's _column. K1 and K4 stay at the
+    grid frequency (the column at s = 1). With adaptive impedances Z2/Z6
+    follow the positive frequency estimate and Z3/Z5 the negative one, each
+    call evaluating the column at both scales, but for a scale at a clamp
+    (0.2 or 5.0), whose column is formed here, once; with fixed ones the
+    grid column's impedances times their currents are formed here, once.
     ref layout: [I+, theta_i+, I-, theta_i-].
     gains layout: [k_sogi, kp_pll, ki_pll, kp_fll, ki_fll].
+
+    Unit rotations e^{jx} are cmath.rect(1.0, x), the cos x and sin x that
+    cmath.exp(1j * x) computes, except at two inputs: rect raises on an
+    infinite x, where exp gives NaN, so an infinite loop angle is read as
+    NaN; and rect keeps the sign of x = -0.0, which exp drops, so theta_i+-
+    are taken as theta_i+- + 0.0 and no angle sum is -0.0.
     """
     col = _column(code, paths, zf)
     k1, z2, z3, k4, z5, z6, _ = col(1.0)
+    lo = col(0.2)
+    hi = col(5.0)
     i_p, ti_p, i_n, ti_n = ref
+    ti_p += 0.0
+    ti_n += 0.0
     k_sogi, kp_pll, ki_pll, kp_fll, ki_fll = gains
     half_k = 0.5 * k_sogi
     fixed = (z2 * i_p, z3 * i_n, z5 * i_n, z6 * i_p)
 
     def deriv(y, gp, gn):
         re_p, im_p, re_n, im_n, th_p, xi_p, th_n, xi_n, eps = y
-        up, un, mp, mn = _frames(re_p, im_p, re_n, im_n, th_p, th_n)
+        # x - x is 0.0 unless x is infinite or NaN
+        if th_p - th_p + th_n - th_n != 0.0:
+            if math.isinf(th_p):
+                th_p = math.nan
+            if math.isinf(th_n):
+                th_n = math.nan
+        up = complex(re_p, im_p)
+        un = complex(re_n, im_n)
+        mp = up * cmath.rect(1.0, -th_p)
+        mn = un.conjugate() * cmath.rect(1.0, -th_n)
 
-        uq_p = mp.imag
-        uq_n = -mn.imag
-
-        w_p = w0 + kp_pll * uq_p + ki_pll * xi_p
-        w_n = w0 - kp_pll * uq_n - ki_pll * xi_n
-
-        if adaptive:
-            if mode_fll:
+        if mode_fll:
+            if adaptive:
                 # state-held part of the FLL frequency; breaks the loop
                 # between the impedance scale and the error that depends
-                # on it
-                sp = (w0 + ki_fll * eps) / w0
-                sn = sp
-            else:
+                # on it; both sequences share its column
+                s = (w0 + ki_fll * eps) / w0
+                _, z2, z3, _, z5, z6, _ = (lo if s < 0.2 else hi if s > 5.0
+                                           else col(s))
+        else:
+            uq_p = mp.imag
+            uq_n = -mn.imag
+            w_p = w0 + kp_pll * uq_p + ki_pll * xi_p
+            w_n = w0 - kp_pll * uq_n - ki_pll * xi_n
+            if adaptive:
                 sp = w_p / w0
                 sn = w_n / w0
-            if sp < 0.2:
-                sp = 0.2
-            elif sp > 5.0:
-                sp = 5.0
-            if sn < 0.2:
-                sn = 0.2
-            elif sn > 5.0:
-                sn = 5.0
-            # equal scales (FLL mode) share one column
-            _, z2, z3, _, z5, z6, _ = col(sp)
-            if sn != sp:
-                _, _, z3, _, z5, _, _ = col(sn)
+                _, z2, z3, _, z5, z6, _ = (lo if sp < 0.2 else hi if sp > 5.0
+                                           else col(sp))
+                if sn != sp:
+                    _, _, z3, _, z5, _, _ = (lo if sn < 0.2 else hi
+                                             if sn > 5.0 else col(sn))
+        if adaptive:
             zi2, zi3, zi5, zi6 = z2 * i_p, z3 * i_n, z5 * i_n, z6 * i_p
         else:
             zi2, zi3, zi5, zi6 = fixed
 
         a_p = th_p + ti_p
         a_n = th_n + ti_n
-        ub_p = (gp + zi2 * cmath.exp(1j * a_p)
-                + zi3 * cmath.exp(1j * (a_n - _TWO_PI_3)))
-        ub_n = (gn + zi5 * cmath.exp(1j * a_n)
-                + zi6 * cmath.exp(1j * (a_p + _TWO_PI_3)))
+        ub_p = (gp + zi2 * cmath.rect(1.0, a_p)
+                + zi3 * cmath.rect(1.0, a_n - _TWO_PI_3))
+        ub_n = (gn + zi5 * cmath.rect(1.0, a_n)
+                + zi6 * cmath.rect(1.0, a_p + _TWO_PI_3))
         u_meas = ub_p + ub_n.conjugate()
 
         ec = u_meas - up - un
@@ -453,45 +465,38 @@ def _bind_deriv(code, zf, paths, ug, w0, ref, gains, mode_fll, adaptive):
             v = up - un
             e = (ec * v.conjugate()).imag
             w_c = w0 + kp_fll * e + ki_fll * eps
-            d_eps = e
         else:
             w_c = w_p
-            d_eps = 0.0
 
         drive = half_k * w_c * ec
         dup = 1j * w_c * up + drive
         dun = -1j * w_c * un + drive
 
         if mode_fll:
-            # angles follow the filter states' instantaneous rotation
+            # angles follow the filter states' instantaneous rotation; the
+            # integrators xi+- are frozen
             ap2 = up.real * up.real + up.imag * up.imag
             an2 = un.real * un.real + un.imag * un.imag
             d_th_p = (dup * up.conjugate()).imag / ap2 if ap2 > 1e-18 else w_c
             d_th_n = (-(dun * un.conjugate()).imag / an2 if an2 > 1e-18
                       else w_c)
-            d_xi_p = 0.0
-            d_xi_n = 0.0
-        else:
-            d_th_p = w_p
-            d_th_n = w_n
-            d_xi_p = uq_p
-            d_xi_n = uq_n
-
-        return (dup.real, dup.imag, dun.real, dun.imag, d_th_p, d_xi_p,
-                d_th_n, d_xi_n, d_eps)
+            return (dup.real, dup.imag, dun.real, dun.imag, d_th_p, 0.0,
+                    d_th_n, 0.0, e, up, un, mp, mn)
+        return (dup.real, dup.imag, dun.real, dun.imag, w_p, uq_p, w_n, uq_n,
+                0.0, up, un, mp, mn)
 
     return deriv, k1 * ug, k4 * ug
 
 
 def deriv_eval(y, t, code, zf, paths, ug, theta_g0, w0, ref, gains,
                mode_fll, adaptive):
-    """The derivative of any indexable 9-vector y at time t, through the
-    window _bind_deriv builds for code and ref; the tests and
+    """The derivative of any indexable 9-vector y at time t, as a 9-tuple,
+    through the window _bind_deriv builds for code and ref; the tests and
     perfbench/workloads.py call it."""
     deriv, k1ug, k4ug = _bind_deriv(code, zf, paths, ug, w0, ref, gains,
                                     mode_fll, adaptive)
     gp, gn = _grid_terms(t, theta_g0, w0, k1ug, k4ug)
-    return deriv(_as_state(y), gp, gn)
+    return deriv(_as_state(y), gp, gn)[:9]
 
 
 def simulate(y0, n_steps, dt, stride, t_on, t_clear, code, zf, paths, ug,
@@ -510,12 +515,13 @@ def simulate(y0, n_steps, dt, stride, t_on, t_clear, code, zf, paths, ug,
     the last stage 4 where i*dt is the same float as that stage's
     (i-1)*dt + dt, so a step evaluates them two or three times. Stage
     states and the update are written per component. The model is
-    evaluated once per sample: the stage-1
-    derivative advances the state and gives the recorded angle rates. rec
-    columns are in dynsim.TRACE_COLUMNS order. Returns (rows_written,
-    overflow_step, y, dy) with y and dy 9-tuples: overflow_step = -1 when
-    none, dy the derivative at the last sample evaluated (the returned y
-    unless the run overflowed).
+    evaluated once per sample: the stage-1 derivative advances the state
+    and gives the recorded angle rates and the frame components and
+    magnitudes of the filter states. rec columns are in
+    dynsim.TRACE_COLUMNS order. Returns (rows_written, overflow_step, y,
+    dy) with y and dy 9-tuples: overflow_step = -1 when none, dy the
+    derivative at the last sample evaluated (the returned y unless the run
+    overflowed).
     """
     on = _bind_deriv(code, zf, paths, ug, w0, ref_on, gains, mode_fll,
                      adaptive)
@@ -533,11 +539,11 @@ def simulate(y0, n_steps, dt, stride, t_on, t_clear, code, zf, paths, ug,
         if t != t4:
             gp, gn = _grid_terms(t, theta_g0, w0, k1ug, k4ug)
         k1v = deriv(y, gp, gn)
+        a0, a1, a2, a3, a4, a5, a6, a7, a8, up, un, mp, mn = k1v
         if i % stride == 0:
-            up, un, mp, mn = _frames(y[0], y[1], y[2], y[3], y[4], y[6])
             rec[n_rec, 0] = t
-            rec[n_rec, 1] = k1v[4] / (2.0 * math.pi)
-            rec[n_rec, 2] = k1v[6] / (2.0 * math.pi)
+            rec[n_rec, 1] = a4 / (2.0 * math.pi)
+            rec[n_rec, 2] = a6 / (2.0 * math.pi)
             rec[n_rec, 3] = y[4]
             rec[n_rec, 4] = y[6]
             rec[n_rec, 5] = mp.real
@@ -552,22 +558,21 @@ def simulate(y0, n_steps, dt, stride, t_on, t_clear, code, zf, paths, ug,
 
         # stage states y + h k and the update, per component
         x0, x1, x2, x3, x4, x5, x6, x7, x8 = y
-        a0, a1, a2, a3, a4, a5, a6, a7, a8 = k1v
         t2 = t + half
         deriv, k1ug, k4ug = on if t_on <= t2 < t_clear else off
         gp, gn = _grid_terms(t2, theta_g0, w0, k1ug, k4ug)
-        b0, b1, b2, b3, b4, b5, b6, b7, b8 = deriv(
+        b0, b1, b2, b3, b4, b5, b6, b7, b8, _, _, _, _ = deriv(
             (x0 + half * a0, x1 + half * a1, x2 + half * a2, x3 + half * a3,
              x4 + half * a4, x5 + half * a5, x6 + half * a6, x7 + half * a7,
              x8 + half * a8), gp, gn)
-        c0, c1, c2, c3, c4, c5, c6, c7, c8 = deriv(
+        c0, c1, c2, c3, c4, c5, c6, c7, c8, _, _, _, _ = deriv(
             (x0 + half * b0, x1 + half * b1, x2 + half * b2, x3 + half * b3,
              x4 + half * b4, x5 + half * b5, x6 + half * b6, x7 + half * b7,
              x8 + half * b8), gp, gn)
         t4 = t + dt
         deriv, k1ug, k4ug = on if t_on <= t4 < t_clear else off
         gp, gn = _grid_terms(t4, theta_g0, w0, k1ug, k4ug)
-        d0, d1, d2, d3, d4, d5, d6, d7, d8 = deriv(
+        d0, d1, d2, d3, d4, d5, d6, d7, d8, _, _, _, _ = deriv(
             (x0 + dt * c0, x1 + dt * c1, x2 + dt * c2, x3 + dt * c3,
              x4 + dt * c4, x5 + dt * c5, x6 + dt * c6, x7 + dt * c7,
              x8 + dt * c8), gp, gn)
@@ -586,5 +591,5 @@ def simulate(y0, n_steps, dt, stride, t_on, t_clear, code, zf, paths, ug,
                 and abs(y[3]) <= 1e6 and abs(y[4]) <= 1e6
                 and abs(y[5]) <= 1e6 and abs(y[6]) <= 1e6
                 and abs(y[7]) <= 1e6 and abs(y[8]) <= 1e6):
-            return n_rec, i + 1, y, k1v
-    return n_rec, -1, y, k1v
+            return n_rec, i + 1, y, k1v[:9]
+    return n_rec, -1, y, k1v[:9]

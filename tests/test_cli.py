@@ -293,6 +293,22 @@ class TestSimulate:
         assert verdict["dominant"] == "pos_type1"
         assert verdict["signature"] == "drift"
 
+    def test_infinite_stage_angles_are_a_lost_run(self, tmp_path, capsys):
+        """PLL gains of 1e300 and 1e305 drive a stage's loop angle to inf in
+        the first step: the run overflows there and is judged lost, not
+        refused with a math domain error."""
+        out_csv = tmp_path / "trace.csv"
+        code, out, err = run_with_config(
+            {"sync": {"kp_pll": 1e300, "ki_pll": 1e305}},
+            ["simulate", "--fault", "dlg", "--iplus", "0.77@-30", "--iminus",
+             "0.5@90", "--t-end", "0.05", "--out", str(out_csv)],
+            tmp_path, capsys)
+        assert (code, err) == (0, "")
+        verdict = json.loads(out)
+        assert (verdict["lost"], verdict["diverged"], verdict["t_los"]) \
+            == (True, True, 0.0001)
+        assert len(out_csv.read_text().splitlines()) == 2
+
     def test_start_past_the_fold_falls_back_to_prefault(self, tmp_path,
                                                         capsys):
         """No on-fault equilibrium at 0.92@-20 (a stalled scan just past the

@@ -28,7 +28,8 @@ from ibgsync import (
     solve_equilibrium,
     table_circuit,
 )
-from ibgsync.dynsim import TRACE_COLUMNS, Scenario, _kernel_args, terminal_voltage
+from ibgsync.dynsim import (TRACE_COLUMNS, Scenario, _kernel_args,
+                            initial_sync_state, terminal_voltage)
 from ibgsync.equilibrium import NEWTON_MAXIT, pack_params
 from ibgsync.network import _path_floats
 from ibgsync.synchro import SyncMode
@@ -590,6 +591,66 @@ class TestDerivative:
             assert dy[8] == 0.0
 
 
+class TestUnitRotations:
+    """The kernel turns by cmath.rect(1.0, x) where the array form takes
+    cmath.exp(1j * x); both compute cos x and sin x."""
+
+    @staticmethod
+    def _angles():
+        """Finite angles: signed zeros, the smallest and largest floats,
+        1e300, the grid offsets, and random draws over [-10, 10] and over
+        magnitudes 1e-300 to 1e300."""
+        rng = np.random.default_rng(11)
+        big = sys.float_info.max
+        xs = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.0, math.pi / 3.0,
+              2.0 * math.pi / 3.0, math.pi, 1e300, -1e300, big, -big]
+        xs += rng.uniform(-10.0, 10.0, 2000).tolist()
+        xs += (10.0 ** rng.uniform(-300.0, 300.0, 2000)
+               * rng.choice((-1.0, 1.0), 2000)).tolist()
+        return xs
+
+    def test_rect_matches_exp(self):
+        """Bit for bit on every finite angle but -0.0, whose sign rect keeps
+        and exp drops, and on -0.0 + 0.0; and on the frame rotations
+        e^{-jx}, signed zeros included."""
+        def cbits(z):
+            return _bits((z.real, z.imag))
+        for x in self._angles():
+            want = cbits(cmath.exp(1j * x))
+            assert cbits(cmath.rect(1.0, x + 0.0)) == want
+            if _bits((x,)) != _bits((-0.0,)):
+                assert cbits(cmath.rect(1.0, x)) == want
+            assert cbits(cmath.rect(1.0, -x)) == cbits(cmath.exp(-1j * x))
+        assert cbits(cmath.rect(1.0, -0.0)) == ["0x1.0000000000000p+0",
+                                                "-0x0.0p+0"]
+        assert cbits(cmath.exp(1j * -0.0)) == ["0x1.0000000000000p+0",
+                                               "0x0.0p+0"]
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
+                             ids=["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("k", [4, 6], ids=["theta+", "theta-"])
+    @pytest.mark.parametrize("mode", ["dsogi_pll", "dsogi_fll"])
+    def test_non_finite_angle_as_the_array_form(self, mode, k, value):
+        """rect raises on an infinite angle, where exp gives NaN: the
+        derivative reads an infinite loop angle as NaN and gives the array
+        form's bits."""
+        with pytest.raises(ValueError):
+            cmath.rect(1.0, math.inf)
+        sc = Scenario(circuit=CIRCUIT, fault=FaultSpec(FaultType.DLG,
+                                                       z_f=ZF_PU),
+                      ref_fault=REF, sync=SyncConfig(mode=SyncMode(mode)))
+        (code, zf, paths, ug, theta_g0, w0, _, ref_on, gains, mode_fll,
+         adaptive) = _kernel_args(sc)
+        args = (0.37, code, zf, paths, ug, theta_g0, w0, ref_on, gains,
+                mode_fll, adaptive)
+        y = [0.5, -0.9, 0.1, 0.05, -0.9, 0.02, 1.1, -0.01, 1e-3]
+        y[k] = value
+        got = kernels.deriv_eval(y, *args)
+        want = rk4_reference.deriv(np.array(y), *args)
+        assert len(got) == 9
+        assert _bits(got) == _bits(want)
+
+
 class TestSimulateRecord:
     @pytest.mark.parametrize("mode", ["dsogi_pll", "dsogi_fll"])
     def test_recorded_rates_are_derivative_rates(self, mode):
@@ -759,3 +820,60 @@ class TestSimulateMatchesArrayForm:
         got, want, rec, rec_ref = self._both(sc, y0, 100, 1)
         assert got[1] > 0
         self._assert_same(got, want, rec, rec_ref)
+
+    @pytest.mark.parametrize("scales", [(0.1, 10.0), (10.0, 0.1)],
+                             ids=["pos-low-neg-high", "pos-high-neg-low"])
+    def test_held_at_the_clamps(self, scales, monkeypatch):
+        """PLL with adaptive impedances, each sequence's frequency scale
+        past its own clamp at every sample: the derivative reads the
+        columns bound at 0.2 and 5.0 and evaluates no other."""
+        sc = Scenario(circuit=CIRCUIT, fault=FaultSpec(FaultType.DLG,
+                                                       z_f=ZF_PU),
+                      ref_fault=REF, sync=SyncConfig(kp_pll=10.0),
+                      t_end=0.05)
+        w0, ki = sc.circuit.omega0, sc.sync.ki_pll
+        y0 = np.array([0.5, -0.9, 0.1, 0.05, -0.9, 0.0, 1.1, 0.0, 0.0])
+        # w+ = w0 + kp uq+ + ki xi+ and w- = w0 - kp uq- - ki xi-: the
+        # integrators set the scales, and a low kp keeps uq+- from moving
+        # them back across a clamp
+        y0[5] = (scales[0] - 1.0) * w0 / ki
+        y0[7] = -(scales[1] - 1.0) * w0 / ki
+        evaluated = []
+
+        def counted(code, paths, zf):
+            col = column(code, paths, zf)
+
+            def counted_col(s):
+                evaluated.append(s)
+                return col(s)
+            return counted_col
+        column = kernels._column
+        monkeypatch.setattr(kernels, "_column", counted)
+        got, want, rec, rec_ref = self._both(sc, y0, 500, 1)
+        assert got[1] == -1
+        self._assert_same(got, want, rec, rec_ref)
+        # the recorded angle rates are w+- in PLL mode
+        for w, scale in zip((rec[:, 1], rec[:, 2]), scales):
+            held = w * (2.0 * math.pi) / w0
+            assert np.all(held < 0.2) if scale < 1.0 else np.all(held > 5.0)
+        # the fault window's and the healthy one's grid and clamp columns
+        assert evaluated == [1.0, 0.2, 5.0] * 2
+
+    def test_infinite_stage_angles(self):
+        """Gains of 1e300 and 1e305 drive a stage's loop angle to inf in the
+        first step, where rect would raise and exp gives NaN: the run
+        overflows there, as the array form's does, with its NaNs."""
+        ref = CurrentReference(0.77, math.radians(-30.0), 0.5,
+                               math.radians(90.0))
+        sc = Scenario(circuit=CIRCUIT, fault=FaultSpec(FaultType.DLG,
+                                                       z_f=ZF_PU),
+                      ref_fault=ref,
+                      sync=SyncConfig(kp_pll=1e300, ki_pll=1e305),
+                      t_end=0.05)
+        y0 = np.array(initial_sync_state(sc))
+        (rows, overflow, y, dy), want, rec, rec_ref = self._both(sc, y0,
+                                                                  500, 10)
+        assert (rows, overflow) == want[:2] == (1, 1)
+        assert np.array_equal(rec, rec_ref, equal_nan=True)
+        assert _bits(y) == _bits(want[2]) and _bits(dy) == _bits(want[3])
+        assert not all(math.isfinite(v) for v in y)

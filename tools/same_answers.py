@@ -37,6 +37,11 @@ directory, and each runs from its own ``src``:
   clears at 0.8 s, so the run changes to the healthy window's derivative,
   and 1 s under DLG in FLL mode at 50 Hz (the verdict printed and the
   trace CSV written);
+- ``simulate`` of 3 s under DLG at ``--iplus 0.81@-30``, lost, whose
+  frequency scales sit at the clamps after the loop runs away, and of
+  0.05 s under DLG with PLL gains of 1e300 and 1e305, whose loop angles
+  overflow to inf inside the first step (the verdict printed and the
+  trace CSV written);
 - ``coeffs --json``, ``equilibrium``, ``limit`` and ``simulate`` under a
   config that sets every section (FLL at 60 Hz, started from the pre-fault
   state), and ``coeffs --json`` under one that sets ``circuit.choke`` (the
@@ -144,6 +149,14 @@ SIMULATE_COLUMNS = (
      "--iminus", "0.5@90", "--t-end", "1"],
 )
 
+# a lost run that spends most of its 3 s with the frequency scales clamped
+SIMULATE_CLAMPED = ["simulate", "--fault", "dlg", "--iplus", "0.81@-30",
+                    "--iminus", "0.5@90", "--t-end", "3"]
+# gains so large that a stage's loop angle overflows to inf
+HUGE_GAINS = ["simulate", "--fault", "dlg", "--iplus", "0.77@-30",
+              "--iminus", "0.5@90", "--t-end", "0.05"]
+HUGE_GAINS_CONFIG = {"sync": {"kp_pll": 1e300, "ki_pll": 1e305}}
+
 
 def cases() -> list[tuple[str, list[str], bool, dict | None]]:
     """(name, CLI argv, whether the answer includes the file given by --out,
@@ -183,6 +196,9 @@ def cases() -> list[tuple[str, list[str], bool, dict | None]]:
                 None))
     out.append(("simulate cold start", SIMULATE_COLD, True, COLD_CONFIG))
     out += [(" ".join(argv), argv, True, None) for argv in SIMULATE_COLUMNS]
+    out.append(("simulate dlg iplus 0.81@-30 t_end 3", SIMULATE_CLAMPED,
+                True, None))
+    out.append(("simulate huge gains", HUGE_GAINS, True, HUGE_GAINS_CONFIG))
     out += [(f"config {argv[0]}", argv, False, CONFIG) for argv in (
         ["coeffs", "--json"], ["equilibrium"],
         ["limit", "--seq", "pos", "--angle", "-30", "--other", "0.3@90"])]

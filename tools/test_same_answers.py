@@ -20,10 +20,10 @@ def _stub(monkeypatch, differing=()):
 
 def test_cases_cover_the_reference_outputs():
     names = [name for name, _, _, _ in same_answers.cases()]
-    assert len(names) == 12 + 4 + 2 + 2 + 2 + 3 + 6 + 1 + 1 + 6 + 5 + 4
+    assert len(names) == 12 + 4 + 2 + 2 + 2 + 3 + 6 + 1 + 1 + 8 + 5 + 4
     assert len(set(names)) == len(names)
     to_file = [argv for _, argv, to_file, _ in same_answers.cases() if to_file]
-    assert [argv[0] for argv in to_file].count("simulate") == 7
+    assert [argv[0] for argv in to_file].count("simulate") == 9
     regions = [argv for argv in to_file if argv[0] != "simulate"]
     assert all(argv[0] == "region" for argv in regions)
     assert sorted(argv[argv.index("--angle-step") + 1] for argv in regions) \
@@ -82,6 +82,17 @@ def test_cases_cover_the_adaptive_columns():
     assert fll[fll.index("--mode") + 1] == "fll"
 
 
+def test_cases_cover_the_clamps_and_infinite_angles():
+    """A 3 s lost run whose frequency scales end at the clamps, and a run
+    whose huge PLL gains drive a stage's loop angle to inf."""
+    runs = [(argv, config) for _, argv, to_file, config in same_answers.cases()
+            if to_file and argv[0] == "simulate"]
+    assert (same_answers.SIMULATE_CLAMPED, None) in runs
+    assert (same_answers.HUGE_GAINS, same_answers.HUGE_GAINS_CONFIG) in runs
+    assert same_answers.HUGE_GAINS_CONFIG["sync"] == {"kp_pll": 1e300,
+                                                      "ki_pll": 1e305}
+
+
 def test_cases_cover_the_limit_starts():
     """A TLG limit warm-started in closed form from the zero-current root,
     and a DLG limit with no zero-current root."""
@@ -107,7 +118,7 @@ def test_same_answers_exit_0(monkeypatch, capsys):
     assert same_answers.main(["--parent", "a", "--change", "b"]) == 0
     out = capsys.readouterr().out
     assert "DIFFERS" not in out
-    assert "48 of 48 outputs byte-identical" in out
+    assert "50 of 50 outputs byte-identical" in out
 
 
 def test_one_difference_exits_1(monkeypatch, capsys):
@@ -116,12 +127,12 @@ def test_one_difference_exits_1(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "DIFFERS: validate draws 100 seed 0" in out
     assert out.count("DIFFERS") == 1
-    assert "47 of 48 outputs byte-identical" in out
+    assert "49 of 50 outputs byte-identical" in out
 
 
 def test_config_cases_set_every_section():
     configs = [c for _, _, _, c in same_answers.cases() if c is not None]
-    assert len(configs) == 10
+    assert len(configs) == 11
     assert set(same_answers.CONFIG) == {
         "circuit", "fault", "current", "sync", "scenario", "solver"}
     assert configs.count(same_answers.CONFIG) == 4
