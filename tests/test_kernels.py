@@ -612,7 +612,7 @@ class TestUnitRotations:
     def test_rect_matches_exp(self):
         """Bit for bit on every finite angle but -0.0, whose sign rect keeps
         and exp drops, and on -0.0 + 0.0; and on the frame rotations
-        e^{-jx}, signed zeros included."""
+        e^{-jx}, signed zeros included. The infinities part them."""
         def cbits(z):
             return _bits((z.real, z.imag))
         for x in self._angles():
@@ -625,6 +625,11 @@ class TestUnitRotations:
                                                 "-0x0.0p+0"]
         assert cbits(cmath.exp(1j * -0.0)) == ["0x1.0000000000000p+0",
                                                "0x0.0p+0"]
+        # and on an infinite angle rect raises where exp gives NaN
+        for x in (math.inf, -math.inf):
+            assert cbits(cmath.exp(1j * x)) == ["nan", "nan"]
+            with pytest.raises(ValueError):
+                cmath.rect(1.0, x)
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan],
                              ids=["inf", "-inf", "nan"])
@@ -634,8 +639,6 @@ class TestUnitRotations:
         """rect raises on an infinite angle, where exp gives NaN: the
         derivative reads an infinite loop angle as NaN and gives the array
         form's bits."""
-        with pytest.raises(ValueError):
-            cmath.rect(1.0, math.inf)
         sc = Scenario(circuit=CIRCUIT, fault=FaultSpec(FaultType.DLG,
                                                        z_f=ZF_PU),
                       ref_fault=REF, sync=SyncConfig(mode=SyncMode(mode)))
