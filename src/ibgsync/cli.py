@@ -65,9 +65,9 @@ def _fault_refs(doc: ConfigDocument, args) -> CurrentReference:
     """On-fault current reference with flag overrides."""
     amp_p, ang_p = doc.ref_fault.i_pos, doc.ref_fault.theta_i_pos
     amp_n, ang_n = doc.ref_fault.i_neg, doc.ref_fault.theta_i_neg
-    if getattr(args, "iplus", None) is not None:
+    if args.iplus is not None:
         amp_p, ang_p = polar(parse_phasor(args.iplus))
-    if getattr(args, "iminus", None) is not None:
+    if args.iminus is not None:
         amp_n, ang_n = polar(parse_phasor(args.iminus))
     return CurrentReference(amp_p, ang_p, amp_n, ang_n)
 
@@ -80,7 +80,7 @@ def _with_flags(opts, args):
 
 
 def _coeffs_for(doc: ConfigDocument, args):
-    fault = make_fault(doc, args.fault, getattr(args, "zf", None))
+    fault = make_fault(doc, args.fault, args.zf)
     return compute_coefficients(compose_paths(doc.circuit), fault), fault
 
 
@@ -159,6 +159,26 @@ def cmd_limit(doc: ConfigDocument, args) -> int:
     return 0
 
 
+def _svg(width, height, *elements) -> str:
+    """An SVG document, one element a line: the elements on a white
+    width x height ground, or with none an empty document."""
+    head = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+            f'height="{height}"')
+    if not elements:
+        return head + "/>\n"
+    return "\n".join((
+        f'{head} viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        *elements, "</svg>")) + "\n"
+
+
+def _polyline(points, color, width) -> str:
+    """An unfilled polyline through the (x, y) points."""
+    pts = " ".join(f"{x:.6g},{y:.6g}" for x, y in points)
+    return (f'<polyline points="{pts}" fill="none" stroke="{color}" '
+            f'stroke-width="{width}"/>')
+
+
 def _region_svg(samples, ceiling: float) -> str:
     """Minimal polar plot: the boundary polyline inside a reference circle."""
     size, margin = 480, 30
@@ -166,25 +186,18 @@ def _region_svg(samples, ceiling: float) -> str:
     rs = [min(s.i_limit, ceiling) for s in samples]
     rmax = max(max(rs), 1e-9)
     scale = (half - margin) / rmax
-    pts = []
-    for s, r in zip(samples, rs):
-        x = half + scale * r * math.cos(s.theta_i)
-        y = half - scale * r * math.sin(s.theta_i)
-        pts.append(f"{x:.6g},{y:.6g}")
-    if pts:
-        pts.append(pts[0])
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">\n'
-        f'<rect width="{size}" height="{size}" fill="white"/>\n'
+    pts = [(half + scale * r * math.cos(s.theta_i),
+            half - scale * r * math.sin(s.theta_i))
+           for s, r in zip(samples, rs)]
+    return _svg(
+        size, size,
         f'<circle cx="{half}" cy="{half}" r="{half - margin}" fill="none" '
-        f'stroke="#999" stroke-dasharray="4 4"/>\n'
-        f'<line x1="{margin}" y1="{half}" x2="{size - margin}" y2="{half}" stroke="#ccc"/>\n'
-        f'<line x1="{half}" y1="{margin}" x2="{half}" y2="{size - margin}" stroke="#ccc"/>\n'
-        f'<polyline points="{" ".join(pts)}" fill="none" stroke="#d33" stroke-width="1.5"/>\n'
+        f'stroke="#999" stroke-dasharray="4 4"/>',
+        f'<line x1="{margin}" y1="{half}" x2="{size - margin}" y2="{half}" stroke="#ccc"/>',
+        f'<line x1="{half}" y1="{margin}" x2="{half}" y2="{size - margin}" stroke="#ccc"/>',
+        _polyline(pts + pts[:1], "#d33", 1.5),
         f'<text x="{size - margin + 4}" y="{half + 4}" font-size="12">'
-        f"{rmax:.4g} p.u.</text>\n"
-        "</svg>\n"
+        f"{rmax:.4g} p.u.</text>",
     )
 
 
@@ -214,7 +227,7 @@ def _trace_svg(trace) -> str:
     width, height, margin = 640, 360, 40
     t = trace.t
     if t.size < 2:
-        return '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="360"/>\n'
+        return _svg(width, height)
     series = ((trace.f_pos_hz, "#26c"), (trace.f_neg_hz, "#d33"))
     finite = np.concatenate([s[np.isfinite(s)] for s, _ in series])
     lo, hi = float(finite.min()), float(finite.max())
@@ -223,10 +236,8 @@ def _trace_svg(trace) -> str:
         lo, hi = mid - 0.5, mid + 0.5
     sx = (width - 2 * margin) / (t[-1] - t[0])
     sy = (height - 2 * margin) / (hi - lo)
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+    return _svg(
+        width, height,
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
         f'y2="{height - margin}" stroke="#333"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
@@ -235,21 +246,12 @@ def _trace_svg(trace) -> str:
         f"[{lo:.4g}, {hi:.4g}]</text>",
         f'<text x="{width - margin - 30}" y="{height - margin + 16}" '
         f'font-size="12">{t[-1]:.3g} s</text>',
-    ]
-    for vals, color in series:
-        pts = []
-        for ti, vi in zip(t, vals):
-            if not math.isfinite(vi):
-                continue
-            x = margin + sx * (ti - t[0])
-            y = height - margin - sy * (vi - lo)
-            pts.append(f"{x:.6g},{y:.6g}")
-        parts.append(
-            f'<polyline points="{" ".join(pts)}" fill="none" '
-            f'stroke="{color}" stroke-width="1"/>'
-        )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        *(_polyline([(margin + sx * (ti - t[0]),
+                      height - margin - sy * (vi - lo))
+                     for ti, vi in zip(t, vals) if math.isfinite(vi)],
+                    color, 1)
+          for vals, color in series),
+    )
 
 
 def cmd_simulate(doc: ConfigDocument, args) -> int:
@@ -350,15 +352,17 @@ def cmd_validate(doc: ConfigDocument, args) -> int:
     return 0 if ok else 3
 
 
-def _add_fault_flags(p, zf: bool = True) -> None:
+def _add_fault_flags(p) -> None:
     p.add_argument("--fault", choices=_FAULT_CHOICES, default=None,
                    help="fault type (falls back to config fault.type)")
-    if zf:
-        p.add_argument("--zf", type=float, default=None, metavar="OHM",
-                       help="fault branch impedance in ohms")
+    p.add_argument("--zf", type=float, default=None, metavar="OHM",
+                   help="fault branch impedance in ohms")
 
 
 def _add_sweep_flags(p) -> None:
+    p.add_argument("--seq", choices=_SEQUENCES, required=True)
+    p.add_argument("--other", metavar="A@D", default=None,
+                   help="held other-sequence current (default: current.fault)")
     p.add_argument("--step", type=float, help="amplitude step, p.u.; the limit's resolution")
     p.add_argument("--ceiling", type=float, help="amplitude cap of the sweep, p.u.")
 
@@ -381,10 +385,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("limit", help="injection limit at one angle")
     _add_fault_flags(p)
-    p.add_argument("--seq", choices=_SEQUENCES, required=True)
     p.add_argument("--angle", type=float, required=True, metavar="DEG")
-    p.add_argument("--other", metavar="A@D", default=None,
-                   help="held other-sequence current (default: current.fault)")
     _add_sweep_flags(p)
     p.add_argument("--decoupled", action="store_true",
                    help="closed-form single-sequence limit")
@@ -392,9 +393,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("region", help="polar limit boundary sweep")
     _add_fault_flags(p)
-    p.add_argument("--seq", choices=_SEQUENCES, required=True)
-    p.add_argument("--other", metavar="A@D", default=None,
-                   help="held other-sequence current (default: current.fault)")
     p.add_argument("--angle-step", type=float, default=5.0, metavar="DEG")
     _add_sweep_flags(p)
     p.add_argument("--out", required=True, help="output CSV path")
@@ -405,11 +403,8 @@ def build_parser() -> _Parser:
     _add_fault_flags(p)
     p.add_argument("--iplus", metavar="A@D")
     p.add_argument("--iminus", metavar="A@D")
-    p.add_argument("--t-on", type=float, default=None, dest="t_on")
-    p.add_argument("--t-clear", type=float, default=None, dest="t_clear")
-    p.add_argument("--t-end", type=float, default=None, dest="t_end")
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--record-dt", type=float, default=None, dest="record_dt")
+    for flag in ("--t-on", "--t-clear", "--t-end", "--dt", "--record-dt"):
+        p.add_argument(flag, type=float)
     p.add_argument("--mode", choices=tuple(_MODES), default=None)
     p.add_argument("--init", choices=INIT_MODES, default=None)
     adaptive = p.add_mutually_exclusive_group()

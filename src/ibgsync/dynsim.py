@@ -11,7 +11,7 @@ chattering while the d-axis voltage collapses below zero (type-2).
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,15 +53,6 @@ __all__ = [
     "MAX_RUN_STEPS",
     "check_run_settings",
 ]
-
-# the record columns in kernel and CSV order; each names a Trace field
-TRACE_COLUMNS = (
-    "t", "f_pos_hz", "f_neg_hz", "theta_pos", "theta_neg",
-    "ud_pos", "uq_pos", "ud_neg", "uq_neg", "umag_pos", "umag_neg",
-)
-TRACE_HEADER = ",".join(TRACE_COLUMNS)
-# one CSV row; "%.12g" writes what format(v, ".12g") writes, nan and inf too
-_TRACE_ROW = ",".join(["%.12g"] * len(TRACE_COLUMNS)) + "\n"
 
 INIT_MODES = ("equilibrium", "prefault")  # the Scenario.init values
 RECORD_DT = 1e-3  # run_scenario's default trace sample interval, s
@@ -135,6 +126,7 @@ def check_run_settings(t_end: float, dt: float, init: str,
 class Trace:
     """Stride-decimated time series of one run (arrays share one length).
 
+    The array fields, in order, are the record columns (TRACE_COLUMNS).
     f_pos_hz and f_neg_hz are the loops' angle rates d(theta)/dt / 2 pi.
     """
 
@@ -150,6 +142,13 @@ class Trace:
     umag_pos: np.ndarray
     umag_neg: np.ndarray
     diverged: bool = False
+
+
+# the record columns in kernel and CSV order: Trace's array fields
+TRACE_COLUMNS = tuple(f.name for f in fields(Trace) if f.type is np.ndarray)
+TRACE_HEADER = ",".join(TRACE_COLUMNS)
+# one CSV row; "%.12g" writes what format(v, ".12g") writes, nan and inf too
+_TRACE_ROW = ",".join(["%.12g"] * len(TRACE_COLUMNS)) + "\n"
 
 
 @dataclass(frozen=True)
@@ -223,7 +222,7 @@ def _kernel_args(scenario: Scenario):
     theta_g, omega0: float, pre-fault and on-fault ref: 4-tuples of float
     (I+, theta_i+, I-, theta_i-), gains: 5-tuple of float (k, kp_pll,
     ki_pll, kp_fll, ki_fll), FLL mode: bool, frequency-adaptive impedances:
-    bool). Python scalars keep the pure-numpy derivative off numpy scalars."""
+    bool). Python scalars keep the float derivative off numpy scalars."""
     sync = scenario.sync
     circuit = scenario.circuit
     return (
@@ -299,11 +298,8 @@ def run_scenario(
         initial_sync_state(scenario), n_steps, dt, stride, fault.t_on,
         fault.t_clear, *_kernel_args(scenario), rec,
     )
-    rec = rec[:n_rec]
-    trace = Trace(
-        **{name: rec[:, k] for k, name in enumerate(TRACE_COLUMNS)},
-        diverged=overflow_step >= 0,
-    )
+    trace = Trace(**dict(zip(TRACE_COLUMNS, rec[:n_rec].T)),
+                  diverged=overflow_step >= 0)
 
     t_clear = min(fault.t_clear, scenario.t_end)
     verdict = detect_los(

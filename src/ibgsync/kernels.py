@@ -2,59 +2,21 @@
 finding along the curve where the first orientation residual vanishes, and
 the closed-loop RK4 integrator.
 
-Every kernel is plain Python and numpy. Arrays serve only the curve
-seeding of ``scan_roots`` (``_curve_seeds``): its four rows of curve
-samples are stacked into one 4 x grid_n array, so r2 and the seed masks
-take one numpy pass each, with each sample's cyclic neighbours read as
-slices of a padded copy. The scan then polishes a few dozen seeds with
-``newton_pair`` and checks their roots with ``root_conditions``. Those
-two run on floats with ``math.sin`` and ``math.cos``, one point at a time,
-since numpy's ufunc dispatch makes a single point several times slower.
-They take the twelve packed parameters as the floats that
-``equilibrium.pack_params`` returns (an amplitude traversal packs them
-itself with ``equilibrium._pack``), so a warm-start step touches no numpy
-object. ``root_conditions`` computes only what the root rule reads, the
-feedback slopes and d-axis voltages; ``root_check`` adds the q-axis
-voltages for a reported root. They keep the operation order of the array
-oracle in ``tests/torus_reference.py`` (``residual_eval``,
-``jacobian_eval``, ``dq_eval``, ``root_conditions``), so both forms give
-the same bits.
-
-The closed-loop integrator runs on Python scalars from start to end: the
-state is nine ``float``s, every RK4 stage state and update is written per
-component in the numpy expressions' operation order, the derivative
-(``_bind_deriv``, ``_column``) uses ``complex`` and ``cmath``, and the
-other inputs arrive as tuples of floats (``dynsim._kernel_args``). Each
-numpy operation costs about a microsecond, several times a Python
-scalar's, and an RK4 step makes four derivative calls. So every value is
-computed once, where it stops changing:
-
-- per fault window (the fault and the healthy network), before the first
-  step: the derivative bound to the window (``_bind_deriv``), holding its
-  current reference, the gains, w0, the mode flags and the fault code's
-  column function (``_column``, which forms 3 zf and 6 zf once); the
-  column at the grid frequency, giving K1 ug, K4 ug and, with fixed
-  impedances, every impedance times its current; the columns at the
-  clamped frequency scales 0.2 and 5.0; and k/2;
-- per stage time: the grid terms K1 ug e^{j(theta_g - pi/3)} and
-  K4 ug e^{j(theta_g + pi/3)} (``_grid_terms``), stages 2 and 3 sharing
-  theirs, and stage 1 taking the last stage 4's where the two times are
-  the same float;
-- per derivative: the filter states' components in the estimated frames,
-  which the trace record of a sample reads from its stage-1 derivative;
-  the columns at the frequency estimates (none with fixed impedances or
-  at a clamp, one when the two scales are equal); the angle sums
-  theta+- + theta_i+-; and the filter drive k/2 w_c ec that both filter
-  rates share. The PLL frequencies w+- are formed in PLL mode alone.
+Every kernel is plain Python and numpy. Arrays serve only the curve seeding
+of ``scan_roots``, which evaluates all its curve samples in one pass. The
+Newton polish, the root checks and the closed-loop integrator run one point
+at a time on Python floats and complexes with ``math`` and ``cmath``: a
+numpy operation costs about a microsecond, several times a scalar's, and an
+RK4 step makes four derivative calls. So each value is computed once, where
+it stops changing: per fault window, per stage time or per derivative call.
 
 Each such value is formed by the operations, in the order, of the
-written-out expression it stands in for (``_PI_3`` and ``_TWO_PI_3`` are
-the quotients that expression computes), so hoisting it changes no bit of
-a trace. Every unit rotation e^{jx} is ``cmath.rect(1.0, x)``, which
-gives the bits of the written-out ``cmath.exp(1j * x)`` on the angles the
-derivative passes it (``_bind_deriv``) in about half the time.
-``tests/rk4_reference.py`` writes the integrator out in full, coefficient
-column included, and the tests compare the two exactly.
+written-out expression it stands in for, so hoisting it changes no bit.
+The references are written out in the tests: the array oracle of the
+equilibrium kernels in ``tests/torus_reference.py`` (``residual_eval``,
+``jacobian_eval``, ``dq_eval``, ``root_conditions``), and the integrator,
+coefficient column included, in ``tests/rk4_reference.py``. The tests
+compare both forms exactly.
 """
 
 import cmath
@@ -389,10 +351,12 @@ def _bind_deriv(code, zf, paths, ug, w0, ref, gains, mode_fll, adaptive):
     from K1 ug and K4 ug). deriv holds the window's current reference, the
     gains, w0, the mode flags and code's _column. K1 and K4 stay at the
     grid frequency (the column at s = 1). With adaptive impedances Z2/Z6
-    follow the positive frequency estimate and Z3/Z5 the negative one, each
-    call evaluating the column at both scales, but for a scale at a clamp
-    (0.2 or 5.0), whose column is formed here, once; with fixed ones the
-    grid column's impedances times their currents are formed here, once.
+    follow the positive frequency estimate and Z3/Z5 the negative one (in
+    FLL mode both follow the one FLL estimate): a PLL call evaluates the
+    column at each of its two scales, equal or not, and an FLL call at its
+    one, but a scale at a clamp (0.2 or 5.0) reads the column formed here,
+    once; with fixed impedances the grid column's impedances times their
+    currents are formed here, once.
     ref layout: [I+, theta_i+, I-, theta_i-].
     gains layout: [k_sogi, kp_pll, ki_pll, kp_fll, ki_fll].
 
@@ -442,11 +406,10 @@ def _bind_deriv(code, zf, paths, ug, w0, ref, gains, mode_fll, adaptive):
             if adaptive:
                 sp = w_p / w0
                 sn = w_n / w0
-                _, z2, z3, _, z5, z6, _ = (lo if sp < 0.2 else hi if sp > 5.0
-                                           else col(sp))
-                if sn != sp:
-                    _, _, z3, _, z5, _, _ = (lo if sn < 0.2 else hi
-                                             if sn > 5.0 else col(sn))
+                _, z2, _, _, _, z6, _ = (lo if sp < 0.2 else hi if sp > 5.0
+                                         else col(sp))
+                _, _, z3, _, z5, _, _ = (lo if sn < 0.2 else hi if sn > 5.0
+                                         else col(sn))
         if adaptive:
             zi2, zi3, zi5, zi6 = z2 * i_p, z3 * i_n, z5 * i_n, z6 * i_p
         else:
@@ -517,11 +480,12 @@ def simulate(y0, n_steps, dt, stride, t_on, t_clear, code, zf, paths, ug,
     states and the update are written per component. The model is
     evaluated once per sample: the stage-1 derivative advances the state
     and gives the recorded angle rates and the frame components and
-    magnitudes of the filter states. rec columns are in
-    dynsim.TRACE_COLUMNS order. Returns (rows_written, overflow_step, y,
-    dy) with y and dy 9-tuples: overflow_step = -1 when none, dy the
-    derivative at the last sample evaluated (the returned y unless the run
-    overflowed).
+    magnitudes of the filter states. A sample is one row of rec, written in
+    one assignment in dynsim.TRACE_COLUMNS order, so a rec of another width
+    raises ValueError at the first sample. Returns (rows_written,
+    overflow_step, y, dy) with y and dy 9-tuples: overflow_step = -1 when
+    none, dy the derivative at the last sample evaluated (the returned y
+    unless the run overflowed).
     """
     on = _bind_deriv(code, zf, paths, ug, w0, ref_on, gains, mode_fll,
                      adaptive)
@@ -541,17 +505,9 @@ def simulate(y0, n_steps, dt, stride, t_on, t_clear, code, zf, paths, ug,
         k1v = deriv(y, gp, gn)
         a0, a1, a2, a3, a4, a5, a6, a7, a8, up, un, mp, mn = k1v
         if i % stride == 0:
-            rec[n_rec, 0] = t
-            rec[n_rec, 1] = a4 / (2.0 * math.pi)
-            rec[n_rec, 2] = a6 / (2.0 * math.pi)
-            rec[n_rec, 3] = y[4]
-            rec[n_rec, 4] = y[6]
-            rec[n_rec, 5] = mp.real
-            rec[n_rec, 6] = mp.imag
-            rec[n_rec, 7] = mn.real
-            rec[n_rec, 8] = -mn.imag
-            rec[n_rec, 9] = abs(up)
-            rec[n_rec, 10] = abs(un)
+            rec[n_rec] = (t, a4 / (2.0 * math.pi), a6 / (2.0 * math.pi),
+                          y[4], y[6], mp.real, mp.imag, mn.real, -mn.imag,
+                          abs(up), abs(un))
             n_rec += 1
         if i == n_steps:
             break

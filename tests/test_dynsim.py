@@ -385,6 +385,16 @@ class TestDetectLos:
 
 
 class TestTraceCsv:
+    def test_columns_are_the_trace_array_fields(self):
+        """TRACE_COLUMNS is Trace's array fields in field order, and the
+        header trace_to_csv writes."""
+        fields = dataclasses.fields(Trace)
+        assert [f.type for f in fields] == [np.ndarray] * 11 + [bool]
+        assert TRACE_COLUMNS == tuple(f.name for f in fields[:11])
+        buf = io.StringIO()
+        trace_to_csv(synthetic_trace(np.arange(0.0, 0.002, 1e-3)), buf)
+        assert buf.getvalue().splitlines()[0].split(",") == list(TRACE_COLUMNS)
+
     def test_header_and_rows(self):
         trace = synthetic_trace(np.arange(0.0, 0.01, 1e-3))
         buf = io.StringIO()

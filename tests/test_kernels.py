@@ -702,6 +702,18 @@ class TestSimulateRecord:
             y0, 10, 1e-4, 1, 0.0, math.inf, *_kernel_args(sc), rec)
         assert (rows, overflow) == (1, 1)
 
+    def test_wider_record_raises_at_first_sample(self):
+        """A sample is one row of TRACE_COLUMNS' width: a buffer one column
+        wider raises ValueError before the first row is written, rather than
+        leaving the extra column unwritten."""
+        sc = Scenario(circuit=CIRCUIT, fault=FaultSpec(FaultType.DLG, z_f=ZF_PU),
+                      ref_fault=REF, t_end=0.01)
+        rec = np.full((11, len(TRACE_COLUMNS) + 1), -1.0)
+        with pytest.raises(ValueError):
+            kernels.simulate(initial_sync_state(sc), 10, 1e-4, 1, 0.0,
+                             math.inf, *_kernel_args(sc), rec)
+        assert (rec == -1.0).all()
+
 
 class TestSimulateMatchesArrayForm:
     """The float-state kernel performs the array-form integrator's

@@ -47,12 +47,16 @@ directory, and each runs from its own ``src``:
   state), and ``coeffs --json`` under one that sets ``circuit.choke`` (the
   JSON printed, and the trace CSV that ``simulate`` writes);
 - ``coeffs`` under four configs both sides must reject, one of them with a
-  negative choke resistance (the exit code and the empty output).
+  negative choke resistance (the exit code and the empty output);
+- the plots: ``region`` of DLG pos at ``--angle-step`` 30 and the 1 s DLG
+  ``simulate`` above, each with ``--svg`` (what was printed, the CSV
+  written, then the SVG).
 
 A case with a config writes the same JSON into each checkout and passes it
 with ``--config``. A case that writes a file passes ``--out answer.out``,
 relative to the checkout it runs in, and its answer is what it printed
-followed by the file. Each output is compared with its exit code. One line
+followed by the file; a plot case also passes ``--svg answer.svg``, whose
+file follows. Each output is compared with its exit code. One line
 per output says ``same`` or ``DIFFERS``; the exit status is 1 when any
 output differs.
 """
@@ -156,6 +160,12 @@ SIMULATE_CLAMPED = ["simulate", "--fault", "dlg", "--iplus", "0.81@-30",
 HUGE_GAINS = ["simulate", "--fault", "dlg", "--iplus", "0.77@-30",
               "--iminus", "0.5@90", "--t-end", "0.05"]
 HUGE_GAINS_CONFIG = {"sync": {"kp_pll": 1e300, "ki_pll": 1e305}}
+# the plot file a case passes with --svg, relative to its checkout
+SVG = "answer.svg"
+# a polar region plot and a frequency trace plot
+PLOTS = (["region", "--fault", "dlg", "--seq", "pos", "--angle-step", "30",
+          "--svg", SVG],
+         SIMULATE + ["--svg", SVG])
 
 
 def cases() -> list[tuple[str, list[str], bool, dict | None]]:
@@ -207,13 +217,15 @@ def cases() -> list[tuple[str, list[str], bool, dict | None]]:
                 CHOKE_CONFIG))
     out += [(f"rejected config: {name}", ["coeffs", "--fault", "dlg"], False,
              config) for name, config in REJECTED.items()]
+    out += [(f"plot {' '.join(argv[:-2])}", argv, True, None)
+            for argv in PLOTS]
     return out
 
 
 def answer(checkout: Path, argv: list[str], to_file: bool,
            config: dict | None) -> bytes:
     """The exit code and what one CLI run printed, then what it wrote to
-    --out."""
+    --out and to --svg."""
     out = checkout / "answer.out"
     cmd = [sys.executable, "-m", "ibgsync.cli"]
     if config is not None:
@@ -227,9 +239,10 @@ def answer(checkout: Path, argv: list[str], to_file: bool,
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True)
     body = proc.stdout
-    if to_file and out.exists():
-        body += out.read_bytes()
-        out.unlink()
+    for path in (out, checkout / SVG):
+        if path.exists():
+            body += path.read_bytes()
+            path.unlink()
     return b"exit %d\n" % proc.returncode + body
 
 

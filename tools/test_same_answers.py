@@ -20,14 +20,25 @@ def _stub(monkeypatch, differing=()):
 
 def test_cases_cover_the_reference_outputs():
     names = [name for name, _, _, _ in same_answers.cases()]
-    assert len(names) == 12 + 4 + 2 + 2 + 2 + 3 + 6 + 1 + 1 + 8 + 5 + 4
+    assert len(names) == 12 + 4 + 2 + 2 + 2 + 3 + 6 + 1 + 1 + 8 + 5 + 4 + 2
     assert len(set(names)) == len(names)
     to_file = [argv for _, argv, to_file, _ in same_answers.cases() if to_file]
-    assert [argv[0] for argv in to_file].count("simulate") == 9
+    assert [argv[0] for argv in to_file].count("simulate") == 10
     regions = [argv for argv in to_file if argv[0] != "simulate"]
     assert all(argv[0] == "region" for argv in regions)
     assert sorted(argv[argv.index("--angle-step") + 1] for argv in regions) \
-        == ["30", "30", "30", "30", "30", "5", "5", "5"]
+        == ["30", "30", "30", "30", "30", "30", "5", "5", "5"]
+
+
+def test_cases_cover_the_plots():
+    """A region plot and a trace plot, each also writing its CSV."""
+    plots = [(argv, to_file, config)
+             for _, argv, to_file, config in same_answers.cases()
+             if "--svg" in argv]
+    assert plots == [(argv, True, None) for argv in same_answers.PLOTS]
+    region, simulate = same_answers.PLOTS
+    assert region[:2] == ["region", "--fault"]
+    assert simulate == same_answers.SIMULATE + ["--svg", same_answers.SVG]
 
 
 def test_cases_cover_the_fold():
@@ -118,7 +129,7 @@ def test_same_answers_exit_0(monkeypatch, capsys):
     assert same_answers.main(["--parent", "a", "--change", "b"]) == 0
     out = capsys.readouterr().out
     assert "DIFFERS" not in out
-    assert "50 of 50 outputs byte-identical" in out
+    assert "52 of 52 outputs byte-identical" in out
 
 
 def test_one_difference_exits_1(monkeypatch, capsys):
@@ -127,7 +138,7 @@ def test_one_difference_exits_1(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "DIFFERS: validate draws 100 seed 0" in out
     assert out.count("DIFFERS") == 1
-    assert "49 of 50 outputs byte-identical" in out
+    assert "51 of 52 outputs byte-identical" in out
 
 
 def test_config_cases_set_every_section():
@@ -169,3 +180,18 @@ def test_answer_is_output_then_file(tmp_path, monkeypatch):
     got = same_answers.answer(tmp_path, same_answers.SIMULATE, True, None)
     assert got == b'exit 0\n{"lost": false}\nt,f\n0,50\n'
     assert not (tmp_path / "answer.out").exists()
+
+
+def test_answer_ends_with_the_plot(tmp_path, monkeypatch):
+    """A plot case answers with what it printed, the --out file, then the
+    --svg file, and both files are removed."""
+    def run(cmd, **kwargs):
+        assert cmd[-4:] == ["--svg", "answer.svg", "--out", "answer.out"]
+        (kwargs["cwd"] / "answer.out").write_bytes(b"t,f\n")
+        (kwargs["cwd"] / "answer.svg").write_bytes(b"<svg/>\n")
+        return subprocess.CompletedProcess(cmd, 0, b"wrote\n", b"")
+    monkeypatch.setattr(same_answers.subprocess, "run", run)
+    got = same_answers.answer(tmp_path, same_answers.PLOTS[0], True, None)
+    assert got == b"exit 0\nwrote\nt,f\n<svg/>\n"
+    assert not (tmp_path / "answer.out").exists()
+    assert not (tmp_path / "answer.svg").exists()
