@@ -359,6 +359,11 @@ def _add_fault_flags(p) -> None:
                    help="fault branch impedance in ohms")
 
 
+def _add_current_flags(p) -> None:
+    for flag, seq in (("--iplus", "positive"), ("--iminus", "negative")):
+        p.add_argument(flag, metavar="A@D", help=f"{seq} reference, p.u.@deg")
+
+
 def _add_sweep_flags(p) -> None:
     p.add_argument("--seq", choices=_SEQUENCES, required=True)
     p.add_argument("--other", metavar="A@D", default=None,
@@ -379,8 +384,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("equilibrium", help="solve the orientation angles")
     _add_fault_flags(p)
-    p.add_argument("--iplus", metavar="A@D", help="positive reference, p.u.@deg")
-    p.add_argument("--iminus", metavar="A@D", help="negative reference, p.u.@deg")
+    _add_current_flags(p)
     p.set_defaults(func=cmd_equilibrium)
 
     p = sub.add_parser("limit", help="injection limit at one angle")
@@ -401,8 +405,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="closed-loop fault ride-through run")
     _add_fault_flags(p)
-    p.add_argument("--iplus", metavar="A@D")
-    p.add_argument("--iminus", metavar="A@D")
+    _add_current_flags(p)
     for flag in ("--t-on", "--t-clear", "--t-end", "--dt", "--record-dt"):
         p.add_argument(flag, type=float)
     p.add_argument("--mode", choices=tuple(_MODES), default=None)

@@ -44,6 +44,9 @@ P_A4, P_F4, P_B5, P_P5, P_C6, P_P6 = 6, 7, 8, 9, 10, 11
 _PI_3 = math.pi / 3.0
 _TWO_PI_3 = 2.0 * math.pi / 3.0
 
+# the clamps of the adaptive impedances' frequency scale
+_SCALE_MIN, _SCALE_MAX = 0.2, 5.0
+
 
 def _column(code, paths, zf):
     """code's coefficient column as a function of the frequency scale:
@@ -324,9 +327,13 @@ def scan_roots(prm, grid_n, tol, maxit, ud_min):
 
 
 def _as_state(y):
-    """The 9-component state as a tuple of floats."""
-    return (float(y[0]), float(y[1]), float(y[2]), float(y[3]), float(y[4]),
-            float(y[5]), float(y[6]), float(y[7]), float(y[8]))
+    """Any indexable 9-vector as a state in the seven-value form."""
+    return (complex(y[0], y[1]), complex(y[2], y[3]), *map(float, y[4:9]))
+
+
+def _as_floats(s):
+    """A state or derivative in the seven-value form as the nine floats."""
+    return (s[0].real, s[0].imag, s[1].real, s[1].imag, *s[2:7])
 
 
 def _grid_terms(t, theta_g0, w0, k1ug, k4ug):
@@ -340,23 +347,25 @@ def _grid_terms(t, theta_g0, w0, k1ug, k4ug):
 def _bind_deriv(code, zf, paths, ug, w0, ref, gains, mode_fll, adaptive):
     """A fault window's (deriv, K1 ug, K4 ug), built once per window.
 
-    deriv(y, gp, gn) is the closed-loop model. It returns a 13-tuple: the
-    time derivative of the 9-component state, then the filter states U+,
-    U- and their measured components in the estimated frames, mp = ud+ +
-    j uq+ and mn = ud- - j uq- (clockwise frame). State layout, the
-    package's one definition of it (a tuple of floats): [Re U+, Im U+,
-    Re U-, Im U-, theta+, xi+, theta-, xi-, eps], with U+- the filter
-    states, theta+- the loop angles, xi+- their PI integrators and eps the
-    FLL integrator. gp, gn: the grid terms at the stage time (_grid_terms,
-    from K1 ug and K4 ug). deriv holds the window's current reference, the
-    gains, w0, the mode flags and code's _column. K1 and K4 stay at the
-    grid frequency (the column at s = 1). With adaptive impedances Z2/Z6
-    follow the positive frequency estimate and Z3/Z5 the negative one (in
-    FLL mode both follow the one FLL estimate): a PLL call evaluates the
-    column at each of its two scales, equal or not, and an FLL call at its
-    one, but a scale at a clamp (0.2 or 5.0) reads the column formed here,
-    once; with fixed impedances the grid column's impedances times their
-    currents are formed here, once.
+    State layout, the package's one definition of it: the nine floats
+    [Re U+, Im U+, Re U-, Im U-, theta+, xi+, theta-, xi-, eps], with U+-
+    the filter states, theta+- the loop angles, xi+- their PI integrators
+    and eps the FLL integrator; outside this module the state has no other
+    form. deriv and simulate's steps carry it in the seven-value form
+    (U+, U-, theta+, xi+, theta-, xi-, eps), U+- complex (_as_state joins,
+    _as_floats splits). deriv(y, gp, gn), the closed-loop model, returns
+    the time derivative of y in that form, then the measured components in
+    the estimated frames, mp = ud+ + j uq+ and mn = ud- - j uq- (clockwise
+    frame). gp, gn: the grid terms at the stage time
+    (_grid_terms, from K1 ug and K4 ug). deriv holds the window's current
+    reference, the gains, w0, the mode flags and code's _column. K1 and K4
+    stay at the grid frequency (the column at s = 1). With adaptive
+    impedances Z2/Z6 follow the positive frequency estimate and Z3/Z5 the
+    negative one (in FLL mode both follow the one FLL estimate): a PLL
+    call evaluates the column at each of its two scales, equal or not, and
+    an FLL call at its one, but a scale past a clamp reads the column
+    formed here, once; with fixed impedances the grid column's impedances
+    times their currents are formed here, once.
     ref layout: [I+, theta_i+, I-, theta_i-].
     gains layout: [k_sogi, kp_pll, ki_pll, kp_fll, ki_fll].
 
@@ -369,8 +378,7 @@ def _bind_deriv(code, zf, paths, ug, w0, ref, gains, mode_fll, adaptive):
     """
     col = _column(code, paths, zf)
     k1, z2, z3, k4, z5, z6, _ = col(1.0)
-    lo = col(0.2)
-    hi = col(5.0)
+    lo, hi = col(_SCALE_MIN), col(_SCALE_MAX)
     i_p, ti_p, i_n, ti_n = ref
     ti_p += 0.0
     ti_n += 0.0
@@ -379,15 +387,13 @@ def _bind_deriv(code, zf, paths, ug, w0, ref, gains, mode_fll, adaptive):
     fixed = (z2 * i_p, z3 * i_n, z5 * i_n, z6 * i_p)
 
     def deriv(y, gp, gn):
-        re_p, im_p, re_n, im_n, th_p, xi_p, th_n, xi_n, eps = y
+        up, un, th_p, xi_p, th_n, xi_n, eps = y
         # x - x is 0.0 unless x is infinite or NaN
         if th_p - th_p + th_n - th_n != 0.0:
             if math.isinf(th_p):
                 th_p = math.nan
             if math.isinf(th_n):
                 th_n = math.nan
-        up = complex(re_p, im_p)
-        un = complex(re_n, im_n)
         mp = up * cmath.rect(1.0, -th_p)
         mn = un.conjugate() * cmath.rect(1.0, -th_n)
 
@@ -397,8 +403,8 @@ def _bind_deriv(code, zf, paths, ug, w0, ref, gains, mode_fll, adaptive):
                 # between the impedance scale and the error that depends
                 # on it; both sequences share its column
                 s = (w0 + ki_fll * eps) / w0
-                _, z2, z3, _, z5, z6, _ = (lo if s < 0.2 else hi if s > 5.0
-                                           else col(s))
+                _, z2, z3, _, z5, z6, _ = (lo if s < _SCALE_MIN else hi
+                                           if s > _SCALE_MAX else col(s))
         else:
             uq_p = mp.imag
             uq_n = -mn.imag
@@ -407,10 +413,10 @@ def _bind_deriv(code, zf, paths, ug, w0, ref, gains, mode_fll, adaptive):
             if adaptive:
                 sp = w_p / w0
                 sn = w_n / w0
-                _, z2, _, _, _, z6, _ = (lo if sp < 0.2 else hi if sp > 5.0
-                                         else col(sp))
-                _, _, z3, _, z5, _, _ = (lo if sn < 0.2 else hi if sn > 5.0
-                                         else col(sn))
+                _, z2, _, _, _, z6, _ = (lo if sp < _SCALE_MIN else hi
+                                         if sp > _SCALE_MAX else col(sp))
+                _, _, z3, _, z5, _, _ = (lo if sn < _SCALE_MIN else hi
+                                         if sn > _SCALE_MAX else col(sn))
         if adaptive:
             zi2, zi3, zi5, zi6 = z2 * i_p, z3 * i_n, z5 * i_n, z6 * i_p
         else:
@@ -444,57 +450,52 @@ def _bind_deriv(code, zf, paths, ug, w0, ref, gains, mode_fll, adaptive):
             d_th_p = (dup * up.conjugate()).imag / ap2 if ap2 > 1e-18 else w_c
             d_th_n = (-(dun * un.conjugate()).imag / an2 if an2 > 1e-18
                       else w_c)
-            return (dup.real, dup.imag, dun.real, dun.imag, d_th_p, 0.0,
-                    d_th_n, 0.0, e, up, un, mp, mn)
-        return (dup.real, dup.imag, dun.real, dun.imag, w_p, uq_p, w_n, uq_n,
-                0.0, up, un, mp, mn)
+            return dup, dun, d_th_p, 0.0, d_th_n, 0.0, e, mp, mn
+        return dup, dun, w_p, uq_p, w_n, uq_n, 0.0, mp, mn
 
     return deriv, k1 * ug, k4 * ug
 
 
 def deriv_eval(y, t, code, zf, paths, ug, theta_g0, w0, ref, gains,
                mode_fll, adaptive):
-    """The derivative of any indexable 9-vector y at time t, as a 9-tuple,
-    through the window _bind_deriv builds for code and ref; the tests and
-    perfbench/workloads.py call it."""
+    """The derivative of any indexable 9-vector y at time t as nine floats,
+    through _bind_deriv's window for code and ref (tests, perfbench)."""
     deriv, k1ug, k4ug = _bind_deriv(code, zf, paths, ug, w0, ref, gains,
                                     mode_fll, adaptive)
     gp, gn = _grid_terms(t, theta_g0, w0, k1ug, k4ug)
-    return deriv(_as_state(y), gp, gn)[:9]
+    return _as_floats(deriv(_as_state(y), gp, gn))
 
 
 def simulate(y0, n_steps, dt, stride, t_on, t_clear, code, zf, paths, ug,
              theta_g0, w0, ref_pre, ref_on, gains, mode_fll, adaptive, rec):
     """Fixed-step RK4 over [0, n_steps*dt] with stride-decimated recording.
 
-    y0 is the nine-float state in _bind_deriv's layout, as
-    dynsim.initial_sync_state returns it (any indexable 9-vector is taken
-    and held as a tuple of floats). The fault window in force (inside
-    [t_on, t_clear) the fault, outside FAULT_NONE) is the tuple
-    (deriv, K1 ug, K4 ug) that _bind_deriv builds for it, both built once,
-    before the first step, so each stage makes one three-argument
-    derivative call. Every stage is evaluated at its absolute time
-    (t = i*dt, t + dt/2, t + dt) against the window and the grid angle;
-    stages 2 and 3 share their time, and stage 1 takes the grid terms of
-    the last stage 4 where i*dt is the same float as that stage's
-    (i-1)*dt + dt, so a step evaluates them two or three times. Stage
-    states and the update are written per component. The model is
-    evaluated once per sample: the stage-1 derivative advances the state
-    and gives the recorded angle rates and the frame components and
-    magnitudes of the filter states. A sample is one row of rec, written in
-    one assignment in dynsim.TRACE_COLUMNS order, so a rec of another width
-    raises ValueError at the first sample. Returns (rows_written,
-    overflow_step, y, dy) with y and dy 9-tuples: overflow_step = -1 when
-    none, dy the derivative at the last sample evaluated (the returned y
-    unless the run overflowed).
+    y0: the nine floats of _bind_deriv's layout (any indexable 9-vector),
+    as dynsim.initial_sync_state returns them; the steps run on their
+    seven-value form. Each fault window (inside [t_on, t_clear) the fault,
+    outside FAULT_NONE) is bound once by _bind_deriv, before the first
+    step, so a stage makes one three-argument derivative call. Every stage
+    is evaluated at its absolute time (t = i*dt, t + dt/2, t + dt); stages
+    2 and 3 share their grid terms, and stage 1 takes the last stage 4's
+    where i*dt is the same float as (i-1)*dt + dt. Stage states and the
+    update are written per value: a float h times a complex z is
+    (h re - 0 im, h im + 0 re), the per-component products but for, at
+    most, the sign of a zero. The stage-1 derivative advances the state
+    and gives a sample's angle rates and frame components; its angles and
+    |U+-| are read from the state. A sample is one row of rec in
+    dynsim.TRACE_COLUMNS order, written in one assignment, so a rec of
+    another width raises ValueError at the first sample. Returns
+    (rows_written, overflow_step, y, dy), y and dy as nine floats:
+    overflow_step = -1 when none, dy the derivative at the last sample
+    evaluated (the returned y unless the run overflowed).
     """
     on = _bind_deriv(code, zf, paths, ug, w0, ref_on, gains, mode_fll,
                      adaptive)
     off = _bind_deriv(FAULT_NONE, zf, paths, ug, w0, ref_pre, gains,
                       mode_fll, adaptive)
     y = _as_state(y0)
-    half = 0.5 * dt
-    sixth = dt / 6.0
+    x0, x1, x2, x3, x4, x5, x6 = y
+    half, sixth = 0.5 * dt, dt / 6.0
     t4 = math.nan
     n_rec = 0
     for i in range(n_steps + 1):
@@ -504,35 +505,31 @@ def simulate(y0, n_steps, dt, stride, t_on, t_clear, code, zf, paths, ug,
         if t != t4:
             gp, gn = _grid_terms(t, theta_g0, w0, k1ug, k4ug)
         k1v = deriv(y, gp, gn)
-        a0, a1, a2, a3, a4, a5, a6, a7, a8, up, un, mp, mn = k1v
+        a0, a1, a2, a3, a4, a5, a6, mp, mn = k1v
         if i % stride == 0:
-            rec[n_rec] = (t, a4 / (2.0 * math.pi), a6 / (2.0 * math.pi),
-                          y[4], y[6], mp.real, mp.imag, mn.real, -mn.imag,
-                          abs(up), abs(un))
+            rec[n_rec] = (t, a2 / (2.0 * math.pi), a4 / (2.0 * math.pi),
+                          x2, x4, mp.real, mp.imag, mn.real, -mn.imag,
+                          abs(x0), abs(x1))
             n_rec += 1
         if i == n_steps:
             break
 
-        # stage states y + h k and the update, per component
-        x0, x1, x2, x3, x4, x5, x6, x7, x8 = y
+        # stage states y + h k and the update, per value
         t2 = t + half
         deriv, k1ug, k4ug = on if t_on <= t2 < t_clear else off
         gp, gn = _grid_terms(t2, theta_g0, w0, k1ug, k4ug)
-        b0, b1, b2, b3, b4, b5, b6, b7, b8, _, _, _, _ = deriv(
+        b0, b1, b2, b3, b4, b5, b6, _, _ = deriv(
             (x0 + half * a0, x1 + half * a1, x2 + half * a2, x3 + half * a3,
-             x4 + half * a4, x5 + half * a5, x6 + half * a6, x7 + half * a7,
-             x8 + half * a8), gp, gn)
-        c0, c1, c2, c3, c4, c5, c6, c7, c8, _, _, _, _ = deriv(
+             x4 + half * a4, x5 + half * a5, x6 + half * a6), gp, gn)
+        c0, c1, c2, c3, c4, c5, c6, _, _ = deriv(
             (x0 + half * b0, x1 + half * b1, x2 + half * b2, x3 + half * b3,
-             x4 + half * b4, x5 + half * b5, x6 + half * b6, x7 + half * b7,
-             x8 + half * b8), gp, gn)
+             x4 + half * b4, x5 + half * b5, x6 + half * b6), gp, gn)
         t4 = t + dt
         deriv, k1ug, k4ug = on if t_on <= t4 < t_clear else off
         gp, gn = _grid_terms(t4, theta_g0, w0, k1ug, k4ug)
-        d0, d1, d2, d3, d4, d5, d6, d7, d8, _, _, _, _ = deriv(
+        d0, d1, d2, d3, d4, d5, d6, _, _ = deriv(
             (x0 + dt * c0, x1 + dt * c1, x2 + dt * c2, x3 + dt * c3,
-             x4 + dt * c4, x5 + dt * c5, x6 + dt * c6, x7 + dt * c7,
-             x8 + dt * c8), gp, gn)
+             x4 + dt * c4, x5 + dt * c5, x6 + dt * c6), gp, gn)
         # y + dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
         y = (x0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0),
              x1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
@@ -540,13 +537,13 @@ def simulate(y0, n_steps, dt, stride, t_on, t_clear, code, zf, paths, ug,
              x3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3),
              x4 + sixth * (a4 + 2.0 * b4 + 2.0 * c4 + d4),
              x5 + sixth * (a5 + 2.0 * b5 + 2.0 * c5 + d5),
-             x6 + sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6),
-             x7 + sixth * (a7 + 2.0 * b7 + 2.0 * c7 + d7),
-             x8 + sixth * (a8 + 2.0 * b8 + 2.0 * c8 + d8))
-        # every component within 1e6 in magnitude; NaN fails the comparison
-        if not (abs(y[0]) <= 1e6 and abs(y[1]) <= 1e6 and abs(y[2]) <= 1e6
-                and abs(y[3]) <= 1e6 and abs(y[4]) <= 1e6
-                and abs(y[5]) <= 1e6 and abs(y[6]) <= 1e6
-                and abs(y[7]) <= 1e6 and abs(y[8]) <= 1e6):
-            return n_rec, i + 1, y, k1v[:9]
-    return n_rec, -1, y, k1v[:9]
+             x6 + sixth * (a6 + 2.0 * b6 + 2.0 * c6 + d6))
+        x0, x1, x2, x3, x4, x5, x6 = y
+        # each of the nine real components within 1e6 in magnitude; NaN
+        # fails the comparison
+        if not (abs(x0.real) <= 1e6 and abs(x0.imag) <= 1e6
+                and abs(x1.real) <= 1e6 and abs(x1.imag) <= 1e6
+                and abs(x2) <= 1e6 and abs(x3) <= 1e6 and abs(x4) <= 1e6
+                and abs(x5) <= 1e6 and abs(x6) <= 1e6):
+            return n_rec, i + 1, _as_floats(y), _as_floats(k1v)
+    return n_rec, -1, _as_floats(y), _as_floats(k1v)

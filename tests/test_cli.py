@@ -353,6 +353,16 @@ class TestSimulate:
         assert code == 0
         assert out_svg.read_text().startswith("<svg ")
 
+    @pytest.mark.parametrize("command", ["equilibrium", "simulate"])
+    def test_help_names_the_current_format(self, command, capsys):
+        """Both commands that take --iplus and --iminus say what they
+        take."""
+        code, out, _ = run_cli([command, "--help"], capsys)
+        assert code == 0
+        for flag, seq in (("--iplus", "positive"), ("--iminus", "negative")):
+            assert f"{flag} A@D" in out
+            assert f"{seq} reference, p.u.@deg" in out
+
 
 class TestValidate:
     def test_oracle_agreement(self, capsys):

@@ -716,8 +716,8 @@ class TestSimulateRecord:
 
 
 class TestSimulateMatchesArrayForm:
-    """The float-state kernel performs the array-form integrator's
-    operations in the same order, so every result is bit-identical."""
+    """The kernel performs the array-form integrator's operations in the
+    same order, so every result is bit-identical, signed zeros included."""
 
     @staticmethod
     def _both(sc, y0, n, stride):
@@ -732,11 +732,12 @@ class TestSimulateMatchesArrayForm:
 
     @staticmethod
     def _assert_same(got, want, rec, rec_ref):
+        """Compared as float hex: NaN equals NaN, -0.0 differs from 0.0."""
         (rows, overflow, y, dy), (rows_r, overflow_r, y_r, dy_r) = got, want
         assert (rows, overflow) == (rows_r, overflow_r)
-        assert np.array_equal(rec, rec_ref, equal_nan=True)
-        assert all(a == b for a, b in zip(y, y_r, strict=True))
-        assert all(a == b for a, b in zip(dy, dy_r, strict=True))
+        assert _bits(rec.ravel()) == _bits(rec_ref.ravel())
+        assert len(y) == len(dy) == 9
+        assert _bits(y) == _bits(y_r) and _bits(dy) == _bits(dy_r)
 
     @pytest.mark.parametrize("t_on, t_clear", [(0.01, 0.03),
                                                (0.01005, 0.03005),
@@ -761,6 +762,28 @@ class TestSimulateMatchesArrayForm:
         )
         y0 = np.array([0.5, -0.9, 0.1, 0.05, -0.9, 0.0, 1.1, 0.0, 1e-3])
         got, want, rec, rec_ref = self._both(sc, y0, 500, 3)
+        assert got[1] == -1
+        self._assert_same(got, want, rec, rec_ref)
+
+    @pytest.mark.parametrize("t_on", [0.0, 0.01])
+    @pytest.mark.parametrize("fault", ["slg", "dlg", "ll", "tlg"])
+    @pytest.mark.parametrize("adaptive", [True, False],
+                             ids=["adaptive", "fixed"])
+    @pytest.mark.parametrize("mode", ["dsogi_pll", "dsogi_fll"])
+    def test_cold_start(self, mode, adaptive, fault, t_on):
+        """From empty filter states of both zero signs and grid-aligned
+        angles, dynsim's cold start, with the fault on from the start or
+        from a later step."""
+        sc = Scenario(
+            circuit=CIRCUIT,
+            fault=FaultSpec(FaultType(fault), z_f=ZF_PU, t_on=t_on),
+            ref_fault=REF, sync=SyncConfig(mode=SyncMode(mode)), t_end=0.02,
+            freq_adaptive_z=adaptive,
+        )
+        theta_g = CIRCUIT.theta_g
+        y0 = np.array([0.0, -0.0, -0.0, 0.0, theta_g - math.pi / 3.0, 0.0,
+                       theta_g + math.pi / 3.0, 0.0, 0.0])
+        got, want, rec, rec_ref = self._both(sc, y0, 200, 1)
         assert got[1] == -1
         self._assert_same(got, want, rec, rec_ref)
 
@@ -886,9 +909,7 @@ class TestSimulateMatchesArrayForm:
                       sync=SyncConfig(kp_pll=1e300, ki_pll=1e305),
                       t_end=0.05)
         y0 = np.array(initial_sync_state(sc))
-        (rows, overflow, y, dy), want, rec, rec_ref = self._both(sc, y0,
-                                                                  500, 10)
-        assert (rows, overflow) == want[:2] == (1, 1)
-        assert np.array_equal(rec, rec_ref, equal_nan=True)
-        assert _bits(y) == _bits(want[2]) and _bits(dy) == _bits(want[3])
-        assert not all(math.isfinite(v) for v in y)
+        got, want, rec, rec_ref = self._both(sc, y0, 500, 10)
+        assert got[:2] == (1, 1)
+        self._assert_same(got, want, rec, rec_ref)
+        assert not all(math.isfinite(v) for v in got[2])

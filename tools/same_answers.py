@@ -30,8 +30,9 @@ directory, and each runs from its own ``src``:
   ``--iminus 0.92@-20``, just past the fold, which starts from the
   pre-fault state (the verdict printed and the trace CSV written);
 - ``simulate`` of 1 s under DLG with fixed impedances from a cold start:
-  the config's pre-fault 3.0@0 has no root either (the verdict printed
-  and the trace CSV written);
+  the config's pre-fault 3.0@0 has no root either; once with the PLLs and
+  once in FLL mode, whose angle rates start on the empty filter states
+  (the verdict printed and the trace CSV written);
 - ``simulate`` of the adaptive coefficient columns the runs above do not
   reach: 1 s under SLG with the PLLs, 1.2 s under TLG with a fault that
   clears at 0.8 s, so the run changes to the healthy window's derivative,
@@ -205,6 +206,8 @@ def cases() -> list[tuple[str, list[str], bool, dict | None]]:
     out.append(("simulate ll iminus 0.92@-20 t_end 1", SIMULATE_FOLD, True,
                 None))
     out.append(("simulate cold start", SIMULATE_COLD, True, COLD_CONFIG))
+    out.append(("simulate cold start fll", SIMULATE_COLD + ["--mode", "fll"],
+                True, COLD_CONFIG))
     out += [(" ".join(argv), argv, True, None) for argv in SIMULATE_COLUMNS]
     out.append(("simulate dlg iplus 0.81@-30 t_end 3", SIMULATE_CLAMPED,
                 True, None))

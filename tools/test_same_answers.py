@@ -20,10 +20,10 @@ def _stub(monkeypatch, differing=()):
 
 def test_cases_cover_the_reference_outputs():
     names = [name for name, _, _, _ in same_answers.cases()]
-    assert len(names) == 12 + 4 + 2 + 2 + 2 + 3 + 6 + 1 + 1 + 8 + 5 + 4 + 2
+    assert len(names) == 12 + 4 + 2 + 2 + 2 + 3 + 6 + 1 + 1 + 9 + 5 + 4 + 2
     assert len(set(names)) == len(names)
     to_file = [argv for _, argv, to_file, _ in same_answers.cases() if to_file]
-    assert [argv[0] for argv in to_file].count("simulate") == 10
+    assert [argv[0] for argv in to_file].count("simulate") == 11
     regions = [argv for argv in to_file if argv[0] != "simulate"]
     assert all(argv[0] == "region" for argv in regions)
     assert sorted(argv[argv.index("--angle-step") + 1] for argv in regions) \
@@ -39,6 +39,15 @@ def test_cases_cover_the_plots():
     region, simulate = same_answers.PLOTS
     assert region[:2] == ["region", "--fault"]
     assert simulate == same_answers.SIMULATE + ["--svg", same_answers.SVG]
+
+
+def test_cases_cover_the_cold_starts():
+    """A cold start with the PLLs and one in FLL mode, whose empty filter
+    states take the FLL angle rates' zero-magnitude branch."""
+    cases = [(argv, config) for _, argv, _, config in same_answers.cases()]
+    cold = same_answers.SIMULATE_COLD
+    assert (cold, same_answers.COLD_CONFIG) in cases
+    assert (cold + ["--mode", "fll"], same_answers.COLD_CONFIG) in cases
 
 
 def test_cases_cover_the_fold():
@@ -129,7 +138,7 @@ def test_same_answers_exit_0(monkeypatch, capsys):
     assert same_answers.main(["--parent", "a", "--change", "b"]) == 0
     out = capsys.readouterr().out
     assert "DIFFERS" not in out
-    assert "52 of 52 outputs byte-identical" in out
+    assert "53 of 53 outputs byte-identical" in out
 
 
 def test_one_difference_exits_1(monkeypatch, capsys):
@@ -138,12 +147,12 @@ def test_one_difference_exits_1(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "DIFFERS: validate draws 100 seed 0" in out
     assert out.count("DIFFERS") == 1
-    assert "51 of 52 outputs byte-identical" in out
+    assert "52 of 53 outputs byte-identical" in out
 
 
 def test_config_cases_set_every_section():
     configs = [c for _, _, _, c in same_answers.cases() if c is not None]
-    assert len(configs) == 11
+    assert len(configs) == 12
     assert set(same_answers.CONFIG) == {
         "circuit", "fault", "current", "sync", "scenario", "solver"}
     assert configs.count(same_answers.CONFIG) == 4
