@@ -356,16 +356,16 @@ def _bind_deriv(code, zf, paths, ug, w0, ref, gains, mode_fll, adaptive):
     _as_floats splits). deriv(y, gp, gn), the closed-loop model, returns
     the time derivative of y in that form, then the measured components in
     the estimated frames, mp = ud+ + j uq+ and mn = ud- - j uq- (clockwise
-    frame). gp, gn: the grid terms at the stage time
-    (_grid_terms, from K1 ug and K4 ug). deriv holds the window's current
-    reference, the gains, w0, the mode flags and code's _column. K1 and K4
-    stay at the grid frequency (the column at s = 1). With adaptive
-    impedances Z2/Z6 follow the positive frequency estimate and Z3/Z5 the
-    negative one (in FLL mode both follow the one FLL estimate): a PLL
-    call evaluates the column at each of its two scales, equal or not, and
-    an FLL call at its one, but a scale past a clamp reads the column
-    formed here, once; with fixed impedances the grid column's impedances
-    times their currents are formed here, once.
+    frame). gp, gn: the grid terms at the stage time (_grid_terms, from K1
+    ug and K4 ug). deriv holds the window's current reference, the gains,
+    w0, the mode flags and code's _column. K1 and K4 stay at the grid
+    frequency (the column at s = 1). With adaptive impedances Z2/Z6 follow
+    the positive frequency estimate and Z3/Z5 the negative one (in FLL mode
+    both follow the one FLL estimate): a PLL call evaluates the column at
+    each of its two scales, equal or not, and an FLL call at its one, but a
+    scale past a clamp reads the column formed here, once; with fixed
+    impedances the grid column's impedances times their currents are formed
+    here, once.
     ref layout: [I+, theta_i+, I-, theta_i-].
     gains layout: [k_sogi, kp_pll, ki_pll, kp_fll, ki_fll].
 
