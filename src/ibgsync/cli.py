@@ -107,9 +107,8 @@ def cmd_coeffs(doc: ConfigDocument, args) -> int:
 
 def cmd_equilibrium(doc: ConfigDocument, args) -> int:
     coeffs, _ = _coeffs_for(doc, args)
-    sol = doc.solver
     res = solve_equilibrium(coeffs, _fault_refs(doc, args), doc.circuit.ug_pos,
-                            sol.grid_deg, sol.tol, sol.ud_min)
+                            doc.solver.grid_deg)
     _emit_json(
         {
             "found": res.found,

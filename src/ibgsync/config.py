@@ -11,7 +11,7 @@ import json
 import math
 
 from .dynsim import RECORD_DT, Scenario, check_run_settings
-from .equilibrium import NEWTON_TOL, SCAN_GRID_DEG, UD_MIN, CurrentReference
+from .equilibrium import SCAN_GRID_DEG, CurrentReference, _scan_samples
 from .limits import AMP_CEILING, AMP_STEP, _amplitude_steps
 from .network import (REF_S_BASE_MVA, REF_V_BASE_KV, BranchImpedance,
                       CircuitParameters, FaultSpec, FaultType, table_circuit)
@@ -39,23 +39,17 @@ class ConfigError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class SolverOptions:
-    """Equilibrium-scan and traversal tuning knobs."""
+    """The scan's angle spacing (deg) and the traversal's amplitude step and
+    ceiling (p.u.), checked as one scan and one traversal check them. The
+    Newton tolerance and the least d-axis voltage are the constants
+    equilibrium.NEWTON_TOL and equilibrium.UD_MIN, not options."""
 
     grid_deg: float = SCAN_GRID_DEG
-    tol: float = NEWTON_TOL
-    ud_min: float = UD_MIN
     step: float = AMP_STEP
     ceiling: float = AMP_CEILING
 
     def __post_init__(self):
-        # "not <" also rejects NaN
-        if not 0.0 < self.grid_deg < math.inf:
-            raise ValueError("grid_deg must be finite and > 0")
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError("tol must be finite and > 0")
-        if not math.isfinite(self.ud_min):
-            raise ValueError("ud_min must be finite")
-        # step and ceiling as the amplitude grid of one traversal
+        _scan_samples(self.grid_deg)
         _amplitude_steps(self.step, self.ceiling, 1.0)
 
 

@@ -58,8 +58,8 @@ INIT_MODES = ("equilibrium", "prefault")  # the Scenario.init values
 RECORD_DT = 1e-3  # run_scenario's default trace sample interval, s
 # most RK4 steps one run may take, set as a ten-minute budget when a step
 # took 13-37 us: 600 s / 30 us = 2e7. A step now takes 8-16 us (fixed
-# impedances to adaptive PLL, pure numpy, 2-core VM), so the cap runs 3-5
-# minutes. A 3 s run at the default dt takes 3e4
+# impedances to adaptive PLL, on Python floats, 2-core VM), so the cap runs
+# 2.7-5.3 minutes. A 3 s run at the default dt takes 3e4
 MAX_RUN_STEPS = 2 * 10**7
 
 # loss-of-synchronism thresholds: the first LOS_GRACE_S seconds after fault

@@ -31,9 +31,14 @@ _DEGENERATE_TOL = 1e-12
 # seed runs to it. On 2,304 region-sweep limits and 3,000 random solves every
 # converged warm start took <= 8 steps and every answer at caps 10-16 was 80's
 NEWTON_MAXIT = 16
-# solver defaults: spacing of the curve's angle samples (deg), Newton
-# tolerance, least d-axis voltage
+# default spacing of the curve's angle samples (deg), and the most samples
+# one scan may take (0.001 deg): it holds several arrays of 4 x samples
+# floats (kernels._curve_seeds), so 1e-5 deg would ask for gigabytes
 SCAN_GRID_DEG = 2.0
+MAX_SCAN_SAMPLES = 360_000
+# stand-ins for the exact orientation conditions, not model parameters: a
+# q-axis residual below NEWTON_TOL is zero, a d-axis voltage above UD_MIN
+# is positive
 NEWTON_TOL = 1e-10
 UD_MIN = 1e-9
 
@@ -169,7 +174,7 @@ def _negative_degenerate(prm) -> bool:
     )
 
 
-def _solve_degenerate(prm, ud_min: float) -> tuple[bool, bool, float, float]:
+def _solve_degenerate(prm) -> tuple[bool, bool, float, float]:
     """Closed-form positive-only solve when the negative equation vanishes:
     (found, feedback, delta+, ud+), delta+ and ud+ 0.0 on a miss."""
     a1, f1, b2, p2, _, _, _, _, _, _, _, _ = prm
@@ -182,9 +187,20 @@ def _solve_degenerate(prm, ud_min: float) -> tuple[bool, bool, float, float]:
     if math.cos(psi) < 1e-12:
         return False, False, 0.0, 0.0
     ud_p = a1 * math.cos(psi) + b2 * math.cos(p2)
-    if ud_p <= ud_min:
+    if ud_p <= UD_MIN:
         return False, True, 0.0, 0.0
     return True, True, (f1 - psi) % (2.0 * math.pi), ud_p
+
+
+def _scan_samples(grid_deg: float) -> int:
+    """The curve's samples per angle at a spacing of grid_deg degrees, after
+    checking grid_deg; every solve, sweep and config.SolverOptions checks it
+    with this."""
+    # "not <" also rejects NaN; 360 / grid_deg may overflow to inf
+    if not (0.0 < grid_deg < math.inf and 360.0 / grid_deg <= MAX_SCAN_SAMPLES):
+        raise ValueError("grid_deg must be finite and > 0 and ask for at most "
+                         f"{MAX_SCAN_SAMPLES} curve samples")
+    return max(8, int(round(360.0 / grid_deg)))
 
 
 def solve_equilibrium(
@@ -192,8 +208,6 @@ def solve_equilibrium(
     ref: CurrentReference,
     ug_pos: float,
     grid_deg: float = SCAN_GRID_DEG,
-    tol: float = NEWTON_TOL,
-    ud_min: float = UD_MIN,
 ) -> EquilibriumResult:
     """Find the qualifying angle pair, scanning the curve where the first
     q-axis residual vanishes.
@@ -210,28 +224,24 @@ def solve_equilibrium(
     although the residual nearly vanishes; like any scan without a
     slope-stable root, that miss reads as the fold (cond_feedback False).
     """
+    grid_n = _scan_samples(grid_deg)
     prm = pack_params(coeffs, ref, ug_pos)
     if _negative_degenerate(prm):
-        found, feedback, dp, ud_p = _solve_degenerate(prm, ud_min)
+        found, feedback, dp, ud_p = _solve_degenerate(prm)
         if found:
             return _found(dp, 0.0, ud_p, 0.0, 0.0, 0.0, 0.0)
         return _not_found(feedback=feedback)
 
-    # the curve's samples per angle at a spacing of grid_deg
     found, dp, dn, res, _, feedback = kernels.scan_roots(
-        prm, max(8, int(round(360.0 / grid_deg))), tol, NEWTON_MAXIT, ud_min
+        prm, grid_n, NEWTON_TOL, NEWTON_MAXIT, UD_MIN
     )
     if found:
-        return _found(dp, dn, *kernels.root_check(prm, dp, dn, ud_min)[2:], res)
+        return _found(dp, dn, *kernels.root_check(prm, dp, dn, UD_MIN)[2:], res)
     return _not_found(res, feedback)
 
 
 def refine_root(
-    prm,
-    delta_pos: float,
-    delta_neg: float,
-    tol: float = NEWTON_TOL,
-    ud_min: float = UD_MIN,
+    prm, delta_pos: float, delta_neg: float
 ) -> tuple[float, float] | None:
     """Polish a known nearby root (warm start): the polished (delta+,
     delta-), or None when Newton misses or the root stops qualifying.
@@ -241,10 +251,10 @@ def refine_root(
     (kernels.newton_pair, kernels.root_conditions); no result object is
     built."""
     if _negative_degenerate(prm):
-        found, _, dp, _ = _solve_degenerate(prm, ud_min)
+        found, _, dp, _ = _solve_degenerate(prm)
         return (dp, 0.0) if found else None
-    ok, dp, dn, _ = kernels.newton_pair(prm, delta_pos, delta_neg, tol,
+    ok, dp, dn, _ = kernels.newton_pair(prm, delta_pos, delta_neg, NEWTON_TOL,
                                         NEWTON_MAXIT)
-    if not ok or not kernels.root_conditions(prm, dp, dn, ud_min)[1]:
+    if not ok or not kernels.root_conditions(prm, dp, dn, UD_MIN)[1]:
         return None
     return dp, dn

@@ -21,13 +21,12 @@ import math
 from dataclasses import dataclass
 
 from .equilibrium import (
-    NEWTON_TOL,
     SCAN_GRID_DEG,
-    UD_MIN,
     CurrentReference,
     InstabilityType,
     _pack,
     _polars,
+    _scan_samples,
     refine_root,
     solve_equilibrium,
 )
@@ -176,8 +175,6 @@ def traversal_limit(
     step: float = AMP_STEP,
     ceiling: float = AMP_CEILING,
     grid_deg: float = SCAN_GRID_DEG,
-    tol: float = NEWTON_TOL,
-    ud_min: float = UD_MIN,
 ) -> LimitResult:
     """Largest amplitude of one sequence for which a qualifying equilibrium
     exists, holding the other sequence fixed: a sweep of one angle.
@@ -193,7 +190,7 @@ def traversal_limit(
     amplitudes is a ValueError; every input is checked before any solve.
     """
     return _sweep(coeffs, ug_pos, sequence, 1, lambda k: theta_i,
-                  fixed_other, step, ceiling, grid_deg, tol, ud_min)[0]
+                  fixed_other, step, ceiling, grid_deg)[0]
 
 
 def region_boundary(
@@ -205,8 +202,6 @@ def region_boundary(
     step: float = AMP_STEP,
     ceiling: float = AMP_CEILING,
     grid_deg: float = SCAN_GRID_DEG,
-    tol: float = NEWTON_TOL,
-    ud_min: float = UD_MIN,
 ) -> RegionBoundary:
     """Sweep theta_i over [-pi, pi) and collect the traversal limit at each
     angle, as traversal_limit gives it. Ceiling-capped samples keep the
@@ -220,37 +215,38 @@ def region_boundary(
     n = math.ceil(angles) if angles < math.inf else math.inf
     samples = _sweep(coeffs, ug_pos, sequence, n,
                      lambda k: float(-math.pi + k * angle_step), fixed_other,
-                     step, ceiling, grid_deg, tol, ud_min)
+                     step, ceiling, grid_deg)
     return RegionBoundary(sequence, fixed_other, samples)
 
 
 def _sweep(coeffs, ug_pos, sequence, n_angles, angle, fixed_other, step,
-           ceiling, grid_deg, tol, ud_min) -> tuple[LimitResult, ...]:
+           ceiling, grid_deg) -> tuple[LimitResult, ...]:
     """The traversal limit at each angle(k), k < n_angles. Every input is
     checked before any solve: the sequence, the amplitude points over all
-    angles, each angle and the held current. With the swept current at zero
-    the angle has no effect, so the sweep solves that problem once and
-    warm-starts every angle's traversal from its root; an angle scans its
-    first amplitude only where that root is missing or both the stride and
-    the first grid step miss from it."""
+    angles, the scan's samples, each angle and the held current. With the
+    swept current at zero the angle has no effect, so the sweep solves that
+    problem once and warm-starts every angle's traversal from its root; an
+    angle scans its first amplitude only where that root is missing or both
+    the stride and the first grid step miss from it."""
     if sequence not in _SEQUENCES:
         raise ValueError(f"sequence must be one of {_SEQUENCES}")
     n_steps = _amplitude_steps(step, ceiling, n_angles)
+    _scan_samples(grid_deg)
     thetas = [angle(k) for k in range(n_angles)]
     if not all(map(math.isfinite, thetas)):
         raise ValueError("angle must be finite")
     other = fixed_other if fixed_other is not None else (0.0, 0.0)
     # CurrentReference checks the held current
     res = solve_equilibrium(coeffs, _make_ref(sequence, 0.0, 0.0, other),
-                            ug_pos, grid_deg, tol, ud_min)
+                            ug_pos, grid_deg)
     start = (res.delta_pos, res.delta_neg) if res.found else None
     return tuple(_traverse(coeffs, ug_pos, sequence, theta, other, step,
-                           n_steps, grid_deg, tol, ud_min, start)
+                           n_steps, grid_deg, start)
                  for theta in thetas)
 
 
 def _traverse(coeffs, ug_pos, sequence, theta_i, other, step, n_steps,
-              grid_deg, tol, ud_min, start):
+              grid_deg, start):
     """One angle's amplitude loop on checked arguments. `start` is a root
     to warm-start from, or None to scan the first amplitude.
 
@@ -271,18 +267,17 @@ def _traverse(coeffs, ug_pos, sequence, theta_i, other, step, n_steps,
         if k >= fill:
             fill = min(k + _STRIDE, n_steps)
             if prev is not None:
-                far = refine_root(packed(fill * step), prev[0], prev[1], tol,
-                                  ud_min)
+                far = refine_root(packed(fill * step), prev[0], prev[1])
                 if far is not None:
                     prev, k = far, fill
                     continue
         k += 1
         amp = k * step
         if prev is not None:
-            prev = refine_root(packed(amp), prev[0], prev[1], tol, ud_min)
+            prev = refine_root(packed(amp), prev[0], prev[1])
         if prev is None:
             ref = _make_ref(sequence, amp, theta_i, other)
-            res = solve_equilibrium(coeffs, ref, ug_pos, grid_deg, tol, ud_min)
+            res = solve_equilibrium(coeffs, ref, ug_pos, grid_deg)
             if not res.found:
                 break
             prev = (res.delta_pos, res.delta_neg)

@@ -25,7 +25,9 @@ from ibgsync import (
     solve_equilibrium,
     table_circuit,
 )
-from ibgsync.equilibrium import pack_params, refine_root
+from ibgsync import kernels
+from ibgsync.equilibrium import (MAX_SCAN_SAMPLES, _scan_samples, pack_params,
+                                 refine_root)
 import torus_reference
 
 ZF = 7.43801652892562e-06
@@ -201,6 +203,45 @@ def test_current_reference_rejects_non_finite(bad):
         CurrentReference(i_pos=bad)
     with pytest.raises(ValueError):
         CurrentReference(i_neg=bad)
+
+
+# zero, negative, non-finite, and finer than MAX_SCAN_SAMPLES allows
+BAD_GRID_DEG = (0.0, -5.0, math.inf, math.nan, 1e-5)
+
+
+@pytest.mark.parametrize("grid_deg", BAD_GRID_DEG)
+def test_solve_rejects_grid_deg_before_scanning(grid_deg, monkeypatch):
+    def scan(*args):
+        raise AssertionError("scanned before rejecting grid_deg")
+    monkeypatch.setattr(kernels, "scan_roots", scan)
+    with pytest.raises(ValueError, match="grid_deg"):
+        solve_equilibrium(coeffs_for(FaultType.DLG),
+                          ref_deg(0.76, -30.0, 0.5, 90.0), UG, grid_deg)
+
+
+def test_scan_samples_round_and_cap():
+    assert _scan_samples(2.0) == 180
+    assert _scan_samples(7.0) == 51
+    # a coarse spacing still takes eight samples
+    assert _scan_samples(1000.0) == 8
+    assert _scan_samples(360.0 / MAX_SCAN_SAMPLES) == MAX_SCAN_SAMPLES == 360_000
+    with pytest.raises(ValueError, match="360000 curve samples"):
+        _scan_samples(0.000999)
+    # 360 / grid_deg overflows to inf
+    with pytest.raises(ValueError, match="grid_deg"):
+        _scan_samples(5e-324)
+
+
+@pytest.mark.parametrize("kwarg", ["tol", "ud_min"])
+def test_newton_tolerance_and_least_ud_are_not_arguments(kwarg):
+    """NEWTON_TOL and UD_MIN are constants of the solver, not options."""
+    c = coeffs_for(FaultType.DLG)
+    ref = ref_deg(0.76, -30.0, 0.5, 90.0)
+    with pytest.raises(TypeError):
+        solve_equilibrium(c, ref, UG, **{kwarg: 1e-9})
+    with pytest.raises(TypeError):
+        refine_root(pack_params(c, ref, UG), 1.426711, 0.251083,
+                    **{kwarg: 1e-9})
 
 
 @settings(max_examples=40, deadline=None)

@@ -190,6 +190,18 @@ def test_region_rejects_unbounded_work(kwargs, monkeypatch):
         region_boundary(coeffs_for(FaultType.DLG), UG, "pos", **kwargs)
 
 
+@pytest.mark.parametrize("grid_deg", [0.0, -5.0, math.inf, math.nan, 1e-5])
+def test_sweeps_check_grid_deg_before_any_solve(grid_deg, monkeypatch):
+    """Zero, negative, non-finite and finer than MAX_SCAN_SAMPLES allows:
+    rejected before the sweep's first solve, in either sweep."""
+    _no_solves(monkeypatch)
+    c = coeffs_for(FaultType.DLG)
+    with pytest.raises(ValueError, match="grid_deg"):
+        traversal_limit(c, UG, "pos", 0.0, grid_deg=grid_deg)
+    with pytest.raises(ValueError, match="grid_deg"):
+        region_boundary(c, UG, "pos", grid_deg=grid_deg)
+
+
 def test_region_counts_whole_traversals(monkeypatch):
     """1000.5 angles' worth of 29,985 amplitudes is within the cap, but the
     sweep runs 1,001 whole traversals (30,014,985 points), which is not."""
@@ -404,8 +416,8 @@ def _recorded(monkeypatch):
     """Record each warm start of the traversal as _per_step_traversal does."""
     steps = []
 
-    def recording(prm, dp, dn, tol, ud_min):
-        out = refine_root(prm, dp, dn, tol, ud_min)
+    def recording(prm, dp, dn):
+        out = refine_root(prm, dp, dn)
         steps.append((prm, (dp, dn), out))
         return out
     monkeypatch.setattr(limits, "refine_root", recording)

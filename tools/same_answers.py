@@ -128,7 +128,7 @@ CHOKE_CONFIG = {"circuit": {"choke": {"r": 0.5, "x": 5.0}},
 # configs with a string where a number goes, a branch without x, a phasor
 # string that Python's float() would read, and a negative choke resistance
 REJECTED = {
-    "string tol": {"solver": {"tol": "1e-10"}},
+    "string step": {"solver": {"step": "0.01"}},
     "branch without x": {"circuit": {"grid": {"r": 0.04}}},
     "phasor 1_0@5": {"current": {"fault": {"i_pos": "1_0@5"}}},
     "choke r < 0": {"circuit": {"choke": {"r": -1, "x": 0}}},

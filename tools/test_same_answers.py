@@ -3,7 +3,18 @@
 import json
 import subprocess
 
+import pytest
+
 import same_answers
+from ibgsync.config import ConfigError, parse_config
+
+# what parse_config says of each rejected config, by case name
+REJECTED_FOR = {
+    "string step": "config.solver.step must be a number",
+    "branch without x": "config.circuit.grid: missing key 'x'",
+    "phasor 1_0@5": "bad phasor '1_0@5'",
+    "choke r < 0": "config.circuit.choke: branch impedance must be",
+}
 
 
 def _stub(monkeypatch, differing=()):
@@ -160,6 +171,15 @@ def test_config_cases_set_every_section():
     # one sets circuit.choke, one gives it a negative resistance
     assert sorted(c["circuit"]["choke"]["r"] for c in configs
                   if "choke" in c.get("circuit", {})) == [-1, 0.5]
+
+
+@pytest.mark.parametrize("name", sorted(same_answers.REJECTED))
+def test_rejected_config_fails_as_named(name):
+    """Each rejected config fails for the reason its name gives, so no case
+    can pass as an unknown key instead."""
+    with pytest.raises(ConfigError) as exc:
+        parse_config(same_answers.REJECTED[name])
+    assert REJECTED_FOR[name] in str(exc.value)
 
 
 def test_config_is_written_into_the_checkout(tmp_path, monkeypatch):
