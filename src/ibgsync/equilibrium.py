@@ -5,9 +5,12 @@ The two q-axis voltages must vanish with positive d-axis voltages
 (orientation) and negative per-loop feedback slopes (stability). The first
 q-axis equation gives delta+ in closed form for each delta-, so the roots
 lie on a one-dimensional curve; the solver seeds damped Newton iterations
-along it (kernels.scan_roots).
+along it (kernels.scan_roots). When one sequence carries no current the
+equations are triangular and the root is an arcsine and a phase
+(_solve_triangular), with no scan.
 """
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -26,6 +29,7 @@ __all__ = [
 ]
 
 _DEGENERATE_TOL = 1e-12
+_TWO_PI = 2.0 * math.pi
 
 # Newton iteration cap for curve-scan seeds and warm starts; past the fold a
 # seed runs to it. On 2,304 region-sweep limits and 3,000 random solves every
@@ -151,9 +155,9 @@ def _found(dp, dn, ud_p, uq_p, ud_n, uq_n, res) -> EquilibriumResult:
     )
 
 
-def _not_found(res: float = math.inf, feedback: bool = False) -> EquilibriumResult:
-    """No qualifying root; `res` is the best residual seen, `feedback`
-    whether a slope-stable root survives."""
+def _not_found(res: float, feedback: bool) -> EquilibriumResult:
+    """No qualifying root; `res` is the miss's residual (solve_equilibrium),
+    `feedback` whether a slope-stable root survives."""
     return EquilibriumResult(
         found=False, delta_pos=math.nan, delta_neg=math.nan,
         ud_pos=math.nan, uq_pos=math.nan, ud_neg=math.nan, uq_neg=math.nan,
@@ -162,34 +166,55 @@ def _not_found(res: float = math.inf, feedback: bool = False) -> EquilibriumResu
     )
 
 
-def _negative_degenerate(prm) -> bool:
-    """True when the negative orientation equation is identically zero;
-    prm is any 12-sequence of packed parameters."""
-    _, _, _, _, c3, _, a4, _, b5, _, c6, _ = prm
-    return (
-        a4 < _DEGENERATE_TOL
-        and b5 < _DEGENERATE_TOL
-        and c6 < _DEGENERATE_TOL
-        and c3 < _DEGENERATE_TOL
-    )
+def _solve_triangular(prm):
+    """The answer in closed form when one sequence carries no current, or
+    None when prm is not of that form: (found, feedback, delta+, delta-,
+    (ud+, uq+, ud-, uq-), residual). prm is any 12-sequence of packed
+    parameters.
 
+    With C3 = B5 = 0 (no negative current) the positive equation involves
+    delta+ alone, A1 sin(F1 - delta+) + B2 sin P2 = 0: its slope-stable root
+    is delta+ = F1 - asin(x), x = -B2 sin P2 / A1, on the branch with
+    cos > 0, and |x| > 1 is the fold. The negative equation then reads
+    R sin(phi - delta-) = 0 with R e^{j phi} = A4 e^{jF4}
+    + C6 e^{j(P6 + delta+)}, whose slope-stable root is delta- = phi, where
+    ud- = R. B2 = C6 = 0 (no positive current) mirrors it. That root is the
+    only slope-stable one, and the root rule of the scan
+    (kernels.root_check) judges it: a qualifying root, or a type-2 miss.
+    When the negative equation vanishes as well (A4 = C6 = 0: TLG, the
+    pre-fault window), delta- is reported as 0 and the negative conditions
+    are vacuous. A lead equation without a grid term (A below
+    _DEGENERATE_TOL) has no slope-stable root.
 
-def _solve_degenerate(prm) -> tuple[bool, bool, float, float]:
-    """Closed-form positive-only solve when the negative equation vanishes:
-    (found, feedback, delta+, ud+), delta+ and ud+ 0.0 on a miss."""
-    a1, f1, b2, p2, _, _, _, _, _, _, _, _ = prm
-    if a1 < _DEGENERATE_TOL:
-        return False, False, 0.0, 0.0
-    x = -b2 * math.sin(p2) / a1
+    The residual is the certified gap |B sin P| - A, a lower bound on the
+    lead q-axis voltage over all angles, for a miss with no root (0 where
+    it is not positive), and max(|uq+|, |uq-|) at the root otherwise.
+    """
+    a1, f1, b2, p2, c3, p3, a4, f4, b5, p5, c6, p6 = prm
+    pos_first = c3 < _DEGENERATE_TOL and b5 < _DEGENERATE_TOL
+    if pos_first:
+        a, f, b, p, a_f, f_f, c, p_c = a1, f1, b2, p2, a4, f4, c6, p6
+    elif b2 < _DEGENERATE_TOL and c6 < _DEGENERATE_TOL:
+        a, f, b, p, a_f, f_f, c, p_c = a4, f4, b5, p5, a1, f1, c3, p3
+    else:
+        return None
+    bs = b * math.sin(p)
+    x = -bs / a if a >= _DEGENERATE_TOL else math.inf
     if abs(x) > 1.0:
-        return False, False, 0.0, 0.0
+        return False, False, math.nan, math.nan, None, max(abs(bs) - a, 0.0)
     psi = math.asin(x)
-    if math.cos(psi) < 1e-12:
-        return False, False, 0.0, 0.0
-    ud_p = a1 * math.cos(psi) + b2 * math.cos(p2)
-    if ud_p <= UD_MIN:
-        return False, True, 0.0, 0.0
-    return True, True, (f1 - psi) % (2.0 * math.pi), ud_p
+    d = (f - psi) % _TWO_PI
+    if a_f < _DEGENERATE_TOL and c < _DEGENERATE_TOL and pos_first:
+        # the vacuous negative equation: uq+- reported as 0
+        if math.cos(psi) < 1e-12:
+            return False, False, math.nan, math.nan, None, 0.0
+        ud_p = a * math.cos(psi) + b * math.cos(p)
+        return ud_p > UD_MIN, True, d, 0.0, (ud_p, 0.0, 0.0, 0.0), 0.0
+    d_f = cmath.phase(cmath.rect(a_f, f_f) + cmath.rect(c, p_c + d)) % _TWO_PI
+    dp, dn = (d, d_f) if pos_first else (d_f, d)
+    feedback, qualifies, *volts = kernels.root_check(prm, dp, dn, UD_MIN)
+    return (qualifies, feedback, dp, dn, volts,
+            max(abs(volts[1]), abs(volts[3])))
 
 
 def _scan_samples(grid_deg: float) -> int:
@@ -209,28 +234,40 @@ def solve_equilibrium(
     ug_pos: float,
     grid_deg: float = SCAN_GRID_DEG,
 ) -> EquilibriumResult:
-    """Find the qualifying angle pair, scanning the curve where the first
-    q-axis residual vanishes.
+    """Find the qualifying angle pair: in closed form when one sequence
+    carries no current (_solve_triangular), otherwise by scanning the curve
+    where the first q-axis residual vanishes. grid_deg is checked either way.
 
     A root qualifies when both q-axis residuals vanish, both d-axis voltages
     are positive, and both per-loop feedback slopes are negative; among
-    several, the one with the largest min(ud+, ud-) is returned. When the
-    negative-sequence equation is identically zero (no grid contribution, no
-    injected negative current) the positive problem is solved alone with
-    delta- reported as 0 and the negative conditions treated as vacuous.
+    several, the one with the largest min(ud+, ud-) is returned. With one
+    current at zero the equations are triangular and the slope-stable root
+    is unique. When the negative-sequence equation is identically zero (no
+    grid contribution, no injected negative current) the positive problem
+    is solved alone with delta- reported as 0 and the negative conditions
+    treated as vacuous.
 
     A scan that finds no qualifying root is a miss, whatever its residual.
     Just past the fold, where the Jacobian turns singular, no seed converges
     although the residual nearly vanishes; like any scan without a
     slope-stable root, that miss reads as the fold (cond_feedback False).
+
+    residual_norm: on a hit, max(|uq+|, |uq-|) at the root (the scan's
+    Newton residual, the same maximum). On a triangular miss, the certified
+    gap |B sin P| - A of the lead equation when no root exists (the fold: no
+    angle brings that q-axis voltage closer to zero), and the root's
+    max(|uq+|, |uq-|) when the root exists but fails a condition (type 2).
+    On a scan's miss, the best residual its seeds reached, which bounds
+    nothing; when the curve is empty, the gap |B2 sin P2| - (A1 + C3).
     """
     grid_n = _scan_samples(grid_deg)
     prm = pack_params(coeffs, ref, ug_pos)
-    if _negative_degenerate(prm):
-        found, feedback, dp, ud_p = _solve_degenerate(prm)
+    closed = _solve_triangular(prm)
+    if closed is not None:
+        found, feedback, dp, dn, volts, res = closed
         if found:
-            return _found(dp, 0.0, ud_p, 0.0, 0.0, 0.0, 0.0)
-        return _not_found(feedback=feedback)
+            return _found(dp, dn, *volts, res)
+        return _not_found(res, feedback)
 
     found, dp, dn, res, _, feedback = kernels.scan_roots(
         prm, grid_n, NEWTON_TOL, NEWTON_MAXIT, UD_MIN
@@ -244,15 +281,17 @@ def refine_root(
     prm, delta_pos: float, delta_neg: float
 ) -> tuple[float, float] | None:
     """Polish a known nearby root (warm start): the polished (delta+,
-    delta-), or None when Newton misses or the root stops qualifying.
+    delta-), or None when Newton misses or the root stops qualifying. With
+    one current at zero the root comes in closed form (_solve_triangular)
+    and the warm start is not used.
 
     prm holds the twelve packed floats (pack_params, or a traversal's
     _pack). The Newton steps and the root conditions run on floats
     (kernels.newton_pair, kernels.root_conditions); no result object is
     built."""
-    if _negative_degenerate(prm):
-        found, _, dp, _ = _solve_degenerate(prm)
-        return (dp, 0.0) if found else None
+    closed = _solve_triangular(prm)
+    if closed is not None:
+        return closed[2:4] if closed[0] else None
     ok, dp, dn, _ = kernels.newton_pair(prm, delta_pos, delta_neg, NEWTON_TOL,
                                         NEWTON_MAXIT)
     if not ok or not kernels.root_conditions(prm, dp, dn, UD_MIN)[1]:

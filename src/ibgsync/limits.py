@@ -13,7 +13,11 @@ The traversal is a coarse continuation in amplitude: Newton starts from the
 last accepted root _STRIDE grid steps on, and only a stride that misses is
 filled in one grid step at a time, so the limit is still read at one grid
 step. Every sweep (_sweep) starts each angle from one root, the equilibrium
-with the swept current at zero, where the angle has no effect.
+with the swept current at zero, where the angle has no effect. With one
+current at zero the orientation equations are triangular and every solve
+is closed-form (equilibrium._solve_triangular): that start, and every
+amplitude of a sweep that holds no other current, where refine_root
+ignores the warm start.
 """
 
 import enum
@@ -184,8 +188,8 @@ def traversal_limit(
     the last accepted root, the first from the root with the swept current
     at zero, eight grid steps on (_STRIDE); only where that misses are the
     grid amplitudes in between taken one at a time, and a warm-start miss
-    there is confirmed by a full scan (solve_equilibrium) before the
-    amplitude fails. The limit is the last passing grid amplitude, so
+    there is confirmed by solve_equilibrium (a full scan, or the closed
+    form with no other current held) before the amplitude fails. The limit is the last passing grid amplitude, so
     `step` alone sets the resolution. More than MAX_SWEEP_POINTS grid
     amplitudes is a ValueError; every input is checked before any solve.
     """
@@ -224,9 +228,10 @@ def _sweep(coeffs, ug_pos, sequence, n_angles, angle, fixed_other, step,
     """The traversal limit at each angle(k), k < n_angles. Every input is
     checked before any solve: the sequence, the amplitude points over all
     angles, the scan's samples, each angle and the held current. With the
-    swept current at zero the angle has no effect, so the sweep solves that
-    problem once and warm-starts every angle's traversal from its root; an
-    angle scans its first amplitude only where that root is missing or both
+    swept current at zero the angle has no effect and the problem is
+    triangular, so the sweep solves it once, in closed form, and
+    warm-starts every angle's traversal from its root; an angle solves its
+    first amplitude from scratch only where that root is missing or both
     the stride and the first grid step miss from it."""
     if sequence not in _SEQUENCES:
         raise ValueError(f"sequence must be one of {_SEQUENCES}")

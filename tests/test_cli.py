@@ -223,30 +223,33 @@ class TestRegion:
 
     def test_solver_options_match_limit(self, tmp_path, capsys, monkeypatch):
         # the region sweep honours the solver section just as `limit` does:
-        # both scan 12 curve samples (30 deg) and read the 0.03 p.u. grid
-        scans = []
+        # both scan 12 curve samples (30 deg) and read the 0.03 p.u. grid.
+        # Both hold a negative current, so that scans run: with none held
+        # every solve of the sweep is closed-form
+        scans = {}
         scan = kernels.scan_roots
-        monkeypatch.setattr(kernels, "scan_roots",
-                            lambda *args: scans.append(args[1]) or scan(*args))
+
+        def run(argv):
+            seen = scans.setdefault(argv[0], [])
+            monkeypatch.setattr(kernels, "scan_roots",
+                                lambda *args: seen.append(args[1]) or scan(*args))
+            return run_cli(["--config", str(cfg), *argv, "--fault", "dlg",
+                            "--seq", "pos", "--other", "0.5@-90"], capsys)
         cfg = tmp_path / "solver.json"
         cfg.write_text(json.dumps({"solver": {"grid_deg": 30.0, "step": 0.03}}))
         out_csv = tmp_path / "region.csv"
-        code, _, _ = run_cli(
-            ["--config", str(cfg), "region", "--fault", "dlg", "--seq", "pos",
-             "--angle-step", "90", "--out", str(out_csv)], capsys
-        )
+        code, _, _ = run(["region", "--angle-step", "90", "--out",
+                          str(out_csv)])
         assert code == 0
         row = out_csv.read_text().splitlines()[4]
         assert row.startswith("90,")
-        code, out, _ = run_cli(
-            ["--config", str(cfg), "limit", "--fault", "dlg", "--seq", "pos",
-             "--angle", "90", "--other", "0@0"], capsys
-        )
+        code, out, _ = run(["limit", "--angle", "90"])
         assert code == 0
         data = json.loads(out)
         assert row == f"90,{data['i_limit']:.12g},{data['binding']}"
-        assert data["i_limit"] == pytest.approx(0.63)
-        assert scans and set(scans) == {12}
+        assert data["i_limit"] == pytest.approx(0.69)
+        assert scans["region"] and set(scans["region"]) == {12}
+        assert scans["limit"] and set(scans["limit"]) == {12}
 
     def test_config_current_is_held_as_in_limit(self, tmp_path, capsys):
         # without --other both commands hold the config's on-fault negative

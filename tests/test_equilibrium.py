@@ -25,9 +25,10 @@ from ibgsync import (
     solve_equilibrium,
     table_circuit,
 )
-from ibgsync import kernels
-from ibgsync.equilibrium import (MAX_SCAN_SAMPLES, _scan_samples, pack_params,
-                                 refine_root)
+from ibgsync import equilibrium, kernels
+from ibgsync.equilibrium import (MAX_SCAN_SAMPLES, NEWTON_MAXIT, NEWTON_TOL,
+                                 UD_MIN, _scan_samples, _solve_triangular,
+                                 pack_params, refine_root)
 import torus_reference
 
 ZF = 7.43801652892562e-06
@@ -219,6 +220,15 @@ def test_solve_rejects_grid_deg_before_scanning(grid_deg, monkeypatch):
                           ref_deg(0.76, -30.0, 0.5, 90.0), UG, grid_deg)
 
 
+@pytest.mark.parametrize("grid_deg", BAD_GRID_DEG)
+def test_triangular_solve_rejects_grid_deg(grid_deg):
+    """The closed form needs no scan, but grid_deg is checked all the
+    same."""
+    with pytest.raises(ValueError, match="grid_deg"):
+        solve_equilibrium(coeffs_for(FaultType.DLG),
+                          ref_deg(0.5, -30.0, 0.0, 0.0), UG, grid_deg)
+
+
 def test_scan_samples_round_and_cap():
     assert _scan_samples(2.0) == 180
     assert _scan_samples(7.0) == 51
@@ -266,3 +276,121 @@ def test_found_roots_always_qualify(ip, tp, inn, tn):
     j11, _, _, j22 = torus_reference.jacobian_eval(prm, res.delta_pos, res.delta_neg)
     assert j11 < 1e-12
     assert j22 < 1e-12
+
+
+def _same_angle(a, b, tol):
+    """a and b are within tol of each other on the circle."""
+    return abs(math.remainder(a - b, 2.0 * math.pi)) <= tol
+
+
+def _scan_oracle(prm, vacuous):
+    """kernels.scan_roots on prm, called directly. The scan has nothing to
+    solve in a negative equation that vanishes, so there it runs with a
+    stand-in negative loop that always qualifies, r2 = sin(-delta-): its
+    root delta- = 0 has slope -1 and ud- = 1."""
+    if vacuous:
+        prm = (*prm[:6], 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    return kernels.scan_roots(prm, 180, NEWTON_TOL, NEWTON_MAXIT, UD_MIN)
+
+
+class TestTriangular:
+    """With one current at zero the root comes in closed form."""
+
+    def test_matches_scan_on_seeded_references(self):
+        """1,200 seeded references of SLG, DLG, LL and TLG, either current
+        at zero, amplitudes up to 2.5 p.u. (past the fold at most angles):
+        the scan, called directly, gives the same found and feedback, and
+        the same root to 1e-9."""
+        rng = np.random.default_rng(2029)
+        faults = (FaultType.SLG, FaultType.DLG, FaultType.LL, FaultType.TLG)
+        tally = {}
+        for k in range(1200):
+            fault = faults[k % 4]
+            c = coeffs_for(fault, complex(*rng.uniform(0.0, 0.05, 2)))
+            amp = rng.uniform(0.0, 2.5)
+            theta = rng.uniform(-math.pi, math.pi)
+            ref = (CurrentReference(amp, theta) if k % 8 < 4
+                   else CurrentReference(0.0, 0.0, amp, theta))
+            prm = pack_params(c, ref, UG)
+            got = solve_equilibrium(c, ref, UG)
+            found, dp, dn, _, _, feedback = _scan_oracle(
+                prm, fault is FaultType.TLG)
+            assert (got.found, got.cond_feedback) == (found, feedback), k
+            if found:
+                assert _same_angle(got.delta_pos, dp, 1e-9), k
+                if fault is not FaultType.TLG:
+                    assert _same_angle(got.delta_neg, dn, 1e-9), k
+            key = (fault, ref.i_neg == 0.0, found, feedback)
+            tally[key] = tally.get(key, 0) + 1
+        # roots, folds and type-2 misses under each coupled fault, with
+        # either current at zero
+        for fault in faults[:3]:
+            for zero_neg in (True, False):
+                for verdict in ((True, True), (False, True), (False, False)):
+                    assert tally.get((fault, zero_neg, *verdict), 0) >= 10
+
+    def test_is_the_only_solve(self, monkeypatch):
+        """No scan and no Newton step runs on a triangular problem."""
+        def fail(*args):
+            raise AssertionError("scanned or stepped a triangular problem")
+        monkeypatch.setattr(kernels, "scan_roots", fail)
+        monkeypatch.setattr(kernels, "newton_pair", fail)
+        c = coeffs_for(FaultType.DLG)
+        for ref in (ref_deg(0.5, -30.0, 0.0, 0.0), ref_deg(0.0, 0.0, 0.5, 90.0),
+                    CurrentReference()):
+            assert solve_equilibrium(c, ref, UG).found
+            assert refine_root(pack_params(c, ref, UG), 0.0, 0.0) is not None
+        assert _solve_triangular(
+            pack_params(c, ref_deg(0.5, -30.0, 0.5, 90.0), UG)) is None
+
+    @pytest.mark.parametrize("amp, found", [(0.91, True), (0.92, False),
+                                            (0.93, False)])
+    def test_fold_rows(self, amp, found):
+        """LL, negative current at -20 deg: a root at 0.91; 0.92 lies 4e-9
+        past the fold, where the scan's Newton stalls, and 0.93 past it too,
+        both misses with no slope-stable root left (type 1)."""
+        res = solve_equilibrium(coeffs_for(FaultType.LL),
+                                ref_deg(0.0, 0.0, amp, -20.0), UG)
+        assert res.found is found
+        assert res.cond_feedback is found
+        if not found:
+            assert 0.0 < res.residual_norm < (1e-7 if amp == 0.92 else 1e-1)
+
+    def test_fold_miss_reports_certified_gap(self):
+        """The residual of a fold miss is |B sin P| - A of the equation
+        with one angle, and no angle pair brings that q-axis voltage closer
+        to zero."""
+        c = coeffs_for(FaultType.DLG)
+        ref = ref_deg(0.0, 0.0, 1.5, -30.0)
+        res = solve_equilibrium(c, ref, UG)
+        assert not res.found and not res.cond_feedback
+        prm = pack_params(c, ref, UG)
+        gap = abs(prm[kernels.P_B5] * math.sin(prm[kernels.P_P5])) \
+            - prm[kernels.P_A4]
+        assert res.residual_norm == gap > 0.0
+        grid = np.linspace(0.0, 2.0 * math.pi, 721)
+        dp, dn = np.meshgrid(grid, grid)
+        _, r2 = torus_reference.residual_eval(prm, dp, dn)
+        assert np.abs(r2).min() >= gap
+
+    def test_type2_miss_reports_root_residual(self):
+        """Past a type-2 limit the slope-stable root survives with ud+ at or
+        below UD_MIN: the miss reports that root's max(|uq+|, |uq-|)."""
+        c = coeffs_for(FaultType.DLG)
+        ref = ref_deg(0.66, 90.0, 0.0, 0.0)
+        res = solve_equilibrium(c, ref, UG)
+        assert not res.found and res.cond_feedback
+        prm = pack_params(c, ref, UG)
+        _, _, dp, dn, _, _ = _solve_triangular(prm)
+        feedback, qualifies, ud_p, uq_p, ud_n, uq_n = kernels.root_check(
+            prm, dp, dn, UD_MIN)
+        assert feedback and not qualifies and ud_p <= UD_MIN < ud_n
+        assert res.residual_norm == max(abs(uq_p), abs(uq_n)) < 1e-12
+
+    @pytest.mark.parametrize("ref", [ref_deg(0.5, -30.0, 0.0, 0.0),
+                                     ref_deg(0.0, 0.0, 0.3, 90.0)])
+    def test_hit_reports_largest_q_axis_voltage(self, ref):
+        res = solve_equilibrium(coeffs_for(FaultType.SLG), ref, UG)
+        assert res.found
+        assert res.residual_norm == max(abs(res.uq_pos), abs(res.uq_neg))
+        assert res.residual_norm < 1e-12

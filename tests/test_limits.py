@@ -29,7 +29,8 @@ from ibgsync import (
     traversal_limit,
 )
 from ibgsync import equilibrium, kernels, limits
-from ibgsync.equilibrium import NEWTON_MAXIT, pack_params, refine_root
+from ibgsync.equilibrium import (NEWTON_MAXIT, NEWTON_TOL, UD_MIN, pack_params,
+                                 refine_root)
 from ibgsync.limits import (AMP_CEILING, AMP_STEP, _STRIDE, _make_ref,
                              _packer)
 
@@ -405,6 +406,19 @@ def _assert_strided_plan(coeffs, sequence, theta_i, fixed_other, step, start,
     return LimitResult(sequence, theta_i, n_steps * step, Binding.CEILING)
 
 
+def _same_angle(a, b, tol):
+    """a and b are within tol of each other on the circle."""
+    return abs(math.remainder(a - b, 2.0 * math.pi)) <= tol
+
+
+def _assert_is_scan_root(root, prm, tol=1e-12):
+    """root is the qualifying root kernels.scan_roots finds on prm."""
+    found, dp, dn, *_ = kernels.scan_roots(prm, 180, NEWTON_TOL,
+                                            NEWTON_MAXIT, UD_MIN)
+    assert found and root is not None
+    assert _same_angle(root[0], dp, tol) and _same_angle(root[1], dn, tol)
+
+
 def _zero_root(coeffs, sequence, fixed_other=None, ug=UG):
     """The root with the swept current at zero, or None."""
     other = fixed_other if fixed_other is not None else (0.0, 0.0)
@@ -458,11 +472,14 @@ def test_traversal_matches_per_step_form(fault_type, seq, deg, oa, od, want,
 def test_traversal_starts_from_zero_current_root(fault_type, seq, deg, oa, od,
                                                 want, binding, monkeypatch):
     """The first stride warm-starts from the root with the swept current
-    at zero and holds the eighth grid amplitude: the only scans are the
-    zero-current one and the one that confirms the failure."""
+    at zero, which is the zero-current scan's root, and holds the eighth
+    grid amplitude. That root comes in closed form, so the only scan is
+    the one that confirms the failure."""
     c = coeffs_for(fault_type)
     theta, other = math.radians(deg), (oa, math.radians(od))
     zero = _zero_root(c, seq, other)
+    _assert_is_scan_root(
+        zero, pack_params(c, _make_ref(seq, 0.0, 0.0, other), UG))
     scans = []
     scan = kernels.scan_roots
     monkeypatch.setattr(kernels, "scan_roots",
@@ -474,7 +491,10 @@ def test_traversal_starts_from_zero_current_root(fault_type, seq, deg, oa, od,
     assert prm == pack_params(
         c, _make_ref(seq, _STRIDE * AMP_STEP, theta, other), UG)
     assert out is not None
-    assert len(scans) == 2
+    failing = round(got.i_limit / AMP_STEP) + 1
+    assert scans == [(pack_params(
+        c, _make_ref(seq, failing * AMP_STEP, theta, other), UG),
+        180, NEWTON_TOL, NEWTON_MAXIT, UD_MIN)]
     assert (got.i_limit, got.binding) == (pytest.approx(want), binding)
 
 
@@ -518,6 +538,25 @@ def _sweep_is_per_angle(coeffs, seq, other, angle_step):
             for s in region.samples]
     assert list(region.samples) == want
     return region, starts, steps
+
+
+@pytest.mark.parametrize("step", [0.01, 0.002])
+@pytest.mark.parametrize("seq", ["pos", "neg"])
+@pytest.mark.parametrize("fault_type", [FaultType.SLG, FaultType.DLG,
+                                        FaultType.LL])
+def test_triangular_sweeps_match_scans(fault_type, seq, step):
+    """A 1 deg sweep with no current held is triangular at every
+    amplitude; with the closed form switched off it runs on warm-start
+    Newton and scans, and gives the same samples. TLG is left out: its
+    negative equation vanishes, and the scan has nothing to solve there."""
+    c = coeffs_for(fault_type)
+    sweep = dict(angle_step=math.radians(1.0), step=step)
+    got = region_boundary(c, UG, seq, **sweep)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(equilibrium, "_solve_triangular", lambda prm: None)
+        want = region_boundary(c, UG, seq, **sweep)
+    assert len(got.samples) == 360
+    assert got == want
 
 
 class TestSharedStart:
@@ -737,13 +776,14 @@ class TestNewtonCap:
                              TRAVERSAL_ANCHORS)
     def test_reference_rows(self, fault_type, seq, deg, oa, od, want, binding,
                             monkeypatch):
-        """The same limit and binding, and the same answer from the
-        zero-current scan and the scan that confirms the failure."""
+        """The same limit and binding, and the same answer from the scan
+        that confirms the failure, the one scan that runs: the
+        zero-current start comes in closed form."""
         short, long, scans = _traversal_at_caps(
             monkeypatch, coeffs_for(fault_type), seq, math.radians(deg),
             (oa, math.radians(od)))
         assert short == long
-        assert len(scans) >= 2
+        assert len(scans) == 1
         for prm, grid_n, tol, maxit, ud_min in scans:
             assert maxit == NEWTON_MAXIT
             _assert_cap_changes_no_scan(prm, grid_n, tol, ud_min)

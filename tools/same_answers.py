@@ -25,6 +25,10 @@ directory, and each runs from its own ``src``:
 - ``equilibrium`` under SLG, DLG and TLG, at a positive current with a
   root and at one without (the JSON printed): a root prints its uq+-, and
   a miss on a curve that is not empty the best residual its seeds reached;
+- problems with one current at zero, which the solver takes in closed
+  form: ``limit`` of SLG neg at 90 deg with no ``--other`` and
+  ``equilibrium --fault dlg --iminus 0.5@90`` (the JSON printed), and
+  ``region --fault ll --seq pos --angle-step 1`` (the CSV written);
 - ``validate --draws 100 --seed 0`` (the table printed);
 - ``simulate`` of a 1 s DLG ride-through, and of 1 s under LL with
   ``--iminus 0.92@-20``, just past the fold, which starts from the
@@ -105,6 +109,14 @@ OTHER_STEPS = (
 # miss at 0.92 where Newton stalls 4e-9 past the fold, a miss at 0.93 (both
 # exit 2)
 FOLD_AMPS = ("0.91", "0.92", "0.93")
+# one current at zero, solved in closed form: a limit and a 1 deg sweep with
+# no current held, an equilibrium with no positive current; each with
+# whether it writes --out
+TRIANGULAR = (
+    (["limit", "--fault", "slg", "--seq", "neg", "--angle", "90"], False),
+    (["equilibrium", "--fault", "dlg", "--iminus", "0.5@90"], False),
+    (["region", "--fault", "ll", "--seq", "pos", "--angle-step", "1"], True),
+)
 # fault, a positive current with a qualifying root, one without (exit 2);
 # TLG's holds only near the impedance angle
 FAULT_EQUILIBRIA = (("slg", "1.0@-30", "2.0@-30"),
@@ -200,6 +212,8 @@ def cases() -> list[tuple[str, list[str], bool, dict | None]]:
     out.append(("region ll neg step 5",
                 ["region", "--fault", "ll", "--seq", "neg", "--angle-step", "5"],
                 True, None))
+    out += [(" ".join(argv), argv, to_file, None)
+            for argv, to_file in TRIANGULAR]
     out.append(("validate draws 100 seed 0",
                 ["validate", "--draws", "100", "--seed", "0"], False, None))
     out.append(("simulate dlg iplus 0.77@-30 t_end 1", SIMULATE, True, None))
