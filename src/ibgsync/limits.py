@@ -189,9 +189,10 @@ def traversal_limit(
     at zero, eight grid steps on (_STRIDE); only where that misses are the
     grid amplitudes in between taken one at a time, and a warm-start miss
     there is confirmed by solve_equilibrium (a full scan, or the closed
-    form with no other current held) before the amplitude fails. The limit is the last passing grid amplitude, so
-    `step` alone sets the resolution. More than MAX_SWEEP_POINTS grid
-    amplitudes is a ValueError; every input is checked before any solve.
+    form with no other current held) before the amplitude fails. The limit
+    is the last passing grid amplitude, so `step` alone sets the
+    resolution. More than MAX_SWEEP_POINTS grid amplitudes is a
+    ValueError; every input is checked before any solve.
     """
     return _sweep(coeffs, ug_pos, sequence, 1, lambda k: theta_i,
                   fixed_other, step, ceiling, grid_deg)[0]
