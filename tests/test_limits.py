@@ -540,17 +540,19 @@ def _sweep_is_per_angle(coeffs, seq, other, angle_step):
     return region, starts, steps
 
 
+@pytest.mark.parametrize("other", [None, (0.5, -math.pi / 2.0)])
 @pytest.mark.parametrize("step", [0.01, 0.002])
 @pytest.mark.parametrize("seq", ["pos", "neg"])
 @pytest.mark.parametrize("fault_type", [FaultType.SLG, FaultType.DLG,
                                         FaultType.LL])
-def test_triangular_sweeps_match_scans(fault_type, seq, step):
+def test_triangular_sweeps_match_scans(fault_type, seq, step, other):
     """A 1 deg sweep with no current held is triangular at every
-    amplitude; with the closed form switched off it runs on warm-start
-    Newton and scans, and gives the same samples. TLG is left out: its
-    negative equation vanishes, and the scan has nothing to solve there."""
+    amplitude, and one with a current held at its zero-current start.
+    With the closed form switched off it runs on warm-start Newton and
+    scans, and gives the same samples. TLG is left out: its negative
+    equation vanishes, and the scan has nothing to solve there."""
     c = coeffs_for(fault_type)
-    sweep = dict(angle_step=math.radians(1.0), step=step)
+    sweep = dict(fixed_other=other, angle_step=math.radians(1.0), step=step)
     got = region_boundary(c, UG, seq, **sweep)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(equilibrium, "_solve_triangular", lambda prm: None)
