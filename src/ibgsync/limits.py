@@ -16,8 +16,10 @@ step. Every sweep (_sweep) starts each angle from one root, the equilibrium
 with the swept current at zero, where the angle has no effect. With one
 current at zero the orientation equations are triangular and every solve
 is closed-form (equilibrium._solve_triangular): that start, and every
-amplitude of a sweep that holds no other current, where refine_root
-ignores the warm start.
+amplitude of a sweep that holds no other current. There the edge is
+closed-form too (decoupled_limit), so the traversal jumps to the grid
+amplitude below it and reads the limit at the grid step past it, with no
+stride in between.
 """
 
 import enum
@@ -31,6 +33,7 @@ from .equilibrium import (
     _pack,
     _polars,
     _scan_samples,
+    _solve_triangular,
     refine_root,
     solve_equilibrium,
 )
@@ -115,7 +118,10 @@ def decoupled_limit(
     On the shrinking side (cos(phi) < 0) the limit is the type-2 circle
     |K| Ug / |Z|; on the growing side only the type-1 fold
     |K| Ug / (|Z| |sin(phi)|) applies and tends to infinity as the
-    injection aligns with the impedance angle.
+    injection aligns with the impedance angle. With the other current at
+    zero there is no cross coupling to ignore: this is the coupled edge,
+    the amplitude where the closed-form root (equilibrium._solve_triangular)
+    stops qualifying, which a traversal with no held current jumps to.
     """
     k, z = _own_pair(coeffs, sequence)
     zm, za = polar(z)
@@ -140,12 +146,12 @@ def _make_ref(
     return CurrentReference(other[0], other[1], amp, theta_i)
 
 
-def _packer(coeffs: SequenceCoefficients, ug_pos: float, sequence: str,
+def _packer(polars: tuple[float, ...], ug_pos: float, sequence: str,
             ref: CurrentReference):
     """The packed floats as a function of the swept amplitude, the other
     current and both angles taken from ref: pack_params of
-    _make_ref(sequence, amp, ...) without building it."""
-    polars = _polars(coeffs)
+    _make_ref(sequence, amp, ...) without building it, from the
+    coefficients' _polars."""
     i_p, th_p = ref.i_pos, ref.theta_i_pos
     i_n, th_n = ref.i_neg, ref.theta_i_neg
     if sequence == "pos":
@@ -189,10 +195,14 @@ def traversal_limit(
     at zero, eight grid steps on (_STRIDE); only where that misses are the
     grid amplitudes in between taken one at a time, and a warm-start miss
     there is confirmed by solve_equilibrium (a full scan, or the closed
-    form with no other current held) before the amplitude fails. The limit
-    is the last passing grid amplitude, so `step` alone sets the
-    resolution. More than MAX_SWEEP_POINTS grid amplitudes is a
-    ValueError; every input is checked before any solve.
+    form) before the amplitude fails. With no other current held every
+    solve is closed-form, and the first stride goes straight to the grid
+    amplitude below the edge that decoupled_limit gives, then on one grid
+    step at a time; where that amplitude misses, the strides start over
+    from the zero-current root. The limit is the last passing grid
+    amplitude, so `step` alone sets the resolution. More than
+    MAX_SWEEP_POINTS grid amplitudes is a ValueError; every input is
+    checked before any solve.
     """
     return _sweep(coeffs, ug_pos, sequence, 1, lambda k: theta_i,
                   fixed_other, step, ceiling, grid_deg)[0]
@@ -246,15 +256,17 @@ def _sweep(coeffs, ug_pos, sequence, n_angles, angle, fixed_other, step,
     res = solve_equilibrium(coeffs, _make_ref(sequence, 0.0, 0.0, other),
                             ug_pos, grid_deg)
     start = (res.delta_pos, res.delta_neg) if res.found else None
+    polars = _polars(coeffs)
     return tuple(_traverse(coeffs, ug_pos, sequence, theta, other, step,
-                           n_steps, grid_deg, start)
+                           n_steps, grid_deg, polars, start)
                  for theta in thetas)
 
 
 def _traverse(coeffs, ug_pos, sequence, theta_i, other, step, n_steps,
-              grid_deg, start):
-    """One angle's amplitude loop on checked arguments. `start` is a root
-    to warm-start from, or None to scan the first amplitude.
+              grid_deg, polars, start):
+    """One angle's amplitude loop on checked arguments. `polars` are the
+    coefficients' _polars; `start` is a root to warm-start from, or None
+    to scan the first amplitude.
 
     From the last accepted root at grid index k, one warm start tries index
     k + _STRIDE (clamped to n_steps). Where it holds, the amplitudes in
@@ -262,13 +274,34 @@ def _traverse(coeffs, ug_pos, sequence, theta_i, other, step, n_steps,
     amplitudes k + 1 .. k + _STRIDE are taken one at a time from the root
     at k, each warm miss confirmed by a full scan (solve_equilibrium). The
     failing amplitude and its binding thus come from one grid step and the
-    scan that confirms it, as in a loop that visits every grid amplitude."""
-    packed = _packer(coeffs, ug_pos, sequence,
+    scan that confirms it, as in a loop that visits every grid amplitude.
+
+    Where the closed form answers at the first amplitude (no other current
+    held, so it answers at every one), the first stride instead jumps to
+    the grid index below decoupled_limit's edge, min(n_steps,
+    floor(edge / step)); index 0 is the start itself. Where that holds,
+    the amplitudes past it are taken one at a time by solve_equilibrium,
+    which solves the same closed form as a warm start, so the one solve at
+    the failing amplitude also gives its binding. Where the jump misses
+    (a grid amplitude on the edge or within rounding of it, or either
+    sequence's d-axis voltage at most UD_MIN there), the strides start
+    from index 0 as above. Every answer is the
+    closed form at a grid amplitude, so the jump trusts the amplitudes it
+    skips as a stride does."""
+    packed = _packer(polars, ug_pos, sequence,
                      _make_ref(sequence, step, theta_i, other))
 
     # k: the grid index of the last accepted root; fill: the index up to
     # which the amplitudes are visited one at a time
     prev, k, fill = start, 0, 0
+    if prev is not None and _solve_triangular(packed(step)) is not None:
+        edge = (decoupled_limit(coeffs, ug_pos, sequence, theta_i).i_limit
+                / step)
+        jump = n_steps if edge >= n_steps else int(edge)
+        if jump == 0 or refine_root(packed(jump * step), *prev) is not None:
+            # the closed form takes no warm start: the amplitudes past the
+            # edge are solved afresh, one at a time
+            prev, k = None, jump
     while k < n_steps:
         if k >= fill:
             fill = min(k + _STRIDE, n_steps)

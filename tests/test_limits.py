@@ -374,21 +374,42 @@ def _per_step_traversal(coeffs, sequence, theta_i, fixed_other=None,
 def _assert_strided_plan(coeffs, sequence, theta_i, fixed_other, step, start,
                          steps, ug=UG):
     """Read a traversal's warm starts (_recorded) as the strided plan and
-    return the limit the plan gives. From the last accepted root, at a grid
-    index k that is a multiple of _STRIDE, a stride warm-starts from that
-    root at k + _STRIDE, clamped to the ceiling. Where the stride misses,
-    or no root is known, the warm starts up to k + _STRIDE are the per-step
-    form's from the root at k, scans included."""
+    return the limit the plan gives. From the last accepted root at grid
+    index k, a stride warm-starts from that root at k + _STRIDE, clamped to
+    the ceiling. Where the stride misses, or no root is known, the warm
+    starts up to k + _STRIDE are the per-step form's from the root at k,
+    scans included.
+
+    Where the closed form answers at the first amplitude and a start is
+    given, the first stride is the edge jump: to index min(n_steps,
+    floor(decoupled_limit / step)), no warm start when that is 0. Where it
+    holds, the plan goes on from there with no root carried, so the next
+    amplitudes are solved afresh and the strides count from the jump;
+    where it misses, the plan starts over from index 0."""
     other = fixed_other if fixed_other is not None else (0.0, 0.0)
     n_steps = _grid_steps(step)
-    root, k, i = start, 0, 0
+    root, k, i, base = start, 0, 0, 0
+    first = pack_params(coeffs, _make_ref(sequence, step, theta_i, other), ug)
+    if root is not None and equilibrium._solve_triangular(first) is not None:
+        edge = decoupled_limit(coeffs, ug, sequence, theta_i).i_limit
+        jump = (min(n_steps, math.floor(edge / step)) if edge < math.inf
+                else n_steps)
+        out = root
+        if jump > 0:
+            prm, seed, out = steps[0]
+            i = 1
+            assert seed == root
+            assert prm == pack_params(
+                coeffs, _make_ref(sequence, jump * step, theta_i, other), ug)
+        if out is not None:
+            root, k, base = None, jump, jump
     while k < n_steps:
         end = min(k + _STRIDE, n_steps)
         if root is not None:
             prm, seed, out = steps[i]
             i += 1
             assert seed == root
-            assert end % _STRIDE == 0 or end == n_steps
+            assert (end - base) % _STRIDE == 0 or end == n_steps
             assert prm == pack_params(
                 coeffs, _make_ref(sequence, end * step, theta_i, other), ug)
             if out is not None:
@@ -577,19 +598,18 @@ class TestSharedStart:
         assert len(region.samples) == len(starts) == 12
         assert starts == [_zero_root(c, seq, other)] * 12
 
-    def test_warm_start_misses_then_scans(self):
-        """TLG pos: the zero-current root exists, but no angle keeps it at
-        the first stride or the first grid amplitude, where the scan misses
-        too (limit 0)."""
+    def test_edge_below_first_step_solves_it_afresh(self):
+        """TLG pos: the zero-current root exists, but at every angle the
+        closed-form edge lies below the first grid amplitude, so no warm
+        start runs: the first amplitude is solved afresh and misses
+        (limit 0)."""
         c = coeffs_for(FaultType.TLG)
         region, starts, steps = _sweep_is_per_angle(c, "pos", None,
                                                     math.radians(30.0))
         assert starts[0] is not None and starts == [starts[0]] * 12
-        first = [(prm, out) for prm, seed, out in steps if seed == starts[0]]
-        assert first == [
-            (pack_params(c, _make_ref("pos", k * AMP_STEP, s.theta_i,
-                                      (0.0, 0.0)), UG), None)
-            for s in region.samples for k in (_STRIDE, 1)]
+        assert all(decoupled_limit(c, UG, "pos", s.theta_i).i_limit
+                   < AMP_STEP for s in region.samples)
+        assert steps == []
         assert {(s.i_limit, s.binding) for s in region.samples} \
             == {(0.0, Binding.TYPE1)}
 
@@ -691,18 +711,140 @@ def test_random_circuits_match_per_step_form(seed, monkeypatch):
 
 
 def test_stride_clamps_to_ceiling(monkeypatch):
-    """A ceiling of 1.0 is 100 grid steps, not a multiple of _STRIDE: the
-    last stride lands on the ceiling, not past it, and the sweep reports
-    CEILING there."""
-    c = coeffs_for(FaultType.NONE)
+    """A ceiling of 1.0 is 100 grid steps, not a multiple of _STRIDE: with
+    a current held, the last stride lands on the ceiling, not past it, and
+    the sweep reports CEILING there. With none held the edge is infinite
+    and the one warm start is the jump to the ceiling."""
+    c = coeffs_for(FaultType.DLG)
     theta = -math.atan2(c.z2.imag, c.z2.real)
+    for other, amps in (((0.5, -math.pi / 2.0), [*range(_STRIDE, 100, _STRIDE),
+                                                100]),
+                        (None, [100])):
+        steps = _recorded(monkeypatch)
+        out = traversal_limit(c, UG, "pos", theta, fixed_other=other,
+                              ceiling=1.0)
+        assert out == LimitResult("pos", theta, 100 * AMP_STEP,
+                                  Binding.CEILING)
+        assert [prm for prm, _, _ in steps] == [
+            pack_params(c, _make_ref("pos", k * AMP_STEP, theta,
+                                     other or (0.0, 0.0)), UG)
+            for k in amps]
+        assert all(out is not None for _, _, out in steps)
+
+
+def _counted(monkeypatch):
+    """Record each solve of the traversal, refine_root's and
+    solve_equilibrium's, as (name, packed floats)."""
+    solves = []
+
+    def refining(prm, dp, dn):
+        solves.append(("refine_root", tuple(prm)))
+        return refine_root(prm, dp, dn)
+
+    def solving(coeffs, ref, ug, grid_deg):
+        solves.append(("solve_equilibrium", pack_params(coeffs, ref, ug)))
+        return solve_equilibrium(coeffs, ref, ug, grid_deg)
+    monkeypatch.setattr(limits, "refine_root", refining)
+    monkeypatch.setattr(limits, "solve_equilibrium", solving)
+    return solves
+
+
+@pytest.mark.parametrize("seq", ["pos", "neg"])
+@pytest.mark.parametrize("fault_type", [FaultType.SLG, FaultType.DLG,
+                                        FaultType.LL])
+def test_no_current_sweep_solves_at_the_edge(fault_type, seq, monkeypatch):
+    """With no current held, a 5 deg sweep makes the same solves at steps
+    0.01 and 0.001: besides the zero-current start, the jump and the one
+    solve past it, at most two an angle, however fine the step."""
+    c = coeffs_for(fault_type)
+    counts = []
+    for step in (0.01, 0.001):
+        solves = _counted(monkeypatch)
+        region = region_boundary(c, UG, seq, angle_step=math.radians(5.0),
+                                 step=step)
+        assert len(region.samples) == 72
+        counts.append([name for name, _ in solves])
+    assert counts[0] == counts[1]
+    assert counts[0][0] == "solve_equilibrium"
+    assert len(counts[0]) <= 1 + 2 * 72
+
+
+@pytest.mark.parametrize("fault_type,seq", [(FaultType.DLG, "pos"),
+                                            (FaultType.TLG, "neg")])
+def test_edge_at_ceiling_takes_one_solve(fault_type, seq, monkeypatch):
+    """An angle whose closed-form edge lies past the ceiling: DLG pos along
+    the impedance angle, and TLG neg, whose edge is infinite at every
+    angle. Past the zero-current start, the traversal's one solve is the
+    jump to the ceiling."""
+    c = coeffs_for(fault_type)
+    z = c.z2 if seq == "pos" else c.z5
+    theta = -math.atan2(z.imag, z.real)
+    if fault_type is FaultType.TLG:
+        theta = math.radians(40.0)
+    assert decoupled_limit(c, UG, seq, theta).i_limit == math.inf
+    solves = _counted(monkeypatch)
+    got = traversal_limit(c, UG, seq, theta)
+    assert got == LimitResult(seq, theta, AMP_CEILING, Binding.CEILING)
+    assert solves == [
+        ("solve_equilibrium",
+         pack_params(c, _make_ref(seq, 0.0, 0.0, (0.0, 0.0)), UG)),
+        ("refine_root",
+         pack_params(c, _make_ref(seq, AMP_CEILING, theta, (0.0, 0.0)), UG))]
+
+
+def _grid_edge_case():
+    """DLG pos on the voltage circle's side, on an amplitude grid whose
+    50th step is the circle |K1| Ug / |Z2| as decoupled_limit gives it:
+    (coefficients, angle, step)."""
+    c = coeffs_for(FaultType.DLG)
+    theta = math.pi - math.atan2(c.z2.imag, c.z2.real)
+    edge = decoupled_limit(c, UG, "pos", theta)
+    assert edge.binding is Binding.TYPE2
+    return c, theta, edge.i_limit / 50
+
+
+def test_jump_onto_the_edge_falls_back(monkeypatch):
+    """An edge that lands on a grid amplitude: the jump there misses, as
+    the voltage condition fails on the circle, and the traversal strides
+    from the zero-current root as with no jump, to the per-step forms'
+    answer."""
+    c, theta, step = _grid_edge_case()
+    steps = _assert_same_traversal(monkeypatch, c, "pos", theta, step=step)
+    zero = _zero_root(c, "pos")
+    assert steps[0][1:] == (zero, None)
+    assert steps[0][0] == pack_params(
+        c, _make_ref("pos", 50 * step, theta, (0.0, 0.0)), UG)
+    assert steps[1][:2] == (pack_params(
+        c, _make_ref("pos", _STRIDE * step, theta, (0.0, 0.0)), UG), zero)
+
+
+@pytest.mark.parametrize("fault_type,seq,deg", [
+    (FaultType.SLG, "pos", -30.0), (FaultType.DLG, "neg", 90.0),
+    (FaultType.LL, "pos", 150.0), (FaultType.TLG, "pos", -81.29)])
+def test_jump_that_overshoots_falls_back(fault_type, seq, deg, monkeypatch):
+    """With decoupled_limit patched one grid step too far, every jump
+    misses, and the traversal gives the per-step forms' answer by strides
+    from the zero-current root."""
+    c, theta = coeffs_for(fault_type), math.radians(deg)
+    edge = decoupled_limit(c, UG, seq, theta)
+    assert 2 * AMP_STEP <= edge.i_limit < AMP_CEILING - AMP_STEP
+
+    def overshooting(*args):
+        out = decoupled_limit(*args)
+        return LimitResult(out.sequence, out.theta_i,
+                           out.i_limit + AMP_STEP, out.binding)
+    monkeypatch.setattr(limits, "decoupled_limit", overshooting)
     steps = _recorded(monkeypatch)
-    out = traversal_limit(c, UG, "pos", theta, ceiling=1.0)
-    assert out == LimitResult("pos", theta, 100 * AMP_STEP, Binding.CEILING)
-    assert [prm for prm, _, _ in steps] == [
-        pack_params(c, _make_ref("pos", k * AMP_STEP, theta, (0.0, 0.0)), UG)
-        for k in [*range(_STRIDE, 100, _STRIDE), 100]]
-    assert all(out is not None for _, _, out in steps)
+    got = traversal_limit(c, UG, seq, theta)
+    zero = _zero_root(c, seq)
+    jump = math.floor(edge.i_limit / AMP_STEP) + 1
+    assert steps[0] == (pack_params(
+        c, _make_ref(seq, jump * AMP_STEP, theta, (0.0, 0.0)), UG), zero,
+        None)
+    assert steps[1][:2] == (pack_params(
+        c, _make_ref(seq, _STRIDE * AMP_STEP, theta, (0.0, 0.0)), UG), zero)
+    assert got == _per_step_traversal(c, seq, theta, None, zero)[0]
+    assert got == _per_step_traversal(c, seq, theta)[0]
 
 
 @pytest.mark.parametrize("seq", ["pos", "neg"])
@@ -711,7 +853,8 @@ def test_swept_packing_is_pack_params(seq, other):
     """The traversal's packed floats are pack_params' values bit for bit."""
     c = coeffs_for(FaultType.SLG)
     theta = math.radians(-30.0)
-    packed = _packer(c, UG, seq, _make_ref(seq, AMP_STEP, theta, other))
+    packed = _packer(equilibrium._polars(c), UG, seq,
+                     _make_ref(seq, AMP_STEP, theta, other))
     for k in (1, 2, 7, 76, 143, 300):
         amp = k * AMP_STEP
         want = pack_params(c, _make_ref(seq, amp, theta, other), UG)

@@ -28,7 +28,9 @@ directory, and each runs from its own ``src``:
 - problems with one current at zero, which the solver takes in closed
   form: ``limit`` of SLG neg at 90 deg with no ``--other`` and
   ``equilibrium --fault dlg --iminus 0.5@90`` (the JSON printed), and
-  ``region --fault ll --seq pos --angle-step 1`` (the CSV written);
+  ``region --fault ll --seq pos --angle-step 1`` and ``region --fault slg
+  --seq neg --angle-step 0.5 --step 0.001`` (2,160,000 grid amplitudes,
+  whose traversals jump to the closed-form edge; the CSV written);
 - ``validate --draws 100 --seed 0`` (the table printed);
 - ``simulate`` of a 1 s DLG ride-through, and of 1 s under LL with
   ``--iminus 0.92@-20``, just past the fold, which starts from the
@@ -109,13 +111,15 @@ OTHER_STEPS = (
 # miss at 0.92 where Newton stalls 4e-9 past the fold, a miss at 0.93 (both
 # exit 2)
 FOLD_AMPS = ("0.91", "0.92", "0.93")
-# one current at zero, solved in closed form: a limit and a 1 deg sweep with
-# no current held, an equilibrium with no positive current; each with
-# whether it writes --out
+# one current at zero, solved in closed form: a limit, a 1 deg sweep and a
+# 0.5 deg sweep on a 0.001 p.u. grid with no current held, an equilibrium
+# with no positive current; each with whether it writes --out
 TRIANGULAR = (
     (["limit", "--fault", "slg", "--seq", "neg", "--angle", "90"], False),
     (["equilibrium", "--fault", "dlg", "--iminus", "0.5@90"], False),
     (["region", "--fault", "ll", "--seq", "pos", "--angle-step", "1"], True),
+    (["region", "--fault", "slg", "--seq", "neg", "--angle-step", "0.5",
+      "--step", "0.001"], True),
 )
 # fault, a positive current with a qualifying root, one without (exit 2);
 # TLG's holds only near the impedance angle

@@ -31,14 +31,14 @@ def _stub(monkeypatch, differing=()):
 
 def test_cases_cover_the_reference_outputs():
     names = [name for name, _, _, _ in same_answers.cases()]
-    assert len(names) == 12 + 4 + 2 + 2 + 2 + 3 + 6 + 1 + 3 + 1 + 9 + 5 + 4 + 2
+    assert len(names) == 12 + 4 + 2 + 2 + 2 + 3 + 6 + 1 + 4 + 1 + 9 + 5 + 4 + 2
     assert len(set(names)) == len(names)
     to_file = [argv for _, argv, to_file, _ in same_answers.cases() if to_file]
     assert [argv[0] for argv in to_file].count("simulate") == 11
     regions = [argv for argv in to_file if argv[0] != "simulate"]
     assert all(argv[0] == "region" for argv in regions)
     assert sorted(argv[argv.index("--angle-step") + 1] for argv in regions) \
-        == ["1", "30", "30", "30", "30", "30", "30", "5", "5", "5"]
+        == ["0.5", "1", "30", "30", "30", "30", "30", "30", "5", "5", "5"]
 
 
 def test_cases_cover_the_plots():
@@ -135,14 +135,17 @@ def test_cases_cover_the_limit_starts():
 
 
 def test_cases_cover_the_triangular_solves():
-    """A limit, an equilibrium and a 1 deg region sweep with one current
-    at zero, which the solver takes in closed form."""
+    """A limit, an equilibrium, a 1 deg region sweep and a 0.5 deg one on
+    a 0.001 p.u. grid with one current at zero, which the solver takes in
+    closed form."""
     argvs = [argv for _, argv, _, _ in same_answers.cases()]
     assert ["limit", "--fault", "slg", "--seq", "neg", "--angle",
             "90"] in argvs
     assert ["equilibrium", "--fault", "dlg", "--iminus", "0.5@90"] in argvs
     assert ["region", "--fault", "ll", "--seq", "pos", "--angle-step",
             "1"] in argvs
+    assert ["region", "--fault", "slg", "--seq", "neg", "--angle-step",
+            "0.5", "--step", "0.001"] in argvs
 
 
 def test_cases_cover_other_amplitude_steps():
@@ -160,7 +163,7 @@ def test_same_answers_exit_0(monkeypatch, capsys):
     assert same_answers.main(["--parent", "a", "--change", "b"]) == 0
     out = capsys.readouterr().out
     assert "DIFFERS" not in out
-    assert "56 of 56 outputs byte-identical" in out
+    assert "57 of 57 outputs byte-identical" in out
 
 
 def test_one_difference_exits_1(monkeypatch, capsys):
@@ -169,7 +172,7 @@ def test_one_difference_exits_1(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "DIFFERS: validate draws 100 seed 0" in out
     assert out.count("DIFFERS") == 1
-    assert "55 of 56 outputs byte-identical" in out
+    assert "56 of 57 outputs byte-identical" in out
 
 
 def test_config_cases_set_every_section():
