@@ -779,8 +779,6 @@ def test_edge_at_ceiling_takes_one_solve(fault_type, seq, monkeypatch):
     c = coeffs_for(fault_type)
     z = c.z2 if seq == "pos" else c.z5
     theta = -math.atan2(z.imag, z.real)
-    if fault_type is FaultType.TLG:
-        theta = math.radians(40.0)
     assert decoupled_limit(c, UG, seq, theta).i_limit == math.inf
     solves = _counted(monkeypatch)
     got = traversal_limit(c, UG, seq, theta)
@@ -792,23 +790,18 @@ def test_edge_at_ceiling_takes_one_solve(fault_type, seq, monkeypatch):
          pack_params(c, _make_ref(seq, AMP_CEILING, theta, (0.0, 0.0)), UG))]
 
 
-def _grid_edge_case():
-    """DLG pos on the voltage circle's side, on an amplitude grid whose
-    50th step is the circle |K1| Ug / |Z2| as decoupled_limit gives it:
-    (coefficients, angle, step)."""
-    c = coeffs_for(FaultType.DLG)
-    theta = math.pi - math.atan2(c.z2.imag, c.z2.real)
-    edge = decoupled_limit(c, UG, "pos", theta)
-    assert edge.binding is Binding.TYPE2
-    return c, theta, edge.i_limit / 50
-
-
 def test_jump_onto_the_edge_falls_back(monkeypatch):
     """An edge that lands on a grid amplitude: the jump there misses, as
     the voltage condition fails on the circle, and the traversal strides
     from the zero-current root as with no jump, to the per-step forms'
-    answer."""
-    c, theta, step = _grid_edge_case()
+    answer. DLG pos on the voltage circle's side, on an amplitude grid
+    whose 50th step is the circle |K1| Ug / |Z2| as decoupled_limit gives
+    it."""
+    c = coeffs_for(FaultType.DLG)
+    theta = math.pi - math.atan2(c.z2.imag, c.z2.real)
+    edge = decoupled_limit(c, UG, "pos", theta)
+    assert edge.binding is Binding.TYPE2
+    step = edge.i_limit / 50
     steps = _assert_same_traversal(monkeypatch, c, "pos", theta, step=step)
     zero = _zero_root(c, "pos")
     assert steps[0][1:] == (zero, None)
