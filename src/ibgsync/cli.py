@@ -107,8 +107,7 @@ def cmd_coeffs(doc: ConfigDocument, args) -> int:
 
 def cmd_equilibrium(doc: ConfigDocument, args) -> int:
     coeffs, _ = _coeffs_for(doc, args)
-    res = solve_equilibrium(coeffs, _fault_refs(doc, args), doc.circuit.ug_pos,
-                            doc.solver.grid_deg)
+    res = solve_equilibrium(coeffs, _fault_refs(doc, args), doc.circuit.ug_pos)
     _emit_json(
         {
             "found": res.found,

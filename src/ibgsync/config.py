@@ -11,7 +11,7 @@ import json
 import math
 
 from .dynsim import RECORD_DT, Scenario, check_run_settings
-from .equilibrium import SCAN_GRID_DEG, CurrentReference, _scan_samples
+from .equilibrium import CurrentReference
 from .limits import AMP_CEILING, AMP_STEP, _amplitude_steps
 from .network import (REF_S_BASE_MVA, REF_V_BASE_KV, BranchImpedance,
                       CircuitParameters, FaultSpec, FaultType, table_circuit)
@@ -39,17 +39,14 @@ class ConfigError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class SolverOptions:
-    """The scan's angle spacing (deg) and the traversal's amplitude step and
-    ceiling (p.u.), checked as one scan and one traversal check them. The
-    Newton tolerance and the least d-axis voltage are the constants
-    equilibrium.NEWTON_TOL and equilibrium.UD_MIN, not options."""
+    """The traversal's amplitude step and ceiling (p.u.), checked as a
+    traversal checks them. The Newton tolerance and the least d-axis voltage
+    are the constants equilibrium.NEWTON_TOL and UD_MIN, not options."""
 
-    grid_deg: float = SCAN_GRID_DEG
     step: float = AMP_STEP
     ceiling: float = AMP_CEILING
 
     def __post_init__(self):
-        _scan_samples(self.grid_deg)
         _amplitude_steps(self.step, self.ceiling, 1.0)
 
 

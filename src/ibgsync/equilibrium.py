@@ -2,12 +2,13 @@
 synchronization loops and their existence/stability classification.
 
 The two q-axis voltages must vanish with positive d-axis voltages
-(orientation) and negative per-loop feedback slopes (stability). The first
-q-axis equation gives delta+ in closed form for each delta-, so the roots
-lie on a one-dimensional curve; the solver seeds damped Newton iterations
-along it (kernels.scan_roots). When one sequence carries no current the
-equations are triangular and the root is an arcsine and a phase
-(_solve_triangular), with no scan.
+(orientation) and negative per-loop feedback slopes (stability). Each
+equation is a trigonometric polynomial of degree one in each angle, so
+eliminating delta+ leaves a sextic in e^{j delta-} whose roots on the unit
+circle give every root (kernels.scan_roots); Newton polishes each one
+before the root conditions judge it. When one sequence carries no current
+the equations are triangular and the root is an arcsine and a phase
+(_solve_triangular), with no polynomial.
 """
 
 import cmath
@@ -16,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from . import kernels
+from .kernels import DEGENERATE_TOL, P_B2, P_B5, P_C3, P_C6
 from .network import SequenceCoefficients
 from .phasor import polar, wrap_angle
 
@@ -28,18 +30,12 @@ __all__ = [
     "solve_equilibrium",
 ]
 
-_DEGENERATE_TOL = 1e-12
 _TWO_PI = 2.0 * math.pi
 
-# Newton iteration cap for curve-scan seeds and warm starts; past the fold a
-# seed runs to it. On 2,304 region-sweep limits and 3,000 random solves every
+# Newton iteration cap for sextic candidates and warm starts; past the fold a
+# start runs to it. On 2,304 region-sweep limits and 3,000 random solves every
 # converged warm start took <= 8 steps and every answer at caps 10-16 was 80's
 NEWTON_MAXIT = 16
-# default spacing of the curve's angle samples (deg), and the most samples
-# one scan may take (0.001 deg): it holds several arrays of 4 x samples
-# floats (kernels._curve_seeds), so 1e-5 deg would ask for gigabytes
-SCAN_GRID_DEG = 2.0
-MAX_SCAN_SAMPLES = 360_000
 # stand-ins for the exact orientation conditions, not model parameters: a
 # q-axis residual below NEWTON_TOL is zero, a d-axis voltage above UD_MIN
 # is positive
@@ -166,11 +162,23 @@ def _not_found(res: float, feedback: bool) -> EquilibriumResult:
     )
 
 
+def _triangular(prm):
+    """"pos" when the negative sequence carries no current (C3, B5 below
+    DEGENERATE_TOL), "neg" when the positive carries none (B2, C6), else
+    None: the one test of the triangular form, which _solve_triangular and
+    a sweep's edge jump (limits._traverse) read."""
+    if prm[P_C3] < DEGENERATE_TOL and prm[P_B5] < DEGENERATE_TOL:
+        return "pos"
+    if prm[P_B2] < DEGENERATE_TOL and prm[P_C6] < DEGENERATE_TOL:
+        return "neg"
+    return None
+
+
 def _solve_triangular(prm):
     """The answer in closed form when one sequence carries no current, or
-    None when prm is not of that form: (found, feedback, delta+, delta-,
-    (ud+, uq+, ud-, uq-), residual). prm is any 12-sequence of packed
-    parameters.
+    None when prm is not of that form (_triangular): (found, feedback,
+    delta+, delta-, (ud+, uq+, ud-, uq-), residual). prm is any 12-sequence
+    of packed parameters.
 
     With C3 = B5 = 0 (no negative current) the positive equation involves
     delta+ alone, A1 sin(F1 - delta+) + B2 sin P2 = 0: its slope-stable root
@@ -179,32 +187,33 @@ def _solve_triangular(prm):
     R sin(phi - delta-) = 0 with R e^{j phi} = A4 e^{jF4}
     + C6 e^{j(P6 + delta+)}, whose slope-stable root is delta- = phi, where
     ud- = R. B2 = C6 = 0 (no positive current) mirrors it. That root is the
-    only slope-stable one, and the root rule of the scan
+    only slope-stable one, and the root rule of the coupled solve
     (kernels.root_check) judges it: a qualifying root, or a type-2 miss.
     When the negative equation vanishes as well (A4 = C6 = 0: TLG, the
     pre-fault window), delta- is reported as 0 and the negative conditions
     are vacuous. A lead equation without a grid term (A below
-    _DEGENERATE_TOL) has no slope-stable root.
+    DEGENERATE_TOL) has no slope-stable root.
 
     The residual is the certified gap |B sin P| - A, a lower bound on the
     lead q-axis voltage over all angles, for a miss with no root (0 where
     it is not positive), and max(|uq+|, |uq-|) at the root otherwise.
     """
+    lead = _triangular(prm)
+    if lead is None:
+        return None
+    pos_first = lead == "pos"
     a1, f1, b2, p2, c3, p3, a4, f4, b5, p5, c6, p6 = prm
-    pos_first = c3 < _DEGENERATE_TOL and b5 < _DEGENERATE_TOL
     if pos_first:
         a, f, b, p, a_f, f_f, c, p_c = a1, f1, b2, p2, a4, f4, c6, p6
-    elif b2 < _DEGENERATE_TOL and c6 < _DEGENERATE_TOL:
-        a, f, b, p, a_f, f_f, c, p_c = a4, f4, b5, p5, a1, f1, c3, p3
     else:
-        return None
+        a, f, b, p, a_f, f_f, c, p_c = a4, f4, b5, p5, a1, f1, c3, p3
     bs = b * math.sin(p)
-    x = -bs / a if a >= _DEGENERATE_TOL else math.inf
+    x = -bs / a if a >= DEGENERATE_TOL else math.inf
     if abs(x) > 1.0:
         return False, False, math.nan, math.nan, None, max(abs(bs) - a, 0.0)
     psi = math.asin(x)
     d = (f - psi) % _TWO_PI
-    if a_f < _DEGENERATE_TOL and c < _DEGENERATE_TOL and pos_first:
+    if a_f < DEGENERATE_TOL and c < DEGENERATE_TOL and pos_first:
         # the vacuous negative equation: uq+- reported as 0
         if math.cos(psi) < 1e-12:
             return False, False, math.nan, math.nan, None, 0.0
@@ -217,26 +226,14 @@ def _solve_triangular(prm):
             max(abs(volts[1]), abs(volts[3])))
 
 
-def _scan_samples(grid_deg: float) -> int:
-    """The curve's samples per angle at a spacing of grid_deg degrees, after
-    checking grid_deg; every solve, sweep and config.SolverOptions checks it
-    with this."""
-    # "not <" also rejects NaN; 360 / grid_deg may overflow to inf
-    if not (0.0 < grid_deg < math.inf and 360.0 / grid_deg <= MAX_SCAN_SAMPLES):
-        raise ValueError("grid_deg must be finite and > 0 and ask for at most "
-                         f"{MAX_SCAN_SAMPLES} curve samples")
-    return max(8, int(round(360.0 / grid_deg)))
-
-
 def solve_equilibrium(
     coeffs: SequenceCoefficients,
     ref: CurrentReference,
     ug_pos: float,
-    grid_deg: float = SCAN_GRID_DEG,
 ) -> EquilibriumResult:
     """Find the qualifying angle pair: in closed form when one sequence
-    carries no current (_solve_triangular), otherwise by scanning the curve
-    where the first q-axis residual vanishes. grid_deg is checked either way.
+    carries no current (_solve_triangular), otherwise among every torus
+    root of the sextic that eliminating delta+ leaves (kernels.scan_roots).
 
     A root qualifies when both q-axis residuals vanish, both d-axis voltages
     are positive, and both per-loop feedback slopes are negative; among
@@ -247,20 +244,22 @@ def solve_equilibrium(
     is solved alone with delta- reported as 0 and the negative conditions
     treated as vacuous.
 
-    A scan that finds no qualifying root is a miss, whatever its residual.
-    Just past the fold, where the Jacobian turns singular, no seed converges
-    although the residual nearly vanishes; like any scan without a
+    Without a qualifying root the answer is a miss. Just past the fold,
+    where the Jacobian turns singular, Newton may stall from a candidate
+    although the residual nearly vanishes; like any miss without a
     slope-stable root, that miss reads as the fold (cond_feedback False).
 
-    residual_norm: on a hit, max(|uq+|, |uq-|) at the root (the scan's
-    Newton residual, the same maximum). On a triangular miss, the certified
-    gap |B sin P| - A of the lead equation when no root exists (the fold: no
-    angle brings that q-axis voltage closer to zero), and the root's
-    max(|uq+|, |uq-|) when the root exists but fails a condition (type 2).
-    On a scan's miss, the best residual its seeds reached, which bounds
-    nothing; when the curve is empty, the gap |B2 sin P2| - (A1 + C3).
+    residual_norm: on a hit, max(|uq+|, |uq-|) at the root (the Newton
+    residual, the same maximum). On a triangular miss, the certified gap
+    |B sin P| - A of the lead equation when no root exists (the fold: no
+    angle brings that q-axis voltage closer to zero; 0 where it is not
+    positive), and the root's max(|uq+|, |uq-|) when the root exists but
+    fails a condition (type 2). On a coupled miss, the certified gap
+    max(|B2 sin P2| - (A1 + C3), |B5 sin P5| - (A4 + C6)) when positive,
+    else min ||y| - 1| over the sextic's roots y = e^{j delta-}: rounding
+    when a torus root exists (and fails a condition), positive when none
+    does, inf when there is no root.
     """
-    grid_n = _scan_samples(grid_deg)
     prm = pack_params(coeffs, ref, ug_pos)
     closed = _solve_triangular(prm)
     if closed is not None:
@@ -270,7 +269,7 @@ def solve_equilibrium(
         return _not_found(res, feedback)
 
     found, dp, dn, res, _, feedback = kernels.scan_roots(
-        prm, grid_n, NEWTON_TOL, NEWTON_MAXIT, UD_MIN
+        prm, 0, NEWTON_TOL, NEWTON_MAXIT, UD_MIN
     )
     if found:
         return _found(dp, dn, *kernels.root_check(prm, dp, dn, UD_MIN)[2:], res)

@@ -1,9 +1,9 @@
 """Hot numerical kernels: sequence-coefficient evaluation, equilibrium root
-finding along the curve where the first orientation residual vanishes, and
-the closed-loop RK4 integrator.
+finding by elimination, every torus root from one sextic, and the
+closed-loop RK4 integrator.
 
-Every kernel is plain Python and numpy. Arrays serve only the curve seeding
-of ``scan_roots``, which evaluates all its curve samples in one pass. The
+Every kernel is plain Python and numpy. Arrays serve only the sextic's
+roots, the eigenvalues of its 6 x 6 companion matrix (``_roots``). The
 Newton polish, the root checks and the closed-loop integrator run one point
 at a time on Python floats and complexes with ``math`` and ``cmath``: a
 numpy operation costs about a microsecond, several times a scalar's, and an
@@ -26,6 +26,9 @@ import numpy as np
 
 # one build, never jitted; perfbench/run.py reads this to check its flavor
 USING_NUMBA = False
+
+# an amplitude below this is zero: the equations' form drops its term
+DEGENERATE_TOL = 1e-12
 
 # fault codes shared with the object layer
 FAULT_NONE = 0
@@ -191,139 +194,139 @@ def root_check(prm, dp, dn, ud_min):
 
 
 def _curve_gap(prm):
-    """|B2 sin P2| - (A1 + C3), a lower bound on |r1| over the torus: the
-    curve where r1 vanishes is empty when it is positive."""
-    return abs(prm[P_B2] * math.sin(prm[P_P2])) - (prm[P_A1] + prm[P_C3])
+    """The larger of |B2 sin P2| - (A1 + C3) and |B5 sin P5| - (A4 + C6),
+    a lower bound on max(|r1|, |r2|) over the torus: the curve where r1 or
+    r2 vanishes is empty when it is positive."""
+    return max(abs(prm[P_B2] * math.sin(prm[P_P2])) - (prm[P_A1] + prm[P_C3]),
+               abs(prm[P_B5] * math.sin(prm[P_P5])) - (prm[P_A4] + prm[P_C6]))
 
 
-def _arcsine_branches(r, phi, b):
-    """Where r sin(phi - u) + b = 0 has a root u, and its two branches:
-    u = phi - asin(x) and u = phi - pi + asin(x), x = -b/r."""
-    on = np.abs(b) <= r
-    # off the curve |b| stands in for r, so no quotient leaves [-1, 1] or
-    # overflows; where r = b = 0, x = 0
-    d = np.maximum(r, np.abs(b))
-    s = np.arcsin(-b / np.where(d > 0.0, d, 1.0))
-    return on, phi - s, phi - math.pi + s
+def _cross(u, v, w, z):
+    """u v - w z for polynomials as coefficient lists, constant first."""
+    out = [0j] * (max(len(u) + len(v), len(w) + len(z)) - 1)
+    for i, p in enumerate(u):
+        for k, q in enumerate(v):
+            out[i + k] += p * q
+    for i, p in enumerate(w):
+        for k, q in enumerate(z):
+            out[i + k] -= p * q
+    return out
 
 
-def _cyclic_pad(x):
-    """x with each row's last sample put before its first and its first
-    after its last: along a cyclic row of x, the padded row's [:-2] is each
-    sample's previous neighbour, [1:-1] the sample and [2:] its next."""
-    return np.concatenate((x[:, -1:], x, x[:, :1]), axis=1)
+def _value(p, z):
+    """The polynomial p (constant first) at z, by Horner's rule."""
+    acc = 0j
+    for c in reversed(p):
+        acc = acc * z + c
+    return acc
 
 
-def _branch_seeds(r2, on):
-    """Seed mask along each cyclic row of curve samples (on marks the
-    samples on the curve): both samples around each sign change of r2, each
-    local minimum of |r2| with both its neighbours, and each end of a run.
+def _roots(p):
+    """The roots of p (constant first) as complexes: in closed form up to
+    degree 2, else the eigenvalues of its companion matrix. Leading
+    coefficients below 1e-14 of the largest are dropped first; on the unit
+    circle such a term is rounding."""
+    n = len(p) - 1
+    top = max(map(abs, p))
+    while n > 0 and abs(p[n]) <= 1e-14 * top:
+        n -= 1
+    if n < 2:
+        return [-p[0] / p[1]] if n else []
+    if n == 2:
+        # the larger root with the sign that does not cancel, the other
+        # from the roots' product
+        s = cmath.sqrt(p[1] * p[1] - 4.0 * p[2] * p[0])
+        q = -0.5 * (p[1] + (s if (p[1].conjugate() * s).real >= 0.0 else -s))
+        return [q / p[2], p[0] / q] if q else [0j, 0j]
+    companion = np.eye(n, k=-1, dtype=complex)
+    companion[:, -1] = [-c / p[n] for c in p[:n]]
+    return np.linalg.eigvals(companion).tolist()
 
-    A dip of r2 through zero narrower than the spacing leaves a pair of
-    roots between two samples and no sign change; Newton from the sample on
-    either side of the dip reaches the root on that side.
+
+def _eliminate(prm):
+    """r1 = r2 = 0 with x = e^{j dp} eliminated: (ys, quad), the roots
+    y = e^{j dn} and the quadratic in x (coefficients polynomial in y) whose
+    roots at each y complete the solutions. prm as for newton_pair.
+
+    Times 2j x y, r1 and r2 are the quadratics E1 = a x^2 + b x + c and
+    E2 = d x^2 + e x + f, each coefficient a polynomial in y. Their
+    resultant (af - cd)^2 - (ae - bd)(bf - ce) has degree 7 and a zero
+    constant term; divided by y it is the sextic of the ys, and quad is E2:
+    where E1 nearly vanishes at y the common root (af - cd) / (bd - ae)
+    loses its digits, E2's roots do not. With C6 below DEGENERATE_TOL,
+    E2 = x e: the ys solve e, and quad is E1. Each equation is first
+    divided by its largest amplitude, which moves no root and keeps the
+    products finite.
     """
-    r2_p = _cyclic_pad(r2)
-    on_p = _cyclic_pad(on)
-    a = np.where(on_p, np.abs(r2_p), np.inf)
-    pos = r2_p > 0.0
-    # flip[:, k] marks a sign change from padded sample k to k + 1
-    flip = on_p[:, :-1] & on_p[:, 1:] & (pos[:, :-1] != pos[:, 1:])
-    mid = a[:, 1:-1]
-    low = _cyclic_pad(on & (mid <= a[:, :-2]) & (mid <= a[:, 2:]))
-    end = on & ~(on_p[:, :-2] & on_p[:, 2:])
-    seed = (flip[:, 1:] | flip[:, :-1] | low[:, 1:-1] | low[:, :-2]
-            | low[:, 2:])
-    return on & (seed | end)
-
-
-def _curve_seeds(prm, grid_n):
-    """scan_roots' Newton seeds, a list of (dp, dn) float pairs: the
-    samples _branch_seeds keeps on the four rows of the curve (dn samples
-    on both dp branches, then dp samples on both dn branches), row by row.
-    The rows are stacked into one 4 x grid_n array, and r2 is evaluated on
-    it once, in the operation order of the oracle's residual_eval
-    (tests/torus_reference.py), np.sin of the scalar B5 angle included."""
     a1, f1, b2, p2, c3, p3, a4, f4, b5, p5, c6, p6 = prm
-    b = b2 * math.sin(p2)
-    steps = np.arange(grid_n) * (2.0 * math.pi / grid_n)
-    dn = (f1 - p3) + steps
-    c = a1 * np.exp(1j * f1) + c3 * np.exp(1j * (p3 + dn))
-    r = np.abs(c)
-    phi = np.angle(c)
-    # exact at the peak, so a curve that is not empty has this sample
-    r[0] = a1 + c3
-    phi[0] = f1
-    on_dn, dp1, dp2 = _arcsine_branches(r, phi, b)
-    on_dp, dn1, dn2 = _arcsine_branches(c3, steps - p3 + math.pi,
-                                        a1 * np.sin(f1 - steps) + b)
-    dp = np.array((dp1, dp2, steps, steps))
-    dn = np.array((dn, dn, dn1, dn2))
-    r2 = a4 * np.sin(f4 - dn) + b5 * np.sin(p5) + c6 * np.sin(p6 + dp - dn)
-    keep = _branch_seeds(r2, np.array((on_dn, on_dn, on_dp, on_dp)))
-    return list(zip(dp[keep].tolist(), dn[keep].tolist()))
+    s1, s4 = max(a1, b2, c3) or 1.0, max(a4, b5, c6) or 1.0
+    g1, h3 = cmath.rect(a1 / s1, f1), cmath.rect(c3 / s1, p3)
+    g4 = cmath.rect(a4 / s4, f4)
+    a = [-h3.conjugate(), -g1.conjugate()]
+    b = [0j, 2j * (b2 / s1 * math.sin(p2))]
+    c = [0j, g1, h3]
+    e = [g4, 2j * (b5 / s4 * math.sin(p5)), -g4.conjugate()]
+    if c6 < DEGENERATE_TOL:
+        return _roots(e), (c, b, a)
+    h6 = cmath.rect(c6 / s4, p6)
+    d, f = [h6], [0j, 0j, -h6.conjugate()]
+    s, p, q = _cross(a, f, c, d), _cross(a, e, b, d), _cross(b, f, c, e)
+    return _roots(_cross(s, s, p, q)[1:]), (f, e, d)
 
 
 def scan_roots(prm, grid_n, tol, maxit, ud_min):
-    """Newton seeded along the curve where r1 vanishes; returns the
-    qualifying root with the largest min(ud+, ud-). prm is the twelve
-    packed floats (equilibrium.pack_params).
+    """Every torus root from one sextic; returns the qualifying root with
+    the largest min(ud+, ud-). prm is the twelve packed floats
+    (equilibrium.pack_params). grid_n is not read; the benchmark passes it
+    until its next change.
 
-    For a fixed dn the two dp-terms of r1 add into one sinusoid:
-    r1 = R sin(phi - dp) + b with R e^{j phi} = A1 e^{jF1} + C3 e^{j(P3+dn)}
-    and b = B2 sin P2. So every root lies on the curve dp = phi - asin(x)
-    or dp = phi - pi + asin(x), x = -b/R, wherever |x| <= 1. dn is sampled
-    at grid_n points spaced 2 pi / grid_n apart from dn = F1 - P3, where R
-    is largest (A1 + C3), so a curve too thin for the spacing still has a
-    sample. Where the curve climbs steeply in dp (R small, or near the end
-    of a branch) dn samples leave gaps, so the curve is also sampled the
-    other way: for a fixed dp, r1 = C3 sin(dp - P3 + pi - dn)
-    + A1 sin(F1 - dp) + b gives dn on two branches. _curve_seeds stacks
-    the four branch rows into one numpy array and seeds each by
-    _branch_seeds; every seed is then polished by newton_pair and every
-    root checked by root_conditions, both on floats.
+    The candidates are the roots y of _eliminate within 1e-6 of the unit
+    circle, each with the roots x of its quadratic within 1e-4 of it;
+    newton_pair polishes each pair of angles and root_conditions judges
+    it, both on floats.
 
     Returns (found, dp, dn, res, any_converged, any_feedback). any_feedback
     tells whether some converged root has both feedback slopes negative,
     whatever its d-axis voltages. Among qualifying roots the one farthest
     from losing orientation, the largest min(ud+, ud-), wins (the first
-    seed's on an exact tie); it gets two more Newton steps, kept if it
-    still qualifies, and res is its residual. On a miss res is the best
-    residual among converged seeds, or among all seeds when none converged.
-    When the curve is empty the miss is returned without a Newton step and
-    res is _curve_gap.
+    candidate's on an exact tie); it gets two more Newton steps, kept if it
+    still qualifies, and res is its residual. On a miss res is _curve_gap
+    when that is positive (then nothing is eliminated), else the distance
+    of the nearest root y from the unit circle, min ||y| - 1|: rounding
+    when some solution has a real dn, inf when there is no root.
     """
     gap = _curve_gap(prm)
     if gap > 0.0:
         return False, 0.0, 0.0, gap, False, False
-    best_margin = -math.inf
-    conv_res = all_res = math.inf
-    best = None
+    ys, quad = _eliminate(prm)
+    miss = min((abs(abs(y) - 1.0) for y in ys), default=math.inf)
+    best_margin, best = -math.inf, None
     any_conv = any_feedback = False
-    for dp0, dn0 in _curve_seeds(prm, grid_n):
-        ok, dp, dn, res = newton_pair(prm, dp0, dn0, tol, maxit)
-        if not ok:
-            all_res = min(all_res, res)
+    for y in ys:
+        if abs(abs(y) - 1.0) > 1e-6:
             continue
-        any_conv = True
-        conv_res = min(conv_res, res)
-        feedback, qualifies, ud_p, ud_n = root_conditions(prm, dp, dn,
-                                                          ud_min)
-        any_feedback = any_feedback or feedback
-        if qualifies:
-            margin = min(ud_p, ud_n)
-            if margin > best_margin:
-                best_margin, best = margin, (dp, dn, res)
+        for x in _roots([_value(q, y) for q in quad]):
+            if abs(abs(x) - 1.0) > 1e-4:
+                continue
+            ok, dp, dn, res = newton_pair(prm, cmath.phase(x), cmath.phase(y),
+                                          tol, maxit)
+            if not ok:
+                continue
+            any_conv = True
+            feedback, qualifies, ud_p, ud_n = root_conditions(prm, dp, dn,
+                                                              ud_min)
+            any_feedback = any_feedback or feedback
+            if qualifies and min(ud_p, ud_n) > best_margin:
+                best_margin, best = min(ud_p, ud_n), (dp, dn, res)
     if best is not None:
         # two more steps, so the point returned does not hang on how close
-        # the seed that reached the root stopped short of it; a root with a
-        # condition at its threshold keeps the point that qualified
+        # Newton stopped short of the root; a root with a condition at its
+        # threshold keeps the point that qualified
         _, dp, dn, res = newton_pair(prm, best[0], best[1], 0.0, 2)
         if root_conditions(prm, dp, dn, ud_min)[1]:
             best = (dp, dn, res)
         return True, best[0], best[1], best[2], True, True
-    return (False, 0.0, 0.0, conv_res if any_conv else all_res, any_conv,
-            any_feedback)
+    return False, 0.0, 0.0, miss, any_conv, any_feedback
 
 
 def _as_state(y):

@@ -27,13 +27,11 @@ import math
 from dataclasses import dataclass
 
 from .equilibrium import (
-    SCAN_GRID_DEG,
     CurrentReference,
     InstabilityType,
     _pack,
     _polars,
-    _scan_samples,
-    _solve_triangular,
+    _triangular,
     refine_root,
     solve_equilibrium,
 )
@@ -70,7 +68,7 @@ MAX_SWEEP_POINTS = 3 * 10**7
 
 
 class Binding(enum.Enum):
-    """Constraint that sets a limit: fold, voltage circle, or scan ceiling."""
+    """Constraint that sets a limit: fold, voltage circle, or sweep ceiling."""
 
     TYPE1 = "type1"
     TYPE2 = "type2"
@@ -184,7 +182,7 @@ def traversal_limit(
     fixed_other: tuple[float, float] | None = None,
     step: float = AMP_STEP,
     ceiling: float = AMP_CEILING,
-    grid_deg: float = SCAN_GRID_DEG,
+    grid_deg: float | None = None,
 ) -> LimitResult:
     """Largest amplitude of one sequence for which a qualifying equilibrium
     exists, holding the other sequence fixed: a sweep of one angle.
@@ -194,18 +192,19 @@ def traversal_limit(
     the last accepted root, the first from the root with the swept current
     at zero, eight grid steps on (_STRIDE); only where that misses are the
     grid amplitudes in between taken one at a time, and a warm-start miss
-    there is confirmed by solve_equilibrium (a full scan, or the closed
-    form) before the amplitude fails. With no other current held every
-    solve is closed-form, and the first stride goes straight to the grid
-    amplitude below the edge that decoupled_limit gives, then on one grid
-    step at a time; where that amplitude misses, the strides start over
-    from the zero-current root. The limit is the last passing grid
+    there is confirmed by solve_equilibrium (every torus root of the sextic,
+    or the closed form) before the amplitude fails. With no other current
+    held every solve is closed-form, and the first stride goes straight to
+    the grid amplitude below the edge that decoupled_limit gives, then on
+    one grid step at a time; where that amplitude misses, the strides start
+    over from the zero-current root. The limit is the last passing grid
     amplitude, so `step` alone sets the resolution. More than
     MAX_SWEEP_POINTS grid amplitudes is a ValueError; every input is
-    checked before any solve.
+    checked before any solve. grid_deg is not read; the benchmark's
+    warm-up passes it until its next change.
     """
     return _sweep(coeffs, ug_pos, sequence, 1, lambda k: theta_i,
-                  fixed_other, step, ceiling, grid_deg)[0]
+                  fixed_other, step, ceiling)[0]
 
 
 def region_boundary(
@@ -216,13 +215,14 @@ def region_boundary(
     angle_step: float = math.pi / 36,
     step: float = AMP_STEP,
     ceiling: float = AMP_CEILING,
-    grid_deg: float = SCAN_GRID_DEG,
+    grid_deg: float | None = None,
 ) -> RegionBoundary:
     """Sweep theta_i over [-pi, pi) and collect the traversal limit at each
     angle, as traversal_limit gives it. Ceiling-capped samples keep the
     CEILING binding flag. Angle and amplitude steps that ask for more than
     MAX_SWEEP_POINTS amplitudes over the sweep's whole traversals are a
-    ValueError, raised before any solve."""
+    ValueError, raised before any solve. grid_deg is not read, as in
+    traversal_limit."""
     if not 0.0 < angle_step < math.inf:
         raise ValueError("angle_step must be finite and > 0")
     angles = (2.0 * math.pi - 1e-12) / angle_step
@@ -230,54 +230,53 @@ def region_boundary(
     n = math.ceil(angles) if angles < math.inf else math.inf
     samples = _sweep(coeffs, ug_pos, sequence, n,
                      lambda k: float(-math.pi + k * angle_step), fixed_other,
-                     step, ceiling, grid_deg)
+                     step, ceiling)
     return RegionBoundary(sequence, fixed_other, samples)
 
 
 def _sweep(coeffs, ug_pos, sequence, n_angles, angle, fixed_other, step,
-           ceiling, grid_deg) -> tuple[LimitResult, ...]:
+           ceiling) -> tuple[LimitResult, ...]:
     """The traversal limit at each angle(k), k < n_angles. Every input is
     checked before any solve: the sequence, the amplitude points over all
-    angles, the scan's samples, each angle and the held current. With the
-    swept current at zero the angle has no effect and the problem is
-    triangular, so the sweep solves it once, in closed form, and
-    warm-starts every angle's traversal from its root; an angle solves its
-    first amplitude from scratch only where that root is missing or both
-    the stride and the first grid step miss from it."""
+    angles, each angle and the held current. With the swept current at zero
+    the angle has no effect and the problem is triangular, so the sweep
+    solves it once, in closed form, and warm-starts every angle's traversal
+    from its root; an angle solves its first amplitude from scratch only
+    where that root is missing or both the stride and the first grid step
+    miss from it."""
     if sequence not in _SEQUENCES:
         raise ValueError(f"sequence must be one of {_SEQUENCES}")
     n_steps = _amplitude_steps(step, ceiling, n_angles)
-    _scan_samples(grid_deg)
     thetas = [angle(k) for k in range(n_angles)]
     if not all(map(math.isfinite, thetas)):
         raise ValueError("angle must be finite")
     other = fixed_other if fixed_other is not None else (0.0, 0.0)
     # CurrentReference checks the held current
     res = solve_equilibrium(coeffs, _make_ref(sequence, 0.0, 0.0, other),
-                            ug_pos, grid_deg)
+                            ug_pos)
     start = (res.delta_pos, res.delta_neg) if res.found else None
     polars = _polars(coeffs)
     return tuple(_traverse(coeffs, ug_pos, sequence, theta, other, step,
-                           n_steps, grid_deg, polars, start)
+                           n_steps, polars, start)
                  for theta in thetas)
 
 
 def _traverse(coeffs, ug_pos, sequence, theta_i, other, step, n_steps,
-              grid_deg, polars, start):
+              polars, start):
     """One angle's amplitude loop on checked arguments. `polars` are the
     coefficients' _polars; `start` is a root to warm-start from, or None
-    to scan the first amplitude.
+    to solve the first amplitude from scratch.
 
     From the last accepted root at grid index k, one warm start tries index
     k + _STRIDE (clamped to n_steps). Where it holds, the amplitudes in
     between are skipped; where it misses, or no root is known, the
     amplitudes k + 1 .. k + _STRIDE are taken one at a time from the root
-    at k, each warm miss confirmed by a full scan (solve_equilibrium). The
+    at k, each warm miss confirmed by a full solve (solve_equilibrium). The
     failing amplitude and its binding thus come from one grid step and the
-    scan that confirms it, as in a loop that visits every grid amplitude.
+    solve that confirms it, as in a loop that visits every grid amplitude.
 
-    Where the closed form answers at the first amplitude (no other current
-    held, so it answers at every one), the first stride instead jumps to
+    Where the first amplitude is of the triangular form (_triangular: no
+    other current held, so every one is), the first stride instead jumps to
     the grid index below decoupled_limit's edge, min(n_steps,
     floor(edge / step)); index 0 is the start itself. Where that holds,
     the amplitudes past it are taken one at a time by solve_equilibrium,
@@ -285,16 +284,16 @@ def _traverse(coeffs, ug_pos, sequence, theta_i, other, step, n_steps,
     the failing amplitude also gives its binding. Where the jump misses
     (a grid amplitude on the edge or within rounding of it, or either
     sequence's d-axis voltage at most UD_MIN there), the strides start
-    from index 0 as above. Every answer is the
-    closed form at a grid amplitude, so the jump trusts the amplitudes it
-    skips as a stride does."""
+    from index 0 as above. Every answer is the closed form at a grid
+    amplitude, so the jump trusts the amplitudes it skips as a stride
+    does."""
     packed = _packer(polars, ug_pos, sequence,
                      _make_ref(sequence, step, theta_i, other))
 
     # k: the grid index of the last accepted root; fill: the index up to
     # which the amplitudes are visited one at a time
     prev, k, fill = start, 0, 0
-    if prev is not None and _solve_triangular(packed(step)) is not None:
+    if prev is not None and _triangular(packed(step)) is not None:
         edge = (decoupled_limit(coeffs, ug_pos, sequence, theta_i).i_limit
                 / step)
         jump = n_steps if edge >= n_steps else int(edge)
@@ -316,14 +315,14 @@ def _traverse(coeffs, ug_pos, sequence, theta_i, other, step, n_steps,
             prev = refine_root(packed(amp), prev[0], prev[1])
         if prev is None:
             ref = _make_ref(sequence, amp, theta_i, other)
-            res = solve_equilibrium(coeffs, ref, ug_pos, grid_deg)
+            res = solve_equilibrium(coeffs, ref, ug_pos)
             if not res.found:
                 break
             prev = (res.delta_pos, res.delta_neg)
     else:
         return LimitResult(sequence, theta_i, n_steps * step, Binding.CEILING)
 
-    # res is the scan that confirmed the failure at k * step: a surviving
+    # res is the solve that confirmed the failure at k * step: a surviving
     # slope-stable root means the voltage condition failed (type 2), none
     # means the fold (type 1), where Newton may also stall short of a root
     binding = Binding.TYPE2 if res.cond_feedback else Binding.TYPE1

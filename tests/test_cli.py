@@ -16,7 +16,7 @@ from ibgsync import (
     solve_equilibrium,
     table_circuit,
 )
-from ibgsync import dynsim, kernels, limits
+from ibgsync import dynsim, limits
 from ibgsync.cli import main
 from ibgsync.config import ConfigError, parse_config
 
@@ -221,22 +221,16 @@ class TestRegion:
         assert len(lines) == 1 + 72
         assert "-20,0.91,type1" in lines
 
-    def test_solver_options_match_limit(self, tmp_path, capsys, monkeypatch):
+    def test_solver_options_match_limit(self, tmp_path, capsys):
         # the region sweep honours the solver section just as `limit` does:
-        # both scan 12 curve samples (30 deg) and read the 0.03 p.u. grid.
-        # Both hold a negative current, so that scans run: with none held
-        # every solve of the sweep is closed-form
-        scans = {}
-        scan = kernels.scan_roots
-
+        # both read the 0.03 p.u. grid. Both hold a negative current, so
+        # that the coupled solve runs: with none held every solve of the
+        # sweep is closed-form
         def run(argv):
-            seen = scans.setdefault(argv[0], [])
-            monkeypatch.setattr(kernels, "scan_roots",
-                                lambda *args: seen.append(args[1]) or scan(*args))
             return run_cli(["--config", str(cfg), *argv, "--fault", "dlg",
                             "--seq", "pos", "--other", "0.5@-90"], capsys)
         cfg = tmp_path / "solver.json"
-        cfg.write_text(json.dumps({"solver": {"grid_deg": 30.0, "step": 0.03}}))
+        cfg.write_text(json.dumps({"solver": {"step": 0.03}}))
         out_csv = tmp_path / "region.csv"
         code, _, _ = run(["region", "--angle-step", "90", "--out",
                           str(out_csv)])
@@ -248,8 +242,6 @@ class TestRegion:
         data = json.loads(out)
         assert row == f"90,{data['i_limit']:.12g},{data['binding']}"
         assert data["i_limit"] == pytest.approx(0.69)
-        assert scans["region"] and set(scans["region"]) == {12}
-        assert scans["limit"] and set(scans["limit"]) == {12}
 
     def test_config_current_is_held_as_in_limit(self, tmp_path, capsys):
         # without --other both commands hold the config's on-fault negative
@@ -430,9 +422,7 @@ class TestErrors:
         [{"sync": {"k": math.inf}}, *_SIMULATE_DLG],
         [{"circuit": {"grid": {"r": math.nan, "x": 0.2}}},
          "coeffs", "--fault", "slg"],
-        # non-finite solver options: NaN and inf pass the schema's bounds
-        [{"solver": {"grid_deg": math.nan}}, *_LIMIT_DLG],
-        [{"solver": {"grid_deg": math.inf}}, *_LIMIT_DLG],
+        # a non-finite solver option: inf passes the schema's bounds
         [{"solver": {"step": math.inf}}, *_LIMIT_DLG],
         # a non-finite injection angle, swept and closed-form
         ["limit", "--fault", "dlg", "--seq", "pos", "--angle", "nan",
@@ -593,8 +583,7 @@ _POSITIVE = (
     ("circuit", "v_base_kv"), ("circuit", "s_base_mva"), ("circuit", "f_hz"),
     ("circuit", "ug_pos"), ("circuit", "ug_kv"), ("fault", "t_clear"),
     ("sync", "k"), ("scenario", "t_end"), ("scenario", "dt"),
-    ("scenario", "record_dt"), ("solver", "grid_deg"), ("solver", "step"),
-    ("solver", "ceiling"),
+    ("scenario", "record_dt"), ("solver", "step"), ("solver", "ceiling"),
 )
 _NON_NEGATIVE = (
     ("fault", "zf_pu"), ("fault", "zf_ohm"), ("fault", "t_on"),
@@ -625,11 +614,11 @@ _REJECTED = [
     {"circuit": {"grid": {"x": 0.2}}},
     {"circuit": {"grid": {"r": 0.04, "x": 0.2, "b": 0.0}}},
     {"current": {"fault": {"i_pos": "1_0@5"}}},
-    # the Newton tolerance and the least d-axis voltage are constants
+    # the Newton tolerance and the least d-axis voltage are constants, and
+    # the coupled solve samples nothing
     {"solver": {"tol": 1e-10}},
     {"solver": {"ud_min": 1e-9}},
-    # finer than equilibrium.MAX_SCAN_SAMPLES allows
-    {"solver": {"grid_deg": 1e-5}},
+    {"solver": {"grid_deg": 2.0}},
 ]
 
 _BIG = int("1" * 401)  # a JSON integer too large for a float
@@ -654,11 +643,10 @@ class TestConfigRejected:
         ({"scenario": {"record_dt": math.nan}}, _LIMIT_DLG),
         ({"solver": {"step": math.nan}}, ["equilibrium", "--fault", "dlg"]),
         ({"fault": {"zf_pu": math.nan}}, ["validate", "--draws", "1"]),
-        ({"solver": {"grid_deg": _BIG}}, _LIMIT_DLG),
         ({"circuit": {"ug_pos": _BIG}}, _LIMIT_DLG),
         ({"sync": {"k": _BIG}}, _SIMULATE_DLG),
     ], ids=["t_end-nan", "record_dt-nan", "step-nan", "zf_pu-nan",
-            "grid_deg-401-digits", "ug_pos-401-digits", "k-401-digits"])
+            "ug_pos-401-digits", "k-401-digits"])
     def test_value_out_of_range_for_its_object(self, config, argv, tmp_path,
                                                capsys):
         """Rejected at load although the command never reads the value, or
@@ -683,11 +671,9 @@ class TestConfigRejected:
          "config.circuit.choke: branch impedance must be"),
         ({"circuit": {"choke": {"r": 0.1}}},
          "config.circuit.choke: missing key 'x'"),
-        ({"solver": {"grid_deg": 1e-5}},
-         "config.solver: grid_deg must be finite and > 0 and ask for at most "
-         "360000 curve samples"),
+        ({"solver": {"grid_deg": 2.0}}, "config.solver: unknown key 'grid_deg'"),
     ], ids=["grid-r-negative", "t_end-nan", "f_hz-0", "choke-r-negative",
-            "choke-x-missing", "grid_deg-past-the-cap"])
+            "choke-x-missing", "grid_deg-unknown"])
     def test_range_error_names_the_key(self, config, where, tmp_path, capsys):
         """The built object's message, prefixed with where the value sits."""
         with pytest.raises(ConfigError) as exc:

@@ -30,7 +30,7 @@ class TestDefaults:
         assert doc.scenario.t_end == 3.0
         assert doc.scenario.dt == 1e-4
         assert doc.scenario.init == "equilibrium"
-        assert doc.solver.grid_deg == 2.0
+        assert doc.solver.step == 0.01
         assert doc.solver.ceiling == 3.0
 
     def test_reference_branch_values(self):

@@ -26,9 +26,8 @@ from ibgsync import (
     table_circuit,
 )
 from ibgsync import equilibrium, kernels
-from ibgsync.equilibrium import (MAX_SCAN_SAMPLES, NEWTON_MAXIT, NEWTON_TOL,
-                                 UD_MIN, _scan_samples, _solve_triangular,
-                                 pack_params, refine_root)
+from ibgsync.equilibrium import (NEWTON_MAXIT, NEWTON_TOL, UD_MIN,
+                                 _solve_triangular, pack_params, refine_root)
 import torus_reference
 
 ZF = 7.43801652892562e-06
@@ -206,40 +205,42 @@ def test_current_reference_rejects_non_finite(bad):
         CurrentReference(i_neg=bad)
 
 
-# zero, negative, non-finite, and finer than MAX_SCAN_SAMPLES allows
-BAD_GRID_DEG = (0.0, -5.0, math.inf, math.nan, 1e-5)
-
-
-@pytest.mark.parametrize("grid_deg", BAD_GRID_DEG)
-def test_solve_rejects_grid_deg_before_scanning(grid_deg, monkeypatch):
-    def scan(*args):
-        raise AssertionError("scanned before rejecting grid_deg")
-    monkeypatch.setattr(kernels, "scan_roots", scan)
-    with pytest.raises(ValueError, match="grid_deg"):
+def test_grid_deg_is_not_an_argument():
+    """The coupled solve lists every root; it samples nothing, so there is
+    no spacing to set."""
+    with pytest.raises(TypeError):
         solve_equilibrium(coeffs_for(FaultType.DLG),
-                          ref_deg(0.76, -30.0, 0.5, 90.0), UG, grid_deg)
+                          ref_deg(0.76, -30.0, 0.5, 90.0), UG, 2.0)
 
 
-@pytest.mark.parametrize("grid_deg", BAD_GRID_DEG)
-def test_triangular_solve_rejects_grid_deg(grid_deg):
-    """The closed form needs no scan, but grid_deg is checked all the
-    same."""
-    with pytest.raises(ValueError, match="grid_deg"):
-        solve_equilibrium(coeffs_for(FaultType.DLG),
-                          ref_deg(0.5, -30.0, 0.0, 0.0), UG, grid_deg)
+@pytest.mark.parametrize("amp, theta, feedback", [(0.77, -30.0, False),
+                                                  (0.60, 90.0, True)])
+def test_coupled_miss_reports_distance_of_nearest_root(amp, theta, feedback):
+    """DLG, negative current 0.5@90, one grid step past the type-1 limit
+    at -30 deg and the type-2 limit at 90 deg. In both, torus roots
+    survive, each failing a condition (at -30 deg the slope-stable pair has
+    met at the fold, and two slope-unstable roots are left), so the
+    residual, the distance of the sextic's nearest root y from the unit
+    circle, is rounding."""
+    c = coeffs_for(FaultType.DLG)
+    ref = ref_deg(amp, theta, 0.5, 90.0)
+    res = solve_equilibrium(c, ref, UG)
+    assert not res.found and res.cond_feedback is feedback
+    ys = kernels._eliminate(pack_params(c, ref, UG))[0]
+    assert len(ys) == 6
+    assert res.residual_norm == min(abs(abs(y) - 1.0) for y in ys) < 1e-12
 
 
-def test_scan_samples_round_and_cap():
-    assert _scan_samples(2.0) == 180
-    assert _scan_samples(7.0) == 51
-    # a coarse spacing still takes eight samples
-    assert _scan_samples(1000.0) == 8
-    assert _scan_samples(360.0 / MAX_SCAN_SAMPLES) == MAX_SCAN_SAMPLES == 360_000
-    with pytest.raises(ValueError, match="360000 curve samples"):
-        _scan_samples(0.000999)
-    # 360 / grid_deg overflows to inf
-    with pytest.raises(ValueError, match="grid_deg"):
-        _scan_samples(5e-324)
+def test_huge_coupled_currents_are_a_miss():
+    """Both currents at 1e200 p.u. along their impedance angles, so that
+    neither q-axis voltage has a certified gap: the sextic's coefficients,
+    products of four amplitudes, stay finite, and the answer is a miss."""
+    c = coeffs_for(FaultType.DLG)
+    theta = -math.atan2(c.z2.imag, c.z2.real)
+    ref = CurrentReference(1e200, theta, 1e200, theta)
+    assert kernels._curve_gap(pack_params(c, ref, UG)) < 0.0
+    res = solve_equilibrium(c, ref, UG)
+    assert not res.found and math.isfinite(res.residual_norm)
 
 
 @pytest.mark.parametrize("kwarg", ["tol", "ud_min"])

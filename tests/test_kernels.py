@@ -71,13 +71,19 @@ def _assert_same_scan(got, want):
         assert _angle_gap(got[2], want[2]) < 1e-9
 
 
-class TestCurveScan:
+class TestTorusRoots:
+    """scan_roots lists every torus root from one sextic; the 180 x 180
+    torus scan of tests/torus_reference.py is its oracle. The structured
+    sets below are hard for any sampling of the angles: roots closer than
+    a 2 degree spacing, a curve r1 = 0 that pinches or shrinks to a
+    sliver."""
+
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            ud_min=st.sampled_from([1e-9, 0.3, -1e30]))
     def test_matches_torus_oracle(self, seed, ud_min):
-        """The curve scan finds what the 180 x 180 torus scan finds: the
-        same flags and the same root.
+        """The sextic finds what the 180 x 180 torus scan finds: the same
+        flags and the same root.
 
         Amplitudes are uniform on [0, 2] and angles on [-pi, pi), drawn
         from the seed, so the parameters are generic. Hypothesis' own float
@@ -99,43 +105,6 @@ class TestCurveScan:
         if got[0]:
             # the point returned is one that qualifies
             assert torus_reference.root_conditions(prm, got[1], got[2], ud_min)[1]
-
-    @pytest.mark.parametrize("grid_n", [8, 12, 180])
-    def test_stacked_seeds_match_row_by_row(self, grid_n):
-        """The stacked seeding gives the row-by-row oracle's seed list bit
-        for bit, in its order, over 200 generic draws (drawn as
-        test_matches_torus_oracle draws them) and three structured sets:
-        C3 = 0, where the dp-sampled rows are empty; a sliver narrower than
-        the spacing; and an empty curve, where every row is."""
-        sliver = [1.0, 1.5 - 1e-6, 0.5, 1.0, 0.0, 0.8]
-        sliver_angles = [0.3, -math.pi / 2, -0.4, 1.2, math.pi / 2, 0.9]
-        sliver[4] = -(math.sin(1.2 - 0.7) + 0.8 * math.sin(0.9 - math.pi / 2
-                                                            + 0.3 - 0.7))
-        sets = [_packed((1.2, 0.4, 0.0, 0.9, 0.3, 0.0),
-                        (0.5, 1.0, 2.0, -0.7, -0.6, 1.5)),
-                _packed(sliver, sliver_angles),
-                _packed((0.5, 1.0, 0.1, 0.3, 0.2, 0.1),
-                        (0.0, math.pi / 2, 0.0, 0.0, 0.0, 0.0))]
-        for seed in range(200):
-            rng = np.random.default_rng(seed)
-            sets.append(_packed(rng.uniform(0.0, 2.0, 6),
-                                rng.uniform(-math.pi, math.pi, 6)))
-        seeded = 0
-        for prm in sets:
-            got = kernels._curve_seeds(prm, grid_n)
-            want = torus_reference.curve_seeds(prm, grid_n)
-            assert [_bits(pair) for pair in got] == [_bits(pair) for pair in want]
-            assert all(type(v) is float for pair in got for v in pair)
-            seeded += bool(got)
-        assert seeded > 100
-        # C3 = 0 seeds from dn samples alone, the sliver seeds and the empty
-        # curve does not
-        dn_samples = set(((0.5 - 2.0) + np.arange(grid_n)
-                          * (2.0 * math.pi / grid_n)).tolist())
-        decoupled = kernels._curve_seeds(sets[0], grid_n)
-        assert decoupled and all(dn in dn_samples for _, dn in decoupled)
-        assert kernels._curve_seeds(sets[1], grid_n)
-        assert kernels._curve_seeds(sets[2], grid_n) == []
 
     @pytest.mark.parametrize("amps, angles, ud_min, root, other", [
         ((0.615033, 0.748254, 1.390534, 0.6337, 1.059311, 1.30264),
@@ -176,11 +145,9 @@ class TestCurveScan:
             got, torus_reference.scan_roots(prm, 180, 1e-10, NEWTON_MAXIT, 1e-9))
 
     def test_root_pair_between_samples(self):
-        """r2 dips through zero and back within one spacing: its two roots,
-        9e-3 rad apart, lie between two dn samples, 0.025 and 0.01 from the
-        dip. Newton from the local minimum of |r2| reaches the root on its
-        own side, which fails the feedback test; the qualifying one is
-        reached from the sample across the dip."""
+        """r2 dips through zero and back along the curve where r1 vanishes:
+        two roots 9e-3 rad apart, closer than a 2 degree spacing, of which
+        only one passes the feedback test."""
         dip = 0.3 + 40 * (2.0 * math.pi / 180) - 0.01
         prm = _packed((1.0, 0.4, 0.0, 1.0, 1.0 - 1e-5, 0.0),
                       (0.3, 1.0, 0.0, dip - math.pi / 2, math.pi / 2, 0.0))
@@ -196,11 +163,10 @@ class TestCurveScan:
          (1.95, 1.2e-7, 2.29, 0.0, -2.37, 2.29)),
     ], ids=["arc", "closed", "steep"])
     def test_r_touches_zero(self, amps, angles):
-        """A1 = C3, so R vanishes at dn = F1 - P3 + pi: off the curve when
-        B2 sin P2 is 0.32 (arc), on it where the branches swap when it is 0
-        (closed). At 1e-7 (steep) the curve crosses from one branch to the
-        other within 1e-6 rad of dn, and the qualifying root sits on that
-        crossing, between two dn samples; the dp samples seed it."""
+        """A1 = C3, so the r1 = 0 curve's amplitude R vanishes at
+        dn = F1 - P3 + pi: off the curve when B2 sin P2 is 0.32 (arc), on it
+        where its branches swap when it is 0 (closed). At 1e-7 (steep) the
+        qualifying root sits within 1e-6 rad of that crossing."""
         prm = _packed(amps, angles)
         for ud_min in (1e-9, 0.3):
             got = kernels.scan_roots(prm, 180, 1e-10, NEWTON_MAXIT, ud_min)
@@ -208,10 +174,9 @@ class TestCurveScan:
                 prm, 180, 1e-10, NEWTON_MAXIT, ud_min))
             assert got[0] or ud_min == 0.3
 
-    def test_sliver_narrower_than_the_spacing(self):
-        """|B2 sin P2| just below A1 + C3: the curve is a loop about 2e-3
-        rad across around dn = F1 - P3, and the sample there seeds it even
-        at 30 degree spacing."""
+    def test_sliver(self):
+        """|B2 sin P2| just below A1 + C3: the r1 = 0 curve is a loop about
+        2e-3 rad across around dn = F1 - P3, with a root at its centre."""
         amps = [1.0, 1.5 - 1e-6, 0.5, 1.0, 0.0, 0.8]
         angles = [0.3, -math.pi / 2, -0.4, 1.2, math.pi / 2, 0.9]
         dp, dn = 0.3 - math.pi / 2, 0.7
@@ -221,14 +186,14 @@ class TestCurveScan:
         assert -1e-5 < kernels._curve_gap(prm) < 0.0
         want = torus_reference.scan_roots(prm, 180, 1e-10, NEWTON_MAXIT, 1e-9)
         assert want[0]
-        for grid_n in (180, 12):
-            got = kernels.scan_roots(prm, grid_n, 1e-10, NEWTON_MAXIT, 1e-9)
-            _assert_same_scan(got, want)
+        _assert_same_scan(
+            kernels.scan_roots(prm, 180, 1e-10, NEWTON_MAXIT, 1e-9), want)
 
     def test_empty_curve_is_a_certified_miss(self):
-        """|B2 sin P2| > A1 + C3: r1 cannot vanish, so the scan reports the
-        gap as the residual without a Newton step, and solve_equilibrium
-        returns it with the miss, however small the gap."""
+        """|B2 sin P2| > A1 + C3: r1 cannot vanish, so scan_roots reports
+        the gap as the residual without a Newton step, and
+        solve_equilibrium returns it with the miss, however small the
+        gap."""
         coeffs = SequenceCoefficients(k1=0.5 + 0j, z2=1j, z3=0.1 + 0j,
                                       k4=0.3 + 0j, z5=0.2 + 0j, z6=0.1 + 0j)
         ref = CurrentReference(0.6 + 1e-9, 0.0, 1.0, 0.0)
@@ -240,6 +205,60 @@ class TestCurveScan:
         res = solve_equilibrium(coeffs, ref, 1.0)
         assert not res.found and not res.cond_feedback
         assert res.residual_norm == gap
+
+    @pytest.mark.parametrize("fault_type", [
+        FaultType.NONE, FaultType.SLG, FaultType.DLG, FaultType.LL])
+    def test_fault_patterns_with_both_currents(self, fault_type):
+        """The coefficient pattern of each fault that leaves both equations
+        coupled, with a positive current at -30 deg and 0.5@90 negative,
+        at amplitudes with roots, type-2 misses and folds. With no fault,
+        A4 = C3 = C6 = 0, so r2 is the constant B5 sin P5: its gap
+        certifies the miss and no solution is sought."""
+        coeffs = compute_coefficients(PATHS, FaultSpec(fault_type, z_f=ZF_PU))
+        for amp in (0.3, 0.8, 1.5):
+            ref = CurrentReference(amp, math.radians(-30.0), 0.5,
+                                   math.radians(90.0))
+            prm = pack_params(coeffs, ref, CIRCUIT.ug_pos)
+            got = kernels.scan_roots(prm, 180, 1e-10, NEWTON_MAXIT, 1e-9)
+            _assert_same_scan(got, torus_reference.scan_roots(
+                prm, 180, 1e-10, NEWTON_MAXIT, 1e-9))
+            if fault_type is FaultType.NONE:
+                assert prm[kernels.P_A4] == prm[kernels.P_C3] == 0.0
+                assert prm[kernels.P_C6] == 0.0
+                assert got == (False, 0.0, 0.0, kernels._curve_gap(prm),
+                               False, False)
+            else:
+                assert len(kernels._eliminate(prm)[0]) == 6
+
+    @pytest.mark.parametrize("amp", [0, 2, 3], ids=["A1", "C3", "A4"])
+    def test_vanishing_leading_coefficient(self, amp):
+        """A1, C3 or A4 at zero zeroes the sextic's leading coefficient:
+        five roots are left, one of them y = 0, and the torus roots are
+        those of the oracle."""
+        amps = [1.2, 0.4, 0.5, 0.9, 0.3, 0.7]
+        amps[amp] = 0.0
+        prm = _packed(amps, (0.5, 1.0, 2.0, -0.7, -0.6, 1.5))
+        ys = kernels._eliminate(prm)[0]
+        assert len(ys) == 5 and min(map(abs, ys)) == 0.0
+        got = kernels.scan_roots(prm, 180, 1e-10, NEWTON_MAXIT, 1e-9)
+        assert got[0]
+        _assert_same_scan(got, torus_reference.scan_roots(
+            prm, 180, 1e-10, NEWTON_MAXIT, 1e-9))
+
+    def test_miss_off_the_torus(self):
+        """A generic draw whose r1 = 0 and r2 = 0 curves are not empty but
+        which has no torus root: the oracle converges from no seed, and the
+        residual is the distance of the nearest root y from the unit
+        circle."""
+        rng = np.random.default_rng(11)
+        prm = _packed(rng.uniform(0.0, 2.0, 6), rng.uniform(-math.pi, math.pi, 6))
+        assert kernels._curve_gap(prm) < 0.0
+        got = kernels.scan_roots(prm, 180, 1e-10, NEWTON_MAXIT, 1e-9)
+        _assert_same_scan(got, torus_reference.scan_roots(
+            prm, 180, 1e-10, NEWTON_MAXIT, 1e-9))
+        assert not got[4]
+        assert got[3] == min(abs(abs(y) - 1.0)
+                             for y in kernels._eliminate(prm)[0]) > 0.1
 
 
 class TestOneBuild:
@@ -372,29 +391,6 @@ class TestColumnOracle:
                 assert got == kernels.seq_coeffs(
                     code, 1.0, rl, s * xl, rl0, s * xl0, rg, s * xg, rg0,
                     s * xg0, zf)
-
-
-class TestBranchSeeds:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 180, 181])
-    def test_gathers_match_roll_form(self, n):
-        """The seed mask of a 4 x n stack of rows, whose neighbours
-        _branch_seeds gathers as slices of a padded copy, row by row
-        against the oracle's np.roll form."""
-        rng = np.random.default_rng(n)
-        for k in range(60):
-            # coarse values, so ties between neighbours and zeros occur
-            r2 = rng.integers(-3, 4, (4, n)).astype(float) * 0.5
-            run = np.zeros(n, dtype=bool)
-            lo, hi = sorted(rng.integers(0, n + 1, 2))
-            run[lo:hi] = True
-            kinds = (np.ones(n, dtype=bool), np.zeros(n, dtype=bool), run,
-                     np.roll(run, n // 2), rng.random(n) < 0.5)
-            # each row a different kind, every kind in every row position
-            on = np.array([kinds[(k + i) % 5] for i in range(4)])
-            got = kernels._branch_seeds(r2, on)
-            for row in range(4):
-                assert np.array_equal(got[row], torus_reference.branch_seeds_rolled(
-                    r2[row], on[row]))
 
 
 class TestScalarPolish:

@@ -191,16 +191,18 @@ def test_region_rejects_unbounded_work(kwargs, monkeypatch):
         region_boundary(coeffs_for(FaultType.DLG), UG, "pos", **kwargs)
 
 
-@pytest.mark.parametrize("grid_deg", [0.0, -5.0, math.inf, math.nan, 1e-5])
-def test_sweeps_check_grid_deg_before_any_solve(grid_deg, monkeypatch):
-    """Zero, negative, non-finite and finer than MAX_SCAN_SAMPLES allows:
-    rejected before the sweep's first solve, in either sweep."""
-    _no_solves(monkeypatch)
+def test_sweeps_ignore_grid_deg():
+    """Both sweeps take grid_deg, the benchmark's warm-up passes it, and
+    neither reads it, whatever its value."""
     c = coeffs_for(FaultType.DLG)
-    with pytest.raises(ValueError, match="grid_deg"):
-        traversal_limit(c, UG, "pos", 0.0, grid_deg=grid_deg)
-    with pytest.raises(ValueError, match="grid_deg"):
-        region_boundary(c, UG, "pos", grid_deg=grid_deg)
+    other = (0.5, math.radians(90.0))
+    want = traversal_limit(c, UG, "pos", 0.0, fixed_other=other, step=0.1)
+    region = region_boundary(c, UG, "pos", other, math.pi / 2, step=0.1)
+    for grid_deg in (30.0, 0.0, math.nan):
+        assert traversal_limit(c, UG, "pos", 0.0, fixed_other=other,
+                               step=0.1, grid_deg=grid_deg) == want
+        assert region_boundary(c, UG, "pos", other, math.pi / 2, step=0.1,
+                               grid_deg=grid_deg) == region
 
 
 def test_region_counts_whole_traversals(monkeypatch):
@@ -515,7 +517,7 @@ def test_traversal_starts_from_zero_current_root(fault_type, seq, deg, oa, od,
     failing = round(got.i_limit / AMP_STEP) + 1
     assert scans == [(pack_params(
         c, _make_ref(seq, failing * AMP_STEP, theta, other), UG),
-        180, NEWTON_TOL, NEWTON_MAXIT, UD_MIN)]
+        0, NEWTON_TOL, NEWTON_MAXIT, UD_MIN)]
     assert (got.i_limit, got.binding) == (pytest.approx(want), binding)
 
 
@@ -741,9 +743,9 @@ def _counted(monkeypatch):
         solves.append(("refine_root", tuple(prm)))
         return refine_root(prm, dp, dn)
 
-    def solving(coeffs, ref, ug, grid_deg):
+    def solving(coeffs, ref, ug):
         solves.append(("solve_equilibrium", pack_params(coeffs, ref, ug)))
-        return solve_equilibrium(coeffs, ref, ug, grid_deg)
+        return solve_equilibrium(coeffs, ref, ug)
     monkeypatch.setattr(limits, "refine_root", refining)
     monkeypatch.setattr(limits, "solve_equilibrium", solving)
     return solves
@@ -767,6 +769,30 @@ def test_no_current_sweep_solves_at_the_edge(fault_type, seq, monkeypatch):
     assert counts[0] == counts[1]
     assert counts[0][0] == "solve_equilibrium"
     assert len(counts[0]) <= 1 + 2 * 72
+
+
+@pytest.mark.parametrize("seq", ["pos", "neg"])
+@pytest.mark.parametrize("fault_type", [FaultType.SLG, FaultType.DLG,
+                                        FaultType.LL])
+def test_no_current_sweep_evaluates_closed_form_twice(fault_type, seq,
+                                                      monkeypatch):
+    """With no current held, a 5 deg sweep evaluates the closed form
+    (equilibrium._solve_triangular) at most twice an angle, at the jump
+    and at the one solve past it, besides the zero-current start: the
+    jump's gate reads only the triangular form (equilibrium._triangular)."""
+    calls = []
+    closed = equilibrium._solve_triangular
+
+    def counting(prm):
+        calls.append(prm)
+        return closed(prm)
+    # in limits too, should the gate look the closed form up there
+    monkeypatch.setattr(equilibrium, "_solve_triangular", counting)
+    monkeypatch.setattr(limits, "_solve_triangular", counting, raising=False)
+    region = region_boundary(coeffs_for(fault_type), UG, seq,
+                             angle_step=math.radians(5.0))
+    assert len(region.samples) == 72
+    assert 72 < len(calls) <= 1 + 2 * 72
 
 
 @pytest.mark.parametrize("fault_type,seq", [(FaultType.DLG, "pos"),
@@ -879,8 +905,8 @@ _LONG_CAP = 80
 
 def _scan_answer(prm, grid_n, tol, maxit, ud_min):
     """What a scan answers: found, the root, any_converged (False where
-    Newton stalls from every seed) and any_feedback (the binding); not the
-    residual of a miss."""
+    Newton converges from no candidate) and any_feedback (the binding);
+    not the residual of a miss."""
     found, dp, dn, _, any_conv, any_feedback = kernels.scan_roots(
         prm, grid_n, tol, maxit, ud_min)
     return found, dp, dn, any_conv, any_feedback
@@ -907,8 +933,9 @@ def _traversal_at_caps(monkeypatch, coeffs, seq, theta, other):
 
 
 class TestNewtonCap:
-    """NEWTON_MAXIT gives the answers that a cap of 80 gives: a seed that
-    converges needs far fewer steps, and past the fold no root exists."""
+    """NEWTON_MAXIT gives the answers that a cap of 80 gives: a candidate
+    of the sextic or a warm start that converges needs far fewer steps,
+    and past the fold no root exists."""
 
     @pytest.mark.parametrize("fault_type,seq,deg,oa,od,want,binding",
                              TRAVERSAL_ANCHORS)
@@ -930,8 +957,8 @@ class TestNewtonCap:
                                             (0.93, False)])
     def test_fold_rows(self, amp, found, monkeypatch):
         """LL, negative current at -20 deg: a root at 0.91; at 0.92 and 0.93
-        no seed converges, both past the fold (0.92 by 4e-9, where Newton
-        stalls short of a root) and both misses."""
+        no Newton start converges, both past the fold (0.92 by 4e-9) and
+        both misses."""
         c = coeffs_for(FaultType.LL)
         theta = math.radians(-20.0)
         prm = pack_params(c, CurrentReference(0.0, 0.0, amp, theta), UG)

@@ -1,5 +1,5 @@
-"""Torus-grid root scan, the row-by-row curve seeding and the array root
-evaluators, used only by the tests.
+"""Torus-grid root scan and the array root evaluators, used only by the
+tests.
 
 The evaluators write the q-axis residuals (r1, r2), their Jacobian, the d/q
 voltages and the root conditions elementwise on numpy arrays.
@@ -7,19 +7,13 @@ voltages and the root conditions elementwise on numpy arrays.
 floats in the same operation order, so the tests compare the two forms bit
 for bit.
 
-``curve_seeds`` is the curve seeding of ``kernels.scan_roots`` written one
-row at a time, each row's cyclic neighbours taken with ``np.roll``;
-``kernels._curve_seeds`` stacks the four rows into one array, and the tests
-compare the two seed lists exactly.
-
 The scan is the equilibrium scan as it was before ``kernels.scan_roots``
-moved onto the one-dimensional curve where r1 vanishes: a Newton seed at
-every point of a grid_n x grid_n grid over (delta+, delta-), all seeds
-iterated together, each stopping by ``kernels.newton_pair``'s rule. It
-returns the same 6-tuple, picks among qualifying roots by the same rule,
-the largest min(ud+, ud-), and gives the winner the same two more Newton
-steps, kept while it qualifies, so the two scans can be compared for any
-packed parameters.
+listed the roots by elimination: a Newton seed at every point of a
+grid_n x grid_n grid over (delta+, delta-), all seeds iterated together,
+each stopping by ``kernels.newton_pair``'s rule. It returns the same
+6-tuple, picks among qualifying roots by the same rule, the largest
+min(ud+, ud-), and gives the winner the same two more Newton steps, kept
+while it qualifies, so the two can be compared for any packed parameters.
 """
 
 import math
@@ -32,7 +26,7 @@ from ibgsync.kernels import (
 )
 
 __all__ = ["residual_eval", "jacobian_eval", "dq_eval", "root_conditions",
-           "branch_seeds_rolled", "curve_seeds", "scan_roots"]
+           "scan_roots"]
 
 
 def residual_eval(prm, dp, dn):
@@ -92,54 +86,6 @@ def root_conditions(prm, dp, dn, ud_min):
     j11, _, _, j22 = jacobian_eval(prm, dp, dn)
     feedback = (j11 < 0.0) & (j22 < 0.0)
     return feedback, feedback & (ud_p > ud_min) & (ud_n > ud_min)
-
-
-def branch_seeds_rolled(r2, on):
-    """Seed mask along one cyclic row of curve samples, neighbours taken
-    with np.roll: both samples around each sign change of r2, each local
-    minimum of |r2| with both its neighbours, and each end of a run of
-    samples on the curve (on)."""
-    a = np.where(on, np.abs(r2), np.inf)
-    nxt = np.roll(on, -1)
-    flip = on & nxt & ((r2 > 0.0) != (np.roll(r2, -1) > 0.0))
-    low = on & (a <= np.roll(a, 1)) & (a <= np.roll(a, -1))
-    end = on & ~(np.roll(on, 1) & nxt)
-    seed = flip | np.roll(flip, 1) | low | np.roll(low, 1) | np.roll(low, -1)
-    return on & (seed | end)
-
-
-def _arcsine_rows(r, phi, b):
-    """Where r sin(phi - u) + b = 0 has a root u, and its two branches."""
-    on = np.abs(b) <= r
-    d = np.maximum(r, np.abs(b))
-    s = np.arcsin(-b / np.where(d > 0.0, d, 1.0))
-    return on, phi - s, phi - math.pi + s
-
-
-def curve_seeds(prm, grid_n):
-    """The curve seeds as a list of (dp, dn) float pairs, one row at a
-    time: dn samples on both dp branches, then dp samples on both dn
-    branches, each row's r2 from residual_eval."""
-    a1, f1, c3, p3 = prm[P_A1], prm[P_F1], prm[P_C3], prm[P_P3]
-    b = prm[P_B2] * math.sin(prm[P_P2])
-    steps = np.arange(grid_n) * (2.0 * math.pi / grid_n)
-    dn = (f1 - p3) + steps
-    c = a1 * np.exp(1j * f1) + c3 * np.exp(1j * (p3 + dn))
-    r = np.abs(c)
-    phi = np.angle(c)
-    r[0] = a1 + c3
-    phi[0] = f1
-    on, dp1, dp2 = _arcsine_rows(r, phi, b)
-    rows = [(dp1, dn, on), (dp2, dn, on)]
-    dp = steps
-    on, dn1, dn2 = _arcsine_rows(c3, dp - p3 + math.pi,
-                                 a1 * np.sin(f1 - dp) + b)
-    rows += [(dp, dn1, on), (dp, dn2, on)]
-    seeds = []
-    for dps, dns, on in rows:
-        keep = branch_seeds_rolled(residual_eval(prm, dps, dns)[1], on)
-        seeds.extend(zip(dps[keep].tolist(), dns[keep].tolist()))
-    return seeds
 
 
 def scan_roots(prm, grid_n, tol, maxit, ud_min):

@@ -1,16 +1,18 @@
-"""Newton steps to convergence per curve-scan seed and per warm start.
+"""Newton steps to convergence per polish of a sextic candidate and per
+warm start.
 
     PYTHONPATH=src python3 tools/newton_steps.py --cap 80
 
 Runs the twelve reference limits (``same_answers.LIMIT_ROWS`` on the CLI's
 default circuit and fault branch, the rows of the limit-table workload)
 once with ``equilibrium.NEWTON_MAXIT`` set to the cap (default: its own
-value) and prints one JSON object. For the curve-scan seeds and for the
-warm starts it gives how many converged after each number of Newton steps,
-how many missed, how many of those stopped early on a singular Jacobian,
-and the Newton steps taken in all, counting each miss at the whole cap. A
-seed's step count is the smallest cap at which ``kernels.newton_pair``
-converges from it.
+value) and prints one JSON object. For the candidate polishes, the
+Newton calls with which ``kernels.scan_roots`` polishes each root of the
+sextic on the torus, and for the warm starts it gives how many converged
+after each number of Newton steps, how many missed, how many of those
+stopped early on a singular Jacobian, and the Newton steps taken in all,
+counting each miss at the whole cap. A call's step count is the smallest
+cap at which ``kernels.newton_pair`` converges from its start.
 """
 
 import argparse
@@ -46,9 +48,9 @@ def summary(calls: list[tuple], cap: int) -> dict:
 
 def record(cap: int) -> dict:
     """Run the reference limits at the cap, recording every Newton call: a
-    call inside kernels.scan_roots polishes a seed, any other is a warm
-    start."""
-    seeds, warm = [], []
+    call inside kernels.scan_roots polishes a candidate, any other is a
+    warm start."""
+    polishes, warm = [], []
     newton, scan = kernels.newton_pair, kernels.scan_roots
     in_scan = False
 
@@ -61,11 +63,11 @@ def record(cap: int) -> dict:
             in_scan = False
 
     def newton_call(prm, dp, dn, tol, maxit):
-        # the two-step polish of a scan's winner is not a seed
+        # the two more steps of the winner are not a candidate's polish
         if not in_scan:
             warm.append((tuple(prm), dp, dn, tol, maxit))
         elif not (tol == 0.0 and maxit == 2):
-            seeds.append((tuple(prm), dp, dn, tol, maxit))
+            polishes.append((tuple(prm), dp, dn, tol, maxit))
         return newton(prm, dp, dn, tol, maxit)
 
     doc = load_config(None)
@@ -82,14 +84,14 @@ def record(cap: int) -> dict:
     finally:
         kernels.newton_pair, kernels.scan_roots = newton, scan
         equilibrium.NEWTON_MAXIT = saved
-    return {"cap": cap, "scan_seeds": summary(seeds, cap),
+    return {"cap": cap, "candidate_polishes": summary(polishes, cap),
             "warm_starts": summary(warm, cap)}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--cap", type=int, default=equilibrium.NEWTON_MAXIT,
-                        help="Newton iteration cap per seed and warm start")
+                        help="Newton iteration cap per polish and warm start")
     args = parser.parse_args(argv)
     print(json.dumps(record(args.cap)))
     return 0

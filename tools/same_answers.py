@@ -24,7 +24,7 @@ directory, and each runs from its own ``src``:
   --angle-step 5``, whose sweep passes the stall at 0.92 (the CSV written);
 - ``equilibrium`` under SLG, DLG and TLG, at a positive current with a
   root and at one without (the JSON printed): a root prints its uq+-, and
-  a miss on a curve that is not empty the best residual its seeds reached;
+  a miss its ``residual_norm``;
 - problems with one current at zero, which the solver takes in closed
   form: ``limit`` of SLG neg at 90 deg with no ``--other`` and
   ``equilibrium --fault dlg --iminus 0.5@90`` (the JSON printed), and
@@ -53,8 +53,9 @@ directory, and each runs from its own ``src``:
   config that sets every section (FLL at 60 Hz, started from the pre-fault
   state), and ``coeffs --json`` under one that sets ``circuit.choke`` (the
   JSON printed, and the trace CSV that ``simulate`` writes);
-- ``coeffs`` under four configs both sides must reject, one of them with a
-  negative choke resistance (the exit code and the empty output);
+- ``coeffs`` under five configs that must be rejected, one of them with a
+  negative choke resistance and one that sets ``solver.grid_deg``, a key
+  the solver no longer has (the exit code and the empty output);
 - the plots: ``region`` of DLG pos at ``--angle-step`` 30 and the 1 s DLG
   ``simulate`` above, each with ``--svg`` (what was printed, the CSV
   written, then the SVG).
@@ -136,18 +137,20 @@ CONFIG = {
                 "fault": {"i_pos": "0.5@-30", "i_neg": "0.3@90"}},
     "sync": {"mode": "dsogi_fll", "kp_fll": 40.0, "ki_fll": 6000.0},
     "scenario": {"t_end": 2.0, "init": "prefault"},
-    "solver": {"grid_deg": 3.0, "step": 0.02},
+    "solver": {"step": 0.02},
 }
 # a choke no equation reads: checked, then ignored
 CHOKE_CONFIG = {"circuit": {"choke": {"r": 0.5, "x": 5.0}},
                 "fault": {"type": "dlg"}}
 # configs with a string where a number goes, a branch without x, a phasor
-# string that Python's float() would read, and a negative choke resistance
+# string that Python's float() would read, a negative choke resistance, and
+# the curve-sample spacing of a solver that samples nothing
 REJECTED = {
     "string step": {"solver": {"step": "0.01"}},
     "branch without x": {"circuit": {"grid": {"r": 0.04}}},
     "phasor 1_0@5": {"current": {"fault": {"i_pos": "1_0@5"}}},
     "choke r < 0": {"circuit": {"choke": {"r": -1, "x": 0}}},
+    "grid_deg": {"solver": {"grid_deg": 2.0}},
 }
 # a closed-loop run that loses synchronism within its horizon
 SIMULATE = ["simulate", "--fault", "dlg", "--iplus", "0.77@-30",

@@ -14,6 +14,7 @@ REJECTED_FOR = {
     "branch without x": "config.circuit.grid: missing key 'x'",
     "phasor 1_0@5": "bad phasor '1_0@5'",
     "choke r < 0": "config.circuit.choke: branch impedance must be",
+    "grid_deg": "config.solver: unknown key 'grid_deg'",
 }
 
 
@@ -31,7 +32,7 @@ def _stub(monkeypatch, differing=()):
 
 def test_cases_cover_the_reference_outputs():
     names = [name for name, _, _, _ in same_answers.cases()]
-    assert len(names) == 12 + 4 + 2 + 2 + 2 + 3 + 6 + 1 + 4 + 1 + 9 + 5 + 4 + 2
+    assert len(names) == 12 + 4 + 2 + 2 + 2 + 3 + 6 + 1 + 4 + 1 + 9 + 5 + 5 + 2
     assert len(set(names)) == len(names)
     to_file = [argv for _, argv, to_file, _ in same_answers.cases() if to_file]
     assert [argv[0] for argv in to_file].count("simulate") == 11
@@ -163,7 +164,7 @@ def test_same_answers_exit_0(monkeypatch, capsys):
     assert same_answers.main(["--parent", "a", "--change", "b"]) == 0
     out = capsys.readouterr().out
     assert "DIFFERS" not in out
-    assert "57 of 57 outputs byte-identical" in out
+    assert "58 of 58 outputs byte-identical" in out
 
 
 def test_one_difference_exits_1(monkeypatch, capsys):
@@ -172,12 +173,12 @@ def test_one_difference_exits_1(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "DIFFERS: validate draws 100 seed 0" in out
     assert out.count("DIFFERS") == 1
-    assert "56 of 57 outputs byte-identical" in out
+    assert "57 of 58 outputs byte-identical" in out
 
 
 def test_config_cases_set_every_section():
     configs = [c for _, _, _, c in same_answers.cases() if c is not None]
-    assert len(configs) == 12
+    assert len(configs) == 13
     assert set(same_answers.CONFIG) == {
         "circuit", "fault", "current", "sync", "scenario", "solver"}
     assert configs.count(same_answers.CONFIG) == 4
