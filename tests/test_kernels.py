@@ -261,6 +261,102 @@ class TestTorusRoots:
                              for y in kernels._eliminate(prm)[0]) > 0.1
 
 
+def _scaled_residuals(prm, dp, dn):
+    """r1 and r2 at (dp, dn), written out from the packed floats, each
+    divided by its equation's largest amplitude as _eliminate divides."""
+    a1, f1, b2, p2, c3, p3, a4, f4, b5, p5, c6, p6 = prm
+    r1 = (a1 * math.sin(f1 - dp) + b2 * math.sin(p2)
+          + c3 * math.sin(p3 + dn - dp))
+    r2 = (a4 * math.sin(f4 - dn) + b5 * math.sin(p5)
+          + c6 * math.sin(p6 + dp - dn))
+    return r1 / max(a1, b2, c3), r2 / max(a4, b5, c6)
+
+
+class TestElimination:
+    """The polynomial pieces of scan_roots, each against numpy or the
+    equations written out."""
+
+    @pytest.mark.parametrize("degree", range(1, 7))
+    def test_roots_match_numpy(self, degree):
+        """Closed form up to degree 2, companion eigenvalues above: the
+        roots of numpy.roots, in some order."""
+        rng = np.random.default_rng(degree)
+        p = list(rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))
+        got = kernels._roots(p)
+        want = np.roots(p[::-1])
+        assert len(got) == degree
+        for z in got:
+            assert np.min(np.abs(want - z)) < 1e-9 * max(1.0, abs(z))
+        for z in want:
+            assert min(abs(g - z) for g in got) < 1e-9 * max(1.0, abs(z))
+
+    def test_quadratic_keeps_the_small_root(self):
+        """Roots 1e8 and 1e-8, turned by 0.3 rad: the textbook formula
+        cancels the small one to nothing, the closed form keeps its
+        digits."""
+        turn = cmath.exp(0.3j)
+        big, small = 1e8 * turn, 1e-8 * turn
+        got = sorted(kernels._roots([big * small, -(big + small), 1.0 + 0j]),
+                     key=abs)
+        assert abs(got[0] - small) < 1e-14 * abs(small)
+        assert abs(got[1] - big) < 1e-14 * abs(big)
+
+    def test_vanishing_leading_coefficients_are_dropped(self):
+        """A leading term at or below 1e-14 of the largest is dropped, one
+        above it is a root far out; a constant has no roots."""
+        assert sorted(z.real for z in kernels._roots([2, -3, 1, 1e-15])) == (
+            pytest.approx([1.0, 2.0], rel=1e-15))
+        assert len(kernels._roots([2, -3, 1, 1e-13])) == 3
+        assert kernels._roots([1.0 + 0j]) == []
+        assert kernels._roots([1.0 + 0j, 1e-20, 0j]) == []
+
+    def test_cross_and_value_are_polynomial_products(self):
+        """_cross(u, v, w, z) is u v - w z as numpy multiplies them, and
+        _value evaluates it as numpy does."""
+        rng = np.random.default_rng(5)
+        u, v, w, z = (list(rng.normal(size=n) + 1j * rng.normal(size=n))
+                      for n in (2, 3, 4, 1))
+        P = np.polynomial.polynomial
+        want = P.polysub(P.polymul(u, v), P.polymul(w, z))
+        got = kernels._cross(u, v, w, z)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+        for t in (0.3 - 0.7j, cmath.exp(2.1j), 1.9 + 0j):
+            assert abs(kernels._value(got, t) - P.polyval(t, want)) < 1e-13
+
+    @pytest.mark.parametrize("c6", [0.7, 0.0], ids=["coupled", "C6-zero"])
+    def test_quadratic_is_the_scaled_equation(self, c6):
+        """The quadratic in x that _eliminate returns, at y = e^{j dn} and
+        x = e^{j dp}, is 2j x y r / s: r2 where C6 > 0, else r1, with s
+        the equation's largest amplitude."""
+        prm = _packed((1.2, 0.4, 0.5, 0.9, 0.3, c6),
+                      (0.5, 1.0, 2.0, -0.7, -0.6, 1.5))
+        quad = kernels._eliminate(prm)[1]
+        rng = np.random.default_rng(3)
+        for dp, dn in rng.uniform(-math.pi, math.pi, (5, 2)):
+            x, y = cmath.exp(1j * dp), cmath.exp(1j * dn)
+            got = kernels._value([kernels._value(q, y) for q in quad], x)
+            r = _scaled_residuals(prm, dp, dn)[0 if c6 == 0.0 else 1]
+            assert abs(got - 2j * x * y * r) < 1e-14
+
+    @pytest.mark.parametrize("c6", [0.7, 0.0], ids=["coupled", "C6-zero"])
+    def test_torus_root_is_an_eliminated_root(self, c6):
+        """The root scan_roots returns is one that the elimination lists:
+        e^{j dn} among the ys, e^{j dp} a root of the quadratic there, and
+        both equations vanish at it."""
+        prm = _packed((1.2, 0.4, 0.5, 0.9, 0.3, c6),
+                      (0.5, 1.0, 2.0, -0.7, -0.6, 1.5))
+        found, dp, dn = kernels.scan_roots(prm, 180, 1e-10, NEWTON_MAXIT,
+                                           1e-9)[:3]
+        assert found
+        ys, quad = kernels._eliminate(prm)
+        assert len(ys) == (2 if c6 == 0.0 else 6)
+        x, y = cmath.exp(1j * dp), cmath.exp(1j * dn)
+        assert min(abs(v - y) for v in ys) < 1e-12
+        xs = kernels._roots([kernels._value(q, y) for q in quad])
+        assert min(abs(v - x) for v in xs) < 1e-12
+        assert max(map(abs, _scaled_residuals(prm, dp, dn))) < 1e-14
+
+
 class TestOneBuild:
     def test_installed_numba_is_not_used(self, tmp_path):
         """The kernels are the plain module functions even where a numba
