@@ -260,20 +260,23 @@ def solve_equilibrium(
     when a torus root exists (and fails a condition), positive when none
     does, inf when there is no root.
     """
-    prm = pack_params(coeffs, ref, ug_pos)
+    found, feedback, dp, dn, volts, res = _solve_packed(
+        pack_params(coeffs, ref, ug_pos))
+    if found:
+        return _found(dp, dn, *volts, res)
+    return _not_found(res, feedback)
+
+
+def _solve_packed(prm):
+    """solve_equilibrium on packed floats, for a sweep's full solves: no
+    result object, but the tuple _solve_triangular returns."""
     closed = _solve_triangular(prm)
     if closed is not None:
-        found, feedback, dp, dn, volts, res = closed
-        if found:
-            return _found(dp, dn, *volts, res)
-        return _not_found(res, feedback)
-
+        return closed
     found, dp, dn, res, _, feedback = kernels.scan_roots(
-        prm, 0, NEWTON_TOL, NEWTON_MAXIT, UD_MIN
-    )
-    if found:
-        return _found(dp, dn, *kernels.root_check(prm, dp, dn, UD_MIN)[2:], res)
-    return _not_found(res, feedback)
+        prm, 0, NEWTON_TOL, NEWTON_MAXIT, UD_MIN)
+    volts = kernels.root_check(prm, dp, dn, UD_MIN)[2:] if found else None
+    return found, feedback, dp, dn, volts, res
 
 
 def refine_root(

@@ -19,10 +19,11 @@ is closed-form (equilibrium._solve_triangular): that start, and every
 amplitude of a sweep that holds no other current. There the edge is
 closed-form too (decoupled_limit), so the traversal jumps to the grid
 amplitude below it and reads the limit at the grid step past it, with no
-stride in between.
+stride in between. Past that start, every solve runs on packed floats.
 """
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +32,7 @@ from .equilibrium import (
     InstabilityType,
     _pack,
     _polars,
+    _solve_packed,
     _triangular,
     refine_root,
     solve_equilibrium,
@@ -87,7 +89,8 @@ class LimitResult:
     def __post_init__(self):
         if self.sequence not in _SEQUENCES:
             raise ValueError(f"sequence must be one of {_SEQUENCES}")
-        if self.i_limit < 0:
+        # "not >=" also rejects NaN
+        if not self.i_limit >= 0:
             raise ValueError("i_limit must be >= 0")
 
 
@@ -122,18 +125,20 @@ def decoupled_limit(
     stops qualifying, which a traversal with no held current jumps to.
     """
     k, z = _own_pair(coeffs, sequence)
-    zm, za = polar(z)
-    km = abs(k)
+    return LimitResult(sequence, theta_i,
+                       *_edge(abs(k) * ug_pos, *polar(z), theta_i))
+
+
+def _edge(kug, zm, za, theta_i):
+    """decoupled_limit's (limit, binding) from |K| Ug and Z = zm e^{j za}."""
     if zm < 1e-15:
-        return LimitResult(sequence, theta_i, math.inf, Binding.CEILING)
+        return math.inf, Binding.CEILING
     phi = wrap_angle(za + theta_i)
-    circle = km * ug_pos / zm
+    circle = kug / zm
     if math.cos(phi) < 0.0:
-        return LimitResult(sequence, theta_i, circle, Binding.TYPE2)
+        return circle, Binding.TYPE2
     s = abs(math.sin(phi))
-    if s > 1e-9:
-        return LimitResult(sequence, theta_i, circle / s, Binding.TYPE1)
-    return LimitResult(sequence, theta_i, math.inf, Binding.TYPE1)
+    return (circle / s if s > 1e-9 else math.inf), Binding.TYPE1
 
 
 def _make_ref(
@@ -145,16 +150,16 @@ def _make_ref(
 
 
 def _packer(polars: tuple[float, ...], ug_pos: float, sequence: str,
-            ref: CurrentReference):
-    """The packed floats as a function of the swept amplitude, the other
-    current and both angles taken from ref: pack_params of
-    _make_ref(sequence, amp, ...) without building it, from the
-    coefficients' _polars."""
-    i_p, th_p = ref.i_pos, ref.theta_i_pos
-    i_n, th_n = ref.i_neg, ref.theta_i_neg
+            theta_i: float, ref: CurrentReference):
+    """The packed floats as a function of the swept amplitude at theta_i,
+    the other current taken from ref: pack_params of _make_ref(sequence,
+    amp, theta_i, ...) without building it, from the coefficients' _polars."""
+    th = wrap_angle(theta_i)
     if sequence == "pos":
-        return lambda amp: _pack(polars, ug_pos, amp, th_p, i_n, th_n)
-    return lambda amp: _pack(polars, ug_pos, i_p, th_p, amp, th_n)
+        i_n, th_n = ref.i_neg, ref.theta_i_neg
+        return lambda amp: _pack(polars, ug_pos, amp, th, i_n, th_n)
+    i_p, th_p = ref.i_pos, ref.theta_i_pos
+    return lambda amp: _pack(polars, ug_pos, i_p, th_p, amp, th)
 
 
 def _amplitude_steps(step: float, ceiling: float, sweeps: float) -> int:
@@ -192,16 +197,16 @@ def traversal_limit(
     the last accepted root, the first from the root with the swept current
     at zero, eight grid steps on (_STRIDE); only where that misses are the
     grid amplitudes in between taken one at a time, and a warm-start miss
-    there is confirmed by solve_equilibrium (every torus root of the sextic,
-    or the closed form) before the amplitude fails. With no other current
-    held every solve is closed-form, and the first stride goes straight to
-    the grid amplitude below the edge that decoupled_limit gives, then on
-    one grid step at a time; where that amplitude misses, the strides start
-    over from the zero-current root. The limit is the last passing grid
-    amplitude, so `step` alone sets the resolution. More than
-    MAX_SWEEP_POINTS grid amplitudes is a ValueError; every input is
-    checked before any solve. grid_deg is not read; the benchmark's
-    warm-up passes it until its next change.
+    there is confirmed by a full solve on the same packed floats (every
+    torus root of the sextic, or the closed form) before the amplitude
+    fails. With no other current held every solve is closed-form, and the
+    first stride goes straight to the grid amplitude below the edge that
+    decoupled_limit gives, then on one grid step at a time; where that
+    amplitude misses, the strides start over from the zero-current root.
+    The limit is the last passing grid amplitude, so `step` alone sets the
+    resolution. More than MAX_SWEEP_POINTS grid amplitudes is a ValueError;
+    every input is checked before any solve. grid_deg is not read; the
+    benchmark's warm-up passes it until its next change.
     """
     return _sweep(coeffs, ug_pos, sequence, 1, lambda k: theta_i,
                   fixed_other, step, ceiling)[0]
@@ -243,7 +248,8 @@ def _sweep(coeffs, ug_pos, sequence, n_angles, angle, fixed_other, step,
     solves it once, in closed form, and warm-starts every angle's traversal
     from its root; an angle solves its first amplitude from scratch only
     where that root is missing or both the stride and the first grid step
-    miss from it."""
+    miss from it. That start is the sweep's one reference and result; the
+    polars, the triangular gate and the edge's |K| Ug and Z are taken once."""
     if sequence not in _SEQUENCES:
         raise ValueError(f"sequence must be one of {_SEQUENCES}")
     n_steps = _amplitude_steps(step, ceiling, n_angles)
@@ -251,52 +257,54 @@ def _sweep(coeffs, ug_pos, sequence, n_angles, angle, fixed_other, step,
     if not all(map(math.isfinite, thetas)):
         raise ValueError("angle must be finite")
     other = fixed_other if fixed_other is not None else (0.0, 0.0)
-    # CurrentReference checks the held current
-    res = solve_equilibrium(coeffs, _make_ref(sequence, 0.0, 0.0, other),
-                            ug_pos)
+    # CurrentReference checks the held current and wraps its angle
+    ref = _make_ref(sequence, 0.0, 0.0, other)
+    res = solve_equilibrium(coeffs, ref, ug_pos)
     start = (res.delta_pos, res.delta_neg) if res.found else None
     polars = _polars(coeffs)
-    return tuple(_traverse(coeffs, ug_pos, sequence, theta, other, step,
-                           n_steps, polars, start)
+    edge = None
+    # the triangular form reads magnitudes only: one gate for every angle
+    if _triangular(_packer(polars, ug_pos, sequence, 0.0, ref)(step)):
+        k, z = _own_pair(coeffs, sequence)
+        edge = functools.partial(_edge, abs(k) * ug_pos, *polar(z))
+    return tuple(_traverse(sequence, theta,
+                           _packer(polars, ug_pos, sequence, theta, ref),
+                           edge, step, n_steps, start)
                  for theta in thetas)
 
 
-def _traverse(coeffs, ug_pos, sequence, theta_i, other, step, n_steps,
-              polars, start):
-    """One angle's amplitude loop on checked arguments. `polars` are the
-    coefficients' _polars; `start` is a root to warm-start from, or None
-    to solve the first amplitude from scratch.
+def _traverse(sequence, theta_i, packed, edge, step, n_steps, start):
+    """One angle's amplitude loop on checked arguments. `packed` gives the
+    packed floats at an amplitude (_packer); `edge`, the closed-form
+    (limit, binding) at an angle (_edge), or None off the triangular form;
+    `start`, a root to warm-start from, or None to solve the first
+    amplitude from scratch.
 
     From the last accepted root at grid index k, one warm start tries index
     k + _STRIDE (clamped to n_steps). Where it holds, the amplitudes in
     between are skipped; where it misses, or no root is known, the
     amplitudes k + 1 .. k + _STRIDE are taken one at a time from the root
-    at k, each warm miss confirmed by a full solve (solve_equilibrium). The
-    failing amplitude and its binding thus come from one grid step and the
-    solve that confirms it, as in a loop that visits every grid amplitude.
+    at k, each warm miss confirmed by a full solve on the same floats
+    (_solve_packed). The failing amplitude and its binding thus come from
+    one grid step and the solve that confirms it, as in a loop that visits
+    every grid amplitude.
 
-    Where the first amplitude is of the triangular form (_triangular: no
-    other current held, so every one is), the first stride instead jumps to
-    the grid index below decoupled_limit's edge, min(n_steps,
-    floor(edge / step)); index 0 is the start itself. Where that holds,
-    the amplitudes past it are taken one at a time by solve_equilibrium,
-    which solves the same closed form as a warm start, so the one solve at
-    the failing amplitude also gives its binding. Where the jump misses
-    (a grid amplitude on the edge or within rounding of it, or either
-    sequence's d-axis voltage at most UD_MIN there), the strides start
-    from index 0 as above. Every answer is the closed form at a grid
+    Where `edge` is given, the first stride instead jumps to the grid index
+    below the edge, min(n_steps, floor(edge / step)); index 0 is the start
+    itself. Where that holds, the amplitudes past it are taken one at a
+    time by full solves, which solve the same closed form as a warm start,
+    so the one solve at the failing amplitude also gives its binding. Where
+    the jump misses (a grid amplitude on the edge or within rounding of it,
+    or either sequence's d-axis voltage at most UD_MIN there), the strides
+    start from index 0 as above. Every answer is the closed form at a grid
     amplitude, so the jump trusts the amplitudes it skips as a stride
     does."""
-    packed = _packer(polars, ug_pos, sequence,
-                     _make_ref(sequence, step, theta_i, other))
-
     # k: the grid index of the last accepted root; fill: the index up to
     # which the amplitudes are visited one at a time
     prev, k, fill = start, 0, 0
-    if prev is not None and _triangular(packed(step)) is not None:
-        edge = (decoupled_limit(coeffs, ug_pos, sequence, theta_i).i_limit
-                / step)
-        jump = n_steps if edge >= n_steps else int(edge)
+    if prev is not None and edge is not None:
+        jumps = edge(theta_i)[0] / step
+        jump = n_steps if jumps >= n_steps else int(jumps)
         if jump == 0 or refine_root(packed(jump * step), *prev) is not None:
             # the closed form takes no warm start: the amplitudes past the
             # edge are solved afresh, one at a time
@@ -310,22 +318,21 @@ def _traverse(coeffs, ug_pos, sequence, theta_i, other, step, n_steps,
                     prev, k = far, fill
                     continue
         k += 1
-        amp = k * step
+        prm = packed(k * step)
         if prev is not None:
-            prev = refine_root(packed(amp), prev[0], prev[1])
+            prev = refine_root(prm, prev[0], prev[1])
         if prev is None:
-            ref = _make_ref(sequence, amp, theta_i, other)
-            res = solve_equilibrium(coeffs, ref, ug_pos)
-            if not res.found:
+            found, feedback, dp, dn, _, _ = _solve_packed(prm)
+            if not found:
                 break
-            prev = (res.delta_pos, res.delta_neg)
+            prev = (dp, dn)
     else:
         return LimitResult(sequence, theta_i, n_steps * step, Binding.CEILING)
 
-    # res is the solve that confirmed the failure at k * step: a surviving
+    # the solve that confirmed the failure at k * step: a surviving
     # slope-stable root means the voltage condition failed (type 2), none
     # means the fold (type 1), where Newton may also stall short of a root
-    binding = Binding.TYPE2 if res.cond_feedback else Binding.TYPE1
+    binding = Binding.TYPE2 if feedback else Binding.TYPE1
     return LimitResult(sequence, theta_i, (k - 1) * step, binding)
 
 

@@ -464,6 +464,7 @@ class TestErrors:
         def solve(*args, **kwargs):
             raise AssertionError("the sweep solved before rejecting its size")
         monkeypatch.setattr(limits, "solve_equilibrium", solve)
+        monkeypatch.setattr(limits, "_solve_packed", solve)
         monkeypatch.setattr(limits, "refine_root", solve)
         if argv[0] == "region":
             argv = argv + ["--out", str(tmp_path / "out.csv")]

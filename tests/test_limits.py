@@ -159,6 +159,7 @@ def _no_solves(monkeypatch):
     def solve(*args, **kwargs):
         raise AssertionError("the sweep solved before rejecting its size")
     monkeypatch.setattr(limits, "solve_equilibrium", solve)
+    monkeypatch.setattr(limits, "_solve_packed", solve)
     monkeypatch.setattr(limits, "refine_root", solve)
 
 
@@ -232,7 +233,7 @@ def test_region_within_budget_is_accepted(monkeypatch):
     """A 0.5 deg sweep at 1e-4 p.u. (21.6 million points, within the
     ten-minute budget) passes the size check: only its traversals are
     stubbed."""
-    def traversal(coeffs, ug, sequence, theta, other, step, *args):
+    def traversal(sequence, theta, packed, edge, step, *args):
         assert step == 1e-4
         return LimitResult(sequence, theta, 0.0, Binding.TYPE1)
     monkeypatch.setattr(limits, "_traverse", traversal)
@@ -246,6 +247,11 @@ def test_limit_result_validation():
         LimitResult("up", 0.0, 1.0, Binding.TYPE1)
     with pytest.raises(ValueError):
         LimitResult("pos", 0.0, -1.0, Binding.TYPE1)
+
+
+def test_limit_result_rejects_nan():
+    with pytest.raises(ValueError):
+        LimitResult("pos", 0.0, math.nan, Binding.TYPE1)
 
 
 def test_underexcited_negative_current_shrinks_positive_limit():
@@ -542,6 +548,34 @@ def test_region_matches_per_step_form(fault_type, seq):
         for s in region.samples[::6]]
 
 
+@pytest.mark.parametrize("cross", [0.5e-12, 2e-12])
+@pytest.mark.parametrize("seq", ["pos", "neg"])
+@pytest.mark.parametrize("fault_type", list(FaultType))
+def test_triangular_gate_at_its_tolerance(fault_type, seq, cross):
+    """A held current whose packed cross terms, the two magnitudes the
+    triangular gate reads (C3 and B5 for a positive sweep, B2 and C6 for a
+    negative one), are at most half or twice kernels.DEGENERATE_TOL: the
+    gate, taken once a sweep, is on and off, and every sample of a 30 deg
+    sweep is the per-step form's either way. Under TLG the negative
+    current enters no packed term, so every sweep is triangular whatever
+    it holds."""
+    c = coeffs_for(fault_type)
+    polars = equilibrium._polars(c)
+    mag = max(polars[4], polars[8]) if seq == "pos" else max(polars[2],
+                                                            polars[10])
+    other = (cross / mag if mag > 0.0 else cross, math.radians(60.0))
+    gated = fault_type is FaultType.TLG or cross < kernels.DEGENERATE_TOL
+    first = pack_params(c, _make_ref(seq, AMP_STEP, 0.0, other), UG)
+    assert (equilibrium._triangular(first) is not None) is gated
+    zero = _zero_root(c, seq, other)
+    region = region_boundary(c, UG, seq, fixed_other=other,
+                             angle_step=math.radians(30.0))
+    assert len(region.samples) == 12
+    assert list(region.samples) == [
+        _per_step_traversal(c, seq, s.theta_i, other, zero)[0]
+        for s in region.samples]
+
+
 def _sweep_is_per_angle(coeffs, seq, other, angle_step):
     """Assert that region_boundary's samples are traversal_limit's at its
     angles. Returns the sweep, the start each of its traversals was given
@@ -735,18 +769,24 @@ def test_stride_clamps_to_ceiling(monkeypatch):
 
 
 def _counted(monkeypatch):
-    """Record each solve of the traversal, refine_root's and
-    solve_equilibrium's, as (name, packed floats)."""
+    """Record each solve of the sweep as (name, packed floats): the
+    zero-current start's solve_equilibrium, and the traversals' refine_root
+    and full solves on packed floats (equilibrium._solve_packed)."""
     solves = []
 
     def refining(prm, dp, dn):
         solves.append(("refine_root", tuple(prm)))
         return refine_root(prm, dp, dn)
 
+    def solving_packed(prm):
+        solves.append(("_solve_packed", tuple(prm)))
+        return equilibrium._solve_packed(prm)
+
     def solving(coeffs, ref, ug):
         solves.append(("solve_equilibrium", pack_params(coeffs, ref, ug)))
         return solve_equilibrium(coeffs, ref, ug)
     monkeypatch.setattr(limits, "refine_root", refining)
+    monkeypatch.setattr(limits, "_solve_packed", solving_packed)
     monkeypatch.setattr(limits, "solve_equilibrium", solving)
     return solves
 
@@ -795,6 +835,49 @@ def test_no_current_sweep_evaluates_closed_form_twice(fault_type, seq,
     assert 72 < len(calls) <= 1 + 2 * 72
 
 
+def _constructions(monkeypatch):
+    """Count the calls of equilibrium._polars and the EquilibriumResult and
+    CurrentReference objects built."""
+    counts = {"_polars": 0, "EquilibriumResult": 0, "CurrentReference": 0}
+    polars = equilibrium._polars
+
+    def counting(coeffs):
+        counts["_polars"] += 1
+        return polars(coeffs)
+    monkeypatch.setattr(equilibrium, "_polars", counting)
+    monkeypatch.setattr(limits, "_polars", counting)
+    for cls in (equilibrium.EquilibriumResult, CurrentReference):
+        def building(self, *args, _init=cls.__init__, _name=cls.__name__,
+                     **kwargs):
+            counts[_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", building)
+    return counts
+
+
+def test_sweeps_build_objects_only_for_the_start(monkeypatch):
+    """A sweep packs the coefficient polars once and runs every solve past
+    the zero-current start on packed floats: a 72-angle SLG pos region
+    with no current held (9 angles at the ceiling) and one coupled
+    traversal each take _polars at most twice and build one reference and
+    one result, the start's."""
+    c = coeffs_for(FaultType.SLG)
+    counts = _constructions(monkeypatch)
+    region = region_boundary(c, UG, "pos")
+    assert len(region.samples) == 72
+    assert sum(s.binding is Binding.CEILING for s in region.samples) == 9
+    assert counts["_polars"] <= 2
+    assert counts["EquilibriumResult"] <= 1
+    assert counts["CurrentReference"] <= 1
+    counts.update(dict.fromkeys(counts, 0))
+    got = traversal_limit(c, UG, "pos", math.radians(-30.0),
+                          fixed_other=(0.2, math.radians(90.0)))
+    assert (got.i_limit, got.binding) == (pytest.approx(1.42), Binding.TYPE1)
+    assert counts["_polars"] <= 2
+    assert counts["EquilibriumResult"] <= 1
+    assert counts["CurrentReference"] <= 1
+
+
 @pytest.mark.parametrize("fault_type,seq", [(FaultType.DLG, "pos"),
                                             (FaultType.TLG, "neg")])
 def test_edge_at_ceiling_takes_one_solve(fault_type, seq, monkeypatch):
@@ -841,18 +924,19 @@ def test_jump_onto_the_edge_falls_back(monkeypatch):
     (FaultType.SLG, "pos", -30.0), (FaultType.DLG, "neg", 90.0),
     (FaultType.LL, "pos", 150.0), (FaultType.TLG, "pos", -81.29)])
 def test_jump_that_overshoots_falls_back(fault_type, seq, deg, monkeypatch):
-    """With decoupled_limit patched one grid step too far, every jump
-    misses, and the traversal gives the per-step forms' answer by strides
-    from the zero-current root."""
+    """With the sweep's closed-form edge (limits._edge, decoupled_limit's
+    rule) patched one grid step too far, every jump misses, and the
+    traversal gives the per-step forms' answer by strides from the
+    zero-current root."""
     c, theta = coeffs_for(fault_type), math.radians(deg)
     edge = decoupled_limit(c, UG, seq, theta)
     assert 2 * AMP_STEP <= edge.i_limit < AMP_CEILING - AMP_STEP
+    closed = limits._edge
 
     def overshooting(*args):
-        out = decoupled_limit(*args)
-        return LimitResult(out.sequence, out.theta_i,
-                           out.i_limit + AMP_STEP, out.binding)
-    monkeypatch.setattr(limits, "decoupled_limit", overshooting)
+        limit, binding = closed(*args)
+        return limit + AMP_STEP, binding
+    monkeypatch.setattr(limits, "_edge", overshooting)
     steps = _recorded(monkeypatch)
     got = traversal_limit(c, UG, seq, theta)
     zero = _zero_root(c, seq)
@@ -872,8 +956,8 @@ def test_swept_packing_is_pack_params(seq, other):
     """The traversal's packed floats are pack_params' values bit for bit."""
     c = coeffs_for(FaultType.SLG)
     theta = math.radians(-30.0)
-    packed = _packer(equilibrium._polars(c), UG, seq,
-                     _make_ref(seq, AMP_STEP, theta, other))
+    packed = _packer(equilibrium._polars(c), UG, seq, theta,
+                     _make_ref(seq, 0.0, 0.0, other))
     for k in (1, 2, 7, 76, 143, 300):
         amp = k * AMP_STEP
         want = pack_params(c, _make_ref(seq, amp, theta, other), UG)
