@@ -247,9 +247,6 @@ def test_limit_result_validation():
         LimitResult("up", 0.0, 1.0, Binding.TYPE1)
     with pytest.raises(ValueError):
         LimitResult("pos", 0.0, -1.0, Binding.TYPE1)
-
-
-def test_limit_result_rejects_nan():
     with pytest.raises(ValueError):
         LimitResult("pos", 0.0, math.nan, Binding.TYPE1)
 
