@@ -549,11 +549,11 @@ def test_region_matches_per_step_form(fault_type, seq):
 @pytest.mark.parametrize("seq", ["pos", "neg"])
 @pytest.mark.parametrize("fault_type", list(FaultType))
 def test_triangular_gate_at_its_tolerance(fault_type, seq, cross):
-    """A held current whose packed cross terms, the two magnitudes the
-    triangular gate reads (C3 and B5 for a positive sweep, B2 and C6 for a
-    negative one), are at most half or twice kernels.DEGENERATE_TOL: the
-    gate, taken once a sweep, is on and off, and every sample of a 30 deg
-    sweep is the per-step form's either way. Under TLG the negative
+    """A held current whose larger packed term of the two the triangular
+    gate reads (C3 and B5 for a positive sweep, B2 and C6 for a negative
+    one) is half or twice kernels.DEGENERATE_TOL: the gate, taken once a
+    sweep, is on and off, and every sample of a 30 deg sweep is the
+    per-step form's either way. Under TLG the negative
     current enters no packed term, so every sweep is triangular whatever
     it holds."""
     c = coeffs_for(fault_type)
