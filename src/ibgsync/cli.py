@@ -11,8 +11,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .config import ConfigDocument, ConfigError, load_config, make_fault
 from .dynsim import (
     INIT_MODES,
@@ -222,6 +220,8 @@ def cmd_region(doc: ConfigDocument, args) -> int:
 
 def _trace_svg(trace) -> str:
     """Frequency estimates over time, one polyline per sequence."""
+    import numpy as np
+
     width, height, margin = 640, 360, 40
     t = trace.t
     if t.size < 2:
@@ -312,6 +312,8 @@ def _random_draw(rng) -> tuple:
 def oracle_errors(draws: int, seed: int = 0) -> tuple[float, float]:
     """Max relative disagreement between the coefficient model and the
     phase-network oracle over random draws; returns (pos, neg)."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     worst_p = 0.0
     worst_n = 0.0

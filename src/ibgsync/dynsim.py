@@ -12,8 +12,7 @@ chattering while the d-axis voltage collapses below zero (type-2).
 import enum
 import math
 from dataclasses import dataclass, fields
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import kernels
 from .equilibrium import (
@@ -34,6 +33,9 @@ from .network import (
 )
 from .phasor import phasor, wrap_angle
 from .synchro import SyncConfig, SyncMode
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Scenario",
@@ -128,24 +130,25 @@ class Trace:
 
     The array fields, in order, are the record columns (TRACE_COLUMNS).
     f_pos_hz and f_neg_hz are the loops' angle rates d(theta)/dt / 2 pi.
+    Their annotations are strings, so defining the class imports no numpy.
     """
 
-    t: np.ndarray
-    f_pos_hz: np.ndarray
-    f_neg_hz: np.ndarray
-    theta_pos: np.ndarray
-    theta_neg: np.ndarray
-    ud_pos: np.ndarray
-    uq_pos: np.ndarray
-    ud_neg: np.ndarray
-    uq_neg: np.ndarray
-    umag_pos: np.ndarray
-    umag_neg: np.ndarray
+    t: "np.ndarray"
+    f_pos_hz: "np.ndarray"
+    f_neg_hz: "np.ndarray"
+    theta_pos: "np.ndarray"
+    theta_neg: "np.ndarray"
+    ud_pos: "np.ndarray"
+    uq_pos: "np.ndarray"
+    ud_neg: "np.ndarray"
+    uq_neg: "np.ndarray"
+    umag_pos: "np.ndarray"
+    umag_neg: "np.ndarray"
     diverged: bool = False
 
 
 # the record columns in kernel and CSV order: Trace's array fields
-TRACE_COLUMNS = tuple(f.name for f in fields(Trace) if f.type is np.ndarray)
+TRACE_COLUMNS = tuple(f.name for f in fields(Trace) if f.type == "np.ndarray")
 TRACE_HEADER = ",".join(TRACE_COLUMNS)
 # one CSV row; "%.12g" writes what format(v, ".12g") writes, nan and inf too
 _TRACE_ROW = ",".join(["%.12g"] * len(TRACE_COLUMNS)) + "\n"
@@ -286,6 +289,8 @@ def run_scenario(
 ) -> tuple[Trace, LosVerdict]:
     """Integrate [0, t_end] and detect loss of synchronism on the on-fault
     window. Overflow truncates the trace and forces a lost verdict."""
+    import numpy as np
+
     check_run_settings(scenario.t_end, scenario.dt, scenario.init, record_dt)
     dt = scenario.dt
     n_steps = int(round(scenario.t_end / dt))
@@ -323,8 +328,10 @@ def run_scenario(
     return trace, verdict
 
 
-def _first_sustained(mask: np.ndarray, n: int) -> int:
+def _first_sustained(mask: "np.ndarray", n: int) -> int:
     """Index of the first run of n consecutive True values, or -1."""
+    import numpy as np
+
     if mask.size < n or n <= 0:
         return -1
     csum = np.convolve(mask.astype(int), np.ones(n, dtype=int), "valid")
@@ -343,6 +350,8 @@ def detect_los(
     come from the earliest event. A window too short for one sustained run
     is undetermined rather than stable.
     """
+    import numpy as np
+
     sel = (trace.t >= t_on + LOS_GRACE_S) & (trace.t < t_clear)
     idx = np.nonzero(sel)[0]
     if idx.size < 2:

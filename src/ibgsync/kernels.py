@@ -3,12 +3,15 @@ finding by elimination, every torus root from one sextic, and the
 closed-loop RK4 integrator.
 
 Every kernel is plain Python and numpy. Arrays serve only the sextic's
-roots, the eigenvalues of its 6 x 6 companion matrix (``_roots``). The
-Newton polish, the root checks and the closed-loop integrator run one point
-at a time on Python floats and complexes with ``math`` and ``cmath``: a
-numpy operation costs about a microsecond, several times a scalar's, and an
-RK4 step makes four derivative calls. So each value is computed once, where
-it stops changing: per fault window, per stage time or per derivative call.
+roots, the eigenvalues of its 6 x 6 companion matrix (``_roots``), which
+imports numpy at its first polynomial of degree 3 or more. So a process
+loads numpy at its first solve with both currents nonzero, and one that
+solves none never does. The Newton polish, the root checks and the
+closed-loop integrator run one point at a time on Python floats and
+complexes with ``math`` and ``cmath``: a numpy operation costs about a
+microsecond, several times a scalar's, and an RK4 step makes four
+derivative calls. So each value is computed once, where it stops changing:
+per fault window, per stage time or per derivative call.
 
 Each such value is formed by the operations, in the order, of the
 written-out expression it stands in for, so hoisting it changes no bit.
@@ -21,8 +24,6 @@ compare both forms exactly.
 
 import cmath
 import math
-
-import numpy as np
 
 # one build, never jitted; perfbench/run.py reads this to check its flavor
 USING_NUMBA = False
@@ -238,25 +239,29 @@ def _roots(p):
         s = cmath.sqrt(p[1] * p[1] - 4.0 * p[2] * p[0])
         q = -0.5 * (p[1] + (s if (p[1].conjugate() * s).real >= 0.0 else -s))
         return [q / p[2], p[0] / q] if q else [0j, 0j]
+    import numpy as np
+
     companion = np.eye(n, k=-1, dtype=complex)
     companion[:, -1] = [-c / p[n] for c in p[:n]]
     return np.linalg.eigvals(companion).tolist()
 
 
 def _eliminate(prm):
-    """r1 = r2 = 0 with x = e^{j dp} eliminated: (ys, quad), the roots
-    y = e^{j dn} and the quadratic in x (coefficients polynomial in y) whose
-    roots at each y complete the solutions. prm as for newton_pair.
+    """r1 = r2 = 0 with x = e^{j dp} eliminated: (ys, quad, e1), the roots
+    y = e^{j dn}, the quadratic in x (coefficients polynomial in y) whose
+    roots at each y hold the solutions, and E1 below, or None where quad
+    is E1. prm as for newton_pair.
 
     Times 2j x y, r1 and r2 are the quadratics E1 = a x^2 + b x + c and
     E2 = d x^2 + e x + f, each coefficient a polynomial in y. Their
     resultant (af - cd)^2 - (ae - bd)(bf - ce) has degree 7 and a zero
     constant term; divided by y it is the sextic of the ys, and quad is E2:
     where E1 nearly vanishes at y the common root (af - cd) / (bd - ae)
-    loses its digits, E2's roots do not. With C6 below DEGENERATE_TOL,
-    E2 = x e: the ys solve e, and quad is E1. Each equation is first
-    divided by its largest amplitude, which moves no root and keeps the
-    products finite.
+    loses its digits, E2's roots do not. In general only one of E2's two
+    roots solves E1 too, and e1 tells which. With C6 below
+    DEGENERATE_TOL, E2 = x e: the ys solve e, quad is E1 and both its
+    roots are solutions. Each equation is first divided by its largest
+    amplitude, which moves no root and keeps the products finite.
     """
     a1, f1, b2, p2, c3, p3, a4, f4, b5, p5, c6, p6 = prm
     s1, s4 = max(a1, b2, c3) or 1.0, max(a4, b5, c6) or 1.0
@@ -267,11 +272,24 @@ def _eliminate(prm):
     c = [0j, g1, h3]
     e = [g4, 2j * (b5 / s4 * math.sin(p5)), -g4.conjugate()]
     if c6 < DEGENERATE_TOL:
-        return _roots(e), (c, b, a)
+        return _roots(e), (c, b, a), None
     h6 = cmath.rect(c6 / s4, p6)
     d, f = [h6], [0j, 0j, -h6.conjugate()]
     s, p, q = _cross(a, f, c, d), _cross(a, e, b, d), _cross(b, f, c, e)
-    return _roots(_cross(s, s, p, q)[1:]), (f, e, d)
+    return _roots(_cross(s, s, p, q)[1:]), (f, e, d), (c, b, a)
+
+
+def _solving_roots(xs, e1, y):
+    """Of the roots xs of _eliminate's quadratic at y, those to polish: the
+    one where |E1| is below 1e-3 of its value at the other, else both.
+    With e1 None (the quadratic is E1) both are solutions."""
+    if e1 is None or len(xs) < 2:
+        return xs
+    e1y = [_value(q, y) for q in e1]
+    g0, g1 = (abs(_value(e1y, x)) for x in xs)
+    if g0 < 1e-3 * g1:
+        return xs[:1]
+    return xs[1:] if g1 < 1e-3 * g0 else xs
 
 
 def scan_roots(prm, grid_n, tol, maxit, ud_min):
@@ -281,9 +299,9 @@ def scan_roots(prm, grid_n, tol, maxit, ud_min):
     until its next change.
 
     The candidates are the roots y of _eliminate within 1e-6 of the unit
-    circle, each with the roots x of its quadratic within 1e-4 of it;
-    newton_pair polishes each pair of angles and root_conditions judges
-    it, both on floats.
+    circle, each with the roots x of its quadratic there that solve E1 too
+    (_solving_roots) and lie within 1e-4 of it; newton_pair polishes each
+    pair of angles and root_conditions judges it, both on floats.
 
     Returns (found, dp, dn, res, any_converged, any_feedback). any_feedback
     tells whether some converged root has both feedback slopes negative,
@@ -298,14 +316,14 @@ def scan_roots(prm, grid_n, tol, maxit, ud_min):
     gap = _curve_gap(prm)
     if gap > 0.0:
         return False, 0.0, 0.0, gap, False, False
-    ys, quad = _eliminate(prm)
+    ys, quad, e1 = _eliminate(prm)
     miss = min((abs(abs(y) - 1.0) for y in ys), default=math.inf)
     best_margin, best = -math.inf, None
     any_conv = any_feedback = False
     for y in ys:
         if abs(abs(y) - 1.0) > 1e-6:
             continue
-        for x in _roots([_value(q, y) for q in quad]):
+        for x in _solving_roots(_roots([_value(q, y) for q in quad]), e1, y):
             if abs(abs(x) - 1.0) > 1e-4:
                 continue
             ok, dp, dn, res = newton_pair(prm, cmath.phase(x), cmath.phase(y),

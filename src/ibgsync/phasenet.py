@@ -10,8 +10,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .network import CircuitParameters, FaultSpec, FaultType, compose_paths
 from .phasor import phasor
 
@@ -19,9 +17,7 @@ __all__ = ["PhaseNetworkSolution", "SingularSystem", "solve_phase_network"]
 
 _A = cmath.exp(2j * math.pi / 3.0)
 # Fortescue composition matrix, rows a/b/c over columns (zero, pos, neg)
-_FORTESCUE = np.array(
-    [[1, 1, 1], [1, _A * _A, _A], [1, _A, _A * _A]], dtype=complex
-)
+_FORTESCUE = ((1, 1, 1), (1, _A * _A, _A), (1, _A, _A * _A))
 
 
 class SingularSystem(ValueError):
@@ -56,6 +52,8 @@ def solve_phase_network(
     fault-node side and needs no shift. Unknowns are the fault-node sequence
     voltages (V1, V2, V0) and fault-branch sequence currents (I1, I2, I0).
     """
+    import numpy as np
+
     paths = compose_paths(circuit)
     zg = paths.zg_pos
     zg0 = paths.zg_zero
@@ -121,8 +119,9 @@ def solve_phase_network(
 
     v_seq = np.array([v0, v1, v2], dtype=complex)
     i_seq = np.array([i0, i1, i2], dtype=complex)
-    v_phase = _FORTESCUE @ v_seq
-    i_phase = _FORTESCUE @ i_seq
+    fortescue = np.array(_FORTESCUE, dtype=complex)
+    v_phase = fortescue @ v_seq
+    i_phase = fortescue @ i_seq
     return PhaseNetworkSolution(
         u_term_pos=u_term_pos,
         u_term_neg=u_term_neg,

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +20,8 @@ from ibgsync import (
     solve_equilibrium,
     table_circuit,
 )
-from ibgsync import dynsim, limits
+import ibgsync
+from ibgsync import limits
 from ibgsync.cli import main
 from ibgsync.config import ConfigError, parse_config
 
@@ -541,15 +546,12 @@ class TestErrors:
         assert not (tmp_path / "out.csv").exists()
 
     def test_trace_out_of_memory_exits_1(self, tmp_path, monkeypatch, capsys):
-        """A trace buffer the machine cannot allocate is a config error."""
-        class NoMemory:
-            def __getattr__(self, name):
-                return getattr(np, name)
-
-            @staticmethod
-            def empty(shape):
-                raise MemoryError(f"cannot allocate {shape}")
-        monkeypatch.setattr(dynsim, "np", NoMemory())
+        """A trace buffer the machine cannot allocate is a config error.
+        run_scenario imports numpy where it makes the buffer, so numpy's
+        own empty is patched."""
+        def empty(shape):
+            raise MemoryError(f"cannot allocate {shape}")
+        monkeypatch.setattr(np, "empty", empty)
         out_csv = tmp_path / "trace.csv"
         code, out, err = run_cli(
             ["simulate", "--fault", "dlg", "--t-end", "0.01",
@@ -559,6 +561,50 @@ class TestErrors:
         assert "config error: out of memory" in err
         assert out == ""
         assert not out_csv.exists()
+
+
+def cold_run(code):
+    """Run code in a fresh interpreter on this package's sources; returns
+    its stdout and whether numpy was imported by the end."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(ibgsync.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         code + "\nimport sys\nprint('numpy' in sys.modules, file=sys.stderr)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout, out.stderr.splitlines()[-1] == "True"
+
+
+class TestColdStart:
+    """The package, the CLI and every command that makes no array run
+    without importing numpy; a coupled solve imports it at the sextic."""
+
+    @pytest.mark.parametrize("module", ["ibgsync", "ibgsync.cli"])
+    def test_import_loads_no_numpy(self, module):
+        assert not cold_run(f"import {module}")[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["coeffs", "--fault", "dlg"],
+        ["equilibrium", "--fault", "dlg", "--iplus", "0.5@-30"],
+        ["limit", "--fault", "dlg", "--seq", "pos", "--angle", "-30"],
+        ["region", "--fault", "dlg", "--seq", "pos", "--angle-step", "30",
+         "--out", "F"],
+    ], ids=["coeffs", "equilibrium", "limit", "region"])
+    def test_array_free_command_loads_no_numpy(self, argv, tmp_path):
+        argv = [str(tmp_path / "region.csv") if a == "F" else a for a in argv]
+        _, numpy_loaded = cold_run(
+            f"from ibgsync.cli import main\nassert main({argv!r}) == 0")
+        assert not numpy_loaded
+
+    def test_coupled_solve_loads_numpy_on_demand(self, capsys):
+        argv = ["equilibrium", "--fault", "dlg", "--iplus", "0.5@-30",
+                "--iminus", "0.5@90"]
+        out, numpy_loaded = cold_run(
+            f"from ibgsync.cli import main\nassert main({argv!r}) == 0")
+        assert numpy_loaded
+        code, want, _ = run_cli(argv, capsys)
+        assert code == 0 and out == want
 
 
 def run_with_config(config, argv, tmp_path, capsys):

@@ -387,10 +387,14 @@ class TestDetectLos:
 class TestTraceCsv:
     def test_columns_are_the_trace_array_fields(self):
         """TRACE_COLUMNS is Trace's array fields in field order, and the
-        header trace_to_csv writes."""
+        header trace_to_csv writes. The array annotations are strings, so
+        the fields that run_scenario fills with arrays are checked too."""
         fields = dataclasses.fields(Trace)
-        assert [f.type for f in fields] == [np.ndarray] * 11 + [bool]
+        assert [f.type for f in fields] == ["np.ndarray"] * 11 + [bool]
         assert TRACE_COLUMNS == tuple(f.name for f in fields[:11])
+        trace, _ = run_scenario(dlg_scenario(REF_HOLD, 0.01))
+        assert tuple(f.name for f in fields if isinstance(
+            getattr(trace, f.name), np.ndarray)) == TRACE_COLUMNS
         buf = io.StringIO()
         trace_to_csv(synthetic_trace(np.arange(0.0, 0.002, 1e-3)), buf)
         assert buf.getvalue().splitlines()[0].split(",") == list(TRACE_COLUMNS)

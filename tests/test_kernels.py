@@ -339,21 +339,46 @@ class TestElimination:
             assert abs(got - 2j * x * y * r) < 1e-14
 
     @pytest.mark.parametrize("c6", [0.7, 0.0], ids=["coupled", "C6-zero"])
+    def test_solving_roots_keep_the_partner(self, c6):
+        """At each y on the unit circle, _solving_roots keeps of the
+        quadratic's two roots the one where r1 vanishes too, and drops the
+        other, at which r1 does not; where the quadratic is E1 (C6 = 0)
+        both roots solve it and both are kept."""
+        prm = _packed((1.2, 0.4, 0.5, 0.9, 0.3, c6),
+                      (0.5, 1.0, 2.0, -0.7, -0.6, 1.5))
+        ys, quad, e1 = kernels._eliminate(prm)
+        on_circle = [y for y in ys if abs(abs(y) - 1.0) < 1e-6]
+        assert on_circle
+        for y in on_circle:
+            xs = kernels._roots([kernels._value(q, y) for q in quad])
+            kept = kernels._solving_roots(xs, e1, y)
+            assert len(xs) == 2 and len(kept) == (2 if c6 == 0.0 else 1)
+            dn = cmath.phase(y)
+            for x in xs:
+                r1 = abs(_scaled_residuals(prm, cmath.phase(x), dn)[0])
+                if x in kept:
+                    assert r1 < 1e-9
+                else:
+                    assert r1 > 1e-3
+
+    @pytest.mark.parametrize("c6", [0.7, 0.0], ids=["coupled", "C6-zero"])
     def test_torus_root_is_an_eliminated_root(self, c6):
         """The root scan_roots returns is one that the elimination lists:
-        e^{j dn} among the ys, e^{j dp} a root of the quadratic there, and
-        both equations vanish at it."""
+        e^{j dn} among the ys, e^{j dp} a root of the quadratic there that
+        _solving_roots keeps, and both equations vanish at it."""
         prm = _packed((1.2, 0.4, 0.5, 0.9, 0.3, c6),
                       (0.5, 1.0, 2.0, -0.7, -0.6, 1.5))
         found, dp, dn = kernels.scan_roots(prm, 180, 1e-10, NEWTON_MAXIT,
                                            1e-9)[:3]
         assert found
-        ys, quad = kernels._eliminate(prm)
+        ys, quad, e1 = kernels._eliminate(prm)
         assert len(ys) == (2 if c6 == 0.0 else 6)
+        assert (e1 is None) == (c6 == 0.0)
         x, y = cmath.exp(1j * dp), cmath.exp(1j * dn)
         assert min(abs(v - y) for v in ys) < 1e-12
         xs = kernels._roots([kernels._value(q, y) for q in quad])
-        assert min(abs(v - x) for v in xs) < 1e-12
+        kept = kernels._solving_roots(xs, e1, y)
+        assert min(abs(v - x) for v in kept) < 1e-12
         assert max(map(abs, _scaled_residuals(prm, dp, dn))) < 1e-14
 
 

@@ -20,10 +20,11 @@ def test_histogram_accounts_for_every_call(capsys):
         assert sum(hist.values()) + s["missed"] == s["calls"]
         assert max(hist) <= 12
         assert s["newton_steps"] == sum(k * n for k, n in hist.items()) + 12 * s["missed"]
-    # the sextic's candidates lie on or near a root: on these rows every
-    # polish converges, some with no step at all
+    # the sextic's candidates lie on a root: on these rows only the root of
+    # the quadratic that solves both equations is polished, so every polish
+    # converges with no step at all
     polishes = out["candidate_polishes"]
-    assert polishes["missed"] == 0 and polishes["converged_after"]["0"] > 0
+    assert polishes["converged_after"] == {"0": polishes["calls"]}
     # the kernels and the cap are restored
     assert kernels.newton_pair is newton and kernels.scan_roots is scan
     assert equilibrium.NEWTON_MAXIT == cap
