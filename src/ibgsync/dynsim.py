@@ -347,8 +347,10 @@ def detect_los(
     DRIFT fires when the frequency stays off f_nominal_hz; CHATTER when the
     d-axis voltage stays below zero (the orientation condition fails while
     the frequency rattles around the root). Dominant sequence and mechanism
-    come from the earliest event. A window too short for one sustained run
-    is undetermined rather than stable.
+    come from the earliest event; events that start on the same sample rank
+    positive chatter, positive drift, negative chatter, negative drift. A
+    window too short for one sustained run is undetermined rather than
+    stable.
     """
     import numpy as np
 
@@ -361,24 +363,21 @@ def detect_los(
     if idx.size < n_sus:  # not even one sustained run fits in the window
         return _UNDETERMINED
 
-    events: list[tuple[float, int, InstabilityType, Signature]] = []
+    # min keeps the first of equal times: this order breaks ties
     channels = (
-        (trace.f_pos_hz[idx], trace.ud_pos[idx],
-         InstabilityType.POS_TYPE1, InstabilityType.POS_TYPE2, 0),
-        (trace.f_neg_hz[idx], trace.ud_neg[idx],
-         InstabilityType.NEG_TYPE1, InstabilityType.NEG_TYPE2, 1),
+        (trace.ud_pos[idx] < 0.0, InstabilityType.POS_TYPE2, Signature.CHATTER),
+        (np.abs(trace.f_pos_hz[idx] - f_nominal_hz) > LOS_F_DEV_HZ,
+         InstabilityType.POS_TYPE1, Signature.DRIFT),
+        (trace.ud_neg[idx] < 0.0, InstabilityType.NEG_TYPE2, Signature.CHATTER),
+        (np.abs(trace.f_neg_hz[idx] - f_nominal_hz) > LOS_F_DEV_HZ,
+         InstabilityType.NEG_TYPE1, Signature.DRIFT),
     )
-    for f, ud, drift_kind, chat_kind, seq_rank in channels:
-        k = _first_sustained(np.abs(f - f_nominal_hz) > LOS_F_DEV_HZ, n_sus)
-        if k >= 0:
-            events.append((float(ts[k]), 1 + seq_rank, drift_kind, Signature.DRIFT))
-        k = _first_sustained(ud < 0.0, n_sus)
-        if k >= 0:
-            events.append((float(ts[k]), 0 + seq_rank, chat_kind, Signature.CHATTER))
+    events = [(float(ts[k]), dominant, signature)
+              for mask, dominant, signature in channels
+              if (k := _first_sustained(mask, n_sus)) >= 0]
     if not events:
         return LosVerdict(False, None, InstabilityType.STABLE, None)
-    t_los, _, dominant, signature = min(events, key=lambda e: (e[0], e[1]))
-    return LosVerdict(True, t_los, dominant, signature)
+    return LosVerdict(True, *min(events, key=lambda e: e[0]))
 
 
 def trace_to_csv(trace: Trace, fh) -> None:

@@ -141,27 +141,6 @@ def dq_voltages(
                               delta_neg, UD_MIN)[2:]
 
 
-def _found(dp, dn, ud_p, uq_p, ud_n, uq_n, res) -> EquilibriumResult:
-    """A qualifying root with its voltages."""
-    return EquilibriumResult(
-        found=True, delta_pos=float(dp), delta_neg=float(dn),
-        ud_pos=float(ud_p), uq_pos=float(uq_p),
-        ud_neg=float(ud_n), uq_neg=float(uq_n),
-        cond_orientation=True, cond_feedback=True, residual_norm=float(res),
-    )
-
-
-def _not_found(res: float, feedback: bool) -> EquilibriumResult:
-    """No qualifying root; `res` is the miss's residual (solve_equilibrium),
-    `feedback` whether a slope-stable root survives."""
-    return EquilibriumResult(
-        found=False, delta_pos=math.nan, delta_neg=math.nan,
-        ud_pos=math.nan, uq_pos=math.nan, ud_neg=math.nan, uq_neg=math.nan,
-        cond_orientation=False, cond_feedback=bool(feedback),
-        residual_norm=float(res),
-    )
-
-
 def _triangular(prm):
     """"pos" when the negative sequence carries no current (C3, B5 below
     DEGENERATE_TOL), "neg" when the positive carries none (B2, C6), else
@@ -177,8 +156,8 @@ def _triangular(prm):
 def _solve_triangular(prm):
     """The answer in closed form when one sequence carries no current, or
     None when prm is not of that form (_triangular): (found, feedback,
-    delta+, delta-, (ud+, uq+, ud-, uq-), residual). prm is any 12-sequence
-    of packed parameters.
+    delta+, delta-, (ud+, uq+, ud-, uq-), residual), NaN angles and None
+    voltages where no root exists. prm is any 12-sequence of packed floats.
 
     With C3 = B5 = 0 (no negative current) the positive equation involves
     delta+ alone, A1 sin(F1 - delta+) + B2 sin P2 = 0: its slope-stable root
@@ -222,7 +201,7 @@ def _solve_triangular(prm):
     d_f = cmath.phase(cmath.rect(a_f, f_f) + cmath.rect(c, p_c + d)) % _TWO_PI
     dp, dn = (d, d_f) if pos_first else (d_f, d)
     feedback, qualifies, *volts = kernels.root_check(prm, dp, dn, UD_MIN)
-    return (qualifies, feedback, dp, dn, volts,
+    return (qualifies, feedback, dp, dn, tuple(volts),
             max(abs(volts[1]), abs(volts[3])))
 
 
@@ -262,21 +241,18 @@ def solve_equilibrium(
     """
     found, feedback, dp, dn, volts, res = _solve_packed(
         pack_params(coeffs, ref, ug_pos))
-    if found:
-        return _found(dp, dn, *volts, res)
-    return _not_found(res, feedback)
+    # a miss reports no root, though the closed form's type-2 miss has one
+    values = (dp, dn, *volts) if found else (math.nan,) * 6
+    return EquilibriumResult(
+        bool(found), *map(float, values), cond_orientation=bool(found),
+        cond_feedback=bool(feedback), residual_norm=float(res))
 
 
 def _solve_packed(prm):
-    """solve_equilibrium on packed floats, for a sweep's full solves: no
-    result object, but the tuple _solve_triangular returns."""
-    closed = _solve_triangular(prm)
-    if closed is not None:
-        return closed
-    found, dp, dn, res, _, feedback = kernels.scan_roots(
-        prm, 0, NEWTON_TOL, NEWTON_MAXIT, UD_MIN)
-    volts = kernels.root_check(prm, dp, dn, UD_MIN)[2:] if found else None
-    return found, feedback, dp, dn, volts, res
+    """solve_equilibrium on packed floats, as a sweep solves: no result
+    object, but the answer form of _solve_triangular and scan_roots."""
+    return (_solve_triangular(prm)
+            or kernels.scan_roots(prm, 0, NEWTON_TOL, NEWTON_MAXIT, UD_MIN))
 
 
 def refine_root(

@@ -303,23 +303,25 @@ def scan_roots(prm, grid_n, tol, maxit, ud_min):
     (_solving_roots) and lie within 1e-4 of it; newton_pair polishes each
     pair of angles and root_conditions judges it, both on floats.
 
-    Returns (found, dp, dn, res, any_converged, any_feedback). any_feedback
-    tells whether some converged root has both feedback slopes negative,
-    whatever its d-axis voltages. Among qualifying roots the one farthest
-    from losing orientation, the largest min(ud+, ud-), wins (the first
-    candidate's on an exact tie); it gets two more Newton steps, kept if it
-    still qualifies, and res is its residual. On a miss res is _curve_gap
-    when that is positive (then nothing is eliminated), else the distance
-    of the nearest root y from the unit circle, min ||y| - 1|: rounding
-    when some solution has a real dn, inf when there is no root.
+    Returns equilibrium._solve_triangular's form, (found, feedback, dp,
+    dn, (ud+, uq+, ud-, uq-), res). feedback tells whether some converged
+    root has both feedback slopes negative, whatever its d-axis voltages.
+    Among qualifying roots the one farthest from losing orientation, the
+    largest min(ud+, ud-), wins (the first candidate's on an exact tie);
+    it gets two more Newton steps, kept if root_check, which gives the
+    voltages, still finds it qualifying, and res is its residual. A miss
+    has NaN angles and None for the voltages; its res is _curve_gap when
+    that is positive (then nothing is eliminated), else the distance of
+    the nearest root y from the unit circle, min ||y| - 1|: rounding when
+    some solution has a real dn, inf when there is no root.
     """
     gap = _curve_gap(prm)
     if gap > 0.0:
-        return False, 0.0, 0.0, gap, False, False
+        return False, False, math.nan, math.nan, None, gap
     ys, quad, e1 = _eliminate(prm)
     miss = min((abs(abs(y) - 1.0) for y in ys), default=math.inf)
     best_margin, best = -math.inf, None
-    any_conv = any_feedback = False
+    any_feedback = False
     for y in ys:
         if abs(abs(y) - 1.0) > 1e-6:
             continue
@@ -330,21 +332,22 @@ def scan_roots(prm, grid_n, tol, maxit, ud_min):
                                           tol, maxit)
             if not ok:
                 continue
-            any_conv = True
             feedback, qualifies, ud_p, ud_n = root_conditions(prm, dp, dn,
                                                               ud_min)
             any_feedback = any_feedback or feedback
             if qualifies and min(ud_p, ud_n) > best_margin:
                 best_margin, best = min(ud_p, ud_n), (dp, dn, res)
-    if best is not None:
-        # two more steps, so the point returned does not hang on how close
-        # Newton stopped short of the root; a root with a condition at its
-        # threshold keeps the point that qualified
-        _, dp, dn, res = newton_pair(prm, best[0], best[1], 0.0, 2)
-        if root_conditions(prm, dp, dn, ud_min)[1]:
-            best = (dp, dn, res)
-        return True, best[0], best[1], best[2], True, True
-    return False, 0.0, 0.0, miss, any_conv, any_feedback
+    if best is None:
+        return False, any_feedback, math.nan, math.nan, None, miss
+    # two more steps, so the point returned does not hang on how close
+    # Newton stopped short of the root; a root with a condition at its
+    # threshold keeps the point that qualified
+    _, dp, dn, res = newton_pair(prm, best[0], best[1], 0.0, 2)
+    check = root_check(prm, dp, dn, ud_min)
+    if not check[1]:
+        dp, dn, res = best
+        check = root_check(prm, dp, dn, ud_min)
+    return True, True, dp, dn, check[2:], res
 
 
 def _as_state(y):

@@ -19,7 +19,8 @@ is closed-form (equilibrium._solve_triangular): that start, and every
 amplitude of a sweep that holds no other current. There the edge is
 closed-form too (decoupled_limit), so the traversal jumps to the grid
 amplitude below it and reads the limit at the grid step past it, with no
-stride in between. Past that start, every solve runs on packed floats.
+stride in between. Every solve, that start's included, runs on packed
+floats.
 """
 
 import enum
@@ -248,24 +249,25 @@ def _sweep(coeffs, ug_pos, sequence, n_angles, angle, fixed_other, step,
     solves it once, in closed form, and warm-starts every angle's traversal
     from its root; an angle solves its first amplitude from scratch only
     where that root is missing or both the stride and the first grid step
-    miss from it. That start is the sweep's one reference and result; the
-    polars, the triangular gate and the edge's |K| Ug and Z are taken once."""
-    if sequence not in _SEQUENCES:
-        raise ValueError(f"sequence must be one of {_SEQUENCES}")
+    miss from it. That start is the sweep's one reference, solved with no
+    result object on the floats of one packer at angle 0, which the
+    triangular gate reads too; the polars, the gate and the edge's |K| Ug
+    and Z are taken once."""
+    k, z = _own_pair(coeffs, sequence)
     n_steps = _amplitude_steps(step, ceiling, n_angles)
-    thetas = [angle(k) for k in range(n_angles)]
+    thetas = list(map(angle, range(n_angles)))
     if not all(map(math.isfinite, thetas)):
         raise ValueError("angle must be finite")
     other = fixed_other if fixed_other is not None else (0.0, 0.0)
     # CurrentReference checks the held current and wraps its angle
     ref = _make_ref(sequence, 0.0, 0.0, other)
-    res = solve_equilibrium(coeffs, ref, ug_pos)
-    start = (res.delta_pos, res.delta_neg) if res.found else None
     polars = _polars(coeffs)
+    zero = _packer(polars, ug_pos, sequence, 0.0, ref)
+    found, _, dp, dn, _, _ = _solve_packed(zero(0.0))
+    start = (dp, dn) if found else None
     edge = None
     # the triangular form reads magnitudes only: one gate for every angle
-    if _triangular(_packer(polars, ug_pos, sequence, 0.0, ref)(step)):
-        k, z = _own_pair(coeffs, sequence)
+    if _triangular(zero(step)):
         edge = functools.partial(_edge, abs(k) * ug_pos, *polar(z))
     return tuple(_traverse(sequence, theta,
                            _packer(polars, ug_pos, sequence, theta, ref),

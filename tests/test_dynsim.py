@@ -357,6 +357,31 @@ class TestDetectLos:
         assert verdict.dominant is InstabilityType.POS_TYPE2
         assert verdict.signature is Signature.CHATTER
 
+    # the channels in the order that breaks a tie: the override, its value
+    # before and from 0.8 s on, and the verdict
+    CHANNELS = (
+        ("ud_pos", 1.0, -0.2, InstabilityType.POS_TYPE2, Signature.CHATTER),
+        ("f_pos", 50.0, 60.0, InstabilityType.POS_TYPE1, Signature.DRIFT),
+        ("ud_neg", 1.0, -0.2, InstabilityType.NEG_TYPE2, Signature.CHATTER),
+        ("f_neg", 50.0, 44.0, InstabilityType.NEG_TYPE1, Signature.DRIFT),
+    )
+
+    @pytest.mark.parametrize("first, second", [
+        (i, j) for i in range(4) for j in range(i + 1, 4)])
+    def test_same_sample_onsets_follow_channel_order(self, first, second):
+        """Two channels whose sustained runs start on the same sample: the
+        one earlier in the order pos chatter, pos drift, neg chatter, neg
+        drift decides, whichever it is. Positive drift against negative
+        chatter is the tie that ranks once read equal."""
+        overrides = {name: np.where(self.T >= 0.8, after, before)
+                     for name, before, after, _, _ in (self.CHANNELS[first],
+                                                       self.CHANNELS[second])}
+        verdict = detect_los(synthetic_trace(self.T, **overrides), 0.0, 2.0,
+                             50.0)
+        assert verdict.lost
+        assert verdict.t_los == pytest.approx(0.8)
+        assert (verdict.dominant, verdict.signature) == self.CHANNELS[first][3:]
+
     def test_grace_period_excludes_early_deviation(self):
         f = np.full(self.T.size, 50.0)
         f[self.T < 0.4] = 60.0

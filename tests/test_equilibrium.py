@@ -314,7 +314,7 @@ class TestTriangular:
                    else CurrentReference(0.0, 0.0, amp, theta))
             prm = pack_params(c, ref, UG)
             got = solve_equilibrium(c, ref, UG)
-            found, dp, dn, _, _, feedback = _scan_oracle(
+            found, feedback, dp, dn, _, _ = _scan_oracle(
                 prm, fault is FaultType.TLG)
             assert (got.found, got.cond_feedback) == (found, feedback), k
             if found:

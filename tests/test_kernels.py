@@ -64,11 +64,13 @@ def _angle_gap(a, b):
 
 
 def _assert_same_scan(got, want):
-    """Same flags and, on a find, the same root to 1e-9."""
-    assert (got[0], got[4], got[5]) == (want[0], want[4], want[5])
+    """Same found and feedback and, on a find, the same root to 1e-9. got
+    is scan_roots' (found, feedback, dp, dn, volts, res), want the
+    oracle's (found, dp, dn, res, any_converged, any_feedback)."""
+    assert (got[0], got[1]) == (want[0], want[5])
     if got[0]:
-        assert _angle_gap(got[1], want[1]) < 1e-9
-        assert _angle_gap(got[2], want[2]) < 1e-9
+        assert _angle_gap(got[2], want[1]) < 1e-9
+        assert _angle_gap(got[3], want[2]) < 1e-9
 
 
 class TestTorusRoots:
@@ -103,8 +105,12 @@ class TestTorusRoots:
         _assert_same_scan(got, torus_reference.scan_roots(
             prm, 180, 1e-10, NEWTON_MAXIT, ud_min))
         if got[0]:
-            # the point returned is one that qualifies
-            assert torus_reference.root_conditions(prm, got[1], got[2], ud_min)[1]
+            # the point returned is one that qualifies, with its voltages
+            assert torus_reference.root_conditions(prm, got[2], got[3], ud_min)[1]
+            want = torus_reference.dq_eval(prm, got[2], got[3])
+            assert got[4] == pytest.approx(want, abs=1e-12)
+        else:
+            assert got[4] is None
 
     @pytest.mark.parametrize("amps, angles, ud_min, root, other", [
         ((0.615033, 0.748254, 1.390534, 0.6337, 1.059311, 1.30264),
@@ -125,10 +131,14 @@ class TestTorusRoots:
             ud_p, _, ud_n, _ = torus_reference.dq_eval(prm, dp, dn)
             margins.append(min(ud_p, ud_n))
         assert margins[0] > margins[1]
-        for scan in (kernels.scan_roots, torus_reference.scan_roots):
-            found, dp, dn, *_ = scan(prm, 180, 1e-10, NEWTON_MAXIT, ud_min)
-            assert found
-            assert (dp, dn) == pytest.approx(root, abs=1e-5)
+        found, _, dp, dn, _, _ = kernels.scan_roots(prm, 180, 1e-10,
+                                                    NEWTON_MAXIT, ud_min)
+        assert found
+        assert (dp, dn) == pytest.approx(root, abs=1e-5)
+        found, dp, dn, *_ = torus_reference.scan_roots(prm, 180, 1e-10,
+                                                       NEWTON_MAXIT, ud_min)
+        assert found
+        assert (dp, dn) == pytest.approx(root, abs=1e-5)
 
     def test_decoupled_equations(self):
         """C3 = C6 = 0: the qualifying root is the closed-form pair on the
@@ -139,8 +149,8 @@ class TestTorusRoots:
         want_dn = -0.7 - math.asin(-0.3 * math.sin(-0.6) / 0.9)
         got = kernels.scan_roots(prm, 180, 1e-10, NEWTON_MAXIT, 1e-9)
         assert got[0]
-        assert _angle_gap(got[1], want_dp) < 1e-12
-        assert _angle_gap(got[2], want_dn) < 1e-12
+        assert _angle_gap(got[2], want_dp) < 1e-12
+        assert _angle_gap(got[3], want_dn) < 1e-12
         _assert_same_scan(
             got, torus_reference.scan_roots(prm, 180, 1e-10, NEWTON_MAXIT, 1e-9))
 
@@ -200,8 +210,10 @@ class TestTorusRoots:
         prm = pack_params(coeffs, ref, 1.0)
         gap = kernels._curve_gap(prm)
         assert 0.0 < gap < 1e-8
-        assert kernels.scan_roots(prm, 180, 1e-10, NEWTON_MAXIT, 1e-9) == (
-            False, 0.0, 0.0, gap, False, False)
+        found, feedback, dp, dn, volts, res = kernels.scan_roots(
+            prm, 180, 1e-10, NEWTON_MAXIT, 1e-9)
+        assert (found, feedback, volts, res) == (False, False, None, gap)
+        assert math.isnan(dp) and math.isnan(dn)
         res = solve_equilibrium(coeffs, ref, 1.0)
         assert not res.found and not res.cond_feedback
         assert res.residual_norm == gap
@@ -225,8 +237,9 @@ class TestTorusRoots:
             if fault_type is FaultType.NONE:
                 assert prm[kernels.P_A4] == prm[kernels.P_C3] == 0.0
                 assert prm[kernels.P_C6] == 0.0
-                assert got == (False, 0.0, 0.0, kernels._curve_gap(prm),
-                               False, False)
+                assert got[:2] == (False, False) and got[4:] == (
+                    None, kernels._curve_gap(prm))
+                assert math.isnan(got[2]) and math.isnan(got[3])
             else:
                 assert len(kernels._eliminate(prm)[0]) == 6
 
@@ -254,10 +267,10 @@ class TestTorusRoots:
         prm = _packed(rng.uniform(0.0, 2.0, 6), rng.uniform(-math.pi, math.pi, 6))
         assert kernels._curve_gap(prm) < 0.0
         got = kernels.scan_roots(prm, 180, 1e-10, NEWTON_MAXIT, 1e-9)
-        _assert_same_scan(got, torus_reference.scan_roots(
-            prm, 180, 1e-10, NEWTON_MAXIT, 1e-9))
-        assert not got[4]
-        assert got[3] == min(abs(abs(y) - 1.0)
+        want = torus_reference.scan_roots(prm, 180, 1e-10, NEWTON_MAXIT, 1e-9)
+        _assert_same_scan(got, want)
+        assert not want[4]
+        assert got[5] == min(abs(abs(y) - 1.0)
                              for y in kernels._eliminate(prm)[0]) > 0.1
 
 
@@ -368,8 +381,8 @@ class TestElimination:
         _solving_roots keeps, and both equations vanish at it."""
         prm = _packed((1.2, 0.4, 0.5, 0.9, 0.3, c6),
                       (0.5, 1.0, 2.0, -0.7, -0.6, 1.5))
-        found, dp, dn = kernels.scan_roots(prm, 180, 1e-10, NEWTON_MAXIT,
-                                           1e-9)[:3]
+        found, _, dp, dn = kernels.scan_roots(prm, 180, 1e-10, NEWTON_MAXIT,
+                                              1e-9)[:4]
         assert found
         ys, quad, e1 = kernels._eliminate(prm)
         assert len(ys) == (2 if c6 == 0.0 else 6)
@@ -615,7 +628,7 @@ class TestEvaluators:
             assert j22 == pytest.approx((rp2 - rm2) / (2 * h), abs=1e-6)
 
     def test_newton_converges_from_nearby_seed(self):
-        found, dp, dn, *_ = kernels.scan_roots(PRM, 24, 1e-10, 80, 1e-9)
+        found, _, dp, dn, _, _ = kernels.scan_roots(PRM, 24, 1e-10, 80, 1e-9)
         assert found
         ok, dp2, dn2, res = kernels.newton_pair(PRM, dp + 0.1, dn - 0.1,
                                                 1e-12, 80)

@@ -439,8 +439,8 @@ def _same_angle(a, b, tol):
 
 def _assert_is_scan_root(root, prm, tol=1e-12):
     """root is the qualifying root kernels.scan_roots finds on prm."""
-    found, dp, dn, *_ = kernels.scan_roots(prm, 180, NEWTON_TOL,
-                                            NEWTON_MAXIT, UD_MIN)
+    found, _, dp, dn, _, _ = kernels.scan_roots(prm, 180, NEWTON_TOL,
+                                                NEWTON_MAXIT, UD_MIN)
     assert found and root is not None
     assert _same_angle(root[0], dp, tol) and _same_angle(root[1], dn, tol)
 
@@ -767,8 +767,9 @@ def test_stride_clamps_to_ceiling(monkeypatch):
 
 def _counted(monkeypatch):
     """Record each solve of the sweep as (name, packed floats): the
-    zero-current start's solve_equilibrium, and the traversals' refine_root
-    and full solves on packed floats (equilibrium._solve_packed)."""
+    traversals' refine_root, and the full solves on packed floats
+    (equilibrium._solve_packed), the zero-current start's among them;
+    solve_equilibrium too, should the sweep call it."""
     solves = []
 
     def refining(prm, dp, dn):
@@ -804,7 +805,8 @@ def test_no_current_sweep_solves_at_the_edge(fault_type, seq, monkeypatch):
         assert len(region.samples) == 72
         counts.append([name for name, _ in solves])
     assert counts[0] == counts[1]
-    assert counts[0][0] == "solve_equilibrium"
+    assert counts[0][0] == "_solve_packed"
+    assert "solve_equilibrium" not in counts[0]
     assert len(counts[0]) <= 1 + 2 * 72
 
 
@@ -853,25 +855,25 @@ def _constructions(monkeypatch):
 
 
 def test_sweeps_build_objects_only_for_the_start(monkeypatch):
-    """A sweep packs the coefficient polars once and runs every solve past
-    the zero-current start on packed floats: a 72-angle SLG pos region
-    with no current held (9 angles at the ceiling) and one coupled
-    traversal each take _polars at most twice and build one reference and
-    one result, the start's."""
+    """A sweep packs the coefficient polars once and runs every solve, the
+    zero-current start's included, on packed floats: a 72-angle SLG pos
+    region with no current held (9 angles at the ceiling) and one coupled
+    traversal each take _polars once, build at most one reference, the
+    start's, and no result."""
     c = coeffs_for(FaultType.SLG)
     counts = _constructions(monkeypatch)
     region = region_boundary(c, UG, "pos")
     assert len(region.samples) == 72
     assert sum(s.binding is Binding.CEILING for s in region.samples) == 9
-    assert counts["_polars"] <= 2
-    assert counts["EquilibriumResult"] <= 1
+    assert counts["_polars"] == 1
+    assert counts["EquilibriumResult"] == 0
     assert counts["CurrentReference"] <= 1
     counts.update(dict.fromkeys(counts, 0))
     got = traversal_limit(c, UG, "pos", math.radians(-30.0),
                           fixed_other=(0.2, math.radians(90.0)))
     assert (got.i_limit, got.binding) == (pytest.approx(1.42), Binding.TYPE1)
-    assert counts["_polars"] <= 2
-    assert counts["EquilibriumResult"] <= 1
+    assert counts["_polars"] == 1
+    assert counts["EquilibriumResult"] == 0
     assert counts["CurrentReference"] <= 1
 
 
@@ -890,7 +892,7 @@ def test_edge_at_ceiling_takes_one_solve(fault_type, seq, monkeypatch):
     got = traversal_limit(c, UG, seq, theta)
     assert got == LimitResult(seq, theta, AMP_CEILING, Binding.CEILING)
     assert solves == [
-        ("solve_equilibrium",
+        ("_solve_packed",
          pack_params(c, _make_ref(seq, 0.0, 0.0, (0.0, 0.0)), UG)),
         ("refine_root",
          pack_params(c, _make_ref(seq, AMP_CEILING, theta, (0.0, 0.0)), UG))]
@@ -985,12 +987,11 @@ _LONG_CAP = 80
 
 
 def _scan_answer(prm, grid_n, tol, maxit, ud_min):
-    """What a scan answers: found, the root, any_converged (False where
-    Newton converges from no candidate) and any_feedback (the binding);
-    not the residual of a miss."""
-    found, dp, dn, _, any_conv, any_feedback = kernels.scan_roots(
+    """What a scan answers: found, feedback (the binding) and, on a find,
+    the root and its voltages; not the residual of a miss."""
+    found, feedback, dp, dn, volts, _ = kernels.scan_roots(
         prm, grid_n, tol, maxit, ud_min)
-    return found, dp, dn, any_conv, any_feedback
+    return (found, feedback, dp, dn, volts) if found else (found, feedback)
 
 
 def _assert_cap_changes_no_scan(prm, grid_n=180, tol=1e-10, ud_min=1e-9):
@@ -1038,13 +1039,13 @@ class TestNewtonCap:
                                             (0.93, False)])
     def test_fold_rows(self, amp, found, monkeypatch):
         """LL, negative current at -20 deg: a root at 0.91; at 0.92 and 0.93
-        no Newton start converges, both past the fold (0.92 by 4e-9) and
+        no slope-stable root is left, both past the fold (0.92 by 4e-9) and
         both misses."""
         c = coeffs_for(FaultType.LL)
         theta = math.radians(-20.0)
         prm = pack_params(c, CurrentReference(0.0, 0.0, amp, theta), UG)
         _assert_cap_changes_no_scan(prm)
-        assert _scan_answer(prm, 180, 1e-10, NEWTON_MAXIT, 1e-9)[3] is found
+        assert _scan_answer(prm, 180, 1e-10, NEWTON_MAXIT, 1e-9)[1] is found
         if amp == 0.91:
             short, long, _ = _traversal_at_caps(monkeypatch, c, "neg", theta,
                                                 None)

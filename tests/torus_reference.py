@@ -10,10 +10,13 @@ for bit.
 The scan is the equilibrium scan as it was before ``kernels.scan_roots``
 listed the roots by elimination: a Newton seed at every point of a
 grid_n x grid_n grid over (delta+, delta-), all seeds iterated together,
-each stopping by ``kernels.newton_pair``'s rule. It returns the same
-6-tuple, picks among qualifying roots by the same rule, the largest
-min(ud+, ud-), and gives the winner the same two more Newton steps, kept
-while it qualifies, so the two can be compared for any packed parameters.
+each stopping by ``kernels.newton_pair``'s rule. It returns found, the
+root, the residual and the feedback flag in a 6-tuple of its own order,
+which the tests map to ``kernels.scan_roots``', with any_converged, which
+that no longer reports. It picks among qualifying roots by the same rule,
+the largest min(ud+, ud-), and gives the winner the same two more Newton
+steps, kept while it qualifies, so the two can be compared for any packed
+parameters.
 """
 
 import math

@@ -25,6 +25,11 @@ directory, and each runs from its own ``src``:
 - ``equilibrium`` under SLG, DLG and TLG, at a positive current with a
   root and at one without (the JSON printed): a root prints its uq+-, and
   a miss its ``residual_norm``;
+- ``equilibrium --fault dlg`` with both currents and no qualifying root
+  (the JSON printed): ``--iplus 0.85@-30 --iminus 0.5@90``, a fold whose
+  roots converge; ``--iplus 0.90@90 --iminus 0.2@-90``, a type-2 miss
+  with a slope-stable root left; and ``--iplus 3@-30 --iminus 0.5@90``,
+  whose certified curve gap of 1.0595 is its residual;
 - problems with one current at zero, which the solver takes in closed
   form: ``limit`` of SLG neg at 90 deg with no ``--other`` and
   ``equilibrium --fault dlg --iminus 0.5@90`` (the JSON printed), and
@@ -127,6 +132,10 @@ TRIANGULAR = (
 FAULT_EQUILIBRIA = (("slg", "1.0@-30", "2.0@-30"),
                     ("dlg", "0.5@-30", "1.0@-30"),
                     ("tlg", "0.3@-81.3", "0.3@-30"))
+# DLG with both currents and no qualifying root (all exit 2): a fold whose
+# roots converge, a type-2 miss (cond_feedback true), a certified curve gap
+COUPLED_MISSES = (("0.85@-30", "0.5@90"), ("0.90@90", "0.2@-90"),
+                  ("3@-30", "0.5@90"))
 # a config in ohms with its own bases that sets a key in every section
 CONFIG = {
     "circuit": {"unit": "ohm", "v_base_kv": 20.0, "s_base_mva": 10.0,
@@ -215,6 +224,10 @@ def cases() -> list[tuple[str, list[str], bool, dict | None]]:
     out += [(f"equilibrium {f} iplus {a}",
              ["equilibrium", "--fault", f, "--iplus", a], False, None)
             for f, *amps in FAULT_EQUILIBRIA for a in amps]
+    out += [(f"equilibrium dlg iplus {p} iminus {n}",
+             ["equilibrium", "--fault", "dlg", "--iplus", p, "--iminus", n],
+             False, None)
+            for p, n in COUPLED_MISSES]
     # its sweep crosses the stall above, in the scan that confirms a miss
     out.append(("region ll neg step 5",
                 ["region", "--fault", "ll", "--seq", "neg", "--angle-step", "5"],

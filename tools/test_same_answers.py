@@ -32,7 +32,8 @@ def _stub(monkeypatch, differing=()):
 
 def test_cases_cover_the_reference_outputs():
     names = [name for name, _, _, _ in same_answers.cases()]
-    assert len(names) == 12 + 4 + 2 + 2 + 2 + 3 + 6 + 1 + 4 + 1 + 9 + 5 + 5 + 2
+    assert len(names) == (12 + 4 + 2 + 2 + 2 + 3 + 6 + 3 + 1 + 4 + 1 + 9 + 5
+                          + 5 + 2)
     assert len(set(names)) == len(names)
     to_file = [argv for _, argv, to_file, _ in same_answers.cases() if to_file]
     assert [argv[0] for argv in to_file].count("simulate") == 11
@@ -149,6 +150,16 @@ def test_cases_cover_the_triangular_solves():
             "0.5", "--step", "0.001"] in argvs
 
 
+def test_cases_cover_the_coupled_misses():
+    """Three DLG equilibria with both currents and no qualifying root: a
+    fold whose roots converge, a type-2 miss and a certified curve gap."""
+    argvs = [argv for _, argv, _, _ in same_answers.cases()]
+    for iplus, iminus in (("0.85@-30", "0.5@90"), ("0.90@90", "0.2@-90"),
+                          ("3@-30", "0.5@90")):
+        assert ["equilibrium", "--fault", "dlg", "--iplus", iplus,
+                "--iminus", iminus] in argvs
+
+
 def test_cases_cover_other_amplitude_steps():
     """A region on a finer amplitude grid and a limit on a coarser one than
     the default 0.01 p.u."""
@@ -164,7 +175,7 @@ def test_same_answers_exit_0(monkeypatch, capsys):
     assert same_answers.main(["--parent", "a", "--change", "b"]) == 0
     out = capsys.readouterr().out
     assert "DIFFERS" not in out
-    assert "58 of 58 outputs byte-identical" in out
+    assert "61 of 61 outputs byte-identical" in out
 
 
 def test_one_difference_exits_1(monkeypatch, capsys):
@@ -173,7 +184,7 @@ def test_one_difference_exits_1(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "DIFFERS: validate draws 100 seed 0" in out
     assert out.count("DIFFERS") == 1
-    assert "57 of 58 outputs byte-identical" in out
+    assert "60 of 61 outputs byte-identical" in out
 
 
 def test_config_cases_set_every_section():
