@@ -434,8 +434,9 @@ def main(argv=None) -> int:
     try:
         doc = load_config(args.config)
         return args.func(doc, args)
-    # DegenerateNetwork and SingularSystem are ValueErrors: catch them first
-    except (DegenerateNetwork, SingularSystem) as exc:
+    # DegenerateNetwork and SingularSystem are ValueErrors: catch them first;
+    # an ArithmeticError is an overflow or a zero divisor no check foresaw
+    except (DegenerateNetwork, SingularSystem, ArithmeticError) as exc:
         print(f"ibgsync: numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

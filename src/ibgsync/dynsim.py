@@ -220,7 +220,7 @@ def _ref_tuple(ref: CurrentReference) -> tuple[float, float, float, float]:
 
 
 def _kernel_args(scenario: Scenario):
-    """Shared positional tail for the kernel calls: (fault code: int, z_f:
+    """Shared positional tail for the kernel calls: (fault: FaultType, z_f:
     complex, paths: 8-tuple of float (kernel order, see _path_floats), ug,
     theta_g, omega0: float, pre-fault and on-fault ref: 4-tuples of float
     (I+, theta_i+, I-, theta_i-), gains: 5-tuple of float (k, kp_pll,
@@ -229,7 +229,7 @@ def _kernel_args(scenario: Scenario):
     sync = scenario.sync
     circuit = scenario.circuit
     return (
-        scenario.fault.fault_type.code,
+        scenario.fault.fault_type,
         complex(scenario.fault.z_f),
         _path_floats(compose_paths(circuit)),
         float(circuit.ug_pos),

@@ -1,6 +1,7 @@
-"""Hot numerical kernels: sequence-coefficient evaluation, equilibrium root
-finding by elimination, every torus root from one sextic, and the
-closed-loop RK4 integrator.
+"""Hot numerical kernels: the fault kinds (FaultType) and their
+sequence-coefficient columns, equilibrium root finding by elimination,
+every torus root from one sextic, and the closed-loop RK4 integrator. A
+kernel that takes a fault takes the FaultType member itself.
 
 Every kernel is plain Python and numpy. Arrays serve only the sextic's
 roots, the eigenvalues of its 6 x 6 companion matrix (``_roots``), which
@@ -23,6 +24,7 @@ compare both forms exactly.
 """
 
 import cmath
+import enum
 import math
 
 # one build, never jitted; perfbench/run.py reads this to check its flavor
@@ -31,12 +33,17 @@ USING_NUMBA = False
 # an amplitude below this is zero: the equations' form drops its term
 DEGENERATE_TOL = 1e-12
 
-# fault codes shared with the object layer
-FAULT_NONE = 0
-FAULT_SLG = 1
-FAULT_DLG = 2
-FAULT_LL = 3
-FAULT_TLG = 4
+
+class FaultType(enum.Enum):
+    """Fault classes at the line-grid junction node, _column's keys; the
+    object layer takes them from network, which re-exports the class."""
+
+    NONE = "none"
+    SLG = "slg"
+    DLG = "dlg"
+    LL = "ll"
+    TLG = "tlg"
+
 
 # packed equilibrium parameter indices: amplitude/angle pairs of the six
 # rotated voltage contributions (grid, own-current, cross-current per sequence)
@@ -53,19 +60,21 @@ _SCALE_MIN, _SCALE_MAX = 0.2, 5.0
 
 
 def _column(code, paths, zf):
-    """code's coefficient column as a function of the frequency scale:
-    col(s) returns (k1, z2, z3, k4, z5, z6, denom). paths is the 8-tuple
-    (rl, xl, rl0, xl0, rg, xg, rg0, xg0); reactive parts scale with s, the
-    fault impedance does not. Each fault's rule is written here once. The
-    code is dispatched on, and 3 zf and 6 zf formed, once per column; SLG
-    and DLG share one body, since both read the zero-sequence parallel q,
-    which the others skip. Each call computes every repeated subexpression
-    once, with the operations of its written-out form.
+    """The column of code, a FaultType member, as a function of the
+    frequency scale: col(s) returns (k1, z2, z3, k4, z5, z6, denom), and a
+    zero denom raises ZeroDivisionError. paths is the 8-tuple (rl, xl, rl0,
+    xl0, rg, xg, rg0, xg0); reactive parts scale with s, the fault
+    impedance does not. Each fault's rule is written here once, NONE's the
+    else branch. The member is dispatched on, and 3 zf and 6 zf formed,
+    once per column; SLG and DLG share one body, since both read the
+    zero-sequence parallel q, which the others skip. Each call computes
+    every repeated subexpression once, with the operations of its
+    written-out form.
     """
     rl, xl, rl0, xl0, rg, xg, rg0, xg0 = paths
     f = zf
-    if code == FAULT_SLG or code == FAULT_DLG:
-        slg = code == FAULT_SLG
+    if code is FaultType.SLG or code is FaultType.DLG:
+        slg = code is FaultType.SLG
         f3 = 3.0 * f
         f6 = 6.0 * f
 
@@ -87,7 +96,7 @@ def _column(code, paths, zf):
             z3 = p * a / d
             z2 = z3 + el
             return k1, z2, z3, k1, z2, z3, d
-    elif code == FAULT_LL:
+    elif code is FaultType.LL:
         def col(s):
             p = rg + 1j * (s * xg)
             el = rl + 1j * (s * xl)
@@ -96,7 +105,7 @@ def _column(code, paths, zf):
             z2 = p * a / d + el
             z3 = p * p / d
             return a / d, z2, z3, p / d, z2, z3, d
-    elif code == FAULT_TLG:
+    elif code is FaultType.TLG:
         def col(s):
             p = rg + 1j * (s * xg)
             el = rl + 1j * (s * xl)
@@ -497,7 +506,7 @@ def simulate(y0, n_steps, dt, stride, t_on, t_clear, code, zf, paths, ug,
     y0: the nine floats of _bind_deriv's layout (any indexable 9-vector),
     as dynsim.initial_sync_state returns them; the steps run on their
     seven-value form. Each fault window (inside [t_on, t_clear) the fault,
-    outside FAULT_NONE) is bound once by _bind_deriv, before the first
+    outside FaultType.NONE) is bound once by _bind_deriv, before the first
     step, so a stage makes one three-argument derivative call. Every stage
     is evaluated at its absolute time (t = i*dt, t + dt/2, t + dt); stages
     2 and 3 share their grid terms, and stage 1 takes the last stage 4's
@@ -515,7 +524,7 @@ def simulate(y0, n_steps, dt, stride, t_on, t_clear, code, zf, paths, ug,
     """
     on = _bind_deriv(code, zf, paths, ug, w0, ref_on, gains, mode_fll,
                      adaptive)
-    off = _bind_deriv(FAULT_NONE, zf, paths, ug, w0, ref_pre, gains,
+    off = _bind_deriv(FaultType.NONE, zf, paths, ug, w0, ref_pre, gains,
                       mode_fll, adaptive)
     y = _as_state(y0)
     x0, x1, x2, x3, x4, x5, x6 = y

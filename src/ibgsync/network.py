@@ -9,11 +9,11 @@ the choke.
 """
 
 import cmath
-import enum
 import math
 from dataclasses import dataclass
 
 from . import kernels
+from .kernels import FaultType
 
 __all__ = [
     "FaultType",
@@ -32,21 +32,6 @@ __all__ = [
 DEFAULT_OMEGA0 = 2.0 * math.pi * 50.0  # the reference circuit's 50 Hz, rad/s
 REF_V_BASE_KV = 110.0  # its bases, by which config converts ohmic entries
 REF_S_BASE_MVA = 9.0
-
-
-class FaultType(enum.Enum):
-    """Fault classes at the line-grid junction node."""
-
-    NONE = "none"
-    SLG = "slg"
-    DLG = "dlg"
-    LL = "ll"
-    TLG = "tlg"
-
-    @property
-    def code(self) -> int:
-        """The kernels' integer code, kernels.FAULT_<NAME>."""
-        return getattr(kernels, "FAULT_" + self.name)
 
 
 class DegenerateNetwork(ValueError):
@@ -175,8 +160,11 @@ def compute_coefficients(paths: PathImpedances, fault: FaultSpec) -> SequenceCoe
     """
     if abs(paths.zg_zero + paths.zl_zero) < 1e-12:
         raise DegenerateNetwork("zero-sequence loop impedance ~ 0")
-    vals = kernels.seq_coeffs(fault.fault_type.code, 1.0, *_path_floats(paths),
-                              complex(fault.z_f))
+    try:
+        vals = kernels.seq_coeffs(fault.fault_type, 1.0, *_path_floats(paths),
+                                  complex(fault.z_f))
+    except ZeroDivisionError:  # D is exactly 0; the column divided by it
+        vals = (0j,) * 7
     k1, z2, z3, k4, z5, z6, denom = vals
     # "not >" also rejects a NaN denominator; a finite circuit can still
     # overflow (3 z_f with z_f near the float maximum) into an inf or NaN

@@ -14,8 +14,7 @@ import math
 
 import numpy as np
 
-from ibgsync.kernels import (FAULT_DLG, FAULT_LL, FAULT_NONE, FAULT_SLG,
-                             FAULT_TLG)
+from ibgsync.kernels import FaultType
 
 __all__ = ["seq_coeffs", "simulate"]
 
@@ -33,7 +32,7 @@ def seq_coeffs(code, s, rl, xl, rl0, xl0, rg, xg, rg0, xg0, zf):
     el0 = rl0 + 1j * (s * xl0)
     q = p0 * el0 / (p0 + el0)
     f = zf
-    if code == FAULT_SLG:
+    if code is FaultType.SLG:
         d = 2.0 * p + q + 3.0 * f
         k1 = (p + q + 3.0 * f) / d
         z2 = p * (p + q + 3.0 * f) / d + el
@@ -41,7 +40,7 @@ def seq_coeffs(code, s, rl, xl, rl0, xl0, rg, xg, rg0, xg0, zf):
         k4 = -p / d
         z5 = z2
         z6 = z3
-    elif code == FAULT_DLG:
+    elif code is FaultType.DLG:
         d = p + 2.0 * q + 6.0 * f
         k1 = (q + 3.0 * f) / d
         z2 = p * (q + 3.0 * f) / d + el
@@ -49,7 +48,7 @@ def seq_coeffs(code, s, rl, xl, rl0, xl0, rg, xg, rg0, xg0, zf):
         k4 = k1
         z5 = z2
         z6 = z3
-    elif code == FAULT_LL:
+    elif code is FaultType.LL:
         d = 2.0 * p + f
         k1 = (p + f) / d
         z2 = p * (p + f) / d + el
@@ -57,7 +56,7 @@ def seq_coeffs(code, s, rl, xl, rl0, xl0, rg, xg, rg0, xg0, zf):
         k4 = p / d
         z5 = z2
         z6 = z3
-    elif code == FAULT_TLG:
+    elif code is FaultType.TLG:
         d = p + f
         k1 = f / d
         z2 = p * f / d + el
@@ -94,10 +93,10 @@ def seq_coeffs_mixed(code, sp, sn, rl, xl, rl0, xl0, rg, xg, rg0, xg0, zf):
 
 
 def _window(t, t_on, t_clear, code, ref_pre, ref_on):
-    """Fault code and current reference in force at time t."""
+    """Fault kind and current reference in force at time t."""
     if t_on <= t < t_clear:
         return code, ref_on
-    return FAULT_NONE, ref_pre
+    return FaultType.NONE, ref_pre
 
 
 def _frames(y):

@@ -224,8 +224,8 @@ def test_criterion_6_model_properties():
         scale = rng.uniform(0.5, 2.0)
         zf = complex(rng.uniform(0.0, 0.05))
         for ft in (*faults, FaultType.TLG, FaultType.NONE):
-            k1, _, z3, k4, _, z6, _ = kernels.seq_coeffs(ft.code, scale,
-                                                         *paths, zf)
+            k1, _, z3, k4, _, z6, _ = kernels.seq_coeffs(ft, scale, *paths,
+                                                         zf)
             assert z3 == z6
             assert abs(k4) <= abs(k1) + 1e-15
 

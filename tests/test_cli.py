@@ -1,14 +1,20 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ibgsync import (
     CurrentReference,
@@ -23,7 +29,10 @@ from ibgsync import (
 import ibgsync
 from ibgsync import limits
 from ibgsync.cli import main
-from ibgsync.config import ConfigError, parse_config
+from ibgsync.config import ConfigError, make_fault, parse_config
+from ibgsync.dynsim import Scenario, run_scenario, trace_to_csv
+from ibgsync.phasor import parse_phasor, polar
+from ibgsync.synchro import SyncMode
 
 
 def run_cli(argv, capsys):
@@ -33,6 +42,18 @@ def run_cli(argv, capsys):
         code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# two inputs the schema accepts whose arithmetic fails: a bolted fault on a
+# zero grid branch, and a closed-form solve whose voltage sum overflows
+ZERO_GRID = {"circuit": {"grid": {"r": 0.0, "x": 0.0}}}
+OVERFLOW_CIRCUIT = {"circuit": {
+    "t1": {"r": 1e-300, "x": 0.01}, "t2": {"r": 1e308, "x": 0.01},
+    "l2": {"r": 5.0, "x": 1e-300},
+    "grid": {"r": 0.24185006594832625, "x": 1.0751029802095216},
+    "ug_pos": 1e300, "f_hz": 1e-6}}
+OVERFLOW_ARGV = ["equilibrium", "--fault", "ll", "--zf", "1e-300",
+                 "--iminus", "1e-300@130"]
 
 
 class TestCoeffs:
@@ -360,6 +381,36 @@ class TestSimulate:
         assert code == 0
         assert out_svg.read_text().startswith("<svg ")
 
+    def test_fll_mode_trace_matches_library(self, tmp_path, capsys):
+        """--mode fll writes the trace run_scenario makes with the FLL
+        synchronizer, and it is not the PLL one."""
+        out_csv = tmp_path / "trace.csv"
+        currents = ("0.3@-30", "0.2@90")
+        code, _, err = run_cli(
+            ["simulate", "--fault", "dlg", "--iplus", currents[0],
+             "--iminus", currents[1], "--t-end", "0.2", "--mode", "fll",
+             "--out", str(out_csv)], capsys
+        )
+        assert (code, err) == (0, "")
+        doc = parse_config({})
+        ref = CurrentReference(*polar(parse_phasor(currents[0])),
+                               *polar(parse_phasor(currents[1])))
+        opts = doc.scenario
+
+        def csv(mode):
+            scenario = Scenario(
+                circuit=doc.circuit, fault=make_fault(doc, "dlg"),
+                ref_fault=ref, ref_prefault=doc.ref_prefault,
+                sync=dataclasses.replace(doc.sync, mode=mode), t_end=0.2,
+                dt=opts.dt, freq_adaptive_z=opts.freq_adaptive_z,
+                init=opts.init,
+            )
+            buf = io.StringIO()
+            trace_to_csv(run_scenario(scenario, opts.record_dt)[0], buf)
+            return buf.getvalue()
+        assert out_csv.read_text() == csv(SyncMode.DSOGI_FLL)
+        assert out_csv.read_text() != csv(SyncMode.DSOGI_PLL)
+
     @pytest.mark.parametrize("command", ["equilibrium", "simulate"])
     def test_help_names_the_current_format(self, command, capsys):
         """Both commands that take --iplus and --iminus say what they
@@ -520,6 +571,12 @@ class TestErrors:
         pytest.param({"circuit": {k: {"r": 0.0, "x": 0.0} for k in (
             "choke", "t1", "t2", "l1", "l2", "grid")}},
             ["coeffs", "--fault", "slg", "--zf", "0"], id="zero-circuit"),
+        # a bolted fault on a zero grid branch: the denominator is exactly 0
+        *(pytest.param(ZERO_GRID, ["coeffs", "--fault", fault, "--zf", "0"],
+                       id=f"zero-grid-{fault}")
+          for fault in ("slg", "dlg", "ll", "tlg")),
+        # the closed-form solve's voltage sum overflows
+        pytest.param(OVERFLOW_CIRCUIT, OVERFLOW_ARGV, id="ll-solve-overflow"),
         # 3 z_f overflows, so the coefficients come out NaN
         *(pytest.param({"fault": {"type": fault, "zf_pu": 1e308}}, argv,
                        id=f"{fault}-zf-1e308-{argv[0]}")
@@ -545,6 +602,17 @@ class TestErrors:
         assert out == ""
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["region", "--fault", "dlg", "--seq", "pos", "--angle-step", "90"],
+        ["simulate", "--fault", "dlg", "--t-end", "0.05"],
+    ], ids=["region", "simulate"])
+    def test_out_in_missing_directory_exits_1(self, argv, tmp_path, capsys):
+        out_csv = tmp_path / "missing" / "out.csv"
+        code, out, err = run_cli([*argv, "--out", str(out_csv)], capsys)
+        assert code == 1
+        assert "i/o error" in err
+        assert not out_csv.parent.exists()
+
     def test_trace_out_of_memory_exits_1(self, tmp_path, monkeypatch, capsys):
         """A trace buffer the machine cannot allocate is a config error.
         run_scenario imports numpy where it makes the buffer, so numpy's
@@ -561,6 +629,45 @@ class TestErrors:
         assert "config error: out of memory" in err
         assert out == ""
         assert not out_csv.exists()
+
+
+_AMOUNT = st.sampled_from([0.0, 1e-300, 0.2, 1e6, 1e300])
+_CURRENT = st.builds("{}@{}".format, st.sampled_from(["0", "1e-300", "0.5",
+                                                      "1e300"]),
+                     st.sampled_from(["-90", "0", "130"]))
+
+
+class TestNeverATraceback:
+    """coeffs and equilibrium on extreme circuits the schema accepts end in
+    exit 0, 2 or 3: a result, no equilibrium, or a numerical failure."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @example(circuit=ZERO_GRID["circuit"], fault="slg", zf="0", iplus="0",
+             iminus="0")
+    @example(circuit=OVERFLOW_CIRCUIT["circuit"], fault="ll", zf="1e-300",
+             iplus="0", iminus="1e-300@130")
+    @given(
+        circuit=st.fixed_dictionaries({}, optional={
+            **{branch: st.fixed_dictionaries({"r": _AMOUNT, "x": _AMOUNT})
+               for branch in ("t1", "t2", "l1", "l2", "grid")},
+            "ug_pos": st.sampled_from([1e-300, 1.0, 1e300]),
+            "f_hz": st.sampled_from([1e-6, 50.0, 1e6]),
+        }),
+        fault=st.sampled_from([f.value for f in FaultType]),
+        zf=st.sampled_from(["0", "1e-300", "0.01", "1e300"]),
+        iplus=_CURRENT, iminus=_CURRENT,
+    )
+    def test_exits_0_2_or_3(self, circuit, fault, zf, iplus, iminus):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "config.json"
+            cfg.write_text(json.dumps({"circuit": circuit}))
+            for argv in (["coeffs", "--json"],
+                         ["equilibrium", "--iplus", iplus, "--iminus", iminus]):
+                with redirect_stdout(io.StringIO()), \
+                        redirect_stderr(io.StringIO()):
+                    code = main(["--config", str(cfg), *argv, "--fault",
+                                 fault, "--zf", zf])
+                assert code in (0, 2, 3), argv
 
 
 def cold_run(code):

@@ -47,8 +47,7 @@ REF = CurrentReference(0.76, math.radians(-30.0), 0.5, math.radians(90.0))
 COEFFS = compute_coefficients(PATHS, FaultSpec(FaultType.DLG, z_f=ZF_PU))
 PRM = pack_params(COEFFS, REF, CIRCUIT.ug_pos)
 
-ALL_CODES = (kernels.FAULT_NONE, kernels.FAULT_SLG, kernels.FAULT_DLG,
-             kernels.FAULT_LL, kernels.FAULT_TLG)
+ALL_CODES = tuple(FaultType)
 
 
 def _packed(amps, angles):
@@ -511,7 +510,8 @@ class TestColumnOracle:
                              ids=["zf0", "zf", "zf-complex"])
     @pytest.mark.parametrize("code", ALL_CODES)
     def test_matches_written_out_column(self, code, zf):
-        rng = np.random.default_rng(code)
+        # the member's index seeds the draws the integer codes 0-4 did
+        rng = np.random.default_rng(ALL_CODES.index(code))
         paths = [PF] + [tuple(rng.uniform(1e-3, 2.0, 8).tolist())
                         for _ in range(3)]
         for pf in paths:
@@ -809,7 +809,7 @@ class TestSimulateRecord:
             t = n * dt
             on = sc.fault.t_on <= t
             dy = kernels.deriv_eval(
-                y, t, code if on else kernels.FAULT_NONE, zf, paths, ug,
+                y, t, code if on else FaultType.NONE, zf, paths, ug,
                 theta_g0, w0, ref_on if on else ref_pre, gains, mode_fll,
                 adaptive,
             )
@@ -975,7 +975,7 @@ class TestSimulateMatchesArrayForm:
         on = sc.fault.t_on <= t < t_clear
         assert on == (t_clear == math.inf)
         got = kernels.deriv_eval(
-            y, t, code if on else kernels.FAULT_NONE, zf, paths, ug,
+            y, t, code if on else FaultType.NONE, zf, paths, ug,
             theta_g0, w0, ref_on if on else ref_pre, gains, mode_fll,
             adaptive_z)
         assert _bits(got) == _bits(dy)

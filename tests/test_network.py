@@ -178,8 +178,3 @@ def test_negative_gain_never_exceeds_positive(circuit, fault_type, zf):
     negative sequence than to the positive one."""
     c = compute_coefficients(compose_paths(circuit), FaultSpec(fault_type, z_f=zf))
     assert abs(c.k4) <= abs(c.k1) + 1e-12
-
-
-def test_fault_type_codes_are_distinct():
-    codes = {ft.code for ft in FaultType}
-    assert len(codes) == len(FaultType)

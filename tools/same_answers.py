@@ -36,6 +36,9 @@ directory, and each runs from its own ``src``:
   ``region --fault ll --seq pos --angle-step 1`` and ``region --fault slg
   --seq neg --angle-step 0.5 --step 0.001`` (2,160,000 grid amplitudes,
   whose traversals jump to the closed-form edge; the CSV written);
+- ``coeffs --json --fault K`` for each fault kind, ``none``, ``slg``,
+  ``dlg``, ``ll`` and ``tlg``, so every coefficient column rule (the JSON
+  printed);
 - ``validate --draws 100 --seed 0`` (the table printed);
 - ``simulate`` of a 1 s DLG ride-through, and of 1 s under LL with
   ``--iminus 0.92@-20``, just past the fold, which starts from the
@@ -132,6 +135,8 @@ TRIANGULAR = (
 FAULT_EQUILIBRIA = (("slg", "1.0@-30", "2.0@-30"),
                     ("dlg", "0.5@-30", "1.0@-30"),
                     ("tlg", "0.3@-81.3", "0.3@-30"))
+# every fault kind, each with its own coefficient column rule
+FAULT_KINDS = ("none", "slg", "dlg", "ll", "tlg")
 # DLG with both currents and no qualifying root (all exit 2): a fold whose
 # roots converge, a type-2 miss (cond_feedback true), a certified curve gap
 COUPLED_MISSES = (("0.85@-30", "0.5@90"), ("0.90@90", "0.2@-90"),
@@ -234,6 +239,8 @@ def cases() -> list[tuple[str, list[str], bool, dict | None]]:
                 True, None))
     out += [(" ".join(argv), argv, to_file, None)
             for argv, to_file in TRIANGULAR]
+    out += [(f"coeffs {kind}", ["coeffs", "--json", "--fault", kind], False,
+             None) for kind in FAULT_KINDS]
     out.append(("validate draws 100 seed 0",
                 ["validate", "--draws", "100", "--seed", "0"], False, None))
     out.append(("simulate dlg iplus 0.77@-30 t_end 1", SIMULATE, True, None))

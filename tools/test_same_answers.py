@@ -32,8 +32,8 @@ def _stub(monkeypatch, differing=()):
 
 def test_cases_cover_the_reference_outputs():
     names = [name for name, _, _, _ in same_answers.cases()]
-    assert len(names) == (12 + 4 + 2 + 2 + 2 + 3 + 6 + 3 + 1 + 4 + 1 + 9 + 5
-                          + 5 + 2)
+    assert len(names) == (12 + 4 + 2 + 2 + 2 + 3 + 6 + 3 + 1 + 4 + 5 + 1 + 9
+                          + 5 + 5 + 2)
     assert len(set(names)) == len(names)
     to_file = [argv for _, argv, to_file, _ in same_answers.cases() if to_file]
     assert [argv[0] for argv in to_file].count("simulate") == 11
@@ -126,6 +126,15 @@ def test_cases_cover_the_clamps_and_infinite_angles():
                                                       "ki_pll": 1e305}
 
 
+def test_cases_cover_every_column_rule():
+    """coeffs --json under each fault kind, once each, with no config."""
+    runs = [(argv, to_file, config)
+            for _, argv, to_file, config in same_answers.cases()
+            if argv[0] == "coeffs" and config is None]
+    assert runs == [(["coeffs", "--json", "--fault", kind], False, None)
+                    for kind in ("none", "slg", "dlg", "ll", "tlg")]
+
+
 def test_cases_cover_the_limit_starts():
     """A TLG limit warm-started in closed form from the zero-current root,
     and a DLG limit with no zero-current root."""
@@ -175,7 +184,7 @@ def test_same_answers_exit_0(monkeypatch, capsys):
     assert same_answers.main(["--parent", "a", "--change", "b"]) == 0
     out = capsys.readouterr().out
     assert "DIFFERS" not in out
-    assert "61 of 61 outputs byte-identical" in out
+    assert "66 of 66 outputs byte-identical" in out
 
 
 def test_one_difference_exits_1(monkeypatch, capsys):
@@ -184,7 +193,7 @@ def test_one_difference_exits_1(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "DIFFERS: validate draws 100 seed 0" in out
     assert out.count("DIFFERS") == 1
-    assert "60 of 61 outputs byte-identical" in out
+    assert "65 of 66 outputs byte-identical" in out
 
 
 def test_config_cases_set_every_section():
