@@ -639,7 +639,8 @@ _CURRENT = st.builds("{}@{}".format, st.sampled_from(["0", "1e-300", "0.5",
 
 class TestNeverATraceback:
     """coeffs and equilibrium on extreme circuits the schema accepts end in
-    exit 0, 2 or 3: a result, no equilibrium, or a numerical failure."""
+    exit 0, 2 or 3: a result, no equilibrium, or a numerical failure with
+    its message. The examples are the two inputs that once escaped main."""
 
     @settings(max_examples=150, derandomize=True, deadline=None, database=None)
     @example(circuit=ZERO_GRID["circuit"], fault="slg", zf="0", iplus="0",
@@ -663,11 +664,14 @@ class TestNeverATraceback:
             cfg.write_text(json.dumps({"circuit": circuit}))
             for argv in (["coeffs", "--json"],
                          ["equilibrium", "--iplus", iplus, "--iminus", iminus]):
-                with redirect_stdout(io.StringIO()), \
-                        redirect_stderr(io.StringIO()):
+                err = io.StringIO()
+                with redirect_stdout(io.StringIO()), redirect_stderr(err):
                     code = main(["--config", str(cfg), *argv, "--fault",
                                  fault, "--zf", zf])
                 assert code in (0, 2, 3), argv
+                if code == 3:
+                    assert err.getvalue().startswith(
+                        "ibgsync: numerical failure: "), argv
 
 
 def cold_run(code):

@@ -510,7 +510,7 @@ class TestColumnOracle:
                              ids=["zf0", "zf", "zf-complex"])
     @pytest.mark.parametrize("code", ALL_CODES)
     def test_matches_written_out_column(self, code, zf):
-        # the member's index seeds the draws the integer codes 0-4 did
+        # one seed per member, its index in ALL_CODES
         rng = np.random.default_rng(ALL_CODES.index(code))
         paths = [PF] + [tuple(rng.uniform(1e-3, 2.0, 8).tolist())
                         for _ in range(3)]
